@@ -11,7 +11,7 @@ GO ?= go
 JOBS ?= 4
 PERF_STORE ?= /tmp/capri-resultstore
 
-.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench telemetry-smoke perf perf-single perf-seed clean
+.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke perf perf-single perf-seed clean
 
 all: build
 
@@ -26,7 +26,7 @@ test:
 # no external linters).
 lint:
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
@@ -41,12 +41,15 @@ lint:
 # stands up a live OpenMetrics endpoint plus heartbeat stream and scrapes
 # it over HTTP; the dispatch-equivalence run includes the telemetry
 # observer-equivalence matrix (armed/bus runs byte-identical to disarmed).
+# The bench smoke test runs every repository-benchmark workload once at a
+# tiny size and checks its oracles.
 check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/resultstore ./internal/fault ./internal/telemetry
 	$(GO) test -run 'TestVerifierMatrix|TestMutation' ./internal/compile
 	$(GO) test -run 'Differential|DispatchEquivalence' .
 	$(MAKE) telemetry-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) audit
 	$(MAKE) soak
 	$(MAKE) soak-mt
@@ -111,10 +114,18 @@ docs-verify:
 	$(GO) run ./cmd/capribench -sweepcheck -jobs $(JOBS) -verify EXPERIMENTS.md
 
 # bench runs the perf-regression micro-benchmarks (raw store and proxy
-# throughput plus the end-to-end simulator benchmark).
+# throughput, whole-pipeline compiles with their allocs/op, plus the
+# end-to-end simulator benchmark).
 bench:
 	$(GO) test -bench 'Mem|NVM|Proxy|Path' -benchmem -run '^$$' ./internal/mem ./internal/proxy
+	$(GO) test -bench 'Compile' -benchmem -run '^$$' ./internal/compile
 	$(GO) test -bench 'SimulatorThroughput' -run '^$$' .
+
+# bench-smoke runs the repository benchmark's own tests (bench/ is a separate
+# Go module, so the root `go test ./...` does not reach it): each workload
+# once at a tiny size, oracles and digests checked (~2 s).
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # telemetry-smoke proves the live bus end to end: an OpenMetrics endpoint
 # on an ephemeral port is scraped over real HTTP while machine and sweep

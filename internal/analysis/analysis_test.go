@@ -130,8 +130,8 @@ func TestLoopsDetection(t *testing.T) {
 	if len(l.Latches) != 1 || l.Latches[0] != 2 {
 		t.Errorf("latches = %v, want [2]", l.Latches)
 	}
-	if !l.Blocks[1] || !l.Blocks[2] || l.Blocks[0] || l.Blocks[3] {
-		t.Errorf("body = %v", l.Blocks)
+	if !l.Blocks.Has(1) || !l.Blocks.Has(2) || l.Blocks.Has(0) || l.Blocks.Has(3) {
+		t.Errorf("body = %v", members(l.Blocks))
 	}
 	if len(l.Exits) != 1 || l.Exits[0] != (LoopExit{From: 1, To: 3}) {
 		t.Errorf("exits = %v", l.Exits)
@@ -186,15 +186,15 @@ func TestNestedLoops(t *testing.T) {
 	if outer.Parent != -1 {
 		t.Errorf("outer.Parent = %d, want -1", outer.Parent)
 	}
-	if !outer.Blocks[2] || !outer.Blocks[3] || !outer.Blocks[4] {
-		t.Errorf("outer body missing inner blocks: %v", outer.Blocks)
+	if !outer.Blocks.Has(2) || !outer.Blocks.Has(3) || !outer.Blocks.Has(4) {
+		t.Errorf("outer body missing inner blocks: %v", members(outer.Blocks))
 	}
-	if inner.Blocks[4] {
-		t.Errorf("inner body must not contain outer latch: %v", inner.Blocks)
+	if inner.Blocks.Has(4) {
+		t.Errorf("inner body must not contain outer latch: %v", members(inner.Blocks))
 	}
 	hs := c.LoopHeaders()
-	if !hs[1] || !hs[2] || hs[0] || hs[5] {
-		t.Errorf("headers = %v", hs)
+	if !hs.Has(1) || !hs.Has(2) || hs.Has(0) || hs.Has(5) {
+		t.Errorf("headers = %v", members(hs))
 	}
 }
 

@@ -1,0 +1,60 @@
+package analysis
+
+import "math/bits"
+
+// BlockSet is a set of one function's block IDs, stored as a bitmap indexed
+// by block ID. The analyses use it wherever they need a block set (loop
+// bodies, region bodies, loop headers, mandatory boundaries): a set costs one
+// allocation however many members it has, and Next visits the members in
+// ascending ID order, so a pass that ranges over a set is deterministic.
+type BlockSet struct{ words []uint64 }
+
+// NewBlockSet returns an empty set able to hold block IDs below n.
+func NewBlockSet(n int) BlockSet { return BlockSet{make([]uint64, (n+63)/64)} }
+
+// NewBlockSets returns k empty sets over block IDs below n, all carved from
+// one backing array.
+func NewBlockSets(k, n int) []BlockSet {
+	w := (n + 63) / 64
+	slab := make([]uint64, k*w)
+	sets := make([]BlockSet, k)
+	for i := range sets {
+		sets[i] = BlockSet{slab[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return sets
+}
+
+// Add inserts block id, which must be below the n the set was made for.
+func (s BlockSet) Add(id int) { s.words[id>>6] |= 1 << (id & 63) }
+
+// Has reports whether block id is in the set. IDs at or above the set's size
+// (blocks created after it was built) are never members.
+func (s BlockSet) Has(id int) bool {
+	return id>>6 < len(s.words) && s.words[id>>6]&(1<<(id&63)) != 0
+}
+
+// Len returns the number of members.
+func (s BlockSet) Len() int {
+	n := 0
+	for _, w := range s.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Next returns the smallest member >= id, or -1 when there is none. Members
+// are visited in ascending order with
+//
+//	for b := s.Next(0); b >= 0; b = s.Next(b + 1) { ... }
+func (s BlockSet) Next(id int) int {
+	for w := id >> 6; w < len(s.words); w++ {
+		m := s.words[w]
+		if w == id>>6 {
+			m &= ^uint64(0) << (id & 63)
+		}
+		if m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}

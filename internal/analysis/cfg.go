@@ -5,6 +5,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"capri/internal/prog"
 )
 
@@ -17,51 +19,66 @@ type CFG struct {
 	InRPO []int // block ID -> position in RPO, -1 if unreachable
 }
 
-// BuildCFG computes edges and reverse postorder for f.
+// BuildCFG computes edges and reverse postorder for f in a constant number of
+// allocations, whatever the function's size: every Succ and Pred list is a
+// capped window of one shared int array, which also holds RPO, InRPO and the
+// DFS stack.
 func BuildCFG(f *prog.Func) *CFG {
 	n := len(f.Blocks)
-	c := &CFG{
-		F:     f,
-		Succ:  make([][]int, n),
-		Pred:  make([][]int, n),
-		InRPO: make([]int, n),
+	var buf [2]int
+	ne := 0
+	for _, b := range f.Blocks {
+		ne += len(b.Succs(buf[:0]))
+	}
+	// ints: successor edges [0,ne), predecessor edges [ne,2ne), InRPO, RPO
+	// (filled back to front), then the DFS stack of (block, next) pairs.
+	ints := make([]int, 2*ne+4*n)
+	lists := make([][]int, 2*n)
+	succ, pred, nodes := ints[:ne], ints[ne:2*ne], ints[2*ne:]
+	c := &CFG{F: f, Succ: lists[:n:n], Pred: lists[n:], InRPO: nodes[:n:n]}
+	rpo, stack := nodes[n:2*n], nodes[2*n:]
+	off := 0
+	for _, b := range f.Blocks {
+		k := copy(succ[off:], b.Succs(buf[:0]))
+		c.Succ[b.ID] = succ[off : off+k : off+k]
+		off += k
+		for _, s := range c.Succ[b.ID] {
+			c.InRPO[s]++ // in-degree, until the DFS below
+		}
+	}
+	off = 0
+	for id, d := range c.InRPO {
+		c.Pred[id] = pred[off : off : off+d]
+		off += d
 	}
 	for _, b := range f.Blocks {
-		c.Succ[b.ID] = b.Succs(nil)
 		for _, s := range c.Succ[b.ID] {
 			c.Pred[s] = append(c.Pred[s], b.ID)
 		}
 	}
-	// Iterative postorder DFS from the entry.
-	visited := make([]bool, n)
-	type frame struct {
-		b    int
-		next int
-	}
-	var post []int
-	stack := []frame{{f.Entry, 0}}
-	visited[f.Entry] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.next < len(c.Succ[fr.b]) {
-			s := c.Succ[fr.b][fr.next]
-			fr.next++
-			if !visited[s] {
-				visited[s] = true
-				stack = append(stack, frame{s, 0})
-			}
-			continue
-		}
-		post = append(post, fr.b)
-		stack = stack[:len(stack)-1]
-	}
-	c.RPO = make([]int, len(post))
-	for i := range post {
-		c.RPO[i] = post[len(post)-1-i]
-	}
+	// Iterative postorder DFS from the entry; InRPO >= 0 marks visited.
 	for i := range c.InRPO {
 		c.InRPO[i] = -1
 	}
+	pos, sp := n, 2
+	stack[0], stack[1] = f.Entry, 0
+	c.InRPO[f.Entry] = 0
+	for sp > 0 {
+		b, next := stack[sp-2], stack[sp-1]
+		if next < len(c.Succ[b]) {
+			stack[sp-1]++
+			if s := c.Succ[b][next]; c.InRPO[s] < 0 {
+				c.InRPO[s] = 0
+				stack[sp], stack[sp+1] = s, 0
+				sp += 2
+			}
+			continue
+		}
+		pos--
+		rpo[pos] = b
+		sp -= 2
+	}
+	c.RPO = rpo[pos:n:n]
 	for i, b := range c.RPO {
 		c.InRPO[b] = i
 	}
@@ -140,8 +157,8 @@ type Loop struct {
 	Header int
 	// Latches are the blocks with back edges to the header.
 	Latches []int
-	// Blocks is the loop body including the header, as a set.
-	Blocks map[int]bool
+	// Blocks is the loop body including the header.
+	Blocks BlockSet
 	// Exits are (from, to) edges leaving the loop.
 	Exits []LoopExit
 	// Parent is the index of the innermost enclosing loop, or -1.
@@ -157,36 +174,43 @@ type LoopExit struct {
 // Loops finds all natural loops (back edges to a dominator). Loops with the
 // same header are merged, matching LLVM's notion of a loop. The returned
 // slice is ordered outermost-first for nesting purposes; Parent links record
-// the nesting.
+// the nesting. Allocations grow with the number of loops, not of blocks.
 func (c *CFG) Loops() []Loop {
 	idom := c.Dominators()
-	entry := c.F.Entry
-	byHeader := map[int]*Loop{}
-
+	n := len(c.F.Blocks)
+	// loopOf maps a header to its loop's index (-1 elsewhere); work is the
+	// body walk's stack, which never holds a block twice.
+	slab := make([]int, 2*n)
+	loopOf, work := slab[:n], slab[n:n]
+	for i := range loopOf {
+		loopOf[i] = -1
+	}
+	var loops []Loop
 	for _, b := range c.RPO {
 		for _, s := range c.Succ[b] {
-			if !c.Reachable(s) || !Dominates(idom, entry, s, b) {
+			if !c.backEdge(idom, b, s) {
 				continue
 			}
 			// b -> s is a back edge; s is the header.
-			l, ok := byHeader[s]
-			if !ok {
-				l = &Loop{Header: s, Blocks: map[int]bool{s: true}, Parent: -1}
-				byHeader[s] = l
+			if loopOf[s] < 0 {
+				loopOf[s] = len(loops)
+				loops = append(loops, Loop{Header: s, Blocks: NewBlockSet(n), Parent: -1})
+				loops[len(loops)-1].Blocks.Add(s)
 			}
+			l := &loops[loopOf[s]]
 			l.Latches = append(l.Latches, b)
 			// Collect the loop body: reverse reachability from the latch to
 			// the header.
-			work := []int{b}
+			if !l.Blocks.Has(b) {
+				l.Blocks.Add(b)
+				work = append(work, b)
+			}
 			for len(work) > 0 {
 				x := work[len(work)-1]
 				work = work[:len(work)-1]
-				if l.Blocks[x] {
-					continue
-				}
-				l.Blocks[x] = true
 				for _, p := range c.Pred[x] {
-					if c.Reachable(p) {
+					if c.Reachable(p) && !l.Blocks.Has(p) {
+						l.Blocks.Add(p)
 						work = append(work, p)
 					}
 				}
@@ -194,40 +218,35 @@ func (c *CFG) Loops() []Loop {
 		}
 	}
 
-	loops := make([]Loop, 0, len(byHeader))
-	for _, l := range byHeader {
-		for b := range l.Blocks {
+	for i := range loops {
+		l := &loops[i]
+		for b := l.Blocks.Next(0); b >= 0; b = l.Blocks.Next(b + 1) {
 			for _, s := range c.Succ[b] {
-				if !l.Blocks[s] {
+				if !l.Blocks.Has(s) {
 					l.Exits = append(l.Exits, LoopExit{From: b, To: s})
 				}
 			}
 		}
-		loops = append(loops, *l)
 	}
 	// Sort outermost-first (larger body first, header ID tiebreak) for a
 	// deterministic order.
-	for i := 0; i < len(loops); i++ {
-		for j := i + 1; j < len(loops); j++ {
-			li, lj := &loops[i], &loops[j]
-			if len(lj.Blocks) > len(li.Blocks) ||
-				(len(lj.Blocks) == len(li.Blocks) && lj.Header < li.Header) {
-				loops[i], loops[j] = loops[j], loops[i]
-			}
+	slices.SortFunc(loops, func(a, b Loop) int {
+		if d := b.Blocks.Len() - a.Blocks.Len(); d != 0 {
+			return d
 		}
-	}
+		return a.Header - b.Header
+	})
 	// Parent links: innermost enclosing loop = smallest strictly-containing.
 	for i := range loops {
 		best, bestSize := -1, 1<<30
+		size := loops[i].Blocks.Len()
 		for j := range loops {
-			if i == j {
+			sz := loops[j].Blocks.Len()
+			if i == j || sz <= size {
 				continue
 			}
-			if len(loops[j].Blocks) <= len(loops[i].Blocks) {
-				continue
-			}
-			if loops[j].Blocks[loops[i].Header] && len(loops[j].Blocks) < bestSize {
-				best, bestSize = j, len(loops[j].Blocks)
+			if loops[j].Blocks.Has(loops[i].Header) && sz < bestSize {
+				best, bestSize = j, sz
 			}
 		}
 		loops[i].Parent = best
@@ -235,11 +254,23 @@ func (c *CFG) Loops() []Loop {
 	return loops
 }
 
-// LoopHeaders returns the set of loop-header block IDs.
-func (c *CFG) LoopHeaders() map[int]bool {
-	hs := map[int]bool{}
-	for _, l := range c.Loops() {
-		hs[l.Header] = true
+// LoopHeaders returns the set of loop-header block IDs: the targets of back
+// edges, without building the loop bodies.
+func (c *CFG) LoopHeaders() BlockSet {
+	idom := c.Dominators()
+	hs := NewBlockSet(len(c.F.Blocks))
+	for _, b := range c.RPO {
+		for _, s := range c.Succ[b] {
+			if c.backEdge(idom, b, s) {
+				hs.Add(s)
+			}
+		}
 	}
 	return hs
+}
+
+// backEdge reports whether b -> s is a back edge: s is reachable and
+// dominates b.
+func (c *CFG) backEdge(idom []int, b, s int) bool {
+	return c.Reachable(s) && Dominates(idom, c.F.Entry, s, b)
 }

@@ -178,6 +178,21 @@ func TestRecorderRingAndDigest(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderTapZeroAlloc pins the recorder's steady state: once the
+// ring is full, tapping an event allocates nothing (the wire encoding fits
+// its scratch buffer).
+func TestFlightRecorderTapZeroAlloc(t *testing.T) {
+	r := NewFlightRecorder(4)
+	e := Event{Kind: EvDrainWrite, Flags: FlagBoundary, Core: 3, Cycle: 1 << 40, Addr: 1 << 33,
+		Seq: 7, Region: 9, Val: ^uint64(0), Val2: 1 << 62, Count: 1 << 31}
+	for i := 0; i < 4; i++ {
+		r.Tap(e)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Tap(e) }); n != 0 {
+		t.Errorf("Tap allocates %.1f times per event, want 0", n)
+	}
+}
+
 func TestRecorderChainFor(t *testing.T) {
 	rec, _ := feed(t, legalStoreLife())
 	chain := rec.ChainFor(testAddr)

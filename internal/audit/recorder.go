@@ -11,6 +11,11 @@ import (
 // length.
 const DefaultRecorderCap = 1 << 16
 
+// eventWireLen is the size of one event's digest encoding: kind and flags,
+// the core, the cycle, address, sequence, region and two value words, then
+// the count.
+const eventWireLen = 2 + 4 + 6*8 + 4
+
 // FlightRecorder keeps the last N provenance events in a ring and a running
 // digest over *all* events seen (dropped ones included), so two runs can be
 // compared for event-stream identity even when the ring wrapped. It answers
@@ -21,7 +26,7 @@ type FlightRecorder struct {
 	next  int    // ring write position
 	total uint64 // events seen, including those evicted from the ring
 	h     hash.Hash
-	buf   [48]byte // event wire encoding scratch
+	buf   [eventWireLen]byte // event wire encoding scratch
 }
 
 // NewFlightRecorder returns a recorder holding the last `cap` events

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"capri/internal/prog"
+	"capri/internal/resultstore"
 	"capri/internal/telemetry"
 )
 
@@ -72,7 +73,7 @@ func (c *Cache) Compile(p *prog.Program, opts Options) (*Result, error) {
 		// Don't cache-key invalid options; let Compile produce the error.
 		return Compile(p, opts)
 	}
-	key := cacheKey{prog: p.Fingerprint(), opts: opts.canonical()}
+	key := cacheKey{prog: p.Fingerprint(), opts: opts.Canonical()}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -84,8 +85,9 @@ func (c *Cache) Compile(p *prog.Program, opts Options) (*Result, error) {
 	won := false
 	e.once.Do(func() {
 		won = true
+		var pk resultstore.Key
 		if persist != nil {
-			pk := c.persistKey(key)
+			pk = c.persistKey(key)
 			if raw, ok := persist.Get(pk); ok {
 				if res, ok := decodeStored(raw, opts); ok {
 					c.diskHits.Add(1)
@@ -94,19 +96,15 @@ func (c *Cache) Compile(p *prog.Program, opts Options) (*Result, error) {
 					return
 				}
 			}
-			c.misses.Add(1)
-			telemetry.Caches.CompileMisses.Add(1)
-			e.res, e.err = Compile(p, opts)
-			if e.err == nil {
-				if raw, err := encodeStored(e.res); err == nil {
-					persist.Put(pk, raw)
-				}
-			}
-			return
 		}
 		c.misses.Add(1)
 		telemetry.Caches.CompileMisses.Add(1)
 		e.res, e.err = Compile(p, opts)
+		if persist != nil && e.err == nil {
+			if raw, err := encodeStored(e.res); err == nil {
+				persist.Put(pk, raw)
+			}
+		}
 	})
 	if !won {
 		c.hits.Add(1)

@@ -39,9 +39,6 @@ type ckptContext struct {
 	mayRead []analysis.RegSet
 	// retNeed[f] = registers that must have fresh slots when f returns.
 	retNeed []analysis.RegSet
-	// liveAfterCall[f][block] for blocks ending in a call: registers live at
-	// the call's return site.
-	callees [][]int
 }
 
 func newCkptContext(p *prog.Program) *ckptContext {
@@ -62,7 +59,6 @@ func newCkptContext(p *prog.Program) *ckptContext {
 func (cc *ckptContext) computeMayRead() {
 	p := cc.p
 	cc.mayRead = make([]analysis.RegSet, len(p.Funcs))
-	direct := make([]analysis.RegSet, len(p.Funcs))
 	calls := make([][]int, len(p.Funcs))
 	var uses []isa.Reg
 	for i, f := range p.Funcs {
@@ -79,7 +75,6 @@ func (cc *ckptContext) computeMayRead() {
 				}
 			}
 		}
-		direct[i] = s
 		cc.mayRead[i] = s
 	}
 	for changed := true; changed; {
@@ -151,19 +146,22 @@ func insertCheckpoints(p *prog.Program, fi int, cc *ckptContext) int {
 	needIn := make([]analysis.RegSet, len(f.Blocks))
 	needOut := make([]analysis.RegSet, len(f.Blocks))
 
-	transfer := func(b *prog.Block, out analysis.RegSet) analysis.RegSet {
+	// walk runs the need transfer backward through b from out and returns
+	// the need at b's start (before the boundary term). Each def of a needed
+	// register is a last def: place, when set, receives its index.
+	walk := func(b *prog.Block, out analysis.RegSet, place func(i int, r isa.Reg)) analysis.RegSet {
 		need := out
 		for i := len(b.Insts) - 1; i >= 0; i-- {
 			in := &b.Insts[i]
 			if in.Op == isa.OpCall {
 				need = need.Union(cc.callNeed(fi, int(in.Callee), p.RetSites[in.Imm]))
 			}
-			if d, ok := in.Def(); ok {
+			if d, ok := in.Def(); ok && need.Has(d) {
+				if place != nil {
+					place(i, d)
+				}
 				need.Remove(d)
 			}
-		}
-		if b.BoundaryAt {
-			need = need.Union(lv.LiveIn[b.ID])
 		}
 		return need
 	}
@@ -180,7 +178,10 @@ func insertCheckpoints(p *prog.Program, fi int, cc *ckptContext) int {
 			for _, s := range cfg.Succ[id] {
 				out = out.Union(needIn[s])
 			}
-			in := transfer(b, out)
+			in := walk(b, out, nil)
+			if b.BoundaryAt {
+				in = in.Union(lv.LiveIn[id])
+			}
 			if in != needIn[id] || out != needOut[id] {
 				needIn[id], needOut[id] = in, out
 				changed = true
@@ -194,32 +195,14 @@ func insertCheckpoints(p *prog.Program, fi int, cc *ckptContext) int {
 	inserted := 0
 	for _, id := range cfg.RPO {
 		b := f.Blocks[id]
-		need := needOut[id]
-		var ckptAfter []int // instruction indexes to receive a ckpt after
-		var ckptReg []isa.Reg
-		for i := len(b.Insts) - 1; i >= 0; i-- {
-			in := &b.Insts[i]
-			if in.Op == isa.OpCall {
-				need = need.Union(cc.callNeed(fi, int(in.Callee), p.RetSites[in.Imm]))
-			}
-			if d, ok := in.Def(); ok && need.Has(d) {
-				ckptAfter = append(ckptAfter, i)
-				ckptReg = append(ckptReg, d)
-				need.Remove(d)
-			}
-		}
-		if len(ckptAfter) == 0 {
-			continue
-		}
-		// Indexes were collected in descending order; splice back-to-front
-		// so earlier indexes stay valid.
-		for k := 0; k < len(ckptAfter); k++ {
-			i, r := ckptAfter[k], ckptReg[k]
+		// Indexes arrive in descending order; splicing back-to-front keeps
+		// the earlier indexes valid.
+		walk(b, needOut[id], func(i int, r isa.Reg) {
 			b.Insts = append(b.Insts, isa.Inst{})
 			copy(b.Insts[i+2:], b.Insts[i+1:])
 			b.Insts[i+1] = isa.Inst{Op: isa.OpCkpt, Ra: r}
 			inserted++
-		}
+		})
 	}
 	return inserted
 }
@@ -233,13 +216,13 @@ func ckptEstimate(cfg *analysis.CFG, lv *analysis.Liveness) func(*prog.Block) in
 		if b.ID >= len(lv.Def) {
 			// Blocks created by splitting after the analysis ran: fall back
 			// to a direct def count.
-			seen := map[isa.Reg]bool{}
+			var seen analysis.RegSet
 			for i := range b.Insts {
 				if d, ok := b.Insts[i].Def(); ok {
-					seen[d] = true
+					seen.Add(d)
 				}
 			}
-			return len(seen)
+			return seen.Count()
 		}
 		return (lv.Def[b.ID] & lv.LiveOut[b.ID]).Count()
 	}

@@ -142,7 +142,8 @@ func TestLoopHeaderIsBoundary(t *testing.T) {
 	f := res.Program.Funcs[0]
 	cfg := analysis.BuildCFG(f)
 	found := false
-	for h := range cfg.LoopHeaders() {
+	hdrs := cfg.LoopHeaders()
+	for h := hdrs.Next(0); h >= 0; h = hdrs.Next(h + 1) {
 		if !f.Blocks[h].BoundaryAt {
 			t.Errorf("loop header b%d lacks a boundary", h)
 		}
@@ -455,7 +456,7 @@ func TestLICMHoistsInvariantPair(t *testing.T) {
 	cfg := analysis.BuildCFG(f)
 	loops := cfg.Loops()
 	for _, l := range loops {
-		for id := range l.Blocks {
+		for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
 			for i := range f.Blocks[id].Insts {
 				in := &f.Blocks[id].Insts[i]
 				if in.Op == isa.OpMul && in.Rd == 8 {
@@ -486,7 +487,7 @@ func TestRegionsOfCoversAllBlocks(t *testing.T) {
 		cfg := analysis.BuildCFG(f)
 		covered := map[int]bool{}
 		for _, r := range regionsOf(f) {
-			for b := range r.Blocks {
+			for b := r.Blocks.Next(0); b >= 0; b = r.Blocks.Next(b + 1) {
 				covered[b] = true
 			}
 		}

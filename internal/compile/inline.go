@@ -30,30 +30,22 @@ import (
 // is zero.
 const defaultInlineMax = 48
 
-// inlineStats reports what the pass did.
-type inlineStats struct {
-	CallsInlined int
-}
-
-// inlineCalls inlines eligible call sites in every function of p. The
-// program must already be canonical (calls are last-before-terminator and
-// return sites begin blocks).
-func inlineCalls(p *prog.Program, maxInsts int) inlineStats {
+// inlineCalls inlines eligible call sites in every function of p and returns
+// how many it inlined. The program must already be canonical (calls are
+// last-before-terminator and return sites begin blocks).
+func inlineCalls(p *prog.Program, maxInsts int) int {
 	if maxInsts <= 0 {
 		maxInsts = defaultInlineMax
 	}
-	var st inlineStats
+	n := 0
 	for _, f := range p.Funcs {
 		// Repeat until no eligible site remains (an inlined body cannot add
 		// calls — only leaves are inlined — so this terminates).
-		for {
-			if !inlineOneCall(p, f, maxInsts) {
-				break
-			}
-			st.CallsInlined++
+		for inlineOneCall(p, f, maxInsts) {
+			n++
 		}
 	}
-	return st
+	return n
 }
 
 // eligibleCallee reports whether g can be inlined.
@@ -97,25 +89,17 @@ func performInline(p *prog.Program, f *prog.Func, b *prog.Block, i int, callee *
 	rs := p.RetSites[b.Insts[i].Imm]
 
 	// Copy the callee's blocks into f, remapping internal branch targets.
-	copyOf := make(map[int]int, len(callee.Blocks))
+	copyOf := make([]int, len(callee.Blocks))
 	for _, cb := range callee.Blocks {
 		copyOf[cb.ID] = f.NewBlock().ID
 	}
 	for _, cb := range callee.Blocks {
 		dst := f.Blocks[copyOf[cb.ID]]
 		dst.Insts = append(dst.Insts, cb.Insts...)
-		for j := range dst.Insts {
-			cin := &dst.Insts[j]
-			switch cin.Op {
-			case isa.OpBr:
-				cin.Target = int32(copyOf[int(cin.Target)])
-			case isa.OpBrIf:
-				cin.Target = int32(copyOf[int(cin.Target)])
-				cin.Else = int32(copyOf[int(cin.Else)])
-			case isa.OpRet:
-				// Return becomes a jump to the original return site.
-				*cin = isa.Inst{Op: isa.OpBr, Target: int32(rs.Block)}
-			}
+		retargetEdges(dst, func(t int) int { return copyOf[t] })
+		if t, ok := dst.Terminator(); ok && t.Op == isa.OpRet {
+			// Return becomes a jump to the original return site.
+			*t = isa.Inst{Op: isa.OpBr, Target: int32(rs.Block)}
 		}
 	}
 

@@ -40,6 +40,7 @@ func licmCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
 	for {
 		cfg := analysis.BuildCFG(f)
 		loops := cfg.Loops()
+		var lv *analysis.Liveness
 		did := false
 		for li := range loops {
 			l := &loops[li]
@@ -47,7 +48,9 @@ func licmCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
 			if !ok {
 				continue
 			}
-			lv := analysis.ComputeLivenessCallAware(cfg, callUse)
+			if lv == nil {
+				lv = analysis.ComputeLivenessCallAware(cfg, callUse)
+			}
 			if tryHoist(f, lv, l, pre) {
 				moved++
 				did = true
@@ -65,7 +68,7 @@ func licmCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
 func preheader(f *prog.Func, cfg *analysis.CFG, l *analysis.Loop) (int, bool) {
 	pre, n := -1, 0
 	for _, p := range cfg.Pred[l.Header] {
-		if !l.Blocks[p] {
+		if !l.Blocks.Has(p) {
 			pre = p
 			n++
 		}
@@ -75,9 +78,10 @@ func preheader(f *prog.Func, cfg *analysis.CFG, l *analysis.Loop) (int, bool) {
 
 // tryHoist finds one hoistable (def, ckpt) pair in loop l and moves it to the
 // end of the preheader (before its terminator). Reports whether it moved one.
+// Blocks are scanned in ascending ID order, so the choice is deterministic.
 func tryHoist(f *prog.Func, lv *analysis.Liveness, l *analysis.Loop, pre int) bool {
-	defsInLoop := map[isa.Reg]int{}
-	for id := range l.Blocks {
+	var defsInLoop [isa.NumRegs]int
+	for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
 		b := f.Blocks[id]
 		for i := range b.Insts {
 			if d, ok := b.Insts[i].Def(); ok {
@@ -86,7 +90,7 @@ func tryHoist(f *prog.Func, lv *analysis.Liveness, l *analysis.Loop, pre int) bo
 		}
 	}
 
-	for id := range l.Blocks {
+	for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
 		b := f.Blocks[id]
 		for i := 0; i+1 < len(b.Insts); i++ {
 			def := b.Insts[i]

@@ -63,11 +63,13 @@ type Options struct {
 // verifier after every pass.
 const VerifyAfterAll = "all"
 
-// canonical returns opts with output-irrelevant and defaulted fields
+// Canonical returns opts with output-irrelevant and defaulted fields
 // normalized, so Options values that compile to the same program compare
-// equal — the options half of the compile-cache key. Threshold must already
-// be validated positive.
-func (o Options) canonical() Options {
+// equal — the options half of the compile-cache key, and the key material
+// for content-addressed stores (the sweep fleet's result store and the
+// persistent compile tier both hash Canonical()'s JSON encoding). Threshold
+// must already be validated positive.
+func (o Options) Canonical() Options {
 	o.VerifyAfter = ""
 	if o.NaiveRegions {
 		// Naive mode disables the region-lengthening passes entirely.
@@ -95,13 +97,6 @@ func (o Options) canonical() Options {
 	}
 	return o
 }
-
-// Canonical is the exported form of canonical, for callers that key
-// content-addressed stores by options — the sweep fleet's result store and
-// the persistent compile tier both hash Canonical()'s JSON encoding, so two
-// option values that compile to the same program share one key. Threshold
-// must already be validated positive.
-func (o Options) Canonical() Options { return o.canonical() }
 
 // DefaultThreshold is the paper's default region store threshold.
 const DefaultThreshold = 256

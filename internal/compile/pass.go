@@ -159,10 +159,9 @@ func newPipeline(opts Options) *pipeline {
 	}})
 	if opts.Inline && !opts.NaiveRegions {
 		add(false, pass{PassInline, phaseFront, func(pc *passCtx) (int, error) {
-			is := inlineCalls(pc.p, pc.opts.InlineMaxInsts)
-			pc.stats.CallsInlined = is.CallsInlined
+			pc.stats.CallsInlined = inlineCalls(pc.p, pc.opts.InlineMaxInsts)
 			removeDeadFuncs(pc.p)
-			return is.CallsInlined, nil
+			return pc.stats.CallsInlined, nil
 		}})
 	}
 	if opts.Unroll && !opts.NaiveRegions {
@@ -206,9 +205,10 @@ func newPipeline(opts Options) *pipeline {
 		add(false, pass{PassPrune, phaseRegions, func(pc *passCtx) (int, error) {
 			cc := pc.ckptCtx()
 			callUse := func(callee int32) analysis.RegSet { return cc.mayRead[callee] }
+			var sc pruneScratch
 			n := 0
 			for _, f := range pc.p.Funcs {
-				n += pruneCheckpoints(f, callUse)
+				n += pruneCheckpoints(f, callUse, &sc)
 			}
 			pc.stats.CkptsPruned = n
 			return n, nil
@@ -235,20 +235,17 @@ func newPipeline(opts Options) *pipeline {
 	return pl
 }
 
-// names returns the pipeline's pass names in execution order.
-func (pl *pipeline) names() []string {
+// PassNames returns the names of the passes Compile would run for opts, in
+// order. Useful for validating -verify-after/-dump-after style selectors.
+func PassNames(opts Options) []string {
 	var out []string
-	for _, sg := range pl.stages {
+	for _, sg := range newPipeline(opts).stages {
 		for _, ps := range sg.passes {
 			out = append(out, ps.name)
 		}
 	}
 	return out
 }
-
-// PassNames returns the names of the passes Compile would run for opts, in
-// order. Useful for validating -verify-after/-dump-after style selectors.
-func PassNames(opts Options) []string { return newPipeline(opts).names() }
 
 // run executes the pipeline over p (mutating it), recording per-pass stats
 // into st. Verification between passes is uniform: the structural check runs
@@ -344,16 +341,6 @@ func (pl *pipeline) verifyAfter(pc *passCtx, ps pass, record func(string) *PassS
 	stat.VerifyNS += time.Since(start).Nanoseconds()
 	if err != nil {
 		return fmt.Errorf("compile: after %s: %w", ps.name, err)
-	}
-	return nil
-}
-
-// checkThreshold runs the threshold invariant over every function.
-func checkThreshold(p *prog.Program, threshold int) error {
-	for _, f := range p.Funcs {
-		if err := verifyThreshold(f, threshold); err != nil {
-			return err
-		}
 	}
 	return nil
 }

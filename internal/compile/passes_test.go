@@ -100,13 +100,13 @@ func TestMandatoryBoundarySet(t *testing.T) {
 	canonicalize(p)
 	f := p.Funcs[0]
 	cfg := analysis.BuildCFG(f)
-	mand := mandatoryBoundaries(p, f, cfg.LoopHeaders())
-	if !mand[f.Entry] {
+	mand := mandatoryBoundaries(p, f, cfg)
+	if !mand.Has(f.Entry) {
 		t.Error("entry not mandatory")
 	}
 	hdrs := cfg.LoopHeaders()
-	for h := range hdrs {
-		if !mand[h] {
+	for h := hdrs.Next(0); h >= 0; h = hdrs.Next(h + 1) {
+		if !mand.Has(h) {
 			t.Errorf("loop header b%d not mandatory", h)
 		}
 	}
@@ -125,10 +125,10 @@ func TestVerifyThresholdRejectsOverflow(t *testing.T) {
 	fn := p.Funcs[0]
 	fn.Blocks[0].BoundaryAt = true
 
-	if err := verifyThreshold(fn, 4); err == nil {
+	if err := checkThreshold(p, 4); err == nil {
 		t.Error("threshold 4 accepted for a 10-store region")
 	}
-	if err := verifyThreshold(fn, 10); err != nil {
+	if err := checkThreshold(p, 10); err != nil {
 		t.Errorf("threshold 10 rejected: %v", err)
 	}
 }
@@ -190,11 +190,13 @@ func TestOtherDefReaches(t *testing.T) {
 	cfg := analysis.BuildCFG(fn)
 	// The def at (b0, idx1) vs boundary b1: the redef in b2 reaches b1 via
 	// the back edge.
-	if !otherDefReaches(fn, cfg, 0, 1, 1, []int{1}) {
+	var sc pruneScratch
+	sc.reset(len(fn.Blocks))
+	if !sc.otherDefReaches(fn, cfg, 0, 1, 1, []int{1}) {
 		t.Error("loop redef not detected as reaching the header boundary")
 	}
 	// Register r0 has no other defs: nothing reaches.
-	if otherDefReaches(fn, cfg, 0, 0, 0, []int{1}) {
+	if sc.otherDefReaches(fn, cfg, 0, 0, 0, []int{1}) {
 		t.Error("phantom def detected for r0")
 	}
 }

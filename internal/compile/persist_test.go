@@ -84,7 +84,7 @@ func TestPersistentTierGarbagePayloadFallsBack(t *testing.T) {
 	// Poison the exact key the cache will probe.
 	c := NewCache()
 	c.SetPersist(store, salt)
-	store.Put(c.persistKey(cacheKey{prog: p.Fingerprint(), opts: DefaultOptions().canonical()}), []byte("not json"))
+	store.Put(c.persistKey(cacheKey{prog: p.Fingerprint(), opts: DefaultOptions().Canonical()}), []byte("not json"))
 
 	if _, err := c.Compile(p, DefaultOptions()); err != nil {
 		t.Fatal(err)

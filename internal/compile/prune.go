@@ -1,6 +1,8 @@
 package compile
 
 import (
+	"slices"
+
 	"capri/internal/analysis"
 	"capri/internal/isa"
 	"capri/internal/prog"
@@ -38,8 +40,10 @@ const (
 // transitive may-read summary per callee, making the liveness the walk uses
 // call-aware (a value consumed only by a callee must keep the walk alive up
 // to the call, where instPreserves then aborts conservatively). Returns the
-// number of checkpoints pruned.
-func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
+// number of checkpoints pruned. sc is the pass's scratch, reused across
+// functions.
+func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet, sc *pruneScratch) int {
+	sc.reset(len(f.Blocks))
 	cfg := analysis.BuildCFG(f)
 	lv := analysis.ComputeLivenessCallAware(cfg, callUse)
 	idom := cfg.Dominators()
@@ -48,15 +52,10 @@ func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
 	for _, id := range cfg.RPO {
 		b := f.Blocks[id]
 		for i := 0; i < len(b.Insts); i++ {
-			in := b.Insts[i]
-			if in.Op != isa.OpCkpt {
+			if i == 0 || b.Insts[i].Op != isa.OpCkpt {
 				continue
 			}
-			r := in.Ra
-			if i == 0 {
-				continue
-			}
-			def := b.Insts[i-1]
+			r, def := b.Insts[i].Ra, b.Insts[i-1]
 			if d, ok := def.Def(); !ok || d != r || !def.IsReexecutable() {
 				continue
 			}
@@ -64,7 +63,7 @@ func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
 			if !ok || !sliceConsistent(b, i-1, leaves, idxs) {
 				continue
 			}
-			boundaries, regsOK := servedBoundaries(f, cfg, lv, id, i, r, leaves)
+			boundaries, regsOK := sc.servedBoundaries(f, cfg, lv, id, i, r, leaves)
 			if !regsOK || len(boundaries) == 0 {
 				continue
 			}
@@ -74,33 +73,21 @@ func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
 			// slice at recovery would overwrite the newer checkpointed
 			// value. (The forward walk above ends at redefs, so it cannot
 			// see paths that flow through them back to the boundary.)
-			if otherDefReaches(f, cfg, id, i-1, r, boundaries) {
+			if sc.otherDefReaches(f, cfg, id, i-1, r, boundaries) {
 				continue
 			}
 			// A slice at boundary β is only correct if every path into β
 			// runs through this def (otherwise recovery would overwrite an r
 			// produced elsewhere), so the defining block must dominate every
 			// served boundary; and no boundary may already carry a slice for
-			// r from a different def.
-			valid := true
-			for _, bb := range boundaries {
-				if !analysis.Dominates(idom, f.Entry, id, bb) {
-					valid = false
-					break
-				}
-				if _, exists := f.Blocks[bb].RecoverySlices[r]; exists {
-					valid = false
-					break
-				}
-				// An earlier slice at this boundary may read r's checkpoint
-				// slot as a leaf; deleting r's checkpoint would leave that
-				// slice a stale slot, so the prune must not proceed.
-				if sliceLeafsOn(f.Blocks[bb], r) {
-					valid = false
-					break
-				}
-			}
-			if !valid {
+			// r from a different def. An earlier slice at a boundary may also
+			// read r's checkpoint slot as a leaf; deleting r's checkpoint
+			// would leave that slice a stale slot, so the prune must not
+			// proceed.
+			if slices.ContainsFunc(boundaries, func(bb int) bool {
+				_, exists := f.Blocks[bb].RecoverySlices[r]
+				return exists || sliceLeafsOn(f.Blocks[bb], r) || !analysis.Dominates(idom, f.Entry, id, bb)
+			}) {
 				continue
 			}
 			// Commit the prune: delete the ckpt, attach slices.
@@ -135,10 +122,8 @@ func buildSlice(b *prog.Block, di int, depth int) ([]isa.Inst, analysis.RegSet, 
 	var leaves analysis.RegSet
 	var slice []isa.Inst
 	var idxs []int
-
-	var operands []isa.Reg
-	operands = def.Uses(operands)
-	for _, s := range operands {
+	var ops [3]isa.Reg
+	for _, s := range def.Uses(ops[:0]) {
 		// Case 1: s checkpointed earlier in this block with no intervening
 		// redefinition — slot[s] holds the right value; s is a leaf.
 		if hasFreshCkptBefore(b, di, s) {
@@ -181,38 +166,25 @@ func buildSlice(b *prog.Block, di int, depth int) ([]isa.Inst, analysis.RegSet, 
 // the range is already guaranteed by hasFreshCkptBefore at each consumer,
 // and freshness after di by servedBoundaries' protected-set walk.
 func sliceConsistent(b *prog.Block, di int, leaves analysis.RegSet, idxs []int) bool {
-	inSlice := map[int]bool{}
 	lo := di
-	for _, j := range idxs {
-		if inSlice[j] {
+	var defs analysis.RegSet
+	for k, j := range idxs {
+		if slices.Contains(idxs[:k], j) {
 			// The same instruction pulled in via two operands is fine, but
 			// it would be appended twice; reject to keep slices minimal and
 			// replay-safe.
 			return false
 		}
-		inSlice[j] = true
-		if j < lo {
-			lo = j
-		}
-	}
-	involved := leaves
-	seenDef := map[isa.Reg]bool{}
-	for j := range inSlice {
+		lo = min(lo, j)
 		d, ok := b.Insts[j].Def()
-		if !ok {
-			return false
-		}
-		if seenDef[d] || leaves.Has(d) {
+		if !ok || defs.Has(d) || leaves.Has(d) {
 			return false // two versions of one register in the slice
 		}
-		seenDef[d] = true
-		involved.Add(d)
+		defs.Add(d)
 	}
+	involved := leaves | defs
 	for j := lo; j <= di; j++ {
-		if inSlice[j] {
-			continue
-		}
-		if d, ok := b.Insts[j].Def(); ok && involved.Has(d) {
+		if d, ok := b.Insts[j].Def(); ok && involved.Has(d) && !slices.Contains(idxs, j) {
 			return false // an outside def would change an involved version
 		}
 	}
@@ -245,14 +217,52 @@ func nearestDefBefore(b *prog.Block, di int, s isa.Reg) (int, bool) {
 	return 0, false
 }
 
+// pruneScratch is the prune pass's walk state, reused across candidates and
+// functions: block-indexed visited and boundary marks, one work stack and the
+// served-boundary list, so a candidate's walks allocate nothing.
+type pruneScratch struct {
+	visited, bound []bool
+	work, served   []int
+}
+
+// reset sizes the scratch for a function of n blocks.
+func (sc *pruneScratch) reset(n int) {
+	if cap(sc.visited) < n {
+		marks := make([]bool, 2*n)
+		sc.visited, sc.bound = marks[:n:n], marks[n:]
+	}
+	sc.visited, sc.bound = sc.visited[:n], sc.bound[:n]
+}
+
+// walk starts a fresh walk from the given blocks: nothing visited yet.
+func (sc *pruneScratch) walk(from []int) {
+	clear(sc.visited)
+	sc.work = append(sc.work[:0], from...)
+}
+
+// next pops the next unvisited block of the walk and marks it visited;
+// ok is false once the walk is exhausted.
+func (sc *pruneScratch) next() (b int, ok bool) {
+	for len(sc.work) > 0 {
+		b = sc.work[len(sc.work)-1]
+		sc.work = sc.work[:len(sc.work)-1]
+		if !sc.visited[b] {
+			sc.visited[b] = true
+			return b, true
+		}
+	}
+	return 0, false
+}
+
 // servedBoundaries walks forward from the checkpoint position (block id,
 // instruction index ci) collecting every boundary block at which r is live-in
 // and therefore relies on this checkpoint. The walk stops along a path once r
 // is redefined or dead. It fails (regsOK=false) if, anywhere in the walked
 // range, r or any slice leaf register is redefined or re-checkpointed — which
 // would make the recovery slice read stale or future slot values — or if the
-// walk exceeds pruneWalkLimit blocks.
-func servedBoundaries(f *prog.Func, cfg *analysis.CFG, lv *analysis.Liveness,
+// walk exceeds pruneWalkLimit blocks. The returned list is scratch, valid
+// until the next call.
+func (sc *pruneScratch) servedBoundaries(f *prog.Func, cfg *analysis.CFG, lv *analysis.Liveness,
 	id, ci int, r isa.Reg, leaves analysis.RegSet) ([]int, bool) {
 
 	protect := leaves
@@ -272,24 +282,17 @@ func servedBoundaries(f *prog.Func, cfg *analysis.CFG, lv *analysis.Liveness,
 		return nil, false
 	}
 
-	var served []int
-	visited := map[int]bool{}
-	work := f.Blocks[id].Succs(nil)
+	sc.served = sc.served[:0]
+	sc.walk(cfg.Succ[id])
 	steps := 0
-	for len(work) > 0 {
-		x := work[len(work)-1]
-		work = work[:len(work)-1]
-		if visited[x] {
-			continue
-		}
-		visited[x] = true
+	for x, ok := sc.next(); ok; x, ok = sc.next() {
 		if steps++; steps > pruneWalkLimit {
 			return nil, false
 		}
 		blk := f.Blocks[x]
 		if blk.BoundaryAt {
 			if lv.LiveIn[x].Has(r) {
-				served = append(served, x)
+				sc.served = append(sc.served, x)
 			} else {
 				// r dead at this boundary: nothing to restore; stop path.
 				continue
@@ -318,71 +321,47 @@ func servedBoundaries(f *prog.Func, cfg *analysis.CFG, lv *analysis.Liveness,
 		if t, ok := blk.Terminator(); ok && t.Op == isa.OpRet {
 			return nil, false
 		}
-		work = append(work, blk.Succs(nil)...)
+		sc.work = append(sc.work, cfg.Succ[x]...)
 	}
-	return served, true
+	return sc.served, true
 }
 
 // otherDefReaches reports whether any definition of r other than the one at
 // (defBlock, defIdx) has a control-flow path to one of the given boundary
-// blocks. Reachability is over successor edges from the defining block
-// (paths within the block after the def fall through to its successors);
-// kills along the way are ignored — over-approximating keeps the check
-// sound.
-func otherDefReaches(f *prog.Func, cfg *analysis.CFG, defBlock, defIdx int, r isa.Reg, boundaries []int) bool {
-	isBoundary := map[int]bool{}
-	for _, b := range boundaries {
-		isBoundary[b] = true
-	}
-	reaches := func(from int) bool {
-		visited := map[int]bool{}
-		work := append([]int(nil), cfg.Succ[from]...)
-		for len(work) > 0 {
-			x := work[len(work)-1]
-			work = work[:len(work)-1]
-			if visited[x] {
-				continue
-			}
-			visited[x] = true
-			if isBoundary[x] {
-				return true
-			}
-			work = append(work, cfg.Succ[x]...)
-		}
-		return false
-	}
+// blocks. Reachability is over successor edges from the defining blocks
+// (paths within a block after a def fall through to its successors), as one
+// walk seeded with the successors of every other defining block; kills along
+// the way are ignored — over-approximating keeps the check sound.
+func (sc *pruneScratch) otherDefReaches(f *prog.Func, cfg *analysis.CFG, defBlock, defIdx int, r isa.Reg, boundaries []int) bool {
+	sc.walk(nil)
 	for _, blk := range f.Blocks {
 		for j := range blk.Insts {
-			if blk.ID == defBlock && j == defIdx {
-				continue
-			}
-			if d, ok := blk.Insts[j].Def(); ok && d == r {
-				if reaches(blk.ID) {
-					return true
-				}
+			if d, ok := blk.Insts[j].Def(); ok && d == r && (blk.ID != defBlock || j != defIdx) {
+				sc.work = append(sc.work, cfg.Succ[blk.ID]...)
+				break
 			}
 		}
 	}
-	return false
+	for _, b := range boundaries {
+		sc.bound[b] = true
+	}
+	reaches := false
+	for x, ok := sc.next(); ok && !reaches; x, ok = sc.next() {
+		reaches = sc.bound[x]
+		sc.work = append(sc.work, cfg.Succ[x]...)
+	}
+	for _, b := range boundaries {
+		sc.bound[b] = false
+	}
+	return reaches
 }
 
 // sliceLeafsOn reports whether any recovery slice already attached to the
-// block reads register r from its checkpoint slot (i.e. r is a leaf of the
-// slice: used before any slice instruction defines it).
+// block reads register r from its checkpoint slot (r is one of its leaves).
 func sliceLeafsOn(b *prog.Block, r isa.Reg) bool {
 	for _, slice := range b.RecoverySlices {
-		var defined analysis.RegSet
-		var uses []isa.Reg
-		for i := range slice {
-			uses = slice[i].Uses(uses[:0])
-			for _, u := range uses {
-				if u == r && !defined.Has(r) {
-					return true
-				}
-			}
-			if d, ok := slice[i].Def(); ok {
-				defined.Add(d)
-			}
+		if sliceLeaves(slice).Has(r) {
+			return true
 		}
 	}
 	return false

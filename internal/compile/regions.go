@@ -36,12 +36,9 @@ func placeBoundaries(p *prog.Program, f *prog.Func, opts Options, ckptEst func(b
 	}
 
 	cfg := analysis.BuildCFG(f)
-	mand := mandatoryBoundaries(p, f, cfg.LoopHeaders())
+	mand := mandatoryBoundaries(p, f, cfg)
 	for _, b := range f.Blocks {
-		b.BoundaryAt = mand[b.ID]
-		if opts.NaiveRegions {
-			b.BoundaryAt = true
-		}
+		b.BoundaryAt = opts.NaiveRegions || mand.Has(b.ID)
 	}
 	if opts.NaiveRegions {
 		return
@@ -117,7 +114,7 @@ type Region struct {
 	// Head is the boundary block that starts the region.
 	Head int
 	// Blocks is the region's block set (includes Head).
-	Blocks map[int]bool
+	Blocks analysis.BlockSet
 	// MaxStores is the worst-case store-class count along any path through
 	// the region, counting actual instructions (checkpoints included).
 	MaxStores int
@@ -129,62 +126,64 @@ type Region struct {
 // store accounting covers all of them).
 func regionsOf(f *prog.Func) []Region {
 	cfg := analysis.BuildCFG(f)
-	var regions []Region
+	n := len(f.Blocks)
+	// down[b] is the worst-case store count from the start of b to the end of
+	// its region: b's own stores plus the worst of its non-boundary
+	// successors. Every cycle passes through a loop header, which is a
+	// boundary, so postorder computes each successor's value first, and a
+	// region's worst case is down[] of its head.
+	down := make([]int, n+n)
+	work := down[n:n]
+	heads := 0
+	for i := len(cfg.RPO) - 1; i >= 0; i-- {
+		b := cfg.RPO[i]
+		best := 0
+		for _, s := range cfg.Succ[b] {
+			if !f.Blocks[s].BoundaryAt {
+				best = max(best, down[s])
+			}
+		}
+		down[b] = f.Blocks[b].StoreCount() + best
+		if f.Blocks[b].BoundaryAt {
+			heads++
+		}
+	}
+	regions := make([]Region, 0, heads)
+	sets := analysis.NewBlockSets(heads, n)
 	for _, id := range cfg.RPO {
 		if !f.Blocks[id].BoundaryAt {
 			continue
 		}
-		r := Region{Head: id, Blocks: map[int]bool{id: true}}
+		r := Region{Head: id, Blocks: sets[len(regions)], MaxStores: down[id]}
+		r.Blocks.Add(id)
 		// Forward walk without crossing other boundaries.
-		work := []int{id}
+		work = append(work, id)
 		for len(work) > 0 {
 			x := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, s := range cfg.Succ[x] {
-				if f.Blocks[s].BoundaryAt || r.Blocks[s] {
+				if f.Blocks[s].BoundaryAt || r.Blocks.Has(s) {
 					continue
 				}
-				r.Blocks[s] = true
+				r.Blocks.Add(s)
 				work = append(work, s)
 			}
 		}
 		regions = append(regions, r)
 	}
-	// Worst-case store DP inside each region (regions are DAGs: any cycle
-	// would re-enter a boundary).
-	for i := range regions {
-		r := &regions[i]
-		memo := map[int]int{}
-		var walk func(b int) int
-		walk = func(b int) int {
-			if v, ok := memo[b]; ok {
-				return v
-			}
-			memo[b] = 0 // cycle guard; regions are acyclic so unused
-			best := 0
-			for _, s := range cfg.Succ[b] {
-				if r.Blocks[s] && s != r.Head {
-					if w := walk(s); w > best {
-						best = w
-					}
-				}
-			}
-			v := f.Blocks[b].StoreCount() + best
-			memo[b] = v
-			return v
-		}
-		r.MaxStores = walk(r.Head)
-	}
 	return regions
 }
 
-// verifyThreshold checks invariant 3 of DESIGN.md: no region's worst-case
-// store count exceeds the threshold. Returns the offending region if any.
-func verifyThreshold(f *prog.Func, threshold int) error {
-	for _, r := range regionsOf(f) {
-		if r.MaxStores > threshold {
-			return fmt.Errorf("func %s: region at b%d has worst-case %d stores > threshold %d",
-				f.Name, r.Head, r.MaxStores, threshold)
+// checkThreshold checks invariant 3 of DESIGN.md over every function: no
+// region's worst-case store count exceeds the threshold. The error names the
+// first offending region.
+func checkThreshold(p *prog.Program, threshold int) error {
+	for _, f := range p.Funcs {
+		for _, r := range regionsOf(f) {
+			if r.MaxStores > threshold {
+				return fmt.Errorf("func %s: region at b%d has worst-case %d stores > threshold %d",
+					f.Name, r.Head, r.MaxStores, threshold)
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"capri/internal/analysis"
 	"capri/internal/isa"
 	"capri/internal/prog"
 )
@@ -90,30 +91,25 @@ func splitBlock(p *prog.Program, f *prog.Func, b *prog.Block, cut int) {
 }
 
 // mandatoryBoundaries returns the set of block IDs that must carry a region
-// boundary in f (paper §4.1): the entry block, loop headers, blocks starting
-// with a sync instruction, blocks immediately after a sync, and return-site
-// blocks. The program must already be canonical.
-func mandatoryBoundaries(p *prog.Program, f *prog.Func, loopHeaders map[int]bool) map[int]bool {
-	bs := map[int]bool{f.Entry: true}
-	for h := range loopHeaders {
-		bs[h] = true
-	}
+// boundary in f (paper §4.1): the entry block, cfg's loop headers, blocks
+// starting with a sync instruction, blocks immediately after a sync, and
+// return-site blocks. The program must already be canonical.
+func mandatoryBoundaries(p *prog.Program, f *prog.Func, cfg *analysis.CFG) analysis.BlockSet {
+	bs := cfg.LoopHeaders()
+	bs.Add(f.Entry)
 	for _, b := range f.Blocks {
-		if len(b.Insts) == 0 {
-			continue
-		}
-		if b.Insts[0].IsMandatoryBoundary() {
-			bs[b.ID] = true
+		if len(b.Insts) > 0 && b.Insts[0].IsMandatoryBoundary() {
+			bs.Add(b.ID)
 			// The block after the sync starts the next region.
-			for _, s := range b.Succs(nil) {
-				bs[s] = true
+			for _, s := range cfg.Succ[b.ID] {
+				bs.Add(s)
 			}
 		}
 	}
 	for _, rs := range p.RetSites {
 		if rs.Func == f.ID {
 			// Canonical programs have return sites at block starts.
-			bs[rs.Block] = true
+			bs.Add(rs.Block)
 		}
 	}
 	return bs

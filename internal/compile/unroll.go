@@ -80,17 +80,17 @@ func innermost(loops []analysis.Loop, i int) bool {
 // checkpoint per live-out def (matching ckptEstimate's shape).
 func loopStoreWeight(f *prog.Func, l *analysis.Loop) int {
 	w := 0
-	defs := map[isa.Reg]bool{}
-	for id := range l.Blocks {
+	var defs analysis.RegSet
+	for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
 		b := f.Blocks[id]
 		w += b.StoreCount()
 		for i := range b.Insts {
 			if d, ok := b.Insts[i].Def(); ok {
-				defs[d] = true
+				defs.Add(d)
 			}
 		}
 	}
-	return w + len(defs)
+	return w + defs.Count()
 }
 
 // unrollFactor picks the duplication count for loop l.
@@ -98,7 +98,7 @@ func unrollFactor(f *prog.Func, l *analysis.Loop, opts Options) int {
 	// Refuse loops containing calls or syncs: calls re-enter boundary
 	// territory anyway and sync blocks are mandatory boundaries, so
 	// unrolling buys nothing.
-	for id := range l.Blocks {
+	for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
 		b := f.Blocks[id]
 		for i := range b.Insts {
 			if b.Insts[i].Op == isa.OpCall || b.Insts[i].IsMandatoryBoundary() {
@@ -129,7 +129,7 @@ func unrollFactor(f *prog.Func, l *analysis.Loop, opts Options) int {
 
 func loopInstCount(f *prog.Func, l *analysis.Loop) int {
 	n := 0
-	for id := range l.Blocks {
+	for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
 		n += len(f.Blocks[id].Insts)
 	}
 	return n
@@ -151,70 +151,36 @@ func unrollLoop(p *prog.Program, f *prog.Func, cfg *analysis.CFG, l *analysis.Lo
 	// Stable iteration order over the body.
 	var body []int
 	for _, id := range cfg.RPO {
-		if l.Blocks[id] {
+		if l.Blocks.Has(id) {
 			body = append(body, id)
-		}
-	}
-
-	// redirect rewrites edges of blockID that point at `from` to point at
-	// `to`.
-	redirect := func(blockID, from, to int) {
-		t, ok := f.Blocks[blockID].Terminator()
-		if !ok {
-			return
-		}
-		switch t.Op {
-		case isa.OpBr:
-			if int(t.Target) == from {
-				t.Target = int32(to)
-			}
-		case isa.OpBrIf:
-			if int(t.Target) == from {
-				t.Target = int32(to)
-			}
-			if int(t.Else) == from {
-				t.Else = int32(to)
-			}
 		}
 	}
 
 	// Snapshot the pristine body before any edges are rewritten: later copies
 	// must not inherit redirects applied to earlier ones.
-	snapshot := map[int][]isa.Inst{}
+	snapshot := make([][]isa.Inst, len(f.Blocks))
 	for _, id := range body {
 		snapshot[id] = append([]isa.Inst(nil), f.Blocks[id].Insts...)
 	}
 
-	prevLatch := latch // latch whose back edge should enter the next copy
+	copyOf := make([]int, len(f.Blocks)) // body block -> its copy this round
+	prevLatch := latch                   // latch whose back edge should enter the next copy
 	for c := 1; c < k; c++ {
-		copyOf := map[int]int{}
 		for _, id := range body {
 			copyOf[id] = f.NewBlock().ID
 		}
 		for _, id := range body {
 			dst := f.Blocks[copyOf[id]]
 			dst.Insts = append(dst.Insts, snapshot[id]...)
-			if t, ok := dst.Terminator(); ok {
-				retarget := func(tgt *int32) {
-					old := int(*tgt)
-					if id == latch && old == l.Header {
-						// Keep the copied latch's back edge pointing at the
-						// original header; it either stays (last copy) or is
-						// redirected to the next copy below.
-						return
-					}
-					if nt, ok := copyOf[old]; ok {
-						*tgt = int32(nt)
-					}
+			retargetEdges(dst, func(old int) int {
+				// Keep the copied latch's back edge pointing at the original
+				// header; it either stays (last copy) or is redirected to the
+				// next copy below.
+				if (id == latch && old == l.Header) || !l.Blocks.Has(old) {
+					return old
 				}
-				switch t.Op {
-				case isa.OpBr:
-					retarget(&t.Target)
-				case isa.OpBrIf:
-					retarget(&t.Target)
-					retarget(&t.Else)
-				}
-			}
+				return copyOf[old]
+			})
 			// Duplicated calls need fresh return-site tokens pointing into
 			// the copy (defensive: unrollFactor currently rejects loops with
 			// calls).
@@ -226,9 +192,25 @@ func unrollLoop(p *prog.Program, f *prog.Func, cfg *analysis.CFG, l *analysis.Lo
 			}
 		}
 		// The previous latch now continues into this copy's header.
-		redirect(prevLatch, l.Header, copyOf[l.Header])
+		hdr := copyOf[l.Header]
+		retargetEdges(f.Blocks[prevLatch], func(old int) int {
+			if old == l.Header {
+				return hdr
+			}
+			return old
+		})
 		prevLatch = copyOf[latch]
 	}
 	// prevLatch (the last copy's latch) still targets l.Header: loop closed.
 	return true
+}
+
+// retargetEdges rewrites every branch target t of b's terminator to to(t).
+func retargetEdges(b *prog.Block, to func(int) int) {
+	if t, ok := b.Terminator(); ok && (t.Op == isa.OpBr || t.Op == isa.OpBrIf) {
+		t.Target = int32(to(int(t.Target)))
+		if t.Op == isa.OpBrIf {
+			t.Else = int32(to(int(t.Else)))
+		}
+	}
 }

@@ -157,8 +157,8 @@ func checkMaterialized(p *prog.Program) error {
 // successors, and return-site blocks (paper §4.1).
 func checkBoundaryCoverage(p *prog.Program) error {
 	for _, f := range p.Funcs {
-		cfg := analysis.BuildCFG(f)
-		for id := range mandatoryBoundaries(p, f, cfg.LoopHeaders()) {
+		mand := mandatoryBoundaries(p, f, analysis.BuildCFG(f))
+		for id := mand.Next(0); id >= 0; id = mand.Next(id + 1) {
 			if !f.Blocks[id].BoundaryAt {
 				return fmt.Errorf("verify: func %s: b%d must carry a region boundary (mandatory region entry)", f.Name, id)
 			}

@@ -29,6 +29,29 @@ func TestVerifierMatrix(t *testing.T) {
 	}
 }
 
+// TestCompileFingerprintsRepeat compiles every benchmark at every level and
+// two thresholds five times in one process and requires identical output
+// fingerprints. Passes that range over a block set (LICM's hoist choice,
+// unrolling's body weights) visit members in ascending ID order; this pins
+// that no pass depends on an unordered iteration.
+func TestCompileFingerprintsRepeat(t *testing.T) {
+	const repeats = 5
+	for _, w := range workload.All() {
+		p := w.Build(1)
+		for _, l := range Levels {
+			for _, th := range []int{64, DefaultThreshold} {
+				opts := OptionsForLevel(l, th)
+				want := MustCompile(p, opts).Program.Fingerprint()
+				for i := 1; i < repeats; i++ {
+					if got := MustCompile(p, opts).Program.Fingerprint(); got != want {
+						t.Fatalf("%s %s@%d: compile %d fingerprint %x, first %x", w.Name, l, th, i+1, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // compiledBench compiles one benchmark at the default configuration and
 // returns the output program plus the contract it was compiled under.
 func compiledBench(t *testing.T, name string) (*prog.Program, Contract) {

@@ -64,7 +64,7 @@ func TestShortLoopFlagsMatchStructure(t *testing.T) {
 			cfg := analysis.BuildCFG(f)
 			for _, l := range cfg.Loops() {
 				n := 0
-				for id := range l.Blocks {
+				for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
 					n += len(f.Blocks[id].Insts)
 				}
 				if n < minBody {
