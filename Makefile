@@ -5,13 +5,13 @@ GO ?= go
 
 # JOBS shards the figure sweeps and fault campaigns across a bounded worker
 # pool (sweep orchestrator, DESIGN.md §4h); results are deterministic at any
-# value. PERF_STORE is the on-disk content-addressed result store `make
-# perf` and the soak campaigns reuse — delete the directory to force a cold
-# run, or point it elsewhere per experiment.
+# value. PERF_STORE is the on-disk content-addressed result store the
+# long soak campaign reuses — delete the directory to force a cold run, or
+# point it elsewhere per experiment.
 JOBS ?= 4
 PERF_STORE ?= /tmp/capri-resultstore
 
-.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke perf perf-single perf-seed clean
+.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke perf clean
 
 all: build
 
@@ -140,31 +140,13 @@ telemetry-smoke:
 # statistically significant (p < 0.05) and at least 1%. Multi-sample runs
 # never attach the result store (replayed cells carry no timing signal).
 # Reports without samples arrays fall back per figure to the old 10% point
-# cliff, which `make perf-single` still applies directly.
+# cliff. To adopt the fresh report as the new reference, copy it over
+# BENCH_sim.json once the gate passes.
 SAMPLES ?= 5
 perf:
 	$(GO) run ./cmd/capribench -perf -scale 1 -jobs $(JOBS) -samples $(SAMPLES) -perfout /tmp/BENCH_sim.new.json
 	$(GO) run ./cmd/capristat -gate BENCH_sim.json /tmp/BENCH_sim.new.json
 
-# perf-single is the documented single-sample fallback: one run of each
-# sweep, backed by PERF_STORE, judged by the old 10% point-cliff -perfgate.
-# Useful for a quick signal when the 5-sample methodology is too slow.
-perf-single:
-	$(GO) run ./cmd/capribench -perf -scale 1 -jobs $(JOBS) -store $(PERF_STORE) -perfgate BENCH_sim.json
-
-# perf-seed additionally measures the growth seed's binary (built from git)
-# on this machine and records the end-to-end speedup in BENCH_sim.json —
-# the ISSUE's >= 1.5x Figure-8 target is judged against this number.
-SEED_COMMIT ?= 605d3ef
-perf-seed:
-	rm -rf /tmp/capri-seed-wt
-	git worktree add --force /tmp/capri-seed-wt $(SEED_COMMIT)
-	cd /tmp/capri-seed-wt && $(GO) build -o /tmp/capribench-seed ./cmd/capribench
-	git worktree remove --force /tmp/capri-seed-wt
-	$(GO) build -o /tmp/capribench-new ./cmd/capribench
-	SEED_WALL=$$( { t0=$$(date +%s%N); /tmp/capribench-seed -fig 8 >/dev/null; t1=$$(date +%s%N); echo $$(( (t1-t0)/1000000 )); } ); \
-	/tmp/capribench-new -perf -scale 1 -seedwall $$(awk "BEGIN{print $$SEED_WALL/1000}")
-
 clean:
-	rm -f capri.test /tmp/capribench-seed /tmp/capribench-new /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json
+	rm -f capri.test /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json
 	rm -rf $(PERF_STORE) $(PERF_STORE)-soak

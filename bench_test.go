@@ -191,9 +191,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughputMT measures multi-core simulation speed on one
-// lock-dense Splash kernel, with the conflict-aware quantum extension on
-// (ext) and off (lockstep) — the simulator-performance pair behind the
-// fig8-mt4 perf figures.
+// lock-dense Splash kernel — the simulator-performance number behind the
+// fig8-mt4 perf figure.
 func BenchmarkSimulatorThroughputMT(b *testing.B) {
 	w, err := workload.ByName("water-nsquared")
 	if err != nil {
@@ -204,28 +203,20 @@ func BenchmarkSimulatorThroughputMT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name  string
-		noExt bool
-	}{{"ext", false}, {"lockstep", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := machine.DefaultConfig()
-			cfg.NoQuantumExt = mode.noExt
-			var instret uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := machine.New(res.Program, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-				instret = m.Instret()
-			}
-			b.ReportMetric(float64(instret)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
-		})
+	cfg := machine.DefaultConfig()
+	var instret uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := machine.New(res.Program, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+		instret = m.Instret()
 	}
+	b.ReportMetric(float64(instret)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
 // BenchmarkRecovery measures the crash-image harvest plus recovery-protocol

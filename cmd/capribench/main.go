@@ -46,8 +46,6 @@ func main() {
 		samples  = flag.Int("samples", 1, "with -perf, repeat the timed pipeline this many times and record every sample (variance-aware gating via capristat)")
 		perfOut  = flag.String("perfout", "BENCH_sim.json", "perf report output path (with -perf)")
 		perfRef  = flag.Bool("perfref", true, "with -perf, also time the Figure-8 sweep on the map-backed reference store and record the speedup")
-		seedWall = flag.Float64("seedwall", 0, "with -perf, record this externally measured seed-binary `capribench -fig 8` wall-clock (seconds); see `make perf-seed`")
-		perfGate = flag.String("perfgate", "", "with -perf, fail if any sweep's inst/s regressed more than 10% vs this committed report (read before -perfout overwrites it)")
 		explain  = flag.Bool("explain", false, "print the stall-attribution tables (where the Capri-vs-baseline cycles went)")
 		verify   = flag.String("verify", "", "with -explain, diff the tables against the marked blocks in this file instead of printing")
 		auditAll = flag.Bool("audit", false, "run every benchmark under the online Fig. 7 invariant auditor; exit non-zero on any violation")
@@ -84,7 +82,7 @@ func main() {
 	}
 
 	if *perf {
-		check(runPerf(*scale, *jobs, *samples, *storeDir, *perfRef, *seedWall, *perfOut, *perfGate))
+		check(runPerf(*scale, *jobs, *samples, *storeDir, *perfRef, *perfOut))
 		return
 	}
 

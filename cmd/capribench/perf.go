@@ -22,20 +22,12 @@ import (
 // wall-clock (a result store replays configurations without simulating, so
 // wall-derived inst/s would gate replay speed, not simulator speed) and
 // records the sweep's job count and result-store traffic; v4 adds the
-// multi-core figures (fig8-mt4 and its lockstep control) with their
-// mt_inst_per_sec throughput, quantum grant/abort counters, and run-queue
-// traffic; v5 adds the multi-sample methodology (-samples N): a per-figure
-// samples array with median/MAD summary rates, the host fingerprint, and
-// the degenerate-rate guard. Older reports remain readable for gating —
-// figures and fields they lack are skipped.
+// multi-core figure (fig8-mt4) with its mt_inst_per_sec throughput and
+// run-queue traffic; v5 adds the multi-sample methodology (-samples N): a
+// per-figure samples array with median/MAD summary rates, the host
+// fingerprint, and the degenerate-rate guard. capristat reads older
+// reports too — figures and fields they lack are skipped.
 const BenchSchema = "capri/bench-sim/v5"
-
-// gateTolerance is the fractional inst/s regression `-perfgate` tolerates
-// before failing (wall-clock noise allowance). This single-sample point
-// cliff is the documented fallback only — `make perf` gates through
-// `capristat`, which judges the v5 samples arrays with a rank test
-// instead (see cmd/capristat).
-const gateTolerance = 0.10
 
 // minMeasurableSeconds is the guard below which a wall or simulated
 // duration carries no rate signal: a sub-millisecond sweep at a tiny
@@ -61,11 +53,10 @@ func safeRate(inst uint64, secs float64) (rate float64, degenerate bool) {
 
 // perfFigure is one timed sweep in the perf report.
 type perfFigure struct {
-	// Figure names the artifact ("fig8", "fig9", ..., "headline",
+	// Figure names the artifact ("fig8", "fig9", "fig8-mt4", and
 	// "fig8-refstore" for the map-backed reference run).
 	Figure string `json:"figure"`
-	// WallSeconds is the sweep's wall-clock time. Figures 9-11 share the
-	// harness run cache, so their walls are honest *incremental* costs.
+	// WallSeconds is the sweep's wall-clock time.
 	WallSeconds float64 `json:"wall_seconds"`
 	// Instructions newly simulated during this sweep (cache hits excluded).
 	Instructions uint64 `json:"instructions"`
@@ -95,18 +86,10 @@ type perfFigure struct {
 	SimSeconds    float64 `json:"sim_seconds"`
 	SimInstPerSec float64 `json:"sim_inst_per_sec"`
 	// MTInstPerSec is the multi-threaded simulated throughput of the fig8-mt4
-	// sweeps (the 4-thread Splash-3 suite on 8 simulated cores). It equals
-	// SimInstPerSec for those figures and is zero elsewhere; it exists as a
-	// named series so the lockstep-vs-extension ratio can be read straight
-	// out of the report.
+	// sweep (the 4-thread Splash-3 suite on 8 simulated cores). It equals
+	// SimInstPerSec for that figure and is zero elsewhere.
 	MTInstPerSec float64 `json:"mt_inst_per_sec,omitempty"`
-	// Quantum extension traffic of the sweep (runq.go + quantum.go): grants
-	// count dispatches extended past the strict per-instruction quantum,
-	// aborts count extension attempts declined or cut short by a conflict.
-	// SchedQueueOps counts run-queue pushes+pops — the scheduler traffic the
-	// extension exists to cut; compare fig8-mt4 against its lockstep control.
-	QuantumGrants uint64 `json:"quantum_grants,omitempty"`
-	QuantumAborts uint64 `json:"quantum_aborts,omitempty"`
+	// SchedQueueOps counts the sweep's run-queue pushes+pops (runq.go).
 	SchedQueueOps uint64 `json:"sched_queue_ops,omitempty"`
 	// Degenerate marks a figure whose duration fell below the measurable
 	// floor (minMeasurableSeconds) while it did simulate work: its rates
@@ -198,13 +181,6 @@ type perfReport struct {
 	// full speedup over the seed.
 	RefFig8           *perfFigure `json:"ref_fig8,omitempty"`
 	SpeedupVsRefStore float64     `json:"speedup_vs_ref_store,omitempty"`
-	// SeedFig8WallSeconds is the measured `capribench -fig 8` wall-clock of
-	// the actual seed binary (map store plus all its hot-path allocations),
-	// supplied via -seedwall; `make perf-seed` builds the seed from git and
-	// measures it. SpeedupVsSeed is the end-to-end ratio the ISSUE targets:
-	// >= 1.5x.
-	SeedFig8WallSeconds float64 `json:"seed_fig8_wall_seconds,omitempty"`
-	SpeedupVsSeed       float64 `json:"speedup_vs_seed,omitempty"`
 	// Compile-cache accounting per harness: a sweep that compiles the same
 	// (benchmark, level, threshold) twice shows up here as hits shy of the
 	// expected count, entries above it.
@@ -254,12 +230,8 @@ func measure(name string, h *figures.Harness, fn func() error) (perfFigure, erro
 
 // runMTFigure times the 4-thread Splash-3 suite — the paper's Figure-8
 // multi-threaded class — on fresh machines at the paper configuration
-// (8 cores, threshold 256, LICM). noExt pins the scheduler to the strict
-// per-instruction lockstep schedule (Config.NoQuantumExt), giving the
-// control the extension's speedup is measured against; both runs produce
-// byte-identical simulated results (the dispatch equivalence suite proves
-// it), so the ratio is pure simulator speed.
-func runMTFigure(name string, scale int, noExt bool) (perfFigure, error) {
+// (8 cores, threshold 256, LICM).
+func runMTFigure(name string, scale int) (perfFigure, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -269,9 +241,7 @@ func runMTFigure(name string, scale int, noExt bool) (perfFigure, error) {
 		if err != nil {
 			return perfFigure{}, fmt.Errorf("%s: %s: %w", name, b.Name, err)
 		}
-		cfg := machine.DefaultConfig()
-		cfg.NoQuantumExt = noExt
-		m, err := machine.New(res.Program, cfg)
+		m, err := machine.New(res.Program, machine.DefaultConfig())
 		if err != nil {
 			return perfFigure{}, fmt.Errorf("%s: %s: %w", name, b.Name, err)
 		}
@@ -282,8 +252,6 @@ func runMTFigure(name string, scale int, noExt bool) (perfFigure, error) {
 		pf.SimSeconds += time.Since(t0).Seconds()
 		s := m.Stats()
 		pf.Instructions += s.Instret
-		pf.QuantumGrants += s.QuantumGrants
-		pf.QuantumAborts += s.QuantumAborts
 		pf.SchedQueueOps += s.SchedQueueOps
 		pf.SimRuns++
 	}
@@ -300,89 +268,6 @@ func runMTFigure(name string, scale int, noExt bool) (perfFigure, error) {
 	pf.MTInstPerSec = pf.SimInstPerSec
 	pf.Degenerate = degWall || degSim
 	return pf, nil
-}
-
-// loadPerfRef reads a previously committed perf report for gating. v1 reports
-// (no dispatch/decode fields) decode fine — the missing fields stay zero.
-func loadPerfRef(path string) (*perfReport, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep perfReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// gateRate picks the throughput a report's figure gates on: the
-// simulated-only rate when the report carries one (schema v3), otherwise the
-// wall-derived rate older reports recorded. Mixing the two for one figure is
-// fine — both measure instructions per second of actual simulation when no
-// store is attached, which is how reference reports are produced.
-func gateRate(f perfFigure) float64 {
-	if f.SimInstPerSec > 0 {
-		return f.SimInstPerSec
-	}
-	return f.InstPerSec
-}
-
-// gatePerf compares the fresh report against the committed reference and
-// errors when any timed sweep's throughput regressed by more than
-// gateTolerance. The comparison prefers simulated-only inst/s (store hits
-// replay results without simulating, so wall-derived rates from a warm
-// store would gate disk speed, not the simulator). Sweeps that simulated
-// nothing new in either report (pure cache replays: fig10/11, headline, or
-// fully warm store runs) carry no signal and are skipped, as is a reference
-// produced by a different dispatch core, at another scale, or with a
-// different worker count.
-func gatePerf(rep *perfReport, ref *perfReport) error {
-	if ref.Scale != rep.Scale {
-		fmt.Printf("  gate: reference scale %d != %d, skipping\n", ref.Scale, rep.Scale)
-		return nil
-	}
-	if ref.Dispatch != "" && ref.Dispatch != rep.Dispatch {
-		fmt.Printf("  gate: reference dispatch %q != %q, skipping\n", ref.Dispatch, rep.Dispatch)
-		return nil
-	}
-	// A v2 reference has no jobs field (0 == 1: sequential).
-	refJobs, repJobs := max(ref.Jobs, 1), max(rep.Jobs, 1)
-	if refJobs != repJobs {
-		fmt.Printf("  gate: reference jobs %d != %d, skipping\n", refJobs, repJobs)
-		return nil
-	}
-	refBy := map[string]perfFigure{}
-	for _, f := range ref.Figures {
-		refBy[f.Figure] = f
-	}
-	// The reference-store run is always sequential and storeless, so it is
-	// gateable like-for-like even when the main sweeps ran parallel or
-	// replayed from a warm store.
-	figs := rep.Figures
-	if ref.RefFig8 != nil && rep.RefFig8 != nil {
-		refBy[ref.RefFig8.Figure] = *ref.RefFig8
-		figs = append(append([]perfFigure{}, figs...), *rep.RefFig8)
-	}
-	var failed []string
-	for _, f := range figs {
-		r, ok := refBy[f.Figure]
-		if !ok || gateRate(r) <= 0 || gateRate(f) <= 0 {
-			continue
-		}
-		ratio := gateRate(f) / gateRate(r)
-		verdict := "ok"
-		if ratio < 1-gateTolerance {
-			verdict = "REGRESSED"
-			failed = append(failed, f.Figure)
-		}
-		fmt.Printf("  gate: %-10s %10.0f inst/s vs ref %10.0f  (%.2fx) %s\n",
-			f.Figure, gateRate(f), gateRate(r), ratio, verdict)
-	}
-	if len(failed) != 0 {
-		return fmt.Errorf("perf gate: %v regressed more than %.0f%% vs reference", failed, 100*gateTolerance)
-	}
-	return nil
 }
 
 // perfPass is one full timed pass over the figure pipeline — one sample
@@ -416,45 +301,26 @@ func runPerfPass(scale, jobs int, store *resultstore.Store, withRef bool) (perfP
 	}
 	pass.figures = append(pass.figures, pf)
 
-	// Figures 9-11 and the headline share one harness (as capribench -all
-	// does): fig9 pays the level sweep, 10/11 replay its cache.
+	// Figure 9 on its own harness: the cumulative-optimization level sweep.
+	// Figures 10/11 and the headline only replay this sweep's run cache, so
+	// they simulate nothing and carry no timing signal.
 	h := figures.NewHarness(scale)
 	h.Parallelism = jobs
 	if store != nil {
 		h.UseStore(store)
 	}
-	for _, f := range []struct {
-		name string
-		run  func() error
-	}{
-		{"fig9", func() error { _, err := h.Fig9(); return err }},
-		{"fig10", func() error { _, err := h.Fig10(); return err }},
-		{"fig11", func() error { _, err := h.Fig11(); return err }},
-		{"headline", func() error { _, err := h.Headline(); return err }},
-	} {
-		pf, err := measure(f.name, h, f.run)
-		if err != nil {
-			return pass, err
-		}
-		pass.figures = append(pass.figures, pf)
+	pf, err = measure("fig9", h, func() error { _, err := h.Fig9(); return err })
+	if err != nil {
+		return pass, err
 	}
-	// The multi-core figures: the 4-thread Splash-3 suite with the quantum
-	// extension (the default scheduler) and pinned to strict lockstep. Their
-	// simulated results are identical; the mt_inst_per_sec ratio is the
-	// scheduler speedup on lockstep-heavy workloads.
-	for _, mt := range []struct {
-		name  string
-		noExt bool
-	}{
-		{"fig8-mt4", false},
-		{"fig8-mt4-lockstep", true},
-	} {
-		pf, err := runMTFigure(mt.name, scale, mt.noExt)
-		if err != nil {
-			return pass, err
-		}
-		pass.figures = append(pass.figures, pf)
+	pass.figures = append(pass.figures, pf)
+
+	// The multi-core figure: the 4-thread Splash-3 suite on 8 cores.
+	pf, err = runMTFigure("fig8-mt4", scale)
+	if err != nil {
+		return pass, err
 	}
+	pass.figures = append(pass.figures, pf)
 	pass.fig8CC = h8.CompileCacheStats()
 	pass.figCC = h.CompileCacheStats()
 	if store != nil {
@@ -511,24 +377,11 @@ func summarize(samples []perfFigure) perfFigure {
 // BENCH_sim.json. With samples > 1 the result store is never attached —
 // a warm store replays configurations without simulating, so repeated
 // passes would measure disk replay, not the simulator — and each
-// figure's report carries the per-sample array `capristat` judges. A
-// non-empty gatePath names a committed reference report to regress
-// against with the single-sample point gate (the documented fallback;
-// `make perf` gates through capristat instead): the fresh report is
-// still written, then an error is returned if throughput fell beyond
-// tolerance.
-func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall float64, outPath, gatePath string) error {
+// figure's report carries the per-sample array `capristat` judges (`make
+// perf` gates the fresh report against the committed one with it).
+func runPerf(scale, jobs, samples int, storeDir string, withRef bool, outPath string) error {
 	if samples < 1 {
 		samples = 1
-	}
-	var gateRef *perfReport
-	if gatePath != "" {
-		// Read the reference up front — outPath may overwrite it.
-		ref, err := loadPerfRef(gatePath)
-		if err != nil {
-			return fmt.Errorf("perf gate: %w", err)
-		}
-		gateRef = ref
 	}
 	rep := perfReport{
 		Schema:     BenchSchema,
@@ -597,22 +450,6 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall f
 			rep.SpeedupVsRefStore = ref.WallSeconds / fig8.WallSeconds
 		}
 	}
-	if seedWall > 0 {
-		rep.SeedFig8WallSeconds = seedWall
-		if fig8 := rep.Figures[0]; fig8.WallSeconds > 0 && fig8.StoreHits == 0 && rep.Jobs <= 1 {
-			rep.SpeedupVsSeed = seedWall / fig8.WallSeconds
-		}
-	}
-	var mtExt, mtLock perfFigure
-	for _, f := range rep.Figures {
-		switch f.Figure {
-		case "fig8-mt4":
-			mtExt = f
-		case "fig8-mt4-lockstep":
-			mtLock = f
-		}
-	}
-
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		return err
@@ -643,14 +480,8 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall f
 			fmt.Printf("  %-10s decode: %d blocks, %d cache hits, %d fused ops\n",
 				"", f.DecodeBlocks, f.DecodeHits, f.DecodeFused)
 		}
-	}
-	if mtExt.MTInstPerSec > 0 && mtLock.MTInstPerSec > 0 {
-		fmt.Printf("  multi-core: %d quantum grants, %d aborts; sim speedup vs lockstep: %.2fx\n",
-			mtExt.QuantumGrants, mtExt.QuantumAborts, mtExt.MTInstPerSec/mtLock.MTInstPerSec)
-		if mtLock.SchedQueueOps > 0 {
-			fmt.Printf("  multi-core: scheduler queue ops %d vs %d lockstep (%.0f%% fewer pops)\n",
-				mtExt.SchedQueueOps, mtLock.SchedQueueOps,
-				100*(1-float64(mtExt.SchedQueueOps)/float64(mtLock.SchedQueueOps)))
+		if f.SchedQueueOps > 0 {
+			fmt.Printf("  %-10s scheduler: %d run-queue ops\n", "", f.SchedQueueOps)
 		}
 	}
 	if rep.ResultStore != nil {
@@ -660,7 +491,7 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall f
 	for _, cc := range []struct {
 		name string
 		s    compile.CacheStats
-	}{{"fig8", rep.Fig8CompileCache}, {"fig9-11", rep.FigureCompileCache}} {
+	}{{"fig8", rep.Fig8CompileCache}, {"fig9", rep.FigureCompileCache}} {
 		fmt.Printf("  compile cache %-8s %4d compiles, %4d hits (%d distinct configurations)\n",
 			cc.name, cc.s.Misses, cc.s.Hits, cc.s.Entries)
 	}
@@ -671,13 +502,6 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, seedWall f
 		} else {
 			fmt.Printf("  store-swap speedup: n/a (fig8 replayed from store or ran parallel)\n")
 		}
-	}
-	if rep.SpeedupVsSeed > 0 {
-		fmt.Printf("  fig8-seed  %8.3fs  (seed binary, via -seedwall)\n", rep.SeedFig8WallSeconds)
-		fmt.Printf("  end-to-end speedup vs seed: %.2fx (target >= 1.5x)\n", rep.SpeedupVsSeed)
-	}
-	if gateRef != nil {
-		return gatePerf(&rep, gateRef)
 	}
 	return nil
 }

@@ -15,8 +15,8 @@
 //	capristat -gate -min-delta 0.02 old.json new.json
 //
 // Reports without samples arrays (schema <= v4, or -samples 1) fall back
-// per figure to the single-sample 10% point comparison the old
-// `-perfgate` applied — documented fallback, not the methodology.
+// per figure to a single-sample 10% point comparison — documented
+// fallback, not the methodology.
 package main
 
 import (
@@ -29,8 +29,8 @@ import (
 )
 
 // pointTolerance is the fractional regression the single-sample fallback
-// tolerates — the old `-perfgate` cliff, kept only for reports that
-// carry no samples array.
+// tolerates — the old single-run cliff, kept only for reports that carry
+// no samples array.
 const pointTolerance = 0.10
 
 // figure is the slice of the perf report's per-figure JSON capristat

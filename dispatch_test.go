@@ -58,9 +58,8 @@ func (d *eventDigest) Tap(e audit.Event) {
 
 // dispatchRun executes p under the given machine configuration and returns
 // the final image, the full stats, and (when tapped) the audit stream digest.
-// The untapped legs matter on their own: an audit sink forces the quantum
-// extension onto its conservative service horizon, so only untapped runs
-// exercise the wide-window grant path the perf harness runs under.
+// The untapped legs matter on their own: they are the configuration the
+// perf harness and the figure sweeps run under.
 func dispatchRun(t *testing.T, what string, p *prog.Program, threads int, cfg machine.Config, tap bool) (machineImage, machine.Stats, eventDigest) {
 	t.Helper()
 	m, err := machine.New(p, cfg)
@@ -77,16 +76,15 @@ func dispatchRun(t *testing.T, what string, p *prog.Program, threads int, cfg ma
 	return imageOf(m, threads), m.Stats(), dig
 }
 
-// comparableStats strips the fields the two dispatch cores legitimately
-// disagree on: Steps counts dispatches (a decoded run retires many
+// comparableStats strips the fields that legitimately depend on how a run
+// was dispatched: Steps counts dispatches (a decoded run retires many
 // instructions per step), the decode counters exist only in the threaded
-// core, and the scheduler counters (quantum grants/aborts, run-queue ops)
-// depend on how many dispatches the run took. Everything else — every
-// simulated observable — must match exactly.
+// core, and the run-queue op count depends on how many dispatches the run
+// took. Everything else — every simulated observable — must match exactly.
 func comparableStats(s machine.Stats) machine.Stats {
 	s.Steps = 0
 	s.DecodeBlocks, s.DecodeHits, s.DecodeFused = 0, 0, 0
-	s.QuantumGrants, s.QuantumAborts, s.SchedQueueOps = 0, 0, 0
+	s.SchedQueueOps = 0
 	return s
 }
 
@@ -97,34 +95,23 @@ func requireDispatchIdentical(t *testing.T, what string, p *prog.Program, thread
 	thCfg.Dispatch = machine.DispatchThreaded
 	swCfg := base
 	swCfg.Dispatch = machine.DispatchSwitch
-	noExtCfg := thCfg
-	noExtCfg.NoQuantumExt = true
 
 	// Tapped legs: the chained digest pins the exact audit event order, so a
-	// window that reordered a single launch or drain event would surface.
+	// fused dispatch that reordered a single launch or drain event would
+	// surface.
 	thImg, thStats, thDig := dispatchRun(t, what, p, threads, thCfg, true)
 	swImg, swStats, swDig := dispatchRun(t, what, p, threads, swCfg, true)
-	neImg, neStats, neDig := dispatchRun(t, what, p, threads, noExtCfg, true)
 	requireIdentical(t, what, thImg, swImg)
-	requireIdentical(t, what+" (NoQuantumExt)", neImg, swImg)
 	if a, b := comparableStats(thStats), comparableStats(swStats); !reflect.DeepEqual(a, b) {
 		t.Errorf("%s: stats diverge beyond Steps/decode counters:\n  threaded %+v\n  switch   %+v", what, a, b)
-	}
-	if a, b := comparableStats(neStats), comparableStats(swStats); !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: NoQuantumExt stats diverge beyond Steps/decode counters:\n  threaded %+v\n  switch   %+v", what, a, b)
 	}
 	if thDig.n != swDig.n || thDig.sum != swDig.sum {
 		t.Errorf("%s: audit streams diverge: threaded %d events (%#x), switch %d events (%#x)",
 			what, thDig.n, thDig.sum, swDig.n, swDig.sum)
 	}
-	if neDig.n != swDig.n || neDig.sum != swDig.sum {
-		t.Errorf("%s: NoQuantumExt audit stream diverges: %d events (%#x), switch %d events (%#x)",
-			what, neDig.n, neDig.sum, swDig.n, swDig.sum)
-	}
 
-	// Untapped legs: with no audit sink the extension grants its widest
-	// windows (drain-completion horizon only); the NVM image, memory image,
-	// and full cycle ledger must still be byte-identical to the reference.
+	// Untapped legs: the NVM image, memory image, and full cycle ledger must
+	// be byte-identical to the reference without an audit sink attached too.
 	wtImg, wtStats, _ := dispatchRun(t, what, p, threads, thCfg, false)
 	wsImg, wsStats, _ := dispatchRun(t, what, p, threads, swCfg, false)
 	requireIdentical(t, what+" (untapped)", wtImg, wsImg)
@@ -152,11 +139,10 @@ func TestDispatchEquivalenceBenchmarks(t *testing.T) {
 	}
 }
 
-// TestDispatchEquivalenceMultiCore sweeps the scheduler geometries the
-// conflict-aware quantum extension cares about: 2, 4, and 8 cores change the
-// run-queue tie-break pattern, the number of horizons a grant must clear,
-// and the phase alignment of store bursts. Every geometry runs the full
-// five-leg equivalence check (threaded vs switch, extension on and off,
+// TestDispatchEquivalenceMultiCore sweeps the scheduler geometries: 2, 4,
+// and 8 cores change the run-queue tie-break pattern, how often the strict
+// quantum cuts a fused run short, and the phase alignment of store bursts.
+// Every geometry runs the full equivalence check (threaded vs switch,
 // tapped and untapped).
 func TestDispatchEquivalenceMultiCore(t *testing.T) {
 	if testing.Short() {

@@ -104,13 +104,6 @@ type Config struct {
 	// semantics are identical, only simulator speed differs.
 	RefStore bool `json:",omitempty"`
 
-	// NoQuantumExt disables the interleaving-safe quantum extension of the
-	// threaded core's multi-core scheduler (quantum.go, DESIGN §4i): with it
-	// true, lockstep cores single-step on the strict per-instruction reference
-	// schedule. Simulator-speed knob only — the extension leaves every
-	// simulated observable identical (differentially tested).
-	NoQuantumExt bool `json:",omitempty"`
-
 	// Ablation switches (design-choice studies; all false in the paper's
 	// configuration). Correctness is preserved under every combination —
 	// the NVM sequence guard is the formal backstop — only performance and

@@ -86,14 +86,6 @@ type dblock struct {
 	// pc maps a source instruction index to its thunk index, or -1 for the
 	// interior of a fused run (dispatch falls back to single-stepping).
 	pc []int32
-	// span maps a source instruction index to the exact cycle span of purely
-	// core-local work (re-executable ALU ops, emits, fences, register
-	// checkpoints, the block-terminating branch) from that index to the next
-	// "stopper" — any op that can touch shared state, emit an event, or
-	// interact with the proxy machinery. Zero when the indexed op is itself a
-	// stopper. The conflict tracker (quantum.go) reads it to bound other
-	// cores' hard horizons.
-	span []uint64
 }
 
 // dprog is the machine-level decode cache: one decoded block per (fn, blk) of
@@ -173,40 +165,7 @@ func interiorWC(in *isa.Inst, cfg *Config) uint64 {
 // store, conditional branch, or unconditional branch (the profile's hottest
 // pairs: load+op chains into op+store and cmp+branch).
 func decodeBlock(insts []isa.Inst, cfg *Config, fusedCtr *uint64) *dblock {
-	db := &dblock{
-		pc:   make([]int32, len(insts)),
-		span: make([]uint64, len(insts)),
-	}
-	// Static local spans, back to front: a stopper resets the span; local
-	// ops accumulate their exact fixed cost. Local includes fences,
-	// barriers, and register checkpoints — each is a fixed per-core tick
-	// that cannot stall and touches nothing shared (a Ckpt stages into the
-	// core's own front-end). A block-terminating branch is local (one branch
-	// slot) but its successor block is unknown at decode time, so the span
-	// ends just past it. Local ops cannot stall and services strictly before
-	// the horizon are no-ops, so these spans are exact cycle counts, not
-	// estimates (see quantum.go).
-	var sp uint64
-	for k := len(insts) - 1; k >= 0; k-- {
-		in := &insts[k]
-		switch {
-		case in.IsReexecutable():
-			sp += aluCost(in.Op)
-		case in.Op == isa.OpEmit:
-			sp += costALU
-		case in.Op == isa.OpFence || in.Op == isa.OpBarrier:
-			sp += 4
-		case in.Op == isa.OpCkpt:
-			sp += 2 * costStore
-		case in.Op == isa.OpBr || in.Op == isa.OpBrIf:
-			sp = costBranch
-		default:
-			// Load, store, atomic, lock, boundary, call/ret/halt: a shared
-			// line, an event, or a proxy interaction.
-			sp = 0
-		}
-		db.span[k] = sp
-	}
+	db := &dblock{pc: make([]int32, len(insts))}
 	i := 0
 	for i < len(insts) {
 		j := i
@@ -282,12 +241,12 @@ func decodeBlock(insts []isa.Inst, cfg *Config, fusedCtr *uint64) *dblock {
 	return db
 }
 
-// stepThreaded dispatches one decoded thunk on core c inside the current
-// dispatch window (m.winExt, set once per run-queue pop). The run loop
-// guarantees c.cycle <= winExt on entry. Fused runs whose worst case might
-// overrun the window execute their fitting prefix through runExtended
-// (quantum.go) instead of the plain thunk.
-func (m *Machine) stepThreaded(c *core) {
+// stepThreaded dispatches one decoded thunk on core c within the strict
+// quantum budget (the highest cycle at which the scheduler would still pick
+// c; the run loop guarantees c.cycle < budget on entry). A fused run whose
+// worst case might overrun the budget retires one instruction at a time on
+// the reference core instead.
+func (m *Machine) stepThreaded(c *core, budget uint64) {
 	if c.blkFn != c.fn || c.blkId != c.blk || c.dblk == nil {
 		b := m.prog.Funcs[c.fn].Blocks[c.blk]
 		c.blkInsts = b.Insts
@@ -306,18 +265,8 @@ func (m *Machine) stepThreaded(c *core) {
 		m.step(c)
 	} else {
 		d := &db.ops[op]
-		if d.wcSched != 0 && c.cycle+d.wcSched > m.winExt {
-			if m.extOK {
-				// The window cannot absorb this run's worst case whole;
-				// execute the prefix whose start cycles still fit
-				// (quantum.go).
-				m.runExtended(c, d)
-			} else {
-				// Extension disabled (lockstep baseline, crash runs): retire
-				// one instruction at a time on the reference core, exactly
-				// the pre-extension dispatch rule.
-				m.step(c)
-			}
+		if d.wcSched != 0 && c.cycle+d.wcSched > budget {
+			m.step(c)
 		} else {
 			d.run(m, c, d)
 		}

@@ -69,18 +69,6 @@ type core struct {
 	blkInsts []isa.Inst
 	dblk     *dblock
 
-	// Hard-horizon span cache (quantum.go): cycles of purely local work from
-	// the core's parked PC to its next non-local action, plus the PC it was
-	// computed at. Refreshed only when the core leaves the scheduler with a
-	// moved PC — stall-only pops keep it, since the span depends on the PC
-	// alone. extBudget reads it relative to the core's current cycle and
-	// caps it with svcAt at attempt time; all inputs are frozen while the
-	// core is parked. Simulator-side only.
-	horSpan uint64
-	horFn   int
-	horBlk  int
-	horIdx  int
-
 	// lines is scheduleDrain's distinct-line dedup scratch: an epoch-stamped
 	// flat table cleared by generation bump and reused across every region
 	// (zero steady-state allocation; see scratch.go).
@@ -170,28 +158,7 @@ type Machine struct {
 	retired     uint64 // running sum of core instret (crash-point check)
 	haltedCores int    // running count of halted cores (Done fast path)
 
-	// Scheduler state: the event-ordered run queue and the quantum-extension
-	// switch and counters (runq.go, quantum.go). extOK is derived per run()
-	// entry; the counters are simulator-side statistics only.
-	rq      runq
-	extOK   bool   // quantum extension armed for the current run segment
-	qGrants uint64 // pops granted a window beyond the strict quantum
-	qAborts uint64 // extension attempts that could not beat the strict quantum
-	// Abort backoff: after a failed grant the next extBackoff pops skip the
-	// attempt (extDefer counts them down); each consecutive failure doubles
-	// the distance, any success rearms full-rate attempts. Horizons keep
-	// refreshing while attempts are deferred, so the first attempt after a
-	// phase change sees current bounds. Purely a simulator heuristic that
-	// trims the extension's overhead in conflict-dense phases where no
-	// window is possible.
-	extDefer   uint32
-	extBackoff uint32
-
-	// The dispatch window of the current pop (quantum.go): the highest cycle
-	// at which c may still start an op. Without a grant it coincides with
-	// the strict quantum and the loop behaves exactly as the reference
-	// scheduler.
-	winExt uint64
+	rq runq // the scheduler's event-ordered run queue (runq.go)
 
 	crashed bool
 	fatal   error
@@ -451,11 +418,6 @@ func (m *Machine) run(crashAt uint64) error {
 	// Instret() per entry. A dispatch retires at most maxFuseLen+1
 	// instructions, so the delta around it is cheap to track.
 	threaded := m.cfg.Dispatch == DispatchThreaded
-	// The interleaving-safe quantum extension (quantum.go) engages only
-	// under threaded dispatch and never on a crash run: crash points are
-	// defined at instruction granularity on the reference schedule's global
-	// retired-instruction order, which extended quanta reorder.
-	m.extOK = threaded && !m.cfg.NoQuantumExt && crashAt == ^uint64(0)
 	// Live telemetry arming, read once per run segment (telemetry.go).
 	// The conditional defer means a disarmed run pays exactly one atomic
 	// pointer load here and one nil check per scheduler pop below.
@@ -467,11 +429,6 @@ func (m *Machine) run(crashAt uint64) error {
 	// per-instruction schedule. Rebuilt per entry: cores may have been
 	// resumed, recovered, or left stale by a crash/fatal exit.
 	m.rq.reset(m.cores)
-	// Horizons start degenerate (a zero span grants nothing); each core
-	// publishes a real bound the first time it leaves the scheduler.
-	for _, o := range m.cores {
-		o.horSpan, o.horFn, o.horBlk, o.horIdx = 0, -1, -1, -1
-	}
 	// c is the scheduled core, held OUT of the queue while it runs; the next
 	// round re-enqueues it and takes the new minimum in one pushpop pass.
 	var c *core
@@ -506,27 +463,6 @@ func (m *Machine) run(crashAt uint64) error {
 				budget--
 			}
 		}
-		// Open this pop's dispatch window (quantum.go). Without a grant it
-		// coincides with the strict quantum and changes nothing; with one, c
-		// may keep dispatching up to winExt. The attempt is a handful of
-		// loads and compares over published horizons, cheap enough to run on
-		// every pop (declined attempts back off, refreshes never do).
-		m.winExt = budget
-		if m.extOK && budget != ^uint64(0) {
-			if m.extDefer > 0 {
-				m.extDefer--
-			} else if ext := m.extBudget(c); ext != ^uint64(0) && ext >= budget+minExtGain {
-				m.qGrants++
-				m.extBackoff = 0
-				m.winExt = ext
-			} else {
-				m.qAborts++
-				if m.extBackoff < 255 {
-					m.extBackoff = m.extBackoff*2 + 1
-				}
-				m.extDefer = m.extBackoff
-			}
-		}
 		for {
 			if m.steps >= m.cfg.MaxSteps {
 				return fmt.Errorf("machine: step budget exhausted (%d steps, %d instret) — deadlock?", m.steps, m.Instret())
@@ -536,10 +472,10 @@ func (m *Machine) run(crashAt uint64) error {
 				m.service(c)
 			}
 			before := c.instret
-			if threaded && crashAt-m.retired > maxFuseLen+1 && c.cycle < m.winExt {
-				m.stepThreaded(c)
+			if threaded && crashAt-m.retired > maxFuseLen+1 && c.cycle < budget {
+				m.stepThreaded(c, budget)
 			} else {
-				// With zero window slack (cores in tight cycle lockstep — no
+				// With zero budget slack (cores in tight cycle lockstep — no
 				// multi-instruction thunk could dispatch), near the crash
 				// point (crash injection is defined at instruction
 				// granularity), or in switch mode, retire one instruction at
@@ -550,14 +486,9 @@ func (m *Machine) run(crashAt uint64) error {
 			if c.halted || m.fatal != nil || m.retired >= crashAt {
 				break
 			}
-			if c.cycle > m.winExt {
+			if c.cycle > budget {
 				break
 			}
-		}
-		if m.extOK && (c.idx != c.horIdx || c.blk != c.horBlk || c.fn != c.horFn) {
-			// The PC moved: publish the span other cores will read while c
-			// is parked. Stall-only pops skip this — their span is current.
-			m.refreshHorizon(c)
 		}
 		if c.halted {
 			// Halted cores never re-enqueue; the next round pops fresh.

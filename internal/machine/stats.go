@@ -38,10 +38,8 @@ type Stats struct {
 	DecodeHits   uint64 // block entries served from the decode cache
 	DecodeFused  uint64 // fused superinstructions among the decoded thunks
 
-	// Multi-core scheduler (runq.go + quantum.go; simulator-side only — none
-	// of these ever affect simulated state).
-	QuantumGrants uint64 // dispatches extended beyond the strict quantum
-	QuantumAborts uint64 // extension attempts declined or cut short by a conflict
+	// Multi-core scheduler (runq.go; simulator-side only — never affects
+	// simulated state).
 	SchedQueueOps uint64 // run-queue pushes + pops
 
 	// Dynamic region shape (Figures 10 and 11).
@@ -67,8 +65,6 @@ func (m *Machine) Stats() Stats {
 		L2Misses:      m.l2.Misses,
 		DRAMHits:      m.dram.Hits,
 		DRAMMisses:    m.dram.Misses,
-		QuantumGrants: m.qGrants,
-		QuantumAborts: m.qAborts,
 		SchedQueueOps: m.rq.ops,
 	}
 	if m.dec != nil {

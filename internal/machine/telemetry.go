@@ -14,7 +14,7 @@ import (
 // per scheduler pop — nothing on the per-instruction path, and zero
 // allocations either way.
 //
-// Counters (cycles, instret, quantum grants/aborts) are published as
+// Counters (cycles, instret) are published as
 // saturating deltas against the machine's last-published values, so
 // process totals stay monotone even when recovery rebuilds cores and a
 // per-machine total restarts. Gauges (buffer occupancies, WPQ depth) are
@@ -34,8 +34,6 @@ type telePub struct {
 	steps   uint64
 	cycles  uint64
 	instret uint64
-	qGrants uint64
-	qAborts uint64
 	front   uint64
 	back    uint64
 	path    uint64
@@ -95,8 +93,6 @@ func (m *Machine) publishTelemetry(final bool) {
 	cycles := m.Cycles()
 	pubCounter(&t.Cycles, cycles, &p.cycles)
 	pubCounter(&t.Instret, m.retired, &p.instret)
-	pubCounter(&t.QuantumGrants, m.qGrants, &p.qGrants)
-	pubCounter(&t.QuantumAborts, m.qAborts, &p.qAborts)
 	var front, back, path, drain, wpq uint64
 	var drainCore [telemetry.MaxCoreGauges]uint64
 	if !final {

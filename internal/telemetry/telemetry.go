@@ -114,10 +114,6 @@ type MachineTelemetry struct {
 	// scheduler loop.
 	Cycles  atomic.Uint64
 	Instret atomic.Uint64
-	// QuantumGrants and QuantumAborts count conflict-aware quantum
-	// extension outcomes (DESIGN.md §4i).
-	QuantumGrants atomic.Uint64
-	QuantumAborts atomic.Uint64
 	// FrontOcc, BackOcc, PathInFlight, DrainQueue, and WPQDepth are
 	// gauges: instantaneous occupancy of the per-core front/back proxy
 	// buffers, the proxy path, the drain-ready queue, and the NVM write
@@ -173,8 +169,6 @@ func (t *MachineTelemetry) Collect(dst []Metric) []Metric {
 		Metric{"capri_machine_runs", "Completed machine runs.", Counter, float64(t.Runs.Load())},
 		Metric{"capri_machine_cycles", "Simulated cycles across all runs.", Counter, float64(t.Cycles.Load())},
 		Metric{"capri_machine_instret", "Retired instructions across all runs.", Counter, float64(t.Instret.Load())},
-		Metric{"capri_machine_quantum_grants", "Quantum extension grants.", Counter, float64(t.QuantumGrants.Load())},
-		Metric{"capri_machine_quantum_aborts", "Quantum extension aborts.", Counter, float64(t.QuantumAborts.Load())},
 		Metric{"capri_machine_front_occupancy", "Front proxy buffer entries, summed over running machines.", Gauge, float64(t.FrontOcc.Load())},
 		Metric{"capri_machine_back_occupancy", "Back proxy buffer entries, summed over running machines.", Gauge, float64(t.BackOcc.Load())},
 		Metric{"capri_machine_path_inflight", "Proxy path packets in flight, summed over running machines.", Gauge, float64(t.PathInFlight.Load())},

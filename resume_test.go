@@ -2,8 +2,7 @@ package capri
 
 // Resume-accounting differential test: run() keeps the global retired-
 // instruction counter (m.retired) across entries instead of re-summing
-// per-core instret, and rebuilds its scheduler state (run queue, quantum
-// horizons) per entry. Segmenting an execution with RunUntil checkpoints and
+// per-core instret, and rebuilds its run queue per entry. Segmenting an execution with RunUntil checkpoints and
 // finishing with Run must therefore land on exactly the same machine as one
 // uninterrupted Run — same images, same cycle ledger, same retirement — or
 // the resume path is re-deriving state it should have kept (or keeping state
