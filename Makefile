@@ -26,7 +26,7 @@ test:
 # no external linters).
 lint:
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
@@ -61,10 +61,15 @@ check:
 # every run observed end-to-end (run -> crash -> recovery replay -> resume).
 # Any violated provenance invariant fails with the per-line event chain.
 # The mutation tests prove the auditor actually bites (seeded protocol
-# corruptions each produce a violation).
+# corruptions each produce a violation). The allocation pins hold the audited
+# crash path to its cost model: a store's life through the auditor allocates
+# nothing, and decoding a program or carving cold boundary payloads costs
+# allocations per slab chunk, not per block or boundary.
 audit:
 	$(GO) test -run 'TestAuditProgenCrashSweep|TestAuditBenchmarks' .
-	$(GO) test -run 'TestMutation' ./internal/audit
+	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap' ./internal/audit
+	$(GO) test -run 'TestDecodeAllocsPerChunk' ./internal/machine
+	$(GO) test -run 'TestFrontEndColdBoundaryAllocs' ./internal/proxy
 
 # soak is the short fixed-seed hardware-fault campaign (DESIGN.md §4f):
 # seeded random fault plans — torn NVM line writes, nested crashes during
@@ -114,11 +119,13 @@ docs-verify:
 	$(GO) run ./cmd/capribench -sweepcheck -jobs $(JOBS) -verify EXPERIMENTS.md
 
 # bench runs the perf-regression micro-benchmarks (raw store and proxy
-# throughput, whole-pipeline compiles with their allocs/op, plus the
-# end-to-end simulator benchmark).
+# throughput, whole-pipeline compiles with their allocs/op, the auditor per
+# event and the decoder per block, plus the end-to-end simulator benchmark).
 bench:
 	$(GO) test -bench 'Mem|NVM|Proxy|Path' -benchmem -run '^$$' ./internal/mem ./internal/proxy
 	$(GO) test -bench 'Compile' -benchmem -run '^$$' ./internal/compile
+	$(GO) test -bench 'AuditorTap' -benchmem -run '^$$' ./internal/audit
+	$(GO) test -bench 'DecodeProgram' -benchmem -run '^$$' ./internal/machine
 	$(GO) test -bench 'SimulatorThroughput' -run '^$$' .
 
 # bench-smoke runs the repository benchmark's own tests (bench/ is a separate

@@ -135,9 +135,8 @@ type Auditor struct {
 	nvm    map[uint64]seqVal   // shadow NVM word versions
 	window map[uint64]winEntry // monitoring-window mirror (identical across cores)
 
-	stores map[uint64]*storeRec // pending (undrained) stores by global sequence
-	byAddr map[uint64][]uint64  // word address -> pending store sequences
-	order  map[int32][]uint64   // per-core pending sequences in issue order
+	stores map[uint64]storeRec // pending (undrained) stores by global sequence
+	order  map[int32][]uint64  // per-core pending sequences in issue order
 
 	lastCommit map[int32]uint64
 	lastDrain  map[int32]uint64
@@ -160,14 +159,17 @@ func NewAuditor(opt Options) *Auditor {
 		opt:        opt,
 		nvm:        map[uint64]seqVal{},
 		window:     map[uint64]winEntry{},
-		stores:     map[uint64]*storeRec{},
-		byAddr:     map[uint64][]uint64{},
+		stores:     map[uint64]storeRec{},
 		order:      map[int32][]uint64{},
 		lastCommit: map[int32]uint64{},
 		lastDrain:  map[int32]uint64{},
 
 		pendingSync: map[int32]uint64{},
 		syncPersist: map[uint64]uint64{},
+
+		commitAtCrash: map[int32]uint64{},
+		drainAtCrash:  map[int32]uint64{},
+		lastReplay:    map[int32]uint64{},
 	}
 }
 
@@ -272,8 +274,7 @@ func (a *Auditor) onStore(e Event) {
 			e.Core, e.Addr, e.Seq, p)
 		delete(a.pendingSync, e.Core) // one violation per dropped commit
 	}
-	a.stores[e.Seq] = &storeRec{core: e.Core, addr: e.Addr, region: e.Region, undo: e.Val2, redo: e.Val}
-	a.byAddr[e.Addr] = append(a.byAddr[e.Addr], e.Seq)
+	a.stores[e.Seq] = storeRec{core: e.Core, addr: e.Addr, region: e.Region, undo: e.Val2, redo: e.Val}
 	a.order[e.Core] = append(a.order[e.Core], e.Seq)
 }
 
@@ -281,8 +282,9 @@ func (a *Auditor) onStore(e Event) {
 // sequence) precedes it and its sealing commit marker must be the issuing
 // core's very next contribution to the stream — tracked via pendingSync.
 func (a *Auditor) onSync(e Event) {
-	if s := a.stores[e.Seq]; s != nil && s.core == e.Core && s.addr == e.Addr {
+	if s, ok := a.stores[e.Seq]; ok && s.core == e.Core && s.addr == e.Addr {
 		s.sync = true
+		a.stores[e.Seq] = s
 	} else {
 		a.violate(e, "sync-unknown-store",
 			"sync addr %#x seq %d matches no issued store of core %d", e.Addr, e.Seq, e.Core)
@@ -309,7 +311,7 @@ func (a *Auditor) onLaunch(e Event) {
 		}
 		return
 	}
-	if s := a.stores[e.Seq]; s == nil || s.core != e.Core || s.addr != e.Addr {
+	if s, ok := a.stores[e.Seq]; !ok || s.core != e.Core || s.addr != e.Addr {
 		a.violate(e, "launch-unknown-store", "launched entry addr %#x seq %d matches no issued store", e.Addr, e.Seq)
 	}
 }
@@ -395,8 +397,7 @@ func (a *Auditor) checkGuard(e Event, what string, committed bool) {
 // to one word occur in execution (sequence) order: same-line atomics must
 // reach NVM in the order they executed, whichever core's drain carries them.
 func (a *Auditor) checkSyncPersist(e Event) {
-	s := a.stores[e.Seq]
-	if s == nil || !s.sync || !e.Flags.Has(FlagApplied) {
+	if s := a.stores[e.Seq]; !s.sync || !e.Flags.Has(FlagApplied) {
 		return
 	}
 	if last := a.syncPersist[e.Addr]; e.Seq < last {
@@ -425,45 +426,30 @@ func (a *Auditor) onDrain(e Event) {
 
 // pruneBelow retires pending stores of regions strictly below r on one core
 // (their region has fully drained; per-core store order is region-ordered,
-// so the per-core issue queue can be popped from the front).
+// so the per-core issue queue pops from the front). The survivors are copied
+// down so the queue's backing array is reused.
 func (a *Auditor) pruneBelow(core int32, r uint64) {
 	q := a.order[core]
-	for len(q) > 0 {
-		s := a.stores[q[0]]
-		if s == nil {
-			q = q[1:]
+	i := 0
+	for ; i < len(q); i++ {
+		s, ok := a.stores[q[i]]
+		if !ok {
 			continue
 		}
 		if s.region >= r {
 			break
 		}
-		a.dropStore(q[0], s)
-		q = q[1:]
+		delete(a.stores, q[i])
 	}
-	a.order[core] = q
-}
-
-func (a *Auditor) dropStore(seq uint64, s *storeRec) {
-	delete(a.stores, seq)
-	if seqs, ok := a.byAddr[s.addr]; ok {
-		for i, q := range seqs {
-			if q == seq {
-				seqs = append(seqs[:i], seqs[i+1:]...)
-				break
-			}
-		}
-		if len(seqs) == 0 {
-			delete(a.byAddr, s.addr)
-		} else {
-			a.byAddr[s.addr] = seqs
-		}
+	if i > 0 {
+		a.order[core] = q[:copy(q, q[i:])]
 	}
 }
 
 // matchStore checks a drained/replayed redo against the issued-store record.
 func (a *Auditor) matchStore(e Event, rule string) {
-	s := a.stores[e.Seq]
-	if s == nil || s.core != e.Core || s.addr != e.Addr || s.redo != e.Val {
+	s, ok := a.stores[e.Seq]
+	if !ok || s.core != e.Core || s.addr != e.Addr || s.redo != e.Val {
 		a.violate(e, rule+"-unknown-store",
 			"redo addr %#x seq %d val %d matches no issued store of core %d",
 			e.Addr, e.Seq, e.Val, e.Core)
@@ -491,9 +477,11 @@ func (a *Auditor) onNVMRead(e Event) {
 	if e.Val != e.Val2 {
 		// The architectural and persisted values differ: legal only while an
 		// issued-but-undrained store newer than the NVM version explains it.
+		// The pending set is small (bounded by the proxy buffers) and this
+		// path is rare, so a scan beats keeping a per-word index.
 		explained := false
-		for _, seq := range a.byAddr[e.Addr] {
-			if seq > e.Seq {
+		for seq, s := range a.stores {
+			if s.addr == e.Addr && seq > e.Seq {
 				explained = true
 				break
 			}
@@ -517,15 +505,15 @@ func (a *Auditor) onCrash(e Event) {
 		// unchanged, so the crash watermarks stand; only replay progress
 		// resets — the restarted recovery replays the streams from the top,
 		// and the sequence-guard rules verify its idempotence exactly.
-		a.lastReplay = map[int32]uint64{}
+		clear(a.lastReplay)
 		return
 	}
 	a.crashed = true
-	a.commitAtCrash = copyMap(a.lastCommit)
-	a.drainAtCrash = copyMap(a.lastDrain)
-	a.lastReplay = map[int32]uint64{}
+	copyMap(a.commitAtCrash, a.lastCommit)
+	copyMap(a.drainAtCrash, a.lastDrain)
+	clear(a.lastReplay)
 	// Execution stopped: a sync awaiting its commit cannot misorder anymore.
-	a.pendingSync = map[int32]uint64{}
+	clear(a.pendingSync)
 }
 
 // onTornWriteback checks a torn dirty-line writeback: tearing may only
@@ -610,8 +598,8 @@ func (a *Auditor) onUndo(e Event) {
 	if !a.crashed {
 		return
 	}
-	s := a.stores[e.Seq]
-	if s == nil || s.core != e.Core || s.addr != e.Addr || s.undo != e.Val {
+	s, ok := a.stores[e.Seq]
+	if !ok || s.core != e.Core || s.addr != e.Addr || s.undo != e.Val {
 		a.violate(e, "undo-unknown-store",
 			"undo addr %#x firstseq %d val %d matches no issued store of core %d",
 			e.Addr, e.Seq, e.Val, e.Core)
@@ -658,14 +646,18 @@ func (a *Auditor) onRecoveryDone(Event) {
 	}
 	// Pending stores are gone: committed regions were replayed, the
 	// interrupted region was undone; resumed execution issues fresh ones.
-	a.stores = map[uint64]*storeRec{}
-	a.byAddr = map[uint64][]uint64{}
-	a.order = map[int32][]uint64{}
+	// The per-core queues keep their backing arrays.
+	clear(a.stores)
+	for core, q := range a.order {
+		a.order[core] = q[:0]
+	}
 	// The recovered machine's proxy paths start with empty windows.
-	a.window = map[uint64]winEntry{}
-	a.pendingSync = map[int32]uint64{}
+	clear(a.window)
+	clear(a.pendingSync)
 	a.crashed = false
-	a.commitAtCrash, a.drainAtCrash, a.lastReplay = nil, nil, nil
+	clear(a.commitAtCrash)
+	clear(a.drainAtCrash)
+	clear(a.lastReplay)
 }
 
 func (a *Auditor) resumePoint(core int32) uint64 {
@@ -676,10 +668,10 @@ func (a *Auditor) resumePoint(core int32) uint64 {
 	return r
 }
 
-func copyMap(m map[int32]uint64) map[int32]uint64 {
-	out := make(map[int32]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
+// copyMap makes dst an exact copy of src, reusing dst's storage.
+func copyMap(dst, src map[int32]uint64) {
+	clear(dst)
+	for k, v := range src {
+		dst[k] = v
 	}
-	return out
 }

@@ -41,7 +41,18 @@ func NewFlightRecorder(cap int) *FlightRecorder {
 // Tap records the event.
 func (r *FlightRecorder) Tap(e Event) {
 	r.total++
-	b := r.buf[:0]
+	r.h.Write(appendEventWire(r.buf[:0], e))
+	if len(r.ring) < cap(r.ring) {
+		r.ring = append(r.ring, e)
+		r.next = len(r.ring) % cap(r.ring)
+		return
+	}
+	r.ring[r.next] = e
+	r.next = (r.next + 1) % len(r.ring)
+}
+
+// appendEventWire appends e's eventWireLen-byte digest encoding to b.
+func appendEventWire(b []byte, e Event) []byte {
 	b = append(b, byte(e.Kind), byte(e.Flags))
 	b = binary.LittleEndian.AppendUint32(b, uint32(e.Core))
 	b = binary.LittleEndian.AppendUint64(b, e.Cycle)
@@ -50,15 +61,7 @@ func (r *FlightRecorder) Tap(e Event) {
 	b = binary.LittleEndian.AppendUint64(b, e.Region)
 	b = binary.LittleEndian.AppendUint64(b, e.Val)
 	b = binary.LittleEndian.AppendUint64(b, e.Val2)
-	b = binary.LittleEndian.AppendUint32(b, e.Count)
-	r.h.Write(b)
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, e)
-		r.next = len(r.ring) % cap(r.ring)
-		return
-	}
-	r.ring[r.next] = e
-	r.next = (r.next + 1) % len(r.ring)
+	return binary.LittleEndian.AppendUint32(b, e.Count)
 }
 
 // Total returns the number of events seen (including evicted ones).

@@ -9,6 +9,7 @@ import (
 	"capri/internal/mem"
 	"capri/internal/prog"
 	"capri/internal/proxy"
+	"capri/internal/slab"
 )
 
 // CrashImage is everything that survives a power failure (paper §3.3 / §5.4):
@@ -54,24 +55,36 @@ func (m *Machine) harvest() *CrashImage {
 		stream = append(stream, c.back.Entries()...)
 		stream = append(stream, c.path.DrainAll()...)
 		stream = append(stream, c.front.Entries()...)
-		deepCopyEntries(stream)
+		unshareEntries(stream)
 		img.Streams = append(img.Streams, stream)
 		img.Outputs = append(img.Outputs, append([]uint64(nil), c.output...))
 	}
 	return img
 }
 
-// deepCopyEntries unshares the slice-valued fields of harvested entries:
-// boundary entries' Ckpts and Emits otherwise alias the live proxy buffers'
-// backing arrays, which the machine reuses as it keeps running.
-func deepCopyEntries(stream []proxy.Entry) {
+// unshareEntries copies the slice-valued fields of harvested entries into one
+// fresh slab per stream: boundary entries' Ckpts and Emits otherwise alias
+// the live proxy buffers' backing arrays, which the machine reuses as it
+// keeps running.
+func unshareEntries(stream []proxy.Entry) {
+	var nc, ne int
+	for i := range stream {
+		nc += len(stream[i].Ckpts)
+		ne += len(stream[i].Emits)
+	}
+	ckpts := make([]proxy.RegCkpt, nc)
+	emits := make([]uint64, ne)
 	for i := range stream {
 		e := &stream[i]
 		if len(e.Ckpts) > 0 {
-			e.Ckpts = append([]proxy.RegCkpt(nil), e.Ckpts...)
+			c := slab.Carve(&ckpts, len(e.Ckpts), 0)
+			copy(c, e.Ckpts)
+			e.Ckpts = c
 		}
 		if len(e.Emits) > 0 {
-			e.Emits = append([]uint64(nil), e.Emits...)
+			c := slab.Carve(&emits, len(e.Emits), 0)
+			copy(c, e.Emits)
+			e.Emits = c
 		}
 	}
 }
@@ -381,7 +394,7 @@ func (m *Machine) nestedCrash(img *CrashImage, rep *RecoveryReport) (*Machine, *
 	nested.Records = append(nested.Records, m.records...)
 	for t, stream := range img.Streams {
 		s := append([]proxy.Entry(nil), stream...)
-		deepCopyEntries(s)
+		unshareEntries(s)
 		nested.Streams = append(nested.Streams, s)
 		nested.Outputs = append(nested.Outputs, append([]uint64(nil), m.cores[t].output...))
 	}

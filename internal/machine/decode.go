@@ -3,6 +3,7 @@ package machine
 import (
 	"capri/internal/isa"
 	"capri/internal/prog"
+	"capri/internal/slab"
 )
 
 // This file is the pre-decoded threaded-code execution core (DispatchThreaded,
@@ -88,15 +89,46 @@ type dblock struct {
 	pc []int32
 }
 
+// Decode slab chunk sizes, in elements: a program's decoded blocks, their
+// source-index maps and their thunks are carved from chunked per-program
+// slabs, so decoding costs O(chunks) allocations, not O(blocks).
+const (
+	blockChunk = 64
+	pcChunk    = 1024
+	opChunk    = 256
+)
+
 // dprog is the machine-level decode cache: one decoded block per (fn, blk) of
 // the loaded program, filled lazily, plus the decode-cache counters reported
 // in Stats and BENCH_sim.json.
 type dprog struct {
-	prog   *prog.Program
-	fns    [][]*dblock
+	prog *prog.Program
+	fns  [][]*dblock // per-function windows of one block-index array
+
+	// Unused tails of the current slab chunks, and the thunk scratch a block
+	// is decoded into before its exactly sized ops are carved.
+	blocks  []dblock
+	pcs     []int32
+	ops     []dop
+	scratch []dop
+
 	hits   uint64 // block entries served by the cache (per block switch)
 	misses uint64 // blocks decoded
 	fused  uint64 // fused superinstructions among the decoded thunks
+}
+
+// newDprog returns an empty decode cache for p.
+func newDprog(p *prog.Program) *dprog {
+	n := 0
+	for _, f := range p.Funcs {
+		n += len(f.Blocks)
+	}
+	idx := make([]*dblock, n)
+	dp := &dprog{prog: p, fns: make([][]*dblock, len(p.Funcs))}
+	for i, f := range p.Funcs {
+		dp.fns[i] = slab.Carve(&idx, len(f.Blocks), 0)
+	}
+	return dp
 }
 
 // decodedBlock returns the decoded form of block (fn, blk), decoding on first
@@ -105,18 +137,15 @@ type dprog struct {
 func (m *Machine) decodedBlock(fn, blk int, b *prog.Block) *dblock {
 	dp := m.dec
 	if dp == nil || dp.prog != m.prog {
-		dp = &dprog{prog: m.prog, fns: make([][]*dblock, len(m.prog.Funcs))}
+		dp = newDprog(m.prog)
 		m.dec = dp
-	}
-	if dp.fns[fn] == nil {
-		dp.fns[fn] = make([]*dblock, len(m.prog.Funcs[fn].Blocks))
 	}
 	if db := dp.fns[fn][blk]; db != nil {
 		dp.hits++
 		return db
 	}
 	dp.misses++
-	db := decodeBlock(b.Insts, &m.cfg, &dp.fused)
+	db := dp.decodeBlock(b.Insts, &m.cfg)
 	dp.fns[fn][blk] = db
 	return db
 }
@@ -164,8 +193,9 @@ func interiorWC(in *isa.Inst, cfg *Config) uint64 {
 // straight-line interior runs are fused, optionally absorbing a trailing
 // store, conditional branch, or unconditional branch (the profile's hottest
 // pairs: load+op chains into op+store and cmp+branch).
-func decodeBlock(insts []isa.Inst, cfg *Config, fusedCtr *uint64) *dblock {
-	db := &dblock{pc: make([]int32, len(insts))}
+func (dp *dprog) decodeBlock(insts []isa.Inst, cfg *Config) *dblock {
+	pc := slab.Carve(&dp.pcs, len(insts), pcChunk)
+	ops := dp.scratch[:0]
 	i := 0
 	for i < len(insts) {
 		j := i
@@ -228,16 +258,20 @@ func decodeBlock(insts []isa.Inst, cfg *Config, fusedCtr *uint64) *dblock {
 			end++
 		}
 		if end-i > 1 {
-			*fusedCtr++
+			dp.fused++
 		}
-		op := int32(len(db.ops))
-		db.ops = append(db.ops, d)
-		db.pc[i] = op
+		pc[i] = int32(len(ops))
+		ops = append(ops, d)
 		for k := i + 1; k < end; k++ {
-			db.pc[k] = -1
+			pc[k] = -1
 		}
 		i = end
 	}
+	dp.scratch = ops
+	db := &slab.Carve(&dp.blocks, 1, blockChunk)[0]
+	db.pc = pc
+	db.ops = slab.Carve(&dp.ops, len(ops), opChunk)
+	copy(db.ops, ops)
 	return db
 }
 

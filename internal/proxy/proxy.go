@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"capri/internal/isa"
+	"capri/internal/slab"
 )
 
 // EntryKind distinguishes data entries from region-boundary markers.
@@ -122,9 +123,13 @@ type FrontEnd struct {
 	// Bounded freelists for boundary-entry slice backings. AddBoundary is the
 	// simulator's hottest allocation site (one Ckpts and/or Emits slice per
 	// committed region); the machine returns the backings via Recycle once
-	// phase 2 has folded the boundary into the recovery record.
+	// phase 2 has folded the boundary into the recovery record. On a pool
+	// miss the backing is carved from a chunk (full-slice cap, so a recycled
+	// backing that must grow reallocates instead of clobbering a neighbour).
 	ckptPool [][]RegCkpt
 	emitPool [][]uint64
+	ckptSlab []RegCkpt
+	emitSlab []uint64
 
 	// Stats.
 	Allocs    uint64
@@ -140,6 +145,24 @@ func NewFrontEnd(capacity int) *FrontEnd {
 		panic(fmt.Sprintf("proxy: front-end capacity %d", capacity))
 	}
 	return &FrontEnd{Capacity: capacity, entries: make([]Entry, 0, capacity)}
+}
+
+// poolCap bounds each backing freelist; payloadChunk is the size, in
+// elements, of the chunks pool misses are carved from.
+const (
+	poolCap      = 64
+	payloadChunk = 256
+)
+
+// carveCopy copies src into a backing carved from *s. The backing's capacity
+// is rounded up to a power of two (at least 4), so once recycled it usually
+// fits the next region's payload too.
+func carveCopy[T any](s *[]T, src []T) []T {
+	c := 4
+	for c < len(src) {
+		c *= 2
+	}
+	return append(slab.Carve(s, c, payloadChunk)[:0], src...)
 }
 
 // Full reports whether a new entry cannot be allocated.
@@ -250,7 +273,7 @@ func (f *FrontEnd) AddBoundary(region uint64, pcFunc, pcBlk, pcIdx int32, sp uin
 			e.Emits = append(f.emitPool[n-1][:0], emits...)
 			f.emitPool = f.emitPool[:n-1]
 		} else {
-			e.Emits = append(e.Emits, emits...)
+			e.Emits = carveCopy(&f.emitSlab, emits)
 		}
 	}
 	if len(f.staged) > 0 {
@@ -258,7 +281,7 @@ func (f *FrontEnd) AddBoundary(region uint64, pcFunc, pcBlk, pcIdx int32, sp uin
 			e.Ckpts = append(f.ckptPool[n-1][:0], f.staged...)
 			f.ckptPool = f.ckptPool[:n-1]
 		} else {
-			e.Ckpts = append(e.Ckpts, f.staged...)
+			e.Ckpts = carveCopy(&f.ckptSlab, f.staged)
 		}
 		f.staged = f.staged[:0]
 	}
@@ -273,10 +296,15 @@ func (f *FrontEnd) AddBoundary(region uint64, pcFunc, pcBlk, pcIdx int32, sp uin
 // boundary into the recovery record and every buffer slot holding a copy has
 // been cleared. The pools are bounded; excess backings fall to the GC.
 func (f *FrontEnd) Recycle(ckpts []RegCkpt, emits []uint64) {
-	if cap(ckpts) > 0 && len(f.ckptPool) < 64 {
+	if f.ckptPool == nil {
+		// Sized to the bound on first use: a pool never grows.
+		f.ckptPool = make([][]RegCkpt, 0, poolCap)
+		f.emitPool = make([][]uint64, 0, poolCap)
+	}
+	if cap(ckpts) > 0 && len(f.ckptPool) < poolCap {
 		f.ckptPool = append(f.ckptPool, ckpts[:0])
 	}
-	if cap(emits) > 0 && len(f.emitPool) < 64 {
+	if cap(emits) > 0 && len(f.emitPool) < poolCap {
 		f.emitPool = append(f.emitPool, emits[:0])
 	}
 }

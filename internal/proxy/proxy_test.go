@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"testing"
+
+	"capri/internal/isa"
 )
 
 func TestFrontEndAllocAndMerge(t *testing.T) {
@@ -420,5 +422,54 @@ func TestNoElideFlag(t *testing.T) {
 	}
 	if f.Len() != 1 {
 		t.Errorf("len = %d", f.Len())
+	}
+}
+
+// TestFrontEndColdBoundaryAllocs pins the pool-miss path: N boundaries on a
+// fresh front-end with nothing recycled carve their checkpoint and emit
+// backings from chunks, costing about N/chunk allocations, not N.
+func TestFrontEndColdBoundaryAllocs(t *testing.T) {
+	const n = 512
+	emits := []uint64{1, 2}
+	got := testing.AllocsPerRun(10, func() {
+		f := NewFrontEnd(n)
+		for i := 0; i < n; i++ {
+			f.StageCkpt(3, uint64(i))
+			if ok, _ := f.AddBoundary(uint64(i+1), 0, 0, 0, 0x8000, emits, true, false, false); !ok {
+				t.Fatal("boundary rejected")
+			}
+		}
+	})
+	// Each backing carves 4 elements; two slabs; plus the front-end, its
+	// ring and the staging slice.
+	if bound := 2*n*4/payloadChunk + 3; got > float64(bound) {
+		t.Errorf("%d cold boundaries made %.0f allocations, want <= %d", n, got, bound)
+	}
+}
+
+// TestFrontEndRecycledBackingGrows: a recycled carved backing that must grow
+// for a bigger payload reallocates rather than writing into the backing
+// carved after it.
+func TestFrontEndRecycledBackingGrows(t *testing.T) {
+	f := NewFrontEnd(8)
+	f.StageCkpt(1, 10)
+	f.AddBoundary(1, 0, 0, 0, 0, []uint64{100}, true, false, false)
+	f.StageCkpt(2, 20)
+	f.AddBoundary(2, 0, 0, 0, 0, []uint64{200}, true, false, false)
+	a, _ := f.Pop()
+	b := *f.Peek()
+	f.Recycle(a.Ckpts, a.Emits)
+	emits := make([]uint64, 9)
+	for r := isa.Reg(0); r < 9; r++ {
+		f.StageCkpt(r, 99)
+		emits[r] = 99
+	}
+	f.AddBoundary(3, 0, 0, 0, 0, emits, true, false, false)
+	if b.Ckpts[0] != (RegCkpt{Reg: 2, Val: 20}) || b.Emits[0] != 200 {
+		t.Fatalf("growing a recycled backing clobbered its neighbour: %v %v", b.Ckpts, b.Emits)
+	}
+	c := f.Entries()[f.Len()-1]
+	if len(c.Ckpts) != 9 || len(c.Emits) != 9 {
+		t.Fatalf("grown boundary carries %d ckpts, %d emits; want 9, 9", len(c.Ckpts), len(c.Emits))
 	}
 }
