@@ -26,7 +26,7 @@ test:
 # no external linters).
 lint:
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the

@@ -120,7 +120,7 @@ type OutputDevice = machine.OutputDevice
 // protocol replays committed-but-undrained regions, preserving exactly-once
 // delivery across the crash.
 func RecoverWithDevices(img *CrashImage, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	return machine.RecoverAttached(img, devices...)
+	return machine.Recover(img, devices...)
 }
 
 // WriteImage serializes a crash image (versioned gzip-JSON, embedding the

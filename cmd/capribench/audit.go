@@ -36,7 +36,7 @@ func runAudit(scale, threshold int, recordDir string) error {
 			aud.AttachRecorder(flight)
 			return audit.Tee(flight, aud)
 		}
-		m, err := h.RunTapped(b, compile.LevelLICM, threshold, nil, tap, false)
+		m, err := h.RunTapped(b, compile.LevelLICM, threshold, tap, false)
 		if err != nil {
 			return err
 		}

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"capri/internal/asm"
+	"capri/internal/audit"
 	"capri/internal/compile"
 	"capri/internal/image"
 	"capri/internal/machine"
@@ -57,6 +58,10 @@ func main() {
 	}
 
 	if *baseline {
+		if err := checkBaseline(*crashAt, *imgPath, *tracePath); err != nil {
+			fmt.Fprintln(os.Stderr, "caprirun:", err)
+			os.Exit(2)
+		}
 		cfg.Capri = false
 		m, err := machine.New(src, cfg)
 		check(err)
@@ -65,9 +70,13 @@ func main() {
 		return
 	}
 
-	var rec *trace.Recorder
+	// The trace is a view of the machine's provenance tap. Without -trace the
+	// tap stays an untyped nil: a nil *trace.Recorder inside the interface
+	// would be called on the first event.
+	var tap audit.Sink
 	if *tracePath != "" {
-		rec = trace.NewRecorder(0)
+		rec := trace.NewRecorder()
+		tap = rec
 		defer func() {
 			f, err := os.Create(*tracePath)
 			check(err)
@@ -86,11 +95,7 @@ func main() {
 	if *imgPath != "" {
 		if img, err := image.LoadFile(*imgPath); err == nil {
 			fmt.Printf("recovering from %s ...\n", *imgPath)
-			var tr machine.Tracer
-			if rec != nil {
-				tr = trace.MachineTracer{R: rec}
-			}
-			r, rep, err := machine.RecoverTraced(img, tr)
+			r, rep, err := machine.RecoverInstrumented(img, nil, tap)
 			check(err)
 			fmt.Printf("recovered: %d regions redone, %d entries undone, %d slices, %d cores resumed\n",
 				rep.RegionsRedone, rep.EntriesUndone, rep.SlicesExecuted, rep.CoresResumed)
@@ -124,10 +129,7 @@ func main() {
 
 	m, err := machine.New(res.Program, cfg)
 	check(err)
-
-	if rec != nil {
-		m.SetTracer(trace.MachineTracer{R: rec})
-	}
+	m.SetTap(tap)
 
 	if *crashAt == 0 {
 		check(m.Run())
@@ -150,18 +152,35 @@ func main() {
 		return
 	}
 	// Keep tracing across the crash: the recovered machine reuses the same
-	// recorder, so the trace shows the crash edge, the recovery edge, and the
+	// tap, so the trace shows the crash edge, the recovery edge, and the
 	// re-executed regions in one timeline.
-	var tr machine.Tracer
-	if rec != nil {
-		tr = trace.MachineTracer{R: rec}
-	}
-	r, rep, err := machine.RecoverTraced(img, tr)
+	r, rep, err := machine.RecoverInstrumented(img, nil, tap)
 	check(err)
 	fmt.Printf("recovered: %d regions redone, %d entries undone (%d applied), %d slices, %d cores resumed\n",
 		rep.RegionsRedone, rep.EntriesUndone, rep.UndoneApplied, rep.SlicesExecuted, rep.CoresResumed)
 	check(r.Run())
 	report(r, src.NumThreads(), *stats)
+}
+
+// checkBaseline rejects the flags the volatile baseline machine cannot honour:
+// it has no persistence protocol, so it has no crash image to inject, save or
+// recover, and emits no persistence events to trace.
+func checkBaseline(crashAt uint64, imgPath, tracePath string) error {
+	var bad []string
+	if crashAt > 0 {
+		bad = append(bad, "-crash")
+	}
+	if imgPath != "" {
+		bad = append(bad, "-image")
+	}
+	if tracePath != "" {
+		bad = append(bad, "-trace")
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("-baseline cannot be combined with %s: the volatile baseline has no persistence protocol",
+			strings.Join(bad, ", "))
+	}
+	return nil
 }
 
 func report(m *machine.Machine, threads int, withStats bool) {

@@ -106,38 +106,42 @@ func main() {
 	var norm float64
 	var hist *machine.Metrics
 	if *traceOut != "" || *metrics || *auditRun || *recordOut != "" {
-		// Instrumented path: run the machine directly with a recorder and/or
-		// histogram collection attached (the cached harness path cannot carry
-		// per-run instrumentation).
-		var tr machine.Tracer
-		var rec *trace.Recorder
-		if *traceOut != "" {
-			rec = trace.NewRecorder(0)
-			tr = trace.MachineTracer{R: rec}
-		}
-		// The provenance tap: a bounded flight recorder feeds the run record,
-		// and the auditor checks every event online.
+		// Instrumented path: run the machine directly with a provenance tap
+		// and/or histogram collection attached (the cached harness path
+		// cannot carry per-run instrumentation). Every view reads the one
+		// tap: a bounded flight recorder feeds the run record, the auditor
+		// checks every event online, and the trace recorder keeps the
+		// persistence events for the Chrome trace.
 		var (
+			rec    *trace.Recorder
 			flight *audit.FlightRecorder
 			aud    *audit.Auditor
-			tap    func(*machine.Machine) audit.Sink
 		)
-		if *recordOut != "" || *auditRun {
-			tap = func(m *machine.Machine) audit.Sink {
+		tap := func(m *machine.Machine) audit.Sink {
+			var sinks []audit.Sink
+			if *recordOut != "" || *auditRun {
 				flight = audit.NewFlightRecorder(audit.DefaultRecorderCap)
-				if !*auditRun {
-					return flight
-				}
+				sinks = append(sinks, flight)
+			}
+			if *auditRun {
 				aud = audit.NewAuditor(m.AuditOptions())
 				aud.AttachRecorder(flight)
-				return audit.Tee(flight, aud)
+				sinks = append(sinks, aud)
 			}
+			if *traceOut != "" {
+				rec = trace.NewRecorder()
+				sinks = append(sinks, rec)
+			}
+			if len(sinks) == 0 {
+				return nil // -metrics alone: no tap
+			}
+			return audit.Tee(sinks...)
 		}
 		// A run record always collects the histograms: they are
 		// deterministic observers (no effect on simulated state), and
 		// `capriinspect summary` derives its percentile report from them.
 		collect := *metrics || *recordOut != ""
-		m, err := h.RunTapped(b, level, *threshold, tr, tap, collect)
+		m, err := h.RunTapped(b, level, *threshold, tap, collect)
 		if err != nil {
 			fatal(err)
 		}

@@ -6,7 +6,7 @@
 // the memory controller, phase-2 drain to NVM, NVM read served, crash, and
 // the recovery protocol's redo/undo applications.
 //
-// Two consumers sit behind the Sink interface:
+// The package provides two consumers of the Sink interface:
 //
 //   - FlightRecorder: a bounded ring that can dump the full event chain for
 //     any cache line and serialize a self-describing run record
@@ -15,8 +15,11 @@
 //     asserts the safety invariants of paper Fig. 7 on every event (see
 //     auditor.go and DESIGN.md §4e).
 //
+// The trace package's Recorder is a third: the persistence-event timeline
+// behind `caprisim -trace-out` is a view of the same stream.
+//
 // The package is a leaf: it imports only the standard library, so the
-// machine, recovery, and trace layers can all feed it without cycles.
+// machine, recovery, and trace layers can all import it without cycles.
 package audit
 
 import "fmt"

@@ -96,7 +96,7 @@ func TestRecoveryOrderCommutes(t *testing.T) {
 
 				var ref *machine.Machine
 				for i, order := range tc.orders {
-					r, _, err := machine.RecoverOrdered(img, order, nil)
+					r, _, err := machine.RecoverInstrumented(img, order, nil)
 					if err != nil {
 						t.Fatalf("crash@%d order %v: recover: %v", crashAt, order, err)
 					}

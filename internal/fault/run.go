@@ -224,7 +224,7 @@ func RunPlan(pg *prog.Program, cfg machine.Config, g *recovery.Golden, plan Plan
 		for i := range rev {
 			rev[i] = len(rev) - 1 - i
 		}
-		r2, _, err := machine.RecoverOrdered(lastImg, rev, nil)
+		r2, _, err := machine.RecoverInstrumented(lastImg, rev, nil)
 		if err != nil {
 			out.Err = fmt.Errorf("reversed-order recover: %w", err)
 			return finish(r)

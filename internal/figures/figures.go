@@ -357,23 +357,17 @@ func resultFrom(ss storedSim, base uint64) Result {
 	}
 }
 
-// RunInstrumented executes one Capri run outside the result cache, with the
-// given tracer attached and (when collect is set) histogram metrics enabled.
-// It returns the finished machine so callers can inspect its metrics, stats
-// and configuration — the backing for `caprisim -trace-out` / `-metrics`.
-// Instrumented runs are never result-cached — the tracer makes them
-// side-effecting — but their compilation still goes through the shared
+// RunTapped executes one Capri run outside the result cache, with a
+// provenance tap (see the audit package) attached before the run and (when
+// collect is set) histogram metrics enabled. It returns the finished machine
+// so callers can inspect its metrics, stats and configuration — the backing
+// for `caprisim -trace-out` / `-audit` / `-record-out` / `-metrics`. The tap
+// factory receives the freshly built machine (so it can size an auditor from
+// m.AuditOptions()) and returns the sink to attach; either the factory or its
+// result may be nil. Tapped runs are never result-cached — the sink makes
+// them side-effecting — but their compilation still goes through the shared
 // compile cache, so re-tracing a configuration never recompiles it.
-func (h *Harness) RunInstrumented(b workload.Benchmark, level compile.Level, threshold int, tr machine.Tracer, collect bool) (*machine.Machine, error) {
-	return h.RunTapped(b, level, threshold, tr, nil, collect)
-}
-
-// RunTapped is RunInstrumented with a provenance tap (see the audit package)
-// additionally attached before the run — the backing for `caprisim -audit` /
-// `-record-out`. The tap factory receives the freshly built machine (so it
-// can size an auditor from m.AuditOptions()) and returns the sink to attach;
-// either the factory or its result may be nil. Tap and tracer are independent.
-func (h *Harness) RunTapped(b workload.Benchmark, level compile.Level, threshold int, tr machine.Tracer, tap func(*machine.Machine) audit.Sink, collect bool) (*machine.Machine, error) {
+func (h *Harness) RunTapped(b workload.Benchmark, level compile.Level, threshold int, tap func(*machine.Machine) audit.Sink, collect bool) (*machine.Machine, error) {
 	src := b.Build(h.Scale)
 	res, err := h.compiles.Compile(src, compile.OptionsForLevel(level, threshold))
 	if err != nil {
@@ -386,9 +380,6 @@ func (h *Harness) RunTapped(b workload.Benchmark, level compile.Level, threshold
 	m, err := machine.New(res.Program, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
-	}
-	if tr != nil {
-		m.SetTracer(tr)
 	}
 	if tap != nil {
 		if s := tap(m); s != nil {

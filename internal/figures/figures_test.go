@@ -400,7 +400,7 @@ func TestSweepCompilesEachConfigurationOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.RunInstrumented(b, compile.LevelLICM, 256, nil, false); err != nil {
+	if _, err := h.RunTapped(b, compile.LevelLICM, 256, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	s2 := h.CompileCacheStats()

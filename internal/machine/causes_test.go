@@ -177,7 +177,7 @@ func TestCycleLedgerContinuityAcrossRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := RecoverTraced(img, nil)
+	r, _, err := Recover(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,72 +115,26 @@ type RecoveryReport struct {
 //     record, executes the recovery slices of its resume block (pruned
 //     checkpoints, §4.4.1), and resumes at the recorded PC — the beginning
 //     of the interrupted region.
-func Recover(img *CrashImage) (*Machine, *RecoveryReport, error) {
-	return RecoverAttached(img)
+//
+// Output devices are registered before the protocol runs, so regions that
+// committed before the crash but had not yet finished phase 2 deliver their
+// output to the devices during replay — preserving the exactly-once
+// guarantee across the crash (§3.3's I/O story).
+func Recover(img *CrashImage, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
+	return RecoverInstrumented(img, nil, nil, devices...)
 }
 
-// RecoverTraced is RecoverAttached with a tracer installed on the recovered
-// machine before the protocol runs; when recovery completes it emits a
-// recovery event (so a trace spanning crash and restart shows both edges).
-func RecoverTraced(img *CrashImage, tr Tracer, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	m, rep, err := RecoverAttached(img, devices...)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.tracer = tr
-	if tr != nil {
-		tr.TraceRecovery(rep.CoresResumed + rep.CoresHalted)
-	}
-	return m, rep, nil
-}
-
-// RecoverAttached is Recover with output devices registered before the
-// protocol runs, so regions that committed before the crash but had not yet
-// finished phase 2 deliver their output to the devices during replay —
-// preserving the exactly-once guarantee across the crash (§3.3's I/O story).
-func RecoverAttached(img *CrashImage, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	return recoverWithTap(img, nil, devices...)
-}
-
-// RecoverInstrumented is recovery with full observability: the provenance tap
-// is installed on the rebuilt machine *before* the protocol runs (so the
-// recovery events themselves — redo writes, undos, the done marker — reach an
-// attached Auditor or FlightRecorder, and the tap stays live for resumed
-// execution), and the tracer is installed after replay exactly as
-// RecoverTraced does (the trace shows recovery as one event, not a replay).
-func RecoverInstrumented(img *CrashImage, tr Tracer, tap audit.Sink, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	m, rep, err := recoverWithTap(img, tap, devices...)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.tracer = tr
-	if tr != nil {
-		tr.TraceRecovery(rep.CoresResumed + rep.CoresHalted)
-	}
-	return m, rep, nil
-}
-
-// RecoverInterrupted runs the §5.4 protocol but injects a nested power
-// failure after stopAfter persistent protocol steps — redo write
-// applications, marker folds, and undo applications, the NVM mutations a
-// real recovery performs. If the protocol finishes in fewer steps, the
-// recovered machine is returned with a nil nested image. Otherwise recovery
-// stops mid-flight and the partially recovered persistent state is harvested
-// into a fresh CrashImage (NVM and records as mutated so far; the original
-// battery-backed streams, which recovery only reads): §5.4 must be
-// restartable from any such point, converging to the same final image as an
-// uninterrupted recovery.
-func RecoverInterrupted(img *CrashImage, tap audit.Sink, stopAfter uint64, devices ...OutputDevice) (*Machine, *RecoveryReport, *CrashImage, error) {
-	return recoverCore(img, tap, stopAfter, nil, devices...)
-}
-
-// RecoverOrdered is RecoverInstrumented-style recovery with an explicit core
-// order for phase A's per-stream replay. order must be a permutation of the
-// core indices (nil: identity). Recovery is order-independent — the sequence
-// guard makes cross-core redo applications commute, and phase B's undo pass
-// is globally sorted — so every order must converge to the same persistent
-// image; the permutation tests pin exactly that.
-func RecoverOrdered(img *CrashImage, order []int, tap audit.Sink, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
+// RecoverInstrumented is Recover with full observability and an explicit
+// replay order. The tap is installed on the rebuilt machine *before* the
+// protocol runs, so the recovery events themselves — redo writes, undos, the
+// done marker — reach an attached Auditor, FlightRecorder or trace Recorder,
+// and the tap stays live for resumed execution. order is phase A's per-stream
+// core order and must be a permutation of the core indices (nil: identity).
+// Recovery is order-independent — the sequence guard makes cross-core redo
+// applications commute, and phase B's undo pass is globally sorted — so every
+// order must converge to the same persistent image; the permutation tests pin
+// exactly that.
+func RecoverInstrumented(img *CrashImage, order []int, tap audit.Sink, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
 	if order != nil {
 		seen := make([]bool, len(img.Streams))
 		if len(order) != len(img.Streams) {
@@ -197,9 +151,18 @@ func RecoverOrdered(img *CrashImage, order []int, tap audit.Sink, devices ...Out
 	return m, rep, err
 }
 
-func recoverWithTap(img *CrashImage, tap audit.Sink, devices ...OutputDevice) (*Machine, *RecoveryReport, error) {
-	m, rep, _, err := recoverCore(img, tap, 0, nil, devices...)
-	return m, rep, err
+// RecoverInterrupted runs the §5.4 protocol but injects a nested power
+// failure after stopAfter persistent protocol steps — redo write
+// applications, marker folds, and undo applications, the NVM mutations a
+// real recovery performs. If the protocol finishes in fewer steps, the
+// recovered machine is returned with a nil nested image. Otherwise recovery
+// stops mid-flight and the partially recovered persistent state is harvested
+// into a fresh CrashImage (NVM and records as mutated so far; the original
+// battery-backed streams, which recovery only reads): §5.4 must be
+// restartable from any such point, converging to the same final image as an
+// uninterrupted recovery.
+func RecoverInterrupted(img *CrashImage, tap audit.Sink, stopAfter uint64, devices ...OutputDevice) (*Machine, *RecoveryReport, *CrashImage, error) {
+	return recoverCore(img, tap, stopAfter, nil, devices...)
 }
 
 // recoverCore is the one implementation of the recovery protocol. stopAfter

@@ -2,14 +2,6 @@ package machine
 
 import "capri/internal/isa"
 
-// BoundaryHook, when non-nil, is invoked after every successful region
-// commit with the core ID, the committed region's sequence number, the
-// architectural register file at the commit point, and the recorded resume
-// PC. It exists for the recovery validation harness: the register file at a
-// commit is exactly what recovery must reconstruct when resuming at that
-// boundary. Not safe for concurrent machines; test use only.
-var BoundaryHook func(core int, region uint64, regs [isa.NumRegs]uint64, fn, blk, idx int32)
-
 // DebugRegs returns a copy of core t's architectural register file
 // (test/debug helper).
 func (m *Machine) DebugRegs(t int) [isa.NumRegs]uint64 {

@@ -103,7 +103,7 @@ func TestDeviceExactlyOnceAcrossCrashes(t *testing.T) {
 		}
 		// The same device instance is attached to the recovered machine
 		// BEFORE the protocol replays committed-but-undrained regions.
-		r, _, err := RecoverAttached(img, d)
+		r, _, err := Recover(img, d)
 		if err != nil {
 			t.Fatalf("crash@%d: %v", crashAt, err)
 		}

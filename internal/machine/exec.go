@@ -292,9 +292,6 @@ func (m *Machine) doStore(c *core, addr uint64, val uint64) bool {
 			}
 			c.stall(m.frontStallCause(c), stall)
 			m.seq-- // the store did not happen
-			if m.tracer != nil {
-				m.tracer.TraceStall(c.id, c.cycle)
-			}
 			if m.tap != nil {
 				m.tap.Tap(audit.Event{Kind: audit.EvStall, Core: int32(c.id), Cycle: c.cycle})
 			}
@@ -433,12 +430,6 @@ func (m *Machine) commitRegion(c *core, fn, blk, idx int32, force, halt bool) bo
 	}
 	if m.metrics != nil {
 		m.sampleBoundary(c, elided)
-	}
-	if BoundaryHook != nil {
-		BoundaryHook(c.id, c.regionSeq, c.regs, fn, blk, idx)
-	}
-	if m.tracer != nil {
-		m.tracer.TraceCommit(c.id, c.cycle, c.regionSeq)
 	}
 	if m.tap != nil {
 		ev := audit.Event{Kind: audit.EvCommit, Core: int32(c.id), Cycle: c.cycle, Region: c.regionSeq}

@@ -346,5 +346,4 @@ func TestAccessors(t *testing.T) {
 	if m.Program() != cp {
 		t.Error("Program accessor wrong")
 	}
-	m.SetTracer(nil) // no-op path
 }

@@ -166,9 +166,9 @@ type Tear struct {
 }
 
 // Mutations are test-only protocol corruptions for the fault campaign's
-// mutation tests (the BoundaryHook precedent): each disables one step the
-// recovery argument depends on, and the campaign must produce a minimal
-// failing fault plan against it. All false in production.
+// mutation tests: each disables one step the recovery argument depends on,
+// and the campaign must produce a minimal failing fault plan against it. All
+// false in production.
 var Mutations struct {
 	// SkipUndo drops recovery's phase B entirely (uncommitted stores are
 	// never rolled back).
@@ -264,9 +264,6 @@ func (m *Machine) retryDrain(c *core, now uint64) bool {
 func (m *Machine) CrashTorn(tears []Tear) (*CrashImage, error) {
 	if !m.cfg.Capri {
 		return nil, fmt.Errorf("machine: baseline (volatile) machine has no crash image")
-	}
-	if m.tracer != nil {
-		m.tracer.TraceCrash(m.Cycles())
 	}
 	if m.tap != nil {
 		m.tap.Tap(audit.Event{Kind: audit.EvCrash, Cycle: m.Cycles()})

@@ -169,7 +169,6 @@ type Machine struct {
 	tele    *telemetry.MachineTelemetry
 	telePub telePub
 
-	tracer  Tracer
 	tap     audit.Sink  // nil: provenance event emission off
 	metrics *Metrics    // nil: histogram collection off
 	flt     *faultState // nil: fault model unarmed (see fault.go)
@@ -196,29 +195,13 @@ func (m *Machine) AttachOutputDevice(d OutputDevice) {
 	m.devices = append(m.devices, d)
 }
 
-// Tracer receives persistence-relevant events during execution. See the
-// trace package for a ready-made recorder. Nil disables tracing.
-// TraceDrain carries the drained payload alongside the region: the
-// lowest/highest word address among the valid redo entries written and
-// their count (all zero for a data-free marker).
-type Tracer interface {
-	TraceCommit(core int, cycle, region uint64)
-	TraceDrain(core int, cycle, region uint64, addrLo, addrHi uint64, entries int)
-	TraceWriteback(core int, cycle, addr uint64)
-	TraceStall(core int, cycle uint64)
-	TraceCrash(cycle uint64)
-	TraceRecovery(cores int)
-}
-
-// SetTracer installs (or removes, with nil) the machine's event tracer.
-func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
-
 // SetTap installs (or removes, with nil) the machine's provenance tap: a
 // per-line event stream covering every lifecycle step of the two-phase
-// atomic store (see the audit package). The tap is a strict superset of the
-// Tracer events at word granularity; it is how the flight recorder and the
-// online Fig. 7 auditor observe the machine. Baseline (non-Capri) machines
-// have no persistence protocol to audit, so SetTap is a no-op for them.
+// atomic store (see the audit package). The tap is the machine's only event
+// stream: the flight recorder, the online Fig. 7 auditor and the trace
+// recorder are all views of it (combine them with audit.Tee). Baseline
+// (non-Capri) machines have no persistence protocol to observe, so SetTap
+// is a no-op for them.
 func (m *Machine) SetTap(s audit.Sink) {
 	if !m.cfg.Capri {
 		return

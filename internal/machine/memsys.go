@@ -124,9 +124,6 @@ func (m *Machine) l1Writeback(c *core, wb *cache.Writeback) {
 // The values written are the architectural values of the dirty words — the
 // newest stores the line absorbed, which is exactly what wb.Seq tags.
 func (m *Machine) controllerWriteback(now uint64, wb *cache.Writeback) {
-	if m.tracer != nil {
-		m.tracer.TraceWriteback(wb.Core, now, wb.Line)
-	}
 	m.dram.Fill(wb.Line)
 	depth := m.nvm.BookLineWrite(now, m.cfg.NVMWrite)
 	if m.metrics != nil {
@@ -348,7 +345,7 @@ func (m *Machine) scheduleDrain(c *core, now uint64) {
 // data moves to NVM, the recovery record absorbs the boundary's checkpoint
 // payload, and staged emits become durable output.
 func (m *Machine) applyPhase2(c *core, region proxy.CommittedRegion) {
-	if m.tracer != nil || m.tap != nil {
+	if m.tap != nil {
 		var lo, hi uint64
 		entries := 0
 		for i := range region.Data {
@@ -362,15 +359,10 @@ func (m *Machine) applyPhase2(c *core, region proxy.CommittedRegion) {
 				entries++
 			}
 		}
-		if m.tracer != nil {
-			m.tracer.TraceDrain(c.id, c.cycle, region.Boundary.Region, lo, hi, entries)
-		}
-		if m.tap != nil {
-			m.tap.Tap(audit.Event{
-				Kind: audit.EvDrain, Core: int32(c.id), Cycle: c.cycle,
-				Region: region.Boundary.Region, Val: lo, Val2: hi, Count: uint32(entries),
-			})
-		}
+		m.tap.Tap(audit.Event{
+			Kind: audit.EvDrain, Core: int32(c.id), Cycle: c.cycle,
+			Region: region.Boundary.Region, Val: lo, Val2: hi, Count: uint32(entries),
+		})
 	}
 	if m.metrics != nil && len(c.commitCycles) > 0 {
 		// Oldest queued boundary commit pairs with this drain (FIFO per core).

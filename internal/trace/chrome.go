@@ -131,7 +131,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 			}
 		case KindRecovery:
 			// The recovery event's Core field carries the recovered core
-			// count (see MachineTracer.TraceRecovery).
+			// count (see Recorder.Tap).
 			ce = chromeEvent{
 				Name: "recovery", Cat: "power", Phase: "i",
 				TS: e.Cycle, Scope: "g",

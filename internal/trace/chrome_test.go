@@ -66,8 +66,8 @@ func TestWriteChromeMachineRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(0)
-	m.SetTracer(MachineTracer{R: rec})
+	rec := NewRecorder()
+	m.SetTap(rec)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,8 @@ func TestRegionOrderUnderCrashInjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := NewRecorder(0)
-			tr := MachineTracer{R: rec}
-			m.SetTracer(tr)
+			rec := NewRecorder()
+			m.SetTap(rec)
 			if err := m.RunUntil(crashAt); err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +96,7 @@ func TestRegionOrderUnderCrashInjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, _, err := machine.RecoverTraced(img, tr) // emits the recovery event
+			r, _, err := machine.RecoverInstrumented(img, nil, rec) // emits the recovery event
 			if err != nil {
 				t.Fatal(err)
 			}

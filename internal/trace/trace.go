@@ -1,6 +1,9 @@
 // Package trace records persistence-relevant events from a machine run: it
 // is the observability layer for debugging region formation and the
-// two-phase store pipeline, and the data source for the event-level tests
+// two-phase store pipeline. A Recorder is an audit.Sink, so a trace is a
+// view of the machine's one provenance tap (Machine.SetTap) that keeps six
+// kinds — commit, drain, writeback, stall, crash, recovery — and drops the
+// per-word events. It is also the data source for the event-level tests
 // that assert ordering invariants (per-core region commits are monotone,
 // drains follow commits, and so on — see CheckRegionOrder, which is also
 // crash-aware: traces spanning a power failure and recovery check the
@@ -17,6 +20,8 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"capri/internal/audit"
 )
 
 // Kind classifies an event.
@@ -89,23 +94,44 @@ func (e Event) String() string {
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
-	limit  int
 }
 
-// NewRecorder returns a Recorder capped at limit events (0 = unlimited).
-// When the cap is hit, further events are dropped and counted.
-func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit}
+// NewRecorder returns an empty Recorder.
+func NewRecorder() *Recorder {
+	return &Recorder{}
 }
 
-// Record appends an event, subject to the cap.
+// Record appends an event.
 func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.limit > 0 && len(r.events) >= r.limit {
+	r.events = append(r.events, e)
+}
+
+// Tap makes a Recorder an audit.Sink: it records the provenance events a
+// trace shows and ignores every other kind. A drain's lo/hi/count payload
+// comes from Val/Val2/Count; a recovery event carries the recovered core
+// count in Core.
+func (r *Recorder) Tap(e audit.Event) {
+	ev := Event{Core: int(e.Core), Cycle: e.Cycle}
+	switch e.Kind {
+	case audit.EvCommit:
+		ev.Kind, ev.Region = KindRegionCommit, e.Region
+	case audit.EvDrain:
+		ev.Kind, ev.Region = KindPhase2Drain, e.Region
+		ev.Addr, ev.Addr2, ev.Count = e.Val, e.Val2, int(e.Count)
+	case audit.EvWriteback:
+		ev.Kind, ev.Addr = KindWriteback, e.Addr
+	case audit.EvStall:
+		ev.Kind = KindFrontStall
+	case audit.EvCrash:
+		ev.Kind = KindCrash
+	case audit.EvRecoveryDone:
+		ev = Event{Kind: KindRecovery, Core: int(e.Count), Note: "cores"}
+	default:
 		return
 	}
-	r.events = append(r.events, e)
+	r.Record(ev)
 }
 
 // Events returns a copy of the recorded events in order.

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewRecorder()
 	r.Record(Event{Kind: KindRegionCommit, Core: 1, Cycle: 10, Region: 1})
 	r.Record(Event{Kind: KindWriteback, Core: 0, Cycle: 20, Addr: 0x100})
 	if r.Len() != 2 {
@@ -34,18 +34,8 @@ func TestRecorderBasics(t *testing.T) {
 	}
 }
 
-func TestRecorderCap(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 10; i++ {
-		r.Record(Event{Kind: KindFrontStall, Cycle: uint64(i)})
-	}
-	if r.Len() != 3 {
-		t.Errorf("cap not enforced: %d", r.Len())
-	}
-}
-
 func TestEmptySummary(t *testing.T) {
-	if s := NewRecorder(0).Summary(); s != "(empty trace)" {
+	if s := NewRecorder().Summary(); s != "(empty trace)" {
 		t.Errorf("summary = %q", s)
 	}
 }
@@ -88,9 +78,9 @@ func TestCheckRegionOrderDetectsViolations(t *testing.T) {
 	}
 }
 
-// TestMachineTraceOrdering runs real workloads with the tracer attached and
-// asserts the in-order region persistence invariant (DESIGN.md invariant 6)
-// over the actual event stream.
+// TestMachineTraceOrdering runs real workloads with a trace Recorder on the
+// tap and asserts the in-order region persistence invariant (DESIGN.md
+// invariant 6) over the actual event stream.
 func TestMachineTraceOrdering(t *testing.T) {
 	gcfg := progen.DefaultConfig()
 	gcfg.Threads = 2
@@ -109,8 +99,8 @@ func TestMachineTraceOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := NewRecorder(0)
-		m.SetTracer(MachineTracer{R: rec})
+		rec := NewRecorder()
+		m.SetTap(rec)
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +123,11 @@ func TestMachineTraceOrdering(t *testing.T) {
 	}
 }
 
-// TestDrainPayloadMatchesTap runs a real workload with both the tracer and
-// the provenance tap attached and asserts they report the *same* drain
-// payload: every TraceDrain's (core, region, addrLo, addrHi, entries) must
-// equal the corresponding EvDrain event — Perfetto spans and the auditor see
-// one truth.
+// TestDrainPayloadMatchesTap runs a real workload with a trace Recorder and
+// a flight recorder teed onto one tap and asserts they report the *same*
+// drain payload: every trace drain's (core, region, addrLo, addrHi, entries)
+// must equal the corresponding EvDrain event — Perfetto spans and the auditor
+// see one truth.
 func TestDrainPayloadMatchesTap(t *testing.T) {
 	gcfg := progen.DefaultConfig()
 	gcfg.Threads = 2
@@ -155,10 +145,9 @@ func TestDrainPayloadMatchesTap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(0)
-	m.SetTracer(MachineTracer{R: rec})
+	rec := NewRecorder()
 	fr := audit.NewFlightRecorder(0)
-	m.SetTap(fr)
+	m.SetTap(audit.Tee(rec, fr))
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +162,7 @@ func TestDrainPayloadMatchesTap(t *testing.T) {
 		t.Fatal("no drains recorded")
 	}
 	if len(drains) != len(taps) {
-		t.Fatalf("tracer saw %d drains, tap saw %d", len(drains), len(taps))
+		t.Fatalf("trace saw %d drains, flight recorder saw %d", len(drains), len(taps))
 	}
 	withData := 0
 	for i, d := range drains {
