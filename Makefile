@@ -26,13 +26,15 @@ test:
 # no external linters).
 lint:
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
 # shared compile cache, sweep/resultstore the parallel fleet and its store),
 # the full verifier matrix (semantic region verifier after every pass for
-# every benchmark x level x threshold), the store and dispatch-equivalence
+# every benchmark x level x threshold) with the compiler's allocation pins
+# (zero-allocation fingerprints, the ocean compile budget, constant-cost
+# liveness), the store and dispatch-equivalence
 # differential sweeps, the documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
 # byte-identical to sequential, and a warm-store rerun counter-asserted at
@@ -46,7 +48,7 @@ lint:
 check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/resultstore ./internal/fault ./internal/telemetry
-	$(GO) test -run 'TestVerifierMatrix|TestMutation' ./internal/compile
+	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestLivenessAllocsConstant' ./internal/compile ./internal/analysis
 	$(GO) test -run 'Differential|DispatchEquivalence' .
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-smoke
@@ -119,11 +121,12 @@ docs-verify:
 	$(GO) run ./cmd/capribench -sweepcheck -jobs $(JOBS) -verify EXPERIMENTS.md
 
 # bench runs the perf-regression micro-benchmarks (raw store and proxy
-# throughput, whole-pipeline compiles with their allocs/op, the auditor per
-# event and the decoder per block, plus the end-to-end simulator benchmark).
+# throughput, whole-pipeline compiles with their allocs/op, program
+# fingerprinting, the auditor per event and the decoder per block, plus the
+# end-to-end simulator benchmark).
 bench:
 	$(GO) test -bench 'Mem|NVM|Proxy|Path' -benchmem -run '^$$' ./internal/mem ./internal/proxy
-	$(GO) test -bench 'Compile' -benchmem -run '^$$' ./internal/compile
+	$(GO) test -bench 'Compile|Fingerprint' -benchmem -run '^$$' ./internal/compile
 	$(GO) test -bench 'AuditorTap' -benchmem -run '^$$' ./internal/audit
 	$(GO) test -bench 'DecodeProgram' -benchmem -run '^$$' ./internal/machine
 	$(GO) test -bench 'SimulatorThroughput' -run '^$$' .

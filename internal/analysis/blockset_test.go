@@ -139,3 +139,51 @@ func TestLoopsAllocsPerLoop(t *testing.T) {
 		}
 	}
 }
+
+// callLadder builds an n-block chain in which every block calls a leaf
+// function and branches to the next; the last block halts.
+func callLadder(n int) *prog.Func {
+	bd := prog.NewBuilder("calls")
+	main, leaf := bd.Func("main"), bd.Func("leaf")
+	leaf.Block()
+	leaf.Ret()
+	bs := make([]*prog.Block, n)
+	for i := range bs {
+		bs[i] = main.Block()
+	}
+	for i := range bs {
+		main.SetBlock(bs[i])
+		main.Call(leaf)
+		if i == n-1 {
+			main.Halt()
+			continue
+		}
+		main.Br(bs[i+1])
+	}
+	bd.Program()
+	return main.Raw()
+}
+
+// TestLivenessAllocsConstant pins the liveness layout: the four per-block set
+// arrays share one allocation, and call-aware transfer functions expand the
+// callee summary without allocating, so an 8-block and a 256-block function
+// cost the same two allocations (the sets and the Liveness).
+func TestLivenessAllocsConstant(t *testing.T) {
+	callUse := func(int32) RegSet { return AllRegs }
+	for name, mk := range map[string]func(int) *prog.Func{"ladder": ladder, "callLadder": callLadder} {
+		small, large := BuildCFG(mk(8)), BuildCFG(mk(256))
+		a := testing.AllocsPerRun(20, func() { ComputeLivenessWithRet(small, callUse, AllRegs) })
+		b := testing.AllocsPerRun(20, func() { ComputeLivenessWithRet(large, callUse, AllRegs) })
+		if a != 2 || b != 2 {
+			t.Errorf("%s: liveness allocs: 8 blocks %.0f, 256 blocks %.0f; want 2", name, a, b)
+		}
+	}
+	// The set arrays are capped windows: appending to one must not
+	// overwrite the next.
+	lv := ComputeLiveness(BuildCFG(callLadder(4)))
+	out := lv.LiveOut[0]
+	_ = append(lv.LiveIn, 0)
+	if lv.LiveOut[0] != out {
+		t.Error("append to LiveIn clobbered LiveOut")
+	}
+}

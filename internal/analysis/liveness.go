@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math/bits"
+
 	"capri/internal/isa"
 	"capri/internal/prog"
 )
@@ -65,12 +67,15 @@ type Liveness struct {
 func (lv *Liveness) instUses(in *isa.Inst, dst []isa.Reg) []isa.Reg {
 	dst = in.Uses(dst)
 	if in.Op == isa.OpCall && lv.callUse != nil {
-		for _, r := range lv.callUse(in.Callee).Regs() {
-			dst = append(dst, r)
+		for s := lv.callUse(in.Callee); s != 0; s &= s - 1 {
+			dst = append(dst, isa.Reg(bits.TrailingZeros32(uint32(s))))
 		}
 	}
 	return dst
 }
+
+// maxUses bounds instUses' result: three operands plus a callee summary.
+const maxUses = 3 + isa.NumRegs
 
 // ComputeLiveness runs the standard backward dataflow over the function.
 //
@@ -101,17 +106,21 @@ func ComputeLivenessCallAware(c *CFG, callUse func(callee int32) RegSet) *Livene
 // some path after the boundary" — in this function, in a callee (via
 // callUse), or in a caller's continuation (via retLive) — rather than "not
 // provably dead before an all-registers return".
+//
+// The four per-block set arrays are capped windows of one allocation.
 func ComputeLivenessWithRet(c *CFG, callUse func(callee int32) RegSet, retLive RegSet) *Liveness {
 	n := len(c.F.Blocks)
+	sets := make([]RegSet, 4*n)
 	lv := &Liveness{
-		LiveIn:  make([]RegSet, n),
-		LiveOut: make([]RegSet, n),
-		Use:     make([]RegSet, n),
-		Def:     make([]RegSet, n),
+		LiveIn:  sets[:n:n],
+		LiveOut: sets[n : 2*n : 2*n],
+		Use:     sets[2*n : 3*n : 3*n],
+		Def:     sets[3*n:],
 		callUse: callUse,
 	}
 
-	var uses []isa.Reg
+	var ubuf [maxUses]isa.Reg
+	uses := ubuf[:0]
 	for _, b := range c.F.Blocks {
 		var use, def RegSet
 		for i := range b.Insts {
@@ -160,7 +169,8 @@ func ComputeLivenessWithRet(c *CFG, callUse func(callee int32) RegSet, retLive R
 func (lv *Liveness) LiveAt(f *prog.Func, b, idx int) RegSet {
 	live := lv.LiveOut[b]
 	insts := f.Blocks[b].Insts
-	var uses []isa.Reg
+	var ubuf [maxUses]isa.Reg
+	uses := ubuf[:0]
 	for i := len(insts) - 1; i >= idx; i-- {
 		in := &insts[i]
 		if d, ok := in.Def(); ok {

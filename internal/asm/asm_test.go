@@ -280,6 +280,35 @@ func TestFormatCompiledProgram(t *testing.T) {
 	}
 }
 
+// TestFormatDeterministic formats every benchmark compiled at +licm@64 — where
+// many boundary blocks carry several recovery slices — 20 times and requires
+// identical text each time: the slice comments must not follow map order.
+func TestFormatDeterministic(t *testing.T) {
+	multi := 0
+	for _, w := range workload.All() {
+		res, err := compile.Compile(w.Build(1), compile.OptionsForLevel(compile.LevelLICM, 64))
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for _, f := range res.Program.Funcs {
+			for _, b := range f.Blocks {
+				if len(b.RecoverySlices) > 1 {
+					multi++
+				}
+			}
+		}
+		want := Format(res.Program)
+		for i := 1; i < 20; i++ {
+			if got := Format(res.Program); got != want {
+				t.Fatalf("%s: format %d differs from the first", w.Name, i+1)
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no block carries more than one recovery slice; the test checks nothing")
+	}
+}
+
 func TestParseRegisterAliases(t *testing.T) {
 	if r, err := parseReg("sp"); err != nil || r != isa.SP {
 		t.Errorf("sp parsed as %v, %v", r, err)

@@ -12,7 +12,7 @@ import (
 // Block labels are bN per function; call operands use function names. The
 // round trip Parse(Format(p)) yields a structurally identical program
 // (recovery slices, which have no textual form, are the one exception and
-// are emitted as comments).
+// are emitted as comments, in ascending register order).
 func Format(p *prog.Program) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "; program %s\n", p.Name)
@@ -20,8 +20,10 @@ func Format(p *prog.Program) string {
 		fmt.Fprintf(&sb, "func %s\n", funcName(p, f.ID))
 		for _, b := range f.Blocks {
 			fmt.Fprintf(&sb, "b%d:\n", b.ID)
-			for reg, slice := range b.RecoverySlices {
-				fmt.Fprintf(&sb, "    ; recovery slice for %s (%d insts)\n", reg, len(slice))
+			for r := isa.Reg(0); r < isa.NumRegs; r++ {
+				if slice, ok := b.RecoverySlices[r]; ok {
+					fmt.Fprintf(&sb, "    ; recovery slice for %s (%d insts)\n", r, len(slice))
+				}
 			}
 			for i := range b.Insts {
 				fmt.Fprintf(&sb, "    %s\n", formatInst(p, &b.Insts[i]))

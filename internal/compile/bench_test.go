@@ -39,3 +39,20 @@ func BenchmarkCompile(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFingerprint times hashing a compiled program (ocean +licm@256,
+// recovery slices included); allocs/op must stay 0.
+//
+//	go test -bench Fingerprint -benchmem -run '^$' ./internal/compile
+func BenchmarkFingerprint(b *testing.B) {
+	src, opts := oceanSource(b)
+	p := MustCompile(src, opts).Program
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = p.Fingerprint()
+	}
+}
+
+// fingerprintSink keeps BenchmarkFingerprint's result live.
+var fingerprintSink [32]byte

@@ -191,18 +191,30 @@ func insertCheckpoints(p *prog.Program, fi int, cc *ckptContext) int {
 
 	// Placement: walk each block backward with the converged needOut,
 	// splicing a checkpoint immediately after each last-def of a needed
-	// register.
+	// register. A first walk counts the splices so the block's new list is
+	// carved once; the second fills it back to front, as the indexes arrive
+	// in descending order.
 	inserted := 0
 	for _, id := range cfg.RPO {
 		b := f.Blocks[id]
-		// Indexes arrive in descending order; splicing back-to-front keeps
-		// the earlier indexes valid.
+		n := 0
+		walk(b, needOut[id], func(int, isa.Reg) { n++ })
+		if n == 0 {
+			continue
+		}
+		insts := f.NewInsts(len(b.Insts) + n)
+		end, src := len(insts), len(b.Insts) // insts[end:] and b.Insts[src:] are placed
 		walk(b, needOut[id], func(i int, r isa.Reg) {
-			b.Insts = append(b.Insts, isa.Inst{})
-			copy(b.Insts[i+2:], b.Insts[i+1:])
-			b.Insts[i+1] = isa.Inst{Op: isa.OpCkpt, Ra: r}
-			inserted++
+			tail := b.Insts[i+1 : src]
+			end -= len(tail)
+			copy(insts[end:], tail)
+			end--
+			insts[end] = isa.Inst{Op: isa.OpCkpt, Ra: r}
+			src = i + 1
 		})
+		copy(insts, b.Insts[:src])
+		b.Insts = insts
+		inserted += n
 	}
 	return inserted
 }

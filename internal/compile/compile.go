@@ -87,6 +87,12 @@ func CompileWithHooks(p *prog.Program, opts Options, hooks Hooks) (*Result, erro
 	if err := newPipeline(opts).run(out, hooks, &res.Stats); err != nil {
 		return nil, err
 	}
+	// The passes left superseded instruction lists in the slab chunks they
+	// carved; a compiled program may be kept for a long time (compile cache,
+	// crash targets), so it keeps only its live instructions.
+	for _, f := range out.Funcs {
+		f.Compact()
+	}
 	res.Stats.Static = out.Stats()
 	res.Stats.Regions = res.Stats.Static.Boundaries
 	return res, nil

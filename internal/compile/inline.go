@@ -95,7 +95,8 @@ func performInline(p *prog.Program, f *prog.Func, b *prog.Block, i int, callee *
 	}
 	for _, cb := range callee.Blocks {
 		dst := f.Blocks[copyOf[cb.ID]]
-		dst.Insts = append(dst.Insts, cb.Insts...)
+		dst.Insts = f.NewInsts(len(cb.Insts))
+		copy(dst.Insts, cb.Insts)
 		retargetEdges(dst, func(t int) int { return copyOf[t] })
 		if t, ok := dst.Terminator(); ok && t.Op == isa.OpRet {
 			// Return becomes a jump to the original return site.
@@ -106,5 +107,5 @@ func performInline(p *prog.Program, f *prog.Func, b *prog.Block, i int, callee *
 	// Replace the call with a branch into the copied entry, dropping any
 	// trailing instructions of b (canonically just the Br to the return
 	// site, which the copied Rets now perform).
-	b.Insts = append(b.Insts[:i:i], isa.Inst{Op: isa.OpBr, Target: int32(copyOf[callee.Entry])})
+	b.Insts = append(b.Insts[:i], isa.Inst{Op: isa.OpBr, Target: int32(copyOf[callee.Entry])})
 }

@@ -1,6 +1,8 @@
 package compile
 
 import (
+	"slices"
+
 	"capri/internal/analysis"
 	"capri/internal/isa"
 	"capri/internal/prog"
@@ -131,13 +133,15 @@ func tryHoist(f *prog.Func, lv *analysis.Liveness, l *analysis.Loop, pre int) bo
 			if !invariant {
 				continue
 			}
-			// Hoist: remove both instructions from the loop, append them to
+			// Hoist: remove both instructions from the loop, insert them in
 			// the preheader before its terminator.
-			b.Insts = append(b.Insts[:i:i], b.Insts[i+2:]...)
+			b.Insts = slices.Delete(b.Insts, i, i+2)
 			pb := f.Blocks[pre]
 			term := len(pb.Insts) - 1
-			rest := append([]isa.Inst{def, ck}, pb.Insts[term:]...)
-			pb.Insts = append(pb.Insts[:term:term], rest...)
+			insts := f.NewInsts(len(pb.Insts) + 2)
+			copy(insts, pb.Insts[:term])
+			insts[term], insts[term+1], insts[term+2] = def, ck, pb.Insts[term]
+			pb.Insts = insts
 			return true
 		}
 	}

@@ -91,13 +91,15 @@ func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet, sc *pru
 				continue
 			}
 			// Commit the prune: delete the ckpt, attach slices.
-			b.Insts = append(b.Insts[:i:i], b.Insts[i+1:]...)
+			b.Insts = slices.Delete(b.Insts, i, i+1)
 			for _, bb := range boundaries {
 				blk := f.Blocks[bb]
 				if blk.RecoverySlices == nil {
 					blk.RecoverySlices = map[isa.Reg][]isa.Inst{}
 				}
-				blk.RecoverySlices[r] = append([]isa.Inst(nil), slice...)
+				s := f.NewInsts(len(slice))
+				copy(s, slice)
+				blk.RecoverySlices[r] = s
 			}
 			pruned++
 			i-- // re-examine the instruction now at index i

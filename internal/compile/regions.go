@@ -201,7 +201,10 @@ func materializeBoundaries(f *prog.Func) {
 		if len(b.Insts) > 0 && b.Insts[0].Op == isa.OpBoundary {
 			continue
 		}
-		b.Insts = append([]isa.Inst{{Op: isa.OpBoundary}}, b.Insts...)
+		insts := f.NewInsts(len(b.Insts) + 1)
+		insts[0] = isa.Inst{Op: isa.OpBoundary}
+		copy(insts[1:], b.Insts)
+		b.Insts = insts
 	}
 	// Return sites are at index 0 of their blocks after canonicalization, so
 	// prepending the boundary leaves them pointing at the boundary itself —

@@ -75,11 +75,13 @@ func splitPoint(b *prog.Block) (int, bool) {
 
 // splitBlock splits b at instruction index cut: b keeps [0,cut) plus a new
 // Br to a fresh block holding [cut,len). Return-site tokens pointing into the
-// moved suffix are redirected.
+// moved suffix are redirected. The suffix is copied out first, so the Br
+// reuses b's storage in place.
 func splitBlock(p *prog.Program, f *prog.Func, b *prog.Block, cut int) {
 	nb := f.NewBlock()
-	nb.Insts = append(nb.Insts, b.Insts[cut:]...)
-	b.Insts = append(b.Insts[:cut:cut], isa.Inst{Op: isa.OpBr, Target: int32(nb.ID)})
+	nb.Insts = f.NewInsts(len(b.Insts) - cut)
+	copy(nb.Insts, b.Insts[cut:])
+	b.Insts = append(b.Insts[:cut], isa.Inst{Op: isa.OpBr, Target: int32(nb.ID)})
 
 	for i := range p.RetSites {
 		rs := &p.RetSites[i]

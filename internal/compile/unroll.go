@@ -30,35 +30,30 @@ type unrollStats struct {
 // function, once per loop. Returns statistics.
 func unrollLoops(p *prog.Program, opts Options) unrollStats {
 	var st unrollStats
+	var sc unrollScratch
 	for _, f := range p.Funcs {
-		// Each transformation shifts the CFG, so re-analyze between loops;
-		// headers already processed are remembered (block IDs are stable —
-		// unrolling only appends blocks) so each original loop is unrolled
-		// exactly once.
-		processed := map[int]bool{}
-		for {
-			cfg := analysis.BuildCFG(f)
-			loops := cfg.Loops()
-			done := true
-			for i := range loops {
-				l := &loops[i]
-				if processed[l.Header] || !innermost(loops, i) || len(l.Latches) != 1 {
-					continue
-				}
-				processed[l.Header] = true
-				k := unrollFactor(f, l, opts)
-				if k <= 1 {
-					continue
-				}
-				if unrollLoop(p, f, cfg, l, k) {
-					st.LoopsUnrolled++
-					st.CopiesMade += k - 1
-					done = false
-					break // CFG changed; rebuild
-				}
+		// One CFG and one loop forest serve the whole function. Innermost
+		// loops are disjoint, and unrolling one only appends blocks and
+		// rewrites edges inside it, so every other innermost loop keeps its
+		// body, latch, weight and place in the forest's order. Its body
+		// order in the first RPO stays right too: the header dominates the
+		// body, so a depth-first search enters the body only through the
+		// header and never returns once it leaves by an exit edge. The order
+		// among body blocks thus depends only on edges inside the body.
+		cfg := analysis.BuildCFG(f)
+		loops := cfg.Loops()
+		for i := range loops {
+			l := &loops[i]
+			if !innermost(loops, i) || len(l.Latches) != 1 {
+				continue
 			}
-			if done {
-				break
+			k := unrollFactor(f, l, opts)
+			if k <= 1 {
+				continue
+			}
+			if unrollLoop(p, f, cfg, l, k, &sc) {
+				st.LoopsUnrolled++
+				st.CopiesMade += k - 1
 			}
 		}
 	}
@@ -135,6 +130,16 @@ func loopInstCount(f *prog.Func, l *analysis.Loop) int {
 	return n
 }
 
+// unrollScratch is the unroll pass's working storage, reused across loops
+// and functions: the body in RPO, a snapshot of the pristine body
+// instructions (block pos of the body is snap[at[pos]:at[pos+1]]), and the
+// body-block-to-copy map. None of it outlives the pass, so none of it comes
+// from a function's slab.
+type unrollScratch struct {
+	body, at, copyOf []int
+	snap             []isa.Inst
+}
+
 // unrollLoop duplicates the loop body (header included) k-1 times. The
 // original latch's back edge is redirected to the first copy's header; each
 // copy's latch feeds the next copy's header; the last copy's latch keeps the
@@ -142,36 +147,40 @@ func loopInstCount(f *prog.Func, l *analysis.Loop) int {
 // copy keep their original out-of-loop targets — the "duplicate the exit
 // condition" trick of Figure 2(c), which is what makes the unrolling safe
 // without knowing the trip count.
-func unrollLoop(p *prog.Program, f *prog.Func, cfg *analysis.CFG, l *analysis.Loop, k int) bool {
+func unrollLoop(p *prog.Program, f *prog.Func, cfg *analysis.CFG, l *analysis.Loop, k int, sc *unrollScratch) bool {
 	if k <= 1 {
 		return false
 	}
 	latch := l.Latches[0]
 
-	// Stable iteration order over the body.
-	var body []int
+	// Stable iteration order over the body, and a snapshot of the pristine
+	// body taken before any edges are rewritten: later copies must not
+	// inherit redirects applied to earlier ones.
+	sc.body, sc.at, sc.snap = sc.body[:0], sc.at[:0], sc.snap[:0]
 	for _, id := range cfg.RPO {
 		if l.Blocks.Has(id) {
-			body = append(body, id)
+			sc.body = append(sc.body, id)
+			sc.at = append(sc.at, len(sc.snap))
+			sc.snap = append(sc.snap, f.Blocks[id].Insts...)
 		}
 	}
-
-	// Snapshot the pristine body before any edges are rewritten: later copies
-	// must not inherit redirects applied to earlier ones.
-	snapshot := make([][]isa.Inst, len(f.Blocks))
-	for _, id := range body {
-		snapshot[id] = append([]isa.Inst(nil), f.Blocks[id].Insts...)
+	sc.at = append(sc.at, len(sc.snap))
+	// copyOf maps a body block to its copy this round; every body block
+	// predates the copies.
+	if cap(sc.copyOf) < len(f.Blocks) {
+		sc.copyOf = make([]int, len(f.Blocks))
 	}
+	copyOf := sc.copyOf[:len(f.Blocks)]
 
-	copyOf := make([]int, len(f.Blocks)) // body block -> its copy this round
-	prevLatch := latch                   // latch whose back edge should enter the next copy
+	prevLatch := latch // latch whose back edge should enter the next copy
 	for c := 1; c < k; c++ {
-		for _, id := range body {
+		for _, id := range sc.body {
 			copyOf[id] = f.NewBlock().ID
 		}
-		for _, id := range body {
+		for pos, id := range sc.body {
 			dst := f.Blocks[copyOf[id]]
-			dst.Insts = append(dst.Insts, snapshot[id]...)
+			dst.Insts = f.NewInsts(sc.at[pos+1] - sc.at[pos])
+			copy(dst.Insts, sc.snap[sc.at[pos]:sc.at[pos+1]])
 			retargetEdges(dst, func(old int) int {
 				// Keep the copied latch's back edge pointing at the original
 				// header; it either stays (last copy) or is redirected to the

@@ -3,7 +3,7 @@ package prog
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"capri/internal/isa"
 )
@@ -13,7 +13,8 @@ import (
 // digest in a fixed order, so two programs hash equal iff they are
 // structurally identical. The compile cache uses this as the program half of
 // its content-addressed key; it is also handy for asserting byte-identical
-// compiler output in tests.
+// compiler output in tests. It allocates nothing: the hash state and the
+// per-block register order live on the stack.
 func (p *Program) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
@@ -52,11 +53,12 @@ func (p *Program) Fingerprint() [sha256.Size]byte {
 				winst(&b.Insts[i])
 			}
 			w64(uint64(len(b.RecoverySlices)))
-			regs := make([]isa.Reg, 0, len(b.RecoverySlices))
+			var order [isa.NumRegs]isa.Reg
+			regs := order[:0]
 			for r := range b.RecoverySlices {
 				regs = append(regs, r)
 			}
-			sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
+			slices.Sort(regs)
 			for _, r := range regs {
 				w64(uint64(r))
 				slice := b.RecoverySlices[r]

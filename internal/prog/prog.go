@@ -13,9 +13,11 @@ package prog
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"capri/internal/isa"
+	"capri/internal/slab"
 )
 
 // Block is a basic block: straight-line instructions ending in a terminator.
@@ -81,12 +83,28 @@ func (b *Block) StoreCount() int {
 }
 
 // Func is a function: an entry block plus a body of blocks indexed by ID.
+//
+// A function owns the storage of its blocks and instruction lists: NewBlock
+// and NewInsts carve them out of two per-function slabs, so a compiler pass
+// that adds blocks or rewrites instruction lists allocates per slab chunk,
+// not per block. A carved window stays valid as long as the function does.
 type Func struct {
 	ID     int
 	Name   string
 	Entry  int
 	Blocks []*Block
+
+	blockSlab []Block
+	instSlab  []isa.Inst
 }
+
+// Slab chunk sizes: a fresh chunk holds at least this many blocks (or the
+// function's current block count, whichever is larger) and this many
+// instructions.
+const (
+	blockChunk = 16
+	instChunk  = 256
+)
 
 // NewFunc returns an empty function with the given name.
 func NewFunc(name string) *Func {
@@ -95,10 +113,18 @@ func NewFunc(name string) *Func {
 
 // NewBlock appends a new empty block and returns it.
 func (f *Func) NewBlock() *Block {
-	b := &Block{ID: len(f.Blocks)}
+	b := &slab.Carve(&f.blockSlab, 1, max(blockChunk, len(f.Blocks)))[0]
+	b.ID = len(f.Blocks)
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
+
+// NewInsts returns n zeroed instructions carved from f's instruction slab,
+// for a block's instruction list or a recovery slice. The window's cap is n,
+// so appending past it copies rather than writing into a neighbouring
+// window. Scratch that dies with a pass does not belong here: the chunk it
+// would be carved from lives as long as any window in it.
+func (f *Func) NewInsts(n int) []isa.Inst { return slab.Carve(&f.instSlab, n, instChunk) }
 
 // Block returns the block with the given ID.
 func (f *Func) Block(id int) *Block { return f.Blocks[id] }
@@ -241,32 +267,49 @@ func (p *Program) Verify() error {
 }
 
 // Clone deep-copies the program so compiler passes can transform it without
-// mutating the caller's copy.
+// mutating the caller's copy. Each function's blocks come from one block
+// array, and Compact gives its instruction lists and recovery slices one
+// exactly sized instruction array.
 func (p *Program) Clone() *Program {
 	q := &Program{
 		Name:          p.Name,
 		RetSites:      append([]RetSite(nil), p.RetSites...),
 		ThreadEntries: append([]int(nil), p.ThreadEntries...),
+		Funcs:         make([]*Func, len(p.Funcs)),
 	}
-	for _, f := range p.Funcs {
-		g := &Func{ID: f.ID, Name: f.Name, Entry: f.Entry}
-		for _, b := range f.Blocks {
-			nb := &Block{
-				ID:         b.ID,
-				Insts:      append([]isa.Inst(nil), b.Insts...),
-				BoundaryAt: b.BoundaryAt,
-			}
-			if b.RecoverySlices != nil {
-				nb.RecoverySlices = make(map[isa.Reg][]isa.Inst, len(b.RecoverySlices))
-				for k, v := range b.RecoverySlices {
-					nb.RecoverySlices[k] = append([]isa.Inst(nil), v...)
-				}
-			}
-			g.Blocks = append(g.Blocks, nb)
+	for fi, f := range p.Funcs {
+		g := &Func{ID: f.ID, Name: f.Name, Entry: f.Entry, Blocks: make([]*Block, len(f.Blocks))}
+		blocks := make([]Block, len(f.Blocks))
+		for i, b := range f.Blocks {
+			blocks[i] = Block{ID: b.ID, Insts: b.Insts, BoundaryAt: b.BoundaryAt, RecoverySlices: maps.Clone(b.RecoverySlices)}
+			g.Blocks[i] = &blocks[i]
 		}
-		q.Funcs = append(q.Funcs, g)
+		g.Compact() // copies the instruction lists and slices shared so far
+		q.Funcs[fi] = g
 	}
 	return q
+}
+
+// Compact moves every instruction list and recovery slice of f into one
+// exactly sized array, copying them. A pass that replaces a list leaves the
+// old window dead in the chunk it was carved from, and the chunk lives as
+// long as any window in it; compacting a finished function lets every such
+// chunk go.
+func (f *Func) Compact() {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Insts)
+		for _, s := range b.RecoverySlices {
+			n += len(s)
+		}
+	}
+	f.instSlab = make([]isa.Inst, n)
+	for _, b := range f.Blocks {
+		b.Insts = append(f.NewInsts(len(b.Insts))[:0], b.Insts...)
+		for r, s := range b.RecoverySlices {
+			b.RecoverySlices[r] = append(f.NewInsts(len(s))[:0], s...)
+		}
+	}
 }
 
 // StaticStats summarises the static shape of a program.

@@ -282,3 +282,45 @@ func TestFuncByNameMissing(t *testing.T) {
 		t.Error("missed existing function")
 	}
 }
+
+// TestCompactKeepsContentInCappedWindows replaces some instruction lists with
+// slab windows (leaving the old ones dead), compacts, and checks that every
+// list and recovery slice kept its content, no longer aliases the storage it
+// came from, and sits in a window capped at its length, so appending to one
+// list never writes into the next.
+func TestCompactKeepsContentInCappedWindows(t *testing.T) {
+	p := buildLoopProgram(t)
+	f := p.Funcs[0]
+	f.Blocks[1].RecoverySlices = map[isa.Reg][]isa.Inst{3: {{Op: isa.OpMovI, Rd: 3, Imm: 9}}}
+	for _, b := range f.Blocks[:2] {
+		insts := f.NewInsts(len(b.Insts))
+		copy(insts, b.Insts)
+		b.Insts = insts
+	}
+	want := p.Fingerprint()
+	old := make([][]isa.Inst, len(f.Blocks))
+	for i, b := range f.Blocks {
+		old[i] = b.Insts
+	}
+
+	f.Compact()
+	if got := p.Fingerprint(); got != want {
+		t.Fatal("Compact changed the program")
+	}
+	for i, b := range f.Blocks {
+		if cap(b.Insts) != len(b.Insts) {
+			t.Errorf("b%d: cap %d, len %d; want a capped window", i, cap(b.Insts), len(b.Insts))
+		}
+		if &b.Insts[0] == &old[i][0] {
+			t.Errorf("b%d: Compact kept the old storage", i)
+		}
+	}
+	if s := f.Blocks[1].RecoverySlices[3]; cap(s) != 1 || s[0].Imm != 9 {
+		t.Errorf("recovery slice = %v (cap %d)", s, cap(s))
+	}
+	first := f.Blocks[1].Insts[0]
+	_ = append(f.Blocks[0].Insts, isa.Inst{Op: isa.OpHalt})
+	if f.Blocks[1].Insts[0] != first {
+		t.Error("append to one block's list clobbered the next")
+	}
+}
