@@ -11,7 +11,7 @@ GO ?= go
 JOBS ?= 4
 PERF_STORE ?= /tmp/capri-resultstore
 
-.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke perf clean
+.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke perf fuzz clean
 
 all: build
 
@@ -26,7 +26,7 @@ test:
 # no external linters).
 lint:
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
@@ -34,8 +34,9 @@ lint:
 # the full verifier matrix (semantic region verifier after every pass for
 # every benchmark x level x threshold) with the compiler's allocation pins
 # (zero-allocation fingerprints, the ocean compile budget, constant-cost
-# liveness), the store and dispatch-equivalence
-# differential sweeps, the documentation-freshness check — which includes
+# liveness), the dispatch-equivalence suite, the memory store's fuzz-corpus
+# replay against its map model with the store's zero-allocation pin, the
+# documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
 # byte-identical to sequential, and a warm-store rerun counter-asserted at
 # zero simulations — and a perf-harness smoke run (catches BENCH_sim.json
@@ -49,7 +50,8 @@ check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/resultstore ./internal/fault ./internal/telemetry
 	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestLivenessAllocsConstant' ./internal/compile ./internal/analysis
-	$(GO) test -run 'Differential|DispatchEquivalence' .
+	$(GO) test -run 'DispatchEquivalence' .
+	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree' ./internal/mem
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) audit
@@ -144,18 +146,29 @@ telemetry-smoke:
 	$(GO) test -run 'TestTelemetrySmoke' ./internal/telemetry
 
 # perf regenerates a fresh multi-sample report (SAMPLES runs of every timed
-# sweep; median ± MAD per figure, schema capri/bench-sim/v5) and gates it
+# sweep; median ± MAD per figure, schema capri/bench-sim/v6) and gates it
 # against the committed BENCH_sim.json with capristat's variance-aware
 # Mann-Whitney test: a figure fails only when its slowdown is both
 # statistically significant (p < 0.05) and at least 1%. Multi-sample runs
-# never attach the result store (replayed cells carry no timing signal).
+# never attach the result store (replayed cells carry no timing signal), and
+# every sweep is timed sequentially whatever JOBS is, so the rates do not
+# depend on the host's core count.
 # Reports without samples arrays fall back per figure to the old 10% point
 # cliff. To adopt the fresh report as the new reference, copy it over
 # BENCH_sim.json once the gate passes.
 SAMPLES ?= 5
 perf:
-	$(GO) run ./cmd/capribench -perf -scale 1 -jobs $(JOBS) -samples $(SAMPLES) -perfout /tmp/BENCH_sim.new.json
+	$(GO) run ./cmd/capribench -perf -scale 1 -samples $(SAMPLES) -perfout /tmp/BENCH_sim.new.json
 	$(GO) run ./cmd/capristat -gate BENCH_sim.json /tmp/BENCH_sim.new.json
+
+# fuzz runs each native fuzz target for FUZZTIME: the auditor tap
+# (FuzzAuditorTap) and the memory store against its map model
+# (FuzzStoreDifferential). Plain `go test` replays their committed corpora;
+# a failing input the fuzzer finds lands in the package's testdata/fuzz.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzAuditorTap -fuzztime $(FUZZTIME) ./internal/audit
+	$(GO) test -run '^$$' -fuzz FuzzStoreDifferential -fuzztime $(FUZZTIME) ./internal/mem
 
 clean:
 	rm -f capri.test /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json

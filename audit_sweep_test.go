@@ -1,11 +1,11 @@
 package capri
 
 // The audited crash sweep: the acceptance gate behind `make audit`. Every
-// generated program of the differential sweep's 104-seed corpus is crashed at
-// spread points, recovered, and resumed with the online Fig. 7 auditor
-// attached end-to-end (run → crash → recovery replay → resumption); any
-// violated provenance invariant fails with the offending per-line event
-// chain. The 21 paper benchmarks additionally run to completion under the
+// generated program of a 104-seed corpus is crashed at spread points,
+// recovered, and resumed with the online Fig. 7 auditor attached end-to-end
+// (run → crash → recovery replay → resumption); any violated provenance
+// invariant fails with the offending per-line event chain, and every
+// resumed run must end in the golden run's output and full memory image. The 21 paper benchmarks additionally run to completion under the
 // auditor. Mutation coverage — that seeded protocol corruptions DO trip the
 // auditor — lives in internal/audit's mutation tests.
 
@@ -21,8 +21,8 @@ import (
 	"capri/internal/workload"
 )
 
-// TestAuditProgenCrashSweep sweeps the 104-program progen corpus (same
-// shapes and seeds as TestDifferentialProgenCrashSweep) under the auditor.
+// TestAuditProgenCrashSweep sweeps the 104-program progen corpus under the
+// auditor.
 func TestAuditProgenCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("audited progen sweep is not short")
@@ -41,7 +41,7 @@ func TestAuditProgenCrashSweep(t *testing.T) {
 		name := fmt.Sprintf("seed%d_t%d", s, shape.Threads)
 		src := progen.Generate(uint64(s)*0x9e3779b9+1, shape)
 		opts := compile.OptionsForLevel(compile.LevelLICM, 64)
-		cfg := diffConfig(shape.Threads, 64, false)
+		cfg := diffConfig(shape.Threads, 64)
 		res, err := recovery.ValidateProgramAudited(src, opts, cfg, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -70,7 +70,7 @@ func TestAuditBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := machine.New(res.Program, diffConfig(b.Threads, 256, false))
+			m, err := machine.New(res.Program, diffConfig(b.Threads, 256))
 			if err != nil {
 				t.Fatal(err)
 			}

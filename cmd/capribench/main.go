@@ -45,13 +45,12 @@ func main() {
 		perf     = flag.Bool("perf", false, "time the figure sweeps and write a perf-regression report")
 		samples  = flag.Int("samples", 1, "with -perf, repeat the timed pipeline this many times and record every sample (variance-aware gating via capristat)")
 		perfOut  = flag.String("perfout", "BENCH_sim.json", "perf report output path (with -perf)")
-		perfRef  = flag.Bool("perfref", true, "with -perf, also time the Figure-8 sweep on the map-backed reference store and record the speedup")
 		explain  = flag.Bool("explain", false, "print the stall-attribution tables (where the Capri-vs-baseline cycles went)")
 		verify   = flag.String("verify", "", "with -explain, diff the tables against the marked blocks in this file instead of printing")
 		auditAll = flag.Bool("audit", false, "run every benchmark under the online Fig. 7 invariant auditor; exit non-zero on any violation")
 		recDir   = flag.String("record-out", "", "with -audit, write per-benchmark capri/run-record/v1 files into this directory")
 		auditTh  = flag.Int("threshold", 256, "region store threshold (with -audit)")
-		jobs     = flag.Int("jobs", 1, "parallel sweep workers (0 = GOMAXPROCS); see README \"Running parallel sweeps\"")
+		jobs     = flag.Int("jobs", 1, "parallel sweep workers (0 = GOMAXPROCS; -perf always times sequentially); see README \"Running parallel sweeps\"")
 		storeDir = flag.String("store", "", "content-addressed result store `dir`; stored configurations replay instead of simulating")
 		sweepChk = flag.Bool("sweepcheck", false, "assert the sweep determinism contract: parallel tables byte-identical to sequential, warm store rerun does zero simulations; with -verify FILE, also byte-check the embedded accounting block")
 		listen   = flag.String("listen", "", "serve live OpenMetrics telemetry on this `addr` (e.g. :9090) while the command runs")
@@ -82,7 +81,7 @@ func main() {
 	}
 
 	if *perf {
-		check(runPerf(*scale, *jobs, *samples, *storeDir, *perfRef, *perfOut))
+		check(runPerf(*scale, *samples, *storeDir, *perfOut))
 		return
 	}
 

@@ -25,9 +25,12 @@ import (
 // multi-core figure (fig8-mt4) with its mt_inst_per_sec throughput and
 // run-queue traffic; v5 adds the multi-sample methodology (-samples N): a
 // per-figure samples array with median/MAD summary rates, the host
-// fingerprint, and the degenerate-rate guard. capristat reads older
-// reports too — figures and fields they lack are skipped.
-const BenchSchema = "capri/bench-sim/v5"
+// fingerprint, and the degenerate-rate guard; v6 times every figure
+// sequentially (no jobs field: -jobs no longer reaches the timed sweeps)
+// and drops the map-backed reference-store figure with its speedup
+// ratio. capristat reads older reports too — figures and fields they lack
+// are skipped.
+const BenchSchema = "capri/bench-sim/v6"
 
 // minMeasurableSeconds is the guard below which a wall or simulated
 // duration carries no rate signal: a sub-millisecond sweep at a tiny
@@ -53,8 +56,7 @@ func safeRate(inst uint64, secs float64) (rate float64, degenerate bool) {
 
 // perfFigure is one timed sweep in the perf report.
 type perfFigure struct {
-	// Figure names the artifact ("fig8", "fig9", "fig8-mt4", and
-	// "fig8-refstore" for the map-backed reference run).
+	// Figure names the artifact ("fig8", "fig9" or "fig8-mt4").
 	Figure string `json:"figure"`
 	// WallSeconds is the sweep's wall-clock time.
 	WallSeconds float64 `json:"wall_seconds"`
@@ -160,9 +162,6 @@ type perfReport struct {
 	// against each other meaningfully.
 	Dispatch   string `json:"dispatch,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Jobs is the sweep worker count (-jobs); wall-clock comparisons only
-	// mean something between reports with the same value.
-	Jobs int `json:"jobs,omitempty"`
 	// Samples is the -samples count the report was produced with (v5);
 	// 0 or 1 means single-sample. Host fingerprints the producing
 	// machine.
@@ -173,14 +172,6 @@ type perfReport struct {
 	// ResultStore snapshots the attached store's traffic at the end of the
 	// run (-store); absent when no store was attached.
 	ResultStore *resultstore.Stats `json:"result_store,omitempty"`
-	// RefFig8 times the identical Figure-8 sweep on the map-backed
-	// reference memory store (the seed's data structure grafted into the
-	// current binary); SpeedupVsRefStore is its wall-clock divided by the
-	// paged store's. It isolates the store swap alone — every other hot-path
-	// optimization benefits both runs equally, so this ratio understates the
-	// full speedup over the seed.
-	RefFig8           *perfFigure `json:"ref_fig8,omitempty"`
-	SpeedupVsRefStore float64     `json:"speedup_vs_ref_store,omitempty"`
 	// Compile-cache accounting per harness: a sweep that compiles the same
 	// (benchmark, level, threshold) twice shows up here as hits shy of the
 	// expected count, entries above it.
@@ -274,24 +265,23 @@ func runMTFigure(name string, scale int) (perfFigure, error) {
 // of every figure, plus the pass's compile-cache and store accounting.
 type perfPass struct {
 	figures []perfFigure
-	ref     *perfFigure
 	fig8CC  compile.CacheStats
 	figCC   compile.CacheStats
 	store   *resultstore.Stats
 }
 
-// runPerfPass times the full figure pipeline once on fresh harnesses.
-// jobs shards the sweeps; a non-nil store attaches the result store to
-// the figure harnesses (never to the reference-store harness: its
-// wall-clock IS the measurement). withRef additionally times the
-// Figure-8 sweep on the map-backed reference store.
-func runPerfPass(scale, jobs int, store *resultstore.Store, withRef bool) (perfPass, error) {
+// runPerfPass times the full figure pipeline once on fresh harnesses; a
+// non-nil store attaches the result store to the figure harnesses. Every
+// sweep runs its simulations one at a time: SimSeconds sums per-run wall
+// times, and runs sharing CPUs inflate each other's, so a parallel
+// sweep's rate would depend on the host's core count.
+func runPerfPass(scale int, store *resultstore.Store) (perfPass, error) {
 	var pass perfPass
 
 	// Figure 8 on a fresh harness: the headline sweep (21 benchmarks x 6
 	// thresholds, plus baselines).
 	h8 := figures.NewHarness(scale)
-	h8.Parallelism = jobs
+	h8.Parallelism = 1
 	if store != nil {
 		h8.UseStore(store)
 	}
@@ -305,7 +295,7 @@ func runPerfPass(scale, jobs int, store *resultstore.Store, withRef bool) (perfP
 	// Figures 10/11 and the headline only replay this sweep's run cache, so
 	// they simulate nothing and carry no timing signal.
 	h := figures.NewHarness(scale)
-	h.Parallelism = jobs
+	h.Parallelism = 1
 	if store != nil {
 		h.UseStore(store)
 	}
@@ -326,19 +316,6 @@ func runPerfPass(scale, jobs int, store *resultstore.Store, withRef bool) (perfP
 	if store != nil {
 		st := store.Stats()
 		pass.store = &st
-	}
-
-	if withRef {
-		// The reference harness gets neither store nor parallelism: its
-		// wall-clock is compared against fig8's, so both must pay for every
-		// simulation the same way.
-		href := figures.NewHarness(scale)
-		href.RefStore = true
-		pf, err := measure("fig8-refstore", href, func() error { _, err := href.Fig8(nil); return err })
-		if err != nil {
-			return pass, err
-		}
-		pass.ref = &pf
 	}
 	return pass, nil
 }
@@ -379,7 +356,7 @@ func summarize(samples []perfFigure) perfFigure {
 // passes would measure disk replay, not the simulator — and each
 // figure's report carries the per-sample array `capristat` judges (`make
 // perf` gates the fresh report against the committed one with it).
-func runPerf(scale, jobs, samples int, storeDir string, withRef bool, outPath string) error {
+func runPerf(scale, samples int, storeDir, outPath string) error {
 	if samples < 1 {
 		samples = 1
 	}
@@ -390,7 +367,6 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, outPath st
 		GoVersion:  runtime.Version(),
 		Dispatch:   machine.DefaultConfig().Dispatch.String(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Jobs:       max(jobs, 1),
 		Samples:    samples,
 		Host:       currentHost(),
 	}
@@ -410,7 +386,7 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, outPath st
 
 	passes := make([]perfPass, samples)
 	for s := 0; s < samples; s++ {
-		pass, err := runPerfPass(scale, jobs, store, withRef)
+		pass, err := runPerfPass(scale, store)
 		if err != nil {
 			return err
 		}
@@ -435,21 +411,6 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, outPath st
 	rep.FigureCompileCache = passes[0].figCC
 	rep.ResultStore = passes[samples-1].store
 
-	if withRef {
-		col := make([]perfFigure, samples)
-		for s := range passes {
-			col[s] = *passes[s].ref
-		}
-		ref := summarize(col)
-		rep.RefFig8 = &ref
-		// Wall-vs-wall ratios are only honest when fig8 simulated everything
-		// sequentially: a store replay would be compared against the
-		// reference harness's full simulation cost, and a parallel sweep's
-		// wall reflects scheduling, not per-run simulator speed.
-		if fig8 := rep.Figures[0]; fig8.WallSeconds > 0 && fig8.StoreHits == 0 && rep.Jobs <= 1 {
-			rep.SpeedupVsRefStore = ref.WallSeconds / fig8.WallSeconds
-		}
-	}
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		return err
@@ -459,8 +420,8 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, outPath st
 		return err
 	}
 
-	fmt.Printf("perf: wrote %s (scale %d, %s dispatch, %d job(s), %d sample(s))\n",
-		outPath, scale, rep.Dispatch, rep.Jobs, rep.Samples)
+	fmt.Printf("perf: wrote %s (scale %d, %s dispatch, %d sample(s))\n",
+		outPath, scale, rep.Dispatch, rep.Samples)
 	for _, f := range rep.Figures {
 		fmt.Printf("  %-10s %8.3fs  %9d inst  %10.0f sim inst/s  %6.1f mallocs/kinst\n",
 			f.Figure, f.WallSeconds, f.Instructions, f.SimInstPerSec, f.MallocsPerKInst)
@@ -494,14 +455,6 @@ func runPerf(scale, jobs, samples int, storeDir string, withRef bool, outPath st
 	}{{"fig8", rep.Fig8CompileCache}, {"fig9", rep.FigureCompileCache}} {
 		fmt.Printf("  compile cache %-8s %4d compiles, %4d hits (%d distinct configurations)\n",
 			cc.name, cc.s.Misses, cc.s.Hits, cc.s.Entries)
-	}
-	if rep.RefFig8 != nil {
-		fmt.Printf("  %-10s %8.3fs  (map-backed reference store, same binary)\n", rep.RefFig8.Figure, rep.RefFig8.WallSeconds)
-		if rep.SpeedupVsRefStore > 0 {
-			fmt.Printf("  store-swap speedup vs in-binary reference: %.2fx\n", rep.SpeedupVsRefStore)
-		} else {
-			fmt.Printf("  store-swap speedup: n/a (fig8 replayed from store or ran parallel)\n")
-		}
 	}
 	return nil
 }

@@ -68,7 +68,6 @@ type report struct {
 	Samples  int      `json:"samples"`
 	Host     *host    `json:"host"`
 	Figures  []figure `json:"figures"`
-	RefFig8  *figure  `json:"ref_fig8"`
 }
 
 // load reads and decodes one report.
@@ -118,24 +117,16 @@ type row struct {
 	verdict    string
 }
 
-// compareReports compares every figure present in both reports (plus the
-// ref_fig8 series) and returns the per-figure rows in new-report order.
-// minDelta is the relative slowdown below which even a statistically
-// significant difference is not gated on.
+// compareReports compares every figure present in both reports and returns
+// the per-figure rows in new-report order. minDelta is the relative slowdown
+// below which even a statistically significant difference is not gated on.
 func compareReports(old, new *report, minDelta float64) []row {
-	figuresOf := func(r *report) []figure {
-		fs := append([]figure(nil), r.Figures...)
-		if r.RefFig8 != nil {
-			fs = append(fs, *r.RefFig8)
-		}
-		return fs
-	}
 	oldBy := map[string]figure{}
-	for _, f := range figuresOf(old) {
+	for _, f := range old.Figures {
 		oldBy[f.Figure] = f
 	}
 	var rows []row
-	for _, nf := range figuresOf(new) {
+	for _, nf := range new.Figures {
 		of, ok := oldBy[nf.Figure]
 		if !ok {
 			continue
@@ -169,8 +160,9 @@ func compareReports(old, new *report, minDelta float64) []row {
 }
 
 // comparable reports whether two reports' rates may be compared at all:
-// same scale, dispatch core, and worker count (the same skips the old
-// gate applied).
+// same scale, dispatch core, and worker count. Reports from v6 on time
+// every figure sequentially and carry no jobs field, which reads as 1, so
+// the parallel-timed reports before them stay incomparable.
 func comparable(old, new *report) (string, bool) {
 	if old.Scale != new.Scale {
 		return fmt.Sprintf("scale %d != %d", old.Scale, new.Scale), false

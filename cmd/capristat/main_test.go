@@ -95,19 +95,6 @@ func TestCompareReportsSkipsSilentFigures(t *testing.T) {
 	}
 }
 
-func TestCompareReportsRefFig8(t *testing.T) {
-	oldRef := figWith("fig8-refstore", 50, 51, 49, 50, 52)
-	newRef := figWith("fig8-refstore", 40, 41, 39, 40, 42)
-	old := reportWith()
-	old.RefFig8 = &oldRef
-	new := reportWith()
-	new.RefFig8 = &newRef
-	rows := compareReports(old, new, 0.01)
-	if r := findRow(t, rows, "fig8-refstore"); !r.regressed {
-		t.Errorf("ref_fig8 regression missed: %+v", r)
-	}
-}
-
 func TestComparable(t *testing.T) {
 	a := reportWith()
 	b := reportWith()

@@ -1,31 +1,26 @@
 package capri
 
-// Differential tests proving the paged memory store (internal/mem's flat
-// page-directory backing) is cycle-for-cycle and image-identical to the
-// map-backed reference store the seed used. The reference implementation is
-// kept selectable via machine.Config.RefStore, so both runs execute the
-// identical machine code — any divergence in cycle counts, memory images,
-// recovery behavior or committed output is a real store bug, not noise.
+// Whole-machine differential: every paper benchmark runs uncompiled on the
+// baseline machine and Capri-compiled on the Capri machine, and the two must
+// agree on everything the program can observe. The shared helpers below
+// (diffConfig, machineImage, requireIdentical) serve the root package's
+// other equivalence suites: dispatch, resume, schedule and telemetry.
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"capri/internal/compile"
 	"capri/internal/machine"
-	"capri/internal/prog"
-	"capri/internal/progen"
 	"capri/internal/workload"
 )
 
 // diffConfig mirrors the figures harness configuration (shrunken caches) so
-// the differential runs cover the same hierarchy behavior the figures exercise.
-func diffConfig(threads, threshold int, refStore bool) machine.Config {
+// the equivalence runs cover the same hierarchy behavior the figures exercise.
+func diffConfig(threads, threshold int) machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Capri = true
 	cfg.Threshold = threshold
-	cfg.RefStore = refStore
 	if threads > cfg.Cores {
 		cfg.Cores = threads
 	}
@@ -34,7 +29,7 @@ func diffConfig(threads, threshold int, refStore bool) machine.Config {
 	return cfg
 }
 
-// machineImage is everything a differential comparison must find identical.
+// machineImage is everything an equivalence comparison must find identical.
 type machineImage struct {
 	Cycles  uint64
 	Instret uint64
@@ -56,46 +51,34 @@ func imageOf(m *machine.Machine, threads int) machineImage {
 	return img
 }
 
-func requireIdentical(t *testing.T, what string, paged, ref machineImage) {
+// requireIdentical fails unless two runs of one program on one
+// configuration ended in the same cycle count, instruction count, memory and
+// NVM images and committed output.
+func requireIdentical(t *testing.T, what string, got, want machineImage) {
 	t.Helper()
-	if paged.Cycles != ref.Cycles {
-		t.Errorf("%s: cycles diverge: paged %d, ref %d", what, paged.Cycles, ref.Cycles)
+	if got.Cycles != want.Cycles {
+		t.Errorf("%s: cycles diverge: %d vs %d", what, got.Cycles, want.Cycles)
 	}
-	if paged.Instret != ref.Instret {
-		t.Errorf("%s: instret diverge: paged %d, ref %d", what, paged.Instret, ref.Instret)
+	if got.Instret != want.Instret {
+		t.Errorf("%s: instret diverge: %d vs %d", what, got.Instret, want.Instret)
 	}
-	if !reflect.DeepEqual(paged.Mem, ref.Mem) {
-		t.Errorf("%s: architectural memory images diverge (%d vs %d words)", what, len(paged.Mem), len(ref.Mem))
+	if !reflect.DeepEqual(got.Mem, want.Mem) {
+		t.Errorf("%s: architectural memory images diverge (%d vs %d words)", what, len(got.Mem), len(want.Mem))
 	}
-	if !reflect.DeepEqual(paged.NVM, ref.NVM) {
-		t.Errorf("%s: NVM images diverge (%d vs %d words)", what, len(paged.NVM), len(ref.NVM))
+	if !reflect.DeepEqual(got.NVM, want.NVM) {
+		t.Errorf("%s: NVM images diverge (%d vs %d words)", what, len(got.NVM), len(want.NVM))
 	}
-	if !reflect.DeepEqual(paged.Outputs, ref.Outputs) {
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
 		t.Errorf("%s: committed outputs diverge", what)
 	}
 }
 
-// runPair executes the same program on the paged and reference stores and
-// returns both final images.
-func runPair(t *testing.T, what string, p *prog.Program, threads, threshold int) (machineImage, machineImage) {
-	t.Helper()
-	var imgs [2]machineImage
-	for i, ref := range []bool{false, true} {
-		m, err := machine.New(p, diffConfig(threads, threshold, ref))
-		if err != nil {
-			t.Fatalf("%s (ref=%v): %v", what, ref, err)
-		}
-		if err := m.Run(); err != nil {
-			t.Fatalf("%s (ref=%v): %v", what, ref, err)
-		}
-		imgs[i] = imageOf(m, threads)
-	}
-	return imgs[0], imgs[1]
-}
-
-// TestDifferentialBenchmarks runs every paper benchmark (all 21 stand-ins) to
-// completion on both stores and requires byte-identical outcomes: same cycle
-// count, same architectural and NVM images, same committed output.
+// TestDifferentialBenchmarks runs every paper benchmark (all 21 stand-ins)
+// twice: the source program on the baseline machine, and the program the
+// Capri compiler produced on the Capri machine. The compiler's checkpoints
+// and the persistence hardware must be invisible to the program — same
+// committed output, same final architectural memory — and at completion the
+// Capri machine's NVM must hold exactly that memory image.
 func TestDifferentialBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential benchmark sweep is not short")
@@ -108,101 +91,29 @@ func TestDifferentialBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			paged, ref := runPair(t, b.Name, res.Program, b.Threads, 256)
-			requireIdentical(t, b.Name, paged, ref)
+			run := func(p *Program, cfg machine.Config) machineImage {
+				m, err := machine.New(p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return imageOf(m, b.Threads)
+			}
+			baseCfg := diffConfig(b.Threads, 256)
+			baseCfg.Capri = false
+			base := run(src, baseCfg)
+			capri := run(res.Program, diffConfig(b.Threads, 256))
+			if !reflect.DeepEqual(capri.Outputs, base.Outputs) {
+				t.Errorf("committed outputs diverge from the baseline run")
+			}
+			if !reflect.DeepEqual(capri.Mem, base.Mem) {
+				t.Errorf("architectural memory diverges from the baseline run (%d vs %d words)", len(capri.Mem), len(base.Mem))
+			}
+			if !reflect.DeepEqual(capri.NVM, capri.Mem) {
+				t.Errorf("NVM image at completion is not the architectural image (%d vs %d words)", len(capri.NVM), len(capri.Mem))
+			}
 		})
-	}
-}
-
-// crashRecoverImage crashes the program at the given retired-instruction
-// count, recovers, resumes to completion, and returns the final image. ok is
-// false when the program finished before the crash point.
-func crashRecoverImage(t *testing.T, what string, p *prog.Program, threads, threshold int, refStore bool, crashAt uint64) (machineImage, bool) {
-	t.Helper()
-	m, err := machine.New(p, diffConfig(threads, threshold, refStore))
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	if err := m.RunUntil(crashAt); err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	if m.Done() {
-		return machineImage{}, false
-	}
-	img, err := m.Crash()
-	if err != nil {
-		t.Fatalf("%s: crash: %v", what, err)
-	}
-	r, _, err := machine.Recover(img)
-	if err != nil {
-		t.Fatalf("%s: recover: %v", what, err)
-	}
-	if err := r.Run(); err != nil {
-		t.Fatalf("%s: resume: %v", what, err)
-	}
-	return imageOf(r, threads), true
-}
-
-// TestDifferentialProgenCrashSweep fuzzes >=100 generated programs (mixed
-// single- and multi-threaded, including SPMD barrier programs), runs each to
-// completion on both stores, and sweeps crash points through each program on
-// both stores — recovery must land on identical final images everywhere. This
-// is the property-based half of the store-equivalence proof: progen programs
-// hit address and control-flow shapes the curated benchmarks do not.
-func TestDifferentialProgenCrashSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("progen differential sweep is not short")
-	}
-	const seeds = 104 // 4 shapes x 26 seeds
-	shapes := []progen.Config{
-		{Funcs: 3, MaxDepth: 3, MaxStmts: 5, MaxLoopTrip: 6, Threads: 1},
-		{Funcs: 2, MaxDepth: 2, MaxStmts: 4, MaxLoopTrip: 4, Threads: 2},
-		{Funcs: 4, MaxDepth: 3, MaxStmts: 6, MaxLoopTrip: 5, Threads: 1},
-		{Funcs: 2, MaxDepth: 2, MaxStmts: 4, MaxLoopTrip: 4, Threads: 2, Barriers: true},
-	}
-	for s := 0; s < seeds; s++ {
-		shape := shapes[s%len(shapes)]
-		name := fmt.Sprintf("seed%d_t%d", s, shape.Threads)
-		src := progen.Generate(uint64(s)*0x9e3779b9+1, shape)
-		res, err := compile.Compile(src, compile.OptionsForLevel(compile.LevelLICM, 64))
-		if err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
-		}
-		p := res.Program
-		paged, ref := runPair(t, name, p, shape.Threads, 64)
-		requireIdentical(t, name+" golden", paged, ref)
-		if t.Failed() {
-			t.Fatalf("%s: stopping after golden divergence", name)
-		}
-
-		// Crash sweep: 5 points through the golden instruction count.
-		total := paged.Instret
-		if total < 2 {
-			continue
-		}
-		step := total/5 + 1
-		for crashAt := step / 2; crashAt < total; crashAt += step {
-			what := fmt.Sprintf("%s crash@%d", name, crashAt)
-			pg, ok1 := crashRecoverImage(t, what, p, shape.Threads, 64, false, crashAt)
-			rf, ok2 := crashRecoverImage(t, what, p, shape.Threads, 64, true, crashAt)
-			if ok1 != ok2 {
-				t.Fatalf("%s: crash reached on one store only (paged %v, ref %v)", what, ok1, ok2)
-			}
-			if !ok1 {
-				continue
-			}
-			requireIdentical(t, what, pg, rf)
-			// Recovered runs must also match the golden run's functional
-			// outcome (cycles differ after a crash; the images must not).
-			if !reflect.DeepEqual(pg.Outputs, paged.Outputs) {
-				t.Errorf("%s: recovered output diverges from golden", what)
-			}
-			if !reflect.DeepEqual(pg.Mem, paged.Mem) {
-				t.Errorf("%s: recovered memory diverges from golden", what)
-			}
-			if t.Failed() {
-				t.Fatalf("%s: stopping after first divergence", what)
-			}
-		}
 	}
 }

@@ -90,7 +90,7 @@ func comparableStats(s machine.Stats) machine.Stats {
 
 func requireDispatchIdentical(t *testing.T, what string, p *prog.Program, threads, threshold int) {
 	t.Helper()
-	base := diffConfig(threads, threshold, false)
+	base := diffConfig(threads, threshold)
 	thCfg := base
 	thCfg.Dispatch = machine.DispatchThreaded
 	swCfg := base

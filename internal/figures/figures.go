@@ -38,9 +38,6 @@ type Harness struct {
 	Cores int
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// RefStore runs every simulation on the map-backed reference memory
-	// store instead of the paged store (perf-baseline measurement only).
-	RefStore bool
 
 	mu       sync.Mutex
 	baseline map[string]*baselineRun
@@ -172,7 +169,6 @@ func (h *Harness) addSim(ms machine.Stats, wall time.Duration) {
 func (h *Harness) config(threads, threshold int, capri bool) (machine.Config, error) {
 	cfg := machine.DefaultConfig()
 	cfg.Capri = capri
-	cfg.RefStore = h.RefStore
 	if capri {
 		cfg.Threshold = threshold
 	}

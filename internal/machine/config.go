@@ -98,12 +98,6 @@ type Config struct {
 	// MaxSteps bounds total scheduler steps (deadlock/runaway guard).
 	MaxSteps uint64
 
-	// RefStore backs the architectural memory and NVM with the map-based
-	// reference implementation instead of the paged flat-array store. It is
-	// for differential testing and perf-baseline measurement only: simulation
-	// semantics are identical, only simulator speed differs.
-	RefStore bool `json:",omitempty"`
-
 	// Ablation switches (design-choice studies; all false in the paper's
 	// configuration). Correctness is preserved under every combination —
 	// the NVM sequence guard is the formal backstop — only performance and

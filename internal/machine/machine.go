@@ -261,10 +261,6 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 		dram: mem.NewDRAMCache(cfg.DRAMSize),
 		l2:   cache.New(cfg.L2Size, cfg.L2Ways),
 	}
-	if cfg.RefStore {
-		m.mem = mem.NewMemRef()
-		m.nvm = mem.NewNVMRef()
-	}
 	for t := 0; t < p.NumThreads(); t++ {
 		c := &core{
 			id:    t,

@@ -3,14 +3,13 @@ package mem
 import "testing"
 
 // Raw store micro-benchmarks: the per-access cost of the paged flat-array
-// backing versus the map-backed reference implementation, over the access
-// patterns the simulator actually generates (sequential heap sweeps and
-// strided line-granular writebacks). Run with:
+// backing over the access patterns the simulator actually generates
+// (sequential heap sweeps and strided line-granular writebacks). Run with:
 //
 //	go test -bench 'Mem|NVM' -benchmem ./internal/mem
 //
-// The paged/ref pairs are this PR's perf-regression anchors: the paged side
-// must stay allocation-free per access and several times faster than ref.
+// TestPagedAccessAllocFree pins the property these numbers rest on: an
+// access to a populated page allocates nothing.
 
 // benchSpan covers 2 MB of heap — the figure workloads' footprint scale,
 // touched densely the way their kernels sweep arrays.
@@ -60,14 +59,9 @@ func benchNVMWrite(b *testing.B, n *NVM) {
 
 var benchSink uint64
 
-func BenchmarkMemLoadPaged(b *testing.B) { benchMemLoad(b, NewMem()) }
-func BenchmarkMemLoadRef(b *testing.B)   { benchMemLoad(b, NewMemRef()) }
-
+func BenchmarkMemLoadPaged(b *testing.B)  { benchMemLoad(b, NewMem()) }
 func BenchmarkMemStorePaged(b *testing.B) { benchMemStore(b, NewMem()) }
-func BenchmarkMemStoreRef(b *testing.B)   { benchMemStore(b, NewMemRef()) }
-
 func BenchmarkNVMWritePaged(b *testing.B) { benchNVMWrite(b, NewNVM()) }
-func BenchmarkNVMWriteRef(b *testing.B)   { benchNVMWrite(b, NewNVMRef()) }
 
 // BenchmarkNVMWriteStale measures the guard's rejection path (writebacks
 // racing drained entries): all writes carry a stale sequence and must be
@@ -82,5 +76,45 @@ func BenchmarkNVMWriteStale(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Write(addrs[i&(len(addrs)-1)], uint64(i), 1)
+	}
+}
+
+// TestPagedAccessAllocFree requires zero allocations for Load, Store, Peek
+// and both outcomes of Write (applied and stale-skipped) once the pages the
+// accesses touch are populated.
+func TestPagedAccessAllocFree(t *testing.T) {
+	addrs := benchAddrs()
+	m, n := NewMem(), NewNVM()
+	for _, a := range addrs {
+		m.Store(a, a)
+		n.Write(a, a, 1)
+	}
+	var i, seq uint64 = 0, 1
+	next := func() uint64 {
+		i++
+		return addrs[i&uint64(len(addrs)-1)]
+	}
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Load", func() { benchSink += m.Load(next()) }},
+		{"Store", func() { benchSink += m.Store(next(), i) }},
+		{"Peek", func() { benchSink += n.Peek(next()).Val }},
+		{"Write", func() {
+			seq++
+			if !n.Write(next(), seq, seq) {
+				t.Fatal("newer write rejected")
+			}
+		}},
+		{"WriteStale", func() {
+			if n.Write(next(), 0, 0) {
+				t.Fatal("stale write applied")
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(1000, tc.op); got != 0 {
+			t.Errorf("%s: %.1f allocs per access, want 0", tc.name, got)
+		}
 	}
 }

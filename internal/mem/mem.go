@@ -12,11 +12,12 @@
 // Both NVM and the architectural memory are backed by a sparse page
 // directory of fixed-size flat arrays: word addresses index a page table
 // slice directly (no hashing), so the simulator's per-access cost is two
-// array indexings instead of a Go map lookup. Addresses beyond the direct
-// window (pathological spread) fall back to a page map. A map-backed
-// reference implementation is retained behind NewNVMRef/NewMemRef for the
-// differential tests that prove the paged store is cycle- and
-// image-identical (see machine's RefStore config and TestPagedVsRefStore*).
+// array indexings instead of a Go map lookup, and a load, store or NVM
+// write to a populated page allocates nothing. Addresses beyond the direct
+// window (pathological spread) fall back to a page map. The package's fuzz
+// target, FuzzStoreDifferential, drives random operation streams through
+// this store and a plain map model side by side and compares them after
+// every operation, far pages included.
 package mem
 
 import "sort"
@@ -53,8 +54,7 @@ type Word struct {
 
 // nvmPage is one flat page of persisted words plus a presence bitmap (a word
 // is "persisted" once written, even if its value is zero — Len, Entries and
-// Snapshot must distinguish written zeros from never-written words exactly
-// like the map-backed reference does).
+// Snapshot must distinguish written zeros from never-written words).
 type nvmPage struct {
 	words [pageWords]Word
 	used  [pageWords / 64]uint64
@@ -69,8 +69,6 @@ type NVM struct {
 	pages []*nvmPage          // direct page directory, indexed by page number
 	far   map[uint64]*nvmPage // pages beyond the direct window
 	count int                 // persisted words
-
-	ref map[uint64]Word // non-nil: map-backed reference implementation
 
 	// writeFree is the write-pending queue's availability cycle: the device
 	// timing the memory controller sees when it pushes a 64B line write. The
@@ -89,17 +87,6 @@ type NVM struct {
 func NewNVM() *NVM {
 	return &NVM{}
 }
-
-// NewNVMRef returns an empty NVM image backed by the map-based reference
-// implementation. It is semantically identical to the paged store and exists
-// only so differential tests (and `capribench -perf`'s speedup measurement)
-// can run the whole machine against the seed's data structure.
-func NewNVMRef() *NVM {
-	return &NVM{ref: make(map[uint64]Word)}
-}
-
-// IsRef reports whether this image uses the map-backed reference store.
-func (n *NVM) IsRef() bool { return n.ref != nil }
 
 // BookLineWrite reserves one 64B line write in the write-pending queue at
 // cycle now, where writeCost is the device's per-line write latency, and
@@ -126,18 +113,6 @@ func (n *NVM) PendingLineWrites(now, writeCost uint64) uint64 {
 		return 0
 	}
 	return (n.writeFree - now + writeCost - 1) / writeCost
-}
-
-// page returns the page containing word index wi, or nil if absent.
-func (n *NVM) page(wi uint64) *nvmPage {
-	pi := wi >> pageWordShift
-	if pi < uint64(len(n.pages)) {
-		return n.pages[pi]
-	}
-	if n.far != nil {
-		return n.far[pi]
-	}
-	return nil
 }
 
 // writablePage returns (allocating if needed) the page containing wi.
@@ -190,14 +165,13 @@ func (n *NVM) Peek(addr uint64) Word {
 		}
 		return Word{}
 	}
-	return n.peekSlow(wi)
+	return n.peekFar(wi)
 }
 
-func (n *NVM) peekSlow(wi uint64) Word {
-	if n.ref != nil {
-		return n.ref[wi<<wordShift]
-	}
-	if p := n.page(wi); p != nil {
+// peekFar is Peek past the direct window, kept out of line so Peek's
+// direct-page path stays inlinable.
+func (n *NVM) peekFar(wi uint64) Word {
+	if p := n.far[wi>>pageWordShift]; p != nil {
 		return p.words[wi&pageWordMask]
 	}
 	return Word{}
@@ -208,18 +182,7 @@ func (n *NVM) peekSlow(wi uint64) Word {
 // formal core of stale-read prevention: a redo drain or cache writeback
 // carrying older data than what NVM already holds is dropped.
 func (n *NVM) Write(addr uint64, val uint64, seq uint64) bool {
-	a := WordAddr(addr)
-	if n.ref != nil {
-		cur, ok := n.ref[a]
-		if ok && cur.Seq >= seq {
-			n.StaleSkips++
-			return false
-		}
-		n.ref[a] = Word{Val: val, Seq: seq}
-		n.WordWrites++
-		return true
-	}
-	wi := a >> wordShift
+	wi := WordAddr(addr) >> wordShift
 	p := n.writablePage(wi)
 	off := wi & pageWordMask
 	bw, bb := off>>6, uint64(1)<<(off&63)
@@ -240,12 +203,7 @@ func (n *NVM) Write(addr uint64, val uint64, seq uint64) bool {
 // Restore force-writes a word during crash recovery (undo application),
 // bypassing the sequence guard. newSeq becomes the word's writer sequence.
 func (n *NVM) Restore(addr uint64, val uint64, newSeq uint64) {
-	a := WordAddr(addr)
-	if n.ref != nil {
-		n.ref[a] = Word{Val: val, Seq: newSeq}
-		return
-	}
-	wi := a >> wordShift
+	wi := WordAddr(addr) >> wordShift
 	p := n.writablePage(wi)
 	off := wi & pageWordMask
 	bw, bb := off>>6, uint64(1)<<(off&63)
@@ -268,14 +226,7 @@ type WordEntry struct {
 // machine state are byte-identical (recovery scans and golden comparisons
 // must not depend on Go map iteration order).
 func (n *NVM) Entries() []WordEntry {
-	out := make([]WordEntry, 0, n.Len())
-	if n.ref != nil {
-		for a, w := range n.ref {
-			out = append(out, WordEntry{Addr: a, Val: w.Val, Seq: w.Seq})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-		return out
-	}
+	out := make([]WordEntry, 0, n.count)
 	appendPage := func(pi uint64, p *nvmPage) {
 		base := pi << (pageWordShift + wordShift)
 		for off := uint64(0); off < pageWords; off++ {
@@ -314,12 +265,6 @@ func NVMFromEntries(entries []WordEntry) *NVM {
 
 // forEach visits every persisted word.
 func (n *NVM) forEach(visit func(addr uint64, w Word)) {
-	if n.ref != nil {
-		for a, w := range n.ref {
-			visit(a, w)
-		}
-		return
-	}
 	visitPage := func(pi uint64, p *nvmPage) {
 		base := pi << (pageWordShift + wordShift)
 		for off := uint64(0); off < pageWords; off++ {
@@ -341,42 +286,28 @@ func (n *NVM) forEach(visit func(addr uint64, w Word)) {
 // Snapshot copies the persisted word values (used by tests and the
 // golden-state comparisons).
 func (n *NVM) Snapshot() map[uint64]uint64 {
-	out := make(map[uint64]uint64, n.Len())
+	out := make(map[uint64]uint64, n.count)
 	n.forEach(func(addr uint64, w Word) { out[addr] = w.Val })
 	return out
 }
 
 // Len returns the number of persisted words.
-func (n *NVM) Len() int {
-	if n.ref != nil {
-		return len(n.ref)
-	}
-	return n.count
-}
+func (n *NVM) Len() int { return n.count }
 
-// Clone deep-copies the NVM image (crash injection snapshots). The clone
-// keeps the original's backing kind.
+// Clone deep-copies the NVM image (crash injection snapshots).
 func (n *NVM) Clone() *NVM {
-	c := &NVM{count: n.count}
-	if n.ref != nil {
-		c.ref = make(map[uint64]Word, len(n.ref))
-		for a, w := range n.ref {
-			c.ref[a] = w
+	c := &NVM{count: n.count, pages: make([]*nvmPage, len(n.pages))}
+	for i, p := range n.pages {
+		if p != nil {
+			cp := *p
+			c.pages[i] = &cp
 		}
-	} else {
-		c.pages = make([]*nvmPage, len(n.pages))
-		for i, p := range n.pages {
-			if p != nil {
-				cp := *p
-				c.pages[i] = &cp
-			}
-		}
-		if len(n.far) > 0 {
-			c.far = make(map[uint64]*nvmPage, len(n.far))
-			for pi, p := range n.far {
-				cp := *p
-				c.far[pi] = &cp
-			}
+	}
+	if len(n.far) > 0 {
+		c.far = make(map[uint64]*nvmPage, len(n.far))
+		for pi, p := range n.far {
+			cp := *p
+			c.far[pi] = &cp
 		}
 	}
 	c.writeFree = n.writeFree
@@ -394,29 +325,18 @@ func (p *memPage) isUsed(off uint64) bool { return p.used[off>>6]&(1<<(off&63)) 
 
 // Mem is the architectural (volatile) memory image: the values loads actually
 // observe during execution, maintained at word granularity. It vanishes at a
-// power failure; recovery rebuilds it from NVM. The backing mirrors NVM's:
-// paged flat arrays by default, a reference map via NewMemRef.
+// power failure; recovery rebuilds it from NVM. The backing mirrors NVM's
+// paged flat arrays.
 type Mem struct {
 	pages []*memPage
 	far   map[uint64]*memPage
 	count int
-
-	ref map[uint64]uint64 // non-nil: map-backed reference implementation
 }
 
 // NewMem returns an empty architectural memory with the paged backing.
 func NewMem() *Mem {
 	return &Mem{}
 }
-
-// NewMemRef returns an empty architectural memory backed by the map-based
-// reference implementation (differential testing only).
-func NewMemRef() *Mem {
-	return &Mem{ref: make(map[uint64]uint64)}
-}
-
-// IsRef reports whether this memory uses the map-backed reference store.
-func (m *Mem) IsRef() bool { return m.ref != nil }
 
 // FromSnapshot builds architectural memory from a persisted image (used when
 // resuming after recovery).
@@ -429,17 +349,9 @@ func FromSnapshot(s map[uint64]uint64) *Mem {
 }
 
 // MemFromNVM builds the architectural memory image a recovery produces: every
-// persisted word's value, with the same backing kind as the NVM image. This
-// is the allocation-lean page-copy path recovery uses instead of going
-// through a map snapshot.
+// persisted word's value. This is the allocation-lean page-copy path
+// recovery uses instead of going through a map snapshot.
 func MemFromNVM(n *NVM) *Mem {
-	if n.ref != nil {
-		m := NewMemRef()
-		for a, w := range n.ref {
-			m.ref[a] = w.Val
-		}
-		return m
-	}
 	m := &Mem{count: n.count, pages: make([]*memPage, len(n.pages))}
 	copyPage := func(p *nvmPage) *memPage {
 		mp := &memPage{used: p.used}
@@ -504,17 +416,14 @@ func (m *Mem) Load(addr uint64) uint64 {
 		}
 		return 0
 	}
-	return m.loadSlow(wi)
+	return m.loadFar(wi)
 }
 
-func (m *Mem) loadSlow(wi uint64) uint64 {
-	if m.ref != nil {
-		return m.ref[wi<<wordShift]
-	}
-	if m.far != nil {
-		if p := m.far[wi>>pageWordShift]; p != nil {
-			return p.vals[wi&pageWordMask]
-		}
+// loadFar is Load past the direct window, kept out of line so Load's
+// direct-page path stays inlinable.
+func (m *Mem) loadFar(wi uint64) uint64 {
+	if p := m.far[wi>>pageWordShift]; p != nil {
+		return p.vals[wi&pageWordMask]
 	}
 	return 0
 }
@@ -522,13 +431,7 @@ func (m *Mem) loadSlow(wi uint64) uint64 {
 // Store writes the word at addr and returns the previous value (the undo
 // image the front-end proxy captures).
 func (m *Mem) Store(addr uint64, val uint64) (old uint64) {
-	a := WordAddr(addr)
-	if m.ref != nil {
-		old = m.ref[a]
-		m.ref[a] = val
-		return old
-	}
-	wi := a >> wordShift
+	wi := WordAddr(addr) >> wordShift
 	p := m.writablePage(wi)
 	off := wi & pageWordMask
 	old = p.vals[off]
@@ -543,13 +446,7 @@ func (m *Mem) Store(addr uint64, val uint64) (old uint64) {
 
 // Snapshot copies the current word map.
 func (m *Mem) Snapshot() map[uint64]uint64 {
-	out := make(map[uint64]uint64, m.Len())
-	if m.ref != nil {
-		for a, v := range m.ref {
-			out[a] = v
-		}
-		return out
-	}
+	out := make(map[uint64]uint64, m.count)
 	visitPage := func(pi uint64, p *memPage) {
 		base := pi << (pageWordShift + wordShift)
 		for off := uint64(0); off < pageWords; off++ {
@@ -570,9 +467,4 @@ func (m *Mem) Snapshot() map[uint64]uint64 {
 }
 
 // Len returns the number of populated words.
-func (m *Mem) Len() int {
-	if m.ref != nil {
-		return len(m.ref)
-	}
-	return m.count
-}
+func (m *Mem) Len() int { return m.count }

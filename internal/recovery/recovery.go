@@ -175,12 +175,36 @@ func crashOnce(p *prog.Program, cfg machine.Config, g *Golden, crashAt uint64, a
 				crashAt, t, r.Output(t), g.Outputs[t])
 		}
 	}
-	for a, v := range g.Mem {
-		if got := r.MemSnapshot()[a]; got != v {
-			return rep, aud, fmt.Errorf("crash@%d: mem[%#x] = %d, golden %d", crashAt, a, got, v)
-		}
+	got := r.MemSnapshot()
+	if a, differ := firstDiff(got, g.Mem); differ {
+		gv, gok := got[a]
+		wv, wok := g.Mem[a]
+		return rep, aud, fmt.Errorf("crash@%d: mem[%#x] = %d (present %v), golden %d (present %v); %d vs %d words",
+			crashAt, a, gv, gok, wv, wok, len(got), len(g.Mem))
 	}
 	return rep, aud, nil
+}
+
+// firstDiff compares two whole memory images and returns the lowest address
+// at which they differ, counting a word present in only one of them; differ
+// is false when the images are equal.
+func firstDiff(got, want map[uint64]uint64) (addr uint64, differ bool) {
+	note := func(a uint64) {
+		if !differ || a < addr {
+			addr, differ = a, true
+		}
+	}
+	for a, v := range got {
+		if w, ok := want[a]; !ok || w != v {
+			note(a)
+		}
+	}
+	for a := range want {
+		if _, ok := got[a]; !ok {
+			note(a)
+		}
+	}
+	return addr, differ
 }
 
 // ValidateProgram compiles a source program at the given options, runs the

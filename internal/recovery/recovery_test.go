@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"capri/internal/compile"
@@ -271,5 +273,33 @@ func TestCrashOnceAuditedReportsEvents(t *testing.T) {
 	}
 	if aud.ViolationCount() != 0 {
 		t.Fatalf("unmutated run flagged: %v", aud.Err())
+	}
+}
+
+// TestCrashOnceComparesWholeImage: the recovered run must reproduce the
+// golden memory image exactly — a word the golden run never wrote is a
+// divergence too, not only a golden word with the wrong value.
+func TestCrashOnceComparesWholeImage(t *testing.T) {
+	p := progen.Generate(42, progen.DefaultConfig())
+	res, err := compile.Compile(p, compile.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	g, err := RunGolden(res.Program, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := CrashOnce(res.Program, cfg, g, g.Instret/2); err != nil || rep == nil {
+		t.Fatalf("unmodified golden: report %v, err %v", rep, err)
+	}
+	var hi uint64
+	for a := range g.Mem {
+		hi = max(hi, a)
+	}
+	delete(g.Mem, hi)
+	_, err = CrashOnce(res.Program, cfg, g, g.Instret/2)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("mem[%#x]", hi)) {
+		t.Fatalf("recovered word absent from golden not reported at %#x: %v", hi, err)
 	}
 }

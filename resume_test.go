@@ -28,7 +28,7 @@ func TestResumeAccountingSegments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := diffConfig(bm.Threads, 256, false)
+			cfg := diffConfig(bm.Threads, 256)
 			cfg.Dispatch = machine.DispatchThreaded
 
 			golden, err := machine.New(res.Program, cfg)

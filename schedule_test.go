@@ -24,7 +24,7 @@ import (
 // past its end, and requires identical images and identical full Stats.
 func requireOneSchedule(t *testing.T, what string, p *prog.Program, threads, threshold int) {
 	t.Helper()
-	cfg := diffConfig(threads, threshold, false)
+	cfg := diffConfig(threads, threshold)
 	cfg.Dispatch = machine.DispatchThreaded
 
 	golden, err := machine.New(p, cfg)

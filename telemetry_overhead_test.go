@@ -58,7 +58,7 @@ func TestDispatchEquivalenceTelemetry(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, disp := range []machine.DispatchMode{machine.DispatchThreaded, machine.DispatchSwitch} {
-			cfg := diffConfig(tc.threads, tc.threshold, false)
+			cfg := diffConfig(tc.threads, tc.threshold)
 			cfg.Dispatch = disp
 			what := tc.name + "/" + disp.String()
 
@@ -104,7 +104,7 @@ func TestDispatchEquivalenceTelemetry(t *testing.T) {
 func TestTelemetryZeroAllocWhenOff(t *testing.T) {
 	telemetry.DisableMachine()
 	p := telemetryProgram(t)
-	cfg := diffConfig(2, 64, false)
+	cfg := diffConfig(2, 64)
 	run := func() {
 		m, err := machine.New(p, cfg)
 		if err != nil {
