@@ -68,9 +68,13 @@ check:
 # corruptions each produce a violation). The allocation pins hold the audited
 # crash path to its cost model: a store's life through the auditor allocates
 # nothing, and decoding a program or carving cold boundary payloads costs
-# allocations per slab chunk, not per block or boundary.
+# allocations per slab chunk, not per block or boundary. The two capricrash
+# runs drive the command's benchmark sweep and random-program campaign
+# through the same crash driver (recovery.Run) end to end.
 audit:
 	$(GO) test -run 'TestAuditProgenCrashSweep|TestAuditBenchmarks' .
+	$(GO) run ./cmd/capricrash -bench genome -points 5
+	$(GO) run ./cmd/capricrash -fuzz 5 -threads 2
 	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap' ./internal/audit
 	$(GO) test -run 'TestDecodeAllocsPerChunk' ./internal/machine
 	$(GO) test -run 'TestFrontEndColdBoundaryAllocs' ./internal/proxy

@@ -42,7 +42,7 @@ func TestAuditProgenCrashSweep(t *testing.T) {
 		src := progen.Generate(uint64(s)*0x9e3779b9+1, shape)
 		opts := compile.OptionsForLevel(compile.LevelLICM, 64)
 		cfg := diffConfig(shape.Threads, 64)
-		res, err := recovery.ValidateProgramAudited(src, opts, cfg, 5)
+		res, err := recovery.ValidateProgram(src, opts, cfg, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
 
-	"capri/internal/audit"
 	"capri/internal/fault"
 	"capri/internal/resultstore"
 )
@@ -92,7 +90,7 @@ func runCampaign(seed uint64, trials, maxFaults, corpus, threshold, scale, jobs 
 		if err != nil {
 			fatal(err)
 		}
-		writePlanRecord(recordOut, outc, first.Shrunk)
+		writeRecord(recordOut, first.Shrunk.Target.Name(), outc, &first.Shrunk)
 	}
 	os.Exit(1)
 }
@@ -113,44 +111,11 @@ func runPlanReplay(path, recordOut string) {
 		outc.Crashed, outc.Vacuous, outc.Exhausted, outc.Recoveries,
 		outc.NestedCrashes, outc.DrainRetries, outc.EventsAudited)
 	if recordOut != "" {
-		writePlanRecord(recordOut, outc, plan)
+		writeRecord(recordOut, plan.Target.Name(), outc, &plan)
 	}
 	if outc.Err != nil {
 		fmt.Printf("FAIL: %v\n", outc.Err)
 		os.Exit(1)
 	}
 	fmt.Println("OK: recovered to the golden state, audit clean")
-}
-
-// writePlanRecord writes the outcome's capri/run-record/v1 provenance record
-// with the fault plan embedded (RunRecord.Faults), so capriinspect shows what
-// was injected and diff treats the plan as part of the run's identity.
-func writePlanRecord(path string, outc fault.Outcome, plan fault.Plan) {
-	if outc.Flight == nil {
-		return
-	}
-	var cfg, stats any
-	name := plan.Target.Name()
-	fingerprint := ""
-	if outc.Machine != nil {
-		fp := outc.Machine.Program().Fingerprint()
-		fingerprint = fmt.Sprintf("%x", fp[:])
-		cfg = outc.Machine.Config()
-		stats = outc.Machine.Stats()
-	}
-	rr, err := audit.NewRunRecordFull(outc.Flight, outc.Auditor, name, fingerprint, cfg, stats)
-	if err != nil {
-		fatal(err)
-	}
-	pj, err := json.Marshal(plan)
-	if err != nil {
-		fatal(err)
-	}
-	rr.Faults = pj
-	if err := rr.WriteFile(path); err != nil {
-		fatal(err)
-	}
-	if path != "-" {
-		fmt.Printf("record: %d events (%d retained) -> %s\n", rr.EventsTotal, rr.EventsKept, path)
-	}
 }

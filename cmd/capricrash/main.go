@@ -6,19 +6,20 @@
 // Usage:
 //
 //	capricrash -bench genome -points 25 -threshold 64 [-scale 1]
-//	capricrash -bench genome -audit              # Fig. 7 auditor on every run
-//	capricrash -bench genome -audit -record-out crash.json
+//	capricrash -bench genome -record-out crash.json
 //	capricrash -fuzz 100 [-threads 2]   # random-program campaign
 //	capricrash -campaign -seed 1 -trials 3 -corpus 12 -benches
 //	capricrash -campaign -cores 2,4,8            # add cross-core contention targets
 //	capricrash -plan fault-plan-min.json         # replay one fault plan
 //
-// With -audit, every crashed run is observed end-to-end (run → crash →
-// recovery replay → resumption) by the online Fig. 7 invariant auditor; any
-// violation fails the campaign with the offending per-line event chain. With
+// Every crashed run goes through recovery.Run: the online Fig. 7 invariant
+// auditor observes it end-to-end (run → crash → recovery replay →
+// resumption), recovery must be detectable and independent of core order,
+// and the resumed run must reproduce the golden outputs and whole memory
+// image (or, for the contention workloads, their invariants). With
 // -record-out, the capri/run-record/v1 provenance record of the first
-// violating run — or, if the sweep is clean, the last crash point — is
-// written for offline inspection with capriinspect.
+// failing run — or, if the sweep is clean, the last crash point — is written
+// for offline inspection with capriinspect.
 //
 // With -campaign, the hardware fault model of DESIGN.md §4f is driven by
 // seeded random fault plans (torn NVM line writes at the power failure,
@@ -35,16 +36,17 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"strconv"
 	"strings"
 	"time"
 
 	"capri/internal/audit"
 	"capri/internal/compile"
+	"capri/internal/fault"
 	"capri/internal/machine"
 	"capri/internal/progen"
 	"capri/internal/recovery"
@@ -62,7 +64,6 @@ func main() {
 		threads   = flag.Int("threads", 1, "threads for generated programs (with -fuzz)")
 		barriers  = flag.Bool("barriers", false, "generate SPMD programs with barrier episodes (with -fuzz)")
 		seed      = flag.Uint64("seed", 1, "starting seed for -fuzz")
-		auditRun  = flag.Bool("audit", false, "attach the online Fig. 7 invariant auditor to every crashed run")
 		recordOut = flag.String("record-out", "", "write the capri/run-record/v1 record of the first violating (else last) crash run")
 
 		campaign  = flag.Bool("campaign", false, "run a seeded hardware-fault campaign (torn writes, nested crashes, drain errors)")
@@ -111,7 +112,11 @@ func main() {
 	}
 
 	if *fuzz > 0 {
-		runFuzz(*fuzz, *seed, *threads, *threshold, *points, *barriers, *auditRun)
+		if *coreList != "" {
+			fmt.Fprintln(os.Stderr, "capricrash: -fuzz cannot be combined with -cores: generated programs size the machine from -threads")
+			os.Exit(2)
+		}
+		runFuzz(*fuzz, *seed, *threads, *threshold, *points, *barriers)
 		return
 	}
 
@@ -139,131 +144,72 @@ func main() {
 	}
 
 	fmt.Printf("golden run of %s ...\n", b.Name)
-	golden, err := machine.New(res.Program, cfg)
+	g, err := recovery.RunGolden(res.Program, cfg)
 	if err != nil {
 		fatal(err)
 	}
-	if err := golden.Run(); err != nil {
-		fatal(err)
+	fmt.Printf("golden: %d instructions, %d cycles\n", g.Instret, g.Cycles)
+	if b.Check != nil {
+		g.Check = func(mem map[uint64]uint64) error { return b.Check(*scale, mem) }
 	}
-	var goldenOut [][]uint64
-	for t := 0; t < src.NumThreads(); t++ {
-		goldenOut = append(goldenOut, golden.Output(t))
-	}
-	total := golden.Instret()
-	fmt.Printf("golden: %d instructions, %d cycles\n", total, golden.Cycles())
 
-	step := total / uint64(*points)
-	if step == 0 {
-		step = 1
-	}
+	step := max(g.Instret/uint64(*points), 1)
 	ok, failed := 0, 0
-	var events uint64
-	for crashAt := step; crashAt < total; crashAt += step {
-		m, err := machine.New(res.Program, cfg)
-		if err != nil {
-			fatal(err)
+	var events, violations uint64
+	for crashAt := step; crashAt < g.Instret; crashAt += step {
+		o := recovery.Run(res.Program, cfg, g, crashAt, recovery.Faults{})
+		if o.Vacuous && o.Err == nil {
+			break // the program finished before the crash point
 		}
-		// Provenance tap for this crash run: the flight recorder preserves
-		// per-line event chains; the auditor checks Fig. 7 invariants online
-		// across the crash and the recovery replay.
-		var (
-			flight *audit.FlightRecorder
-			aud    *audit.Auditor
-			tap    audit.Sink
-		)
-		if *auditRun || *recordOut != "" {
-			flight = audit.NewFlightRecorder(audit.DefaultRecorderCap)
-			tap = flight
-			if *auditRun {
-				aud = audit.NewAuditor(m.AuditOptions())
-				aud.AttachRecorder(flight)
-				tap = audit.Tee(flight, aud)
-			}
-			m.SetTap(tap)
-		}
-		if err := m.RunUntil(crashAt); err != nil {
-			fatal(fmt.Errorf("crash@%d: %w", crashAt, err))
-		}
-		if m.Done() {
-			break
-		}
-		img, err := m.Crash()
-		if err != nil {
-			fatal(err)
-		}
-		var r *machine.Machine
-		var rep *machine.RecoveryReport
-		if tap != nil {
-			r, rep, err = machine.RecoverInstrumented(img, nil, tap)
-		} else {
-			r, rep, err = machine.Recover(img)
-		}
-		if err != nil {
-			fatal(fmt.Errorf("crash@%d recover: %w", crashAt, err))
-		}
-		if err := r.Run(); err != nil {
-			fatal(fmt.Errorf("crash@%d resume: %w", crashAt, err))
-		}
-		good := rep.ConflictingUndo == 0
-		if b.Check != nil {
-			// Interleaving-dependent workload (the contention suite): verify
-			// the conservation invariants and exactly-once I/O instead of
-			// comparing outputs word-for-word (see workload.Benchmark.Check).
-			if err := b.Check(*scale, r.MemSnapshot()); err != nil {
-				good = false
-			}
-			for t := 0; t < src.NumThreads(); t++ {
-				if len(r.Output(t)) != len(goldenOut[t]) {
-					good = false
-				}
-			}
-		} else {
-			for t := 0; t < src.NumThreads(); t++ {
-				if !reflect.DeepEqual(r.Output(t), goldenOut[t]) {
-					good = false
-				}
-			}
-		}
-		if aud != nil {
-			events += aud.EventsAudited()
-			if err := aud.Err(); err != nil {
-				writeRecord(*recordOut, flight, aud, b.Name, r)
-				fatal(fmt.Errorf("crash@%d %w", crashAt, err))
-			}
-		}
-		if good {
-			ok++
-			fmt.Printf("crash@%-10d OK   (regions redone %d, undone entries %d, slices %d)\n",
-				crashAt, rep.RegionsRedone, rep.EntriesUndone, rep.SlicesExecuted)
-		} else {
+		events += o.EventsAudited
+		violations += o.Auditor.ViolationCount()
+		if o.Err != nil {
 			failed++
-			fmt.Printf("crash@%-10d FAIL (conflicting undos: %d)\n", crashAt, rep.ConflictingUndo)
+			fmt.Printf("crash@%-10d FAIL: %v\n", crashAt, o.Err)
+			if failed == 1 {
+				writeRecord(*recordOut, b.Name, o, nil)
+			}
+			continue
 		}
-		if flight != nil && crashAt+step >= total {
-			writeRecord(*recordOut, flight, aud, b.Name, r)
+		ok++
+		rep := o.Report
+		fmt.Printf("crash@%-10d OK   (regions redone %d, undone entries %d, slices %d)\n",
+			crashAt, rep.RegionsRedone, rep.EntriesUndone, rep.SlicesExecuted)
+		if failed == 0 && crashAt+step >= g.Instret {
+			writeRecord(*recordOut, b.Name, o, nil)
 		}
 	}
 	fmt.Printf("\n%d crash points recovered correctly, %d failed\n", ok, failed)
-	if *auditRun {
-		fmt.Printf("auditor: %d provenance events, 0 violations\n", events)
-	}
+	fmt.Printf("auditor: %d provenance events, %d violations\n", events, violations)
 	if failed > 0 {
 		os.Exit(1)
 	}
 }
 
-// writeRecord dumps the crash run's provenance record (no-op without
-// -record-out).
-func writeRecord(path string, flight *audit.FlightRecorder, aud *audit.Auditor, name string, m *machine.Machine) {
-	if path == "" || flight == nil {
+// writeRecord dumps a crashed run's capri/run-record/v1 provenance record
+// (no-op without -record-out). A fault plan, when given, is embedded
+// (RunRecord.Faults), so capriinspect shows what was injected and diff
+// treats the plan as part of the run's identity.
+func writeRecord(path, name string, o recovery.Outcome, plan *fault.Plan) {
+	if path == "" || o.Flight == nil {
 		return
 	}
-	fp := m.Program().Fingerprint()
-	rr, err := audit.NewRunRecordFull(flight, aud, name,
-		fmt.Sprintf("%x", fp[:]), m.Config(), m.Stats())
+	var cfg, stats any
+	fingerprint := ""
+	if o.Machine != nil {
+		fp := o.Machine.Program().Fingerprint()
+		fingerprint = fmt.Sprintf("%x", fp[:])
+		cfg = o.Machine.Config()
+		stats = o.Machine.Stats()
+	}
+	rr, err := audit.NewRunRecordFull(o.Flight, o.Auditor, name, fingerprint, cfg, stats)
 	if err != nil {
 		fatal(err)
+	}
+	if plan != nil {
+		if rr.Faults, err = json.Marshal(plan); err != nil {
+			fatal(err)
+		}
 	}
 	if err := rr.WriteFile(path); err != nil {
 		fatal(err)
@@ -274,10 +220,9 @@ func writeRecord(path string, flight *audit.FlightRecorder, aud *audit.Auditor, 
 }
 
 // runFuzz validates n randomly generated structured programs: each is
-// compiled, run for a golden state, crash-swept, and recovered; any
-// divergence is a bug in the compiler or the recovery protocol. With audited
-// set, every crashed run is additionally observed by the Fig. 7 auditor.
-func runFuzz(n int, seed uint64, threads, threshold, points int, barriers, audited bool) {
+// compiled, run for a golden state, and crash-swept through recovery.Run;
+// any divergence is a bug in the compiler or the recovery protocol.
+func runFuzz(n int, seed uint64, threads, threshold, points int, barriers bool) {
 	gcfg := progen.DefaultConfig()
 	gcfg.Threads = threads
 	gcfg.Barriers = barriers
@@ -296,11 +241,7 @@ func runFuzz(n int, seed uint64, threads, threshold, points int, barriers, audit
 		s := seed + uint64(i)*2654435761
 		p := progen.Generate(s, gcfg)
 		opts := compile.OptionsForLevel(compile.LevelLICM, threshold)
-		validate := recovery.ValidateProgram
-		if audited {
-			validate = recovery.ValidateProgramAudited
-		}
-		res, err := validate(p, opts, cfg, points)
+		res, err := recovery.ValidateProgram(p, opts, cfg, points)
 		if err != nil {
 			failures++
 			fmt.Printf("seed %-22d FAIL: %v\n", s, err)
@@ -311,9 +252,7 @@ func runFuzz(n int, seed uint64, threads, threshold, points int, barriers, audit
 			s, res.Points, res.RegionsRedone, res.EntriesUndone, res.SlicesExecuted)
 	}
 	fmt.Printf("\n%d/%d random programs recovered correctly at every crash point\n", n-failures, n)
-	if audited {
-		fmt.Printf("auditor: %d provenance events across all crashed runs\n", events)
-	}
+	fmt.Printf("auditor: %d provenance events across all crashed runs\n", events)
 	if failures > 0 {
 		os.Exit(1)
 	}

@@ -306,14 +306,14 @@ func RunCampaign(cc CampaignConfig) (*CampaignResult, error) {
 // ReplayPlan builds the plan's target, captures its golden state, and
 // executes the plan — the one-call reproduction path behind
 // `capricrash -plan failure.json`.
-func ReplayPlan(plan Plan) (Outcome, error) {
+func ReplayPlan(plan Plan) (recovery.Outcome, error) {
 	pg, cfg, err := plan.Target.Build()
 	if err != nil {
-		return Outcome{}, err
+		return recovery.Outcome{}, err
 	}
 	g, err := recovery.RunGolden(pg, cfg)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("%s: golden: %w", plan.Target.Name(), err)
+		return recovery.Outcome{}, fmt.Errorf("%s: golden: %w", plan.Target.Name(), err)
 	}
 	return RunPlan(pg, cfg, g, plan), nil
 }

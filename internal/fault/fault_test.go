@@ -2,9 +2,11 @@ package fault
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"capri/internal/machine"
@@ -106,6 +108,34 @@ func TestRunPlanDeterministic(t *testing.T) {
 	}
 	if a.Err != nil {
 		t.Fatalf("clean tree failed plan %s: %v", plan.Summary(), a.Err)
+	}
+}
+
+// TestRunPlanComparesWholeImage: a plan run is judged against the whole
+// golden memory image, so a word the recovered run holds but golden lacks is
+// a divergence, not only a golden word with the wrong value.
+func TestRunPlanComparesWholeImage(t *testing.T) {
+	tgt := Target{Synth: "rmwsweep", Threshold: 64}
+	p, cfg, err := tgt.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := recovery.RunGolden(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Plan{Schema: PlanSchema, Target: tgt, CrashAt: g.Instret / 2}
+	if outc := RunPlan(p, cfg, g, plan); outc.Err != nil || !outc.Crashed {
+		t.Fatalf("unmodified golden: crashed %v, err %v", outc.Crashed, outc.Err)
+	}
+	var hi uint64
+	for a := range g.Mem {
+		hi = max(hi, a)
+	}
+	delete(g.Mem, hi)
+	err = RunPlan(p, cfg, g, plan).Err
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("mem[%#x]", hi)) {
+		t.Fatalf("recovered word absent from golden not reported at %#x: %v", hi, err)
 	}
 }
 

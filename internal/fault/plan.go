@@ -2,8 +2,9 @@
 // injection subsystem (DESIGN.md §4f): JSON fault plans describing torn NVM
 // line writes at power failure, nested crashes during §5.4 recovery, and
 // transient NVM write errors in the phase-2 drain engine; a plan executor
-// that drives the machine package's fault hooks under the online Fig. 7
-// auditor; and a campaign engine that sweeps seeded random plans over the
+// that hands a plan's faults to the crash driver (recovery.Run), which
+// drives the machine package's fault hooks under the online Fig. 7 auditor;
+// and a campaign engine that sweeps seeded random plans over the
 // progen corpus and the paper benchmarks, shrinking every failure to a
 // minimal reproducible plan.
 //

@@ -1,11 +1,13 @@
 // Package recovery provides the crash-consistency validation harness around
-// the machine's §5.4 recovery protocol: golden-state capture, crash-point
-// sweeps, and the whole-system recovery invariants of DESIGN.md expressed as
-// checkable predicates. The protocol itself lives in the machine package
+// the machine's §5.4 recovery protocol: golden-state capture, the one crash
+// driver (Run) every crashed run goes through, crash-point sweeps, and the
+// whole-system recovery invariants of DESIGN.md expressed as checkable
+// predicates. The protocol itself lives in the machine package
 // (machine.Recover); this package is how the repository *proves* it.
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 
@@ -21,6 +23,13 @@ type Golden struct {
 	Mem     map[uint64]uint64
 	Instret uint64
 	Cycles  uint64
+	// Check, when set, replaces the word-for-word output and memory
+	// comparison with the workload's own invariants over the final memory
+	// image, plus exactly-once I/O (every thread emits as many values as in
+	// the golden run). Interleaving-dependent workloads (the contention
+	// suite) set it: the strict pre-crash schedule and the re-interleaved
+	// resume legally diverge from golden word for word.
+	Check func(map[uint64]uint64) error
 }
 
 // RunGolden executes the compiled program to completion and captures its
@@ -44,145 +53,205 @@ func RunGolden(p *prog.Program, cfg machine.Config) (*Golden, error) {
 	return g, nil
 }
 
-// SweepResult aggregates a crash-injection sweep.
-type SweepResult struct {
-	Points         int // crash points injected
-	RegionsRedone  int
-	EntriesUndone  int
-	UndoneApplied  int
-	SlicesExecuted int
-	EventsAudited  uint64 // provenance events checked (audited sweeps only)
+// Faults is the hardware-fault side of one crashed run. The zero value is a
+// clean power failure on an ideal NVM device.
+type Faults struct {
+	// Tears are the line writes torn at the primary power failure.
+	Tears []machine.Tear
+	// Nested interrupts successive recovery attempts: attempt i loses power
+	// again after Nested[i] persistent protocol steps, and the next attempt
+	// starts from the image it left behind.
+	Nested []uint64
+	// Device, when set, is the faulty-device model armed on the pre-crash
+	// machine and again on the resumed one: drain state is persistent
+	// hardware, so a drain-error budget spans both. Arming it also journals
+	// line writes for Tears and turns off the §5.3.2 writeback-scan elision,
+	// which is unsound on a device that can tear; nil keeps the machine as
+	// configured.
+	Device *machine.FaultConfig
 }
 
-// Sweep crashes fresh runs of the program at `points` evenly spaced
-// instruction counts, recovers each, resumes, and verifies the recovered
-// outcome against the golden state. The first violated invariant is
-// returned as an error naming the crash point.
-func Sweep(p *prog.Program, cfg machine.Config, g *Golden, points int) (*SweepResult, error) {
-	return sweep(p, cfg, g, points, false)
+// Outcome is the result of one crashed run. Err is nil when the run was
+// legal: the auditor saw no Fig. 7 violation, recovery was detectable and
+// order-independent, and the final state passed the golden verdict (or the
+// run degraded to a structured drain-exhaustion stop, or finished before the
+// crash point — vacuous, but still checked against golden).
+type Outcome struct {
+	Crashed       bool // the primary power failure fired
+	Vacuous       bool // program finished before the crash point
+	Exhausted     bool // drain retry budget exhausted (expected degradation)
+	Recoveries    int  // recovery attempts, including interrupted ones
+	NestedCrashes int  // nested power failures injected during recovery
+	DrainRetries  uint64
+	EventsAudited uint64
+	// Report is the completed recovery's report; nil if none completed.
+	Report *machine.RecoveryReport
+	Err    error
+
+	// Provenance of the run, for record writing (capricrash -record-out).
+	Flight  *audit.FlightRecorder
+	Auditor *audit.Auditor
+	Machine *machine.Machine // final machine; nil if the run died early
 }
 
-// SweepAudited is Sweep with the online Fig. 7 auditor attached to every
-// crashed run: a fresh auditor observes each run from its first store through
-// crash, recovery replay, and resumed execution, and any invariant violation
-// fails the sweep with the offending per-line event chain.
-func SweepAudited(p *prog.Program, cfg machine.Config, g *Golden, points int) (*SweepResult, error) {
-	return sweep(p, cfg, g, points, true)
-}
-
-func sweep(p *prog.Program, cfg machine.Config, g *Golden, points int, audited bool) (*SweepResult, error) {
-	res := &SweepResult{}
-	if points < 1 {
-		points = 1
-	}
-	step := g.Instret / uint64(points)
-	if step == 0 {
-		step = 1
-	}
-	for crashAt := step; crashAt < g.Instret; crashAt += step {
-		rep, aud, err := crashOnce(p, cfg, g, crashAt, audited)
-		if err != nil {
-			return res, err
-		}
-		if rep == nil {
-			continue // program finished before the crash point
-		}
-		res.Points++
-		res.RegionsRedone += rep.RegionsRedone
-		res.EntriesUndone += rep.EntriesUndone
-		res.UndoneApplied += rep.UndoneApplied
-		res.SlicesExecuted += rep.SlicesExecuted
-		if aud != nil {
-			res.EventsAudited += aud.EventsAudited()
-		}
-	}
-	return res, nil
-}
-
-// CrashOnce crashes one run at the given instruction count, recovers,
-// resumes, and checks every recovery invariant. A nil report (with nil
-// error) means the program finished before the crash point.
-func CrashOnce(p *prog.Program, cfg machine.Config, g *Golden, crashAt uint64) (*machine.RecoveryReport, error) {
-	rep, _, err := crashOnce(p, cfg, g, crashAt, false)
-	return rep, err
-}
-
-// CrashOnceAudited is CrashOnce under the online auditor; the returned
-// auditor exposes the event count and any violations (also folded into err).
-func CrashOnceAudited(p *prog.Program, cfg machine.Config, g *Golden, crashAt uint64) (*machine.RecoveryReport, *audit.Auditor, error) {
-	return crashOnce(p, cfg, g, crashAt, true)
-}
-
-func crashOnce(p *prog.Program, cfg machine.Config, g *Golden, crashAt uint64, audited bool) (*machine.RecoveryReport, *audit.Auditor, error) {
+// Run is the one crash driver: it runs a fresh machine to crashAt under the
+// online Fig. 7 auditor, injects the power failure with f's torn writes,
+// recovers (interrupted by each of f.Nested in order, re-recovering from the
+// nested image every time), checks detectability and recovery-order
+// commutativity, resumes, and renders the golden verdict. The auditor
+// observes the whole run, recovery replay included. Execution is fully
+// deterministic: the same arguments always produce the same outcome.
+func Run(p *prog.Program, cfg machine.Config, g *Golden, crashAt uint64, f Faults) Outcome {
+	out := Outcome{}
 	m, err := machine.New(p, cfg)
 	if err != nil {
-		return nil, nil, err
+		out.Err = err
+		return out
 	}
-	var (
-		aud *audit.Auditor
-		tap audit.Sink
-	)
-	if audited && cfg.Capri {
-		// A bounded flight recorder rides along so a violation carries its
-		// per-line event chain without retaining the whole run.
-		rec := audit.NewFlightRecorder(audit.DefaultRecorderCap)
-		aud = audit.NewAuditor(m.AuditOptions())
-		aud.AttachRecorder(rec)
-		tap = audit.Tee(rec, aud)
-		m.SetTap(tap)
+	// A bounded flight recorder rides along so a violation carries its
+	// per-line event chain without retaining the whole run.
+	flight := audit.NewFlightRecorder(audit.DefaultRecorderCap)
+	aud := audit.NewAuditor(m.AuditOptions())
+	aud.AttachRecorder(flight)
+	tap := audit.Tee(flight, aud)
+	m.SetTap(tap)
+	if f.Device != nil {
+		m.ArmFaults(*f.Device)
 	}
+	out.Flight, out.Auditor = flight, aud
+
+	finish := func(fin *machine.Machine, err error) Outcome {
+		out.Machine, out.Err = fin, err
+		out.EventsAudited = aud.EventsAudited()
+		if fin != nil {
+			out.DrainRetries += fin.Stats().DrainRetries
+		}
+		if aerr := aud.Err(); aerr != nil && out.Err == nil {
+			out.Err = fmt.Errorf("audit: %w", aerr)
+		}
+		return out
+	}
+
+	var xerr *machine.DrainExhaustedError
 	if err := m.RunUntil(crashAt); err != nil {
-		return nil, aud, fmt.Errorf("crash@%d: run: %w", crashAt, err)
+		// A drain retry budget that runs out degrades the machine to a
+		// structured hard stop: expected, not a failure, but the event
+		// stream up to the stop must still be legal.
+		out.Exhausted = errors.As(err, &xerr)
+		if out.Exhausted {
+			return finish(m, nil)
+		}
+		return finish(m, fmt.Errorf("run to crash@%d: %w", crashAt, err))
 	}
 	if m.Done() {
-		return nil, aud, nil
+		out.Vacuous = true
+		return finish(m, verdict(m, g))
 	}
-	img, err := m.Crash()
+
+	img, err := m.CrashTorn(f.Tears)
 	if err != nil {
-		return nil, aud, fmt.Errorf("crash@%d: image: %w", crashAt, err)
+		return finish(m, fmt.Errorf("crash@%d: image: %w", crashAt, err))
 	}
+	out.Crashed = true
+	out.DrainRetries += m.Stats().DrainRetries
+
+	// Recovery, interrupted by each nested fault in order; a step count of 0
+	// recovers to completion. img ends as the image the completed recovery
+	// ran from, for the commutativity check below.
 	var r *machine.Machine
-	var rep *machine.RecoveryReport
-	if tap != nil {
-		// The auditor stays attached across the crash: it watches the
-		// recovery replay itself and the resumed execution.
-		r, rep, err = machine.RecoverInstrumented(img, nil, tap)
-	} else {
-		r, rep, err = machine.Recover(img)
-	}
-	if err != nil {
-		return nil, aud, fmt.Errorf("crash@%d: recover: %w", crashAt, err)
+	for i := 0; r == nil; i++ {
+		var step uint64
+		if i < len(f.Nested) {
+			step = f.Nested[i]
+		}
+		m2, rep, nested, err := machine.RecoverInterrupted(img, tap, step)
+		if err != nil {
+			return finish(nil, fmt.Errorf("recover (attempt %d): %w", i+1, err))
+		}
+		out.Recoveries++
+		if nested != nil {
+			out.NestedCrashes++
+			img = nested
+			continue
+		}
+		r, out.Report = m2, rep
 	}
 	// Invariant 7 (DESIGN.md): DRF programs never produce conflicting
 	// cross-core undo entries.
-	if rep.ConflictingUndo != 0 {
-		return rep, aud, fmt.Errorf("crash@%d: %d conflicting cross-core undo entries", crashAt, rep.ConflictingUndo)
+	if n := out.Report.ConflictingUndo; n != 0 {
+		return finish(r, fmt.Errorf("%d conflicting cross-core undo entries", n))
+	}
+
+	// Detectability: every per-core sync-op descriptor in the recovered
+	// records must be backed by a persisted NVM version at least as new —
+	// the op is provably complete, never half-present.
+	if i := r.VerifyDetectable(); i >= 0 {
+		rec := r.Records()[i]
+		return finish(r, fmt.Errorf("core %d: sync descriptor (op %d addr %#x seq %d) not backed by NVM: detectability broken",
+			i, rec.Sync.Op, rec.Sync.Addr, rec.Sync.Seq))
+	}
+
+	// Order commutativity: recovering the same image with the core order
+	// reversed must converge to the byte-identical persistent state. (The
+	// auditor checks the order the machine actually used; this checks the
+	// orders it didn't.)
+	if len(img.Streams) > 1 {
+		rev := make([]int, len(img.Streams))
+		for i := range rev {
+			rev[i] = len(rev) - 1 - i
+		}
+		r2, _, err := machine.RecoverInstrumented(img, rev, nil)
+		if err != nil {
+			return finish(r, fmt.Errorf("reversed-order recover: %w", err))
+		}
+		if !reflect.DeepEqual(r.NVMEntries(), r2.NVMEntries()) {
+			return finish(r, errors.New("recovery does not commute: reversed core order yields a different NVM image"))
+		}
+		if !reflect.DeepEqual(r.Records(), r2.Records()) {
+			return finish(r, errors.New("recovery does not commute: reversed core order yields different recovery records"))
+		}
+	}
+
+	if f.Device != nil {
+		r.ArmFaults(*f.Device)
 	}
 	if err := r.Run(); err != nil {
-		return rep, aud, fmt.Errorf("crash@%d: resume: %w", crashAt, err)
-	}
-	// Fig. 7 invariants: the online auditor must have seen a legal event
-	// stream through crash, replay, and resumption.
-	if aud != nil {
-		if err := aud.Err(); err != nil {
-			return rep, aud, fmt.Errorf("crash@%d: audit: %w", crashAt, err)
+		out.Exhausted = errors.As(err, &xerr)
+		if out.Exhausted {
+			return finish(r, nil)
 		}
+		return finish(r, fmt.Errorf("resume: %w", err))
 	}
-	// Invariant 2: end-to-end resumption equals the golden run.
+	return finish(r, verdict(r, g))
+}
+
+// verdict checks a finished run's final state against golden: outputs and
+// the whole memory image, or golden's Check plus exactly-once emit counts.
+func verdict(m *machine.Machine, g *Golden) error {
+	if g.Check != nil {
+		if err := g.Check(m.MemSnapshot()); err != nil {
+			return err
+		}
+		for t := range g.Outputs {
+			if got := len(m.Output(t)); got != len(g.Outputs[t]) {
+				return fmt.Errorf("thread %d emitted %d values, golden %d", t, got, len(g.Outputs[t]))
+			}
+		}
+		return nil
+	}
 	for t := range g.Outputs {
-		if !reflect.DeepEqual(r.Output(t), g.Outputs[t]) {
-			return rep, aud, fmt.Errorf("crash@%d: thread %d output %v, golden %v",
-				crashAt, t, r.Output(t), g.Outputs[t])
+		if !reflect.DeepEqual(m.Output(t), g.Outputs[t]) {
+			return fmt.Errorf("thread %d output %v, golden %v", t, m.Output(t), g.Outputs[t])
 		}
 	}
-	got := r.MemSnapshot()
+	got := m.MemSnapshot()
 	if a, differ := firstDiff(got, g.Mem); differ {
 		gv, gok := got[a]
 		wv, wok := g.Mem[a]
-		return rep, aud, fmt.Errorf("crash@%d: mem[%#x] = %d (present %v), golden %d (present %v); %d vs %d words",
-			crashAt, a, gv, gok, wv, wok, len(got), len(g.Mem))
+		return fmt.Errorf("mem[%#x] = %d (present %v), golden %d (present %v); %d vs %d words",
+			a, gv, gok, wv, wok, len(got), len(g.Mem))
 	}
-	return rep, aud, nil
+	return nil
 }
 
 // firstDiff compares two whole memory images and returns the lowest address
@@ -207,20 +276,47 @@ func firstDiff(got, want map[uint64]uint64) (addr uint64, differ bool) {
 	return addr, differ
 }
 
+// SweepResult aggregates a crash-injection sweep.
+type SweepResult struct {
+	Points         int // crash points injected
+	RegionsRedone  int
+	EntriesUndone  int
+	UndoneApplied  int
+	SlicesExecuted int
+	EventsAudited  uint64 // provenance events the auditor checked
+}
+
+// Sweep runs Run with clean faults at `points` evenly spaced instruction
+// counts. The first failed run is returned as an error naming its crash
+// point.
+func Sweep(p *prog.Program, cfg machine.Config, g *Golden, points int) (*SweepResult, error) {
+	res := &SweepResult{}
+	step := g.Instret / uint64(max(points, 1))
+	if step == 0 {
+		step = 1
+	}
+	for crashAt := step; crashAt < g.Instret; crashAt += step {
+		o := Run(p, cfg, g, crashAt, Faults{})
+		if o.Err != nil {
+			return res, fmt.Errorf("crash@%d: %w", crashAt, o.Err)
+		}
+		if o.Report == nil {
+			continue // program finished before the crash point
+		}
+		res.Points++
+		res.RegionsRedone += o.Report.RegionsRedone
+		res.EntriesUndone += o.Report.EntriesUndone
+		res.UndoneApplied += o.Report.UndoneApplied
+		res.SlicesExecuted += o.Report.SlicesExecuted
+		res.EventsAudited += o.EventsAudited
+	}
+	return res, nil
+}
+
 // ValidateProgram compiles a source program at the given options, runs the
 // golden execution, and sweeps crash points — the one-call form used by the
 // property-based tests and the capricrash command.
 func ValidateProgram(src *prog.Program, opts compile.Options, cfg machine.Config, points int) (*SweepResult, error) {
-	return validateProgram(src, opts, cfg, points, false)
-}
-
-// ValidateProgramAudited is ValidateProgram with every crashed run observed
-// by the online Fig. 7 auditor (see SweepAudited).
-func ValidateProgramAudited(src *prog.Program, opts compile.Options, cfg machine.Config, points int) (*SweepResult, error) {
-	return validateProgram(src, opts, cfg, points, true)
-}
-
-func validateProgram(src *prog.Program, opts compile.Options, cfg machine.Config, points int, audited bool) (*SweepResult, error) {
 	res, err := compile.Compile(src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
@@ -232,5 +328,5 @@ func validateProgram(src *prog.Program, opts compile.Options, cfg machine.Config
 	if err != nil {
 		return nil, fmt.Errorf("golden: %w", err)
 	}
-	return sweep(res.Program, cfg, g, points, audited)
+	return Sweep(res.Program, cfg, g, points)
 }

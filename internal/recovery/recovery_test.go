@@ -86,7 +86,7 @@ func TestPropertyCrashRecoverySingleThread(t *testing.T) {
 		opts := compile.OptionsForLevel(lv, th)
 		cfg := testConfig()
 		cfg.Threshold = th
-		res, err := ValidateProgramAudited(p, opts, cfg, 12)
+		res, err := ValidateProgram(p, opts, cfg, 12)
 		if err != nil {
 			t.Errorf("seed %d (th=%d level=%s): %v", seed, th, lv, err)
 			continue
@@ -113,7 +113,7 @@ func TestPropertyCrashRecoveryMultiThread(t *testing.T) {
 		opts := compile.OptionsForLevel(compile.LevelLICM, th)
 		cfg := testConfig()
 		cfg.Threshold = th
-		if _, err := ValidateProgramAudited(p, opts, cfg, 10); err != nil {
+		if _, err := ValidateProgram(p, opts, cfg, 10); err != nil {
 			t.Errorf("seed %d (th=%d): %v", seed, th, err)
 		}
 	}
@@ -137,7 +137,9 @@ func TestSweepReportsActivity(t *testing.T) {
 	}
 }
 
-func TestCrashOnceNilWhenFinished(t *testing.T) {
+// TestRunVacuousWhenFinished: a crash point past the end of the program is
+// a vacuous run, and the finished run is still checked against golden.
+func TestRunVacuousWhenFinished(t *testing.T) {
 	p := progen.Generate(1, progen.DefaultConfig())
 	res, err := compile.Compile(p, compile.DefaultOptions())
 	if err != nil {
@@ -148,12 +150,16 @@ func TestCrashOnceNilWhenFinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := CrashOnce(res.Program, cfg, g, g.Instret+1000)
-	if err != nil {
-		t.Fatal(err)
+	o := Run(res.Program, cfg, g, g.Instret+1000, Faults{})
+	if o.Err != nil {
+		t.Fatal(o.Err)
 	}
-	if rep != nil {
-		t.Error("crash beyond program end should report nil")
+	if !o.Vacuous || o.Crashed || o.Report != nil {
+		t.Errorf("crash beyond program end: vacuous %v, crashed %v, report %v", o.Vacuous, o.Crashed, o.Report)
+	}
+	g.Outputs[0] = append(g.Outputs[0], 1)
+	if o := Run(res.Program, cfg, g, g.Instret+1000, Faults{}); o.Err == nil {
+		t.Error("vacuous run not checked against golden")
 	}
 }
 
@@ -238,16 +244,16 @@ func TestPropertyCrashRecoveryBarriers(t *testing.T) {
 		cfg := testConfig()
 		cfg.Cores = 3
 		cfg.Threshold = 32
-		if _, err := ValidateProgramAudited(p, opts, cfg, 10); err != nil {
+		if _, err := ValidateProgram(p, opts, cfg, 10); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-// TestCrashOnceAuditedReportsEvents pins the audited single-crash API: the
-// returned auditor must have observed a non-trivial event stream and hold no
-// violations for an unmutated run.
-func TestCrashOnceAuditedReportsEvents(t *testing.T) {
+// TestRunAuditsEveryRun: every crashed run carries the auditor, which must
+// have observed a non-trivial event stream and hold no violations for an
+// unmutated run.
+func TestRunAuditsEveryRun(t *testing.T) {
 	p := progen.Generate(42, progen.DefaultConfig())
 	opts := compile.DefaultOptions()
 	opts.Threshold = 16
@@ -261,25 +267,25 @@ func TestCrashOnceAuditedReportsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, aud, err := CrashOnceAudited(res.Program, cfg, g, g.Instret/2)
-	if err != nil {
-		t.Fatal(err)
+	o := Run(res.Program, cfg, g, g.Instret/2, Faults{})
+	if o.Err != nil {
+		t.Fatal(o.Err)
 	}
-	if rep == nil {
+	if !o.Crashed || o.Report == nil {
 		t.Fatal("crash point not reached")
 	}
-	if aud == nil || aud.EventsAudited() == 0 {
+	if o.Auditor == nil || o.EventsAudited == 0 || o.EventsAudited != o.Auditor.EventsAudited() {
 		t.Fatal("auditor observed no events")
 	}
-	if aud.ViolationCount() != 0 {
-		t.Fatalf("unmutated run flagged: %v", aud.Err())
+	if o.Auditor.ViolationCount() != 0 {
+		t.Fatalf("unmutated run flagged: %v", o.Auditor.Err())
 	}
 }
 
-// TestCrashOnceComparesWholeImage: the recovered run must reproduce the
-// golden memory image exactly — a word the golden run never wrote is a
-// divergence too, not only a golden word with the wrong value.
-func TestCrashOnceComparesWholeImage(t *testing.T) {
+// TestRunComparesWholeImage: the recovered run must reproduce the golden
+// memory image exactly — a word the golden run never wrote is a divergence
+// too, not only a golden word with the wrong value.
+func TestRunComparesWholeImage(t *testing.T) {
 	p := progen.Generate(42, progen.DefaultConfig())
 	res, err := compile.Compile(p, compile.DefaultOptions())
 	if err != nil {
@@ -290,15 +296,15 @@ func TestCrashOnceComparesWholeImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := CrashOnce(res.Program, cfg, g, g.Instret/2); err != nil || rep == nil {
-		t.Fatalf("unmodified golden: report %v, err %v", rep, err)
+	if o := Run(res.Program, cfg, g, g.Instret/2, Faults{}); o.Err != nil || o.Report == nil {
+		t.Fatalf("unmodified golden: report %v, err %v", o.Report, o.Err)
 	}
 	var hi uint64
 	for a := range g.Mem {
 		hi = max(hi, a)
 	}
 	delete(g.Mem, hi)
-	_, err = CrashOnce(res.Program, cfg, g, g.Instret/2)
+	err = Run(res.Program, cfg, g, g.Instret/2, Faults{}).Err
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("mem[%#x]", hi)) {
 		t.Fatalf("recovered word absent from golden not reported at %#x: %v", hi, err)
 	}
