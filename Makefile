@@ -33,10 +33,12 @@ lint:
 # shared compile cache, sweep/resultstore the parallel fleet and its store),
 # the full verifier matrix (semantic region verifier after every pass for
 # every benchmark x level x threshold) with the compiler's allocation pins
-# (zero-allocation fingerprints, the ocean compile budget, constant-cost
-# liveness), the dispatch-equivalence suite, the memory store's fuzz-corpus
-# replay against its map model with the store's zero-allocation pin, the
-# documentation-freshness check — which includes
+# (zero-allocation fingerprints, the ocean compile budget, and CFGs, loop
+# forests and liveness carved from a warm analysis arena at under one
+# allocation each) and the arena's lifetime test (no carved result is
+# overwritten by later carves or appends), the dispatch-equivalence suite,
+# the memory store's fuzz-corpus replay against its map model with the
+# store's zero-allocation pin, the documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
 # byte-identical to sequential, and a warm-store rerun counter-asserted at
 # zero simulations — and a perf-harness smoke run (catches BENCH_sim.json
@@ -49,7 +51,7 @@ lint:
 check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/resultstore ./internal/fault ./internal/telemetry
-	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestLivenessAllocsConstant' ./internal/compile ./internal/analysis
+	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills' ./internal/compile ./internal/analysis
 	$(GO) test -run 'DispatchEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree' ./internal/mem
 	$(MAKE) telemetry-smoke

@@ -58,6 +58,9 @@ func main() {
 		hbEvery  = flag.Duration("heartbeat-interval", time.Second, "heartbeat sampling interval (with -heartbeat-out)")
 	)
 	flag.Parse()
+	if *scale < 1 {
+		check(fmt.Errorf("-scale must be >= 1, got %d", *scale))
+	}
 
 	bus, err := telemetry.Start(telemetry.Options{
 		Listen:        *listen,

@@ -38,6 +38,9 @@ func main() {
 		statsJSON   = flag.Bool("stats-json", false, "emit compile statistics as JSON (schema capri/compile-stats/v1) instead of the text report")
 	)
 	flag.Parse()
+	if *scale < 1 {
+		fatal(fmt.Errorf("-scale must be >= 1, got %d", *scale))
+	}
 
 	if *list {
 		for _, b := range append(workload.All(), workload.Micros()...) {

@@ -66,11 +66,11 @@ func loopFunc(t *testing.T) *prog.Func {
 
 func TestCFGEdges(t *testing.T) {
 	f := diamond(t)
-	c := BuildCFG(f)
-	if got := c.Succ[0]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	c := BuildCFG(new(Arena), f)
+	if got := c.Succ(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("succ(b0) = %v", got)
 	}
-	if got := c.Pred[3]; len(got) != 2 {
+	if got := c.Pred(3); len(got) != 2 {
 		t.Errorf("pred(b3) = %v", got)
 	}
 	if len(c.RPO) != 4 || c.RPO[0] != 0 {
@@ -86,7 +86,7 @@ func TestRPOUnreachable(t *testing.T) {
 	// Add an unreachable block.
 	b := f.NewBlock()
 	b.Insts = append(b.Insts, isa.Inst{Op: isa.OpHalt})
-	c := BuildCFG(f)
+	c := BuildCFG(new(Arena), f)
 	if c.Reachable(b.ID) {
 		t.Error("orphan block should be unreachable")
 	}
@@ -97,7 +97,7 @@ func TestRPOUnreachable(t *testing.T) {
 
 func TestDominatorsDiamond(t *testing.T) {
 	f := diamond(t)
-	c := BuildCFG(f)
+	c := BuildCFG(new(Arena), f)
 	idom := c.Dominators()
 	if idom[0] != 0 {
 		t.Errorf("idom(entry) = %d", idom[0])
@@ -118,7 +118,7 @@ func TestDominatorsDiamond(t *testing.T) {
 
 func TestLoopsDetection(t *testing.T) {
 	f := loopFunc(t)
-	c := BuildCFG(f)
+	c := BuildCFG(new(Arena), f)
 	loops := c.Loops()
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(loops))
@@ -170,7 +170,7 @@ func TestNestedLoops(t *testing.T) {
 	f.Halt()
 	bd.Program()
 
-	c := BuildCFG(f.Raw())
+	c := BuildCFG(new(Arena), f.Raw())
 	loops := c.Loops()
 	if len(loops) != 2 {
 		t.Fatalf("loops = %d, want 2", len(loops))
@@ -236,7 +236,7 @@ func TestRegSetProperties(t *testing.T) {
 
 func TestLivenessLoop(t *testing.T) {
 	f := loopFunc(t)
-	c := BuildCFG(f)
+	c := BuildCFG(new(Arena), f)
 	lv := ComputeLiveness(c)
 
 	// r0 (induction) and r1 (bound) are live into the header.
@@ -255,7 +255,7 @@ func TestLivenessLoop(t *testing.T) {
 
 func TestLivenessDiamond(t *testing.T) {
 	f := diamond(t)
-	c := BuildCFG(f)
+	c := BuildCFG(new(Arena), f)
 	lv := ComputeLiveness(c)
 	// r3 is live into the join (emitted there).
 	if !lv.LiveIn[3].Has(3) {
@@ -278,7 +278,7 @@ func TestLivenessRetIsAllLive(t *testing.T) {
 	f.MovI(0, 1)
 	f.Ret()
 	bd.Program()
-	c := BuildCFG(f.Raw())
+	c := BuildCFG(new(Arena), f.Raw())
 	lv := ComputeLiveness(c)
 	// Conservative contract: everything live at Ret except what the block
 	// itself defines... LiveOut includes all regs.
@@ -289,7 +289,7 @@ func TestLivenessRetIsAllLive(t *testing.T) {
 
 func TestLiveAt(t *testing.T) {
 	f := diamond(t)
-	c := BuildCFG(f)
+	c := BuildCFG(new(Arena), f)
 	lv := ComputeLiveness(c)
 	// In b2 ("add r3, r1, r2; br"), before the add r1 and r2 are live and r3
 	// is not.
@@ -313,7 +313,7 @@ func TestLivenessFixpointProperty(t *testing.T) {
 	// at Ret blocks).
 	for _, mk := range []func(*testing.T) *prog.Func{diamond, loopFunc} {
 		f := mk(t)
-		c := BuildCFG(f)
+		c := BuildCFG(new(Arena), f)
 		lv := ComputeLiveness(c)
 		for _, b := range c.RPO {
 			wantIn := lv.Use[b] | (lv.LiveOut[b] &^ lv.Def[b])
@@ -324,7 +324,7 @@ func TestLivenessFixpointProperty(t *testing.T) {
 			if tm, ok := f.Blocks[b].Terminator(); ok && tm.Op == isa.OpRet {
 				wantOut = RegSet(1<<isa.NumRegs - 1)
 			}
-			for _, s := range c.Succ[b] {
+			for _, s := range c.Succ(b) {
 				wantOut = wantOut.Union(lv.LiveIn[s])
 			}
 			if lv.LiveOut[b] != wantOut {

@@ -4,25 +4,10 @@ import "math/bits"
 
 // BlockSet is a set of one function's block IDs, stored as a bitmap indexed
 // by block ID. The analyses use it wherever they need a block set (loop
-// bodies, region bodies, loop headers, mandatory boundaries): a set costs one
-// allocation however many members it has, and Next visits the members in
+// bodies, loop headers, mandatory boundaries): its words are
+// carved from an Arena (Arena.NewBlockSet), and Next visits the members in
 // ascending ID order, so a pass that ranges over a set is deterministic.
 type BlockSet struct{ words []uint64 }
-
-// NewBlockSet returns an empty set able to hold block IDs below n.
-func NewBlockSet(n int) BlockSet { return BlockSet{make([]uint64, (n+63)/64)} }
-
-// NewBlockSets returns k empty sets over block IDs below n, all carved from
-// one backing array.
-func NewBlockSets(k, n int) []BlockSet {
-	w := (n + 63) / 64
-	slab := make([]uint64, k*w)
-	sets := make([]BlockSet, k)
-	for i := range sets {
-		sets[i] = BlockSet{slab[i*w : (i+1)*w : (i+1)*w]}
-	}
-	return sets
-}
 
 // Add inserts block id, which must be below the n the set was made for.
 func (s BlockSet) Add(id int) { s.words[id>>6] |= 1 << (id & 63) }

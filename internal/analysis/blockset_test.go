@@ -17,7 +17,7 @@ func members(s BlockSet) []int {
 }
 
 func TestBlockSetAscendingIteration(t *testing.T) {
-	s := NewBlockSet(200)
+	s := new(Arena).NewBlockSet(200)
 	want := []int{0, 3, 63, 64, 65, 127, 128, 199}
 	for i := len(want) - 1; i >= 0; i-- {
 		s.Add(want[i])
@@ -41,7 +41,8 @@ func TestBlockSetAscendingIteration(t *testing.T) {
 }
 
 func TestNewBlockSetsAreIndependent(t *testing.T) {
-	sets := NewBlockSets(3, 70)
+	var a Arena
+	sets := []BlockSet{a.NewBlockSet(70), a.NewBlockSet(70), a.NewBlockSet(70)}
 	sets[1].Add(69)
 	sets[0].Add(0)
 	if sets[0].Has(69) || sets[2].Has(69) || !sets[1].Has(69) || sets[1].Has(0) {
@@ -98,44 +99,43 @@ func loopChain(k, pad int) *prog.Func {
 	return f.Raw()
 }
 
-// TestBuildCFGAllocsConstant pins the flat CFG layout: building the CFG of
-// an 8-block and of a 256-block function costs the same allocations.
+// TestBuildCFGAllocsConstant pins the CFG's arena layout: on a warm arena,
+// building the CFG of an 8-block or a 256-block function costs less than one
+// allocation, amortized over the builds.
 func TestBuildCFGAllocsConstant(t *testing.T) {
-	small, large := ladder(8), ladder(256)
-	a := testing.AllocsPerRun(20, func() { BuildCFG(small) })
-	b := testing.AllocsPerRun(20, func() { BuildCFG(large) })
-	if a != b {
-		t.Errorf("BuildCFG allocs: 8 blocks %.0f, 256 blocks %.0f; want equal", a, b)
+	for _, n := range []int{8, 256} {
+		f := ladder(n)
+		var a Arena
+		if got := testing.AllocsPerRun(100, func() { BuildCFG(&a, f) }); got >= 1 {
+			t.Errorf("BuildCFG of %d blocks: %.0f allocs per build on a warm arena, want < 1", n, got)
+		}
 	}
-	c := BuildCFG(large)
+	c := BuildCFG(new(Arena), ladder(256))
 	if len(c.RPO) != 256 || c.RPO[0] != 0 || c.RPO[255] != 255 {
 		t.Errorf("ladder RPO = %v", c.RPO)
 	}
-	// The edge lists are capped windows of one array: appending to one
+	// The edge lists are capped windows of one carve: appending to one
 	// must not overwrite its neighbour.
-	_ = append(c.Succ[0], -1)
-	_ = append(c.Pred[2], -1)
-	if c.Succ[1][0] != 2 || c.Pred[3][0] != 1 {
-		t.Errorf("edge list append clobbered a neighbour: succ(b1)=%v pred(b3)=%v", c.Succ[1], c.Pred[3])
+	_ = append(c.Succ(0), -1)
+	_ = append(c.Pred(2), -1)
+	if c.Succ(1)[0] != 2 || c.Pred(3)[0] != 1 {
+		t.Errorf("edge list append clobbered a neighbour: succ(b1)=%v pred(b3)=%v", c.Succ(1), c.Pred(3))
 	}
 }
 
-// TestLoopsAllocsPerLoop pins that Loops allocates in proportion to the
-// number of loops: padding the function with straight-line blocks changes
-// nothing.
+// TestLoopsAllocsPerLoop pins that a loop forest is carved: on a warm arena,
+// Loops costs less than one allocation per call, amortized, with one loop or
+// four, and with 4 or 250 straight-line blocks of padding.
 func TestLoopsAllocsPerLoop(t *testing.T) {
 	for _, k := range []int{1, 4} {
-		short, long := BuildCFG(loopChain(k, 4)), BuildCFG(loopChain(k, 250))
-		if n := len(long.Loops()); n != k {
-			t.Fatalf("loops = %d, want %d", n, k)
-		}
-		a := testing.AllocsPerRun(20, func() { short.Loops() })
-		b := testing.AllocsPerRun(20, func() { long.Loops() })
-		if a != b {
-			t.Errorf("%d loops: Loops allocs %.0f with 4 pad blocks, %.0f with 250", k, a, b)
-		}
-		if limit := float64(4 + 4*k); b > limit {
-			t.Errorf("%d loops: Loops allocs %.0f > %.0f", k, b, limit)
+		for _, pad := range []int{4, 250} {
+			c := BuildCFG(new(Arena), loopChain(k, pad))
+			if n := len(c.Loops()); n != k {
+				t.Fatalf("loops = %d, want %d", n, k)
+			}
+			if got := testing.AllocsPerRun(100, func() { c.Loops() }); got >= 1 {
+				t.Errorf("%d loops, %d pad blocks: %.0f Loops allocs per call on a warm arena, want < 1", k, pad, got)
+			}
 		}
 	}
 }
@@ -164,23 +164,24 @@ func callLadder(n int) *prog.Func {
 	return main.Raw()
 }
 
-// TestLivenessAllocsConstant pins the liveness layout: the four per-block set
-// arrays share one allocation, and call-aware transfer functions expand the
-// callee summary without allocating, so an 8-block and a 256-block function
-// cost the same two allocations (the sets and the Liveness).
+// TestLivenessAllocsConstant pins the liveness layout: the result and its
+// four per-block set arrays are carved from the CFG's arena, and call-aware
+// transfer functions expand the callee summary without allocating, so on a
+// warm arena an 8-block and a 256-block function both cost less than one
+// allocation per computation, amortized.
 func TestLivenessAllocsConstant(t *testing.T) {
 	callUse := func(int32) RegSet { return AllRegs }
 	for name, mk := range map[string]func(int) *prog.Func{"ladder": ladder, "callLadder": callLadder} {
-		small, large := BuildCFG(mk(8)), BuildCFG(mk(256))
-		a := testing.AllocsPerRun(20, func() { ComputeLivenessWithRet(small, callUse, AllRegs) })
-		b := testing.AllocsPerRun(20, func() { ComputeLivenessWithRet(large, callUse, AllRegs) })
-		if a != 2 || b != 2 {
-			t.Errorf("%s: liveness allocs: 8 blocks %.0f, 256 blocks %.0f; want 2", name, a, b)
+		for _, n := range []int{8, 256} {
+			c := BuildCFG(new(Arena), mk(n))
+			if got := testing.AllocsPerRun(100, func() { ComputeLivenessWithRet(c, callUse, AllRegs) }); got >= 1 {
+				t.Errorf("%s: liveness of %d blocks: %.0f allocs per computation on a warm arena, want < 1", name, n, got)
+			}
 		}
 	}
 	// The set arrays are capped windows: appending to one must not
 	// overwrite the next.
-	lv := ComputeLiveness(BuildCFG(callLadder(4)))
+	lv := ComputeLiveness(BuildCFG(new(Arena), callLadder(4)))
 	out := lv.LiveOut[0]
 	_ = append(lv.LiveIn, 0)
 	if lv.LiveOut[0] != out {

@@ -10,75 +10,101 @@ import (
 	"capri/internal/prog"
 )
 
-// CFG caches successor and predecessor edges for a function.
+// CFG caches successor and predecessor edges for a function. It records the
+// Arena it was built in: its dominators, loops and liveness are carved from
+// the same one.
 type CFG struct {
 	F     *prog.Func
-	Succ  [][]int
-	Pred  [][]int
 	RPO   []int // reverse postorder of reachable blocks, entry first
 	InRPO []int // block ID -> position in RPO, -1 if unreachable
+	// edges holds every block's successors, then every block's
+	// predecessors: Succ(b) is edges[succAt[b]:succAt[b+1]] and Pred(b)
+	// edges[predAt[b]:predAt[b+1]].
+	edges, succAt, predAt []int
+	a                     *Arena
 }
 
-// BuildCFG computes edges and reverse postorder for f in a constant number of
-// allocations, whatever the function's size: every Succ and Pred list is a
-// capped window of one shared int array, which also holds RPO, InRPO and the
-// DFS stack.
-func BuildCFG(f *prog.Func) *CFG {
+// Succ returns b's successors in terminator order. The list is a capped
+// window: appending to it copies instead of overwriting a neighbour.
+func (c *CFG) Succ(b int) []int {
+	lo, hi := c.succAt[b], c.succAt[b+1]
+	return c.edges[lo:hi:hi]
+}
+
+// Pred returns b's predecessors in ascending block order, as a capped
+// window like Succ's.
+func (c *CFG) Pred(b int) []int {
+	lo, hi := c.predAt[b], c.predAt[b+1]
+	return c.edges[lo:hi:hi]
+}
+
+// BuildCFG computes edges and reverse postorder for f in one int carve from
+// a, which holds the edge lists, their offsets, InRPO and RPO.
+func BuildCFG(a *Arena, f *prog.Func) *CFG {
 	n := len(f.Blocks)
 	var buf [2]int
 	ne := 0
 	for _, b := range f.Blocks {
 		ne += len(b.Succs(buf[:0]))
 	}
-	// ints: successor edges [0,ne), predecessor edges [ne,2ne), InRPO, RPO
-	// (filled back to front), then the DFS stack of (block, next) pairs.
-	ints := make([]int, 2*ne+4*n)
-	lists := make([][]int, 2*n)
-	succ, pred, nodes := ints[:ne], ints[ne:2*ne], ints[2*ne:]
-	c := &CFG{F: f, Succ: lists[:n:n], Pred: lists[n:], InRPO: nodes[:n:n]}
-	rpo, stack := nodes[n:2*n], nodes[2*n:]
+	// ints: successor edges [0,ne), predecessor edges [ne,2ne), succAt and
+	// predAt (n+1 each), InRPO, then RPO, filled back to front while the DFS
+	// stack grows at its front.
+	ints := a.ints.carve(2*ne + 4*n + 2)
+	at := ints[2*ne : 2*ne+2*n+2]
+	nodes := ints[2*ne+2*n+2:]
+	c := &a.cfgs.carve(1)[0]
+	*c = CFG{F: f, InRPO: nodes[:n:n], edges: ints[: 2*ne : 2*ne], succAt: at[: n+1 : n+1], predAt: at[n+1:], a: a}
+	order := nodes[n:]
 	off := 0
-	for _, b := range f.Blocks {
-		k := copy(succ[off:], b.Succs(buf[:0]))
-		c.Succ[b.ID] = succ[off : off+k : off+k]
-		off += k
-		for _, s := range c.Succ[b.ID] {
-			c.InRPO[s]++ // in-degree, until the DFS below
+	for id, b := range f.Blocks {
+		c.succAt[id] = off
+		off += copy(c.edges[off:], b.Succs(buf[:0]))
+	}
+	c.succAt[n] = ne
+	// predAt from in-degrees; InRPO is each list's fill cursor until the DFS
+	// below, so predecessors land in ascending block order.
+	for _, s := range c.edges[:ne] {
+		c.predAt[s+1]++
+	}
+	c.predAt[0] = ne
+	for id := range n {
+		c.predAt[id+1] += c.predAt[id]
+		c.InRPO[id] = c.predAt[id]
+	}
+	for id := range n {
+		for _, s := range c.Succ(id) {
+			c.edges[c.InRPO[s]] = id
+			c.InRPO[s]++
 		}
 	}
-	off = 0
-	for id, d := range c.InRPO {
-		c.Pred[id] = pred[off : off : off+d]
-		off += d
-	}
-	for _, b := range f.Blocks {
-		for _, s := range c.Succ[b.ID] {
-			c.Pred[s] = append(c.Pred[s], b.ID)
-		}
-	}
-	// Iterative postorder DFS from the entry; InRPO >= 0 marks visited.
+	// Iterative postorder DFS from the entry. InRPO[b] is -1 until b is
+	// visited, then the index of its next successor to explore. The stack
+	// order[:sp] and the finished blocks order[pos:] never hold a block
+	// twice, so they fit in one array: a popped block lands at or above its
+	// own stack slot.
 	for i := range c.InRPO {
 		c.InRPO[i] = -1
 	}
-	pos, sp := n, 2
-	stack[0], stack[1] = f.Entry, 0
+	pos, sp := n, 1
+	order[0] = f.Entry
 	c.InRPO[f.Entry] = 0
 	for sp > 0 {
-		b, next := stack[sp-2], stack[sp-1]
-		if next < len(c.Succ[b]) {
-			stack[sp-1]++
-			if s := c.Succ[b][next]; c.InRPO[s] < 0 {
+		b := order[sp-1]
+		if next := c.InRPO[b]; next < c.succAt[b+1]-c.succAt[b] {
+			c.InRPO[b]++
+			if s := c.edges[c.succAt[b]+next]; c.InRPO[s] < 0 {
 				c.InRPO[s] = 0
-				stack[sp], stack[sp+1] = s, 0
-				sp += 2
+				order[sp] = s
+				sp++
 			}
 			continue
 		}
+		sp--
 		pos--
-		rpo[pos] = b
-		sp -= 2
+		order[pos] = b
 	}
-	c.RPO = rpo[pos:n:n]
+	c.RPO = order[pos:n:n]
 	for i, b := range c.RPO {
 		c.InRPO[b] = i
 	}
@@ -92,8 +118,7 @@ func (c *CFG) Reachable(b int) bool { return c.InRPO[b] >= 0 }
 // Cooper-Harvey-Kennedy iterative algorithm. idom[entry] == entry;
 // unreachable blocks get -1.
 func (c *CFG) Dominators() []int {
-	n := len(c.F.Blocks)
-	idom := make([]int, n)
+	idom := c.a.ints.carve(len(c.F.Blocks))
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -120,7 +145,7 @@ func (c *CFG) Dominators() []int {
 				continue
 			}
 			newIdom := -1
-			for _, p := range c.Pred[b] {
+			for _, p := range c.Pred(b) {
 				if idom[p] == -1 {
 					continue
 				}
@@ -174,29 +199,44 @@ type LoopExit struct {
 // Loops finds all natural loops (back edges to a dominator). Loops with the
 // same header are merged, matching LLVM's notion of a loop. The returned
 // slice is ordered outermost-first for nesting purposes; Parent links record
-// the nesting. Allocations grow with the number of loops, not of blocks.
+// the nesting. Everything is carved from the CFG's Arena: the loops, their
+// bodies and, counted first, their latches and exits.
 func (c *CFG) Loops() []Loop {
 	idom := c.Dominators()
 	n := len(c.F.Blocks)
-	// loopOf maps a header to its loop's index (-1 elsewhere); work is the
-	// body walk's stack, which never holds a block twice.
-	slab := make([]int, 2*n)
-	loopOf, work := slab[:n], slab[n:n]
+	// loopOf maps a header to its loop's index (-1 elsewhere) and latches
+	// counts its back edges; work is the body walk's stack, which never
+	// holds a block twice.
+	scratch := c.a.ints.carve(3 * n)
+	loopOf, latches, work := scratch[:n], scratch[n:2*n], scratch[2*n:2*n]
 	for i := range loopOf {
 		loopOf[i] = -1
 	}
-	var loops []Loop
+	k := 0
 	for _, b := range c.RPO {
-		for _, s := range c.Succ[b] {
+		for _, s := range c.Succ(b) {
+			if c.backEdge(idom, b, s) {
+				if loopOf[s] < 0 {
+					loopOf[s] = k
+					k++
+				}
+				latches[s]++
+			}
+		}
+	}
+	loops := c.a.loops.carve(k)
+	for h, li := range loopOf {
+		if li >= 0 {
+			loops[li] = Loop{Header: h, Latches: c.a.ints.carve(latches[h])[:0], Blocks: c.a.NewBlockSet(n), Parent: -1}
+			loops[li].Blocks.Add(h)
+		}
+	}
+	for _, b := range c.RPO {
+		for _, s := range c.Succ(b) {
 			if !c.backEdge(idom, b, s) {
 				continue
 			}
 			// b -> s is a back edge; s is the header.
-			if loopOf[s] < 0 {
-				loopOf[s] = len(loops)
-				loops = append(loops, Loop{Header: s, Blocks: NewBlockSet(n), Parent: -1})
-				loops[len(loops)-1].Blocks.Add(s)
-			}
 			l := &loops[loopOf[s]]
 			l.Latches = append(l.Latches, b)
 			// Collect the loop body: reverse reachability from the latch to
@@ -208,7 +248,7 @@ func (c *CFG) Loops() []Loop {
 			for len(work) > 0 {
 				x := work[len(work)-1]
 				work = work[:len(work)-1]
-				for _, p := range c.Pred[x] {
+				for _, p := range c.Pred(x) {
 					if c.Reachable(p) && !l.Blocks.Has(p) {
 						l.Blocks.Add(p)
 						work = append(work, p)
@@ -220,8 +260,17 @@ func (c *CFG) Loops() []Loop {
 
 	for i := range loops {
 		l := &loops[i]
+		ne := 0
 		for b := l.Blocks.Next(0); b >= 0; b = l.Blocks.Next(b + 1) {
-			for _, s := range c.Succ[b] {
+			for _, s := range c.Succ(b) {
+				if !l.Blocks.Has(s) {
+					ne++
+				}
+			}
+		}
+		l.Exits = c.a.exits.carve(ne)[:0]
+		for b := l.Blocks.Next(0); b >= 0; b = l.Blocks.Next(b + 1) {
+			for _, s := range c.Succ(b) {
 				if !l.Blocks.Has(s) {
 					l.Exits = append(l.Exits, LoopExit{From: b, To: s})
 				}
@@ -258,9 +307,9 @@ func (c *CFG) Loops() []Loop {
 // edges, without building the loop bodies.
 func (c *CFG) LoopHeaders() BlockSet {
 	idom := c.Dominators()
-	hs := NewBlockSet(len(c.F.Blocks))
+	hs := c.a.NewBlockSet(len(c.F.Blocks))
 	for _, b := range c.RPO {
-		for _, s := range c.Succ[b] {
+		for _, s := range c.Succ(b) {
 			if c.backEdge(idom, b, s) {
 				hs.Add(s)
 			}

@@ -107,11 +107,13 @@ func ComputeLivenessCallAware(c *CFG, callUse func(callee int32) RegSet) *Livene
 // callUse), or in a caller's continuation (via retLive) — rather than "not
 // provably dead before an all-registers return".
 //
-// The four per-block set arrays are capped windows of one allocation.
+// The result and its four per-block set arrays, capped windows of one carve,
+// come from the CFG's Arena.
 func ComputeLivenessWithRet(c *CFG, callUse func(callee int32) RegSet, retLive RegSet) *Liveness {
 	n := len(c.F.Blocks)
-	sets := make([]RegSet, 4*n)
-	lv := &Liveness{
+	sets := c.a.regs.carve(4 * n)
+	lv := &c.a.lives.carve(1)[0]
+	*lv = Liveness{
 		LiveIn:  sets[:n:n],
 		LiveOut: sets[n : 2*n : 2*n],
 		Use:     sets[2*n : 3*n : 3*n],
@@ -150,7 +152,7 @@ func ComputeLivenessWithRet(c *CFG, callUse func(callee int32) RegSet, retLive R
 			if t, ok := blk.Terminator(); ok && t.Op == isa.OpRet {
 				out = retLive
 			}
-			for _, s := range c.Succ[b] {
+			for _, s := range c.Succ(b) {
 				out = out.Union(lv.LiveIn[s])
 			}
 			in := lv.Use[b] | (out &^ lv.Def[b])

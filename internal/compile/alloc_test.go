@@ -39,9 +39,9 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 }
 
 // maxOceanCompileAllocs is the allocation budget of one ocean +licm@256
-// compile: 1,510 measured with per-function block and instruction slabs and
-// one loop forest per unroll, plus 5%.
-const maxOceanCompileAllocs = 1585
+// compile: 338 measured with every analysis carved from one arena per
+// compile, plus 5%.
+const maxOceanCompileAllocs = 354
 
 // TestCompileAllocsBounded pins the compiler's allocation budget on its
 // largest Fig. 8 input.

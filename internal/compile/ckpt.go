@@ -41,63 +41,74 @@ type ckptContext struct {
 	retNeed []analysis.RegSet
 }
 
-func newCkptContext(p *prog.Program) *ckptContext {
-	cc := &ckptContext{p: p}
-	cc.cfgs = make([]*analysis.CFG, len(p.Funcs))
-	cc.live = make([]*analysis.Liveness, len(p.Funcs))
-	for i, f := range p.Funcs {
-		cc.cfgs[i] = analysis.BuildCFG(f)
-		cc.live[i] = analysis.ComputeLiveness(cc.cfgs[i])
+// newCkptContext builds the per-function CFGs, liveness and summaries, all
+// carved from a.
+func newCkptContext(a *analysis.Arena, p *prog.Program) *ckptContext {
+	cc := &ckptContext{p: p, cfgs: buildCFGs(a, p), live: a.Livenesses(len(p.Funcs))}
+	for i, cfg := range cc.cfgs {
+		cc.live[i] = analysis.ComputeLiveness(cfg)
 	}
-	cc.computeMayRead()
-	cc.computeRetNeed()
+	cc.mayRead = mayReadSummary(a, p)
+	cc.computeRetNeed(a)
 	return cc
 }
 
-// computeMayRead computes the transitive may-read register summary per
+// mayReadSummary computes the transitive may-read register summary per
 // function (fixpoint over the call graph; handles recursion).
-func (cc *ckptContext) computeMayRead() {
-	p := cc.p
-	cc.mayRead = make([]analysis.RegSet, len(p.Funcs))
-	calls := make([][]int, len(p.Funcs))
-	var uses []isa.Reg
+func mayReadSummary(a *analysis.Arena, p *prog.Program) []analysis.RegSet {
+	mayRead := a.RegSets(len(p.Funcs))
+	// The call graph, flattened: function i calls callees[at[i]:at[i+1]].
+	at := a.Ints(len(p.Funcs) + 1)
+	var ops [3]isa.Reg
 	for i, f := range p.Funcs {
 		var s analysis.RegSet
+		calls := 0
 		for _, b := range f.Blocks {
 			for j := range b.Insts {
 				in := &b.Insts[j]
-				uses = in.Uses(uses[:0])
-				for _, r := range uses {
+				for _, r := range in.Uses(ops[:0]) {
 					s.Add(r)
 				}
 				if in.Op == isa.OpCall {
-					calls[i] = append(calls[i], int(in.Callee))
+					calls++
 				}
 			}
 		}
-		cc.mayRead[i] = s
+		mayRead[i] = s
+		at[i+1] = at[i] + calls
+	}
+	callees := a.Ints(at[len(p.Funcs)])[:0]
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			for j := range b.Insts {
+				if b.Insts[j].Op == isa.OpCall {
+					callees = append(callees, int(b.Insts[j].Callee))
+				}
+			}
+		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for i := range p.Funcs {
-			s := cc.mayRead[i]
-			for _, c := range calls[i] {
-				s = s.Union(cc.mayRead[c])
+			s := mayRead[i]
+			for _, c := range callees[at[i]:at[i+1]] {
+				s = s.Union(mayRead[c])
 			}
-			if s != cc.mayRead[i] {
-				cc.mayRead[i] = s
+			if s != mayRead[i] {
+				mayRead[i] = s
 				changed = true
 			}
 		}
 	}
+	return mayRead
 }
 
 // computeRetNeed computes, for every function, the union over its call sites
 // of registers live at the return site — what callers will read after the
 // callee returns. Unreferenced functions (thread entries) get the empty set.
-func (cc *ckptContext) computeRetNeed() {
+func (cc *ckptContext) computeRetNeed(a *analysis.Arena) {
 	p := cc.p
-	cc.retNeed = make([]analysis.RegSet, len(p.Funcs))
+	cc.retNeed = a.RegSets(len(p.Funcs))
 	for changed := true; changed; {
 		changed = false
 		for fi, f := range p.Funcs {
@@ -138,13 +149,13 @@ func (cc *ckptContext) callNeed(callerFunc int, callee int, site prog.RetSite) a
 
 // insertCheckpoints runs the need analysis over f and inserts OpCkpt
 // instructions. Returns the number of checkpoint stores inserted.
-func insertCheckpoints(p *prog.Program, fi int, cc *ckptContext) int {
+func insertCheckpoints(a *analysis.Arena, p *prog.Program, fi int, cc *ckptContext) int {
 	f := p.Funcs[fi]
 	cfg := cc.cfgs[fi]
 	lv := cc.live[fi]
 
-	needIn := make([]analysis.RegSet, len(f.Blocks))
-	needOut := make([]analysis.RegSet, len(f.Blocks))
+	sets := a.RegSets(2 * len(f.Blocks))
+	needIn, needOut := sets[:len(f.Blocks)], sets[len(f.Blocks):]
 
 	// walk runs the need transfer backward through b from out and returns
 	// the need at b's start (before the boundary term). Each def of a needed
@@ -175,7 +186,7 @@ func insertCheckpoints(p *prog.Program, fi int, cc *ckptContext) int {
 			if t, ok := b.Terminator(); ok && t.Op == isa.OpRet {
 				out = cc.retNeed[fi]
 			}
-			for _, s := range cfg.Succ[id] {
+			for _, s := range cfg.Succ(id) {
 				out = out.Union(needIn[s])
 			}
 			in := walk(b, out, nil)
@@ -223,7 +234,7 @@ func insertCheckpoints(p *prog.Program, fi int, cc *ckptContext) int {
 // formation, before real checkpoints exist: the number of registers the block
 // defines that are live out of it. This over-approximates the final count the
 // same way the paper's per-initial-region estimate does.
-func ckptEstimate(cfg *analysis.CFG, lv *analysis.Liveness) func(*prog.Block) int {
+func ckptEstimate(lv *analysis.Liveness) func(*prog.Block) int {
 	return func(b *prog.Block) int {
 		if b.ID >= len(lv.Def) {
 			// Blocks created by splitting after the analysis ran: fall back

@@ -77,13 +77,58 @@ func TestCompileRejectsBadThreshold(t *testing.T) {
 	}
 }
 
+// Region is one compiler-formed region: a boundary block plus every block
+// reachable from it without crossing another boundary.
+type Region struct {
+	// Head is the boundary block that starts the region.
+	Head int
+	// Blocks is the region's block set (includes Head).
+	Blocks analysis.BlockSet
+	// MaxStores is the worst-case store-class count along any path through
+	// the region, counting actual instructions (checkpoints included).
+	MaxStores int
+}
+
+// regionsOf groups the function's blocks into regions given final boundary
+// flags. A non-boundary block reachable from multiple boundaries belongs to
+// every such region (regions may overlap across join points; the worst-case
+// store accounting covers all of them).
+func regionsOf(a *analysis.Arena, f *prog.Func) []Region {
+	cfg := analysis.BuildCFG(a, f)
+	down := regionWeights(a, cfg)
+	var regions []Region
+	work := a.Ints(len(f.Blocks))[:0]
+	for _, id := range cfg.RPO {
+		if !f.Blocks[id].BoundaryAt {
+			continue
+		}
+		r := Region{Head: id, Blocks: a.NewBlockSet(len(f.Blocks)), MaxStores: down[id]}
+		r.Blocks.Add(id)
+		// Forward walk without crossing other boundaries.
+		work = append(work, id)
+		for len(work) > 0 {
+			x := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, s := range cfg.Succ(x) {
+				if f.Blocks[s].BoundaryAt || r.Blocks.Has(s) {
+					continue
+				}
+				r.Blocks.Add(s)
+				work = append(work, s)
+			}
+		}
+		regions = append(regions, r)
+	}
+	return regions
+}
+
 // maxRegionStores computes the verified worst-case store count per region
 // over all functions.
 func maxRegionStores(t *testing.T, p *prog.Program) int {
 	t.Helper()
 	max := 0
 	for _, f := range p.Funcs {
-		for _, r := range regionsOf(f) {
+		for _, r := range regionsOf(new(analysis.Arena), f) {
 			if r.MaxStores > max {
 				max = r.MaxStores
 			}
@@ -140,7 +185,7 @@ func TestLoopHeaderIsBoundary(t *testing.T) {
 	opts.Unroll = false // keep the original loop shape
 	res := MustCompile(storeLoop(2), opts)
 	f := res.Program.Funcs[0]
-	cfg := analysis.BuildCFG(f)
+	cfg := analysis.BuildCFG(new(analysis.Arena), f)
 	found := false
 	hdrs := cfg.LoopHeaders()
 	for h := hdrs.Next(0); h >= 0; h = hdrs.Next(h + 1) {
@@ -197,7 +242,7 @@ func TestUnrollPreservesSemantics(t *testing.T) {
 	p := storeLoop(2)
 	res := MustCompile(p, OptionsForLevel(LevelUnroll, 256))
 	f := res.Program.Funcs[0]
-	cfg := analysis.BuildCFG(f)
+	cfg := analysis.BuildCFG(new(analysis.Arena), f)
 	loops := cfg.Loops()
 	if len(loops) != 1 {
 		t.Fatalf("loops after unroll = %d, want 1", len(loops))
@@ -453,7 +498,7 @@ func TestLICMHoistsInvariantPair(t *testing.T) {
 	}
 	// The multiply must now be outside the loop.
 	f := res.Program.FuncByName("main")
-	cfg := analysis.BuildCFG(f)
+	cfg := analysis.BuildCFG(new(analysis.Arena), f)
 	loops := cfg.Loops()
 	for _, l := range loops {
 		for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
@@ -484,9 +529,9 @@ func TestCheckpointLevelsMonotonicNVMWrites(t *testing.T) {
 func TestRegionsOfCoversAllBlocks(t *testing.T) {
 	res := MustCompile(storeLoop(3), DefaultOptions())
 	for _, f := range res.Program.Funcs {
-		cfg := analysis.BuildCFG(f)
+		cfg := analysis.BuildCFG(new(analysis.Arena), f)
 		covered := map[int]bool{}
-		for _, r := range regionsOf(f) {
+		for _, r := range regionsOf(new(analysis.Arena), f) {
 			for b := r.Blocks.Next(0); b >= 0; b = r.Blocks.Next(b + 1) {
 				covered[b] = true
 			}

@@ -37,10 +37,10 @@ import (
 // atomics) whose recovery needs a loop-invariant value: the checkpoint-need
 // analysis places the checkpoint next to the def inside the loop, and this
 // pass lifts the pair out.
-func licmCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
+func licmCheckpoints(a *analysis.Arena, f *prog.Func, callUse func(int32) analysis.RegSet) int {
 	moved := 0
 	for {
-		cfg := analysis.BuildCFG(f)
+		cfg := analysis.BuildCFG(a, f)
 		loops := cfg.Loops()
 		var lv *analysis.Liveness
 		did := false
@@ -69,7 +69,7 @@ func licmCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet) int {
 // if there is exactly one.
 func preheader(f *prog.Func, cfg *analysis.CFG, l *analysis.Loop) (int, bool) {
 	pre, n := -1, 0
-	for _, p := range cfg.Pred[l.Header] {
+	for _, p := range cfg.Pred(l.Header) {
 		if !l.Blocks.Has(p) {
 			pre = p
 			n++
@@ -123,8 +123,8 @@ func tryHoist(f *prog.Func, lv *analysis.Liveness, l *analysis.Loop, pre int) bo
 				continue
 			}
 			invariant := true
-			var uses []isa.Reg
-			for _, s := range def.Uses(uses) {
+			var ops [3]isa.Reg
+			for _, s := range def.Uses(ops[:0]) {
 				if defsInLoop[s] > 0 {
 					invariant = false
 					break

@@ -100,22 +100,27 @@ type passCtx struct {
 	p     *prog.Program
 	opts  Options
 	stats *Stats
+	// a backs every analysis the compile builds: CFGs, dominators, loop
+	// forests, liveness and the passes' per-function tables. It is never
+	// reset, so no result is overwritten; it dies with the compile.
+	a analysis.Arena
 	// round is the current iteration of the fixpoint group (0-based); the
 	// regions pass uses checkpoint estimates on round 0 only.
 	round int
-	// cc is the shared interprocedural summary context for prune and licm.
-	// Built lazily on first use after checkpoints are final; both passes must
-	// see the same may-read summaries (the historical single-context
-	// behavior), so it is not invalidated between them.
-	cc *ckptContext
+	// mayRead is the callee may-read summary prune and licm share. Built
+	// lazily on first use after checkpoints are final; both passes must see
+	// the same summaries, so it is not invalidated between them.
+	mayRead []analysis.RegSet
 }
 
-// ckptCtx returns the lazily built shared ckptContext.
-func (pc *passCtx) ckptCtx() *ckptContext {
-	if pc.cc == nil {
-		pc.cc = newCkptContext(pc.p)
+// callUse returns the shared callee may-read summary as a liveness call
+// hook, computing the summary on first use.
+func (pc *passCtx) callUse() func(callee int32) analysis.RegSet {
+	if pc.mayRead == nil {
+		pc.mayRead = mayReadSummary(&pc.a, pc.p)
 	}
-	return pc.cc
+	mayRead := pc.mayRead
+	return func(callee int32) analysis.RegSet { return mayRead[callee] }
 }
 
 // pass is one named pipeline stage: run mutates pc.p and returns its action
@@ -166,7 +171,7 @@ func newPipeline(opts Options) *pipeline {
 	}
 	if opts.Unroll && !opts.NaiveRegions {
 		add(false, pass{PassUnroll, phaseFront, func(pc *passCtx) (int, error) {
-			us := unrollLoops(pc.p, pc.opts)
+			us := unrollLoops(&pc.a, pc.p, pc.opts)
 			pc.stats.LoopsUnrolled = us.LoopsUnrolled
 			pc.stats.UnrollCopies = us.CopiesMade
 			return us.LoopsUnrolled, nil
@@ -175,25 +180,23 @@ func newPipeline(opts Options) *pipeline {
 
 	group := []pass{{PassRegions, phaseRegions, func(pc *passCtx) (int, error) {
 		for _, f := range pc.p.Funcs {
-			cfg := analysis.BuildCFG(f)
-			lv := analysis.ComputeLiveness(cfg)
-			est := ckptEstimate(cfg, lv)
-			if pc.round > 0 {
-				// Real checkpoints are in the instruction stream now; no
-				// estimate needed.
-				est = nil
+			// Real checkpoints are in the instruction stream after round 0;
+			// only the first round needs an estimate.
+			var est func(*prog.Block) int
+			if pc.round == 0 {
+				est = ckptEstimate(analysis.ComputeLiveness(analysis.BuildCFG(&pc.a, f)))
 			}
-			placeBoundaries(pc.p, f, pc.opts, est)
+			placeBoundaries(&pc.a, pc.p, f, pc.opts, est)
 		}
 		return boundaryCount(pc.p), nil
 	}}}
 	if opts.InsertCheckpoints {
 		group = append(group, pass{PassCkpt, phaseRegions, func(pc *passCtx) (int, error) {
 			stripCheckpoints(pc.p)
-			cc := newCkptContext(pc.p)
+			cc := newCkptContext(&pc.a, pc.p)
 			total := 0
 			for fi := range pc.p.Funcs {
-				total += insertCheckpoints(pc.p, fi, cc)
+				total += insertCheckpoints(&pc.a, pc.p, fi, cc)
 			}
 			pc.stats.CkptsInserted = total
 			return total, nil
@@ -203,12 +206,11 @@ func newPipeline(opts Options) *pipeline {
 
 	if opts.Prune && opts.InsertCheckpoints {
 		add(false, pass{PassPrune, phaseRegions, func(pc *passCtx) (int, error) {
-			cc := pc.ckptCtx()
-			callUse := func(callee int32) analysis.RegSet { return cc.mayRead[callee] }
+			callUse := pc.callUse()
 			var sc pruneScratch
 			n := 0
 			for _, f := range pc.p.Funcs {
-				n += pruneCheckpoints(f, callUse, &sc)
+				n += pruneCheckpoints(&pc.a, f, callUse, &sc)
 			}
 			pc.stats.CkptsPruned = n
 			return n, nil
@@ -216,11 +218,10 @@ func newPipeline(opts Options) *pipeline {
 	}
 	if opts.LICM && opts.InsertCheckpoints {
 		add(false, pass{PassLICM, phaseRegions, func(pc *passCtx) (int, error) {
-			cc := pc.ckptCtx()
-			callUse := func(callee int32) analysis.RegSet { return cc.mayRead[callee] }
+			callUse := pc.callUse()
 			n := 0
 			for _, f := range pc.p.Funcs {
-				n += licmCheckpoints(f, callUse)
+				n += licmCheckpoints(&pc.a, f, callUse)
 			}
 			pc.stats.CkptsHoisted = n
 			return n, nil
@@ -282,7 +283,7 @@ func (pl *pipeline) run(p *prog.Program, hooks Hooks, st *Stats) error {
 					return err
 				}
 			}
-			if err := checkThreshold(p, pl.opts.Threshold); err == nil {
+			if err := checkThreshold(&pc.a, buildCFGs(&pc.a, p), pl.opts.Threshold); err == nil {
 				break
 			} else if pc.round == maxRounds-1 {
 				return fmt.Errorf("compile: %w (after %d rounds)", err, maxRounds)
@@ -337,7 +338,7 @@ func (pl *pipeline) verifyAfter(pc *passCtx, ps pass, record func(string) *PassS
 	}
 	stat := record(ps.name)
 	start := time.Now()
-	err := Check(pc.p, contractFor(ps.phase, pl.opts))
+	err := check(&pc.a, pc.p, contractFor(ps.phase, pl.opts))
 	stat.VerifyNS += time.Since(start).Nanoseconds()
 	if err != nil {
 		return fmt.Errorf("compile: after %s: %w", ps.name, err)

@@ -99,7 +99,7 @@ func TestMandatoryBoundarySet(t *testing.T) {
 	p := storeLoop(2)
 	canonicalize(p)
 	f := p.Funcs[0]
-	cfg := analysis.BuildCFG(f)
+	cfg := analysis.BuildCFG(new(analysis.Arena), f)
 	mand := mandatoryBoundaries(p, f, cfg)
 	if !mand.Has(f.Entry) {
 		t.Error("entry not mandatory")
@@ -125,10 +125,11 @@ func TestVerifyThresholdRejectsOverflow(t *testing.T) {
 	fn := p.Funcs[0]
 	fn.Blocks[0].BoundaryAt = true
 
-	if err := checkThreshold(p, 4); err == nil {
+	a := new(analysis.Arena)
+	if err := checkThreshold(a, buildCFGs(a, p), 4); err == nil {
 		t.Error("threshold 4 accepted for a 10-store region")
 	}
-	if err := checkThreshold(p, 10); err != nil {
+	if err := checkThreshold(a, buildCFGs(a, p), 10); err != nil {
 		t.Errorf("threshold 10 rejected: %v", err)
 	}
 }
@@ -187,7 +188,7 @@ func TestOtherDefReaches(t *testing.T) {
 	bd.Program()
 
 	fn := f.Raw()
-	cfg := analysis.BuildCFG(fn)
+	cfg := analysis.BuildCFG(new(analysis.Arena), fn)
 	// The def at (b0, idx1) vs boundary b1: the redef in b2 reaches b1 via
 	// the back edge.
 	var sc pruneScratch

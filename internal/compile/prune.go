@@ -41,10 +41,10 @@ const (
 // call-aware (a value consumed only by a callee must keep the walk alive up
 // to the call, where instPreserves then aborts conservatively). Returns the
 // number of checkpoints pruned. sc is the pass's scratch, reused across
-// functions.
-func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet, sc *pruneScratch) int {
+// functions; the analyses are carved from a.
+func pruneCheckpoints(a *analysis.Arena, f *prog.Func, callUse func(int32) analysis.RegSet, sc *pruneScratch) int {
 	sc.reset(len(f.Blocks))
-	cfg := analysis.BuildCFG(f)
+	cfg := analysis.BuildCFG(a, f)
 	lv := analysis.ComputeLivenessCallAware(cfg, callUse)
 	idom := cfg.Dominators()
 	pruned := 0
@@ -59,8 +59,9 @@ func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet, sc *pru
 			if d, ok := def.Def(); !ok || d != r || !def.IsReexecutable() {
 				continue
 			}
-			slice, leaves, idxs, ok := buildSlice(b, i-1, sliceDepth)
-			if !ok || !sliceConsistent(b, i-1, leaves, idxs) {
+			sc.slice, sc.idxs = sc.slice[:0], sc.idxs[:0]
+			leaves, ok := sc.buildSlice(b, i-1, sliceDepth)
+			if !ok || !sliceConsistent(b, i-1, leaves, sc.idxs) {
 				continue
 			}
 			boundaries, regsOK := sc.servedBoundaries(f, cfg, lv, id, i, r, leaves)
@@ -97,8 +98,8 @@ func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet, sc *pru
 				if blk.RecoverySlices == nil {
 					blk.RecoverySlices = map[isa.Reg][]isa.Inst{}
 				}
-				s := f.NewInsts(len(slice))
-				copy(s, slice)
+				s := f.NewInsts(len(sc.slice))
+				copy(s, sc.slice)
 				blk.RecoverySlices[r] = s
 			}
 			pruned++
@@ -111,19 +112,18 @@ func pruneCheckpoints(f *prog.Func, callUse func(int32) analysis.RegSet, sc *pru
 // buildSlice builds the recovery slice ending at the def at index di of block
 // b: the def itself, preceded (recursively, up to depth) by re-executable
 // defs of its operands when those operands are not directly checkpointed.
-// Returns the slice in execution order, the set of leaf registers whose
-// checkpoint slots the slice reads, the original instruction indexes of the
-// slice members (ascending), and whether construction succeeded.
+// It appends the slice in execution order to sc.slice and the original
+// instruction indexes of its members to sc.idxs, and returns the set of leaf
+// registers whose checkpoint slots the slice reads and whether construction
+// succeeded; on failure the appended tail is garbage.
 //
 // The caller must additionally run sliceConsistent: the recursion validates
 // each operand locally, but a flattened slice is only executable over a
 // single register file when every involved register has exactly one version
 // across the whole range (see the version-conflict example there).
-func buildSlice(b *prog.Block, di int, depth int) ([]isa.Inst, analysis.RegSet, []int, bool) {
+func (sc *pruneScratch) buildSlice(b *prog.Block, di int, depth int) (analysis.RegSet, bool) {
 	def := b.Insts[di]
 	var leaves analysis.RegSet
-	var slice []isa.Inst
-	var idxs []int
 	var ops [3]isa.Reg
 	for _, s := range def.Uses(ops[:0]) {
 		// Case 1: s checkpointed earlier in this block with no intervening
@@ -133,25 +133,24 @@ func buildSlice(b *prog.Block, di int, depth int) ([]isa.Inst, analysis.RegSet, 
 			continue
 		}
 		// Case 2: recurse into s's defining instruction if it is the nearest
-		// def, re-executable and within depth.
+		// def, re-executable and within depth. Its sub-slice lands before
+		// this def.
 		if depth == 0 {
-			return nil, 0, nil, false
+			return 0, false
 		}
 		sdi, ok := nearestDefBefore(b, di, s)
 		if !ok || !b.Insts[sdi].IsReexecutable() {
-			return nil, 0, nil, false
+			return 0, false
 		}
-		sub, subLeaves, subIdxs, ok := buildSlice(b, sdi, depth-1)
+		subLeaves, ok := sc.buildSlice(b, sdi, depth-1)
 		if !ok {
-			return nil, 0, nil, false
+			return 0, false
 		}
-		slice = append(slice, sub...)
-		idxs = append(idxs, subIdxs...)
 		leaves = leaves.Union(subLeaves)
 	}
-	slice = append(slice, def)
-	idxs = append(idxs, di)
-	return slice, leaves, idxs, true
+	sc.slice = append(sc.slice, def)
+	sc.idxs = append(sc.idxs, di)
+	return leaves, true
 }
 
 // sliceConsistent verifies the single-version property that makes a
@@ -219,12 +218,15 @@ func nearestDefBefore(b *prog.Block, di int, s isa.Reg) (int, bool) {
 	return 0, false
 }
 
-// pruneScratch is the prune pass's walk state, reused across candidates and
-// functions: block-indexed visited and boundary marks, one work stack and the
-// served-boundary list, so a candidate's walks allocate nothing.
+// pruneScratch is the prune pass's working state, reused across candidates
+// and functions: block-indexed visited and boundary marks, one work stack,
+// the served-boundary list, and the candidate's recovery slice with its
+// instruction indexes, so a candidate's slice and walks allocate nothing.
 type pruneScratch struct {
 	visited, bound []bool
 	work, served   []int
+	slice          []isa.Inst
+	idxs           []int
 }
 
 // reset sizes the scratch for a function of n blocks.
@@ -285,7 +287,7 @@ func (sc *pruneScratch) servedBoundaries(f *prog.Func, cfg *analysis.CFG, lv *an
 	}
 
 	sc.served = sc.served[:0]
-	sc.walk(cfg.Succ[id])
+	sc.walk(cfg.Succ(id))
 	steps := 0
 	for x, ok := sc.next(); ok; x, ok = sc.next() {
 		if steps++; steps > pruneWalkLimit {
@@ -323,7 +325,7 @@ func (sc *pruneScratch) servedBoundaries(f *prog.Func, cfg *analysis.CFG, lv *an
 		if t, ok := blk.Terminator(); ok && t.Op == isa.OpRet {
 			return nil, false
 		}
-		sc.work = append(sc.work, cfg.Succ[x]...)
+		sc.work = append(sc.work, cfg.Succ(x)...)
 	}
 	return sc.served, true
 }
@@ -339,7 +341,7 @@ func (sc *pruneScratch) otherDefReaches(f *prog.Func, cfg *analysis.CFG, defBloc
 	for _, blk := range f.Blocks {
 		for j := range blk.Insts {
 			if d, ok := blk.Insts[j].Def(); ok && d == r && (blk.ID != defBlock || j != defIdx) {
-				sc.work = append(sc.work, cfg.Succ[blk.ID]...)
+				sc.work = append(sc.work, cfg.Succ(blk.ID)...)
 				break
 			}
 		}
@@ -350,7 +352,7 @@ func (sc *pruneScratch) otherDefReaches(f *prog.Func, cfg *analysis.CFG, defBloc
 	reaches := false
 	for x, ok := sc.next(); ok && !reaches; x, ok = sc.next() {
 		reaches = sc.bound[x]
-		sc.work = append(sc.work, cfg.Succ[x]...)
+		sc.work = append(sc.work, cfg.Succ(x)...)
 	}
 	for _, b := range boundaries {
 		sc.bound[b] = false

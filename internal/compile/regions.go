@@ -22,7 +22,7 @@ import (
 // The traversal works because every cycle in the CFG passes through a loop
 // header, which is a mandatory boundary: the store-count recurrence below
 // only flows along forward edges of the resulting DAG.
-func placeBoundaries(p *prog.Program, f *prog.Func, opts Options, ckptEst func(b *prog.Block) int) {
+func placeBoundaries(a *analysis.Arena, p *prog.Program, f *prog.Func, opts Options, ckptEst func(b *prog.Block) int) {
 	// Split any block whose own store weight exceeds the threshold.
 	for changed := true; changed; {
 		changed = false
@@ -35,7 +35,7 @@ func placeBoundaries(p *prog.Program, f *prog.Func, opts Options, ckptEst func(b
 		}
 	}
 
-	cfg := analysis.BuildCFG(f)
+	cfg := analysis.BuildCFG(a, f)
 	mand := mandatoryBoundaries(p, f, cfg)
 	for _, b := range f.Blocks {
 		b.BoundaryAt = opts.NaiveRegions || mand.Has(b.ID)
@@ -47,12 +47,12 @@ func placeBoundaries(p *prog.Program, f *prog.Func, opts Options, ckptEst func(b
 	// weight[b]: worst-case store count from the enclosing region's start to
 	// the end of b. Computed in RPO; a block becomes a boundary when carrying
 	// the incoming maximum through it would overflow the threshold.
-	weight := make([]int, len(f.Blocks))
+	weight := a.Ints(len(f.Blocks))
 	for _, id := range cfg.RPO {
 		b := f.Blocks[id]
 		own := blockWeight(b, ckptEst)
 		maxIn := 0
-		for _, pr := range cfg.Pred[id] {
+		for _, pr := range cfg.Pred(id) {
 			// Back edges always target loop headers, which are boundaries;
 			// their weight contribution is irrelevant because boundary
 			// blocks reset below. Forward edges from unprocessed blocks
@@ -108,81 +108,39 @@ func oversizedCut(b *prog.Block, threshold int, ckptEst func(*prog.Block) int) (
 	return 0, false
 }
 
-// Region is one compiler-formed region: a boundary block plus every block
-// reachable from it without crossing another boundary.
-type Region struct {
-	// Head is the boundary block that starts the region.
-	Head int
-	// Blocks is the region's block set (includes Head).
-	Blocks analysis.BlockSet
-	// MaxStores is the worst-case store-class count along any path through
-	// the region, counting actual instructions (checkpoints included).
-	MaxStores int
-}
-
-// regionsOf groups the function's blocks into regions given final boundary
-// flags. A non-boundary block reachable from multiple boundaries belongs to
-// every such region (regions may overlap across join points; the worst-case
-// store accounting covers all of them).
-func regionsOf(f *prog.Func) []Region {
-	cfg := analysis.BuildCFG(f)
-	n := len(f.Blocks)
-	// down[b] is the worst-case store count from the start of b to the end of
-	// its region: b's own stores plus the worst of its non-boundary
-	// successors. Every cycle passes through a loop header, which is a
-	// boundary, so postorder computes each successor's value first, and a
-	// region's worst case is down[] of its head.
-	down := make([]int, n+n)
-	work := down[n:n]
-	heads := 0
+// regionWeights returns down[b], the worst-case store count from the start of
+// b to the end of its region: b's own stores plus the worst of its
+// non-boundary successors. Every cycle passes through a loop header, which is
+// a boundary, so postorder computes each successor's value first, and a
+// region's worst case is down[] of its head.
+func regionWeights(a *analysis.Arena, cfg *analysis.CFG) []int {
+	f := cfg.F
+	down := a.Ints(len(f.Blocks))
 	for i := len(cfg.RPO) - 1; i >= 0; i-- {
 		b := cfg.RPO[i]
 		best := 0
-		for _, s := range cfg.Succ[b] {
+		for _, s := range cfg.Succ(b) {
 			if !f.Blocks[s].BoundaryAt {
 				best = max(best, down[s])
 			}
 		}
 		down[b] = f.Blocks[b].StoreCount() + best
-		if f.Blocks[b].BoundaryAt {
-			heads++
-		}
 	}
-	regions := make([]Region, 0, heads)
-	sets := analysis.NewBlockSets(heads, n)
-	for _, id := range cfg.RPO {
-		if !f.Blocks[id].BoundaryAt {
-			continue
-		}
-		r := Region{Head: id, Blocks: sets[len(regions)], MaxStores: down[id]}
-		r.Blocks.Add(id)
-		// Forward walk without crossing other boundaries.
-		work = append(work, id)
-		for len(work) > 0 {
-			x := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, s := range cfg.Succ[x] {
-				if f.Blocks[s].BoundaryAt || r.Blocks.Has(s) {
-					continue
-				}
-				r.Blocks.Add(s)
-				work = append(work, s)
-			}
-		}
-		regions = append(regions, r)
-	}
-	return regions
+	return down
 }
 
-// checkThreshold checks invariant 3 of DESIGN.md over every function: no
-// region's worst-case store count exceeds the threshold. The error names the
-// first offending region.
-func checkThreshold(p *prog.Program, threshold int) error {
-	for _, f := range p.Funcs {
-		for _, r := range regionsOf(f) {
-			if r.MaxStores > threshold {
+// checkThreshold checks invariant 3 of DESIGN.md over every function, given
+// their CFGs: no region's worst-case store count exceeds the threshold. The
+// error names the first offending region, in reverse postorder of region
+// heads.
+func checkThreshold(a *analysis.Arena, cfgs []*analysis.CFG, threshold int) error {
+	for _, cfg := range cfgs {
+		f := cfg.F
+		down := regionWeights(a, cfg)
+		for _, id := range cfg.RPO {
+			if f.Blocks[id].BoundaryAt && down[id] > threshold {
 				return fmt.Errorf("func %s: region at b%d has worst-case %d stores > threshold %d",
-					f.Name, r.Head, r.MaxStores, threshold)
+					f.Name, id, down[id], threshold)
 			}
 		}
 	}

@@ -103,7 +103,7 @@ func mandatoryBoundaries(p *prog.Program, f *prog.Func, cfg *analysis.CFG) analy
 		if len(b.Insts) > 0 && b.Insts[0].IsMandatoryBoundary() {
 			bs.Add(b.ID)
 			// The block after the sync starts the next region.
-			for _, s := range cfg.Succ[b.ID] {
+			for _, s := range cfg.Succ(b.ID) {
 				bs.Add(s)
 			}
 		}

@@ -28,7 +28,7 @@ type unrollStats struct {
 
 // unrollLoops applies speculative unrolling to every innermost loop of every
 // function, once per loop. Returns statistics.
-func unrollLoops(p *prog.Program, opts Options) unrollStats {
+func unrollLoops(a *analysis.Arena, p *prog.Program, opts Options) unrollStats {
 	var st unrollStats
 	var sc unrollScratch
 	for _, f := range p.Funcs {
@@ -40,7 +40,7 @@ func unrollLoops(p *prog.Program, opts Options) unrollStats {
 		// body, so a depth-first search enters the body only through the
 		// header and never returns once it leaves by an exit edge. The order
 		// among body blocks thus depends only on edges inside the body.
-		cfg := analysis.BuildCFG(f)
+		cfg := analysis.BuildCFG(a, f)
 		loops := cfg.Loops()
 		for i := range loops {
 			l := &loops[i]

@@ -20,7 +20,7 @@ func unrollLoopsRebuild(p *prog.Program, opts Options) unrollStats {
 	for _, f := range p.Funcs {
 		processed := map[int]bool{}
 		for {
-			cfg := analysis.BuildCFG(f)
+			cfg := analysis.BuildCFG(new(analysis.Arena), f)
 			loops := cfg.Loops()
 			done := true
 			for i := range loops {

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"math/bits"
 
 	"capri/internal/analysis"
 	"capri/internal/isa"
@@ -60,6 +61,14 @@ func FinalContract(opts Options) Contract { return contractFor(phaseFinal, opts)
 // Check runs the semantic region verifier over p against the contract.
 // Diagnostics name the offending function and block.
 func Check(p *prog.Program, c Contract) error {
+	var a analysis.Arena
+	return check(&a, p, c)
+}
+
+// check is Check with its analyses carved from a; the pipeline passes its
+// compile's arena. The checks only read p, so they share one CFG per
+// function.
+func check(a *analysis.Arena, p *prog.Program, c Contract) error {
 	if err := p.Verify(); err != nil {
 		return fmt.Errorf("verify: structure: %w", err)
 	}
@@ -71,11 +80,15 @@ func Check(p *prog.Program, c Contract) error {
 			return err
 		}
 	}
+	if !c.Boundaries && !c.Checkpoints {
+		return nil
+	}
+	cfgs := buildCFGs(a, p)
 	if c.Boundaries {
-		if err := checkBoundaryCoverage(p); err != nil {
+		if err := checkBoundaryCoverage(p, cfgs); err != nil {
 			return err
 		}
-		if err := checkThreshold(p, c.Threshold); err != nil {
+		if err := checkThreshold(a, cfgs, c.Threshold); err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
 	}
@@ -83,11 +96,20 @@ func Check(p *prog.Program, c Contract) error {
 		if err := checkSlices(p); err != nil {
 			return err
 		}
-		if err := checkCheckpointCoverage(p); err != nil {
+		if err := checkCheckpointCoverage(a, p, cfgs); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// buildCFGs builds the CFG of every function of p in a.
+func buildCFGs(a *analysis.Arena, p *prog.Program) []*analysis.CFG {
+	cfgs := a.CFGs(len(p.Funcs))
+	for i, f := range p.Funcs {
+		cfgs[i] = analysis.BuildCFG(a, f)
+	}
+	return cfgs
 }
 
 // checkCanonical verifies canonical form: every synchronization instruction
@@ -155,9 +177,9 @@ func checkMaterialized(p *prog.Program) error {
 // checkBoundaryCoverage verifies that every mandatory region entry carries a
 // boundary: function entries, loop headers, sync blocks and their
 // successors, and return-site blocks (paper §4.1).
-func checkBoundaryCoverage(p *prog.Program) error {
-	for _, f := range p.Funcs {
-		mand := mandatoryBoundaries(p, f, analysis.BuildCFG(f))
+func checkBoundaryCoverage(p *prog.Program, cfgs []*analysis.CFG) error {
+	for fi, f := range p.Funcs {
+		mand := mandatoryBoundaries(p, f, cfgs[fi])
 		for id := mand.Next(0); id >= 0; id = mand.Next(id + 1) {
 			if !f.Blocks[id].BoundaryAt {
 				return fmt.Errorf("verify: func %s: b%d must carry a region boundary (mandatory region entry)", f.Name, id)
@@ -220,9 +242,17 @@ func sliceLeaves(slice []isa.Inst) analysis.RegSet {
 
 // staleSets holds the converged forward stale-slot dataflow.
 type staleSets struct {
-	in  [][]analysis.RegSet // stale at block entry, [func][block]
-	out [][]analysis.RegSet // stale at block exit
-	ret []analysis.RegSet   // stale at return, per function (callee summary)
+	// in and out hold the sets stale at block entry and exit, function fi's
+	// blocks at [at[fi], at[fi+1]).
+	in, out []analysis.RegSet
+	at      []int
+	ret     []analysis.RegSet // stale at return, per function (callee summary)
+}
+
+// fn returns function fi's per-block stale sets at entry and exit.
+func (st *staleSets) fn(fi int) (in, out []analysis.RegSet) {
+	lo, hi := st.at[fi], st.at[fi+1]
+	return st.in[lo:hi:hi], st.out[lo:hi:hi]
 }
 
 // staleTransfer pushes a stale set through one block: defs make a register
@@ -250,35 +280,33 @@ func staleTransfer(b *prog.Block, s analysis.RegSet, ret []analysis.RegSet) anal
 // checkpoint slots both zeroed, and non-entry functions rely on their
 // callers having checkpointed everything the callee may read (which the
 // caller-side boundary checks enforce).
-func staleAnalysis(p *prog.Program, cc *ckptContext) *staleSets {
-	st := &staleSets{
-		in:  make([][]analysis.RegSet, len(p.Funcs)),
-		out: make([][]analysis.RegSet, len(p.Funcs)),
-		ret: make([]analysis.RegSet, len(p.Funcs)),
-	}
+func staleAnalysis(a *analysis.Arena, p *prog.Program, cfgs []*analysis.CFG) staleSets {
+	st := staleSets{at: a.Ints(len(p.Funcs) + 1), ret: a.RegSets(len(p.Funcs))}
 	for fi, f := range p.Funcs {
-		st.in[fi] = make([]analysis.RegSet, len(f.Blocks))
-		st.out[fi] = make([]analysis.RegSet, len(f.Blocks))
+		st.at[fi+1] = st.at[fi] + len(f.Blocks)
 	}
+	sets := a.RegSets(2 * st.at[len(p.Funcs)])
+	st.in, st.out = sets[:len(sets)/2], sets[len(sets)/2:]
 	for changed := true; changed; {
 		changed = false
 		for fi, f := range p.Funcs {
-			cfg := cc.cfgs[fi]
+			cfg := cfgs[fi]
+			sin, sout := st.fn(fi)
 			for _, id := range cfg.RPO {
 				var in analysis.RegSet
-				for _, pr := range cfg.Pred[id] {
-					in = in.Union(st.out[fi][pr])
+				for _, pr := range cfg.Pred(id) {
+					in = in.Union(sout[pr])
 				}
 				out := staleTransfer(f.Blocks[id], in, st.ret)
-				if in != st.in[fi][id] || out != st.out[fi][id] {
-					st.in[fi][id], st.out[fi][id] = in, out
+				if in != sin[id] || out != sout[id] {
+					sin[id], sout[id] = in, out
 					changed = true
 				}
 			}
 			sr := st.ret[fi]
 			for _, b := range f.Blocks {
 				if t, ok := b.Terminator(); ok && t.Op == isa.OpRet {
-					sr = sr.Union(st.out[fi][b.ID])
+					sr = sr.Union(sout[b.ID])
 				}
 			}
 			if sr != st.ret[fi] {
@@ -307,21 +335,20 @@ func staleAnalysis(p *prog.Program, cc *ckptContext) *staleSets {
 // caller's backward dataflow, since calls fall through mid-block and define
 // nothing. Both summaries are monotone from empty seeds, so the mutual
 // fixpoint converges.
-func verifierLiveness(p *prog.Program, cc *ckptContext) ([]*analysis.Liveness, []analysis.RegSet) {
-	entryRead := make([]analysis.RegSet, len(p.Funcs))
-	vRet := make([]analysis.RegSet, len(p.Funcs))
-	lv := make([]*analysis.Liveness, len(p.Funcs))
+func verifierLiveness(a *analysis.Arena, p *prog.Program, cfgs []*analysis.CFG) ([]*analysis.Liveness, []analysis.RegSet) {
+	entryRead, vRet := a.RegSets(len(p.Funcs)), a.RegSets(len(p.Funcs))
+	lv := a.Livenesses(len(p.Funcs))
 	callUse := func(callee int32) analysis.RegSet { return entryRead[callee] }
 	for changed := true; changed; {
 		changed = false
 		for fi, f := range p.Funcs {
-			if e := analysis.ComputeLivenessWithRet(cc.cfgs[fi], callUse, 0).LiveIn[f.Entry]; e != entryRead[fi] {
+			if e := analysis.ComputeLivenessWithRet(cfgs[fi], callUse, 0).LiveIn[f.Entry]; e != entryRead[fi] {
 				entryRead[fi] = e
 				changed = true
 			}
 		}
 		for fi := range p.Funcs {
-			lv[fi] = analysis.ComputeLivenessWithRet(cc.cfgs[fi], callUse, vRet[fi])
+			lv[fi] = analysis.ComputeLivenessWithRet(cfgs[fi], callUse, vRet[fi])
 		}
 		for fi, f := range p.Funcs {
 			for _, b := range f.Blocks {
@@ -349,16 +376,17 @@ func verifierLiveness(p *prog.Program, cc *ckptContext) ([]*analysis.Liveness, [
 // before being rewritten is either fresh in its checkpoint slot or
 // reconstructible by the boundary's recovery slice from fresh leaves; and no
 // function returns with a stale slot its callers' continuations read.
-func checkCheckpointCoverage(p *prog.Program) error {
-	cc := newCkptContext(p)
-	st := staleAnalysis(p, cc)
-	lv, vRet := verifierLiveness(p, cc)
+func checkCheckpointCoverage(a *analysis.Arena, p *prog.Program, cfgs []*analysis.CFG) error {
+	st := staleAnalysis(a, p, cfgs)
+	lv, vRet := verifierLiveness(a, p, cfgs)
 	for fi, f := range p.Funcs {
 		vlv := lv[fi]
+		sin, sout := st.fn(fi)
 		for _, b := range f.Blocks {
 			if b.BoundaryAt {
-				stale := st.in[fi][b.ID]
-				for _, r := range stale.Intersect(vlv.LiveIn[b.ID]).Regs() {
+				stale := sin[b.ID]
+				for live := stale.Intersect(vlv.LiveIn[b.ID]); live != 0; live &= live - 1 {
+					r := isa.Reg(bits.TrailingZeros32(uint32(live)))
 					slice, ok := b.RecoverySlices[r]
 					if !ok {
 						return fmt.Errorf("verify: func %s: boundary b%d: live register r%d may hold a stale checkpoint slot (no covering checkpoint or recovery slice)",
@@ -371,7 +399,7 @@ func checkCheckpointCoverage(p *prog.Program) error {
 				}
 			}
 			if t, ok := b.Terminator(); ok && t.Op == isa.OpRet {
-				if bad := st.out[fi][b.ID].Intersect(vRet[fi]); bad != 0 {
+				if bad := sout[b.ID].Intersect(vRet[fi]); bad != 0 {
 					return fmt.Errorf("verify: func %s: b%d: returns with stale slots %v that a caller continuation reads",
 						f.Name, b.ID, bad.Regs())
 				}

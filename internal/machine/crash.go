@@ -365,9 +365,11 @@ func (m *Machine) nestedCrash(img *CrashImage, rep *RecoveryReport) (*Machine, *
 }
 
 // orderedSlices returns a block's recovery slices in ascending register order
-// so recovery is deterministic. Slices are mutually independent: a slice's
-// leaf registers always have surviving (unpruned) checkpoints, never another
-// slice's output (see prune.go's ascending-order processing).
+// so recovery is deterministic. Slices are mutually independent: no slice
+// reads a register another slice of the block rebuilds. Prune walks blocks in
+// reverse postorder; a slice's leaf needs a fresh checkpoint in the def
+// block, and sliceLeafsOn (compile/prune.go) rejects a prune whose register
+// is already a leaf of a slice at a boundary it would serve.
 func orderedSlices(b *prog.Block) [][]isa.Inst {
 	if len(b.RecoverySlices) == 0 {
 		return nil

@@ -61,7 +61,7 @@ func TestShortLoopFlagsMatchStructure(t *testing.T) {
 		p := b.Build(1)
 		minBody := 1 << 30
 		for _, f := range p.Funcs {
-			cfg := analysis.BuildCFG(f)
+			cfg := analysis.BuildCFG(new(analysis.Arena), f)
 			for _, l := range cfg.Loops() {
 				n := 0
 				for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
