@@ -5,11 +5,8 @@ GO ?= go
 
 # JOBS shards the figure sweeps and fault campaigns across a bounded worker
 # pool (sweep orchestrator, DESIGN.md §4h); results are deterministic at any
-# value. PERF_STORE is the on-disk content-addressed result store the
-# long soak campaign reuses — delete the directory to force a cold run, or
-# point it elsewhere per experiment.
+# value.
 JOBS ?= 4
-PERF_STORE ?= /tmp/capri-resultstore
 
 .PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke perf fuzz clean
 
@@ -26,11 +23,11 @@ test:
 # no external linters).
 lint:
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck internal/sweep internal/resultstore internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
-# shared compile cache, sweep/resultstore the parallel fleet and its store),
+# shared compile cache, sweep the parallel fleet),
 # the full verifier matrix (semantic region verifier after every pass for
 # every benchmark x level x threshold) with the compiler's allocation pins
 # (zero-allocation fingerprints, the ocean compile budget, and CFGs, loop
@@ -40,8 +37,8 @@ lint:
 # the memory store's fuzz-corpus replay against its map model with the
 # store's zero-allocation pin, the documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
-# byte-identical to sequential, and a warm-store rerun counter-asserted at
-# zero simulations — and a perf-harness smoke run (catches BENCH_sim.json
+# byte-identical to sequential, with the same simulation and compilation
+# counts — and a perf-harness smoke run (catches BENCH_sim.json
 # pipeline bit-rot without judging the numbers). The telemetry smoke test
 # stands up a live OpenMetrics endpoint plus heartbeat stream and scrapes
 # it over HTTP; the dispatch-equivalence run includes the telemetry
@@ -50,7 +47,7 @@ lint:
 # tiny size and checks its oracles.
 check:
 	$(MAKE) lint
-	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/resultstore ./internal/fault ./internal/telemetry
+	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault ./internal/telemetry
 	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills' ./internal/compile ./internal/analysis
 	$(GO) test -run 'DispatchEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree' ./internal/mem
@@ -112,16 +109,16 @@ soak-mt:
 SOAK_SEED ?= 1
 SOAK_DURATION ?= 10m
 soak-long:
-	$(GO) run ./cmd/capricrash -campaign -seed $(SOAK_SEED) -trials 8 -corpus 104 -benches -duration $(SOAK_DURATION) -jobs $(JOBS) -store $(PERF_STORE)-soak
+	$(GO) run ./cmd/capricrash -campaign -seed $(SOAK_SEED) -trials 8 -corpus 104 -benches -duration $(SOAK_DURATION) -jobs $(JOBS)
 
 # docs-verify re-runs the stall-attribution tables (deterministic simulator,
 # fixed workload scale) and byte-compares them against the marked blocks in
 # EXPERIMENTS.md, so the documented numbers can never drift from the code.
 # The sweepcheck pass additionally proves the §4h determinism contract on
 # every run: a parallel (-jobs) sweep produces byte-identical fig8/fig9
-# tables to the sequential one, and a warm-store rerun performs zero
-# simulations and zero compilations (counter-asserted), with its accounting
-# block byte-compared against EXPERIMENTS.md.
+# tables to the sequential one with the same simulation, instruction,
+# decode and compilation counts (counter-asserted), and its accounting
+# block is byte-compared against EXPERIMENTS.md.
 # Regenerate with: go run ./cmd/capribench -explain
 #             and: go run ./cmd/capribench -sweepcheck -jobs 4
 docs-verify:
@@ -155,10 +152,9 @@ telemetry-smoke:
 # sweep; median ± MAD per figure, schema capri/bench-sim/v6) and gates it
 # against the committed BENCH_sim.json with capristat's variance-aware
 # Mann-Whitney test: a figure fails only when its slowdown is both
-# statistically significant (p < 0.05) and at least 1%. Multi-sample runs
-# never attach the result store (replayed cells carry no timing signal), and
-# every sweep is timed sequentially whatever JOBS is, so the rates do not
-# depend on the host's core count.
+# statistically significant (p < 0.05) and at least 1%. Every sweep is
+# timed sequentially whatever JOBS is, so the rates do not depend on the
+# host's core count.
 # Reports without samples arrays fall back per figure to the old 10% point
 # cliff. To adopt the fresh report as the new reference, copy it over
 # BENCH_sim.json once the gate passes.
@@ -178,4 +174,3 @@ fuzz:
 
 clean:
 	rm -f capri.test /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json
-	rm -rf $(PERF_STORE) $(PERF_STORE)-soak

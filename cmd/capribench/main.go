@@ -8,11 +8,10 @@
 //	capribench -fig 8            # one figure
 //	capribench -all              # everything
 //	capribench -fig 8 -jobs 8    # shard the sweep across 8 workers
-//	capribench -fig 8 -store /tmp/capri-resultstore   # reuse stored results
 //	capribench -headline         # suite geomeans only
 //	capribench -list             # benchmark inventory
 //	capribench -perf             # time the sweeps, write BENCH_sim.json
-//	capribench -sweepcheck       # assert parallel == sequential, warm == 0 sims
+//	capribench -sweepcheck       # assert parallel == sequential
 //	capribench -sweepcheck -verify EXPERIMENTS.md    # plus docs block check
 //	capribench -explain          # stall-attribution tables (cycle ledger)
 //	capribench -explain -verify EXPERIMENTS.md   # diff tables vs the docs
@@ -28,7 +27,6 @@ import (
 
 	"capri/internal/figures"
 	"capri/internal/machine"
-	"capri/internal/resultstore"
 	"capri/internal/stats"
 	"capri/internal/telemetry"
 	"capri/internal/workload"
@@ -51,8 +49,7 @@ func main() {
 		recDir   = flag.String("record-out", "", "with -audit, write per-benchmark capri/run-record/v1 files into this directory")
 		auditTh  = flag.Int("threshold", 256, "region store threshold (with -audit)")
 		jobs     = flag.Int("jobs", 1, "parallel sweep workers (0 = GOMAXPROCS; -perf always times sequentially); see README \"Running parallel sweeps\"")
-		storeDir = flag.String("store", "", "content-addressed result store `dir`; stored configurations replay instead of simulating")
-		sweepChk = flag.Bool("sweepcheck", false, "assert the sweep determinism contract: parallel tables byte-identical to sequential, warm store rerun does zero simulations; with -verify FILE, also byte-check the embedded accounting block")
+		sweepChk = flag.Bool("sweepcheck", false, "assert the sweep determinism contract: parallel tables and work counters identical to sequential; with -verify FILE, also byte-check the embedded accounting block")
 		listen   = flag.String("listen", "", "serve live OpenMetrics telemetry on this `addr` (e.g. :9090) while the command runs")
 		hbOut    = flag.String("heartbeat-out", "", "append JSONL telemetry heartbeats to this `file` (\"-\" = stderr)")
 		hbEvery  = flag.Duration("heartbeat-interval", time.Second, "heartbeat sampling interval (with -heartbeat-out)")
@@ -84,7 +81,7 @@ func main() {
 	}
 
 	if *perf {
-		check(runPerf(*scale, *samples, *storeDir, *perfOut))
+		check(runPerf(*scale, *samples, *perfOut))
 		return
 	}
 
@@ -102,14 +99,6 @@ func main() {
 
 	h := figures.NewHarness(*scale)
 	h.Parallelism = *jobs
-	if *storeDir != "" {
-		store, err := resultstore.Open(*storeDir)
-		check(err)
-		// Close seals the final batch of results into a segment. Error paths
-		// exit without sealing; the store ignores the partial batch.
-		defer store.Close()
-		h.UseStore(store)
-	}
 
 	if *all || *fig == 0 && !*headline {
 		fmt.Print(machine.DefaultConfig().Table1())

@@ -11,7 +11,6 @@ import (
 	"capri/internal/compile"
 	"capri/internal/figures"
 	"capri/internal/machine"
-	"capri/internal/resultstore"
 	"capri/internal/stats"
 	"capri/internal/workload"
 )
@@ -19,17 +18,15 @@ import (
 // BenchSchema identifies the BENCH_sim.json format. v2 added the dispatch
 // mode and the per-sweep decode-cache counters (blocks decoded, cache hits,
 // fused superinstructions); v3 separates simulated-only throughput from
-// wall-clock (a result store replays configurations without simulating, so
-// wall-derived inst/s would gate replay speed, not simulator speed) and
-// records the sweep's job count and result-store traffic; v4 adds the
-// multi-core figure (fig8-mt4) with its mt_inst_per_sec throughput and
-// run-queue traffic; v5 adds the multi-sample methodology (-samples N): a
-// per-figure samples array with median/MAD summary rates, the host
-// fingerprint, and the degenerate-rate guard; v6 times every figure
-// sequentially (no jobs field: -jobs no longer reaches the timed sweeps)
-// and drops the map-backed reference-store figure with its speedup
-// ratio. capristat reads older reports too — figures and fields they lack
-// are skipped.
+// wall-clock (wall-derived inst/s also counts compile and setup time) and
+// records the sweep's job count; v4 adds the multi-core figure (fig8-mt4)
+// with its mt_inst_per_sec throughput and run-queue traffic; v5 adds the
+// multi-sample methodology (-samples N): a per-figure samples array with
+// median/MAD summary rates, the host fingerprint, and the degenerate-rate
+// guard; v6 times every figure sequentially (no jobs field: -jobs no
+// longer reaches the timed sweeps) and drops the map-backed
+// reference-store figure with its speedup ratio. capristat reads older
+// reports too — figures and fields they lack are skipped.
 const BenchSchema = "capri/bench-sim/v6"
 
 // minMeasurableSeconds is the guard below which a wall or simulated
@@ -77,14 +74,12 @@ type perfFigure struct {
 	DecodeBlocks uint64 `json:"decode_blocks,omitempty"`
 	DecodeHits   uint64 `json:"decode_hits,omitempty"`
 	DecodeFused  uint64 `json:"decode_fused,omitempty"`
-	// SimRuns counts machines actually turned during the sweep; store hits
-	// replay without simulating and are counted in StoreHits instead.
-	SimRuns   uint64 `json:"sim_runs"`
-	StoreHits uint64 `json:"store_hits,omitempty"`
+	// SimRuns counts machines turned during the sweep.
+	SimRuns uint64 `json:"sim_runs"`
 	// SimSeconds is wall time spent inside machine.Run, summed per run.
 	// SimInstPerSec = Instructions / SimSeconds is the throughput the gate
-	// compares: unlike InstPerSec it cannot be inflated by store replays or
-	// deflated by compile/setup time. Zero when the sweep simulated nothing.
+	// compares: unlike InstPerSec it is not deflated by compile/setup
+	// time. Zero when the sweep simulated nothing.
 	SimSeconds    float64 `json:"sim_seconds"`
 	SimInstPerSec float64 `json:"sim_inst_per_sec"`
 	// MTInstPerSec is the multi-threaded simulated throughput of the fig8-mt4
@@ -169,14 +164,26 @@ type perfReport struct {
 	Host             *hostInfo    `json:"host,omitempty"`
 	Figures          []perfFigure `json:"figures"`
 	TotalWallSeconds float64      `json:"total_wall_seconds"`
-	// ResultStore snapshots the attached store's traffic at the end of the
-	// run (-store); absent when no store was attached.
-	ResultStore *resultstore.Stats `json:"result_store,omitempty"`
 	// Compile-cache accounting per harness: a sweep that compiles the same
 	// (benchmark, level, threshold) twice shows up here as hits shy of the
 	// expected count, entries above it.
-	Fig8CompileCache   compile.CacheStats `json:"fig8_compile_cache"`
-	FigureCompileCache compile.CacheStats `json:"figure_compile_cache"`
+	Fig8CompileCache   perfCompileCache `json:"fig8_compile_cache"`
+	FigureCompileCache perfCompileCache `json:"figure_compile_cache"`
+}
+
+// perfCompileCache is one harness's compile-cache accounting. DiskHits is
+// always zero — the compile cache has no persistent tier — and stays so
+// every v6 report has the same field set.
+type perfCompileCache struct {
+	Hits     int64 `json:"hits"`
+	DiskHits int64 `json:"disk_hits"`
+	Misses   int64 `json:"misses"`
+	Entries  int   `json:"entries"`
+}
+
+// perfCacheOf renders a compile-cache snapshot for the report.
+func perfCacheOf(s compile.CacheStats) perfCompileCache {
+	return perfCompileCache{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries}
 }
 
 // measure times fn, attributing instruction and allocation deltas.
@@ -186,7 +193,6 @@ func measure(name string, h *figures.Harness, fn func() error) (perfFigure, erro
 	inst0 := h.Instret()
 	blk0, hit0, fus0 := h.DecodeStats()
 	runs0, sec0 := h.SimRuns(), h.SimSeconds()
-	hits0, _ := h.StoreStats()
 	start := time.Now()
 	err := fn()
 	wall := time.Since(start).Seconds()
@@ -195,7 +201,6 @@ func measure(name string, h *figures.Harness, fn func() error) (perfFigure, erro
 		return perfFigure{}, fmt.Errorf("%s: %w", name, err)
 	}
 	blk1, hit1, fus1 := h.DecodeStats()
-	hits1, _ := h.StoreStats()
 	pf := perfFigure{
 		Figure:       name,
 		WallSeconds:  wall,
@@ -206,7 +211,6 @@ func measure(name string, h *figures.Harness, fn func() error) (perfFigure, erro
 		DecodeHits:   hit1 - hit0,
 		DecodeFused:  fus1 - fus0,
 		SimRuns:      h.SimRuns() - runs0,
-		StoreHits:    hits1 - hits0,
 		SimSeconds:   h.SimSeconds() - sec0,
 	}
 	if pf.Instructions > 0 {
@@ -262,29 +266,24 @@ func runMTFigure(name string, scale int) (perfFigure, error) {
 }
 
 // perfPass is one full timed pass over the figure pipeline — one sample
-// of every figure, plus the pass's compile-cache and store accounting.
+// of every figure, plus the pass's compile-cache accounting.
 type perfPass struct {
 	figures []perfFigure
 	fig8CC  compile.CacheStats
 	figCC   compile.CacheStats
-	store   *resultstore.Stats
 }
 
-// runPerfPass times the full figure pipeline once on fresh harnesses; a
-// non-nil store attaches the result store to the figure harnesses. Every
+// runPerfPass times the full figure pipeline once on fresh harnesses. Every
 // sweep runs its simulations one at a time: SimSeconds sums per-run wall
 // times, and runs sharing CPUs inflate each other's, so a parallel
 // sweep's rate would depend on the host's core count.
-func runPerfPass(scale int, store *resultstore.Store) (perfPass, error) {
+func runPerfPass(scale int) (perfPass, error) {
 	var pass perfPass
 
 	// Figure 8 on a fresh harness: the headline sweep (21 benchmarks x 6
 	// thresholds, plus baselines).
 	h8 := figures.NewHarness(scale)
 	h8.Parallelism = 1
-	if store != nil {
-		h8.UseStore(store)
-	}
 	pf, err := measure("fig8", h8, func() error { _, err := h8.Fig8(nil); return err })
 	if err != nil {
 		return pass, err
@@ -296,9 +295,6 @@ func runPerfPass(scale int, store *resultstore.Store) (perfPass, error) {
 	// they simulate nothing and carry no timing signal.
 	h := figures.NewHarness(scale)
 	h.Parallelism = 1
-	if store != nil {
-		h.UseStore(store)
-	}
 	pf, err = measure("fig9", h, func() error { _, err := h.Fig9(); return err })
 	if err != nil {
 		return pass, err
@@ -313,10 +309,6 @@ func runPerfPass(scale int, store *resultstore.Store) (perfPass, error) {
 	pass.figures = append(pass.figures, pf)
 	pass.fig8CC = h8.CompileCacheStats()
 	pass.figCC = h.CompileCacheStats()
-	if store != nil {
-		st := store.Stats()
-		pass.store = &st
-	}
 	return pass, nil
 }
 
@@ -351,12 +343,10 @@ func summarize(samples []perfFigure) perfFigure {
 }
 
 // runPerf times the full figure pipeline `samples` times and writes
-// BENCH_sim.json. With samples > 1 the result store is never attached —
-// a warm store replays configurations without simulating, so repeated
-// passes would measure disk replay, not the simulator — and each
-// figure's report carries the per-sample array `capristat` judges (`make
-// perf` gates the fresh report against the committed one with it).
-func runPerf(scale, samples int, storeDir, outPath string) error {
+// BENCH_sim.json. With samples > 1 each figure's report carries the
+// per-sample array `capristat` judges (`make perf` gates the fresh report
+// against the committed one with it).
+func runPerf(scale, samples int, outPath string) error {
 	if samples < 1 {
 		samples = 1
 	}
@@ -370,23 +360,9 @@ func runPerf(scale, samples int, storeDir, outPath string) error {
 		Samples:    samples,
 		Host:       currentHost(),
 	}
-	var store *resultstore.Store
-	if storeDir != "" {
-		if samples > 1 {
-			fmt.Printf("perf: -samples %d ignores -store %s (warm replays carry no timing signal)\n", samples, storeDir)
-		} else {
-			s, err := resultstore.Open(storeDir)
-			if err != nil {
-				return err
-			}
-			store = s
-			defer store.Close()
-		}
-	}
-
 	passes := make([]perfPass, samples)
 	for s := 0; s < samples; s++ {
-		pass, err := runPerfPass(scale, store)
+		pass, err := runPerfPass(scale)
 		if err != nil {
 			return err
 		}
@@ -407,9 +383,8 @@ func runPerf(scale, samples int, storeDir, outPath string) error {
 	for _, f := range rep.Figures {
 		rep.TotalWallSeconds += f.WallSeconds
 	}
-	rep.Fig8CompileCache = passes[0].fig8CC
-	rep.FigureCompileCache = passes[0].figCC
-	rep.ResultStore = passes[samples-1].store
+	rep.Fig8CompileCache = perfCacheOf(passes[0].fig8CC)
+	rep.FigureCompileCache = perfCacheOf(passes[0].figCC)
 
 	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -433,10 +408,6 @@ func runPerf(scale, samples int, storeDir, outPath string) error {
 			fmt.Printf("  %-10s DEGENERATE: duration below %.0fms, rates reported as 0\n",
 				"", 1000*minMeasurableSeconds)
 		}
-		if f.SimRuns+f.StoreHits > 0 {
-			fmt.Printf("  %-10s %d simulated, %d replayed from the result store\n",
-				"", f.SimRuns, f.StoreHits)
-		}
 		if f.DecodeBlocks+f.DecodeHits > 0 {
 			fmt.Printf("  %-10s decode: %d blocks, %d cache hits, %d fused ops\n",
 				"", f.DecodeBlocks, f.DecodeHits, f.DecodeFused)
@@ -445,13 +416,9 @@ func runPerf(scale, samples int, storeDir, outPath string) error {
 			fmt.Printf("  %-10s scheduler: %d run-queue ops\n", "", f.SchedQueueOps)
 		}
 	}
-	if rep.ResultStore != nil {
-		fmt.Printf("  result store: %d entries in %d segment(s); %d hits, %d misses, %d puts this run\n",
-			rep.ResultStore.Entries, rep.ResultStore.Segments, rep.ResultStore.Hits, rep.ResultStore.Misses, rep.ResultStore.Puts)
-	}
 	for _, cc := range []struct {
 		name string
-		s    compile.CacheStats
+		s    perfCompileCache
 	}{{"fig8", rep.Fig8CompileCache}, {"fig9", rep.FigureCompileCache}} {
 		fmt.Printf("  compile cache %-8s %4d compiles, %4d hits (%d distinct configurations)\n",
 			cc.name, cc.s.Misses, cc.s.Hits, cc.s.Entries)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"capri/internal/figures"
-	"capri/internal/resultstore"
 )
 
 // sweepBlockName is the marker name of the sweep-accounting block embedded
@@ -23,20 +22,15 @@ type sweepTables struct {
 	decHits    uint64
 	decFused   uint64
 	simRuns    uint64
-	storeHits  uint64
-	storeMiss  uint64
 	compiles   int64
 }
 
 // renderSweep runs the full Fig8 threshold sweep and the Fig9 level sweep on
 // one harness and snapshots the counters.
-func renderSweep(scale, jobs int, store *resultstore.Store) (sweepTables, error) {
+func renderSweep(scale, jobs int) (sweepTables, error) {
 	var out sweepTables
 	h := figures.NewHarness(scale)
 	h.Parallelism = jobs
-	if store != nil {
-		h.UseStore(store)
-	}
 	t8, err := h.Fig8(nil)
 	if err != nil {
 		return out, err
@@ -49,21 +43,15 @@ func renderSweep(scale, jobs int, store *resultstore.Store) (sweepTables, error)
 	out.instret = h.Instret()
 	out.decBlocks, out.decHits, out.decFused = h.DecodeStats()
 	out.simRuns = h.SimRuns()
-	out.storeHits, out.storeMiss = h.StoreStats()
 	out.compiles = h.CompileCacheStats().Misses
 	return out, nil
 }
 
 // runSweepCheck asserts the sweep orchestrator's determinism contract
-// (DESIGN.md §4h) end-to-end, in three acts:
-//
-//  1. sequential reference — no store, Parallelism 1;
-//  2. cold parallel — jobs workers against an empty store: the fig8/fig9
-//     tables and every simulation counter must be byte-identical to the
-//     sequential run's, and each store probe must miss;
-//  3. warm rerun — a fresh harness over the reopened store: identical
-//     tables again, with zero simulations and zero compilations
-//     (counter-asserted, not assumed).
+// (DESIGN.md §4h) end-to-end: a sequential reference sweep and a jobs-worker
+// parallel sweep on fresh harnesses must render byte-identical fig8/fig9
+// tables and do the same work — simulations, instructions, decode-cache
+// traffic and compilations are counter-asserted, not assumed.
 //
 // With verifyPath set it additionally byte-checks the accounting block
 // embedded in that file (the docs-verify half of the contract); otherwise it
@@ -72,72 +60,33 @@ func runSweepCheck(scale, jobs int, verifyPath string) error {
 	if jobs < 2 {
 		jobs = 4 // the contract is about parallelism; a 1-job check is vacuous
 	}
-	dir, err := os.MkdirTemp("", "capri-sweepcheck-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	seq, err := renderSweep(scale, 1, nil)
+	seq, err := renderSweep(scale, 1)
 	if err != nil {
 		return fmt.Errorf("sweepcheck sequential: %w", err)
 	}
-
-	store, err := resultstore.Open(dir)
+	par, err := renderSweep(scale, jobs)
 	if err != nil {
-		return err
+		return fmt.Errorf("sweepcheck parallel: %w", err)
 	}
-	cold, err := renderSweep(scale, jobs, store)
-	if err != nil {
-		return fmt.Errorf("sweepcheck cold parallel: %w", err)
-	}
-	if err := store.Close(); err != nil {
-		return err
-	}
-	if cold.fig8 != seq.fig8 || cold.fig9 != seq.fig9 {
+	if par.fig8 != seq.fig8 || par.fig9 != seq.fig9 {
 		return fmt.Errorf("sweepcheck: parallel (-jobs %d) tables differ from sequential:\n--- sequential fig8 ---\n%s--- parallel fig8 ---\n%s--- sequential fig9 ---\n%s--- parallel fig9 ---\n%s",
-			jobs, seq.fig8, cold.fig8, seq.fig9, cold.fig9)
+			jobs, seq.fig8, par.fig8, seq.fig9, par.fig9)
 	}
-	if cold.instret != seq.instret || cold.simRuns != seq.simRuns {
+	if par.instret != seq.instret || par.simRuns != seq.simRuns {
 		return fmt.Errorf("sweepcheck: parallel run simulated different work: %d inst / %d sims vs sequential %d / %d",
-			cold.instret, cold.simRuns, seq.instret, seq.simRuns)
+			par.instret, par.simRuns, seq.instret, seq.simRuns)
 	}
-	if cold.decBlocks != seq.decBlocks || cold.decHits != seq.decHits || cold.decFused != seq.decFused {
+	if par.decBlocks != seq.decBlocks || par.decHits != seq.decHits || par.decFused != seq.decFused {
 		return fmt.Errorf("sweepcheck: parallel decode counters diverged: %d/%d/%d vs %d/%d/%d",
-			cold.decBlocks, cold.decHits, cold.decFused, seq.decBlocks, seq.decHits, seq.decFused)
+			par.decBlocks, par.decHits, par.decFused, seq.decBlocks, seq.decHits, seq.decFused)
 	}
-	if cold.storeHits != 0 {
-		return fmt.Errorf("sweepcheck: cold store served %d hits from an empty store", cold.storeHits)
-	}
-
-	warmStore, err := resultstore.Open(dir)
-	if err != nil {
-		return err
-	}
-	warmStats := warmStore.Stats()
-	warm, err := renderSweep(scale, jobs, warmStore)
-	if err != nil {
-		return fmt.Errorf("sweepcheck warm: %w", err)
-	}
-	if err := warmStore.Close(); err != nil {
-		return err
-	}
-	if warm.fig8 != seq.fig8 || warm.fig9 != seq.fig9 {
-		return fmt.Errorf("sweepcheck: warm-store tables differ from sequential")
-	}
-	if warm.simRuns != 0 || warm.instret != 0 {
-		return fmt.Errorf("sweepcheck: warm store still simulated %d runs / %d instructions, want 0", warm.simRuns, warm.instret)
-	}
-	if warm.compiles != 0 {
-		return fmt.Errorf("sweepcheck: warm store still compiled %d times, want 0", warm.compiles)
-	}
-	if warm.storeMiss != 0 || warm.storeHits == 0 {
-		return fmt.Errorf("sweepcheck: warm store traffic %d hits / %d misses, want all hits", warm.storeHits, warm.storeMiss)
+	if par.compiles != seq.compiles {
+		return fmt.Errorf("sweepcheck: parallel run compiled %d times, sequential %d", par.compiles, seq.compiles)
 	}
 
-	block := renderSweepBlock(seq, cold, warm, warmStats)
-	fmt.Printf("sweepcheck: -jobs %d tables byte-identical to sequential; warm rerun: 0 sims, 0 compiles, %d store hits\n",
-		jobs, warm.storeHits)
+	block := renderSweepBlock(seq, par)
+	fmt.Printf("sweepcheck: -jobs %d tables byte-identical to sequential; %d sims, %d compiles in both\n",
+		jobs, seq.simRuns, seq.compiles)
 	if verifyPath == "" {
 		fmt.Printf("\n<!-- explain:%s -->\n%s<!-- /explain:%s -->\n", sweepBlockName, block, sweepBlockName)
 		return nil
@@ -159,21 +108,18 @@ func runSweepCheck(scale, jobs int, verifyPath string) error {
 }
 
 // renderSweepBlock builds the deterministic accounting block embedded in
-// EXPERIMENTS.md: pure counters — configurations, simulations, store entries
-// and segments — never wall times, so the block is byte-stable across
-// machines and job counts.
-func renderSweepBlock(seq, cold, warm sweepTables, warmStats resultstore.Stats) string {
+// EXPERIMENTS.md: pure counters — simulations, instructions, compilations —
+// never wall times, so the block is byte-stable across machines and job
+// counts.
+func renderSweepBlock(seq, par sweepTables) string {
 	var b strings.Builder
 	b.WriteString("```text\n")
 	fmt.Fprintf(&b, "fig8+fig9 sweep accounting (scale 1; counters, not clocks)\n")
 	fmt.Fprintf(&b, "  simulations (cold)      %6d  (baselines + fig8 cells + fig9 cells)\n", seq.simRuns)
 	fmt.Fprintf(&b, "  instructions simulated  %6d k\n", seq.instret/1000)
 	fmt.Fprintf(&b, "  distinct compilations   %6d\n", seq.compiles)
-	fmt.Fprintf(&b, "  store entries sealed    %6d  in %d segment(s)\n", warmStats.Entries, warmStats.Segments)
-	fmt.Fprintf(&b, "  warm-store rerun        %6d  simulations, %d compilations, %d store hits\n",
-		warm.simRuns, warm.compiles, warm.storeHits)
 	fmt.Fprintf(&b, "  parallel == sequential  fig8, fig9 byte-identical; instret delta %d\n",
-		cold.instret-seq.instret)
+		par.instret-seq.instret)
 	b.WriteString("```\n")
 	return b.String()
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"capri/internal/fault"
-	"capri/internal/resultstore"
 )
 
 // runCampaign is `capricrash -campaign`: a seeded hardware-fault campaign
@@ -17,7 +16,7 @@ import (
 // auditor and verified against its golden state. Any failure is shrunk to a
 // minimal reproducible fault plan and written as JSON for `-plan` replay.
 func runCampaign(seed uint64, trials, maxFaults, corpus, threshold, scale, jobs int,
-	benches bool, cores []int, duration time.Duration, planOut, recordOut, storeDir string) {
+	benches bool, cores []int, duration time.Duration, planOut, recordOut string) {
 	targets := append(fault.SynthTargets(threshold), fault.CorpusTargets(corpus, threshold)...)
 	if benches {
 		targets = append(targets, fault.BenchTargets(scale, threshold)...)
@@ -27,15 +26,6 @@ func runCampaign(seed uint64, trials, maxFaults, corpus, threshold, scale, jobs 
 		// each target pinned to its own core count (Plan.Target.Cores), so a
 		// shrunk failing plan replays on the exact machine that produced it.
 		targets = append(targets, fault.ContentionTargets(scale, threshold, cores...)...)
-	}
-	var store *resultstore.Store
-	if storeDir != "" {
-		s, err := resultstore.Open(storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		store = s
-		defer store.Close()
 	}
 	fmt.Printf("fault campaign: %d targets, %d trials each, <= %d faults/plan, seed %d, %d job(s)\n",
 		len(targets), trials, maxFaults, seed, max(jobs, 1))
@@ -47,7 +37,6 @@ func runCampaign(seed uint64, trials, maxFaults, corpus, threshold, scale, jobs 
 		Targets:   targets,
 		Budget:    duration,
 		Jobs:      jobs,
-		Store:     store,
 		Log: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
@@ -57,10 +46,6 @@ func runCampaign(seed uint64, trials, maxFaults, corpus, threshold, scale, jobs 
 	}
 	fmt.Printf("\n%d targets, %d trials, %d faults injected in %v\n",
 		res.Targets, res.Trials, res.Faults, time.Since(start).Round(time.Millisecond))
-	if store != nil {
-		fmt.Printf("result store: %d target outcomes replayed, %d freshly executed\n",
-			res.StoreHits, res.Targets-res.StoreHits)
-	}
 	fmt.Printf("crashes %d (vacuous %d, exhausted %d), recoveries %d, nested crashes %d\n",
 		res.Crashes, res.Vacuous, res.Exhausted, res.Recoveries, res.NestedCrashes)
 	fmt.Printf("drain retries %d, auditor events %d\n", res.DrainRetries, res.EventsAudited)

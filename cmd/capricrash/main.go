@@ -76,7 +76,6 @@ func main() {
 		planOut   = flag.String("plan-out", "", "where -campaign writes the minimal failing fault plan (default fault-plan-min.json)")
 		planIn    = flag.String("plan", "", "replay one capri/fault-plan/v1 JSON fault plan and exit")
 		jobs      = flag.Int("jobs", 1, "campaign targets to run in parallel (with -campaign; 0 = GOMAXPROCS)")
-		storeDir  = flag.String("store", "", "content-addressed result store `dir` (with -campaign); stored target outcomes replay instead of re-running")
 		listen    = flag.String("listen", "", "serve live OpenMetrics telemetry on this `addr` (e.g. :9090) while the command runs")
 		hbOut     = flag.String("heartbeat-out", "", "append JSONL telemetry heartbeats to this `file` (\"-\" = stderr)")
 		hbEvery   = flag.Duration("heartbeat-interval", time.Second, "heartbeat sampling interval (with -heartbeat-out)")
@@ -110,7 +109,7 @@ func main() {
 	}
 	if *campaign {
 		runCampaign(*seed, *trials, *maxFaults, *corpus, *threshold, *scale, *jobs,
-			*benches, cores, *duration, *planOut, *recordOut, *storeDir)
+			*benches, cores, *duration, *planOut, *recordOut)
 		return
 	}
 

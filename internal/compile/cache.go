@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"capri/internal/prog"
-	"capri/internal/resultstore"
 	"capri/internal/telemetry"
 )
 
@@ -21,13 +20,10 @@ import (
 // sync.Once: exactly one goroutine compiles, the rest block on the same
 // entry and count as hits.
 type Cache struct {
-	mu       sync.Mutex
-	entries  map[cacheKey]*cacheEntry
-	persist  Persist // optional on-disk tier (see SetPersist)
-	salt     []byte
-	hits     atomic.Int64
-	misses   atomic.Int64
-	diskHits atomic.Int64
+	mu      sync.Mutex
+	entries map[cacheKey]*cacheEntry
+	hits    atomic.Int64
+	misses  atomic.Int64
 }
 
 type cacheKey struct {
@@ -46,16 +42,14 @@ func NewCache() *Cache {
 	return &Cache{entries: make(map[cacheKey]*cacheEntry)}
 }
 
-// CacheStats reports cache traffic. Hits + DiskHits + Misses equals the
-// number of Compile calls served; Entries counts distinct (program, options)
-// keys, including failed compilations (errors are cached too — recompiling
-// an invalid input cannot succeed). DiskHits counts keys satisfied from the
-// persistent tier (SetPersist) instead of being compiled.
+// CacheStats reports cache traffic. Hits + Misses equals the number of
+// Compile calls served; Entries counts distinct (program, options) keys,
+// including failed compilations (errors are cached too — recompiling an
+// invalid input cannot succeed).
 type CacheStats struct {
-	Hits     int64 `json:"hits"`
-	DiskHits int64 `json:"disk_hits"`
-	Misses   int64 `json:"misses"`
-	Entries  int   `json:"entries"`
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int   `json:"entries"`
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -63,7 +57,7 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	n := len(c.entries)
 	c.mu.Unlock()
-	return CacheStats{Hits: c.hits.Load(), DiskHits: c.diskHits.Load(), Misses: c.misses.Load(), Entries: n}
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
 }
 
 // Compile returns the cached result for (p, opts), compiling on first use.
@@ -80,31 +74,13 @@ func (c *Cache) Compile(p *prog.Program, opts Options) (*Result, error) {
 		e = &cacheEntry{}
 		c.entries[key] = e
 	}
-	persist := c.persist
 	c.mu.Unlock()
 	won := false
 	e.once.Do(func() {
 		won = true
-		var pk resultstore.Key
-		if persist != nil {
-			pk = c.persistKey(key)
-			if raw, ok := persist.Get(pk); ok {
-				if res, ok := decodeStored(raw, opts); ok {
-					c.diskHits.Add(1)
-					telemetry.Caches.CompileDiskHits.Add(1)
-					e.res = res
-					return
-				}
-			}
-		}
 		c.misses.Add(1)
 		telemetry.Caches.CompileMisses.Add(1)
 		e.res, e.err = Compile(p, opts)
-		if persist != nil && e.err == nil {
-			if raw, err := encodeStored(e.res); err == nil {
-				persist.Put(pk, raw)
-			}
-		}
 	})
 	if !won {
 		c.hits.Add(1)

@@ -65,10 +65,8 @@ const VerifyAfterAll = "all"
 
 // Canonical returns opts with output-irrelevant and defaulted fields
 // normalized, so Options values that compile to the same program compare
-// equal — the options half of the compile-cache key, and the key material
-// for content-addressed stores (the sweep fleet's result store and the
-// persistent compile tier both hash Canonical()'s JSON encoding). Threshold
-// must already be validated positive.
+// equal — the options half of the compile-cache key. Threshold must already
+// be validated positive.
 func (o Options) Canonical() Options {
 	o.VerifyAfter = ""
 	if o.NaiveRegions {

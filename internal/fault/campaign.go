@@ -1,14 +1,12 @@
 package fault
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"capri/internal/machine"
 	"capri/internal/prog"
 	"capri/internal/recovery"
-	"capri/internal/resultstore"
 	"capri/internal/sweep"
 	"capri/internal/telemetry"
 	"capri/internal/workload"
@@ -76,12 +74,7 @@ type CampaignConfig struct {
 	// state and machines — and aggregation folds per-target outcomes in
 	// target order, so the campaign result is the same at any job count.
 	Jobs int
-	// Store, when set, content-addresses each target's outcome (plans,
-	// shrunk failures and all) so a rerun of the same campaign replays from
-	// disk instead of re-injecting faults. Keys bind the toolchain salt, the
-	// campaign seed, the target's index and identity, and the trial shape.
-	Store *resultstore.Store
-	Log   func(format string, args ...any)
+	Log  func(format string, args ...any)
 }
 
 // Failure is one reproducible campaign failure: the original failing plan
@@ -105,27 +98,7 @@ type CampaignResult struct {
 	Recoveries    int
 	DrainRetries  uint64
 	EventsAudited uint64
-	// StoreHits counts targets whose outcome replayed from the attached
-	// result store instead of being re-executed.
-	StoreHits int
-	Failures  []Failure
-}
-
-// targetOutcome is one target's campaign contribution — the unit the result
-// store persists. Ran distinguishes an executed target from one skipped by
-// the budget (skips are never stored).
-type targetOutcome struct {
-	Ran           bool      `json:"ran"`
-	Trials        int       `json:"trials"`
-	Faults        int       `json:"faults"`
-	Crashes       int       `json:"crashes"`
-	Vacuous       int       `json:"vacuous"`
-	Exhausted     int       `json:"exhausted"`
-	NestedCrashes int       `json:"nested_crashes"`
-	Recoveries    int       `json:"recoveries"`
-	DrainRetries  uint64    `json:"drain_retries"`
-	EventsAudited uint64    `json:"events_audited"`
-	Failures      []Failure `json:"failures,omitempty"`
+	Failures      []Failure
 }
 
 // planSeed derives the deterministic per-trial plan seed, so any trial is
@@ -137,27 +110,13 @@ func planSeed(base, target, trial uint64) uint64 {
 	return r.next() + trial*0x2545f4914f6cdd1d
 }
 
-// campaignKey content-addresses one target's outcome: toolchain salt (the
-// simulator and compiler ARE inputs to a fault response), campaign seed,
-// target index (plan seeds derive from it), target identity, and the trial
-// shape. Anything else — job count, wall-clock, sibling targets' outcomes —
-// cannot change the target's result and stays out of the key.
-func campaignKey(cc CampaignConfig, ti int, target Target) resultstore.Key {
-	tj, err := json.Marshal(target)
-	if err != nil {
-		panic(err) // Target is a plain struct; cannot fail
-	}
-	meta := fmt.Sprintf("seed=%d ti=%d trials=%d maxfaults=%d", cc.Seed, ti, cc.Trials, cc.MaxFaults)
-	return resultstore.KeyOf("capri/fault-campaign", sweep.ToolchainSalt(), tj, []byte(meta))
-}
-
 // runTarget executes one target's full trial schedule: build once, capture
 // the golden state once, then Trials independent plans. The first failing
 // trial is shrunk to a minimal failing plan and recorded; remaining trials
 // of that target are skipped (one minimal reproducer per target is the
-// useful artifact).
-func runTarget(cc CampaignConfig, ti int, target Target, logf func(string, ...any)) (targetOutcome, error) {
-	to := targetOutcome{Ran: true}
+// useful artifact). The outcome is the target's one-target CampaignResult.
+func runTarget(cc CampaignConfig, ti int, target Target, logf func(string, ...any)) (CampaignResult, error) {
+	to := CampaignResult{Targets: 1}
 	pg, cfg, err := target.Build()
 	if err != nil {
 		return to, err
@@ -217,12 +176,10 @@ func runTarget(cc CampaignConfig, ti int, target Target, logf func(string, ...an
 // RunCampaign sweeps seeded fault plans over the targets, sharding targets
 // across cc.Jobs workers (see CampaignConfig.Jobs). Per-target outcomes fold
 // into the result in target order, so counters and the Failures list are
-// identical at any job count. With a store attached, previously executed
-// targets replay their stored outcomes — shrunk plans included — without
-// re-injecting a single fault, and fresh outcomes are published back. Build
-// or golden-run errors fail the campaign (they mean the target itself is
-// broken, not the fault response); the aggregated result of the remaining
-// targets is still returned alongside the lowest-indexed error.
+// identical at any job count. Build or golden-run errors fail the campaign
+// (they mean the target itself is broken, not the fault response); the
+// aggregated result of the remaining targets is still returned alongside
+// the lowest-indexed error.
 func RunCampaign(cc CampaignConfig) (*CampaignResult, error) {
 	if cc.Trials <= 0 {
 		cc.Trials = 3
@@ -238,49 +195,26 @@ func RunCampaign(cc CampaignConfig) (*CampaignResult, error) {
 	if cc.Budget > 0 {
 		deadline = time.Now().Add(cc.Budget)
 	}
-	outs := make([]targetOutcome, len(cc.Targets))
-	hits := make([]bool, len(cc.Targets))
+	outs := make([]CampaignResult, len(cc.Targets))
 	err := sweep.Run(cc.Jobs, len(cc.Targets), func(ti int) error {
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			return nil // budget-skipped: outs[ti].Ran stays false
+			return nil // budget-skipped: outs[ti].Targets stays 0
 		}
-		target := cc.Targets[ti]
-		var key resultstore.Key
-		if cc.Store != nil {
-			key = campaignKey(cc, ti, target)
-			if raw, ok := cc.Store.Get(key); ok {
-				var to targetOutcome
-				if json.Unmarshal(raw, &to) == nil && to.Ran {
-					outs[ti] = to
-					hits[ti] = true
-					telemetry.Campaigns.StoreHits.Add(1)
-					return nil
-				}
-			}
-		}
-		to, terr := runTarget(cc, ti, target, logf)
+		to, terr := runTarget(cc, ti, cc.Targets[ti], logf)
 		if terr != nil {
 			return terr
 		}
 		outs[ti] = to
-		if cc.Store != nil {
-			if raw, merr := json.Marshal(to); merr == nil {
-				cc.Store.Put(key, raw)
-			}
-		}
 		return nil
 	})
 	res := &CampaignResult{}
 	skipped := 0
-	for ti, to := range outs {
-		if !to.Ran {
+	for _, to := range outs {
+		if to.Targets == 0 {
 			skipped++
 			continue
 		}
-		if hits[ti] {
-			res.StoreHits++
-		}
-		res.Targets++
+		res.Targets += to.Targets
 		res.Trials += to.Trials
 		res.Faults += to.Faults
 		res.Crashes += to.Crashes
@@ -294,11 +228,6 @@ func RunCampaign(cc CampaignConfig) (*CampaignResult, error) {
 	}
 	if skipped > 0 {
 		logf("budget exhausted: %d/%d targets skipped", skipped, len(cc.Targets))
-	}
-	if cc.Store != nil {
-		if ferr := cc.Store.Flush(); err == nil {
-			err = ferr
-		}
 	}
 	return res, err
 }

@@ -7,7 +7,6 @@
 package figures
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"capri/internal/audit"
 	"capri/internal/compile"
 	"capri/internal/machine"
-	"capri/internal/resultstore"
 	"capri/internal/stats"
 	"capri/internal/sweep"
 	"capri/internal/workload"
@@ -43,19 +41,13 @@ type Harness struct {
 	baseline map[string]*baselineRun
 	results  map[runKey]*resultRun
 	compiles *compile.Cache
-	store    *resultstore.Store
 	instret  atomic.Uint64
 
-	// Simulated-only accounting: runs that actually turned a machine (store
-	// hits excluded) and the wall time they took. The perf report divides
-	// Instret by SimSeconds for an inst/s that a warm store cannot skew.
+	// Simulated-only accounting: runs that turned a machine and the wall
+	// time they spent inside machine.Run. The perf report divides Instret
+	// by SimSeconds for an inst/s that excludes compile and setup time.
 	simRuns  atomic.Uint64
 	simNanos atomic.Int64
-
-	// Result-store traffic at simulation granularity (baseline + Capri runs;
-	// the compile cache's disk tier counts separately).
-	storeHits   atomic.Uint64
-	storeMisses atomic.Uint64
 
 	// Decode-cache traffic summed over every simulation (zero when the
 	// machines run the switch core). The perf report records these beside
@@ -82,9 +74,9 @@ type runKey struct {
 }
 
 // resultRun single-flights one (benchmark, level, threshold) configuration:
-// under a parallel Prefetch, racing callers share one simulation (or one
-// store probe) instead of duplicating it, which keeps the harness's sim and
-// store counters schedule-independent.
+// under a parallel Prefetch, racing callers share one simulation instead of
+// duplicating it, which keeps the harness's sim counters
+// schedule-independent.
 type resultRun struct {
 	once sync.Once
 	res  Result
@@ -98,18 +90,6 @@ func NewHarness(scale int) *Harness {
 		baseline: map[string]*baselineRun{},
 		results:  map[runKey]*resultRun{},
 		compiles: compile.NewCache(),
-	}
-}
-
-// UseStore attaches a content-addressed result store (DESIGN.md §4h): runs
-// whose keys are already present replay from disk instead of simulating, new
-// results are published back, and the compile cache gains its persistent
-// tier behind the same store. Call before the first run; pass nil to detach
-// the simulation tier (the compile tier, once attached, stays).
-func (h *Harness) UseStore(s *resultstore.Store) {
-	h.store = s
-	if s != nil {
-		h.compiles.SetPersist(s, sweep.ToolchainSalt())
 	}
 }
 
@@ -132,23 +112,16 @@ func (h *Harness) DecodeStats() (blocks, hits, fused uint64) {
 	return h.decBlocks.Load(), h.decHits.Load(), h.decFused.Load()
 }
 
-// SimRuns returns the number of simulations this harness actually executed —
-// store hits replay results without turning a machine and do not count.
+// SimRuns returns the number of simulations this harness executed; cached
+// results do not re-count.
 func (h *Harness) SimRuns() uint64 { return h.simRuns.Load() }
 
 // SimSeconds returns the wall time spent inside machine.Run across all
 // simulations, summed per run (not wall-clock of the sweep: parallel runs
-// overlap). Instret / SimSeconds is the store-proof inst/s the perf gate
-// compares.
+// overlap). Instret / SimSeconds is the simulated-only inst/s the perf gate
+// compares: it excludes compile time.
 func (h *Harness) SimSeconds() float64 {
 	return float64(h.simNanos.Load()) / 1e9
-}
-
-// StoreStats reports result-store traffic at simulation granularity: probes
-// that replayed a stored result and probes that fell through to a live
-// simulation. Both are zero when no store is attached.
-func (h *Harness) StoreStats() (hits, misses uint64) {
-	return h.storeHits.Load(), h.storeMisses.Load()
 }
 
 // addSim folds one finished machine's counters and its simulation wall time
@@ -214,21 +187,7 @@ func (h *Harness) BaselineStats(b workload.Benchmark) (machine.Stats, error) {
 			e.err = fmt.Errorf("%s baseline: %w", b.Name, err)
 			return
 		}
-		p := b.Build(h.Scale)
-		var key resultstore.Key
-		if h.store != nil {
-			key = sweep.BaselineKey(p.Fingerprint(), cfg)
-			if raw, ok := h.store.Get(key); ok {
-				var ms machine.Stats
-				if err := json.Unmarshal(raw, &ms); err == nil {
-					h.storeHits.Add(1)
-					e.stats = ms
-					return
-				}
-			}
-			h.storeMisses.Add(1)
-		}
-		m, err := machine.New(p, cfg)
+		m, err := machine.New(b.Build(h.Scale), cfg)
 		if err != nil {
 			e.err = fmt.Errorf("%s baseline: %w", b.Name, err)
 			return
@@ -241,12 +200,6 @@ func (h *Harness) BaselineStats(b workload.Benchmark) (machine.Stats, error) {
 		wall := time.Since(start)
 		e.stats = m.Stats()
 		h.addSim(e.stats, wall)
-		if h.store != nil {
-			raw, err := json.Marshal(e.stats)
-			if err == nil {
-				h.store.Put(key, raw)
-			}
-		}
 	})
 	return e.stats, e.err
 }
@@ -263,8 +216,8 @@ type Result struct {
 // Run executes one benchmark under Capri at the given optimization level and
 // threshold, returning normalized cycles and region statistics. Results are
 // cached per (benchmark, level, threshold) behind a per-key singleflight —
-// racing callers share one simulation or one store probe, never duplicate
-// either — so the harness's counters are the same under any parallelism.
+// racing callers share one simulation, never duplicate it — so the
+// harness's counters are the same under any parallelism.
 // Safe for concurrent use.
 func (h *Harness) Run(b workload.Benchmark, level compile.Level, threshold int) (Result, error) {
 	key := runKey{bench: b.Name, level: level, threshold: threshold}
@@ -281,17 +234,8 @@ func (h *Harness) Run(b workload.Benchmark, level compile.Level, threshold int) 
 	return e.res, e.err
 }
 
-// storedSim is the result store's payload for one Capri simulation: the full
-// machine counter snapshot plus the compile statistics (timings stripped —
-// they are measurement, not result). Everything else in Result derives from
-// these plus the benchmark's baseline.
-type storedSim struct {
-	Machine machine.Stats `json:"machine"`
-	Compile compile.Stats `json:"compile"`
-}
-
-// runOnce does the work behind Run's singleflight: baseline, store probe,
-// and — on a miss — compile + simulate + publish.
+// runOnce does the work behind Run's singleflight: baseline, compile,
+// simulate, and derive the figure-facing Result.
 func (h *Harness) runOnce(b workload.Benchmark, level compile.Level, threshold int) (Result, error) {
 	base, err := h.Baseline(b)
 	if err != nil {
@@ -301,21 +245,7 @@ func (h *Harness) runOnce(b workload.Benchmark, level compile.Level, threshold i
 	if err != nil {
 		return Result{}, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}
-	src := b.Build(h.Scale)
-	opts := compile.OptionsForLevel(level, threshold)
-	var key resultstore.Key
-	if h.store != nil {
-		key = sweep.SimKey(src.Fingerprint(), opts, cfg)
-		if raw, ok := h.store.Get(key); ok {
-			var ss storedSim
-			if err := json.Unmarshal(raw, &ss); err == nil {
-				h.storeHits.Add(1)
-				return resultFrom(ss, base), nil
-			}
-		}
-		h.storeMisses.Add(1)
-	}
-	res, err := h.compiles.Compile(src, opts)
+	res, err := h.compiles.Compile(b.Build(h.Scale), compile.OptionsForLevel(level, threshold))
 	if err != nil {
 		return Result{}, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}
@@ -330,27 +260,13 @@ func (h *Harness) runOnce(b workload.Benchmark, level compile.Level, threshold i
 	wall := time.Since(start)
 	ms := m.Stats()
 	h.addSim(ms, wall)
-	ss := storedSim{Machine: ms, Compile: res.Stats.StripTimings()}
-	if h.store != nil {
-		if raw, err := json.Marshal(ss); err == nil {
-			h.store.Put(key, raw)
-		}
-	}
-	return resultFrom(ss, base), nil
-}
-
-// resultFrom derives the figure-facing Result from a stored (or fresh)
-// simulation payload and the benchmark's baseline cycles. Simulated and
-// replayed runs go through the same derivation, which is what makes warm
-// tables byte-identical to cold ones.
-func resultFrom(ss storedSim, base uint64) Result {
 	return Result{
-		Norm:         float64(ss.Machine.Cycles) / float64(base),
-		Machine:      ss.Machine,
-		Compile:      ss.Compile,
-		RegionInsts:  ss.Machine.AvgRegionInsts,
-		RegionStores: ss.Machine.AvgRegionStores,
-	}
+		Norm:         float64(ms.Cycles) / float64(base),
+		Machine:      ms,
+		Compile:      res.Stats,
+		RegionInsts:  ms.AvgRegionInsts,
+		RegionStores: ms.AvgRegionStores,
+	}, nil
 }
 
 // RunTapped executes one Capri run outside the result cache, with a
@@ -397,20 +313,13 @@ func (h *Harness) RunTapped(b workload.Benchmark, level compile.Level, threshold
 // orchestrator (Parallelism workers; 0 = GOMAXPROCS), filling the result
 // cache so the figure builders' sequential loops hit it. The reported error
 // is the lowest-indexed failing unit (schedule-independent), and every unit
-// runs even when one fails. When a result store is attached, the batch of
-// newly simulated results is flushed into a sealed segment afterwards.
+// runs even when one fails.
 func (h *Harness) Prefetch(levels []compile.Level, thresholds []int) error {
 	units := sweep.Grid(workload.All(), levels, thresholds)
-	err := sweep.RunUnits(h.Parallelism, units, func(u sweep.Unit) error {
+	return sweep.RunUnits(h.Parallelism, units, func(u sweep.Unit) error {
 		_, err := h.Run(u.Bench, u.Level, u.Threshold)
 		return err
 	})
-	if h.store != nil {
-		if ferr := h.store.Flush(); err == nil {
-			err = ferr
-		}
-	}
-	return err
 }
 
 // suiteOf maps a benchmark name to its suite label for geomean rows.

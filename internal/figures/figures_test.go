@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"capri/internal/compile"
-	"capri/internal/resultstore"
 	"capri/internal/stats"
 	"capri/internal/workload"
 )
@@ -407,75 +406,4 @@ func TestSweepCompilesEachConfigurationOnce(t *testing.T) {
 	if s2.Misses != want || s2.Hits != 1 {
 		t.Errorf("instrumented re-run: misses %d hits %d, want %d/1", s2.Misses, s2.Hits, want)
 	}
-}
-
-// TestStoreWarmRunIsByteIdenticalAndSimFree is the package-level version of
-// the `capribench -sweepcheck` contract: a harness over a warm result store
-// reproduces the cold harness's tables exactly while simulating nothing.
-func TestStoreWarmRunIsByteIdenticalAndSimFree(t *testing.T) {
-	dir := t.TempDir()
-	open := func() *resultstore.Store {
-		s, err := resultstore.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	run := func(s *resultstore.Store, jobs int) (string, *Harness) {
-		h := NewHarness(1)
-		h.Parallelism = jobs
-		h.UseStore(s)
-		tbl, err := h.Fig8([]int{64, 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tbl.String(), h
-	}
-
-	sCold := open()
-	cold, hCold := run(sCold, 4)
-	if hCold.SimRuns() == 0 {
-		t.Fatal("cold run simulated nothing")
-	}
-	if hits, _ := hCold.StoreStats(); hits != 0 {
-		t.Fatalf("cold run hit the empty store %d times", hits)
-	}
-	if err := sCold.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	sWarm := open()
-	defer sWarm.Close()
-	warm, hWarm := run(sWarm, 4)
-	if warm != cold {
-		t.Errorf("warm table differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
-	}
-	if n := hWarm.SimRuns(); n != 0 {
-		t.Errorf("warm run simulated %d times, want 0", n)
-	}
-	if hits, misses := hWarm.StoreStats(); misses != 0 || hits == 0 {
-		t.Errorf("warm store traffic: %d hits, %d misses", hits, misses)
-	}
-	if st := hWarm.CompileCacheStats(); st.Misses != 0 {
-		t.Errorf("warm run compiled %d times, want 0", st.Misses)
-	}
-
-	// And a storeless parallel harness agrees with the store-backed one:
-	// the store changes where results come from, never what they are.
-	bare, _ := run2sequential(t)
-	if bare != cold {
-		t.Errorf("store-backed table differs from storeless sequential:\n%s\nvs\n%s", cold, bare)
-	}
-}
-
-// run2sequential renders the same Fig8 subset with no store and no
-// parallelism.
-func run2sequential(t *testing.T) (string, *Harness) {
-	h := NewHarness(1)
-	h.Parallelism = 1
-	tbl, err := h.Fig8([]int{64, 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl.String(), h
 }

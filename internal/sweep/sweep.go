@@ -1,9 +1,7 @@
 // Package sweep is the parallel sweep orchestrator (DESIGN.md §4h): it
 // shards independent simulation configurations — (benchmark × level ×
-// threshold) grid cells for the figures, fault plans for the crash
-// campaigns — across a bounded fleet of workers, and derives the
-// content-addressed keys under which the internal/resultstore package
-// persists each configuration's deterministic result.
+// threshold) grid cells for the figures, fault targets for the crash
+// campaigns — across a bounded fleet of workers.
 //
 // The orchestrator adds no semantics of its own: every unit is an
 // independent deterministic simulation, so the only contract worth having
@@ -16,15 +14,10 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"runtime"
 	"sync"
 
 	"capri/internal/compile"
-	"capri/internal/machine"
-	"capri/internal/progen"
-	"capri/internal/resultstore"
 	"capri/internal/telemetry"
 	"capri/internal/workload"
 )
@@ -34,8 +27,8 @@ import (
 // index order; 0 means GOMAXPROCS); each worker executes one unit at a
 // time, so a runner that builds a machine.Machine per unit holds at most
 // one live machine per worker. Every unit runs even when another fails —
-// units are independent simulations, and partial sweeps would make the
-// result store's contents schedule-dependent. The returned error is the
+// units are independent simulations, and a sweep that stopped early would
+// leave a schedule-dependent set of cells filled. The returned error is the
 // failing unit with the lowest index, which keeps the outcome deterministic
 // under any worker interleaving.
 func Run(jobs, n int, fn func(i int) error) error {
@@ -118,93 +111,4 @@ func Grid(benches []workload.Benchmark, levels []compile.Level, thresholds []int
 // RunUnits is Run over a unit grid.
 func RunUnits(jobs int, units []Unit, fn func(Unit) error) error {
 	return Run(jobs, len(units), func(i int) error { return fn(units[i]) })
-}
-
-// saltVersion is a manual escape hatch folded into ToolchainSalt: bump it
-// when simulator or compiler semantics change in a way the canary programs
-// cannot observe, so stale store entries from older binaries stop matching.
-const saltVersion = "capri-toolchain-salt/v1"
-
-// canaryShape is the program shape ToolchainSalt compiles and simulates: a
-// small two-threaded progen program, enough to exercise the compiler
-// pipeline, the MT scheduler, the proxy path, and drain timing.
-var canaryShape = progen.Config{Funcs: 2, MaxDepth: 2, MaxStmts: 4, MaxLoopTrip: 4, Threads: 2}
-
-var (
-	saltOnce sync.Once
-	saltVal  []byte
-)
-
-// ToolchainSalt fingerprints the toolchain's observable semantics and is
-// folded into every result-store key. Stored results are only valid while
-// the compiler and simulator still produce them, but neither is an input to
-// the result itself — so the salt compiles a canary program at two
-// optimization levels (hashing the compiled fingerprints: any compiler
-// change invalidates the store) and runs it on a deliberately tiny machine
-// geometry (hashing the deterministic machine.Stats: any timing or
-// semantic change to the simulator invalidates the store). Computed once
-// per process, in a few milliseconds.
-func ToolchainSalt() []byte {
-	saltOnce.Do(func() {
-		h := sha256.New()
-		h.Write([]byte(saltVersion))
-		src := progen.Generate(0xCA9B1, canaryShape)
-		cfg := machine.DefaultConfig()
-		cfg.Threshold = 64
-		cfg.Cores = 2
-		cfg.L1Size, cfg.L1Ways = 256, 1
-		cfg.L2Size, cfg.L2Ways = 512, 1
-		cfg.DRAMSize = 1 << 14
-		for _, level := range []compile.Level{compile.LevelRegion, compile.LevelLICM} {
-			res, err := compile.Compile(src, compile.OptionsForLevel(level, 64))
-			if err != nil {
-				h.Write([]byte(err.Error()))
-				continue
-			}
-			fp := res.Program.Fingerprint()
-			h.Write(fp[:])
-			if level != compile.LevelLICM {
-				continue
-			}
-			m, err := machine.New(res.Program, cfg)
-			if err != nil {
-				h.Write([]byte(err.Error()))
-				continue
-			}
-			if err := m.Run(); err != nil {
-				h.Write([]byte(err.Error()))
-				continue
-			}
-			h.Write(mustJSON(m.Stats()))
-		}
-		saltVal = h.Sum(nil)
-	})
-	return append([]byte(nil), saltVal...)
-}
-
-// mustJSON marshals a value that cannot fail (plain exported structs).
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// SimKey is the result-store key of one Capri simulation: the source
-// program's fingerprint × the canonicalized compile options × the full
-// machine configuration, salted by ToolchainSalt. Everything that can
-// change the deterministic result is in the key; everything that cannot
-// (wall-clock, parallelism, store layout) is not.
-func SimKey(fingerprint [sha256.Size]byte, opts compile.Options, cfg machine.Config) resultstore.Key {
-	return resultstore.KeyOf("capri/sim-result",
-		ToolchainSalt(), fingerprint[:], mustJSON(opts.Canonical()), mustJSON(cfg))
-}
-
-// BaselineKey is the result-store key of one volatile baseline simulation
-// (no compilation: the source program runs as-is on a Capri-disabled
-// machine).
-func BaselineKey(fingerprint [sha256.Size]byte, cfg machine.Config) resultstore.Key {
-	return resultstore.KeyOf("capri/sim-baseline",
-		ToolchainSalt(), fingerprint[:], mustJSON(cfg))
 }

@@ -1,15 +1,11 @@
 package sweep
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"capri/internal/compile"
-	"capri/internal/machine"
-	"capri/internal/resultstore"
 	"capri/internal/workload"
 )
 
@@ -75,101 +71,5 @@ func TestGridOrder(t *testing.T) {
 	}
 	if units[4].Bench.Name != benches[1].Name {
 		t.Fatalf("units[4] = %+v", units[4])
-	}
-}
-
-func TestToolchainSaltStable(t *testing.T) {
-	a := ToolchainSalt()
-	b := ToolchainSalt()
-	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatalf("salt unstable: %x vs %x", a, b)
-	}
-}
-
-func TestKeysDistinguishInputs(t *testing.T) {
-	var fp1, fp2 [32]byte
-	fp2[0] = 1
-	opts := compile.DefaultOptions()
-	opts2 := opts
-	opts2.Threshold = 64
-	cfg := machine.DefaultConfig()
-	cfg2 := cfg
-	cfg2.Cores = 2
-
-	base := SimKey(fp1, opts, cfg)
-	if SimKey(fp2, opts, cfg) == base {
-		t.Fatal("fingerprint not in key")
-	}
-	if SimKey(fp1, opts2, cfg) == base {
-		t.Fatal("options not in key")
-	}
-	if SimKey(fp1, opts, cfg2) == base {
-		t.Fatal("machine config not in key")
-	}
-	if BaselineKey(fp1, cfg) == base {
-		t.Fatal("baseline and sim domains collide")
-	}
-	if SimKey(fp1, opts, cfg) != base {
-		t.Fatal("SimKey not deterministic")
-	}
-}
-
-// TestVerifyAfterDoesNotChangeKey: VerifyAfter is diagnostics, not output;
-// canonicalization must erase it so verified and unverified runs share
-// stored results.
-func TestVerifyAfterDoesNotChangeKey(t *testing.T) {
-	var fp [32]byte
-	opts := compile.DefaultOptions()
-	verif := opts
-	verif.VerifyAfter = compile.VerifyAfterAll
-	cfg := machine.DefaultConfig()
-	if SimKey(fp, opts, cfg) != SimKey(fp, verif, cfg) {
-		t.Fatal("VerifyAfter leaked into the result key")
-	}
-}
-
-// TestOrchestratorSharedStoreRace drives the real orchestrator shape — many
-// workers computing units and publishing into one shared store, with
-// duplicate keys across workers — under the race detector.
-func TestOrchestratorSharedStoreRace(t *testing.T) {
-	dir := t.TempDir()
-	store, err := resultstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.CompactThreshold = 2
-
-	const n = 64
-	var sims int64
-	err = Run(8, n, func(i int) error {
-		// Units collide on keys (i%16) like overlapping sweep cells do.
-		key := resultstore.KeyOf("race-test", []byte(fmt.Sprintf("cell-%d", i%16)))
-		if _, ok := store.Get(key); ok {
-			return nil
-		}
-		atomic.AddInt64(&sims, 1)
-		store.Put(key, []byte(fmt.Sprintf("result-%d", i%16)))
-		if i%8 == 0 {
-			return store.Flush()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := resultstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if st := s2.Stats(); st.Entries != 16 {
-		t.Fatalf("entries = %d, want 16: %+v", st.Entries, st)
-	}
-	if sims < 16 || sims > n {
-		t.Fatalf("implausible sim count %d", sims)
 	}
 }

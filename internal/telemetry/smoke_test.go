@@ -123,8 +123,6 @@ func TestTelemetrySmoke(t *testing.T) {
 		"capri_campaign_violations_total",
 		"capri_compile_cache_hits_total",
 		"capri_compile_cache_misses_total",
-		"capri_result_store_hits_total",
-		"capri_result_store_misses_total",
 	} {
 		if _, ok := vals[fam]; !ok {
 			t.Errorf("scrape missing family %s", fam)

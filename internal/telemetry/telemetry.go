@@ -52,8 +52,8 @@ type Source interface {
 }
 
 // Func adapts a closure to the Source interface, for process-local
-// sources like compile-cache or result-store hit rates that live behind
-// existing accessors.
+// sources like compile-cache hit rates that live behind existing
+// accessors.
 type Func func(dst []Metric) []Metric
 
 // Collect implements Source.
@@ -226,8 +226,6 @@ type CampaignTelemetry struct {
 	NestedCrashes atomic.Uint64
 	// Violations counts trials that failed verification or audit.
 	Violations atomic.Uint64
-	// StoreHits counts campaign targets replayed from the result store.
-	StoreHits atomic.Uint64
 }
 
 // Collect implements Source.
@@ -240,37 +238,25 @@ func (t *CampaignTelemetry) Collect(dst []Metric) []Metric {
 		Metric{"capri_campaign_recoveries", "Recoveries completed.", Counter, float64(t.Recoveries.Load())},
 		Metric{"capri_campaign_nested_crashes", "Crashes injected during recovery.", Counter, float64(t.NestedCrashes.Load())},
 		Metric{"capri_campaign_violations", "Trials that failed verification or audit.", Counter, float64(t.Violations.Load())},
-		Metric{"capri_campaign_store_hits", "Campaign targets replayed from the result store.", Counter, float64(t.StoreHits.Load())},
 	)
 }
 
-// CacheTelemetry is the compile-cache and result-store traffic snapshot,
-// published per lookup from internal/compile and internal/resultstore
-// (cache operations sit far off the simulator hot path, so publishing is
-// unconditional). Hit rates are derived by the consumer from the counter
-// pairs.
+// CacheTelemetry is the compile-cache traffic snapshot, published per
+// lookup from internal/compile (cache operations sit far off the simulator
+// hot path, so publishing is unconditional). Hit rates are derived by the
+// consumer from the counter pair.
 type CacheTelemetry struct {
-	// CompileHits, CompileDiskHits, and CompileMisses count compile-cache
-	// lookups served from memory, from the persistent store tier, and
-	// compiled fresh.
-	CompileHits     atomic.Uint64
-	CompileDiskHits atomic.Uint64
-	CompileMisses   atomic.Uint64
-	// StoreHits, StoreMisses, and StorePuts count result-store traffic.
-	StoreHits   atomic.Uint64
-	StoreMisses atomic.Uint64
-	StorePuts   atomic.Uint64
+	// CompileHits and CompileMisses count compile-cache lookups served
+	// from memory and compiled fresh.
+	CompileHits   atomic.Uint64
+	CompileMisses atomic.Uint64
 }
 
 // Collect implements Source.
 func (t *CacheTelemetry) Collect(dst []Metric) []Metric {
 	return append(dst,
 		Metric{"capri_compile_cache_hits", "Compile-cache lookups served from memory.", Counter, float64(t.CompileHits.Load())},
-		Metric{"capri_compile_cache_disk_hits", "Compile-cache lookups served from the persistent tier.", Counter, float64(t.CompileDiskHits.Load())},
 		Metric{"capri_compile_cache_misses", "Compile-cache lookups compiled fresh.", Counter, float64(t.CompileMisses.Load())},
-		Metric{"capri_result_store_hits", "Result-store lookups that replayed a stored result.", Counter, float64(t.StoreHits.Load())},
-		Metric{"capri_result_store_misses", "Result-store lookups that missed.", Counter, float64(t.StoreMisses.Load())},
-		Metric{"capri_result_store_puts", "Results published to the store.", Counter, float64(t.StorePuts.Load())},
 	)
 }
 
@@ -285,7 +271,7 @@ var (
 	Sweeps = &SweepTelemetry{}
 	// Campaigns is the global campaign snapshot.
 	Campaigns = &CampaignTelemetry{}
-	// Caches is the global compile-cache/result-store snapshot.
+	// Caches is the global compile-cache snapshot.
 	Caches = &CacheTelemetry{}
 )
 

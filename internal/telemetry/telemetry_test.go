@@ -67,7 +67,6 @@ func TestHandlerServesOpenMetrics(t *testing.T) {
 		"capri_sweep_units_done_total",
 		"capri_campaign_trials_total",
 		"capri_compile_cache_hits_total",
-		"capri_result_store_hits_total",
 	} {
 		if !strings.Contains(body, fam) {
 			t.Errorf("default registry exposition missing %s:\n%s", fam, body)

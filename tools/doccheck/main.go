@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go run ./tools/doccheck internal/sweep internal/resultstore ...
+//	go run ./tools/doccheck internal/sweep internal/fault ...
 //
 // A grouped declaration (`const (...)`, `var (...)`) is satisfied by a doc
 // comment on the group or on the individual specs. Test files are skipped:
