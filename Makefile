@@ -23,7 +23,7 @@ test:
 # no external linters).
 lint:
 	$(GO) vet ./...
-	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem internal/image internal/proxy internal/cache internal/stats cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
@@ -35,7 +35,9 @@ lint:
 # allocation each) and the arena's lifetime test (no carved result is
 # overwritten by later carves or appends), the dispatch-equivalence suite,
 # the memory store's fuzz-corpus replay against its map model with the
-# store's zero-allocation pin, the documentation-freshness check — which includes
+# store's zero-allocation pin, the crash-image reader's fuzz-corpus replay
+# (every committed image, hostile ones included, is refused or recovers and
+# runs without a panic), the documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
 # byte-identical to sequential, with the same simulation and compilation
 # counts — and a perf-harness smoke run (catches BENCH_sim.json
@@ -51,6 +53,7 @@ check:
 	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills' ./internal/compile ./internal/analysis
 	$(GO) test -run 'DispatchEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree' ./internal/mem
+	$(GO) test -run 'FuzzImageRead' ./internal/image
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) audit
@@ -164,13 +167,17 @@ perf:
 	$(GO) run ./cmd/capristat -gate BENCH_sim.json /tmp/BENCH_sim.new.json
 
 # fuzz runs each native fuzz target for FUZZTIME: the auditor tap
-# (FuzzAuditorTap) and the memory store against its map model
-# (FuzzStoreDifferential). Plain `go test` replays their committed corpora;
-# a failing input the fuzzer finds lands in the package's testdata/fuzz.
+# (FuzzAuditorTap), the memory store against its map model
+# (FuzzStoreDifferential) and the crash-image reader (FuzzImageRead). Plain
+# `go test` replays their committed corpora; a failing input the fuzzer
+# finds lands in the package's testdata/fuzz. Image inputs are whole
+# programs of several KB, so their minimization is capped: at the default
+# minute per new input the run would do little else.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAuditorTap -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzStoreDifferential -fuzztime $(FUZZTIME) ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzImageRead -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/image
 
 clean:
 	rm -f capri.test /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json

@@ -20,10 +20,8 @@ func Format(p *prog.Program) string {
 		fmt.Fprintf(&sb, "func %s\n", funcName(p, f.ID))
 		for _, b := range f.Blocks {
 			fmt.Fprintf(&sb, "b%d:\n", b.ID)
-			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if slice, ok := b.RecoverySlices[r]; ok {
-					fmt.Fprintf(&sb, "    ; recovery slice for %s (%d insts)\n", r, len(slice))
-				}
+			for _, s := range b.RecoverySlices {
+				fmt.Fprintf(&sb, "    ; recovery slice for %s (%d insts)\n", s.Reg, len(s.Insts))
 			}
 			for i := range b.Insts {
 				fmt.Fprintf(&sb, "    %s\n", formatInst(p, &b.Insts[i]))

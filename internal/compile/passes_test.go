@@ -253,14 +253,14 @@ func TestHasFreshCkptBefore(t *testing.T) {
 }
 
 func TestSliceLeafsOn(t *testing.T) {
-	b := &prog.Block{RecoverySlices: map[isa.Reg][]isa.Inst{
-		5: {
+	b := &prog.Block{RecoverySlices: []prog.RecoverySlice{
+		{Reg: 5, Insts: []isa.Inst{
 			{Op: isa.OpAdd, Rd: 5, Ra: 1, Rb: 2}, // leaves r1, r2
-		},
-		6: {
+		}},
+		{Reg: 6, Insts: []isa.Inst{
 			{Op: isa.OpMovI, Rd: 7, Imm: 3},      // defines r7 first...
 			{Op: isa.OpAdd, Rd: 6, Ra: 7, Rb: 3}, // ...then uses it: r7 not a leaf
-		},
+		}},
 	}}
 	if !sliceLeafsOn(b, 1) || !sliceLeafsOn(b, 2) || !sliceLeafsOn(b, 3) {
 		t.Error("true leaves not detected")

@@ -86,21 +86,14 @@ func pruneCheckpoints(a *analysis.Arena, f *prog.Func, callUse func(int32) analy
 			// would leave that slice a stale slot, so the prune must not
 			// proceed.
 			if slices.ContainsFunc(boundaries, func(bb int) bool {
-				_, exists := f.Blocks[bb].RecoverySlices[r]
-				return exists || sliceLeafsOn(f.Blocks[bb], r) || !analysis.Dominates(idom, f.Entry, id, bb)
+				return f.Blocks[bb].Slice(r) != nil || sliceLeafsOn(f.Blocks[bb], r) || !analysis.Dominates(idom, f.Entry, id, bb)
 			}) {
 				continue
 			}
 			// Commit the prune: delete the ckpt, attach slices.
 			b.Insts = slices.Delete(b.Insts, i, i+1)
 			for _, bb := range boundaries {
-				blk := f.Blocks[bb]
-				if blk.RecoverySlices == nil {
-					blk.RecoverySlices = map[isa.Reg][]isa.Inst{}
-				}
-				s := f.NewInsts(len(sc.slice))
-				copy(s, sc.slice)
-				blk.RecoverySlices[r] = s
+				f.AddSlice(f.Blocks[bb], r, sc.slice)
 			}
 			pruned++
 			i-- // re-examine the instruction now at index i
@@ -363,8 +356,8 @@ func (sc *pruneScratch) otherDefReaches(f *prog.Func, cfg *analysis.CFG, defBloc
 // sliceLeafsOn reports whether any recovery slice already attached to the
 // block reads register r from its checkpoint slot (r is one of its leaves).
 func sliceLeafsOn(b *prog.Block, r isa.Reg) bool {
-	for _, slice := range b.RecoverySlices {
-		if sliceLeaves(slice).Has(r) {
+	for _, s := range b.RecoverySlices {
+		if sliceLeaves(s.Insts).Has(r) {
 			return true
 		}
 	}

@@ -93,9 +93,6 @@ func check(a *analysis.Arena, p *prog.Program, c Contract) error {
 		}
 	}
 	if c.Checkpoints {
-		if err := checkSlices(p); err != nil {
-			return err
-		}
 		if err := checkCheckpointCoverage(a, p, cfgs); err != nil {
 			return err
 		}
@@ -183,38 +180,6 @@ func checkBoundaryCoverage(p *prog.Program, cfgs []*analysis.CFG) error {
 		for id := mand.Next(0); id >= 0; id = mand.Next(id + 1) {
 			if !f.Blocks[id].BoundaryAt {
 				return fmt.Errorf("verify: func %s: b%d must carry a region boundary (mandatory region entry)", f.Name, id)
-			}
-		}
-	}
-	return nil
-}
-
-// checkSlices verifies recovery-slice well-formedness: slices live only on
-// boundary blocks, contain only re-executable instructions, and end by
-// defining exactly the register they reconstruct.
-func checkSlices(p *prog.Program) error {
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			if len(b.RecoverySlices) == 0 {
-				continue
-			}
-			if !b.BoundaryAt {
-				return fmt.Errorf("verify: func %s: b%d: recovery slices on a non-boundary block", f.Name, b.ID)
-			}
-			for r, slice := range b.RecoverySlices {
-				if len(slice) == 0 {
-					return fmt.Errorf("verify: func %s: b%d: empty recovery slice for r%d", f.Name, b.ID, r)
-				}
-				for i := range slice {
-					if !slice[i].IsReexecutable() {
-						return fmt.Errorf("verify: func %s: b%d: recovery slice for r%d contains non-re-executable %s",
-							f.Name, b.ID, r, &slice[i])
-					}
-				}
-				if d, ok := slice[len(slice)-1].Def(); !ok || d != r {
-					return fmt.Errorf("verify: func %s: b%d: recovery slice for r%d does not end by defining r%d",
-						f.Name, b.ID, r, r)
-				}
 			}
 		}
 	}
@@ -387,8 +352,8 @@ func checkCheckpointCoverage(a *analysis.Arena, p *prog.Program, cfgs []*analysi
 				stale := sin[b.ID]
 				for live := stale.Intersect(vlv.LiveIn[b.ID]); live != 0; live &= live - 1 {
 					r := isa.Reg(bits.TrailingZeros32(uint32(live)))
-					slice, ok := b.RecoverySlices[r]
-					if !ok {
+					slice := b.Slice(r)
+					if slice == nil {
 						return fmt.Errorf("verify: func %s: boundary b%d: live register r%d may hold a stale checkpoint slot (no covering checkpoint or recovery slice)",
 							f.Name, b.ID, r)
 					}

@@ -155,7 +155,7 @@ func TestMutationOversizedRegionRejected(t *testing.T) {
 
 // sliceBench finds a compiled benchmark carrying at least one recovery slice
 // (pruning material exists by construction in the suite).
-func sliceBench(t *testing.T) (*prog.Program, Contract, *prog.Block, isa.Reg) {
+func sliceBench(t *testing.T) (*prog.Program, Contract, *prog.Block) {
 	t.Helper()
 	for _, b := range workload.All() {
 		opts := DefaultOptions()
@@ -165,43 +165,50 @@ func sliceBench(t *testing.T) (*prog.Program, Contract, *prog.Block, isa.Reg) {
 		}
 		for _, f := range res.Program.Funcs {
 			for _, blk := range f.Blocks {
-				for r := range blk.RecoverySlices {
-					return res.Program, FinalContract(opts), blk, r
+				if len(blk.RecoverySlices) > 0 {
+					return res.Program, FinalContract(opts), blk
 				}
 			}
 		}
 	}
 	t.Skip("no benchmark produces recovery slices at the default configuration")
-	return nil, Contract{}, nil, 0
+	return nil, Contract{}, nil
 }
 
 func TestMutationCorruptedSliceRejected(t *testing.T) {
-	p, c, blk, r := sliceBench(t)
-	slice := blk.RecoverySlices[r]
+	p, c, blk := sliceBench(t)
+	list := blk.RecoverySlices
+	slice := list[0].Insts
+	r := list[0].Reg
+	mutate := func(what string, m []prog.RecoverySlice) {
+		t.Helper()
+		blk.RecoverySlices = m
+		if err := Check(p, c); err == nil {
+			t.Errorf("%s accepted", what)
+		} else {
+			t.Logf("%s: %v", what, err)
+		}
+		blk.RecoverySlices = list
+	}
+	withSlice := func(insts []isa.Inst) []prog.RecoverySlice {
+		return append([]prog.RecoverySlice{{Reg: r, Insts: insts}}, list[1:]...)
+	}
 
 	// A slice that no longer ends by defining its register.
 	bad := append([]isa.Inst{}, slice...)
 	bad[len(bad)-1].Rd = bad[len(bad)-1].Rd + 1
-	blk.RecoverySlices[r] = bad
-	if err := Check(p, c); err == nil {
-		t.Error("slice with wrong final def accepted")
-	} else {
-		t.Logf("diagnostic: %v", err)
-	}
+	mutate("slice with wrong final def", withSlice(bad))
 
-	// An empty slice.
-	blk.RecoverySlices[r] = nil
-	if err := Check(p, c); err == nil {
-		t.Error("empty recovery slice accepted")
-	}
+	mutate("empty recovery slice", withSlice(nil))
 
 	// A non-re-executable instruction inside the slice.
-	withLoad := append([]isa.Inst{{Op: isa.OpLoad, Rd: slice[len(slice)-1].Rd, Ra: 0}}, slice...)
-	blk.RecoverySlices[r] = withLoad
-	if err := Check(p, c); err == nil {
-		t.Error("slice containing a load accepted")
-	}
-	blk.RecoverySlices[r] = slice
+	mutate("slice containing a load", withSlice(append([]isa.Inst{{Op: isa.OpLoad, Rd: r, Ra: 0}}, slice...)))
+
+	// A slice instruction naming a register the machine does not have.
+	mutate("slice register out of range", withSlice(append([]isa.Inst{{Op: isa.OpMovI, Rd: 200}}, slice...)))
+
+	// The list must be strictly ascending: a repeated register breaks it.
+	mutate("repeated slice register", append([]prog.RecoverySlice{list[0]}, list...))
 
 	// Slices may only live on boundary blocks.
 	for _, f := range p.Funcs {
@@ -209,7 +216,7 @@ func TestMutationCorruptedSliceRejected(t *testing.T) {
 			if b.BoundaryAt || b == blk {
 				continue
 			}
-			b.RecoverySlices = map[isa.Reg][]isa.Inst{r: slice}
+			b.RecoverySlices = list[:1]
 			if err := Check(p, c); err == nil {
 				t.Error("recovery slice on non-boundary block accepted")
 			}

@@ -6,7 +6,16 @@
 // physical NVM. See `caprirun -image` and the examples/persistent demo.
 //
 // The format is versioned JSON wrapped in gzip; it embeds the compiled
-// program so a recovering process needs nothing but the image file.
+// program so a recovering process needs nothing but the image file. This is
+// format version 2: each block's recovery slices are a list sorted by
+// register. Version 1 keyed them by register in a map; Read refuses it, and
+// every other version, before decoding anything but the version number.
+//
+// An image file is untrusted input. Read refuses an embedded program that
+// fails prog.Verify, a config that fails machine.Config.Validate, a core
+// count other than the program's thread count, a resume PC outside the
+// program, and a checkpoint of a register the machine does not have, so a
+// recovered run can fail but never index out of range.
 package image
 
 import (
@@ -16,6 +25,7 @@ import (
 	"io"
 	"os"
 
+	"capri/internal/isa"
 	"capri/internal/machine"
 	"capri/internal/mem"
 	"capri/internal/prog"
@@ -23,7 +33,7 @@ import (
 )
 
 // Version identifies the on-disk format.
-const Version = 1
+const Version = 2
 
 // file is the serialized form of a machine.CrashImage.
 type file struct {
@@ -65,12 +75,20 @@ func Read(r io.Reader) (*machine.CrashImage, error) {
 		return nil, fmt.Errorf("image: %w", err)
 	}
 	defer gz.Close()
-	var f file
-	if err := json.NewDecoder(gz).Decode(&f); err != nil {
+	data, err := io.ReadAll(gz)
+	if err != nil {
+		return nil, fmt.Errorf("image: %w", err)
+	}
+	var hdr struct{ Version int }
+	if err := json.Unmarshal(data, &hdr); err != nil {
 		return nil, fmt.Errorf("image: decode: %w", err)
 	}
-	if f.Version != Version {
-		return nil, fmt.Errorf("image: unsupported version %d (have %d)", f.Version, Version)
+	if hdr.Version != Version {
+		return nil, fmt.Errorf("image: unsupported version %d (have %d)", hdr.Version, Version)
+	}
+	var f file
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("image: decode: %w", err)
 	}
 	if f.Program == nil {
 		return nil, fmt.Errorf("image: missing embedded program")
@@ -78,7 +96,13 @@ func Read(r io.Reader) (*machine.CrashImage, error) {
 	if err := f.Program.Verify(); err != nil {
 		return nil, fmt.Errorf("image: embedded program: %w", err)
 	}
-	img := &machine.CrashImage{
+	if err := f.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("image: %w", err)
+	}
+	if err := checkCores(&f); err != nil {
+		return nil, err
+	}
+	return &machine.CrashImage{
 		Prog:    f.Program,
 		Cfg:     f.Config,
 		Records: f.Records,
@@ -86,12 +110,51 @@ func Read(r io.Reader) (*machine.CrashImage, error) {
 		Outputs: f.Outputs,
 		Seq:     f.Seq,
 		NVM:     mem.NVMFromEntries(f.NVM),
+	}, nil
+}
+
+// checkCores refuses per-core state that recovery would index the program or
+// a register file with unchecked: a record, stream or output count other
+// than the program's thread count, a record or commit marker whose resume PC
+// names no instruction of the program, and a marker checkpoint of a register
+// the machine does not have.
+func checkCores(f *file) error {
+	p := f.Program
+	if n := p.NumThreads(); len(f.Records) != n || len(f.Streams) != n || len(f.Outputs) != n {
+		return fmt.Errorf("image: %d records, %d streams and %d outputs for a %d-thread program",
+			len(f.Records), len(f.Streams), len(f.Outputs), n)
 	}
-	if len(img.Records) != len(img.Streams) || len(img.Records) != len(img.Outputs) {
-		return nil, fmt.Errorf("image: inconsistent core counts (%d records, %d streams, %d outputs)",
-			len(img.Records), len(img.Streams), len(img.Outputs))
+	for t, rec := range f.Records {
+		if !validPC(p, rec.Fn, rec.Blk, rec.Idx) {
+			return fmt.Errorf("image: core %d record resumes at f%d b%d i%d, outside the program", t, rec.Fn, rec.Blk, rec.Idx)
+		}
 	}
-	return img, nil
+	for t, stream := range f.Streams {
+		for i := range stream {
+			e := &stream[i]
+			if e.Kind == proxy.KindData {
+				continue
+			}
+			if !validPC(p, e.PCFunc, e.PCBlk, e.PCIdx) {
+				return fmt.Errorf("image: core %d entry %d resumes at f%d b%d i%d, outside the program", t, i, e.PCFunc, e.PCBlk, e.PCIdx)
+			}
+			for _, ck := range e.Ckpts {
+				if !ck.Reg.Valid() {
+					return fmt.Errorf("image: core %d entry %d checkpoints register %d (have %d)", t, i, ck.Reg, isa.NumRegs)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// validPC reports whether (fn, blk, idx) names an instruction of p.
+func validPC(p *prog.Program, fn, blk, idx int32) bool {
+	if fn < 0 || int(fn) >= len(p.Funcs) {
+		return false
+	}
+	f := p.Funcs[fn]
+	return blk >= 0 && int(blk) < len(f.Blocks) && idx >= 0 && int(idx) < len(f.Blocks[blk].Insts)
 }
 
 // Save writes the crash image to a file (atomically via a temp rename).

@@ -3,8 +3,11 @@ package image
 import (
 	"bytes"
 	"compress/gzip"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"capri/internal/compile"
@@ -160,26 +163,100 @@ func TestReadRejectsGarbage(t *testing.T) {
 }
 
 func TestReadRejectsWrongVersion(t *testing.T) {
-	img, _ := makeCrashImage(t, 13, 200)
-	var buf bytes.Buffer
-	if err := Write(&buf, img); err != nil {
-		t.Fatal(err)
-	}
-	// Re-encode with a bumped version by poking the JSON (decompress,
-	// tweak, recompress) — simpler: write a minimal bad-version payload.
-	var bad bytes.Buffer
-	writeRaw(t, &bad, `{"Version":999}`)
-	if _, err := Read(&bad); err == nil {
+	if _, err := Read(gzipped([]byte(`{"Version":999}`))); err == nil {
 		t.Error("wrong version accepted")
 	}
 }
 
 func TestReadRejectsMissingProgram(t *testing.T) {
-	var bad bytes.Buffer
-	writeRaw(t, &bad, `{"Version":1}`)
-	if _, err := Read(&bad); err == nil {
-		t.Error("missing program accepted")
+	if _, err := Read(gzipped([]byte(`{"Version":2}`))); err == nil || !strings.Contains(err.Error(), "missing embedded program") {
+		t.Errorf("missing program: Read = %v, want missing embedded program", err)
 	}
+}
+
+// TestReadRefusesVersion1 reads a real version-1 image, saved by the last
+// toolchain that wrote that format, whose program carries recovery slices
+// keyed by register in a map. Read must refuse it by version, never decode
+// and recover it.
+func TestReadRefusesVersion1(t *testing.T) {
+	img, err := Read(gzipped(corpusEntry(t, "v1-slices")))
+	if img != nil || err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 image: Read = %v, %v; want unsupported version 1", img, err)
+	}
+	if _, err := Read(gzipped(corpusEntry(t, "v2-slices"))); err != nil {
+		t.Fatalf("version-2 image of the same run: %v", err)
+	}
+}
+
+// TestReadRejectsUntrustedFields: an image is untrusted input, and each
+// field below, accepted as is, sends Recover or the resumed run out of range
+// or past the allocator's limits (before Read checked them, every case
+// panicked). Each case mutates the committed version-2 image, which
+// recovers by running recovery slices.
+func TestReadRejectsUntrustedFields(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(img *machine.CrashImage)
+	}{
+		{"record-blk-999", "outside the program", func(img *machine.CrashImage) {
+			img.Records[0].Blk, img.Records[0].Region = 999, 9
+		}},
+		{"marker-blk-999", "outside the program", func(img *machine.CrashImage) { img.Streams[0][0].PCBlk = 999 }},
+		{"marker-ckpt-reg-77", "checkpoints register 77", func(img *machine.CrashImage) { img.Streams[0][0].Ckpts[0].Reg = 77 }},
+		{"block-def-rd-99", "register out of range", func(img *machine.CrashImage) { img.Prog.Funcs[0].Blocks[2].Insts[0].Rd = 99 }},
+		{"slice-rd-200", "register out of range", func(img *machine.CrashImage) {
+			img.Prog.Funcs[0].Blocks[1].RecoverySlices[0].Insts[0].Rd = 200
+		}},
+		{"cfg-l2size-huge", "beyond the simulator's bounds", func(img *machine.CrashImage) { img.Cfg.L2Size = 1 << 55 }},
+		{"cfg-l1ways-huge", "beyond the simulator's bounds", func(img *machine.CrashImage) { img.Cfg.L1Ways = 1 << 50 }},
+		{"cfg-dram-huge", "beyond the simulator's bounds", func(img *machine.CrashImage) { img.Cfg.DRAMSize = 1 << 63 }},
+		{"cfg-frontend-huge", "beyond the simulator's bounds", func(img *machine.CrashImage) { img.Cfg.FrontEndEntries = 1 << 57 }},
+		{"extra-core", "for a 1-thread program", func(img *machine.CrashImage) {
+			img.Records = append(img.Records, img.Records[0])
+			img.Streams = append(img.Streams, nil)
+			img.Outputs = append(img.Outputs, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img, err := Read(gzipped(corpusEntry(t, "v2-slices")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(img)
+			var buf bytes.Buffer
+			if err := Write(&buf, img); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Read = %v, want an error containing %q", err, tc.want)
+			}
+			// The committed fuzz corpus entry of the same name is this case.
+			if _, err := Read(gzipped(corpusEntry(t, tc.name))); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("corpus entry: Read = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzImageRead feeds Read arbitrary image payloads: the JSON inside the gzip
+// layer, so mutations reach the decoder and the checks behind it rather than
+// the gzip checksum. An image Read accepts must recover and then run for a
+// bounded number of steps to an error or a finished run, never a panic.
+// The committed corpus holds a version-2 and a version-1 image, both of
+// programs with recovery slices, and each TestReadRejectsUntrustedFields case.
+func FuzzImageRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		img, err := Read(gzipped(payload))
+		if err != nil {
+			return
+		}
+		img.Cfg.MaxSteps = 20000
+		m, _, err := machine.Recover(img)
+		if err != nil {
+			return
+		}
+		_ = m.Run()
+	})
 }
 
 func TestCrashRecoverAcrossSerializationSweep(t *testing.T) {
@@ -214,18 +291,27 @@ func TestCrashRecoverAcrossSerializationSweep(t *testing.T) {
 	}
 }
 
-// writeRaw gzips a raw JSON string into buf.
-func writeRaw(t *testing.T, buf *bytes.Buffer, payload string) {
-	t.Helper()
-	gz := newGzip(buf)
-	if _, err := gz.Write([]byte(payload)); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
+// gzipped wraps a JSON payload in the gzip layer Read expects, stored rather
+// than compressed.
+func gzipped(payload []byte) *bytes.Buffer {
+	var buf bytes.Buffer
+	gz, _ := gzip.NewWriterLevel(&buf, gzip.NoCompression)
+	gz.Write(payload)
+	gz.Close()
+	return &buf
 }
 
-// newGzip is a tiny indirection so the test file compiles without importing
-// compress/gzip at every call site.
-func newGzip(buf *bytes.Buffer) *gzip.Writer { return gzip.NewWriter(buf) }
+// corpusEntry returns the payload of a committed FuzzImageRead corpus entry.
+func corpusEntry(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzImageRead", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("corpus entry %s: %v", name, err)
+	}
+	return []byte(s)
+}

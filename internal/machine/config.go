@@ -143,6 +143,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// Size bounds Validate enforces. Caches and the front-end buffer are
+// allocated up front and the DRAM cache's chunk directory with them, so a
+// crash image carrying a huge size would otherwise exhaust memory in New.
+// Each bound is far above Table 1's configuration.
+const (
+	maxCacheBytes   = 256 << 20
+	maxWays         = 1 << 10
+	maxDRAMBytes    = 64 << 30
+	maxFrontEntries = 1 << 16
+)
+
 // Validate checks the configuration for usability.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {
@@ -155,9 +166,18 @@ func (c Config) Validate() error {
 		if c.FrontEndEntries <= 0 {
 			return fmt.Errorf("machine: front-end entries = %d", c.FrontEndEntries)
 		}
+		if c.ProxyInterval == 0 {
+			// With a zero latency too, draining the proxy path at the end
+			// of a run would never advance time.
+			return fmt.Errorf("machine: ProxyInterval must be >= 1")
+		}
 	}
 	if c.L1Size == 0 || c.L2Size == 0 || c.L1Ways <= 0 || c.L2Ways <= 0 {
 		return fmt.Errorf("machine: bad cache geometry")
+	}
+	if c.L1Size > maxCacheBytes || c.L2Size > maxCacheBytes || c.L1Ways > maxWays || c.L2Ways > maxWays ||
+		c.DRAMSize > maxDRAMBytes || c.FrontEndEntries > maxFrontEntries {
+		return fmt.Errorf("machine: cache or buffer size beyond the simulator's bounds")
 	}
 	if c.LoadOverlap == 0 {
 		return fmt.Errorf("machine: LoadOverlap must be >= 1")

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"capri/internal/audit"
-	"capri/internal/isa"
 	"capri/internal/mem"
 	"capri/internal/prog"
 	"capri/internal/proxy"
@@ -327,9 +326,10 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 			continue
 		}
 		if rec.Region > 0 {
-			blk := m.blockOf(rec.Fn, rec.Blk)
-			for _, slice := range orderedSlices(blk) {
-				execSlice(&c.regs, slice)
+			// Any order would do: no slice reads a register another slice
+			// of the block rebuilds (sliceLeafsOn in compile/prune.go).
+			for _, s := range m.prog.Funcs[rec.Fn].Blocks[rec.Blk].RecoverySlices {
+				execSlice(&c.regs, s.Insts)
 				rep.SlicesExecuted++
 			}
 		}
@@ -362,25 +362,6 @@ func (m *Machine) nestedCrash(img *CrashImage, rep *RecoveryReport) (*Machine, *
 		nested.Outputs = append(nested.Outputs, append([]uint64(nil), m.cores[t].output...))
 	}
 	return nil, rep, nested, nil
-}
-
-// orderedSlices returns a block's recovery slices in ascending register order
-// so recovery is deterministic. Slices are mutually independent: no slice
-// reads a register another slice of the block rebuilds. Prune walks blocks in
-// reverse postorder; a slice's leaf needs a fresh checkpoint in the def
-// block, and sliceLeafsOn (compile/prune.go) rejects a prune whose register
-// is already a leaf of a slice at a boundary it would serve.
-func orderedSlices(b *prog.Block) [][]isa.Inst {
-	if len(b.RecoverySlices) == 0 {
-		return nil
-	}
-	out := make([][]isa.Inst, 0, len(b.RecoverySlices))
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		if s, ok := b.RecoverySlices[r]; ok {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // NVMEntries exports the machine's persisted NVM image, sorted by address —

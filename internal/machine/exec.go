@@ -4,7 +4,6 @@ import (
 	"capri/internal/audit"
 	"capri/internal/isa"
 	"capri/internal/mem"
-	"capri/internal/prog"
 	"capri/internal/proxy"
 )
 
@@ -595,9 +594,4 @@ func aluCost(op isa.Op) uint64 {
 		return costDiv
 	}
 	return costALU
-}
-
-// blockOf is a small helper for recovery.
-func (m *Machine) blockOf(fn, blk int32) *prog.Block {
-	return m.prog.Funcs[fn].Blocks[blk]
 }

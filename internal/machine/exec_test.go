@@ -250,21 +250,6 @@ func TestHaltRecordPersisted(t *testing.T) {
 	}
 }
 
-func TestOrderedSlicesDeterministic(t *testing.T) {
-	b := &prog.Block{RecoverySlices: map[isa.Reg][]isa.Inst{
-		7: {{Op: isa.OpMovI, Rd: 7, Imm: 1}},
-		3: {{Op: isa.OpMovI, Rd: 3, Imm: 2}},
-		9: {{Op: isa.OpMovI, Rd: 9, Imm: 3}},
-	}}
-	s := orderedSlices(b)
-	if len(s) != 3 || s[0][0].Rd != 3 || s[1][0].Rd != 7 || s[2][0].Rd != 9 {
-		t.Errorf("slices not in ascending register order: %v", s)
-	}
-	if orderedSlices(&prog.Block{}) != nil {
-		t.Error("empty block should yield nil slices")
-	}
-}
-
 func TestExecSliceAllOpcodes(t *testing.T) {
 	// execSlice is the recovery-time evaluator for pruned checkpoints; it
 	// must implement every re-executable opcode with the same semantics as

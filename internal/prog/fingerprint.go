@@ -3,7 +3,6 @@ package prog
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"slices"
 
 	"capri/internal/isa"
 )
@@ -13,8 +12,7 @@ import (
 // digest in a fixed order, so two programs hash equal iff they are
 // structurally identical. The compile cache uses this as the program half of
 // its content-addressed key; it is also handy for asserting byte-identical
-// compiler output in tests. It allocates nothing: the hash state and the
-// per-block register order live on the stack.
+// compiler output in tests. It allocates nothing.
 func (p *Program) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
@@ -53,18 +51,11 @@ func (p *Program) Fingerprint() [sha256.Size]byte {
 				winst(&b.Insts[i])
 			}
 			w64(uint64(len(b.RecoverySlices)))
-			var order [isa.NumRegs]isa.Reg
-			regs := order[:0]
-			for r := range b.RecoverySlices {
-				regs = append(regs, r)
-			}
-			slices.Sort(regs)
-			for _, r := range regs {
-				w64(uint64(r))
-				slice := b.RecoverySlices[r]
-				w64(uint64(len(slice)))
-				for i := range slice {
-					winst(&slice[i])
+			for _, s := range b.RecoverySlices {
+				w64(uint64(s.Reg))
+				w64(uint64(len(s.Insts)))
+				for i := range s.Insts {
+					winst(&s.Insts[i])
 				}
 			}
 		}

@@ -12,8 +12,9 @@
 package prog
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
+	"slices"
 	"strings"
 
 	"capri/internal/isa"
@@ -31,12 +32,29 @@ type Block struct {
 	// Region metadata, set by the compiler.
 	//
 	// BoundaryAt is true when a region boundary has been placed at the start
-	// of this block. RecoverySlices, present only on boundary blocks, maps a
-	// register whose checkpoint was pruned (paper §4.4.1) to the recovery
-	// slice — re-executable instructions that reconstruct the register from
-	// other checkpointed registers at recovery time.
+	// of this block. RecoverySlices, present only on boundary blocks, holds
+	// one recovery slice per register whose checkpoint was pruned (paper
+	// §4.4.1), sorted strictly by register: the order recovery runs them in.
 	BoundaryAt     bool
-	RecoverySlices map[isa.Reg][]isa.Inst
+	RecoverySlices []RecoverySlice
+}
+
+// RecoverySlice rebuilds register Reg at recovery time: re-executable
+// instructions that recompute it from other checkpointed registers, the last
+// of which defines Reg.
+type RecoverySlice struct {
+	Reg   isa.Reg
+	Insts []isa.Inst
+}
+
+func bySliceReg(s RecoverySlice, r isa.Reg) int { return cmp.Compare(s.Reg, r) }
+
+// Slice returns the block's recovery slice for r, or nil if it has none.
+func (b *Block) Slice(r isa.Reg) []isa.Inst {
+	if i, ok := slices.BinarySearchFunc(b.RecoverySlices, r, bySliceReg); ok {
+		return b.RecoverySlices[i].Insts
+	}
+	return nil
 }
 
 // Terminator returns the block's final instruction. Blocks under construction
@@ -84,10 +102,11 @@ func (b *Block) StoreCount() int {
 
 // Func is a function: an entry block plus a body of blocks indexed by ID.
 //
-// A function owns the storage of its blocks and instruction lists: NewBlock
-// and NewInsts carve them out of two per-function slabs, so a compiler pass
-// that adds blocks or rewrites instruction lists allocates per slab chunk,
-// not per block. A carved window stays valid as long as the function does.
+// A function owns the storage of its blocks, instruction lists and recovery
+// slice lists: NewBlock, NewInsts and AddSlice carve them out of three
+// per-function slabs, so a compiler pass that adds blocks, rewrites
+// instruction lists or attaches slices allocates per slab chunk, not per
+// block. A carved window stays valid as long as the function does.
 type Func struct {
 	ID     int
 	Name   string
@@ -96,14 +115,16 @@ type Func struct {
 
 	blockSlab []Block
 	instSlab  []isa.Inst
+	sliceSlab []RecoverySlice
 }
 
 // Slab chunk sizes: a fresh chunk holds at least this many blocks (or the
-// function's current block count, whichever is larger) and this many
-// instructions.
+// function's current block count, whichever is larger), instructions and
+// recovery slices.
 const (
 	blockChunk = 16
 	instChunk  = 256
+	sliceChunk = 64
 )
 
 // NewFunc returns an empty function with the given name.
@@ -125,6 +146,15 @@ func (f *Func) NewBlock() *Block {
 // window. Scratch that dies with a pass does not belong here: the chunk it
 // would be carved from lives as long as any window in it.
 func (f *Func) NewInsts(n int) []isa.Inst { return slab.Carve(&f.instSlab, n, instChunk) }
+
+// AddSlice gives b, a block of f with no slice for r yet, the recovery slice
+// insts for r. The block's list and the slice's instructions are carved from
+// f (insts is copied), and the list stays sorted by register.
+func (f *Func) AddSlice(b *Block, r isa.Reg, insts []isa.Inst) {
+	i, _ := slices.BinarySearchFunc(b.RecoverySlices, r, bySliceReg)
+	list := append(slab.Carve(&f.sliceSlab, len(b.RecoverySlices)+1, sliceChunk)[:0], b.RecoverySlices...)
+	b.RecoverySlices = slices.Insert(list, i, RecoverySlice{Reg: r, Insts: append(f.NewInsts(len(insts))[:0], insts...)})
+}
 
 // Block returns the block with the given ID.
 func (f *Func) Block(id int) *Block { return f.Blocks[id] }
@@ -230,6 +260,9 @@ func (p *Program) Verify() error {
 				if !in.Op.Valid() {
 					return fmt.Errorf("func %s b%d inst %d: invalid opcode", f.Name, b.ID, i)
 				}
+				if !regsValid(in) {
+					return fmt.Errorf("func %s b%d inst %d: register out of range in %s", f.Name, b.ID, i, in)
+				}
 				switch in.Op {
 				case isa.OpBr:
 					if int(in.Target) < 0 || int(in.Target) >= len(f.Blocks) {
@@ -261,9 +294,49 @@ func (p *Program) Verify() error {
 					}
 				}
 			}
+			if err := verifySlices(f, b); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// verifySlices checks a block's recovery slices (paper §4.4.1): they live
+// only on boundary blocks, sorted strictly by register, and each is a
+// non-empty run of re-executable instructions over valid registers whose last
+// instruction defines the slice's register.
+func verifySlices(f *Func, b *Block) error {
+	if len(b.RecoverySlices) > 0 && !b.BoundaryAt {
+		return fmt.Errorf("func %s b%d: recovery slices on a non-boundary block", f.Name, b.ID)
+	}
+	for i, s := range b.RecoverySlices {
+		if i > 0 && s.Reg <= b.RecoverySlices[i-1].Reg {
+			return fmt.Errorf("func %s b%d: recovery slice for r%d after r%d, not ascending", f.Name, b.ID, s.Reg, b.RecoverySlices[i-1].Reg)
+		}
+		if len(s.Insts) == 0 {
+			return fmt.Errorf("func %s b%d: empty recovery slice for r%d", f.Name, b.ID, s.Reg)
+		}
+		for j := range s.Insts {
+			in := &s.Insts[j]
+			if !in.IsReexecutable() {
+				return fmt.Errorf("func %s b%d: recovery slice for r%d contains non-re-executable %s", f.Name, b.ID, s.Reg, in)
+			}
+			if !regsValid(in) {
+				return fmt.Errorf("func %s b%d: recovery slice for r%d: register out of range in %s", f.Name, b.ID, s.Reg, in)
+			}
+		}
+		if d, ok := s.Insts[len(s.Insts)-1].Def(); !ok || d != s.Reg {
+			return fmt.Errorf("func %s b%d: recovery slice for r%d does not end by defining r%d", f.Name, b.ID, s.Reg, s.Reg)
+		}
+	}
+	return nil
+}
+
+// regsValid reports whether every register field of in names an
+// architectural register.
+func regsValid(in *isa.Inst) bool {
+	return in.Rd.Valid() && in.Ra.Valid() && in.Rb.Valid() && in.Rc.Valid()
 }
 
 // Clone deep-copies the program so compiler passes can transform it without
@@ -281,7 +354,7 @@ func (p *Program) Clone() *Program {
 		g := &Func{ID: f.ID, Name: f.Name, Entry: f.Entry, Blocks: make([]*Block, len(f.Blocks))}
 		blocks := make([]Block, len(f.Blocks))
 		for i, b := range f.Blocks {
-			blocks[i] = Block{ID: b.ID, Insts: b.Insts, BoundaryAt: b.BoundaryAt, RecoverySlices: maps.Clone(b.RecoverySlices)}
+			blocks[i] = *b
 			g.Blocks[i] = &blocks[i]
 		}
 		g.Compact() // copies the instruction lists and slices shared so far
@@ -291,23 +364,29 @@ func (p *Program) Clone() *Program {
 }
 
 // Compact moves every instruction list and recovery slice of f into one
-// exactly sized array, copying them. A pass that replaces a list leaves the
+// exactly sized instruction array, and every slice list into one exactly
+// sized slice array, copying them. A pass that replaces a list leaves the
 // old window dead in the chunk it was carved from, and the chunk lives as
 // long as any window in it; compacting a finished function lets every such
 // chunk go.
 func (f *Func) Compact() {
-	n := 0
+	n, ns := 0, 0
 	for _, b := range f.Blocks {
 		n += len(b.Insts)
+		ns += len(b.RecoverySlices)
 		for _, s := range b.RecoverySlices {
-			n += len(s)
+			n += len(s.Insts)
 		}
 	}
 	f.instSlab = make([]isa.Inst, n)
+	f.sliceSlab = make([]RecoverySlice, ns)
 	for _, b := range f.Blocks {
 		b.Insts = append(f.NewInsts(len(b.Insts))[:0], b.Insts...)
-		for r, s := range b.RecoverySlices {
-			b.RecoverySlices[r] = append(f.NewInsts(len(s))[:0], s...)
+		if len(b.RecoverySlices) > 0 {
+			b.RecoverySlices = append(slab.Carve(&f.sliceSlab, len(b.RecoverySlices), 0)[:0], b.RecoverySlices...)
+		}
+		for i, s := range b.RecoverySlices {
+			b.RecoverySlices[i].Insts = append(f.NewInsts(len(s.Insts))[:0], s.Insts...)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,15 +145,14 @@ func TestVerifyCatchesEmptyBlock(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	p := buildLoopProgram(t)
 	p.Funcs[0].Blocks[1].BoundaryAt = true
-	p.Funcs[0].Blocks[2].RecoverySlices = map[isa.Reg][]isa.Inst{
-		3: {{Op: isa.OpMovI, Rd: 3, Imm: 9}},
-	}
+	p.Funcs[0].Blocks[2].BoundaryAt = true
+	p.Funcs[0].AddSlice(p.Funcs[0].Blocks[2], 3, []isa.Inst{{Op: isa.OpMovI, Rd: 3, Imm: 9}})
 	q := p.Clone()
 
 	// Mutate the clone; the original must be untouched.
 	q.Funcs[0].Blocks[2].Insts[0].Imm = 999
 	q.Funcs[0].Blocks[1].BoundaryAt = false
-	q.Funcs[0].Blocks[2].RecoverySlices[3][0].Imm = 777
+	q.Funcs[0].Blocks[2].RecoverySlices[0].Insts[0].Imm = 777
 
 	if p.Funcs[0].Blocks[2].Insts[0].Imm == 999 {
 		t.Error("Clone shares instruction storage")
@@ -160,8 +160,11 @@ func TestCloneIsDeep(t *testing.T) {
 	if !p.Funcs[0].Blocks[1].BoundaryAt {
 		t.Error("Clone shares boundary flags")
 	}
-	if p.Funcs[0].Blocks[2].RecoverySlices[3][0].Imm == 777 {
+	if p.Funcs[0].Blocks[2].Slice(3)[0].Imm == 777 {
 		t.Error("Clone shares recovery slices")
+	}
+	if &p.Funcs[0].Blocks[2].RecoverySlices[0] == &q.Funcs[0].Blocks[2].RecoverySlices[0] {
+		t.Error("Clone shares recovery slice lists")
 	}
 	if err := q.Verify(); err != nil {
 		t.Errorf("clone Verify: %v", err)
@@ -241,6 +244,57 @@ func TestVerifyRejectsInvalidOpcode(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsRegisterOutOfRange: every register field of a block
+// instruction or a recovery slice instruction must name one of the NumRegs
+// architectural registers; the machine indexes its register file with them.
+func TestVerifyRejectsRegisterOutOfRange(t *testing.T) {
+	set := []func(in *isa.Inst){
+		func(in *isa.Inst) { in.Rd = 99 },
+		func(in *isa.Inst) { in.Ra = isa.NumRegs },
+		func(in *isa.Inst) { in.Rb = 255 },
+		func(in *isa.Inst) { in.Rc = 32 },
+	}
+	for i, mut := range set {
+		p := buildLoopProgram(t)
+		mut(&p.Funcs[0].Blocks[0].Insts[0])
+		if err := p.Verify(); err == nil || !strings.Contains(err.Error(), "register out of range") {
+			t.Errorf("block field %d: Verify = %v, want register out of range", i, err)
+		}
+
+		p = buildLoopProgram(t)
+		b := p.Funcs[0].Blocks[1]
+		b.BoundaryAt = true
+		slice := []isa.Inst{{Op: isa.OpMovI, Rd: 5, Imm: 1}, {Op: isa.OpAdd, Rd: 3, Ra: 5, Rb: 5}}
+		mut(&slice[0])
+		p.Funcs[0].AddSlice(b, 3, slice)
+		if err := p.Verify(); err == nil || !strings.Contains(err.Error(), "register out of range") {
+			t.Errorf("slice field %d: Verify = %v, want register out of range", i, err)
+		}
+	}
+}
+
+// TestVerifyRequiresAscendingSlices: recovery runs a block's slices in list
+// order, so the list must be sorted strictly by register.
+func TestVerifyRequiresAscendingSlices(t *testing.T) {
+	movi := func(r isa.Reg) RecoverySlice {
+		return RecoverySlice{Reg: r, Insts: []isa.Inst{{Op: isa.OpMovI, Rd: r, Imm: 1}}}
+	}
+	for _, tc := range []struct {
+		regs []isa.Reg
+		ok   bool
+	}{{[]isa.Reg{3, 5}, true}, {[]isa.Reg{5, 3}, false}, {[]isa.Reg{3, 3}, false}} {
+		p := buildLoopProgram(t)
+		b := p.Funcs[0].Blocks[1]
+		b.BoundaryAt = true
+		for _, r := range tc.regs {
+			b.RecoverySlices = append(b.RecoverySlices, movi(r))
+		}
+		if err := p.Verify(); (err == nil) != tc.ok {
+			t.Errorf("slices for %v: Verify = %v", tc.regs, err)
+		}
+	}
+}
+
 func TestVerifyRejectsCrossFunctionToken(t *testing.T) {
 	bd := NewBuilder("x")
 	leaf := bd.Func("leaf")
@@ -291,7 +345,7 @@ func TestFuncByNameMissing(t *testing.T) {
 func TestCompactKeepsContentInCappedWindows(t *testing.T) {
 	p := buildLoopProgram(t)
 	f := p.Funcs[0]
-	f.Blocks[1].RecoverySlices = map[isa.Reg][]isa.Inst{3: {{Op: isa.OpMovI, Rd: 3, Imm: 9}}}
+	f.Blocks[1].RecoverySlices = []RecoverySlice{{Reg: 3, Insts: []isa.Inst{{Op: isa.OpMovI, Rd: 3, Imm: 9}}}}
 	for _, b := range f.Blocks[:2] {
 		insts := f.NewInsts(len(b.Insts))
 		copy(insts, b.Insts)
@@ -315,12 +369,46 @@ func TestCompactKeepsContentInCappedWindows(t *testing.T) {
 			t.Errorf("b%d: Compact kept the old storage", i)
 		}
 	}
-	if s := f.Blocks[1].RecoverySlices[3]; cap(s) != 1 || s[0].Imm != 9 {
+	if l := f.Blocks[1].RecoverySlices; cap(l) != 1 {
+		t.Errorf("recovery slice list cap %d, want 1", cap(l))
+	}
+	if s := f.Blocks[1].Slice(3); cap(s) != 1 || s[0].Imm != 9 {
 		t.Errorf("recovery slice = %v (cap %d)", s, cap(s))
 	}
 	first := f.Blocks[1].Insts[0]
 	_ = append(f.Blocks[0].Insts, isa.Inst{Op: isa.OpHalt})
 	if f.Blocks[1].Insts[0] != first {
 		t.Error("append to one block's list clobbered the next")
+	}
+}
+
+// TestAddSliceKeepsRegisterOrder attaches slices out of register order and
+// checks the list comes out strictly ascending (the order recovery runs
+// them in), with each slice's instructions copied rather than aliased, and
+// that Slice finds each one.
+func TestAddSliceKeepsRegisterOrder(t *testing.T) {
+	f := NewFunc("f")
+	b := f.NewBlock()
+	src := []isa.Inst{{Op: isa.OpMovI, Imm: 1}}
+	for _, r := range []isa.Reg{7, 3, 9, 5} {
+		src[0].Rd = r
+		f.AddSlice(b, r, src)
+	}
+	src[0].Imm = 99
+	var got []isa.Reg
+	for _, s := range b.RecoverySlices {
+		got = append(got, s.Reg)
+		if s.Insts[0].Rd != s.Reg || s.Insts[0].Imm != 1 {
+			t.Errorf("slice for r%d = %v", s.Reg, s.Insts)
+		}
+	}
+	if !slices.Equal(got, []isa.Reg{3, 5, 7, 9}) {
+		t.Errorf("slice registers %v, want [r3 r5 r7 r9]", got)
+	}
+	if s := b.Slice(5); len(s) != 1 || s[0].Rd != 5 {
+		t.Errorf("Slice(5) = %v", s)
+	}
+	if b.Slice(4) != nil || (&Block{}).Slice(4) != nil {
+		t.Error("Slice found a register with no slice")
 	}
 }
