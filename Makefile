@@ -46,7 +46,9 @@ lint:
 # it over HTTP; the dispatch-equivalence run includes the telemetry
 # observer-equivalence matrix (armed/bus runs byte-identical to disarmed).
 # The bench smoke test runs every repository-benchmark workload once at a
-# tiny size and checks its oracles.
+# tiny size and checks its oracles. The audit tier it runs carries the
+# machine's allocation pins (construction independent of thread count, and
+# one audited crash point's budget).
 check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault ./internal/telemetry
@@ -69,8 +71,11 @@ check:
 # The mutation tests prove the auditor actually bites (seeded protocol
 # corruptions each produce a violation). The allocation pins hold the audited
 # crash path to its cost model: a store's life through the auditor allocates
-# nothing, and decoding a program or carving cold boundary payloads costs
-# allocations per slab chunk, not per block or boundary. The two capricrash
+# nothing, decoding a program or carving cold boundary payloads costs
+# allocations per slab chunk, not per block or boundary, building a machine
+# costs the same at every thread count (TestNewAllocsIndependentOfCores), and
+# one campaign-geometry crash point stays within its measured allocation
+# count (TestCrashPointAllocsBounded). The two capricrash
 # runs drive the command's benchmark sweep and random-program campaign
 # through the same crash driver (recovery.Run) end to end.
 audit:
@@ -78,7 +83,7 @@ audit:
 	$(GO) run ./cmd/capricrash -bench genome -points 5
 	$(GO) run ./cmd/capricrash -fuzz 5 -threads 2
 	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap' ./internal/audit
-	$(GO) test -run 'TestDecodeAllocsPerChunk' ./internal/machine
+	$(GO) test -run 'TestDecodeAllocsPerChunk|TestCrashPointAllocsBounded|TestNewAllocsIndependentOfCores' ./internal/machine
 	$(GO) test -run 'TestFrontEndColdBoundaryAllocs' ./internal/proxy
 
 # soak is the short fixed-seed hardware-fault campaign (DESIGN.md §4f):
@@ -130,13 +135,14 @@ docs-verify:
 
 # bench runs the perf-regression micro-benchmarks (raw store and proxy
 # throughput, whole-pipeline compiles with their allocs/op, program
-# fingerprinting, the auditor per event and the decoder per block, plus the
-# end-to-end simulator benchmark).
+# fingerprinting, the auditor per event, the decoder per block, allocs per
+# machine built and per audited crash point, plus the end-to-end simulator
+# benchmark).
 bench:
 	$(GO) test -bench 'Mem|NVM|Proxy|Path' -benchmem -run '^$$' ./internal/mem ./internal/proxy
 	$(GO) test -bench 'Compile|Fingerprint' -benchmem -run '^$$' ./internal/compile
 	$(GO) test -bench 'AuditorTap' -benchmem -run '^$$' ./internal/audit
-	$(GO) test -bench 'DecodeProgram' -benchmem -run '^$$' ./internal/machine
+	$(GO) test -bench 'DecodeProgram|MachineNew|CrashPoint' -benchmem -run '^$$' ./internal/machine
 	$(GO) test -bench 'SimulatorThroughput' -run '^$$' .
 
 # bench-smoke runs the repository benchmark's own tests (bench/ is a separate

@@ -18,7 +18,7 @@ import (
 func writeTestRecord(t *testing.T, dir, name string, events []audit.Event, plan *fault.Plan) string {
 	t.Helper()
 	rec := audit.NewFlightRecorder(0)
-	aud := audit.NewAuditor(audit.Options{ProxyLatency: 40, Windows: true})
+	aud := audit.NewAuditor(audit.Options{ProxyLatency: 40, Windows: true, Cores: 1})
 	aud.AttachRecorder(rec)
 	sink := audit.Tee(rec, aud)
 	for _, e := range events {

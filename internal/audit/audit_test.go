@@ -6,11 +6,12 @@ import (
 )
 
 const (
-	testLat  = 40 // proxy-path latency for the window mirror
-	testAddr = uint64(0x100000)
+	testLat   = 40 // proxy-path latency for the window mirror
+	testCores = 4  // machine core count the rule streams are audited against
+	testAddr  = uint64(0x100000)
 )
 
-func testOpts() Options { return Options{ProxyLatency: testLat, Windows: true} }
+func testOpts() Options { return Options{ProxyLatency: testLat, Windows: true, Cores: testCores} }
 
 // feed runs a stream through recorder+auditor (recorder first, as wired in
 // the machine) and returns both.
@@ -255,5 +256,54 @@ func TestKindAndFlagNames(t *testing.T) {
 	}
 	if FlagsFromString("-") != 0 {
 		t.Fatal("empty flags did not round-trip")
+	}
+}
+
+// coreStream is a crash-and-recover stream whose per-core events all come
+// from core c: the legal store lifecycle, a crash, a replayed region and an
+// undo, then recovery's end.
+func coreStream(c int32) []Event {
+	evs := legalStoreLife()
+	evs = append(evs,
+		Event{Kind: EvStore, Cycle: 80, Addr: testAddr, Seq: 2, Region: 2, Val: 8, Val2: 7},
+		Event{Kind: EvCrash, Cycle: 90},
+		Event{Kind: EvRecoveryUndo, Addr: testAddr, Seq: 2, Val: 7},
+		Event{Kind: EvRecoveryDone, Count: 1},
+	)
+	for i := range evs {
+		if !machineWide(evs[i].Kind) {
+			evs[i].Core = c
+		}
+	}
+	return evs
+}
+
+// TestAuditorCoreOutOfRange: an event naming a core outside [0, Cores) is a
+// core-out-of-range violation and is otherwise ignored — no panic, no shadow
+// state grown for it — while the machine-wide kinds carry no core at all.
+func TestAuditorCoreOutOfRange(t *testing.T) {
+	for _, c := range []int32{-1, testCores, 1 << 30} {
+		evs := coreStream(c)
+		_, aud := feed(t, evs)
+		perCore := 0
+		for _, e := range evs {
+			if !machineWide(e.Kind) {
+				perCore++
+			}
+		}
+		if got := aud.ViolationCount(); got != uint64(perCore) {
+			t.Errorf("core %d: %d violations, want one per per-core event (%d): %v", c, got, perCore, aud.Violations())
+		}
+		for _, v := range aud.Violations() {
+			if v.Rule != "core-out-of-range" {
+				t.Errorf("core %d: rule %s, want core-out-of-range", c, v.Rule)
+			}
+		}
+		if len(aud.cores) != testCores || aud.EventsAudited() != uint64(len(evs)) {
+			t.Errorf("core %d: %d core shadows, %d of %d events audited", c, len(aud.cores), aud.EventsAudited(), len(evs))
+		}
+	}
+	if _, aud := feed(t, coreStream(testCores-1)); aud.Err() != nil {
+		t.Errorf("the last in-range core was flagged: %v", aud.Err())
 	}
 }

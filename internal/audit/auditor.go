@@ -3,6 +3,8 @@ package audit
 import (
 	"fmt"
 	"strings"
+
+	"capri/internal/slab"
 )
 
 // Options configure the Auditor's model of the machine it is checking.
@@ -14,6 +16,17 @@ type Options struct {
 	// without the NoScanInvalidate ablation): the auditor then mirrors the
 	// monitoring window and checks arrival valid-bits against it.
 	Windows bool
+	// Cores is the machine's core count. The per-core shadow state is sized
+	// to it once, and a per-core event (any kind but the machine-wide crash,
+	// rec-done and torn-wb) from a core outside [0, Cores) is a
+	// core-out-of-range violation that is otherwise ignored.
+	Cores int
+}
+
+// machineWide reports whether events of kind k belong to the machine as a
+// whole rather than to one core, so their Core field names no core.
+func machineWide(k Kind) bool {
+	return k == EvCrash || k == EvRecoveryDone || k == EvTornWriteback
 }
 
 // Violation is one detected protocol violation.
@@ -61,6 +74,31 @@ type winEntry struct {
 	expiry uint64
 	seq    uint64
 }
+
+// coreShadow is the auditor's per-core state: the pending stores in issue
+// order, the commit/drain watermarks, the sync awaiting its sealing commit,
+// and the watermarks a crash froze.
+type coreShadow struct {
+	order []uint64 // pending sequences in issue order
+
+	lastCommit uint64
+	lastDrain  uint64
+	// tracked: the core has committed (or resumed from) a region, so a
+	// recovery resets its watermarks.
+	tracked bool
+
+	pendingSync    uint64 // region whose sync awaits its sealing commit
+	hasPendingSync bool
+
+	commitAtCrash  uint64
+	drainAtCrash   uint64
+	trackedAtCrash bool
+	lastReplay     uint64
+}
+
+// orderStart is each core's carved pending-queue capacity: about one
+// threshold-sized region's stores, beyond which the queue doubles.
+const orderStart = 64
 
 // maxKeptViolations bounds the stored violation list; further violations
 // are counted but not retained (the first one is what matters — later ones
@@ -120,6 +158,9 @@ const maxKeptViolations = 16
 //     nested crash the replay watermarks reset while the crash watermarks
 //     stand, so the sequence-guard rules verify the restarted recovery's
 //     idempotence exactly.
+//   - core-out-of-range: a per-core event names a core the machine does
+//     not have (outside [0, Options.Cores)); the event is not otherwise
+//     audited.
 //
 // The auditor must observe the machine from birth (attach the tap before
 // the first instruction) and, for crash tests, stay attached across
@@ -136,41 +177,33 @@ type Auditor struct {
 	window map[uint64]winEntry // monitoring-window mirror (identical across cores)
 
 	stores map[uint64]storeRec // pending (undrained) stores by global sequence
-	order  map[int32][]uint64  // per-core pending sequences in issue order
+	cores  []coreShadow        // indexed by core, Options.Cores long
 
-	lastCommit map[int32]uint64
-	lastDrain  map[int32]uint64
-
-	pendingSync map[int32]uint64  // core -> region whose sync awaits its sealing commit
 	syncPersist map[uint64]uint64 // word addr -> newest applied sync-store sequence
 
-	crashed       bool
-	commitAtCrash map[int32]uint64
-	drainAtCrash  map[int32]uint64
-	lastReplay    map[int32]uint64
+	crashed bool
 
 	violations []Violation
 	total      uint64 // all violations, including unretained ones
 }
 
-// NewAuditor returns an online auditor with the given model options.
+// NewAuditor returns an online auditor with the given model options. The
+// per-core state is carved from one backing at Options.Cores.
 func NewAuditor(opt Options) *Auditor {
-	return &Auditor{
-		opt:        opt,
-		nvm:        map[uint64]seqVal{},
-		window:     map[uint64]winEntry{},
-		stores:     map[uint64]storeRec{},
-		order:      map[int32][]uint64{},
-		lastCommit: map[int32]uint64{},
-		lastDrain:  map[int32]uint64{},
-
-		pendingSync: map[int32]uint64{},
+	n := max(opt.Cores, 0)
+	a := &Auditor{
+		opt:         opt,
+		nvm:         map[uint64]seqVal{},
+		window:      map[uint64]winEntry{},
+		stores:      map[uint64]storeRec{},
+		cores:       make([]coreShadow, n),
 		syncPersist: map[uint64]uint64{},
-
-		commitAtCrash: map[int32]uint64{},
-		drainAtCrash:  map[int32]uint64{},
-		lastReplay:    map[int32]uint64{},
 	}
+	order := make([]uint64, n*orderStart)
+	for i := range a.cores {
+		a.cores[i].order = slab.Carve(&order, orderStart, 0)[:0]
+	}
+	return a
 }
 
 // AttachRecorder links a flight recorder whose retained events fill each
@@ -222,6 +255,11 @@ func (a *Auditor) shadow(addr uint64) seqVal { return a.nvm[addr] }
 // Tap consumes one event, updating the shadow model and checking the
 // invariants that fire on it.
 func (a *Auditor) Tap(e Event) {
+	if (e.Core < 0 || int(e.Core) >= len(a.cores)) && !machineWide(e.Kind) {
+		a.violate(e, "core-out-of-range", "%s event from core %d, machine has %d cores", e.Kind, e.Core, len(a.cores))
+		a.idx++
+		return
+	}
 	switch e.Kind {
 	case EvStore:
 		a.onStore(e)
@@ -264,18 +302,19 @@ func (a *Auditor) onStore(e Event) {
 		a.violate(e, "store-seq-monotone", "store sequence %d not above previous %d", e.Seq, a.lastSeq)
 	}
 	a.lastSeq = e.Seq
-	open := a.lastCommit[e.Core] + 1
+	c := &a.cores[e.Core]
+	open := c.lastCommit + 1
 	if e.Region != open {
 		a.violate(e, "store-open-region", "store tagged region %d, core %d's open region is %d", e.Region, e.Core, open)
 	}
-	if p, ok := a.pendingSync[e.Core]; ok {
+	if c.hasPendingSync {
 		a.violate(e, "sync-unordered-commit",
 			"core %d issued store addr %#x seq %d before region %d's sync sealed its commit",
-			e.Core, e.Addr, e.Seq, p)
-		delete(a.pendingSync, e.Core) // one violation per dropped commit
+			e.Core, e.Addr, e.Seq, c.pendingSync)
+		c.hasPendingSync = false // one violation per dropped commit
 	}
 	a.stores[e.Seq] = storeRec{core: e.Core, addr: e.Addr, region: e.Region, undo: e.Val2, redo: e.Val}
-	a.order[e.Core] = append(a.order[e.Core], e.Seq)
+	c.order = append(c.order, e.Seq)
 }
 
 // onSync records a synchronizing store. Its data entry (EvStore, same
@@ -289,25 +328,27 @@ func (a *Auditor) onSync(e Event) {
 		a.violate(e, "sync-unknown-store",
 			"sync addr %#x seq %d matches no issued store of core %d", e.Addr, e.Seq, e.Core)
 	}
-	a.pendingSync[e.Core] = e.Region
+	c := &a.cores[e.Core]
+	c.pendingSync, c.hasPendingSync = e.Region, true
 }
 
 func (a *Auditor) onCommit(e Event) {
-	if want := a.lastCommit[e.Core] + 1; e.Region != want {
+	c := &a.cores[e.Core]
+	if want := c.lastCommit + 1; e.Region != want {
 		a.violate(e, "commit-order", "core %d committed region %d, expected %d", e.Core, e.Region, want)
 	}
-	if e.Region > a.lastCommit[e.Core] {
-		a.lastCommit[e.Core] = e.Region
+	if e.Region > c.lastCommit {
+		c.lastCommit, c.tracked = e.Region, true
 	}
-	if p, ok := a.pendingSync[e.Core]; ok && e.Region >= p {
-		delete(a.pendingSync, e.Core)
+	if c.hasPendingSync && e.Region >= c.pendingSync {
+		c.hasPendingSync = false
 	}
 }
 
 func (a *Auditor) onLaunch(e Event) {
 	if e.Flags.Has(FlagBoundary) {
-		if e.Region > a.lastCommit[e.Core] {
-			a.violate(e, "launch-before-commit", "core %d launched marker for region %d above commit watermark %d", e.Core, e.Region, a.lastCommit[e.Core])
+		if lc := a.cores[e.Core].lastCommit; e.Region > lc {
+			a.violate(e, "launch-before-commit", "core %d launched marker for region %d above commit watermark %d", e.Core, e.Region, lc)
 		}
 		return
 	}
@@ -410,17 +451,18 @@ func (a *Auditor) checkSyncPersist(e Event) {
 }
 
 func (a *Auditor) onDrain(e Event) {
-	if e.Region <= a.lastDrain[e.Core] && a.lastDrain[e.Core] != 0 {
-		a.violate(e, "drain-order", "core %d drained region %d after region %d", e.Core, e.Region, a.lastDrain[e.Core])
+	c := &a.cores[e.Core]
+	if e.Region <= c.lastDrain && c.lastDrain != 0 {
+		a.violate(e, "drain-order", "core %d drained region %d after region %d", e.Core, e.Region, c.lastDrain)
 	}
-	if e.Region > a.lastCommit[e.Core] {
+	if e.Region > c.lastCommit {
 		a.violate(e, "drain-before-commit",
 			"core %d drained region %d before its commit marker (commit watermark %d)",
-			e.Core, e.Region, a.lastCommit[e.Core])
+			e.Core, e.Region, c.lastCommit)
 	}
-	a.pruneBelow(e.Core, e.Region)
-	if e.Region > a.lastDrain[e.Core] {
-		a.lastDrain[e.Core] = e.Region
+	a.pruneBelow(c, e.Region)
+	if e.Region > c.lastDrain {
+		c.lastDrain = e.Region
 	}
 }
 
@@ -428,8 +470,8 @@ func (a *Auditor) onDrain(e Event) {
 // (their region has fully drained; per-core store order is region-ordered,
 // so the per-core issue queue pops from the front). The survivors are copied
 // down so the queue's backing array is reused.
-func (a *Auditor) pruneBelow(core int32, r uint64) {
-	q := a.order[core]
+func (a *Auditor) pruneBelow(c *coreShadow, r uint64) {
+	q := c.order
 	i := 0
 	for ; i < len(q); i++ {
 		s, ok := a.stores[q[i]]
@@ -442,7 +484,7 @@ func (a *Auditor) pruneBelow(core int32, r uint64) {
 		delete(a.stores, q[i])
 	}
 	if i > 0 {
-		a.order[core] = q[:copy(q, q[i:])]
+		c.order = q[:copy(q, q[i:])]
 	}
 }
 
@@ -505,15 +547,19 @@ func (a *Auditor) onCrash(e Event) {
 		// unchanged, so the crash watermarks stand; only replay progress
 		// resets — the restarted recovery replays the streams from the top,
 		// and the sequence-guard rules verify its idempotence exactly.
-		clear(a.lastReplay)
+		for i := range a.cores {
+			a.cores[i].lastReplay = 0
+		}
 		return
 	}
 	a.crashed = true
-	copyMap(a.commitAtCrash, a.lastCommit)
-	copyMap(a.drainAtCrash, a.lastDrain)
-	clear(a.lastReplay)
-	// Execution stopped: a sync awaiting its commit cannot misorder anymore.
-	clear(a.pendingSync)
+	for i := range a.cores {
+		c := &a.cores[i]
+		c.commitAtCrash, c.drainAtCrash, c.trackedAtCrash = c.lastCommit, c.lastDrain, c.tracked
+		c.lastReplay = 0
+		// Execution stopped: a sync awaiting its commit cannot misorder anymore.
+		c.hasPendingSync = false
+	}
 }
 
 // onTornWriteback checks a torn dirty-line writeback: tearing may only
@@ -550,12 +596,13 @@ func (a *Auditor) onTornDrainWrite(e Event) {
 		return
 	}
 	a.matchStore(e, "torn-drain")
-	if e.Region > a.commitAtCrash[e.Core] {
+	c := &a.cores[e.Core]
+	if e.Region > c.commitAtCrash {
 		a.violate(e, "torn-uncommitted-region",
 			"torn drain pushed redo of region %d above core %d's commit watermark %d",
-			e.Region, e.Core, a.commitAtCrash[e.Core])
+			e.Region, e.Core, c.commitAtCrash)
 	}
-	if dr := a.drainAtCrash[e.Core]; dr != 0 && e.Region <= dr {
+	if dr := c.drainAtCrash; dr != 0 && e.Region <= dr {
 		a.violate(e, "torn-drained-region",
 			"torn drain pushed redo of region %d, already drained through %d",
 			e.Region, dr)
@@ -569,8 +616,8 @@ func (a *Auditor) onReplayWrite(e Event) {
 		return
 	}
 	a.matchStore(e, "replay")
-	if e.Region <= a.drainAtCrash[e.Core] && a.drainAtCrash[e.Core] != 0 {
-		a.violate(e, "replay-drained-region", "recovery replayed redo of region %d, already drained through %d", e.Region, a.drainAtCrash[e.Core])
+	if dr := a.cores[e.Core].drainAtCrash; e.Region <= dr && dr != 0 {
+		a.violate(e, "replay-drained-region", "recovery replayed redo of region %d, already drained through %d", e.Region, dr)
 	}
 	a.checkSyncPersist(e)
 	a.checkGuard(e, "recovery redo", true)
@@ -580,17 +627,18 @@ func (a *Auditor) onReplayMarker(e Event) {
 	if !a.crashed {
 		return
 	}
-	if e.Region <= a.lastReplay[e.Core] && a.lastReplay[e.Core] != 0 {
-		a.violate(e, "replay-order", "core %d replayed region %d after region %d", e.Core, e.Region, a.lastReplay[e.Core])
+	c := &a.cores[e.Core]
+	if e.Region <= c.lastReplay && c.lastReplay != 0 {
+		a.violate(e, "replay-order", "core %d replayed region %d after region %d", e.Core, e.Region, c.lastReplay)
 	}
-	if e.Region <= a.drainAtCrash[e.Core] && a.drainAtCrash[e.Core] != 0 {
-		a.violate(e, "replay-drained-region", "core %d replayed region %d, already drained through %d", e.Core, e.Region, a.drainAtCrash[e.Core])
+	if e.Region <= c.drainAtCrash && c.drainAtCrash != 0 {
+		a.violate(e, "replay-drained-region", "core %d replayed region %d, already drained through %d", e.Core, e.Region, c.drainAtCrash)
 	}
-	if e.Region > a.commitAtCrash[e.Core] {
-		a.violate(e, "replay-uncommitted-region", "core %d replayed region %d above commit watermark %d at crash", e.Core, e.Region, a.commitAtCrash[e.Core])
+	if e.Region > c.commitAtCrash {
+		a.violate(e, "replay-uncommitted-region", "core %d replayed region %d above commit watermark %d at crash", e.Core, e.Region, c.commitAtCrash)
 	}
-	if e.Region > a.lastReplay[e.Core] {
-		a.lastReplay[e.Core] = e.Region
+	if e.Region > c.lastReplay {
+		c.lastReplay = e.Region
 	}
 }
 
@@ -603,7 +651,7 @@ func (a *Auditor) onUndo(e Event) {
 		a.violate(e, "undo-unknown-store",
 			"undo addr %#x firstseq %d val %d matches no issued store of core %d",
 			e.Addr, e.Seq, e.Val, e.Core)
-	} else if open := a.commitAtCrash[e.Core] + 1; s.region != open {
+	} else if open := a.cores[e.Core].commitAtCrash + 1; s.region != open {
 		a.violate(e, "undo-open-region",
 			"undone store addr %#x firstseq %d belongs to region %d, not the interrupted region %d",
 			e.Addr, e.Seq, s.region, open)
@@ -634,44 +682,24 @@ func (a *Auditor) onRecoveryDone(Event) {
 	if !a.crashed {
 		return
 	}
-	// Resume watermarks: each core restarts from the newest durable region —
-	// the larger of what drained before the crash and what recovery replayed.
-	for core := range a.commitAtCrash {
-		a.lastCommit[core] = a.resumePoint(core)
-		a.lastDrain[core] = a.resumePoint(core)
+	for i := range a.cores {
+		c := &a.cores[i]
+		// Resume watermarks: each core that committed or replayed restarts
+		// from the newest durable region — the larger of what drained
+		// before the crash and what recovery replayed.
+		if c.trackedAtCrash || c.lastReplay != 0 {
+			r := max(c.drainAtCrash, c.lastReplay)
+			c.lastCommit, c.lastDrain, c.tracked = r, r, true
+		}
+		// Pending stores are gone: committed regions were replayed, the
+		// interrupted region was undone; resumed execution issues fresh
+		// ones. The per-core queues keep their backing arrays.
+		c.order = c.order[:0]
+		c.hasPendingSync = false
+		c.commitAtCrash, c.drainAtCrash, c.trackedAtCrash, c.lastReplay = 0, 0, false, 0
 	}
-	for core := range a.lastReplay {
-		a.lastCommit[core] = a.resumePoint(core)
-		a.lastDrain[core] = a.resumePoint(core)
-	}
-	// Pending stores are gone: committed regions were replayed, the
-	// interrupted region was undone; resumed execution issues fresh ones.
-	// The per-core queues keep their backing arrays.
 	clear(a.stores)
-	for core, q := range a.order {
-		a.order[core] = q[:0]
-	}
 	// The recovered machine's proxy paths start with empty windows.
 	clear(a.window)
-	clear(a.pendingSync)
 	a.crashed = false
-	clear(a.commitAtCrash)
-	clear(a.drainAtCrash)
-	clear(a.lastReplay)
-}
-
-func (a *Auditor) resumePoint(core int32) uint64 {
-	r := a.drainAtCrash[core]
-	if lr := a.lastReplay[core]; lr > r {
-		r = lr
-	}
-	return r
-}
-
-// copyMap makes dst an exact copy of src, reusing dst's storage.
-func copyMap(dst, src map[int32]uint64) {
-	clear(dst)
-	for k, v := range src {
-		dst[k] = v
-	}
 }

@@ -7,13 +7,14 @@ import (
 
 // decodeWire turns fuzz bytes into auditor options and an event stream. The
 // first byte picks the options (bit 0: monitoring windows, the rest: the
-// proxy latency); every following eventWireLen-byte chunk is one event in
-// the flight recorder's digest encoding. A short tail is ignored.
+// proxy latency; the core count is always testCores); every following
+// eventWireLen-byte chunk is one event in the flight recorder's digest
+// encoding. A short tail is ignored.
 func decodeWire(b []byte) (Options, []Event) {
 	if len(b) == 0 {
 		return Options{}, nil
 	}
-	opt := Options{Windows: b[0]&1 != 0, ProxyLatency: uint64(b[0] >> 1)}
+	opt := Options{Windows: b[0]&1 != 0, ProxyLatency: uint64(b[0] >> 1), Cores: testCores}
 	var evs []Event
 	le := binary.LittleEndian
 	for b = b[1:]; len(b) >= eventWireLen; b = b[eventWireLen:] {

@@ -7,7 +7,10 @@
 // valid-bit scan keys on (paper §5.3).
 package cache
 
-import "capri/internal/mem"
+import (
+	"capri/internal/mem"
+	"capri/internal/slab"
+)
 
 // wordsPerLine is the number of words a 64 B line holds (and therefore the
 // maximum dirty words one writeback can carry).
@@ -51,10 +54,12 @@ type line struct {
 	lru   uint64
 }
 
-// Cache is a set-associative writeback cache.
+// Cache is a set-associative writeback cache. Its lines are one flat run,
+// set-major: set i occupies lines[i*ways : (i+1)*ways].
 type Cache struct {
-	sets    [][]line
-	setMask uint64 // len(sets)-1 when a power of two, else 0
+	lines   []line
+	nsets   uint64
+	setMask uint64 // nsets-1 when a power of two, else 0
 	ways    int
 	clock   uint64
 
@@ -65,31 +70,49 @@ type Cache struct {
 	Evictions uint64
 }
 
-// New builds a cache with the given capacity in bytes and associativity.
-func New(capacity uint64, ways int) *Cache {
-	nlines := capacity / mem.LineSize
-	nsets := int(nlines) / ways
-	if nsets == 0 {
-		nsets = 1
+// Lines is a backing of line slots that caches are carved from (Init): a
+// machine makes one for all of its caches.
+type Lines []line
+
+// numSets returns the set count of a cache with the given geometry.
+func numSets(capacity uint64, ways int) int {
+	if nsets := int(capacity/mem.LineSize) / ways; nsets > 0 {
+		return nsets
 	}
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	c := &Cache{sets: sets, ways: ways}
+	return 1
+}
+
+// LineCount returns the line slots a cache of the given geometry occupies.
+func LineCount(capacity uint64, ways int) int { return numSets(capacity, ways) * ways }
+
+// Init builds the cache in place with the given capacity in bytes and
+// associativity, carving its LineCount(capacity, ways) slots from *lines.
+func (c *Cache) Init(capacity uint64, ways int, lines *Lines) {
+	nsets := numSets(capacity, ways)
+	*c = Cache{lines: slab.Carve((*[]line)(lines), nsets*ways, 0), nsets: uint64(nsets), ways: ways}
 	if n := uint64(nsets); n&(n-1) == 0 {
 		c.setMask = n - 1
 	}
+}
+
+// New builds a standalone cache with the given capacity in bytes and
+// associativity.
+func New(capacity uint64, ways int) *Cache {
+	lines := make(Lines, LineCount(capacity, ways))
+	c := &Cache{}
+	c.Init(capacity, ways, &lines)
 	return c
 }
 
 func (c *Cache) set(lineAddr uint64) []line {
 	s := lineAddr / mem.LineSize
-	if c.setMask != 0 || len(c.sets) == 1 {
-		return c.sets[s&c.setMask]
+	if c.setMask != 0 || c.nsets == 1 {
+		s &= c.setMask
+	} else {
+		s %= c.nsets
 	}
-	return c.sets[s%uint64(len(c.sets))]
+	i := int(s) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways]
 }
 
 // Lookup probes the cache without modifying state. It reports a hit.
@@ -167,16 +190,14 @@ fill:
 // are independently allocated (this is a cold path).
 func (c *Cache) FlushAll() []*Writeback {
 	var out []*Writeback
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty {
-				wb := &Writeback{}
-				wb.fill(l)
-				out = append(out, wb)
-				l.dirty = false
-				l.words = 0
-			}
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.valid && l.dirty {
+			wb := &Writeback{}
+			wb.fill(l)
+			out = append(out, wb)
+			l.dirty = false
+			l.words = 0
 		}
 	}
 	return out
@@ -210,12 +231,9 @@ func (c *Cache) Invalidate(addr uint64) *Writeback {
 // off hot paths.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty {
-				n++
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid && l.dirty {
+			n++
 		}
 	}
 	return n
@@ -223,9 +241,5 @@ func (c *Cache) DirtyLines() int {
 
 // Reset clears the cache (power failure: all volatile contents lost).
 func (c *Cache) Reset() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{}
-		}
-	}
+	clear(c.lines)
 }

@@ -211,6 +211,7 @@ func TestReadRejectsUntrustedFields(t *testing.T) {
 		{"cfg-l1ways-huge", "beyond the simulator's bounds", func(img *machine.CrashImage) { img.Cfg.L1Ways = 1 << 50 }},
 		{"cfg-dram-huge", "beyond the simulator's bounds", func(img *machine.CrashImage) { img.Cfg.DRAMSize = 1 << 63 }},
 		{"cfg-frontend-huge", "beyond the simulator's bounds", func(img *machine.CrashImage) { img.Cfg.FrontEndEntries = 1 << 57 }},
+		{"cfg-proxy-latency-huge", "beyond the simulator's bounds", func(img *machine.CrashImage) { img.Cfg.ProxyLatency = 1 << 40 }},
 		{"extra-core", "for a 1-thread program", func(img *machine.CrashImage) {
 			img.Records = append(img.Records, img.Records[0])
 			img.Streams = append(img.Streams, nil)

@@ -146,12 +146,15 @@ func DefaultConfig() Config {
 // Size bounds Validate enforces. Caches and the front-end buffer are
 // allocated up front and the DRAM cache's chunk directory with them, so a
 // crash image carrying a huge size would otherwise exhaust memory in New.
-// Each bound is far above Table 1's configuration.
+// The proxy path's latency and interval size no allocation, but they feed its
+// departure and arrival cycle sums, which a value near 2^64 would wrap. Each
+// bound is far above Table 1's configuration.
 const (
 	maxCacheBytes   = 256 << 20
 	maxWays         = 1 << 10
 	maxDRAMBytes    = 64 << 30
 	maxFrontEntries = 1 << 16
+	maxProxyCycles  = 1 << 20
 )
 
 // Validate checks the configuration for usability.
@@ -176,7 +179,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: bad cache geometry")
 	}
 	if c.L1Size > maxCacheBytes || c.L2Size > maxCacheBytes || c.L1Ways > maxWays || c.L2Ways > maxWays ||
-		c.DRAMSize > maxDRAMBytes || c.FrontEndEntries > maxFrontEntries {
+		c.DRAMSize > maxDRAMBytes || c.FrontEndEntries > maxFrontEntries ||
+		c.ProxyLatency > maxProxyCycles || c.ProxyInterval > maxProxyCycles {
 		return fmt.Errorf("machine: cache or buffer size beyond the simulator's bounds")
 	}
 	if c.LoadOverlap == 0 {

@@ -1,8 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"capri/internal/audit"
 	"capri/internal/mem"
@@ -40,31 +41,46 @@ func (m *Machine) Crash() (*CrashImage, error) {
 	return m.CrashTorn(nil)
 }
 
-// harvest deep-copies the machine's persistent state into a CrashImage.
+// harvest deep-copies the machine's persistent state into a CrashImage. The
+// streams share one entry backing (full-slice caps) and the outputs one word
+// backing; an empty output stays nil.
 func (m *Machine) harvest() *CrashImage {
 	img := &CrashImage{
-		Prog: m.prog,
-		Cfg:  m.cfg,
-		NVM:  m.nvm.Clone(),
-		Seq:  m.seq,
+		Prog:    m.prog,
+		Cfg:     m.cfg,
+		NVM:     m.nvm.Clone(),
+		Seq:     m.seq,
+		Records: append([]CoreRecord(nil), m.records...),
+		Streams: make([][]proxy.Entry, len(m.cores)),
+		Outputs: make([][]uint64, len(m.cores)),
 	}
-	img.Records = append(img.Records, m.records...)
+	var nent, nout int
 	for _, c := range m.cores {
-		stream := make([]proxy.Entry, 0, c.back.Len()+c.path.InFlight()+c.front.Len())
-		stream = append(stream, c.back.Entries()...)
-		stream = append(stream, c.path.DrainAll()...)
-		stream = append(stream, c.front.Entries()...)
-		unshareEntries(stream)
-		img.Streams = append(img.Streams, stream)
-		img.Outputs = append(img.Outputs, append([]uint64(nil), c.output...))
+		nent += c.back.Len() + c.path.InFlight() + c.front.Len()
+		nout += len(c.output)
 	}
+	entries := make([]proxy.Entry, 0, nent)
+	outputs := make([]uint64, 0, nout)
+	for t, c := range m.cores {
+		i := len(entries)
+		entries = append(entries, c.back.Entries()...)
+		entries = c.path.DrainAll(entries)
+		entries = append(entries, c.front.Entries()...)
+		img.Streams[t] = entries[i:len(entries):len(entries)]
+		if len(c.output) > 0 {
+			i = len(outputs)
+			outputs = append(outputs, c.output...)
+			img.Outputs[t] = outputs[i:len(outputs):len(outputs)]
+		}
+	}
+	unshareEntries(entries)
 	return img
 }
 
 // unshareEntries copies the slice-valued fields of harvested entries into one
-// fresh slab per stream: boundary entries' Ckpts and Emits otherwise alias
-// the live proxy buffers' backing arrays, which the machine reuses as it
-// keeps running.
+// fresh slab each: boundary entries' Ckpts and Emits otherwise alias the live
+// proxy buffers' backing arrays, which the machine reuses as it keeps
+// running.
 func unshareEntries(stream []proxy.Entry) {
 	var nc, ne int
 	for i := range stream {
@@ -168,7 +184,7 @@ func RecoverInterrupted(img *CrashImage, tap audit.Sink, stopAfter uint64, devic
 // is the nested-crash fault injection point (0: run to completion); order is
 // phase A's stream replay order (nil: core index order).
 func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int, devices ...OutputDevice) (*Machine, *RecoveryReport, *CrashImage, error) {
-	m, err := New(img.Prog, img.Cfg)
+	m, err := build(img.Prog, img.Cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -178,9 +194,7 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 	m.nvm = img.NVM.Clone()
 	m.seq = img.Seq
 	copy(m.records, img.Records)
-	for t := range img.Outputs {
-		m.cores[t].output = append(m.cores[t].output[:0], img.Outputs[t]...)
-	}
+	copyOutputs(m.cores, img.Outputs)
 
 	// Persistent-step counter for the nested-crash injection point.
 	steps := uint64(0)
@@ -190,31 +204,25 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 	}
 
 	// Phase A: replay committed regions from the buffers, in stream order.
-	type undoEntry struct {
-		e    proxy.Entry
-		core int
-	}
+	// A region's data entries are the run of entries since the previous
+	// marker, so the pending ones are a subslice of the stream.
 	var uncommitted []undoEntry
-	streamOrder := order
-	if streamOrder == nil {
-		streamOrder = make([]int, len(img.Streams))
-		for t := range streamOrder {
-			streamOrder[t] = t
+	for k := range img.Streams {
+		t := k
+		if order != nil {
+			t = order[k]
 		}
-	}
-	for _, t := range streamOrder {
 		stream := img.Streams[t]
-		var pending []proxy.Entry
+		start := 0
 		for i := range stream {
 			e := &stream[i]
 			if e.Kind == proxy.KindData {
-				pending = append(pending, *e)
 				continue
 			}
 			// Commit marker: redo the region.
 			rep.RegionsRedone++
-			for _, d := range pending {
-				if d.Valid {
+			for j := start; j < i; j++ {
+				if d := &stream[j]; d.Valid {
 					rep.EntriesRedone++
 					var applied bool
 					if Mutations.ReplayNoGuard {
@@ -240,7 +248,7 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 					}
 				}
 			}
-			pending = pending[:0]
+			start = i + 1
 			m.applyMarker(t, e)
 			if m.tap != nil {
 				m.tap.Tap(audit.Event{Kind: audit.EvRecoveryRedo, Core: int32(t), Region: e.Region})
@@ -249,6 +257,7 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 				return m.nestedCrash(img, rep)
 			}
 		}
+		pending := stream[start:]
 		if Mutations.SkipMarkerCheck {
 			// MUTATION: the §5.4 marker check is gone — the uncommitted tail
 			// is replayed as if its region had committed.
@@ -259,8 +268,8 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 			}
 			continue
 		}
-		for _, d := range pending {
-			uncommitted = append(uncommitted, undoEntry{e: d, core: t})
+		for i := range pending {
+			uncommitted = append(uncommitted, undoEntry{e: &pending[i], core: t})
 		}
 	}
 
@@ -270,9 +279,7 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 		// (writebacks, torn drains) are never rolled back.
 		uncommitted = nil
 	}
-	sort.Slice(uncommitted, func(i, j int) bool {
-		return uncommitted[i].e.Seq > uncommitted[j].e.Seq
-	})
+	slices.SortFunc(uncommitted, func(a, b undoEntry) int { return cmp.Compare(b.e.Seq, a.e.Seq) })
 	seenAddr := map[uint64]int{}
 	for _, u := range uncommitted {
 		if prev, ok := seenAddr[u.e.Addr]; ok && prev != u.core {
@@ -339,6 +346,28 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 		m.tap.Tap(audit.Event{Kind: audit.EvRecoveryDone, Count: uint32(len(m.cores))})
 	}
 	return m, rep, nil, nil
+}
+
+// undoEntry is one uncommitted data entry of a crash image's stream and the
+// core whose stream holds it.
+type undoEntry struct {
+	e    *proxy.Entry
+	core int
+}
+
+// copyOutputs gives each recovered core a copy of its durable output tape,
+// all carved from one backing (full-slice caps: appends after recovery
+// reallocate).
+func copyOutputs(cores []*core, outputs [][]uint64) {
+	n := 0
+	for _, o := range outputs {
+		n += len(o)
+	}
+	words := make([]uint64, n)
+	for t, o := range outputs {
+		cores[t].output = slab.Carve(&words, len(o), 0)
+		copy(cores[t].output, o)
+	}
 }
 
 // nestedCrash harvests the mid-recovery persistent image: NVM and records as

@@ -9,6 +9,7 @@ import (
 	"capri/internal/mem"
 	"capri/internal/prog"
 	"capri/internal/proxy"
+	"capri/internal/slab"
 	"capri/internal/telemetry"
 )
 
@@ -74,7 +75,10 @@ type core struct {
 	// (zero steady-state allocation; see scratch.go).
 	lines lineTable
 
-	l1    *cache.Cache
+	// The core's hardware, carved by New: its L1 (lines from the machine's
+	// one line backing) and its proxy unit (nil pointers on a baseline
+	// machine).
+	l1    cache.Cache
 	front *proxy.FrontEnd
 	path  *proxy.Path
 	back  *proxy.BackEnd
@@ -146,7 +150,7 @@ type Machine struct {
 	mem  *mem.Mem // architectural (volatile)
 	nvm  *mem.NVM
 	dram *mem.DRAMCache
-	l2   *cache.Cache
+	l2   cache.Cache
 
 	cores   []*core
 	records []CoreRecord // NVM-resident recovery records
@@ -203,32 +207,8 @@ func (m *Machine) AttachOutputDevice(d OutputDevice) {
 // (non-Capri) machines have no persistence protocol to observe, so SetTap
 // is a no-op for them.
 func (m *Machine) SetTap(s audit.Sink) {
-	if !m.cfg.Capri {
-		return
-	}
-	m.tap = s
-	for _, c := range m.cores {
-		c.path.Probe = nil
-		if s == nil {
-			continue
-		}
-		cc := c
-		c.path.Probe = func(e *proxy.Entry, arrives uint64, hit bool) {
-			ev := audit.Event{Kind: audit.EvBackArrive, Core: int32(cc.id), Cycle: cc.cycle, Val: arrives}
-			if e.Kind == proxy.KindBoundary {
-				ev.Flags |= audit.FlagBoundary
-				ev.Region = e.Region
-			} else {
-				ev.Addr, ev.Seq = e.Addr, e.Seq
-				if e.Valid {
-					ev.Flags |= audit.FlagValid
-				}
-				if hit {
-					ev.Flags |= audit.FlagWindowHit
-				}
-			}
-			m.tap.Tap(ev)
-		}
+	if m.cfg.Capri {
+		m.tap = s
 	}
 }
 
@@ -238,53 +218,85 @@ func (m *Machine) AuditOptions() audit.Options {
 	return audit.Options{
 		ProxyLatency: m.cfg.ProxyLatency,
 		Windows:      m.cfg.Capri && !m.cfg.NoScanInvalidate,
+		Cores:        m.cfg.Cores,
 	}
 }
+
+// drainStart is the carved capacity of each core's phase-2 drain queue. The
+// queue holds one completion per region buffered in the back-end, which the
+// store threshold bounds only loosely, so it starts here and doubles on
+// demand.
+const drainStart = 16
 
 // New builds a machine for the given compiled program. The program's thread
 // count must not exceed cfg.Cores.
 func New(p *prog.Program, cfg Config) (*Machine, error) {
+	m, err := build(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.mem, m.nvm = mem.NewMem(), mem.NewNVM()
+	return m, nil
+}
+
+// build is New without the memory images, which recovery supplies from a
+// crash image instead. The machine is built at its architectural size: one
+// backing per element type — cores, cache lines, proxy units (see
+// proxy.NewUnits), drain-queue words, line-table slots, records and the run
+// queue — with each core's share carved from it, so construction costs the
+// same number of allocations whatever the thread count.
+func build(p *prog.Program, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := p.Verify(); err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
-	if p.NumThreads() > cfg.Cores {
-		return nil, fmt.Errorf("machine: program wants %d threads, config has %d cores", p.NumThreads(), cfg.Cores)
+	n := p.NumThreads()
+	if n > cfg.Cores {
+		return nil, fmt.Errorf("machine: program wants %d threads, config has %d cores", n, cfg.Cores)
 	}
 	m := &Machine{
-		cfg:  cfg,
-		prog: p,
-		mem:  mem.NewMem(),
-		nvm:  mem.NewNVM(),
-		dram: mem.NewDRAMCache(cfg.DRAMSize),
-		l2:   cache.New(cfg.L2Size, cfg.L2Ways),
+		cfg:     cfg,
+		prog:    p,
+		dram:    mem.NewDRAMCache(cfg.DRAMSize),
+		cores:   make([]*core, n),
+		records: make([]CoreRecord, n),
+		rq:      runq{heap: make([]*core, 0, n)},
 	}
-	for t := 0; t < p.NumThreads(); t++ {
-		c := &core{
-			id:    t,
-			l1:    cache.New(cfg.L1Size, cfg.L1Ways),
-			fn:    p.EntryFunc(t),
-			blkFn: -1,
-		}
+	lines := make(cache.Lines, cache.LineCount(cfg.L2Size, cfg.L2Ways)+n*cache.LineCount(cfg.L1Size, cfg.L1Ways))
+	m.l2.Init(cfg.L2Size, cfg.L2Ways, &lines)
+	cores := make([]core, n)
+	var (
+		units  []proxy.Unit
+		drains []uint64
+		slots  []lineSlot
+	)
+	if cfg.Capri {
+		units = proxy.NewUnits(n, cfg.FrontEndEntries, cfg.Threshold, cfg.ProxyLatency, cfg.ProxyInterval)
+		drains = make([]uint64, n*drainStart)
+		slots = make([]lineSlot, n*lineTableSlots)
+	}
+	for t := range cores {
+		c := &cores[t]
+		c.id, c.fn, c.blkFn = t, p.EntryFunc(t), -1
 		c.blk = p.Funcs[c.fn].Entry
 		c.regs[isa.SP] = StackBase(t)
+		c.l1.Init(cfg.L1Size, cfg.L1Ways, &lines)
 		if cfg.Capri {
-			c.front = proxy.NewFrontEnd(cfg.FrontEndEntries)
-			c.front.NoMerge = cfg.NoFrontMerge
-			c.front.NoElide = cfg.NoElision
-			c.path = proxy.NewPath(cfg.ProxyLatency, cfg.ProxyInterval)
-			c.back = proxy.NewBackEnd(cfg.Threshold)
-			c.back.NoMerge = cfg.NoBackMerge
+			u := &units[t]
+			u.Front.NoMerge = cfg.NoFrontMerge
+			u.Front.NoElide = cfg.NoElision
+			u.Back.NoMerge = cfg.NoBackMerge
+			c.front, c.path, c.back = &u.Front, &u.Path, &u.Back
+			c.drainDone = slab.Carve(&drains, drainStart, 0)[:0]
+			c.lines = carveLineTable(slab.Carve(&slots, lineTableSlots, 0))
 		}
-		m.cores = append(m.cores, c)
+		m.cores[t] = c
 
 		// Thread launch is itself a persisted event: the initial recovery
 		// record points at the entry with the initial register file.
-		rec := CoreRecord{Fn: int32(c.fn), Blk: int32(c.blk), Idx: 0}
-		rec.Regs = c.regs
-		m.records = append(m.records, rec)
+		m.records[t] = CoreRecord{Regs: c.regs, Fn: int32(c.fn), Blk: int32(c.blk)}
 	}
 	return m, nil
 }

@@ -53,7 +53,7 @@ func sumProgram(n int64) *prog.Program {
 	return bd.Program()
 }
 
-func compileFor(t *testing.T, p *prog.Program, threshold int) *prog.Program {
+func compileFor(t testing.TB, p *prog.Program, threshold int) *prog.Program {
 	t.Helper()
 	opts := compile.DefaultOptions()
 	opts.Threshold = threshold

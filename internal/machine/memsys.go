@@ -218,7 +218,10 @@ func (m *Machine) service(c *core) {
 	// Deliver arrived packets into the back-end (zero-copy: the callback gets
 	// a pointer into the wire buffer, and AcceptFrom copies it exactly once,
 	// into the back-end ring).
-	c.path.DeliverEach(now, func(e *proxy.Entry, hit bool) {
+	c.path.DeliverEach(now, func(e *proxy.Entry, arrives uint64, hit bool) {
+		if m.tap != nil {
+			m.tapArrive(c, e, arrives, hit)
+		}
 		if e.Kind == proxy.KindData {
 			c.inflightData--
 		}
@@ -237,6 +240,25 @@ func (m *Machine) service(c *core) {
 	// Drain the front-end while the path has bandwidth and the back-end
 	// (plus in-flight packets) has room.
 	m.drainFront(c)
+}
+
+// tapArrive emits the EvBackArrive event of an entry reaching c's back-end
+// at its wire-arrival cycle; hit is the monitoring window's verdict.
+func (m *Machine) tapArrive(c *core, e *proxy.Entry, arrives uint64, hit bool) {
+	ev := audit.Event{Kind: audit.EvBackArrive, Core: int32(c.id), Cycle: c.cycle, Val: arrives}
+	if e.Kind == proxy.KindBoundary {
+		ev.Flags |= audit.FlagBoundary
+		ev.Region = e.Region
+	} else {
+		ev.Addr, ev.Seq = e.Addr, e.Seq
+		if e.Valid {
+			ev.Flags |= audit.FlagValid
+		}
+		if hit {
+			ev.Flags |= audit.FlagWindowHit
+		}
+	}
+	m.tap.Tap(ev)
 }
 
 // recomputeSvc refreshes core c's service event horizon after service ran:

@@ -19,6 +19,19 @@ type lineSlot struct {
 	epoch uint32
 }
 
+// lineTableSlots is a table's starting slot count: regions of up to half as
+// many distinct lines never grow it.
+const (
+	lineTableBits  = 7
+	lineTableSlots = 1 << lineTableBits
+)
+
+// carveLineTable returns an empty table over lineTableSlots zeroed slots
+// (New carves every core's from one backing).
+func carveLineTable(slots []lineSlot) lineTable {
+	return lineTable{slots: slots, shift: 64 - lineTableBits}
+}
+
 // reset begins a new membership epoch without touching the slots.
 func (t *lineTable) reset() {
 	t.n = 0
@@ -32,8 +45,7 @@ func (t *lineTable) reset() {
 		t.epoch = 1
 	}
 	if len(t.slots) == 0 {
-		t.slots = make([]lineSlot, 128)
-		t.shift = 64 - 7
+		t.slots, t.shift = make([]lineSlot, lineTableSlots), 64-lineTableBits
 	}
 }
 

@@ -294,20 +294,37 @@ func (n *NVM) Snapshot() map[uint64]uint64 {
 // Len returns the number of persisted words.
 func (n *NVM) Len() int { return n.count }
 
-// Clone deep-copies the NVM image (crash injection snapshots).
+// numPages returns the number of materialized pages.
+func (n *NVM) numPages() int {
+	k := len(n.far)
+	for _, p := range n.pages {
+		if p != nil {
+			k++
+		}
+	}
+	return k
+}
+
+// Clone deep-copies the NVM image (crash injection snapshots). The copied
+// pages share one backing.
 func (n *NVM) Clone() *NVM {
 	c := &NVM{count: n.count, pages: make([]*nvmPage, len(n.pages))}
+	backing := make([]nvmPage, n.numPages())
+	next := func(p *nvmPage) *nvmPage {
+		cp := &backing[0]
+		*cp = *p
+		backing = backing[1:]
+		return cp
+	}
 	for i, p := range n.pages {
 		if p != nil {
-			cp := *p
-			c.pages[i] = &cp
+			c.pages[i] = next(p)
 		}
 	}
 	if len(n.far) > 0 {
 		c.far = make(map[uint64]*nvmPage, len(n.far))
 		for pi, p := range n.far {
-			cp := *p
-			c.far[pi] = &cp
+			c.far[pi] = next(p)
 		}
 	}
 	c.writeFree = n.writeFree
@@ -353,8 +370,11 @@ func FromSnapshot(s map[uint64]uint64) *Mem {
 // recovery uses instead of going through a map snapshot.
 func MemFromNVM(n *NVM) *Mem {
 	m := &Mem{count: n.count, pages: make([]*memPage, len(n.pages))}
+	backing := make([]memPage, n.numPages())
 	copyPage := func(p *nvmPage) *memPage {
-		mp := &memPage{used: p.used}
+		mp := &backing[0]
+		backing = backing[1:]
+		mp.used = p.used
 		for off := 0; off < pageWords; off++ {
 			mp.vals[off] = p.words[off].Val
 		}

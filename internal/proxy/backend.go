@@ -1,7 +1,5 @@
 package proxy
 
-import "fmt"
-
 // BackEnd is one core's back-end proxy buffer inside the integrated memory
 // controller (paper §5.2.2). Its capacity equals the compiler's store
 // threshold, guaranteeing a whole region always fits — the architectural half
@@ -13,9 +11,12 @@ type BackEnd struct {
 	Capacity int
 	// NoMerge disables same-region address merging (ablation).
 	NoMerge bool
-	entries []Entry // FIFO across regions; boundary entries delimit
-	ndata   int     // data entries among entries (space accounting)
-	scratch []Entry // reusable Data backing for PopRegion
+	// FIFO across regions, boundary entries delimiting. PopRegion drops a
+	// region without clearing its data, which stays in place for phase 2 to
+	// read; the ring doubles from its carved start (NewUnits) only when it
+	// is truly full.
+	q     ring[Entry]
+	ndata int // data entries among the live ones (space accounting)
 
 	// Stats.
 	Received       uint64
@@ -25,15 +26,6 @@ type BackEnd struct {
 	Scans          uint64
 	ScanHits       uint64
 	Overflow       uint64 // accepts rejected for lack of space (must be 0)
-}
-
-// NewBackEnd returns a back-end buffer with the given entry capacity (==
-// compiler threshold).
-func NewBackEnd(capacity int) *BackEnd {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("proxy: back-end capacity %d", capacity))
-	}
-	return &BackEnd{Capacity: capacity}
 }
 
 // SpaceFor reports whether a data entry can be accepted. Boundary entries are
@@ -47,7 +39,7 @@ func (b *BackEnd) SpaceFor(e Entry) bool {
 }
 
 // Len returns the number of buffered entries (data + boundary).
-func (b *BackEnd) Len() int { return len(b.entries) }
+func (b *BackEnd) Len() int { return b.q.len() }
 
 // Accept appends an entry arriving from the proxy path, merging data entries
 // with a matching address within the open (not yet delimited) region — the
@@ -63,8 +55,9 @@ func (b *BackEnd) Accept(e Entry) bool { return b.AcceptFrom(&e) }
 // loop hands out pointers into the wire buffer).
 func (b *BackEnd) AcceptFrom(e *Entry) bool {
 	if e.Kind == KindData && !b.NoMerge {
-		for i := len(b.entries) - 1; i >= 0; i-- {
-			x := &b.entries[i]
+		live := b.q.live()
+		for i := len(live) - 1; i >= 0; i-- {
+			x := &live[i]
 			if x.Kind == KindBoundary {
 				break
 			}
@@ -88,7 +81,7 @@ func (b *BackEnd) AcceptFrom(e *Entry) bool {
 		return false
 	}
 	b.Received++
-	b.entries = append(b.entries, *e)
+	*b.q.add() = *e
 	if e.Kind == KindData {
 		b.ndata++
 	}
@@ -103,8 +96,9 @@ func (b *BackEnd) AcceptFrom(e *Entry) bool {
 func (b *BackEnd) ScanInvalidate(addr uint64, wbSeq uint64) int {
 	b.Scans++
 	n := 0
-	for i := range b.entries {
-		e := &b.entries[i]
+	live := b.q.live()
+	for i := range live {
+		e := &live[i]
 		if e.Kind == KindData && e.Addr == addr && e.Valid && e.Seq <= wbSeq {
 			e.Valid = false
 			b.ScanHits++
@@ -123,24 +117,18 @@ type CommittedRegion struct {
 
 // PopRegion removes and returns the oldest complete region (data entries up
 // to and including a boundary entry), if one is present. This is the unit of
-// the second phase of the atomic store. The returned Data slice aliases a
-// per-buffer scratch that is reused by the next PopRegion call — phase 2
-// consumes it immediately, so no allocation is needed per region.
+// the second phase of the atomic store. The returned Data slice aliases the
+// ring's now-dead slots and stays valid until the next Accept — phase 2
+// consumes it immediately, so nothing is copied or allocated per region.
 func (b *BackEnd) PopRegion() (CommittedRegion, bool) {
-	for i := range b.entries {
-		if b.entries[i].Kind == KindBoundary {
-			b.scratch = append(b.scratch[:0], b.entries[:i]...)
-			r := CommittedRegion{
-				Data:     b.scratch,
-				Boundary: b.entries[i],
-			}
-			n := copy(b.entries, b.entries[i+1:])
-			dead := b.entries[n:]
-			for j := range dead {
-				// drop Ckpts/Emits references; stale scalars are never read
-				dead[j].Ckpts, dead[j].Emits = nil, nil
-			}
-			b.entries = b.entries[:n]
+	live := b.q.live()
+	for i := range live {
+		if live[i].Kind == KindBoundary {
+			r := CommittedRegion{Data: live[:i:i], Boundary: live[i]}
+			// data entries carry no Ckpts/Emits, so only the boundary
+			// needs releasing
+			live[i].release()
+			b.q.drop(i + 1)
 			b.ndata -= i
 			return r, true
 		}
@@ -153,9 +141,10 @@ func (b *BackEnd) PopRegion() (CommittedRegion, bool) {
 // only. It is how the fault model identifies the drain in flight: the
 // region a booked-but-incomplete phase-2 drain is writing.
 func (b *BackEnd) OldestRegion() (data []Entry, boundary *Entry, ok bool) {
-	for i := range b.entries {
-		if b.entries[i].Kind == KindBoundary {
-			return b.entries[:i], &b.entries[i], true
+	live := b.q.live()
+	for i := range live {
+		if live[i].Kind == KindBoundary {
+			return live[:i], &live[i], true
 		}
 	}
 	return nil, nil, false
@@ -163,14 +152,10 @@ func (b *BackEnd) OldestRegion() (data []Entry, boundary *Entry, ok bool) {
 
 // HasRegion reports whether a complete region is buffered.
 func (b *BackEnd) HasRegion() bool {
-	for i := range b.entries {
-		if b.entries[i].Kind == KindBoundary {
-			return true
-		}
-	}
-	return false
+	_, _, ok := b.OldestRegion()
+	return ok
 }
 
 // Entries returns the buffered entries oldest-first (recovery reads them
 // after a crash).
-func (b *BackEnd) Entries() []Entry { return b.entries }
+func (b *BackEnd) Entries() []Entry { return b.q.live() }

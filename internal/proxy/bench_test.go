@@ -5,12 +5,11 @@ import "testing"
 // BenchmarkProxyDrain drives the full two-phase pipeline at steady state —
 // front-end allocation, path transmission, back-end acceptance, and phase-2
 // region pops — the way the machine's per-instruction service loop does. The
-// steady state must be allocation-free: front-end and path recycle their
-// rings, and PopRegion reuses its scratch.
+// steady state must be allocation-free: front-end, path and back-end
+// recycle their rings, and PopRegion hands out the region in place.
 func BenchmarkProxyDrain(b *testing.B) {
-	f := NewFrontEnd(32)
-	p := NewPath(40, 8)
-	be := NewBackEnd(256)
+	u := &NewUnits(1, 32, 256, 40, 8)[0]
+	f, p, be := &u.Front, &u.Path, &u.Back
 	b.ReportAllocs()
 	b.ResetTimer()
 	now := uint64(0)
@@ -27,11 +26,11 @@ func BenchmarkProxyDrain(b *testing.B) {
 			e, _ := f.Pop()
 			now = p.Send(e, now) + 1
 		}
-		for _, e := range p.Deliver(now + p.Latency) {
-			if !be.Accept(e) {
+		p.DeliverEach(now+p.Latency, func(e *Entry, _ uint64, _ bool) {
+			if !be.AcceptFrom(e) {
 				b.Fatal("back-end overflow")
 			}
-		}
+		})
 		for be.HasRegion() {
 			if _, ok := be.PopRegion(); !ok {
 				break
@@ -44,12 +43,13 @@ func BenchmarkProxyDrain(b *testing.B) {
 // empty path — the common case between stores, which the machine pays on
 // every executed instruction.
 func BenchmarkPathServiceIdle(b *testing.B) {
-	p := NewPath(40, 8)
+	p := &NewUnits(1, 1, 1, 40, 8)[0].Path
 	b.ReportAllocs()
 	b.ResetTimer()
 	var n int
+	count := func(*Entry, uint64, bool) { n++ }
 	for i := 0; i < b.N; i++ {
-		n += len(p.Deliver(uint64(i)))
+		p.DeliverEach(uint64(i), count)
 	}
 	if n != 0 {
 		b.Fatal("idle path delivered entries")

@@ -17,25 +17,17 @@ type Path struct {
 
 	nextDepart uint64 // earliest cycle the next entry may depart
 
-	// In-flight FIFO with a head index: departures append at the tail,
-	// deliveries advance head (arrival times are monotonic, so the
-	// deliverable packets are always a prefix). This keeps Deliver from
-	// recopying every still-flying packet on each call — the machine
-	// services the path once per instruction, so that copy was the single
-	// hottest operation in the whole simulator.
-	inflight []packet
-	head     int
-	outBuf   []Entry // reusable Deliver return backing
+	// In-flight FIFO: departures add at the tail, deliveries pop the head
+	// (arrival times are monotonic, so the deliverable packets are always a
+	// prefix). The ring keeps DeliverEach from recopying every still-flying
+	// packet on each call — the machine services the path once per
+	// instruction, so that copy was the single hottest operation in the
+	// whole simulator. It is carved at its in-flight bound (flightCarve).
+	q ring[packet]
 
-	// Monitoring window: address -> (expiry cycle, writeback seq).
+	// Monitoring window: address -> (expiry cycle, writeback seq). Made on
+	// the first writeback; nil reads as empty.
 	window map[uint64]windowEntry
-
-	// Probe, when non-nil, observes every delivered entry with its true
-	// wire-arrival cycle and the monitoring window's verdict (hit = the
-	// window unset the redo valid-bit on this delivery). Observability only;
-	// it must not mutate the entry. DrainAll does not probe: a crash harvest
-	// is not an arrival.
-	Probe func(e *Entry, arrives uint64, hit bool)
 
 	// Stats.
 	Sent       uint64
@@ -54,12 +46,18 @@ type windowEntry struct {
 	seq    uint64
 }
 
-// NewPath builds a proxy path with the given latency and per-entry interval.
-func NewPath(latency, interval uint64) *Path {
-	if interval == 0 {
-		interval = 1
+// flightCarve is the capacity a path's packet ring is carved at: its
+// in-flight bound, the most packets a path can hold — a departure slot opens
+// every interval (>= 1) cycles and each packet arrives latency cycles after
+// it departs, so at most ceil(latency/interval) are still on the wire when
+// the next one departs. The carve is capped at flightCarveMax, so no
+// configuration (a crash image's among them) sizes an allocation; a path
+// whose bound exceeds the cap grows its ring with real traffic instead.
+func flightCarve(latency, interval uint64) int {
+	if latency/interval >= flightCarveMax {
+		return flightCarveMax
 	}
-	return &Path{Latency: latency, Interval: interval, window: map[uint64]windowEntry{}}
+	return int((latency+interval-1)/interval) + 1
 }
 
 // Send departs an entry at the given cycle (or the earliest bandwidth slot
@@ -75,33 +73,23 @@ func (p *Path) SendFrom(e *Entry, now uint64) uint64 {
 		depart = p.nextDepart
 	}
 	p.nextDepart = depart + p.Interval
-	if len(p.inflight) == cap(p.inflight) && p.head > 0 {
-		n := copy(p.inflight, p.inflight[p.head:])
-		for i := n; i < len(p.inflight); i++ {
-			// Only the slice fields need clearing (reference retention);
-			// stale scalars in dead slots are never read.
-			p.inflight[i].e.Ckpts = nil
-			p.inflight[i].e.Emits = nil
-		}
-		p.inflight = p.inflight[:n]
-		p.head = 0
-	}
-	p.inflight = append(p.inflight, packet{e: *e, arrives: depart + p.Latency})
+	pk := p.q.add()
+	pk.e, pk.arrives = *e, depart+p.Latency
 	p.Sent++
 	return depart
 }
 
 // InFlight returns the number of entries on the wire.
-func (p *Path) InFlight() int { return len(p.inflight) - p.head }
+func (p *Path) InFlight() int { return p.q.len() }
 
 // HeadArrival returns the wire-arrival cycle of the oldest in-flight packet.
-// ok is false when nothing is in flight. Deliver cannot pop anything before
+// ok is false when nothing is in flight. DeliverEach cannot pop anything before
 // this cycle — the machine's service gate is built on it.
 func (p *Path) HeadArrival() (uint64, bool) {
-	if p.head >= len(p.inflight) {
+	if p.q.len() == 0 {
 		return 0, false
 	}
-	return p.inflight[p.head].arrives, true
+	return p.q.front().arrives, true
 }
 
 // WindowLen returns the number of live monitoring-window entries (expired
@@ -116,11 +104,13 @@ func (p *Path) Backlog() uint64 { return p.nextDepart }
 // DeliverEach pops every entry that has arrived by `now`, applying the
 // monitoring window to unset stale redo valid-bits, and hands each to fn by
 // pointer into the packet storage — valid only for the duration of the call;
-// fn must copy whatever outlives it. This is the zero-copy arrival path: the
-// machine's service loop consumes entries straight out of the wire buffer.
-func (p *Path) DeliverEach(now uint64, fn func(e *Entry, hit bool)) {
-	for p.head < len(p.inflight) {
-		pk := &p.inflight[p.head]
+// fn must copy whatever outlives it — with its wire-arrival cycle and the
+// window's verdict (hit: the window unset the redo valid-bit on this
+// delivery). This is the zero-copy arrival path: the machine's service loop
+// consumes entries straight out of the wire buffer.
+func (p *Path) DeliverEach(now uint64, fn func(e *Entry, arrives uint64, hit bool)) {
+	for p.q.len() > 0 {
+		pk := p.q.front()
 		if pk.arrives > now {
 			break
 		}
@@ -133,28 +123,11 @@ func (p *Path) DeliverEach(now uint64, fn func(e *Entry, hit bool)) {
 				hit = true
 			}
 		}
-		if p.Probe != nil {
-			p.Probe(e, pk.arrives, hit)
-		}
 		p.Delivered++
-		fn(e, hit)
-		e.Ckpts, e.Emits = nil, nil
-		p.head++
+		fn(e, pk.arrives, hit)
+		e.release()
+		p.q.drop(1)
 	}
-	if p.head == len(p.inflight) {
-		p.inflight = p.inflight[:0]
-		p.head = 0
-	}
-}
-
-// Deliver pops every entry that has arrived by `now`, applying the
-// monitoring window to unset stale redo valid-bits. The returned slice
-// aliases a per-path scratch reused by the next Deliver call.
-func (p *Path) Deliver(now uint64) []Entry {
-	out := p.outBuf[:0]
-	p.DeliverEach(now, func(e *Entry, hit bool) { out = append(out, *e) })
-	p.outBuf = out
-	return out
 }
 
 // NoteWriteback opens (or refreshes) the monitoring window for addr after a
@@ -162,6 +135,9 @@ func (p *Path) Deliver(now uint64) []Entry {
 func (p *Path) NoteWriteback(addr uint64, seq uint64, now uint64) {
 	w, ok := p.window[addr]
 	if !ok || w.seq < seq || w.expiry < now+p.Latency {
+		if p.window == nil {
+			p.window = map[uint64]windowEntry{}
+		}
 		p.window[addr] = windowEntry{expiry: now + p.Latency, seq: seq}
 		p.WindowAdds++
 	}
@@ -175,15 +151,16 @@ func (p *Path) NoteWriteback(addr uint64, seq uint64, now uint64) {
 	}
 }
 
-// DrainAll immediately delivers everything in flight (used at crash time:
-// in-flight packets are logically part of the front-end's non-volatile
-// contents, so recovery sees them in order).
-func (p *Path) DrainAll() []Entry {
-	out := make([]Entry, 0, p.InFlight())
-	for i := p.head; i < len(p.inflight); i++ {
-		out = append(out, p.inflight[i].e)
+// DrainAll immediately delivers everything in flight, appending it to dst
+// oldest-first (used at crash time: in-flight packets are logically part of
+// the front-end's non-volatile contents, so recovery sees them in order). It
+// neither applies the monitoring window nor closes it.
+func (p *Path) DrainAll(dst []Entry) []Entry {
+	live := p.q.live()
+	for i := range live {
+		dst = append(dst, live[i].e)
+		live[i].e.release()
 	}
-	p.inflight = p.inflight[:0]
-	p.head = 0
-	return out
+	p.q.drop(len(live))
+	return dst
 }

@@ -72,6 +72,11 @@ type Entry struct {
 	Sync SyncRec
 }
 
+// release drops a dead entry's Ckpts/Emits references, so its buffer slot
+// does not retain backings the front end may recycle; stale scalars in dead
+// slots are never read.
+func (e *Entry) release() { e.Ckpts, e.Emits = nil, nil }
+
 // RegCkpt is one staged register checkpoint travelling with a boundary entry.
 type RegCkpt struct {
 	Reg isa.Reg
@@ -104,14 +109,12 @@ type FrontEnd struct {
 	NoMerge bool
 	// NoElide disables boundary elision for store-free regions (ablation).
 	NoElide bool
-	// FIFO backed by a ring-ish slice: entries[head:] are live,
-	// entries[head] is oldest. Pop advances head; push compacts the live
-	// window to the front when the backing array is exhausted, so the
-	// buffer reaches a steady state with zero allocations.
-	entries []Entry
-	head    int
+	// FIFO of buffered entries, carved at Capacity (NewUnits), so the
+	// buffer never allocates.
+	q ring[Entry]
 
-	// Register-file checkpoint staging for the current (uncommitted) region.
+	// Register-file checkpoint staging for the current (uncommitted) region:
+	// one slot per architectural register, carved at isa.NumRegs.
 	staged []RegCkpt
 
 	// stagedSync is the synchronization descriptor staged for the current
@@ -120,12 +123,13 @@ type FrontEnd struct {
 	// boundary entry.
 	stagedSync SyncRec
 
-	// Bounded freelists for boundary-entry slice backings. AddBoundary is the
-	// simulator's hottest allocation site (one Ckpts and/or Emits slice per
-	// committed region); the machine returns the backings via Recycle once
-	// phase 2 has folded the boundary into the recovery record. On a pool
-	// miss the backing is carved from a chunk (full-slice cap, so a recycled
-	// backing that must grow reallocates instead of clobbering a neighbour).
+	// Bounded freelists for boundary-entry slice backings, carved at their
+	// bound. AddBoundary is the simulator's hottest allocation site (one
+	// Ckpts and/or Emits slice per committed region); the machine returns
+	// the backings via Recycle once phase 2 has folded the boundary into the
+	// recovery record. On a pool miss the backing is carved from a chunk
+	// (full-slice cap, so a recycled backing that must grow reallocates
+	// instead of clobbering a neighbour).
 	ckptPool [][]RegCkpt
 	emitPool [][]uint64
 	ckptSlab []RegCkpt
@@ -139,20 +143,61 @@ type FrontEnd struct {
 	Stalls    uint64 // allocation attempts that found the buffer full
 }
 
-// NewFrontEnd returns a front-end buffer with the given entry capacity.
-func NewFrontEnd(capacity int) *FrontEnd {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("proxy: front-end capacity %d", capacity))
-	}
-	return &FrontEnd{Capacity: capacity, entries: make([]Entry, 0, capacity)}
+// poolCap bounds each backing freelist; payloadChunk is the size, in
+// elements, of the chunks pool misses are carved from; backStart is the
+// back-end ring's carved capacity; flightCarveMax caps the path ring's.
+const (
+	poolCap        = 64
+	payloadChunk   = 256
+	backStart      = 32
+	flightCarveMax = 64
+)
+
+// Unit is one core's proxy hardware: its front-end buffer, proxy path and
+// back-end buffer.
+type Unit struct {
+	Front FrontEnd
+	Path  Path
+	Back  BackEnd
 }
 
-// poolCap bounds each backing freelist; payloadChunk is the size, in
-// elements, of the chunks pool misses are carved from.
-const (
-	poolCap      = 64
-	payloadChunk = 256
-)
+// NewUnits builds n cores' proxy hardware at architectural size, carving
+// every core's rings from one backing per element type: the front-end ring at
+// frontCap entries, the staged-checkpoint storage at isa.NumRegs, both
+// recycle pools at poolCap, and the path's packet ring at its in-flight bound
+// (see flightCarve). These bounds are fixed, so none of those rings ever
+// grows. The back-end's bound is backCap — the compiler's store threshold, up
+// to 1024 in the figure sweeps — so its ring is carved at backStart entries
+// instead and doubles on demand rather than reserving the threshold for every
+// core up front. An interval of zero means one.
+func NewUnits(n, frontCap, backCap int, latency, interval uint64) []Unit {
+	if frontCap <= 0 || backCap <= 0 {
+		panic(fmt.Sprintf("proxy: front-end capacity %d, back-end capacity %d", frontCap, backCap))
+	}
+	if interval == 0 {
+		interval = 1
+	}
+	flight := flightCarve(latency, interval)
+	units := make([]Unit, n)
+	entries := make([]Entry, n*(frontCap+backStart))
+	packets := make([]packet, n*flight)
+	staged := make([]RegCkpt, n*isa.NumRegs)
+	ckptPool := make([][]RegCkpt, n*poolCap)
+	emitPool := make([][]uint64, n*poolCap)
+	for i := range units {
+		u := &units[i]
+		u.Front = FrontEnd{
+			Capacity: frontCap,
+			q:        ring[Entry]{buf: slab.Carve(&entries, frontCap, 0)[:0]},
+			staged:   slab.Carve(&staged, isa.NumRegs, 0)[:0],
+			ckptPool: slab.Carve(&ckptPool, poolCap, 0)[:0],
+			emitPool: slab.Carve(&emitPool, poolCap, 0)[:0],
+		}
+		u.Path = Path{Latency: latency, Interval: interval, q: ring[packet]{buf: slab.Carve(&packets, flight, 0)[:0]}}
+		u.Back = BackEnd{Capacity: backCap, q: ring[Entry]{buf: slab.Carve(&entries, backStart, 0)[:0]}}
+	}
+	return units
+}
 
 // carveCopy copies src into a backing carved from *s. The backing's capacity
 // is rounded up to a power of two (at least 4), so once recycled it usually
@@ -169,27 +214,7 @@ func carveCopy[T any](s *[]T, src []T) []T {
 func (f *FrontEnd) Full() bool { return f.Len() >= f.Capacity }
 
 // Len returns the number of buffered entries.
-func (f *FrontEnd) Len() int { return len(f.entries) - f.head }
-
-// push appends an entry, compacting the live window first if the backing
-// array has no room at the tail but dead space at the head.
-func (f *FrontEnd) push(e Entry) {
-	if len(f.entries) == cap(f.entries) && f.head > 0 {
-		n := copy(f.entries, f.entries[f.head:])
-		clearEntries(f.entries[n:])
-		f.entries = f.entries[:n]
-		f.head = 0
-	}
-	f.entries = append(f.entries, e)
-}
-
-// clearEntries drops dead entries' Ckpts/Emits slices so they are not
-// retained past their lifetime (stale scalar fields are never read).
-func clearEntries(dead []Entry) {
-	for i := range dead {
-		dead[i].Ckpts, dead[i].Emits = nil, nil
-	}
-}
+func (f *FrontEnd) Len() int { return f.q.len() }
 
 // AddStore records a regular store: undo/redo images for addr. Within the
 // current region, an entry with the same address is merged (redo and seq
@@ -199,8 +224,9 @@ func (f *FrontEnd) AddStore(addr, undo, redo, seq uint64) bool {
 	// Merge search only within the current region: stop at the most recent
 	// boundary entry (§5.2.1: "does not merge proxy entries even if two
 	// entries have the same address when they belong to different regions").
-	for i := len(f.entries) - 1; i >= f.head && !f.NoMerge; i-- {
-		e := &f.entries[i]
+	live := f.q.live()
+	for i := len(live) - 1; i >= 0 && !f.NoMerge; i-- {
+		e := &live[i]
 		if e.Kind == KindBoundary {
 			break
 		}
@@ -215,10 +241,10 @@ func (f *FrontEnd) AddStore(addr, undo, redo, seq uint64) bool {
 		f.Stalls++
 		return false
 	}
-	f.push(Entry{
+	*f.q.add() = Entry{
 		Kind: KindData, Addr: addr, Undo: undo, Redo: redo,
 		Seq: seq, FirstSeq: seq, Valid: true,
-	})
+	}
 	f.Allocs++
 	return true
 }
@@ -285,7 +311,7 @@ func (f *FrontEnd) AddBoundary(region uint64, pcFunc, pcBlk, pcIdx int32, sp uin
 		}
 		f.staged = f.staged[:0]
 	}
-	f.push(e)
+	*f.q.add() = e
 	f.Boundary++
 	return true, false
 }
@@ -296,11 +322,6 @@ func (f *FrontEnd) AddBoundary(region uint64, pcFunc, pcBlk, pcIdx int32, sp uin
 // boundary into the recovery record and every buffer slot holding a copy has
 // been cleared. The pools are bounded; excess backings fall to the GC.
 func (f *FrontEnd) Recycle(ckpts []RegCkpt, emits []uint64) {
-	if f.ckptPool == nil {
-		// Sized to the bound on first use: a pool never grows.
-		f.ckptPool = make([][]RegCkpt, 0, poolCap)
-		f.emitPool = make([][]uint64, 0, poolCap)
-	}
 	if cap(ckpts) > 0 && len(f.ckptPool) < poolCap {
 		f.ckptPool = append(f.ckptPool, ckpts[:0])
 	}
@@ -321,15 +342,15 @@ func (f *FrontEnd) DiscardStaged() {
 // Peek returns the oldest buffered entry without removing it. The pointer is
 // valid until the next mutation; callers must not retain it. Peeking an empty
 // buffer panics — check Len first.
-func (f *FrontEnd) Peek() *Entry { return &f.entries[f.head] }
+func (f *FrontEnd) Peek() *Entry { return f.q.front() }
 
 // Pop removes and returns the oldest entry for transmission on the proxy
 // path.
 func (f *FrontEnd) Pop() (Entry, bool) {
-	if f.head >= len(f.entries) {
+	if f.q.len() == 0 {
 		return Entry{}, false
 	}
-	e := f.entries[f.head]
+	e := *f.q.front()
 	f.DropHead()
 	return e, true
 }
@@ -339,18 +360,13 @@ func (f *FrontEnd) Pop() (Entry, bool) {
 // sends it straight into a path packet, then drops it). Dropping an empty
 // buffer panics — check Len first.
 func (f *FrontEnd) DropHead() {
-	// drop Ckpts/Emits references; stale scalars in dead slots are never read
-	f.entries[f.head].Ckpts, f.entries[f.head].Emits = nil, nil
-	f.head++
-	if f.head == len(f.entries) {
-		f.entries = f.entries[:0]
-		f.head = 0
-	}
+	f.q.front().release()
+	f.q.drop(1)
 }
 
 // Entries returns the buffered entries oldest-first (recovery reads them
 // after a crash).
-func (f *FrontEnd) Entries() []Entry { return f.entries[f.head:] }
+func (f *FrontEnd) Entries() []Entry { return f.q.live() }
 
 // Staged returns the currently staged register checkpoints (inspection).
 func (f *FrontEnd) Staged() []RegCkpt { return f.staged }

@@ -1,13 +1,14 @@
 package proxy
 
 import (
+	"math"
 	"testing"
 
 	"capri/internal/isa"
 )
 
 func TestFrontEndAllocAndMerge(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	if !f.AddStore(0x100, 0, 1, 1) {
 		t.Fatal("alloc failed")
 	}
@@ -28,7 +29,7 @@ func TestFrontEndAllocAndMerge(t *testing.T) {
 }
 
 func TestFrontEndNoMergeAcrossRegions(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	f.AddStore(0x100, 0, 1, 1)
 	if ok, elided := f.AddBoundary(1, 0, 0, 0, 0, nil, true, false, false); !ok || elided {
 		t.Fatal("boundary rejected or elided")
@@ -40,7 +41,7 @@ func TestFrontEndNoMergeAcrossRegions(t *testing.T) {
 }
 
 func TestFrontEndFullStalls(t *testing.T) {
-	f := NewFrontEnd(2)
+	f := newFront(2)
 	f.AddStore(0x100, 0, 1, 1)
 	f.AddStore(0x140, 0, 1, 2)
 	if f.AddStore(0x180, 0, 1, 3) {
@@ -56,7 +57,7 @@ func TestFrontEndFullStalls(t *testing.T) {
 }
 
 func TestBoundaryElision(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	ok, elided := f.AddBoundary(1, 0, 0, 0, 0, nil, false, false, false)
 	if !ok || !elided {
 		t.Error("store-free, ckpt-free region boundary should be elided")
@@ -84,7 +85,7 @@ func TestBoundaryElision(t *testing.T) {
 }
 
 func TestStagedCkptOverwrite(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	f.StageCkpt(5, 1)
 	f.StageCkpt(5, 2)
 	f.StageCkpt(6, 3)
@@ -102,7 +103,7 @@ func TestStagedCkptOverwrite(t *testing.T) {
 }
 
 func TestFrontEndFIFOPop(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	f.AddStore(0x100, 0, 1, 1)
 	f.AddStore(0x140, 0, 2, 2)
 	e, ok := f.Pop()
@@ -119,7 +120,7 @@ func TestFrontEndFIFOPop(t *testing.T) {
 }
 
 func TestBackEndRegionPop(t *testing.T) {
-	b := NewBackEnd(16)
+	b := newBack(16)
 	b.Accept(Entry{Kind: KindData, Addr: 0x100, Redo: 1, Seq: 1, Valid: true})
 	b.Accept(Entry{Kind: KindData, Addr: 0x140, Redo: 2, Seq: 2, Valid: true})
 	if b.HasRegion() {
@@ -143,7 +144,7 @@ func TestBackEndRegionPop(t *testing.T) {
 }
 
 func TestBackEndScanInvalidate(t *testing.T) {
-	b := NewBackEnd(16)
+	b := newBack(16)
 	b.Accept(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true})
 	b.Accept(Entry{Kind: KindBoundary, Region: 1})
 	b.Accept(Entry{Kind: KindData, Addr: 0x100, Seq: 9, Valid: true})
@@ -161,7 +162,7 @@ func TestBackEndScanInvalidate(t *testing.T) {
 }
 
 func TestBackEndOverflowDetected(t *testing.T) {
-	b := NewBackEnd(2)
+	b := newBack(2)
 	b.Accept(Entry{Kind: KindData, Addr: 1, Valid: true})
 	b.Accept(Entry{Kind: KindData, Addr: 2, Valid: true})
 	if b.Accept(Entry{Kind: KindData, Addr: 3, Valid: true}) {
@@ -177,25 +178,25 @@ func TestBackEndOverflowDetected(t *testing.T) {
 }
 
 func TestPathLatencyAndBandwidth(t *testing.T) {
-	p := NewPath(40, 8)
+	p := newPath(40, 8)
 	d0 := p.Send(Entry{Kind: KindData, Addr: 1, Valid: true}, 100)
 	d1 := p.Send(Entry{Kind: KindData, Addr: 2, Valid: true}, 100)
 	if d0 != 100 || d1 != 108 {
 		t.Errorf("departures = %d,%d", d0, d1)
 	}
-	if got := p.Deliver(139); len(got) != 0 {
+	if got := deliver(p, 139); len(got) != 0 {
 		t.Errorf("early delivery: %v", got)
 	}
-	if got := p.Deliver(140); len(got) != 1 || got[0].Addr != 1 {
+	if got := deliver(p, 140); len(got) != 1 || got[0].Addr != 1 {
 		t.Errorf("delivery@140 = %v", got)
 	}
-	if got := p.Deliver(148); len(got) != 1 || got[0].Addr != 2 {
+	if got := deliver(p, 148); len(got) != 1 || got[0].Addr != 2 {
 		t.Errorf("delivery@148 = %v", got)
 	}
 }
 
 func TestPathMonitoringWindow(t *testing.T) {
-	p := NewPath(40, 1)
+	p := newPath(40, 1)
 	// Writeback for addr 0x100 seq 10 arrives at cycle 50: window open until 90.
 	p.NoteWriteback(0x100, 10, 50)
 
@@ -203,7 +204,7 @@ func TestPathMonitoringWindow(t *testing.T) {
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 20, Valid: true}, 21)
 	p.Send(Entry{Kind: KindData, Addr: 0x200, Seq: 5, Valid: true}, 22)
 
-	got := p.Deliver(100)
+	got := deliver(p, 100)
 	if len(got) != 3 {
 		t.Fatalf("delivered %d", len(got))
 	}
@@ -222,10 +223,10 @@ func TestPathMonitoringWindow(t *testing.T) {
 }
 
 func TestPathWindowExpiry(t *testing.T) {
-	p := NewPath(10, 1)
+	p := newPath(10, 1)
 	p.NoteWriteback(0x100, 10, 0) // window closes at 10
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 50)
-	got := p.Deliver(100)
+	got := deliver(p, 100)
 	if !got[0].Valid {
 		t.Error("entry arriving after window expiry invalidated")
 	}
@@ -253,10 +254,10 @@ func TestPathWindowBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewPath(latency, 1)
+			p := newPath(latency, 1)
 			p.NoteWriteback(0x100, 10, 0) // expiry = 0 + latency
 			p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: tc.seq, Valid: true}, tc.sendAt)
-			got := p.Deliver(tc.sendAt + latency)
+			got := deliver(p, tc.sendAt+latency)
 			if len(got) != 1 {
 				t.Fatalf("delivered %d entries", len(got))
 			}
@@ -279,22 +280,20 @@ func TestPathWindowBoundary(t *testing.T) {
 // DrainAll neither applies the window (harvested entries keep their
 // valid-bits — recovery judges them against NVM sequence numbers instead)
 // nor closes it — entries sent on the reused path still arrive into the
-// same open window. DrainAll must also not fire the observability probe: a
-// crash harvest is not a wire arrival.
+// same open window. DrainAll also empties the wire: a crash harvest is not a
+// wire arrival, so nothing it took is delivered afterwards.
 func TestPathWindowSurvivesDrainAll(t *testing.T) {
 	const latency = 10
-	p := NewPath(latency, 1)
-	probes := 0
-	p.Probe = func(*Entry, uint64, bool) { probes++ }
+	p := newPath(latency, 1)
 
 	p.NoteWriteback(0x100, 10, 5) // expiry = 15
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 0)
-	harvested := p.DrainAll()
+	harvested := p.DrainAll(nil)
 	if len(harvested) != 1 || !harvested[0].Valid {
 		t.Fatalf("crash harvest = %+v, want 1 valid entry (window not applied)", harvested)
 	}
-	if probes != 0 {
-		t.Errorf("DrainAll fired the probe %d times", probes)
+	if p.InFlight() != 0 || p.Delivered != 0 {
+		t.Errorf("DrainAll left %d in flight, counted %d deliveries", p.InFlight(), p.Delivered)
 	}
 	if p.WindowLen() != 1 {
 		t.Fatalf("window emptied by DrainAll (len=%d)", p.WindowLen())
@@ -303,12 +302,9 @@ func TestPathWindowSurvivesDrainAll(t *testing.T) {
 	// Reuse the drained path: departs at 3 (bandwidth slot 1 passed), arrives
 	// 13 <= 15 — the surviving window must still invalidate it.
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 6, Valid: true}, 3)
-	got := p.Deliver(20)
+	got := deliver(p, 20)
 	if len(got) != 1 || got[0].Valid {
 		t.Errorf("post-drain delivery = %+v, want 1 stale-invalidated entry", got)
-	}
-	if probes != 1 {
-		t.Errorf("Deliver fired the probe %d times, want 1", probes)
 	}
 }
 
@@ -318,7 +314,7 @@ func TestPathWindowSurvivesDrainAll(t *testing.T) {
 // stores at or below it.
 func TestPathWindowRefresh(t *testing.T) {
 	const latency = 10
-	p := NewPath(latency, 1)
+	p := newPath(latency, 1)
 	p.NoteWriteback(0x100, 10, 0) // expiry 10, seq 10
 	p.NoteWriteback(0x100, 3, 20) // refresh: expiry 30, seq 3
 	if p.WindowAdds != 2 {
@@ -326,7 +322,7 @@ func TestPathWindowRefresh(t *testing.T) {
 	}
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 3, Valid: true}, 15) // arrives 25 <= 30
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 16) // arrives 26, seq 5 > 3
-	got := p.Deliver(40)
+	got := deliver(p, 40)
 	if len(got) != 2 {
 		t.Fatalf("delivered %d entries", len(got))
 	}
@@ -339,10 +335,10 @@ func TestPathWindowRefresh(t *testing.T) {
 }
 
 func TestPathDrainAll(t *testing.T) {
-	p := NewPath(40, 8)
+	p := newPath(40, 8)
 	p.Send(Entry{Kind: KindData, Addr: 1}, 0)
 	p.Send(Entry{Kind: KindBoundary, Region: 7}, 0)
-	got := p.DrainAll()
+	got := p.DrainAll(nil)
 	if len(got) != 2 || got[1].Region != 7 {
 		t.Errorf("drain = %+v", got)
 	}
@@ -352,7 +348,7 @@ func TestPathDrainAll(t *testing.T) {
 }
 
 func TestFrontEndMergeKeepsFirstSeq(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	f.AddStore(0x100, 0, 1, 10)
 	f.AddStore(0x100, 1, 2, 20) // merged
 	e := f.Entries()[0]
@@ -365,7 +361,7 @@ func TestFrontEndMergeKeepsFirstSeq(t *testing.T) {
 }
 
 func TestBackEndMergeKeepsFirstSeq(t *testing.T) {
-	b := NewBackEnd(8)
+	b := newBack(8)
 	b.Accept(Entry{Kind: KindData, Addr: 0x100, Undo: 0, Redo: 1, Seq: 10, FirstSeq: 10, Valid: true})
 	b.Accept(Entry{Kind: KindData, Addr: 0x100, Undo: 1, Redo: 2, Seq: 20, FirstSeq: 20, Valid: true})
 	es := b.Entries()
@@ -383,7 +379,7 @@ func TestBackEndMergeKeepsFirstSeq(t *testing.T) {
 func TestBackEndMergeRevalidates(t *testing.T) {
 	// A writeback invalidated the buffered entry; a newer store to the same
 	// address within the region must re-validate it (the redo is new data).
-	b := NewBackEnd(8)
+	b := newBack(8)
 	b.Accept(Entry{Kind: KindData, Addr: 0x100, Redo: 1, Seq: 10, FirstSeq: 10, Valid: true})
 	b.ScanInvalidate(0x100, 15)
 	if b.Entries()[0].Valid {
@@ -396,7 +392,7 @@ func TestBackEndMergeRevalidates(t *testing.T) {
 }
 
 func TestNoMergeFlags(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	f.NoMerge = true
 	f.AddStore(0x100, 0, 1, 1)
 	f.AddStore(0x100, 1, 2, 2)
@@ -404,7 +400,7 @@ func TestNoMergeFlags(t *testing.T) {
 		t.Errorf("NoMerge front-end merged anyway: len=%d merges=%d", f.Len(), f.Merges)
 	}
 
-	b := NewBackEnd(8)
+	b := newBack(8)
 	b.NoMerge = true
 	b.Accept(Entry{Kind: KindData, Addr: 0x100, Seq: 1, FirstSeq: 1, Valid: true})
 	b.Accept(Entry{Kind: KindData, Addr: 0x100, Seq: 2, FirstSeq: 2, Valid: true})
@@ -414,7 +410,7 @@ func TestNoMergeFlags(t *testing.T) {
 }
 
 func TestNoElideFlag(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	f.NoElide = true
 	ok, elided := f.AddBoundary(1, 0, 0, 0, 0, nil, false, false, false)
 	if !ok || elided {
@@ -432,7 +428,7 @@ func TestFrontEndColdBoundaryAllocs(t *testing.T) {
 	const n = 512
 	emits := []uint64{1, 2}
 	got := testing.AllocsPerRun(10, func() {
-		f := NewFrontEnd(n)
+		f := newFront(n)
 		for i := 0; i < n; i++ {
 			f.StageCkpt(3, uint64(i))
 			if ok, _ := f.AddBoundary(uint64(i+1), 0, 0, 0, 0x8000, emits, true, false, false); !ok {
@@ -440,9 +436,9 @@ func TestFrontEndColdBoundaryAllocs(t *testing.T) {
 			}
 		}
 	})
-	// Each backing carves 4 elements; two slabs; plus the front-end, its
-	// ring and the staging slice.
-	if bound := 2*n*4/payloadChunk + 3; got > float64(bound) {
+	// Each backing carves 4 elements from one of two slabs; plus NewUnits'
+	// six backings (units, entries, packets, staging, two pools).
+	if bound := 2*n*4/payloadChunk + 6; got > float64(bound) {
 		t.Errorf("%d cold boundaries made %.0f allocations, want <= %d", n, got, bound)
 	}
 }
@@ -451,7 +447,7 @@ func TestFrontEndColdBoundaryAllocs(t *testing.T) {
 // for a bigger payload reallocates rather than writing into the backing
 // carved after it.
 func TestFrontEndRecycledBackingGrows(t *testing.T) {
-	f := NewFrontEnd(8)
+	f := newFront(8)
 	f.StageCkpt(1, 10)
 	f.AddBoundary(1, 0, 0, 0, 0, []uint64{100}, true, false, false)
 	f.StageCkpt(2, 20)
@@ -471,5 +467,169 @@ func TestFrontEndRecycledBackingGrows(t *testing.T) {
 	c := f.Entries()[f.Len()-1]
 	if len(c.Ckpts) != 9 || len(c.Emits) != 9 {
 		t.Fatalf("grown boundary carries %d ckpts, %d emits; want 9, 9", len(c.Ckpts), len(c.Emits))
+	}
+}
+
+// newFront, newBack and newPath build one core's proxy hardware through
+// NewUnits, exactly as a machine does, and return the part under test.
+func newFront(capacity int) *FrontEnd { return &NewUnits(1, capacity, 1, 0, 1)[0].Front }
+func newBack(capacity int) *BackEnd   { return &NewUnits(1, 1, capacity, 0, 1)[0].Back }
+func newPath(latency, interval uint64) *Path {
+	return &NewUnits(1, 1, 1, latency, interval)[0].Path
+}
+
+// deliver collects copies of every entry the path delivers by now.
+func deliver(p *Path, now uint64) []Entry {
+	var out []Entry
+	p.DeliverEach(now, func(e *Entry, _ uint64, _ bool) { out = append(out, *e) })
+	return out
+}
+
+// TestDeliverEachArrivalCycle: each delivered entry comes with its true
+// wire-arrival cycle (departure slot + latency), not the service cycle.
+func TestDeliverEachArrivalCycle(t *testing.T) {
+	p := newPath(40, 8)
+	p.Send(Entry{Kind: KindData, Addr: 1}, 100)
+	p.Send(Entry{Kind: KindBoundary, Region: 1}, 100)
+	var arrivals []uint64
+	p.DeliverEach(500, func(_ *Entry, arrives uint64, _ bool) { arrivals = append(arrivals, arrives) })
+	if len(arrivals) != 2 || arrivals[0] != 140 || arrivals[1] != 148 {
+		t.Errorf("arrivals = %v, want [140 148]", arrivals)
+	}
+}
+
+// TestUnitsRingsCarvedAtBound: NewUnits carves every bounded ring at its
+// bound, so a unit driven at full occupancy never reallocates them, and the
+// units share nothing: filling one core's rings leaves its neighbour's
+// untouched.
+func TestUnitsRingsCarvedAtBound(t *testing.T) {
+	const frontCap, latency, interval = 4, 40, 8
+	us := NewUnits(2, frontCap, 16, latency, interval)
+	u, v := &us[0], &us[1]
+	ring, flight := &u.Front.q.buf[:1][0], &u.Path.q.buf[:1][0]
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		u.Front.StageCkpt(r, uint64(r))
+	}
+	for i := uint64(0); i < frontCap; i++ {
+		if !u.Front.AddStore(0x100+8*i, 0, i, i+1) {
+			t.Fatal("front-end full below its capacity")
+		}
+	}
+	for now := uint64(0); now < 400; now++ {
+		u.Path.DeliverEach(now, func(e *Entry, _ uint64, _ bool) { u.Back.AcceptFrom(e) })
+		if u.Path.Backlog() <= now {
+			u.Path.Send(Entry{Kind: KindData, Addr: now}, now)
+		}
+	}
+	if &u.Front.q.buf[:1][0] != ring || &u.Path.q.buf[:1][0] != flight || cap(u.Front.staged) != isa.NumRegs {
+		t.Error("a ring carved at its bound was reallocated")
+	}
+	if v.Front.Len() != 0 || v.Path.InFlight() != 0 || v.Back.Len() != 0 || len(v.Front.Staged()) != 0 {
+		t.Error("filling one unit's rings touched its neighbour")
+	}
+}
+
+// TestBackEndRingReusesSlots: regions popped off the back-end leave their
+// slots in place for phase 2 to read, and later accepts compact the live
+// window instead of growing the ring while it has dead slots to reclaim.
+func TestBackEndRingReusesSlots(t *testing.T) {
+	b := NewUnits(1, 1, 8, 0, 1)[0].Back
+	for r := uint64(1); r <= 100; r++ {
+		for i := uint64(0); i < 3; i++ {
+			b.Accept(Entry{Kind: KindData, Addr: 8 * i, Redo: r, Seq: 3*r + i, FirstSeq: 3*r + i, Valid: true})
+		}
+		b.Accept(Entry{Kind: KindBoundary, Region: r})
+		if r%2 == 1 {
+			continue // keep one region buffered across the next accepts
+		}
+		for want := r - 1; want <= r; want++ {
+			reg, ok := b.PopRegion()
+			if !ok || reg.Boundary.Region != want || len(reg.Data) != 3 || reg.Data[2].Redo != want {
+				t.Fatalf("pop %d: %+v", want, reg)
+			}
+		}
+	}
+	if b.Len() != 0 || cap(b.q.buf) != backStart {
+		t.Errorf("len %d cap %d after draining, want 0 and the carved %d", b.Len(), cap(b.q.buf), backStart)
+	}
+}
+
+// TestPathCarveCapped: a path's packet ring is carved at its in-flight bound
+// only up to flightCarveMax, so a latency no real path has (a crash image is
+// untrusted input) sizes no allocation. A path whose bound exceeds the cap
+// still carries every packet, in order, by growing its ring with traffic.
+func TestPathCarveCapped(t *testing.T) {
+	for _, latency := range []uint64{1 << 40, math.MaxUint64} {
+		if c := cap(newPath(latency, 1).q.buf); c != flightCarveMax {
+			t.Errorf("latency %d: ring carved at %d, want %d", latency, c, flightCarveMax)
+		}
+	}
+	const latency, n = 3 * flightCarveMax, 2 * flightCarveMax
+	p := newPath(latency, 1)
+	for i := uint64(0); i < n; i++ {
+		p.Send(Entry{Kind: KindData, Addr: i}, i)
+	}
+	got := deliver(p, n+latency)
+	if len(got) != n {
+		t.Fatalf("delivered %d of %d packets", len(got), n)
+	}
+	for i, e := range got {
+		if e.Addr != uint64(i) {
+			t.Fatalf("packet %d carries addr %d", i, e.Addr)
+		}
+	}
+}
+
+// TestRingReclaimsSlots: the shared ring compacts into dead head slots
+// before it grows, clearing the slots it moved entries out of.
+func TestRingReclaimsSlots(t *testing.T) {
+	r := ring[Entry]{buf: make([]Entry, 0, 4)}
+	for i := uint64(0); i < 4; i++ {
+		*r.add() = Entry{Addr: i, Emits: []uint64{i}}
+	}
+	r.drop(2)
+	backing := &r.buf[:1][0]
+	*r.add() = Entry{Addr: 4}
+	if &r.buf[0] != backing || cap(r.buf) != 4 {
+		t.Error("ring grew while it had dead slots to reclaim")
+	}
+	for i, want := range []uint64{2, 3, 4} {
+		if e := r.live()[i]; e.Addr != want {
+			t.Errorf("live[%d].Addr = %d, want %d", i, e.Addr, want)
+		}
+	}
+	if r.buf[:4][3].Emits != nil {
+		t.Error("compaction left a moved-from slot referencing a backing")
+	}
+	r.drop(r.len())
+	if len(r.buf) != 0 {
+		t.Errorf("an emptied ring did not rewind: buf len %d", len(r.buf))
+	}
+}
+
+// TestRemovedEntriesReleaseBackings: every way an entry leaves a buffer or
+// the path leaves its slot holding no Ckpts/Emits backing, so a backing the
+// front end recycles is referenced by no dead slot.
+func TestRemovedEntriesReleaseBackings(t *testing.T) {
+	u := &NewUnits(1, 8, 8, 4, 1)[0]
+	bd := Entry{Kind: KindBoundary, Ckpts: []RegCkpt{{1, 1}}, Emits: []uint64{1}}
+	held := func(s []Entry) bool { return s[0].Ckpts != nil || s[0].Emits != nil }
+	*u.Front.q.add() = bd
+	u.Front.DropHead()
+	if held(u.Front.q.buf[:1]) {
+		t.Error("front end: dropped head still holds its backings")
+	}
+	u.Path.Send(bd, 0)
+	u.Path.DeliverEach(10, func(e *Entry, _ uint64, _ bool) { u.Back.AcceptFrom(e) })
+	if e := u.Path.q.buf[:1][0].e; e.Ckpts != nil || e.Emits != nil {
+		t.Error("path: delivered packet still holds its backings")
+	}
+	u.Path.Send(bd, 20)
+	u.Path.DrainAll(nil)
+	if e := u.Path.q.buf[:1][0].e; e.Ckpts != nil || e.Emits != nil {
+		t.Error("path: harvested packet still holds its backings")
+	}
+	if _, ok := u.Back.PopRegion(); !ok || held(u.Back.q.buf[:1]) {
+		t.Error("back end: popped boundary still holds its backings")
 	}
 }
