@@ -37,7 +37,9 @@ lint:
 # the memory store's fuzz-corpus replay against its map model with the
 # store's zero-allocation pin, the crash-image reader's fuzz-corpus replay
 # (every committed image, hostile ones included, is refused or recovers and
-# runs without a panic), the documentation-freshness check — which includes
+# runs without a panic), the assembler's fuzz-corpus replay (every committed
+# source is refused or parses to a verified program whose formatted text
+# parses back to the same text), the documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
 # byte-identical to sequential, with the same simulation and compilation
 # counts — and a perf-harness smoke run (catches BENCH_sim.json
@@ -48,7 +50,8 @@ lint:
 # The bench smoke test runs every repository-benchmark workload once at a
 # tiny size and checks its oracles. The audit tier it runs carries the
 # machine's allocation pins (construction independent of thread count, and
-# one audited crash point's budget).
+# one audited crash point's budget), the flight recorder's growth pins and
+# the auditor's differential corpus replay against its map model.
 check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault ./internal/telemetry
@@ -56,6 +59,7 @@ check:
 	$(GO) test -run 'DispatchEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree' ./internal/mem
 	$(GO) test -run 'FuzzImageRead' ./internal/image
+	$(GO) test -run 'FuzzAsmParse|TestParseErrors' ./internal/asm
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) audit
@@ -69,9 +73,13 @@ check:
 # every run observed end-to-end (run -> crash -> recovery replay -> resume).
 # Any violated provenance invariant fails with the per-line event chain.
 # The mutation tests prove the auditor actually bites (seeded protocol
-# corruptions each produce a violation). The allocation pins hold the audited
-# crash path to its cost model: a store's life through the auditor allocates
-# nothing, decoding a program or carving cold boundary payloads costs
+# corruptions each produce a violation), and FuzzAuditorDifferential's corpus
+# replay proves its per-core queues and paged shadow agree with a map-keyed
+# model of the same rules. The allocation pins hold the audited crash path
+# to its cost model: a store's life through the auditor allocates nothing,
+# the flight recorder allocates with its run rather than its cap
+# (TestFlightRecorderGrowsWithRun, TestFlightRecorderShortLastChunk),
+# decoding a program or carving cold boundary payloads costs
 # allocations per slab chunk, not per block or boundary, building a machine
 # costs the same at every thread count (TestNewAllocsIndependentOfCores), and
 # one campaign-geometry crash point stays within its measured allocation
@@ -82,7 +90,7 @@ audit:
 	$(GO) test -run 'TestAuditProgenCrashSweep|TestAuditBenchmarks' .
 	$(GO) run ./cmd/capricrash -bench genome -points 5
 	$(GO) run ./cmd/capricrash -fuzz 5 -threads 2
-	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap' ./internal/audit
+	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap|FuzzAuditorDifferential|TestFlightRecorderGrowsWithRun|TestFlightRecorderShortLastChunk' ./internal/audit
 	$(GO) test -run 'TestDecodeAllocsPerChunk|TestCrashPointAllocsBounded|TestNewAllocsIndependentOfCores' ./internal/machine
 	$(GO) test -run 'TestFrontEndColdBoundaryAllocs' ./internal/proxy
 
@@ -135,13 +143,14 @@ docs-verify:
 
 # bench runs the perf-regression micro-benchmarks (raw store and proxy
 # throughput, whole-pipeline compiles with their allocs/op, program
-# fingerprinting, the auditor per event, the decoder per block, allocs per
+# fingerprinting, the auditor and the flight recorder per event, the decoder
+# per block, allocs per
 # machine built and per audited crash point, plus the end-to-end simulator
 # benchmark).
 bench:
 	$(GO) test -bench 'Mem|NVM|Proxy|Path' -benchmem -run '^$$' ./internal/mem ./internal/proxy
 	$(GO) test -bench 'Compile|Fingerprint' -benchmem -run '^$$' ./internal/compile
-	$(GO) test -bench 'AuditorTap' -benchmem -run '^$$' ./internal/audit
+	$(GO) test -bench 'AuditorTap|FlightRecorderTap' -benchmem -run '^$$' ./internal/audit
 	$(GO) test -bench 'DecodeProgram|MachineNew|CrashPoint' -benchmem -run '^$$' ./internal/machine
 	$(GO) test -bench 'SimulatorThroughput' -run '^$$' .
 
@@ -173,8 +182,10 @@ perf:
 	$(GO) run ./cmd/capristat -gate BENCH_sim.json /tmp/BENCH_sim.new.json
 
 # fuzz runs each native fuzz target for FUZZTIME: the auditor tap
-# (FuzzAuditorTap), the memory store against its map model
-# (FuzzStoreDifferential) and the crash-image reader (FuzzImageRead). Plain
+# (FuzzAuditorTap), the auditor against its map model
+# (FuzzAuditorDifferential), the memory store against its map model
+# (FuzzStoreDifferential), the crash-image reader (FuzzImageRead) and the
+# assembler (FuzzAsmParse). Plain
 # `go test` replays their committed corpora; a failing input the fuzzer
 # finds lands in the package's testdata/fuzz. Image inputs are whole
 # programs of several KB, so their minimization is capped: at the default
@@ -182,8 +193,10 @@ perf:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAuditorTap -fuzztime $(FUZZTIME) ./internal/audit
+	$(GO) test -run '^$$' -fuzz FuzzAuditorDifferential -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzStoreDifferential -fuzztime $(FUZZTIME) ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzImageRead -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/image
+	$(GO) test -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME) ./internal/asm
 
 clean:
 	rm -f capri.test /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json

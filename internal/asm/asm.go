@@ -458,7 +458,7 @@ func parseImm(s string) (int64, error) {
 // parseMem parses "[rN+off]" or "[rN-off]" or "[rN]".
 func parseMem(s string) (isa.Reg, int64, error) {
 	s = strings.TrimSpace(s)
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
+	if len(s) < 3 || s[0] != '[' || s[len(s)-1] != ']' {
 		return 0, 0, fmt.Errorf("memory operand must be [reg+off]: %q", s)
 	}
 	inner := s[1 : len(s)-1]
@@ -472,11 +472,21 @@ func parseMem(s string) (isa.Reg, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	off, err := strconv.ParseInt(inner[sep:], 0, 64)
+	off, err := strconv.ParseInt(offsetText(inner[sep:]), 0, 64)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bad offset in %q", s)
 	}
 	return r, off, nil
+}
+
+// offsetText drops the "+" of "+-n", the form in which Format (through
+// isa.Inst.String) writes a negative offset, so Parse reads back what
+// Format writes.
+func offsetText(s string) string {
+	if strings.HasPrefix(s, "+-") {
+		return s[1:]
+	}
+	return s
 }
 
 func parseCond(s string) (isa.Cond, error) {

@@ -187,6 +187,7 @@ func TestParseErrors(t *testing.T) {
 		{"func f\nb0:\n halt\nb0:\n halt\n", "duplicate block"},
 		{"func f\nb0:\n movi r1, #1\n", "missing terminator"},
 		{"func f\nb0:\n brif r0 xx r1 -> b0 else b0\n", "bad condition"},
+		{"func f\nb0:\n store [], r0\n halt\n", "memory operand"},
 	}
 	for _, tc := range cases {
 		_, err := Parse("t", tc.src)

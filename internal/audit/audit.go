@@ -305,27 +305,37 @@ type Sink interface {
 	Tap(Event)
 }
 
-// tee fans one stream out to several sinks in order.
-type tee []Sink
+// tee forwards each event to first, then to rest.
+type tee struct{ first, rest Sink }
 
-func (t tee) Tap(e Event) {
-	for _, s := range t {
-		s.Tap(e)
-	}
+func (t *tee) Tap(e Event) {
+	t.first.Tap(e)
+	t.rest.Tap(e)
 }
+
+// discard is the sink of an empty Tee.
+type discard struct{}
+
+func (discard) Tap(Event) {}
 
 // Tee returns a Sink forwarding every event to each given sink in order.
 // Nil sinks are skipped. Put a FlightRecorder before an Auditor so a
-// violation's event chain includes the offending event itself.
+// violation's event chain includes the offending event itself. Fanning out
+// to n sinks costs n-1 allocations: one for the usual recorder and auditor
+// pair.
 func Tee(sinks ...Sink) Sink {
-	var t tee
-	for _, s := range sinks {
-		if s != nil {
-			t = append(t, s)
+	var out Sink
+	for i := len(sinks) - 1; i >= 0; i-- {
+		switch s := sinks[i]; {
+		case s == nil:
+		case out == nil:
+			out = s
+		default:
+			out = &tee{s, out}
 		}
 	}
-	if len(t) == 1 {
-		return t[0]
+	if out == nil {
+		return discard{}
 	}
-	return t
+	return out
 }

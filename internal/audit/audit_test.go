@@ -2,6 +2,7 @@ package audit
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -191,6 +192,80 @@ func TestFlightRecorderTapZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { r.Tap(e) }); n != 0 {
 		t.Errorf("Tap allocates %.1f times per event, want 0", n)
+	}
+}
+
+// tapSeqs feeds r n store events whose sequences count from 0.
+func tapSeqs(r *FlightRecorder, n int) {
+	for i := 0; i < n; i++ {
+		r.Tap(Event{Kind: EvStore, Seq: uint64(i)})
+	}
+}
+
+// checkNewest asserts that r, fed tapSeqs(r, n) with capacity capacity,
+// retains exactly the newest min(n, capacity) events, oldest first.
+func checkNewest(t *testing.T, r *FlightRecorder, n, capacity int) {
+	t.Helper()
+	ev := r.Events()
+	kept := min(n, capacity)
+	if len(ev) != kept || r.Total() != uint64(n) || r.Dropped() != uint64(n-kept) {
+		t.Fatalf("%d events into cap %d: kept %d, total %d, dropped %d", n, capacity, len(ev), r.Total(), r.Dropped())
+	}
+	for i, e := range ev {
+		if want := uint64(n - kept + i); e.Seq != want {
+			t.Fatalf("%d events into cap %d: event %d has seq %d, want %d", n, capacity, i, e.Seq, want)
+		}
+	}
+}
+
+// TestFlightRecorderGrowsWithRun pins the recorder's chunked ring: a
+// DefaultRecorderCap recorder allocates with its run, not its cap — 1,000
+// events cost under 1 MB, where a ring reserved at the cap costs 4 MB — and
+// one fed 100,000 events still returns exactly the newest 65,536, oldest
+// first.
+func TestFlightRecorderGrowsWithRun(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewFlightRecorder(DefaultRecorderCap)
+	tapSeqs(r, 1000)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Errorf("a recorder fed 1000 events allocated %d bytes, want < 1 MB", b)
+	}
+	checkNewest(t, r, 1000, DefaultRecorderCap)
+
+	r = NewFlightRecorder(DefaultRecorderCap)
+	tapSeqs(r, 100_000)
+	checkNewest(t, r, 100_000, DefaultRecorderCap)
+}
+
+// TestFlightRecorderShortLastChunk: a cap that is not a multiple of the
+// chunk size ends the ring in a short chunk; filling, wrapping through it
+// and stopping anywhere keeps the newest events in order.
+func TestFlightRecorderShortLastChunk(t *testing.T) {
+	const capacity = 2*recorderChunk + 100
+	for _, n := range []int{0, 50, recorderChunk, recorderChunk + 1, capacity, capacity + 1, 3*capacity + 7} {
+		r := NewFlightRecorder(capacity)
+		tapSeqs(r, n)
+		checkNewest(t, r, n, capacity)
+	}
+}
+
+// BenchmarkFlightRecorderTap measures the recorder per event (ns/op, B/op
+// and allocs/op are per event) over runs of 20,000 events, each into a fresh
+// DefaultRecorderCap recorder: the ring's chunks are paid for by the events
+// that fill them.
+func BenchmarkFlightRecorderTap(b *testing.B) {
+	const run = 20_000
+	var r *FlightRecorder
+	e := Event{Kind: EvDrainWrite, Core: 1, Cycle: 1 << 20, Addr: testAddr, Region: 3, Val: 7, Flags: FlagApplied}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%run == 0 {
+			r = NewFlightRecorder(DefaultRecorderCap)
+		}
+		e.Seq = uint64(i)
+		r.Tap(e)
 	}
 }
 

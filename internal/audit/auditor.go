@@ -52,22 +52,16 @@ func (v Violation) Error() string {
 	return b.String()
 }
 
-// storeRec is the auditor's record of one issued store: the provenance an
-// entry's drained redo (and undone undo) must match.
+// storeRec is the auditor's record of one issued, not yet retired store of
+// one core: the provenance an entry's drained redo (and undone undo) must
+// match.
 type storeRec struct {
-	core   int32
+	seq    uint64
 	addr   uint64
 	region uint64
 	undo   uint64
 	redo   uint64
 	sync   bool // store is a synchronizing op (atomic RMW, lock, unlock)
-}
-
-type seqVal struct {
-	seq       uint64
-	val       uint64
-	core      int32
-	committed bool // version persisted by a drain-family write of a committed region
 }
 
 type winEntry struct {
@@ -79,7 +73,10 @@ type winEntry struct {
 // order, the commit/drain watermarks, the sync awaiting its sealing commit,
 // and the watermarks a crash froze.
 type coreShadow struct {
-	order []uint64 // pending sequences in issue order
+	// pending holds the core's issued-but-undrained stores by value in issue
+	// order. Store sequences rise (store-seq-monotone), so it is sorted by
+	// seq and searched by binary search; drains retire it from the front.
+	pending []storeRec
 
 	lastCommit uint64
 	lastDrain  uint64
@@ -96,9 +93,27 @@ type coreShadow struct {
 	lastReplay     uint64
 }
 
-// orderStart is each core's carved pending-queue capacity: about one
+// pendingStart is each core's carved pending-queue capacity: about one
 // threshold-sized region's stores, beyond which the queue doubles.
-const orderStart = 64
+const pendingStart = 64
+
+// find returns the core's pending store with sequence seq, or nil.
+func (c *coreShadow) find(seq uint64) *storeRec {
+	q := c.pending
+	lo, hi := 0, len(q)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q[m].seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(q) && q[lo].seq == seq {
+		return &q[lo]
+	}
+	return nil
+}
 
 // maxKeptViolations bounds the stored violation list; further violations
 // are counted but not retained (the first one is what matters — later ones
@@ -173,13 +188,9 @@ type Auditor struct {
 	idx     uint64 // events consumed
 	lastSeq uint64 // newest store sequence seen
 
-	nvm    map[uint64]seqVal   // shadow NVM word versions
-	window map[uint64]winEntry // monitoring-window mirror (identical across cores)
-
-	stores map[uint64]storeRec // pending (undrained) stores by global sequence
+	nvm    shadowTable         // shadow NVM word versions and sync-persist watermarks
+	window map[uint64]winEntry // monitoring-window mirror; made on the first writeback
 	cores  []coreShadow        // indexed by core, Options.Cores long
-
-	syncPersist map[uint64]uint64 // word addr -> newest applied sync-store sequence
 
 	crashed bool
 
@@ -187,21 +198,18 @@ type Auditor struct {
 	total      uint64 // all violations, including unretained ones
 }
 
-// NewAuditor returns an online auditor with the given model options. The
-// per-core state is carved from one backing at Options.Cores.
+// NewAuditor returns an online auditor with the given model options in
+// three allocations: the auditor (its shadow's page directory inline), the
+// per-core state at Options.Cores, and one backing every core's pending
+// queue is carved from. Shadow pages and the window mirror are made on
+// first use.
 func NewAuditor(opt Options) *Auditor {
 	n := max(opt.Cores, 0)
-	a := &Auditor{
-		opt:         opt,
-		nvm:         map[uint64]seqVal{},
-		window:      map[uint64]winEntry{},
-		stores:      map[uint64]storeRec{},
-		cores:       make([]coreShadow, n),
-		syncPersist: map[uint64]uint64{},
-	}
-	order := make([]uint64, n*orderStart)
+	a := &Auditor{opt: opt, cores: make([]coreShadow, n)}
+	a.nvm.init()
+	pending := make([]storeRec, n*pendingStart)
 	for i := range a.cores {
-		a.cores[i].order = slab.Carve(&order, orderStart, 0)[:0]
+		a.cores[i].pending = slab.Carve(&pending, pendingStart, 0)[:0]
 	}
 	return a
 }
@@ -250,7 +258,12 @@ func (a *Auditor) violate(e Event, rule, format string, args ...interface{}) {
 	a.violations = append(a.violations, v)
 }
 
-func (a *Auditor) shadow(addr uint64) seqVal { return a.nvm[addr] }
+func (a *Auditor) shadow(addr uint64) wordShadow { return a.nvm.peek(addr) }
+
+// pendingStore returns core's pending store with sequence seq, or nil.
+func (a *Auditor) pendingStore(core int32, seq uint64) *storeRec {
+	return a.cores[core].find(seq)
+}
 
 // Tap consumes one event, updating the shadow model and checking the
 // invariants that fire on it.
@@ -313,17 +326,15 @@ func (a *Auditor) onStore(e Event) {
 			e.Core, e.Addr, e.Seq, c.pendingSync)
 		c.hasPendingSync = false // one violation per dropped commit
 	}
-	a.stores[e.Seq] = storeRec{core: e.Core, addr: e.Addr, region: e.Region, undo: e.Val2, redo: e.Val}
-	c.order = append(c.order, e.Seq)
+	c.pending = append(c.pending, storeRec{seq: e.Seq, addr: e.Addr, region: e.Region, undo: e.Val2, redo: e.Val})
 }
 
 // onSync records a synchronizing store. Its data entry (EvStore, same
 // sequence) precedes it and its sealing commit marker must be the issuing
 // core's very next contribution to the stream — tracked via pendingSync.
 func (a *Auditor) onSync(e Event) {
-	if s, ok := a.stores[e.Seq]; ok && s.core == e.Core && s.addr == e.Addr {
+	if s := a.pendingStore(e.Core, e.Seq); s != nil && s.addr == e.Addr {
 		s.sync = true
-		a.stores[e.Seq] = s
 	} else {
 		a.violate(e, "sync-unknown-store",
 			"sync addr %#x seq %d matches no issued store of core %d", e.Addr, e.Seq, e.Core)
@@ -352,7 +363,7 @@ func (a *Auditor) onLaunch(e Event) {
 		}
 		return
 	}
-	if s, ok := a.stores[e.Seq]; !ok || s.core != e.Core || s.addr != e.Addr {
+	if s := a.pendingStore(e.Core, e.Seq); s == nil || s.addr != e.Addr {
 		a.violate(e, "launch-unknown-store", "launched entry addr %#x seq %d matches no issued store", e.Addr, e.Seq)
 	}
 }
@@ -388,12 +399,15 @@ func (a *Auditor) onWritebackWord(e Event) {
 	}
 }
 
-// noteWriteback mirrors proxy.Path.NoteWriteback exactly — including the
-// refresh rule and the opportunistic prune — so the mirror stays identical
-// to every core's window map (all cores receive identical calls).
+// noteWriteback mirrors proxy.Window.Note exactly — including the refresh
+// rule and the opportunistic prune — so the mirror stays identical to the
+// machine's one monitoring window, which every core's path consults.
 func (a *Auditor) noteWriteback(addr, seq, now uint64) {
 	w, ok := a.window[addr]
 	if !ok || w.seq < seq || w.expiry < now+a.opt.ProxyLatency {
+		if a.window == nil {
+			a.window = map[uint64]winEntry{}
+		}
 		a.window[addr] = winEntry{expiry: now + a.opt.ProxyLatency, seq: seq}
 	}
 	if len(a.window) > 4096 {
@@ -430,24 +444,46 @@ func (a *Auditor) checkGuard(e Event, what string, committed bool) {
 			e.Core, what, e.Addr, e.Seq, sv.core, sv.seq)
 	}
 	if applied {
-		a.nvm[e.Addr] = seqVal{seq: e.Seq, val: e.Val, core: e.Core, committed: committed}
+		a.nvm.setVersion(e.Addr, e.Seq, e.Val, e.Core, committed)
 	}
 }
 
 // checkSyncPersist asserts that applied NVM persists of synchronizing stores
 // to one word occur in execution (sequence) order: same-line atomics must
 // reach NVM in the order they executed, whichever core's drain carries them.
+// The store is looked up by sequence alone — on any core, the writing
+// core's queue first.
 func (a *Auditor) checkSyncPersist(e Event) {
-	if s := a.stores[e.Seq]; !s.sync || !e.Flags.Has(FlagApplied) {
+	if !e.Flags.Has(FlagApplied) {
 		return
 	}
-	if last := a.syncPersist[e.Addr]; e.Seq < last {
+	if s := a.anyPendingStore(e.Core, e.Seq); s == nil || !s.sync {
+		return
+	}
+	if last := a.shadow(e.Addr).syncSeq; e.Seq < last {
 		a.violate(e, "sync-persist-order",
 			"sync store addr %#x seq %d persisted after newer sync seq %d — atomic persist order diverged from execution order",
 			e.Addr, e.Seq, last)
 		return
 	}
-	a.syncPersist[e.Addr] = e.Seq
+	a.nvm.at(e.Addr).syncSeq = e.Seq
+}
+
+// anyPendingStore returns the pending store with sequence seq on any core,
+// searching core's queue first. Sequences are unique while
+// store-seq-monotone holds, so at most one core has it.
+func (a *Auditor) anyPendingStore(core int32, seq uint64) *storeRec {
+	if s := a.pendingStore(core, seq); s != nil {
+		return s
+	}
+	for i := range a.cores {
+		if i != int(core) {
+			if s := a.cores[i].find(seq); s != nil {
+				return s
+			}
+		}
+	}
+	return nil
 }
 
 func (a *Auditor) onDrain(e Event) {
@@ -471,27 +507,20 @@ func (a *Auditor) onDrain(e Event) {
 // so the per-core issue queue pops from the front). The survivors are copied
 // down so the queue's backing array is reused.
 func (a *Auditor) pruneBelow(c *coreShadow, r uint64) {
-	q := c.order
+	q := c.pending
 	i := 0
-	for ; i < len(q); i++ {
-		s, ok := a.stores[q[i]]
-		if !ok {
-			continue
-		}
-		if s.region >= r {
-			break
-		}
-		delete(a.stores, q[i])
+	for i < len(q) && q[i].region < r {
+		i++
 	}
 	if i > 0 {
-		c.order = q[:copy(q, q[i:])]
+		c.pending = q[:copy(q, q[i:])]
 	}
 }
 
 // matchStore checks a drained/replayed redo against the issued-store record.
 func (a *Auditor) matchStore(e Event, rule string) {
-	s, ok := a.stores[e.Seq]
-	if !ok || s.core != e.Core || s.addr != e.Addr || s.redo != e.Val {
+	s := a.pendingStore(e.Core, e.Seq)
+	if s == nil || s.addr != e.Addr || s.redo != e.Val {
 		a.violate(e, rule+"-unknown-store",
 			"redo addr %#x seq %d val %d matches no issued store of core %d",
 			e.Addr, e.Seq, e.Val, e.Core)
@@ -519,21 +548,26 @@ func (a *Auditor) onNVMRead(e Event) {
 	if e.Val != e.Val2 {
 		// The architectural and persisted values differ: legal only while an
 		// issued-but-undrained store newer than the NVM version explains it.
-		// The pending set is small (bounded by the proxy buffers) and this
-		// path is rare, so a scan beats keeping a per-word index.
-		explained := false
-		for seq, s := range a.stores {
-			if s.addr == e.Addr && seq > e.Seq {
-				explained = true
-				break
-			}
-		}
-		if !explained {
+		if !a.pendingNewer(e.Addr, e.Seq) {
 			a.violate(e, "stale-nvm-read",
 				"NVM read of %#x returned seq %d val %d, architectural val %d, with no pending store explaining the gap",
 				e.Addr, e.Seq, e.Val, e.Val2)
 		}
 	}
+}
+
+// pendingNewer reports whether any core has a pending store to addr newer
+// than seq. The pending set is small (bounded by the proxy buffers) and the
+// stale-read path is rare, so a scan beats keeping a per-word index.
+func (a *Auditor) pendingNewer(addr, seq uint64) bool {
+	for i := range a.cores {
+		for _, s := range a.cores[i].pending {
+			if s.addr == addr && s.seq > seq {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (a *Auditor) onCrash(e Event) {
@@ -582,7 +616,7 @@ func (a *Auditor) onTornWriteback(e Event) {
 			"torn writeback moved word %#x forward: restored seq %d above shadow seq %d",
 			e.Addr, e.Seq, sv.seq)
 	}
-	a.nvm[e.Addr] = seqVal{seq: e.Seq, val: e.Val, core: e.Core}
+	a.nvm.setVersion(e.Addr, e.Seq, e.Val, e.Core, false)
 }
 
 // onTornDrainWrite checks a torn phase-2 drain prefix: only a committed but
@@ -646,8 +680,8 @@ func (a *Auditor) onUndo(e Event) {
 	if !a.crashed {
 		return
 	}
-	s, ok := a.stores[e.Seq]
-	if !ok || s.core != e.Core || s.addr != e.Addr || s.undo != e.Val {
+	s := a.pendingStore(e.Core, e.Seq)
+	if s == nil || s.addr != e.Addr || s.undo != e.Val {
 		a.violate(e, "undo-unknown-store",
 			"undo addr %#x firstseq %d val %d matches no issued store of core %d",
 			e.Addr, e.Seq, e.Val, e.Core)
@@ -674,7 +708,7 @@ func (a *Auditor) onUndo(e Event) {
 		if e.Seq > 0 {
 			newSeq = e.Seq - 1
 		}
-		a.nvm[e.Addr] = seqVal{seq: newSeq, val: e.Val, core: e.Core}
+		a.nvm.setVersion(e.Addr, newSeq, e.Val, e.Core, false)
 	}
 }
 
@@ -694,12 +728,11 @@ func (a *Auditor) onRecoveryDone(Event) {
 		// Pending stores are gone: committed regions were replayed, the
 		// interrupted region was undone; resumed execution issues fresh
 		// ones. The per-core queues keep their backing arrays.
-		c.order = c.order[:0]
+		c.pending = c.pending[:0]
 		c.hasPendingSync = false
 		c.commitAtCrash, c.drainAtCrash, c.trackedAtCrash, c.lastReplay = 0, 0, false, 0
 	}
-	clear(a.stores)
-	// The recovered machine's proxy paths start with empty windows.
+	// The recovered machine starts with an empty monitoring window.
 	clear(a.window)
 	a.crashed = false
 }

@@ -6,10 +6,20 @@ import (
 	"hash"
 )
 
-// DefaultRecorderCap is the default flight-recorder ring capacity. At ~64
-// bytes per event this bounds the recorder near 4 MB regardless of run
-// length.
+// DefaultRecorderCap is the default flight-recorder ring capacity: the
+// recorder keeps at most this many events (at 64 bytes per event, a 4 MB
+// cap). It is a cap, not a reservation — the ring grows in chunks with its
+// run, so a run of n events holds about n×64 bytes.
 const DefaultRecorderCap = 1 << 16
+
+// The ring is built of fixed chunks of recorderChunk events (512 KB),
+// allocated on first use; a recorder whose cap is not a multiple of the
+// chunk gets a short last chunk.
+const (
+	recorderChunkShift = 13
+	recorderChunk      = 1 << recorderChunkShift
+	recorderChunkMask  = recorderChunk - 1
+)
 
 // eventWireLen is the size of one event's digest encoding: kind and flags,
 // the core, the cycle, address, sequence, region and two value words, then
@@ -22,33 +32,58 @@ const eventWireLen = 2 + 4 + 6*8 + 4
 // the debugging question aggregate counters cannot: "what happened to this
 // cache line?"
 type FlightRecorder struct {
-	ring  []Event
-	next  int    // ring write position
-	total uint64 // events seen, including those evicted from the ring
-	h     hash.Hash
-	buf   [eventWireLen]byte // event wire encoding scratch
+	// chunks is the ring: position i is chunks[i>>recorderChunkShift]
+	// [i&recorderChunkMask]. The ring fills from position 0, so its chunks
+	// are allocated in order and all exist before it first wraps. dir backs
+	// chunks inline up to DefaultRecorderCap.
+	chunks [][]Event
+	dir    [DefaultRecorderCap / recorderChunk][]Event
+	cap    int    // ring capacity in events
+	next   int    // ring write position
+	total  uint64 // events seen, including those evicted from the ring
+	h      hash.Hash
+	buf    [eventWireLen]byte // event wire encoding and digest scratch
 }
 
 // NewFlightRecorder returns a recorder holding the last `cap` events
-// (DefaultRecorderCap when cap <= 0).
+// (DefaultRecorderCap when cap <= 0). No event storage is allocated until
+// the first event.
 func NewFlightRecorder(cap int) *FlightRecorder {
 	if cap <= 0 {
 		cap = DefaultRecorderCap
 	}
-	return &FlightRecorder{ring: make([]Event, 0, cap), h: sha256.New()}
+	r := &FlightRecorder{cap: cap, h: sha256.New()}
+	r.chunks = r.dir[:0]
+	return r
 }
 
 // Tap records the event.
 func (r *FlightRecorder) Tap(e Event) {
 	r.total++
 	r.h.Write(appendEventWire(r.buf[:0], e))
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, e)
-		r.next = len(r.ring) % cap(r.ring)
-		return
+	c := r.next >> recorderChunkShift
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, min(recorderChunk, r.cap-r.next)))
 	}
-	r.ring[r.next] = e
-	r.next = (r.next + 1) % len(r.ring)
+	r.chunks[c][r.next&recorderChunkMask] = e
+	if r.next++; r.next == r.cap {
+		r.next = 0
+	}
+}
+
+// retained returns the number of events in the ring.
+func (r *FlightRecorder) retained() int { return int(min(r.total, uint64(r.cap))) }
+
+// appendRange appends ring positions [from, to) to out.
+func (r *FlightRecorder) appendRange(out []Event, from, to int) []Event {
+	for from < to {
+		ch := r.chunks[from>>recorderChunkShift]
+		off := from & recorderChunkMask
+		n := min(to-from, len(ch)-off)
+		out = append(out, ch[off:off+n]...)
+		from += n
+	}
+	return out
 }
 
 // appendEventWire appends e's eventWireLen-byte digest encoding to b.
@@ -68,24 +103,27 @@ func appendEventWire(b []byte, e Event) []byte {
 func (r *FlightRecorder) Total() uint64 { return r.total }
 
 // Dropped returns how many events fell off the ring.
-func (r *FlightRecorder) Dropped() uint64 { return r.total - uint64(len(r.ring)) }
+func (r *FlightRecorder) Dropped() uint64 { return r.total - uint64(r.retained()) }
 
 // Digest returns the sha256 over every event seen so far, in order. Two
 // deterministic runs of the same program and config produce identical
 // digests; any divergence in the event stream changes it.
 func (r *FlightRecorder) Digest() [sha256.Size]byte {
+	// Sum into the scratch buffer: a local array would escape through the
+	// hash.Hash interface and cost an allocation.
 	var d [sha256.Size]byte
-	r.h.Sum(d[:0])
+	copy(d[:], r.h.Sum(r.buf[:0]))
 	return d
 }
 
 // Events returns the retained events, oldest first.
 func (r *FlightRecorder) Events() []Event {
-	out := make([]Event, 0, len(r.ring))
-	if len(r.ring) == cap(r.ring) {
-		out = append(out, r.ring[r.next:]...)
+	n := r.retained()
+	out := make([]Event, 0, n)
+	if n == r.cap {
+		out = r.appendRange(out, r.next, r.cap)
 	}
-	return append(out, r.ring[:r.next]...)
+	return r.appendRange(out, 0, r.next)
 }
 
 // ChainFor returns the retained events touching the given cache line,

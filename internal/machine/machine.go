@@ -152,6 +152,11 @@ type Machine struct {
 	dram *mem.DRAMCache
 	l2   cache.Cache
 
+	// window is the memory controller's monitoring window (§5.3.2): one per
+	// machine, shared by every core's proxy path. It lives in the machine
+	// itself, so it costs no allocation of its own.
+	window proxy.Window
+
 	cores   []*core
 	records []CoreRecord // NVM-resident recovery records
 
@@ -263,6 +268,7 @@ func build(p *prog.Program, cfg Config) (*Machine, error) {
 		cores:   make([]*core, n),
 		records: make([]CoreRecord, n),
 		rq:      runq{heap: make([]*core, 0, n)},
+		window:  proxy.Window{Latency: cfg.ProxyLatency},
 	}
 	lines := make(cache.Lines, cache.LineCount(cfg.L2Size, cfg.L2Ways)+n*cache.LineCount(cfg.L1Size, cfg.L1Ways))
 	m.l2.Init(cfg.L2Size, cfg.L2Ways, &lines)
@@ -273,7 +279,7 @@ func build(p *prog.Program, cfg Config) (*Machine, error) {
 		slots  []lineSlot
 	)
 	if cfg.Capri {
-		units = proxy.NewUnits(n, cfg.FrontEndEntries, cfg.Threshold, cfg.ProxyLatency, cfg.ProxyInterval)
+		units = proxy.NewUnits(n, cfg.FrontEndEntries, cfg.Threshold, cfg.ProxyLatency, cfg.ProxyInterval, &m.window)
 		drains = make([]uint64, n*drainStart)
 		slots = make([]lineSlot, n*lineTableSlots)
 	}

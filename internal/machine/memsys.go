@@ -74,7 +74,7 @@ func (m *Machine) sampleBoundary(c *core, elided bool) {
 	mt.FrontOcc.Record(uint64(c.front.Len()))
 	mt.BackOcc.Record(uint64(c.back.Len()))
 	mt.PathInFlight.Record(uint64(c.path.InFlight()))
-	mt.WindowLive.Record(uint64(c.path.WindowLen()))
+	mt.WindowLive.Record(uint64(m.window.Len()))
 	mt.L1Dirty.Record(uint64(c.l1.DirtyLines()))
 	mt.RegionInsts.Record(c.curInsts)
 	mt.RegionStores.Record(c.curStores)
@@ -120,7 +120,7 @@ func (m *Machine) l1Writeback(c *core, wb *cache.Writeback) {
 // controllerWriteback handles a dirty line arriving at the integrated memory
 // controller: it propagates to NVM through the write queue (seq-guarded),
 // fills the DRAM cache, scans every back-end proxy buffer to unset matching
-// redo valid-bits (§5.3.2), and opens the proxy-path monitoring windows.
+// redo valid-bits (§5.3.2), and opens the controller's monitoring window.
 // The values written are the architectural values of the dirty words — the
 // newest stores the line absorbed, which is exactly what wb.Seq tags.
 func (m *Machine) controllerWriteback(now uint64, wb *cache.Writeback) {
@@ -163,19 +163,18 @@ func (m *Machine) controllerWriteback(now uint64, wb *cache.Writeback) {
 			m.tap.Tap(ev)
 		}
 		if m.cfg.Capri && !m.cfg.NoScanInvalidate {
-			for _, c := range m.cores {
-				// The §5.3.2 scan elides redo writes because NVM "already
-				// holds" the writeback's data — an ADR assumption. Under the
-				// armed fault model this writeback is still in the tearable
-				// WPQ window, so the elision is unsound (a torn writeback
-				// would orphan committed data whose redo entry it
-				// invalidated); the seq guard makes the un-elided redo
-				// writes idempotent.
-				if m.flt == nil {
+			// The §5.3.2 scan elides redo writes because NVM "already
+			// holds" the writeback's data — an ADR assumption. Under the
+			// armed fault model this writeback is still in the tearable
+			// WPQ window, so the elision is unsound (a torn writeback would
+			// orphan committed data whose redo entry it invalidated); the
+			// seq guard makes the un-elided redo writes idempotent.
+			if m.flt == nil {
+				for _, c := range m.cores {
 					c.back.ScanInvalidate(w, wb.Seq)
 				}
-				c.path.NoteWriteback(w, wb.Seq, now)
 			}
+			m.window.Note(w, wb.Seq, now)
 		}
 	}
 	if m.flt != nil && len(torn) > 0 {

@@ -8,7 +8,7 @@ import "testing"
 // steady state must be allocation-free: front-end, path and back-end
 // recycle their rings, and PopRegion hands out the region in place.
 func BenchmarkProxyDrain(b *testing.B) {
-	u := &NewUnits(1, 32, 256, 40, 8)[0]
+	u := &NewUnits(1, 32, 256, 40, 8, nil)[0]
 	f, p, be := &u.Front, &u.Path, &u.Back
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -43,7 +43,7 @@ func BenchmarkProxyDrain(b *testing.B) {
 // empty path — the common case between stores, which the machine pays on
 // every executed instruction.
 func BenchmarkPathServiceIdle(b *testing.B) {
-	p := &NewUnits(1, 1, 1, 40, 8)[0].Path
+	p := &NewUnits(1, 1, 1, 40, 8, nil)[0].Path
 	b.ReportAllocs()
 	b.ResetTimer()
 	var n int

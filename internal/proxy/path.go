@@ -7,10 +7,8 @@ package proxy
 // in flight are logically retained by the front-end for crash purposes
 // (delivery is acknowledged), so the path itself holds no recoverable state.
 //
-// The memory controller's monitoring window (§5.3.2) lives here: a dirty
-// writeback arriving at the controller registers its address and sequence;
-// any entry for the same address arriving within the worst-case path latency
-// whose store sequence is not newer has its redo valid-bit unset on arrival.
+// Each path consults the memory controller's monitoring window (§5.3.2,
+// Window) as its entries arrive.
 type Path struct {
 	Latency  uint64 // cycles from departure to arrival
 	Interval uint64 // cycles between departures (bandwidth)
@@ -25,15 +23,14 @@ type Path struct {
 	// whole simulator. It is carved at its in-flight bound (flightCarve).
 	q ring[packet]
 
-	// Monitoring window: address -> (expiry cycle, writeback seq). Made on
-	// the first writeback; nil reads as empty.
-	window map[uint64]windowEntry
+	// win is the machine's monitoring window, shared by every core's path
+	// (NewUnits); nil means none.
+	win *Window
 
 	// Stats.
 	Sent       uint64
 	Delivered  uint64
-	WindowHits uint64
-	WindowAdds uint64
+	WindowHits uint64 // this path's arrivals whose valid-bit the window unset
 }
 
 type packet struct {
@@ -41,9 +38,59 @@ type packet struct {
 	arrives uint64
 }
 
+// Window is the memory controller's monitoring window (§5.3.2): a dirty
+// writeback arriving at the controller registers its address and sequence,
+// and any proxy entry for the same address arriving within the worst-case
+// path latency whose store sequence is not newer has its redo valid-bit
+// unset on arrival. A machine has one memory controller, so it has one
+// window, noted once per written-back word and consulted by every core's
+// path. The zero value with Latency set is an empty window.
+type Window struct {
+	Latency uint64 // the proxy path's worst-case latency, in cycles
+
+	// m maps address -> (expiry cycle, writeback seq). Made on the first
+	// writeback; nil reads as empty.
+	m map[uint64]windowEntry
+}
+
 type windowEntry struct {
 	expiry uint64
 	seq    uint64
+}
+
+// Note opens (or refreshes) the window for addr after a dirty writeback with
+// sequence seq arrives at the controller at cycle now.
+func (w *Window) Note(addr uint64, seq uint64, now uint64) {
+	we, ok := w.m[addr]
+	if !ok || we.seq < seq || we.expiry < now+w.Latency {
+		if w.m == nil {
+			w.m = map[uint64]windowEntry{}
+		}
+		w.m[addr] = windowEntry{expiry: now + w.Latency, seq: seq}
+	}
+	// Opportunistically prune expired windows to bound memory.
+	if len(w.m) > 4096 {
+		for a, we := range w.m {
+			if we.expiry < now {
+				delete(w.m, a)
+			}
+		}
+	}
+}
+
+// Len returns the number of live window entries (expired entries that have
+// not been pruned yet count — pruning is opportunistic). Observability
+// only; the occupancy histogram samples it at boundaries.
+func (w *Window) Len() int { return len(w.m) }
+
+// hit reports whether an entry for addr with store sequence seq arriving at
+// cycle arrives falls inside a live window whose writeback is not older.
+func (w *Window) hit(addr, arrives, seq uint64) bool {
+	if len(w.m) == 0 {
+		return false
+	}
+	we, ok := w.m[addr]
+	return ok && arrives <= we.expiry && seq <= we.seq
 }
 
 // flightCarve is the capacity a path's packet ring is carved at: its
@@ -92,11 +139,6 @@ func (p *Path) HeadArrival() (uint64, bool) {
 	return p.q.front().arrives, true
 }
 
-// WindowLen returns the number of live monitoring-window entries (expired
-// entries that have not been pruned yet count — pruning is opportunistic).
-// Observability only; the occupancy histogram samples it at boundaries.
-func (p *Path) WindowLen() int { return len(p.window) }
-
 // Backlog reports the earliest cycle at which the path could accept a new
 // entry — the machine uses it to model front-end drain pacing.
 func (p *Path) Backlog() uint64 { return p.nextDepart }
@@ -116,38 +158,15 @@ func (p *Path) DeliverEach(now uint64, fn func(e *Entry, arrives uint64, hit boo
 		}
 		e := &pk.e
 		hit := false
-		if e.Kind == KindData && len(p.window) > 0 {
-			if w, ok := p.window[e.Addr]; ok && pk.arrives <= w.expiry && e.Seq <= w.seq {
-				e.Valid = false
-				p.WindowHits++
-				hit = true
-			}
+		if e.Kind == KindData && p.win != nil && p.win.hit(e.Addr, pk.arrives, e.Seq) {
+			e.Valid = false
+			p.WindowHits++
+			hit = true
 		}
 		p.Delivered++
 		fn(e, pk.arrives, hit)
 		e.release()
 		p.q.drop(1)
-	}
-}
-
-// NoteWriteback opens (or refreshes) the monitoring window for addr after a
-// dirty writeback with sequence seq arrives at the controller at cycle now.
-func (p *Path) NoteWriteback(addr uint64, seq uint64, now uint64) {
-	w, ok := p.window[addr]
-	if !ok || w.seq < seq || w.expiry < now+p.Latency {
-		if p.window == nil {
-			p.window = map[uint64]windowEntry{}
-		}
-		p.window[addr] = windowEntry{expiry: now + p.Latency, seq: seq}
-		p.WindowAdds++
-	}
-	// Opportunistically prune expired windows to bound memory.
-	if len(p.window) > 4096 {
-		for a, we := range p.window {
-			if we.expiry < now {
-				delete(p.window, a)
-			}
-		}
 	}
 }
 

@@ -169,8 +169,9 @@ type Unit struct {
 // grows. The back-end's bound is backCap — the compiler's store threshold, up
 // to 1024 in the figure sweeps — so its ring is carved at backStart entries
 // instead and doubles on demand rather than reserving the threshold for every
-// core up front. An interval of zero means one.
-func NewUnits(n, frontCap, backCap int, latency, interval uint64) []Unit {
+// core up front. An interval of zero means one. Every path consults win, the
+// machine's one monitoring window (nil: none), which the caller owns.
+func NewUnits(n, frontCap, backCap int, latency, interval uint64, win *Window) []Unit {
 	if frontCap <= 0 || backCap <= 0 {
 		panic(fmt.Sprintf("proxy: front-end capacity %d, back-end capacity %d", frontCap, backCap))
 	}
@@ -193,7 +194,7 @@ func NewUnits(n, frontCap, backCap int, latency, interval uint64) []Unit {
 			ckptPool: slab.Carve(&ckptPool, poolCap, 0)[:0],
 			emitPool: slab.Carve(&emitPool, poolCap, 0)[:0],
 		}
-		u.Path = Path{Latency: latency, Interval: interval, q: ring[packet]{buf: slab.Carve(&packets, flight, 0)[:0]}}
+		u.Path = Path{Latency: latency, Interval: interval, q: ring[packet]{buf: slab.Carve(&packets, flight, 0)[:0]}, win: win}
 		u.Back = BackEnd{Capacity: backCap, q: ring[Entry]{buf: slab.Carve(&entries, backStart, 0)[:0]}}
 	}
 	return units

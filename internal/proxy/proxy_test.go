@@ -198,7 +198,7 @@ func TestPathLatencyAndBandwidth(t *testing.T) {
 func TestPathMonitoringWindow(t *testing.T) {
 	p := newPath(40, 1)
 	// Writeback for addr 0x100 seq 10 arrives at cycle 50: window open until 90.
-	p.NoteWriteback(0x100, 10, 50)
+	p.win.Note(0x100, 10, 50)
 
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 20) // arrives 60
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 20, Valid: true}, 21)
@@ -224,7 +224,7 @@ func TestPathMonitoringWindow(t *testing.T) {
 
 func TestPathWindowExpiry(t *testing.T) {
 	p := newPath(10, 1)
-	p.NoteWriteback(0x100, 10, 0) // window closes at 10
+	p.win.Note(0x100, 10, 0) // window closes at 10
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 50)
 	got := deliver(p, 100)
 	if !got[0].Valid {
@@ -255,7 +255,7 @@ func TestPathWindowBoundary(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPath(latency, 1)
-			p.NoteWriteback(0x100, 10, 0) // expiry = 0 + latency
+			p.win.Note(0x100, 10, 0) // expiry = 0 + latency
 			p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: tc.seq, Valid: true}, tc.sendAt)
 			got := deliver(p, tc.sendAt+latency)
 			if len(got) != 1 {
@@ -286,7 +286,7 @@ func TestPathWindowSurvivesDrainAll(t *testing.T) {
 	const latency = 10
 	p := newPath(latency, 1)
 
-	p.NoteWriteback(0x100, 10, 5) // expiry = 15
+	p.win.Note(0x100, 10, 5) // expiry = 15
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 0)
 	harvested := p.DrainAll(nil)
 	if len(harvested) != 1 || !harvested[0].Valid {
@@ -295,8 +295,8 @@ func TestPathWindowSurvivesDrainAll(t *testing.T) {
 	if p.InFlight() != 0 || p.Delivered != 0 {
 		t.Errorf("DrainAll left %d in flight, counted %d deliveries", p.InFlight(), p.Delivered)
 	}
-	if p.WindowLen() != 1 {
-		t.Fatalf("window emptied by DrainAll (len=%d)", p.WindowLen())
+	if p.win.Len() != 1 {
+		t.Fatalf("window emptied by DrainAll (len=%d)", p.win.Len())
 	}
 
 	// Reuse the drained path: departs at 3 (bandwidth slot 1 passed), arrives
@@ -308,17 +308,17 @@ func TestPathWindowSurvivesDrainAll(t *testing.T) {
 	}
 }
 
-// TestPathWindowRefresh pins NoteWriteback's refresh rule (the auditor
+// TestPathWindowRefresh pins Window.Note's refresh rule (the auditor
 // mirrors it): a later writeback re-arms the window whenever it extends the
 // expiry — even with an *older* sequence, which then narrows seq coverage to
 // stores at or below it.
 func TestPathWindowRefresh(t *testing.T) {
 	const latency = 10
 	p := newPath(latency, 1)
-	p.NoteWriteback(0x100, 10, 0) // expiry 10, seq 10
-	p.NoteWriteback(0x100, 3, 20) // refresh: expiry 30, seq 3
-	if p.WindowAdds != 2 {
-		t.Fatalf("WindowAdds = %d, want 2 (refresh counted)", p.WindowAdds)
+	p.win.Note(0x100, 10, 0) // expiry 10, seq 10
+	p.win.Note(0x100, 3, 20) // refresh: expiry 30, seq 3
+	if we := p.win.m[0x100]; we != (windowEntry{expiry: 30, seq: 3}) {
+		t.Fatalf("refreshed window = %+v, want expiry 30 seq 3", we)
 	}
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 3, Valid: true}, 15) // arrives 25 <= 30
 	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 16) // arrives 26, seq 5 > 3
@@ -471,11 +471,31 @@ func TestFrontEndRecycledBackingGrows(t *testing.T) {
 }
 
 // newFront, newBack and newPath build one core's proxy hardware through
-// NewUnits, exactly as a machine does, and return the part under test.
-func newFront(capacity int) *FrontEnd { return &NewUnits(1, capacity, 1, 0, 1)[0].Front }
-func newBack(capacity int) *BackEnd   { return &NewUnits(1, 1, capacity, 0, 1)[0].Back }
+// NewUnits, exactly as a machine does, and return the part under test. The
+// path consults its own monitoring window (p.win).
+func newFront(capacity int) *FrontEnd { return &NewUnits(1, capacity, 1, 0, 1, nil)[0].Front }
+func newBack(capacity int) *BackEnd   { return &NewUnits(1, 1, capacity, 0, 1, nil)[0].Back }
 func newPath(latency, interval uint64) *Path {
-	return &NewUnits(1, 1, 1, latency, interval)[0].Path
+	return &NewUnits(1, 1, 1, latency, interval, &Window{Latency: latency})[0].Path
+}
+
+// TestUnitsShareWindow: every path NewUnits builds consults the one window
+// it is given, so a writeback noted once invalidates stale entries arriving
+// on any core's path, and each path counts only its own hits.
+func TestUnitsShareWindow(t *testing.T) {
+	w := &Window{Latency: 10}
+	us := NewUnits(2, 1, 1, 10, 1, w)
+	w.Note(0x100, 10, 0) // expiry 10
+	for i := range us {
+		p := &us[i].Path
+		p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 0)
+		if got := deliver(p, 10); len(got) != 1 || got[0].Valid || p.WindowHits != 1 {
+			t.Errorf("path %d: delivered %+v with %d hits, want one invalidated entry", i, got, p.WindowHits)
+		}
+	}
+	if w.Len() != 1 {
+		t.Errorf("window holds %d entries, want 1", w.Len())
+	}
 }
 
 // deliver collects copies of every entry the path delivers by now.
@@ -504,7 +524,7 @@ func TestDeliverEachArrivalCycle(t *testing.T) {
 // untouched.
 func TestUnitsRingsCarvedAtBound(t *testing.T) {
 	const frontCap, latency, interval = 4, 40, 8
-	us := NewUnits(2, frontCap, 16, latency, interval)
+	us := NewUnits(2, frontCap, 16, latency, interval, nil)
 	u, v := &us[0], &us[1]
 	ring, flight := &u.Front.q.buf[:1][0], &u.Path.q.buf[:1][0]
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
@@ -533,7 +553,7 @@ func TestUnitsRingsCarvedAtBound(t *testing.T) {
 // slots in place for phase 2 to read, and later accepts compact the live
 // window instead of growing the ring while it has dead slots to reclaim.
 func TestBackEndRingReusesSlots(t *testing.T) {
-	b := NewUnits(1, 1, 8, 0, 1)[0].Back
+	b := NewUnits(1, 1, 8, 0, 1, nil)[0].Back
 	for r := uint64(1); r <= 100; r++ {
 		for i := uint64(0); i < 3; i++ {
 			b.Accept(Entry{Kind: KindData, Addr: 8 * i, Redo: r, Seq: 3*r + i, FirstSeq: 3*r + i, Valid: true})
@@ -611,7 +631,7 @@ func TestRingReclaimsSlots(t *testing.T) {
 // the path leaves its slot holding no Ckpts/Emits backing, so a backing the
 // front end recycles is referenced by no dead slot.
 func TestRemovedEntriesReleaseBackings(t *testing.T) {
-	u := &NewUnits(1, 8, 8, 4, 1)[0]
+	u := &NewUnits(1, 8, 8, 4, 1, nil)[0]
 	bd := Entry{Kind: KindBoundary, Ckpts: []RegCkpt{{1, 1}}, Emits: []uint64{1}}
 	held := func(s []Entry) bool { return s[0].Ckpts != nil || s[0].Emits != nil }
 	*u.Front.q.add() = bd
