@@ -30,10 +30,14 @@ lint:
 # shared compile cache, sweep the parallel fleet),
 # the full verifier matrix (semantic region verifier after every pass for
 # every benchmark x level x threshold) with the compiler's allocation pins
-# (zero-allocation fingerprints, the ocean compile budget, and CFGs, loop
-# forests and liveness carved from a warm analysis arena at under one
-# allocation each) and the arena's lifetime test (no carved result is
-# overwritten by later carves or appends), the dispatch-equivalence suite,
+# (zero-allocation fingerprints, the ocean compile budget, lu's allocations
+# growing at most 2x for an 11x larger output, and CFGs, loop forests and
+# liveness carved from a warm analysis arena at under one allocation each),
+# the arena's lifetime test (no carved result is overwritten by later carves
+# or appends) and chunk-growth pins (a reserved arena and slab.Pool grow by
+# max(request, carved so far, first chunk)), the fault-plan decoder's
+# fuzz-corpus replay (every committed plan is refused or within bounds) with
+# the huge-core-count replay regression, the dispatch-equivalence suite,
 # the memory store's fuzz-corpus replay against its map model with the
 # store's zero-allocation pin, the crash-image reader's fuzz-corpus replay
 # (every committed image, hostile ones included, is refused or recovers and
@@ -55,7 +59,9 @@ lint:
 check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault ./internal/telemetry
-	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills' ./internal/compile ./internal/analysis
+	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestCompileAllocsGrowSlowly|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills|TestArenaChunksGrowWithUse' ./internal/compile ./internal/analysis
+	$(GO) test -run 'TestPoolChunksGrowWithUse' ./internal/slab
+	$(GO) test -run 'FuzzPlanDecode|TestReplayPlanRejectsHugeCoreCount' ./internal/fault
 	$(GO) test -run 'DispatchEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree' ./internal/mem
 	$(GO) test -run 'FuzzImageRead' ./internal/image
@@ -184,8 +190,8 @@ perf:
 # fuzz runs each native fuzz target for FUZZTIME: the auditor tap
 # (FuzzAuditorTap), the auditor against its map model
 # (FuzzAuditorDifferential), the memory store against its map model
-# (FuzzStoreDifferential), the crash-image reader (FuzzImageRead) and the
-# assembler (FuzzAsmParse). Plain
+# (FuzzStoreDifferential), the crash-image reader (FuzzImageRead), the
+# assembler (FuzzAsmParse) and the fault-plan decoder (FuzzPlanDecode). Plain
 # `go test` replays their committed corpora; a failing input the fuzzer
 # finds lands in the package's testdata/fuzz. Image inputs are whole
 # programs of several KB, so their minimization is capped: at the default
@@ -197,6 +203,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoreDifferential -fuzztime $(FUZZTIME) ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzImageRead -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/image
 	$(GO) test -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME) ./internal/asm
+	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime $(FUZZTIME) ./internal/fault
 
 clean:
 	rm -f capri.test /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json

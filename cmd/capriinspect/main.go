@@ -96,7 +96,7 @@ func runSummary(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "  first detail %s\n", r.Audit.FirstDetail)
 	}
 	if len(r.Faults) > 0 {
-		plan, err := decodePlan(r.Faults)
+		plan, err := fault.DecodePlan(r.Faults)
 		if err != nil {
 			fmt.Fprintf(w, "faults       unreadable plan: %v\n", err)
 		} else {
@@ -337,18 +337,6 @@ func runDiff(w io.Writer, args []string) error {
 	return nil
 }
 
-// decodePlan parses an embedded capri/fault-plan/v1 payload.
-func decodePlan(raw json.RawMessage) (fault.Plan, error) {
-	var p fault.Plan
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return p, err
-	}
-	if p.Schema != fault.PlanSchema {
-		return p, fmt.Errorf("schema %q, want %q", p.Schema, fault.PlanSchema)
-	}
-	return p, nil
-}
-
 // diffPlans compares the records' embedded fault plans as run identity.
 func diffPlans(w io.Writer, a, b json.RawMessage) error {
 	if len(a) == 0 && len(b) == 0 {
@@ -358,7 +346,7 @@ func diffPlans(w io.Writer, a, b json.RawMessage) error {
 		if len(raw) == 0 {
 			return "(no fault plan)", fault.Plan{}, nil
 		}
-		p, err := decodePlan(raw)
+		p, err := fault.DecodePlan(raw)
 		if err != nil {
 			return "", p, err
 		}

@@ -108,12 +108,12 @@ func TestArenaResultsOutliveRefills(t *testing.T) {
 		t.Fatalf("loops = %d, want 3", len(first.loops))
 	}
 	want := first.snapshot()
-	firstInts := a.ints.carved
+	firstInts := a.ints.Carved()
 
 	// Analyses of other functions, until the int slab has grown through
 	// several chunks.
 	var last carvedAnalyses
-	for i := 0; a.ints.carved < 64*firstInts; i++ {
+	for i := 0; a.ints.Carved() < 64*firstInts; i++ {
 		last = analyze(&a, loopChain(1+i%5, 4+i*7%200))
 		analyze(&a, ladder(8+i%40))
 	}
@@ -142,22 +142,40 @@ func TestArenaResultsOutliveRefills(t *testing.T) {
 	}
 }
 
-// TestArenaChunksGrowWithUse pins the chunk-growth rule: the first chunk of
-// a slab fits the first request exactly, and each refill is as large as
-// everything carved from the slab so far.
+// TestArenaChunksGrowWithUse pins the chunk-growth rule: Reserve sizes each
+// slab's first chunk from the program, so the reserved number of analyses
+// (a CFG, its loop forest and liveness per function) fills one chunk per
+// slab, and the refill after it, as large as everything carved so far,
+// holds as many analyses again. Without Reserve the first chunks fit the
+// first requests exactly and the same work makes more refills.
 func TestArenaChunksGrowWithUse(t *testing.T) {
-	var a Arena
-	a.Ints(3)
-	if len(a.ints.free) != 0 {
-		t.Fatalf("first chunk left %d spare ints, want 0", len(a.ints.free))
+	p := &prog.Program{Funcs: []*prog.Func{nestedLoops(), loopChain(3, 70), ladder(40)}}
+	const rounds = 4
+	analyses := func(reserve bool, n int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			a := new(Arena)
+			if reserve {
+				a.Reserve(p, rounds)
+			}
+			for range n {
+				for _, f := range p.Funcs {
+					c := BuildCFG(a, f)
+					c.Loops()
+					ComputeLiveness(c)
+				}
+			}
+		})
 	}
-	a.Ints(2) // refill: max(2, 3 carved) = 3
-	if len(a.ints.free) != 1 {
-		t.Fatalf("second chunk left %d spare ints, want 1", len(a.ints.free))
+	// The arena itself, then one chunk each of ints, register sets, block-set
+	// words, CFGs, liveness results, loops and loop exits.
+	const slabs = 7
+	if n := analyses(true, rounds); n != 1+slabs {
+		t.Errorf("%d reserved analyses made %.0f allocations, want %d", rounds, n, 1+slabs)
 	}
-	a.Ints(10) // refill: max(10, 5 carved) = 10
-	a.Ints(1)  // refill: max(1, 15 carved) = 15
-	if len(a.ints.free) != 14 {
-		t.Fatalf("fourth chunk left %d spare ints, want 14", len(a.ints.free))
+	if n := analyses(true, 2*rounds); n != 1+2*slabs {
+		t.Errorf("%d analyses after reserving %d made %.0f allocations, want %d", 2*rounds, rounds, n, 1+2*slabs)
+	}
+	if n := analyses(false, rounds); n <= 1+2*slabs {
+		t.Errorf("%d unreserved analyses made %.0f allocations, want more than %d", rounds, n, 1+2*slabs)
 	}
 }

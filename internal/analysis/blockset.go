@@ -18,6 +18,9 @@ func (s BlockSet) Has(id int) bool {
 	return id>>6 < len(s.words) && s.words[id>>6]&(1<<(id&63)) != 0
 }
 
+// Clear removes every member.
+func (s BlockSet) Clear() { clear(s.words) }
+
 // Len returns the number of members.
 func (s BlockSet) Len() int {
 	n := 0

@@ -50,10 +50,10 @@ func BuildCFG(a *Arena, f *prog.Func) *CFG {
 	// ints: successor edges [0,ne), predecessor edges [ne,2ne), succAt and
 	// predAt (n+1 each), InRPO, then RPO, filled back to front while the DFS
 	// stack grows at its front.
-	ints := a.ints.carve(2*ne + 4*n + 2)
+	ints := a.ints.Carve(2*ne + 4*n + 2)
 	at := ints[2*ne : 2*ne+2*n+2]
 	nodes := ints[2*ne+2*n+2:]
-	c := &a.cfgs.carve(1)[0]
+	c := &a.cfgs.Carve(1)[0]
 	*c = CFG{F: f, InRPO: nodes[:n:n], edges: ints[: 2*ne : 2*ne], succAt: at[: n+1 : n+1], predAt: at[n+1:], a: a}
 	order := nodes[n:]
 	off := 0
@@ -118,7 +118,7 @@ func (c *CFG) Reachable(b int) bool { return c.InRPO[b] >= 0 }
 // Cooper-Harvey-Kennedy iterative algorithm. idom[entry] == entry;
 // unreachable blocks get -1.
 func (c *CFG) Dominators() []int {
-	idom := c.a.ints.carve(len(c.F.Blocks))
+	idom := c.a.ints.Carve(len(c.F.Blocks))
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -207,7 +207,7 @@ func (c *CFG) Loops() []Loop {
 	// loopOf maps a header to its loop's index (-1 elsewhere) and latches
 	// counts its back edges; work is the body walk's stack, which never
 	// holds a block twice.
-	scratch := c.a.ints.carve(3 * n)
+	scratch := c.a.ints.Carve(3 * n)
 	loopOf, latches, work := scratch[:n], scratch[n:2*n], scratch[2*n:2*n]
 	for i := range loopOf {
 		loopOf[i] = -1
@@ -224,10 +224,10 @@ func (c *CFG) Loops() []Loop {
 			}
 		}
 	}
-	loops := c.a.loops.carve(k)
+	loops := c.a.loops.Carve(k)
 	for h, li := range loopOf {
 		if li >= 0 {
-			loops[li] = Loop{Header: h, Latches: c.a.ints.carve(latches[h])[:0], Blocks: c.a.NewBlockSet(n), Parent: -1}
+			loops[li] = Loop{Header: h, Latches: c.a.ints.Carve(latches[h])[:0], Blocks: c.a.NewBlockSet(n), Parent: -1}
 			loops[li].Blocks.Add(h)
 		}
 	}
@@ -268,7 +268,7 @@ func (c *CFG) Loops() []Loop {
 				}
 			}
 		}
-		l.Exits = c.a.exits.carve(ne)[:0]
+		l.Exits = c.a.exits.Carve(ne)[:0]
 		for b := l.Blocks.Next(0); b >= 0; b = l.Blocks.Next(b + 1) {
 			for _, s := range c.Succ(b) {
 				if !l.Blocks.Has(s) {

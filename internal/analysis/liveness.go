@@ -111,8 +111,8 @@ func ComputeLivenessCallAware(c *CFG, callUse func(callee int32) RegSet) *Livene
 // come from the CFG's Arena.
 func ComputeLivenessWithRet(c *CFG, callUse func(callee int32) RegSet, retLive RegSet) *Liveness {
 	n := len(c.F.Blocks)
-	sets := c.a.regs.carve(4 * n)
-	lv := &c.a.lives.carve(1)[0]
+	sets := c.a.regs.Carve(4 * n)
+	lv := &c.a.lives.Carve(1)[0]
 	*lv = Liveness{
 		LiveIn:  sets[:n:n],
 		LiveOut: sets[n : 2*n : 2*n],

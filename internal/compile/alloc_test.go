@@ -39,10 +39,12 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 }
 
 // maxOceanCompileAllocs is the allocation budget of one ocean +licm@256
-// compile: 210 measured with every analysis carved from one arena per
-// compile and recovery slice lists carved from the function, plus 5%. A
-// per-boundary map or list allocation would add about 130.
-const maxOceanCompileAllocs = 220
+// compile: 52 measured with the program's blocks, instruction lists and
+// slice lists carved from pools shared by its functions and sized from it,
+// the analyses from one arena sized from it, and the pass table static,
+// plus 5%. Pools per function, or chunks of a fixed size, would add about
+// 25; a per-boundary map or list allocation about 130.
+const maxOceanCompileAllocs = 55
 
 // TestCompileAllocsBounded pins the compiler's allocation budget on its
 // largest Fig. 8 input.
@@ -51,5 +53,30 @@ func TestCompileAllocsBounded(t *testing.T) {
 	n := testing.AllocsPerRun(10, func() { MustCompile(src, opts) })
 	if n > maxOceanCompileAllocs {
 		t.Errorf("ocean %s@%d compile allocs = %.0f, want <= %d", LevelLICM, opts.Threshold, n, maxOceanCompileAllocs)
+	}
+}
+
+// TestCompileAllocsGrowSlowly pins that a compile's allocations grow with
+// the logarithm of its output, not in proportion: lu +licm at threshold
+// 1024 unrolls to at least 11 times the instructions of threshold 16 but
+// may cost at most twice its allocations. Fixed-size chunks cost 2.9 times.
+func TestCompileAllocsGrowSlowly(t *testing.T) {
+	w, err := workload.ByName("lu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.Build(1)
+	measure := func(threshold int) (insts int, allocs float64) {
+		opts := OptionsForLevel(LevelLICM, threshold)
+		insts = MustCompile(src, opts).Stats.Static.Insts
+		return insts, testing.AllocsPerRun(10, func() { MustCompile(src, opts) })
+	}
+	smallInsts, small := measure(16)
+	bigInsts, big := measure(1024)
+	if bigInsts < 11*smallInsts {
+		t.Fatalf("lu emits %d instructions at threshold 1024 and %d at 16; the pin wants an 11-fold growth", bigInsts, smallInsts)
+	}
+	if big > 2*small {
+		t.Errorf("lu %s compile allocs = %.0f at threshold 1024, %.0f at 16: %.2fx, want <= 2x", LevelLICM, big, small, big/small)
 	}
 }

@@ -14,22 +14,25 @@ import (
 //	go test -bench Compile -benchmem -run '^$' ./internal/compile
 func BenchmarkCompile(b *testing.B) {
 	type cell struct {
-		bench string
-		level Level
+		bench     string
+		level     Level
+		threshold int
 	}
-	// Fig. 8's +licm on one Splash program, and every level on one SPEC one.
-	cells := []cell{{"ocean", LevelLICM}}
+	// Fig. 8's +licm on one Splash program, every level on one SPEC one, and
+	// the largest output the matrix compiles: lu unrolled at threshold 1024.
+	cells := []cell{{"ocean", LevelLICM, DefaultThreshold}}
 	for _, l := range Levels {
-		cells = append(cells, cell{"505.mcf_r", l})
+		cells = append(cells, cell{"505.mcf_r", l, DefaultThreshold})
 	}
+	cells = append(cells, cell{"lu", LevelLICM, 1024})
 	for _, c := range cells {
 		w, err := workload.ByName(c.bench)
 		if err != nil {
 			b.Fatal(err)
 		}
 		p := w.Build(1)
-		opts := OptionsForLevel(c.level, DefaultThreshold)
-		b.Run(fmt.Sprintf("%s/%s@%d", c.bench, c.level, DefaultThreshold), func(b *testing.B) {
+		opts := OptionsForLevel(c.level, c.threshold)
+		b.Run(fmt.Sprintf("%s/%s@%d", c.bench, c.level, c.threshold), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Compile(p, opts); err != nil {

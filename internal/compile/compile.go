@@ -84,15 +84,13 @@ func CompileWithHooks(p *prog.Program, opts Options, hooks Hooks) (*Result, erro
 	}
 	out := p.Clone()
 	res := &Result{Program: out, Options: opts}
-	if err := newPipeline(opts).run(out, hooks, &res.Stats); err != nil {
+	if err := runPasses(&passes, out, opts, hooks, &res.Stats); err != nil {
 		return nil, err
 	}
 	// The passes left superseded instruction lists in the slab chunks they
 	// carved; a compiled program may be kept for a long time (compile cache,
 	// crash targets), so it keeps only its live instructions.
-	for _, f := range out.Funcs {
-		f.Compact()
-	}
+	out.Compact()
 	res.Stats.Static = out.Stats()
 	res.Stats.Regions = res.Stats.Static.Boundaries
 	return res, nil

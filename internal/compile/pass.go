@@ -8,10 +8,11 @@ import (
 	"capri/internal/prog"
 )
 
-// The pass manager. Compile no longer hardcodes the pipeline: newPipeline
-// builds a pass list from Options, and pipeline.run executes it with uniform
-// bookkeeping — per-pass wall time and action counts into Stats.Passes,
-// structural verification after every pass, and the semantic region verifier
+// The pass manager. The pipeline is one package-level table, passes, in
+// the paper's §4 order; Options only filter it, so a compile builds no pass
+// list. runPasses executes the enabled rows with uniform bookkeeping —
+// per-pass wall time and action counts into Stats.Passes, structural
+// verification after every pass, and the semantic region verifier
 // (verify.go) after any pass selected by Options.VerifyAfter. Region
 // formation and checkpoint insertion form a fixpoint group: checkpoints are
 // stores, so inserting them can overflow a region sized with estimates only,
@@ -107,202 +108,207 @@ type passCtx struct {
 	// round is the current iteration of the fixpoint group (0-based); the
 	// regions pass uses checkpoint estimates on round 0 only.
 	round int
-	// mayRead is the callee may-read summary prune and licm share. Built
-	// lazily on first use after checkpoints are final; both passes must see
-	// the same summaries, so it is not invalidated between them.
-	mayRead []analysis.RegSet
+	// mayReadOf looks up the callee may-read summary prune and licm share.
+	// Built lazily on first use after checkpoints are final; both passes
+	// must see the same summaries, so it is not invalidated between them.
+	mayReadOf func(callee int32) analysis.RegSet
 }
 
 // callUse returns the shared callee may-read summary as a liveness call
 // hook, computing the summary on first use.
 func (pc *passCtx) callUse() func(callee int32) analysis.RegSet {
-	if pc.mayRead == nil {
-		pc.mayRead = mayReadSummary(&pc.a, pc.p)
+	if pc.mayReadOf == nil {
+		mayRead := mayReadSummary(&pc.a, pc.p)
+		pc.mayReadOf = func(callee int32) analysis.RegSet { return mayRead[callee] }
 	}
-	mayRead := pc.mayRead
-	return func(callee int32) analysis.RegSet { return mayRead[callee] }
+	return pc.mayReadOf
 }
 
-// pass is one named pipeline stage: run mutates pc.p and returns its action
-// count; phase selects the semantic contract checked after it.
+// pass is one row of the pipeline table: run mutates pc.p and returns its
+// action count; phase selects the semantic contract checked after it;
+// enabled reports whether the options run it (nil: always); fixpoint marks
+// the rows of the regions/ckpt group.
 type pass struct {
-	name  string
-	phase verifyPhase
-	run   func(pc *passCtx) (changed int, err error)
-}
-
-// stage groups passes; a fixpoint stage re-runs its passes until the
-// threshold invariant holds (bounded by maxRounds).
-type stage struct {
+	name     string
+	phase    verifyPhase
 	fixpoint bool
-	passes   []pass
+	enabled  func(o Options) bool
+	run      func(pc *passCtx) (changed int, err error)
 }
 
 // maxRounds bounds the regions/ckpt fixpoint: estimates only ever shrink
 // toward reality, so convergence is fast; four rounds has always sufficed.
 const maxRounds = 4
 
-// pipeline is the compiled-from-Options pass list.
-type pipeline struct {
-	opts   Options
-	stages []stage
+// passes is the pipeline, in the paper's §4 order: canonicalize → inline →
+// unroll → (regions ⇄ ckpt) → prune → licm → materialize. A compile runs
+// the rows its Options enable.
+var passes = [...]pass{
+	{PassCanonicalize, phaseFront, false, nil, runCanonicalize},
+	{PassInline, phaseFront, false, func(o Options) bool { return o.Inline && !o.NaiveRegions }, runInline},
+	{PassUnroll, phaseFront, false, func(o Options) bool { return o.Unroll && !o.NaiveRegions }, runUnroll},
+	{PassRegions, phaseRegions, true, nil, runRegions},
+	{PassCkpt, phaseRegions, true, func(o Options) bool { return o.InsertCheckpoints }, runCkpt},
+	{PassPrune, phaseRegions, false, func(o Options) bool { return o.Prune && o.InsertCheckpoints }, runPrune},
+	{PassLICM, phaseRegions, false, func(o Options) bool { return o.LICM && o.InsertCheckpoints }, runLICM},
+	{PassMaterialize, phaseFinal, false, nil, runMaterialize},
 }
 
-// newPipeline builds the pass list for opts. The structure mirrors the
-// paper's §4 ordering: canonicalize → inline → unroll → (regions ⇄ ckpt) →
-// prune → licm → materialize, with option-disabled passes omitted entirely.
-func newPipeline(opts Options) *pipeline {
-	pl := &pipeline{opts: opts}
-	add := func(fixpoint bool, ps ...pass) {
-		pl.stages = append(pl.stages, stage{fixpoint: fixpoint, passes: ps})
-	}
+// on reports whether ps runs under opts.
+func (ps *pass) on(opts Options) bool { return ps.enabled == nil || ps.enabled(opts) }
 
-	add(false, pass{PassCanonicalize, phaseFront, func(pc *passCtx) (int, error) {
-		before := blockCount(pc.p)
-		canonicalize(pc.p)
-		return blockCount(pc.p) - before, nil
-	}})
-	if opts.Inline && !opts.NaiveRegions {
-		add(false, pass{PassInline, phaseFront, func(pc *passCtx) (int, error) {
-			pc.stats.CallsInlined = inlineCalls(pc.p, pc.opts.InlineMaxInsts)
-			removeDeadFuncs(pc.p)
-			return pc.stats.CallsInlined, nil
-		}})
-	}
-	if opts.Unroll && !opts.NaiveRegions {
-		add(false, pass{PassUnroll, phaseFront, func(pc *passCtx) (int, error) {
-			us := unrollLoops(&pc.a, pc.p, pc.opts)
-			pc.stats.LoopsUnrolled = us.LoopsUnrolled
-			pc.stats.UnrollCopies = us.CopiesMade
-			return us.LoopsUnrolled, nil
-		}})
-	}
+func runCanonicalize(pc *passCtx) (int, error) {
+	before := blockCount(pc.p)
+	canonicalize(pc.p)
+	return blockCount(pc.p) - before, nil
+}
 
-	group := []pass{{PassRegions, phaseRegions, func(pc *passCtx) (int, error) {
-		for _, f := range pc.p.Funcs {
-			// Real checkpoints are in the instruction stream after round 0;
-			// only the first round needs an estimate.
-			var est func(*prog.Block) int
-			if pc.round == 0 {
-				est = ckptEstimate(analysis.ComputeLiveness(analysis.BuildCFG(&pc.a, f)))
-			}
-			placeBoundaries(&pc.a, pc.p, f, pc.opts, est)
+func runInline(pc *passCtx) (int, error) {
+	pc.stats.CallsInlined = inlineCalls(pc.p, pc.opts.InlineMaxInsts)
+	removeDeadFuncs(pc.p)
+	return pc.stats.CallsInlined, nil
+}
+
+func runUnroll(pc *passCtx) (int, error) {
+	us := unrollLoops(&pc.a, pc.p, pc.opts)
+	pc.stats.LoopsUnrolled = us.LoopsUnrolled
+	pc.stats.UnrollCopies = us.CopiesMade
+	return us.LoopsUnrolled, nil
+}
+
+func runRegions(pc *passCtx) (int, error) {
+	for _, f := range pc.p.Funcs {
+		// Real checkpoints are in the instruction stream after round 0;
+		// only the first round needs an estimate.
+		var est func(*prog.Block) int
+		if pc.round == 0 {
+			est = ckptEstimate(analysis.ComputeLiveness(analysis.BuildCFG(&pc.a, f)))
 		}
-		return boundaryCount(pc.p), nil
-	}}}
-	if opts.InsertCheckpoints {
-		group = append(group, pass{PassCkpt, phaseRegions, func(pc *passCtx) (int, error) {
-			stripCheckpoints(pc.p)
-			cc := newCkptContext(&pc.a, pc.p)
-			total := 0
-			for fi := range pc.p.Funcs {
-				total += insertCheckpoints(&pc.a, pc.p, fi, cc)
-			}
-			pc.stats.CkptsInserted = total
-			return total, nil
-		}})
+		placeBoundaries(&pc.a, pc.p, f, pc.opts, est)
 	}
-	add(true, group...)
+	return boundaryCount(pc.p), nil
+}
 
-	if opts.Prune && opts.InsertCheckpoints {
-		add(false, pass{PassPrune, phaseRegions, func(pc *passCtx) (int, error) {
-			callUse := pc.callUse()
-			var sc pruneScratch
-			n := 0
-			for _, f := range pc.p.Funcs {
-				n += pruneCheckpoints(&pc.a, f, callUse, &sc)
-			}
-			pc.stats.CkptsPruned = n
-			return n, nil
-		}})
+func runCkpt(pc *passCtx) (int, error) {
+	stripCheckpoints(pc.p)
+	cc := newCkptContext(&pc.a, pc.p)
+	total := 0
+	for fi := range pc.p.Funcs {
+		total += insertCheckpoints(&pc.a, pc.p, fi, cc)
 	}
-	if opts.LICM && opts.InsertCheckpoints {
-		add(false, pass{PassLICM, phaseRegions, func(pc *passCtx) (int, error) {
-			callUse := pc.callUse()
-			n := 0
-			for _, f := range pc.p.Funcs {
-				n += licmCheckpoints(&pc.a, f, callUse)
-			}
-			pc.stats.CkptsHoisted = n
-			return n, nil
-		}})
+	pc.stats.CkptsInserted = total
+	return total, nil
+}
+
+func runPrune(pc *passCtx) (int, error) {
+	callUse := pc.callUse()
+	sc := newPruneScratch(&pc.a, maxBlocks(pc.p))
+	n := 0
+	for _, f := range pc.p.Funcs {
+		n += pruneCheckpoints(&pc.a, f, callUse, &sc)
 	}
-	add(false, pass{PassMaterialize, phaseFinal, func(pc *passCtx) (int, error) {
-		for _, f := range pc.p.Funcs {
-			materializeBoundaries(f)
-		}
-		return boundaryCount(pc.p), nil
-	}})
-	return pl
+	pc.stats.CkptsPruned = n
+	return n, nil
+}
+
+func runLICM(pc *passCtx) (int, error) {
+	callUse := pc.callUse()
+	n := 0
+	for _, f := range pc.p.Funcs {
+		n += licmCheckpoints(&pc.a, f, callUse)
+	}
+	pc.stats.CkptsHoisted = n
+	return n, nil
+}
+
+func runMaterialize(pc *passCtx) (int, error) {
+	for _, f := range pc.p.Funcs {
+		materializeBoundaries(f)
+	}
+	return boundaryCount(pc.p), nil
 }
 
 // PassNames returns the names of the passes Compile would run for opts, in
 // order. Useful for validating -verify-after/-dump-after style selectors.
 func PassNames(opts Options) []string {
 	var out []string
-	for _, sg := range newPipeline(opts).stages {
-		for _, ps := range sg.passes {
-			out = append(out, ps.name)
+	for i := range passes {
+		if passes[i].on(opts) {
+			out = append(out, passes[i].name)
 		}
 	}
 	return out
 }
 
-// run executes the pipeline over p (mutating it), recording per-pass stats
-// into st. Verification between passes is uniform: the structural check runs
-// after every pass; the semantic verifier runs after the passes selected by
+// runPasses executes the rows of table that opts enable over p (mutating
+// it), recording per-pass stats into st in pipeline order. Compile passes
+// the package table; a test may pass a copy with a row's run replaced.
+// Verification between passes is uniform: the structural check runs after
+// every pass; the semantic verifier runs after the passes selected by
 // opts.VerifyAfter, and always after materialize — the pipeline's output
 // contract is not optional. For the fixpoint group the semantic check is
 // deferred to convergence (mid-round states may legitimately overflow the
 // threshold; that is why the group iterates).
-func (pl *pipeline) run(p *prog.Program, hooks Hooks, st *Stats) error {
-	pc := &passCtx{p: p, opts: pl.opts, stats: st}
-	idx := map[string]int{}
-	record := func(name string) *PassStat {
-		i, ok := idx[name]
-		if !ok {
-			i = len(st.Passes)
-			idx[name] = i
-			st.Passes = append(st.Passes, PassStat{Name: name})
+func runPasses(table *[len(passes)]pass, p *prog.Program, opts Options, hooks Hooks, st *Stats) error {
+	pc := &passCtx{p: p, opts: opts, stats: st}
+	// stats[i] is table row i's entry in st.Passes, which holds one entry
+	// per enabled row; a disabled row's is nil.
+	var stats [len(passes)]*PassStat
+	st.Passes = make([]PassStat, 0, len(table))
+	for i := range table {
+		if table[i].on(opts) {
+			st.Passes = append(st.Passes, PassStat{Name: table[i].name})
+			stats[i] = &st.Passes[len(st.Passes)-1]
 		}
-		return &st.Passes[i]
 	}
+	// Every pass analyses every function about once, and the final verifier
+	// once more.
+	pc.a.Reserve(p, len(st.Passes)+1)
 
-	for _, sg := range pl.stages {
-		if !sg.fixpoint {
-			for _, ps := range sg.passes {
-				if err := pl.runOne(pc, ps, hooks, record, true); err != nil {
+	for i := 0; i < len(table); {
+		if !table[i].fixpoint {
+			if stats[i] != nil {
+				if err := runOne(pc, &table[i], stats[i], hooks, true); err != nil {
 					return err
 				}
 			}
+			i++
 			continue
 		}
+		end := i
+		for end < len(table) && table[end].fixpoint {
+			end++
+		}
 		for pc.round = 0; ; pc.round++ {
-			for _, ps := range sg.passes {
-				if err := pl.runOne(pc, ps, hooks, record, false); err != nil {
-					return err
+			for j := i; j < end; j++ {
+				if stats[j] != nil {
+					if err := runOne(pc, &table[j], stats[j], hooks, false); err != nil {
+						return err
+					}
 				}
 			}
-			if err := checkThreshold(&pc.a, buildCFGs(&pc.a, p), pl.opts.Threshold); err == nil {
+			if err := checkThreshold(&pc.a, buildCFGs(&pc.a, p), opts.Threshold); err == nil {
 				break
 			} else if pc.round == maxRounds-1 {
 				return fmt.Errorf("compile: %w (after %d rounds)", err, maxRounds)
 			}
 		}
 		// Converged: now the group's semantic post-conditions must hold.
-		for _, ps := range sg.passes {
-			if err := pl.verifyAfter(pc, ps, record); err != nil {
-				return err
+		for j := i; j < end; j++ {
+			if stats[j] != nil {
+				if err := verifyAfter(pc, &table[j], stats[j]); err != nil {
+					return err
+				}
 			}
 		}
+		i = end
 	}
 	return nil
 }
 
 // runOne executes a single pass: time it, record stats, structurally verify,
 // fire hooks, and (when semantic is set) run the selected semantic checks.
-func (pl *pipeline) runOne(pc *passCtx, ps pass, hooks Hooks, record func(string) *PassStat, semantic bool) error {
-	stat := record(ps.name)
+func runOne(pc *passCtx, ps *pass, stat *PassStat, hooks Hooks, semantic bool) error {
 	start := time.Now()
 	changed, err := ps.run(pc)
 	stat.Runs++
@@ -323,7 +329,7 @@ func (pl *pipeline) runOne(pc *passCtx, ps pass, hooks Hooks, record func(string
 		hooks.AfterPass(ps.name, pc.p)
 	}
 	if semantic {
-		return pl.verifyAfter(pc, ps, record)
+		return verifyAfter(pc, ps, stat)
 	}
 	return nil
 }
@@ -331,14 +337,13 @@ func (pl *pipeline) runOne(pc *passCtx, ps pass, hooks Hooks, record func(string
 // verifyAfter runs the semantic region verifier after ps when selected by
 // Options.VerifyAfter ("all" or the pass name) or when ps closes the pipeline
 // (phaseFinal: the output contract always holds or Compile fails).
-func (pl *pipeline) verifyAfter(pc *passCtx, ps pass, record func(string) *PassStat) error {
-	va := pl.opts.VerifyAfter
+func verifyAfter(pc *passCtx, ps *pass, stat *PassStat) error {
+	va := pc.opts.VerifyAfter
 	if !(va == VerifyAfterAll || va == ps.name || ps.phase == phaseFinal) {
 		return nil
 	}
-	stat := record(ps.name)
 	start := time.Now()
-	err := check(&pc.a, pc.p, contractFor(ps.phase, pl.opts))
+	err := check(&pc.a, pc.p, contractFor(ps.phase, pc.opts))
 	stat.VerifyNS += time.Since(start).Nanoseconds()
 	if err != nil {
 		return fmt.Errorf("compile: after %s: %w", ps.name, err)
@@ -351,6 +356,15 @@ func blockCount(p *prog.Program) int {
 	n := 0
 	for _, f := range p.Funcs {
 		n += len(f.Blocks)
+	}
+	return n
+}
+
+// maxBlocks returns the block count of p's largest function.
+func maxBlocks(p *prog.Program) int {
+	n := 0
+	for _, f := range p.Funcs {
+		n = max(n, len(f.Blocks))
 	}
 	return n
 }

@@ -191,8 +191,7 @@ func TestOtherDefReaches(t *testing.T) {
 	cfg := analysis.BuildCFG(new(analysis.Arena), fn)
 	// The def at (b0, idx1) vs boundary b1: the redef in b2 reaches b1 via
 	// the back edge.
-	var sc pruneScratch
-	sc.reset(len(fn.Blocks))
+	sc := newPruneScratch(new(analysis.Arena), len(fn.Blocks))
 	if !sc.otherDefReaches(fn, cfg, 0, 1, 1, []int{1}) {
 		t.Error("loop redef not detected as reaching the header boundary")
 	}

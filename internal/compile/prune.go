@@ -41,9 +41,8 @@ const (
 // call-aware (a value consumed only by a callee must keep the walk alive up
 // to the call, where instPreserves then aborts conservatively). Returns the
 // number of checkpoints pruned. sc is the pass's scratch, reused across
-// functions; the analyses are carved from a.
+// functions and sized for the largest; the analyses are carved from a.
 func pruneCheckpoints(a *analysis.Arena, f *prog.Func, callUse func(int32) analysis.RegSet, sc *pruneScratch) int {
-	sc.reset(len(f.Blocks))
 	cfg := analysis.BuildCFG(a, f)
 	lv := analysis.ComputeLivenessCallAware(cfg, callUse)
 	idom := cfg.Dominators()
@@ -214,26 +213,39 @@ func nearestDefBefore(b *prog.Block, di int, s isa.Reg) (int, bool) {
 // pruneScratch is the prune pass's working state, reused across candidates
 // and functions: block-indexed visited and boundary marks, one work stack,
 // the served-boundary list, and the candidate's recovery slice with its
-// instruction indexes, so a candidate's slice and walks allocate nothing.
+// instruction indexes. newPruneScratch carves all of it once per pass, at
+// bounds no walk or slice exceeds, so a candidate's slice and walks
+// allocate nothing.
 type pruneScratch struct {
-	visited, bound []bool
+	visited, bound analysis.BlockSet
 	work, served   []int
 	slice          []isa.Inst
 	idxs           []int
 }
 
-// reset sizes the scratch for a function of n blocks.
-func (sc *pruneScratch) reset(n int) {
-	if cap(sc.visited) < n {
-		marks := make([]bool, 2*n)
-		sc.visited, sc.bound = marks[:n:n], marks[n:]
+// maxSliceLen bounds a recovery slice: buildSlice follows at most three
+// operands per instruction, sliceDepth levels deep.
+const maxSliceLen = 1 + 3 + 3*3 + 3*3*3
+
+// newPruneScratch carves the prune scratch from a for functions of at most
+// n blocks. A walk pushes each visited block's successors (at most two) on
+// top of its seeds, which are successors of at most every block, so the
+// work stack stays within 4n.
+func newPruneScratch(a *analysis.Arena, n int) pruneScratch {
+	ints := a.Ints(5*n + maxSliceLen)
+	return pruneScratch{
+		visited: a.NewBlockSet(n),
+		bound:   a.NewBlockSet(n),
+		work:    ints[: 0 : 4*n],
+		served:  ints[4*n : 4*n : 5*n],
+		idxs:    ints[5*n : 5*n],
+		slice:   make([]isa.Inst, 0, maxSliceLen),
 	}
-	sc.visited, sc.bound = sc.visited[:n], sc.bound[:n]
 }
 
 // walk starts a fresh walk from the given blocks: nothing visited yet.
 func (sc *pruneScratch) walk(from []int) {
-	clear(sc.visited)
+	sc.visited.Clear()
 	sc.work = append(sc.work[:0], from...)
 }
 
@@ -243,8 +255,8 @@ func (sc *pruneScratch) next() (b int, ok bool) {
 	for len(sc.work) > 0 {
 		b = sc.work[len(sc.work)-1]
 		sc.work = sc.work[:len(sc.work)-1]
-		if !sc.visited[b] {
-			sc.visited[b] = true
+		if !sc.visited.Has(b) {
+			sc.visited.Add(b)
 			return b, true
 		}
 	}
@@ -339,16 +351,14 @@ func (sc *pruneScratch) otherDefReaches(f *prog.Func, cfg *analysis.CFG, defBloc
 			}
 		}
 	}
+	sc.bound.Clear()
 	for _, b := range boundaries {
-		sc.bound[b] = true
+		sc.bound.Add(b)
 	}
 	reaches := false
 	for x, ok := sc.next(); ok && !reaches; x, ok = sc.next() {
-		reaches = sc.bound[x]
+		reaches = sc.bound.Has(x)
 		sc.work = append(sc.work, cfg.Succ(x)...)
-	}
-	for _, b := range boundaries {
-		sc.bound[b] = false
 	}
 	return reaches
 }

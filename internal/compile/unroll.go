@@ -30,7 +30,7 @@ type unrollStats struct {
 // function, once per loop. Returns statistics.
 func unrollLoops(a *analysis.Arena, p *prog.Program, opts Options) unrollStats {
 	var st unrollStats
-	var sc unrollScratch
+	sc := newUnrollScratch(a, maxBlocks(p))
 	for _, f := range p.Funcs {
 		// One CFG and one loop forest serve the whole function. Innermost
 		// loops are disjoint, and unrolling one only appends blocks and
@@ -131,13 +131,19 @@ func loopInstCount(f *prog.Func, l *analysis.Loop) int {
 }
 
 // unrollScratch is the unroll pass's working storage, reused across loops
-// and functions: the body in RPO, a snapshot of the pristine body
-// instructions (block pos of the body is snap[at[pos]:at[pos+1]]), and the
-// body-block-to-copy map. None of it outlives the pass, so none of it comes
-// from a function's slab.
+// and functions: the body in RPO and the body-block-to-copy map. None of it
+// outlives the pass, so none of it comes from a function's slab. The zero
+// value works and grows on demand.
 type unrollScratch struct {
-	body, at, copyOf []int
-	snap             []isa.Inst
+	body, copyOf []int
+}
+
+// newUnrollScratch carves the scratch once from a for functions of at most
+// n blocks: a body holds only blocks that predate the pass, so no loop
+// outgrows it.
+func newUnrollScratch(a *analysis.Arena, n int) unrollScratch {
+	ints := a.Ints(2 * n)
+	return unrollScratch{body: ints[:0:n], copyOf: ints[n:]}
 }
 
 // unrollLoop duplicates the loop body (header included) k-1 times. The
@@ -153,34 +159,41 @@ func unrollLoop(p *prog.Program, f *prog.Func, cfg *analysis.CFG, l *analysis.Lo
 	}
 	latch := l.Latches[0]
 
-	// Stable iteration order over the body, and a snapshot of the pristine
-	// body taken before any edges are rewritten: later copies must not
-	// inherit redirects applied to earlier ones.
-	sc.body, sc.at, sc.snap = sc.body[:0], sc.at[:0], sc.snap[:0]
+	// Stable iteration order over the body.
+	sc.body = sc.body[:0]
 	for _, id := range cfg.RPO {
 		if l.Blocks.Has(id) {
 			sc.body = append(sc.body, id)
-			sc.at = append(sc.at, len(sc.snap))
-			sc.snap = append(sc.snap, f.Blocks[id].Insts...)
 		}
 	}
-	sc.at = append(sc.at, len(sc.snap))
 	// copyOf maps a body block to its copy this round; every body block
-	// predates the copies.
-	if cap(sc.copyOf) < len(f.Blocks) {
-		sc.copyOf = make([]int, len(f.Blocks))
+	// predates the copies, and so the CFG.
+	n := len(cfg.InRPO)
+	if cap(sc.copyOf) < n {
+		sc.copyOf = make([]int, n)
 	}
-	copyOf := sc.copyOf[:len(f.Blocks)]
+	copyOf := sc.copyOf[:n]
+	// enter redirects latch b's back edge to the copy whose header is hdr.
+	enter := func(b, hdr int) {
+		retargetEdges(f.Blocks[b], func(old int) int {
+			if old == l.Header {
+				return hdr
+			}
+			return old
+		})
+	}
 
-	prevLatch := latch // latch whose back edge should enter the next copy
+	// Every copy is made from the original body, which stays pristine until
+	// the last copy exists: only its latch is redirected, at the end, so no
+	// copy inherits a redirect meant for the original.
+	prevLatch, firstHdr := -1, 0
 	for c := 1; c < k; c++ {
 		for _, id := range sc.body {
 			copyOf[id] = f.NewBlock().ID
 		}
-		for pos, id := range sc.body {
+		for _, id := range sc.body {
 			dst := f.Blocks[copyOf[id]]
-			dst.Insts = f.NewInsts(sc.at[pos+1] - sc.at[pos])
-			copy(dst.Insts, sc.snap[sc.at[pos]:sc.at[pos+1]])
+			dst.Insts = append(f.NewInsts(len(f.Blocks[id].Insts))[:0], f.Blocks[id].Insts...)
 			retargetEdges(dst, func(old int) int {
 				// Keep the copied latch's back edge pointing at the original
 				// header; it either stays (last copy) or is redirected to the
@@ -200,16 +213,15 @@ func unrollLoop(p *prog.Program, f *prog.Func, cfg *analysis.CFG, l *analysis.Lo
 				}
 			}
 		}
-		// The previous latch now continues into this copy's header.
-		hdr := copyOf[l.Header]
-		retargetEdges(f.Blocks[prevLatch], func(old int) int {
-			if old == l.Header {
-				return hdr
-			}
-			return old
-		})
+		// The previous copy's latch now continues into this copy's header.
+		if hdr := copyOf[l.Header]; prevLatch < 0 {
+			firstHdr = hdr
+		} else {
+			enter(prevLatch, hdr)
+		}
 		prevLatch = copyOf[latch]
 	}
+	enter(latch, firstHdr)
 	// prevLatch (the last copy's latch) still targets l.Header: loop closed.
 	return true
 }

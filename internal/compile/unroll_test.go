@@ -54,20 +54,18 @@ func compileRebuildUnroll(p *prog.Program, opts Options) (*Result, error) {
 	if opts.MaxUnroll <= 0 {
 		opts.MaxUnroll = autoMaxUnroll(opts.Threshold)
 	}
-	pl := newPipeline(opts)
-	for si := range pl.stages {
-		for pi := range pl.stages[si].passes {
-			if ps := &pl.stages[si].passes[pi]; ps.name == PassUnroll {
-				ps.run = func(pc *passCtx) (int, error) {
-					us := unrollLoopsRebuild(pc.p, pc.opts)
-					pc.stats.LoopsUnrolled, pc.stats.UnrollCopies = us.LoopsUnrolled, us.CopiesMade
-					return us.LoopsUnrolled, nil
-				}
+	table := passes
+	for i := range table {
+		if table[i].name == PassUnroll {
+			table[i].run = func(pc *passCtx) (int, error) {
+				us := unrollLoopsRebuild(pc.p, pc.opts)
+				pc.stats.LoopsUnrolled, pc.stats.UnrollCopies = us.LoopsUnrolled, us.CopiesMade
+				return us.LoopsUnrolled, nil
 			}
 		}
 	}
 	res := &Result{Program: p.Clone(), Options: opts}
-	if err := pl.run(res.Program, Hooks{}, &res.Stats); err != nil {
+	if err := runPasses(&table, res.Program, opts, Hooks{}, &res.Stats); err != nil {
 		return nil, err
 	}
 	res.Stats.Static = res.Program.Stats()

@@ -214,18 +214,55 @@ func (p Plan) WriteFile(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// ReadPlan loads a fault plan, rejecting unknown schemas.
+// Bounds DecodePlan enforces on a plan's target. A plan is untrusted input,
+// and its target sizes the compile and the machine it replays on: a radix
+// plan at scale 10^9 runs for minutes. Every bound is far above what the
+// campaigns and tests use (scale 1 or 2, thresholds up to 1024, 8 cores).
+const (
+	maxPlanScale     = 16
+	maxPlanThreshold = 1 << 16
+)
+
+// ReadPlan loads a fault plan file (see DecodePlan).
 func ReadPlan(path string) (Plan, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Plan{}, err
 	}
-	var p Plan
-	if err := json.Unmarshal(b, &p); err != nil {
+	p, err := DecodePlan(b)
+	if err != nil {
 		return Plan{}, fmt.Errorf("%s: %w", path, err)
 	}
+	return p, nil
+}
+
+// DecodePlan parses a fault plan's JSON. It returns an error, or a plan
+// with schema PlanSchema, known fault kinds, and a target whose scale is in
+// [0, 16], threshold in [0, 65536] and core count in [0, machine.MaxCores]
+// (0 selects each one's default).
+func DecodePlan(b []byte) (Plan, error) {
+	var p Plan
+	if err := json.Unmarshal(b, &p); err != nil {
+		return Plan{}, err
+	}
 	if p.Schema != PlanSchema {
-		return Plan{}, fmt.Errorf("%s: schema %q, want %q", path, p.Schema, PlanSchema)
+		return Plan{}, fmt.Errorf("schema %q, want %q", p.Schema, PlanSchema)
+	}
+	t := p.Target
+	switch {
+	case t.Scale < 0 || t.Scale > maxPlanScale:
+		return Plan{}, fmt.Errorf("target scale %d outside [0, %d]", t.Scale, maxPlanScale)
+	case t.Threshold < 0 || t.Threshold > maxPlanThreshold:
+		return Plan{}, fmt.Errorf("target threshold %d outside [0, %d]", t.Threshold, maxPlanThreshold)
+	case t.Cores < 0 || t.Cores > machine.MaxCores:
+		return Plan{}, fmt.Errorf("target cores %d outside [0, %d]", t.Cores, machine.MaxCores)
+	}
+	for _, f := range p.Faults {
+		switch f.Kind {
+		case KindTornWriteback, KindTornDrain, KindRecoveryCrash, KindDrainError:
+		default:
+			return Plan{}, fmt.Errorf("unknown fault kind %q", f.Kind)
+		}
 	}
 	return p, nil
 }

@@ -157,10 +157,15 @@ const (
 	maxProxyCycles  = 1 << 20
 )
 
+// MaxCores bounds Config.Cores. The auditor keeps state for every configured
+// core, so a fault plan or crash image naming a huge core count would
+// otherwise exhaust memory; every workload uses at most 8 cores.
+const MaxCores = 1 << 10
+
 // Validate checks the configuration for usability.
 func (c Config) Validate() error {
-	if c.Cores <= 0 {
-		return fmt.Errorf("machine: cores = %d", c.Cores)
+	if c.Cores <= 0 || c.Cores > MaxCores {
+		return fmt.Errorf("machine: cores = %d, want 1..%d", c.Cores, MaxCores)
 	}
 	if c.Capri {
 		if c.Threshold <= 0 {

@@ -102,57 +102,65 @@ func (b *Block) StoreCount() int {
 
 // Func is a function: an entry block plus a body of blocks indexed by ID.
 //
-// A function owns the storage of its blocks, instruction lists and recovery
-// slice lists: NewBlock, NewInsts and AddSlice carve them out of three
-// per-function slabs, so a compiler pass that adds blocks, rewrites
-// instruction lists or attaches slices allocates per slab chunk, not per
-// block. A carved window stays valid as long as the function does.
+// A function's blocks, instruction lists and recovery slice lists are
+// carved from pools: NewBlock, NewInsts and AddSlice take them from one
+// slab.Pool each, so a compiler pass that adds blocks, rewrites instruction
+// lists or attaches slices allocates per pool chunk, not per block, and the
+// chunks grow with use. The functions a program adds share its pools, and
+// a cloned program's are sized from the whole program; a function that
+// belongs to no program (a decoded one) gets its own. A carved window stays
+// valid as long as it is referenced.
 type Func struct {
 	ID     int
 	Name   string
 	Entry  int
 	Blocks []*Block
 
-	blockSlab []Block
-	instSlab  []isa.Inst
-	sliceSlab []RecoverySlice
+	pools *pools
 }
 
-// Slab chunk sizes: a fresh chunk holds at least this many blocks (or the
-// function's current block count, whichever is larger), instructions and
-// recovery slices.
-const (
-	blockChunk = 16
-	instChunk  = 256
-	sliceChunk = 64
-)
+// pools is the storage a function's blocks, instruction lists and recovery
+// slice lists are carved from.
+type pools struct {
+	blocks slab.Pool[Block]
+	insts  slab.Pool[isa.Inst]
+	slices slab.Pool[RecoverySlice]
+}
 
 // NewFunc returns an empty function with the given name.
 func NewFunc(name string) *Func {
 	return &Func{Name: name, Entry: 0}
 }
 
+// store returns f's pools, giving a function that has none its own.
+func (f *Func) store() *pools {
+	if f.pools == nil {
+		f.pools = new(pools)
+	}
+	return f.pools
+}
+
 // NewBlock appends a new empty block and returns it.
 func (f *Func) NewBlock() *Block {
-	b := &slab.Carve(&f.blockSlab, 1, max(blockChunk, len(f.Blocks)))[0]
+	b := &f.store().blocks.Carve(1)[0]
 	b.ID = len(f.Blocks)
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
 
-// NewInsts returns n zeroed instructions carved from f's instruction slab,
+// NewInsts returns n zeroed instructions carved from f's instruction pool,
 // for a block's instruction list or a recovery slice. The window's cap is n,
 // so appending past it copies rather than writing into a neighbouring
 // window. Scratch that dies with a pass does not belong here: the chunk it
 // would be carved from lives as long as any window in it.
-func (f *Func) NewInsts(n int) []isa.Inst { return slab.Carve(&f.instSlab, n, instChunk) }
+func (f *Func) NewInsts(n int) []isa.Inst { return f.store().insts.Carve(n) }
 
 // AddSlice gives b, a block of f with no slice for r yet, the recovery slice
 // insts for r. The block's list and the slice's instructions are carved from
-// f (insts is copied), and the list stays sorted by register.
+// f's pools (insts is copied), and the list stays sorted by register.
 func (f *Func) AddSlice(b *Block, r isa.Reg, insts []isa.Inst) {
 	i, _ := slices.BinarySearchFunc(b.RecoverySlices, r, bySliceReg)
-	list := append(slab.Carve(&f.sliceSlab, len(b.RecoverySlices)+1, sliceChunk)[:0], b.RecoverySlices...)
+	list := append(f.store().slices.Carve(len(b.RecoverySlices) + 1)[:0], b.RecoverySlices...)
 	b.RecoverySlices = slices.Insert(list, i, RecoverySlice{Reg: r, Insts: append(f.NewInsts(len(insts))[:0], insts...)})
 }
 
@@ -178,6 +186,9 @@ type Program struct {
 	// ThreadEntries lists the entry function index for each hardware thread.
 	// A single-threaded program has exactly one entry.
 	ThreadEntries []int
+
+	// pools is what the functions of the program carve their IR from.
+	pools *pools
 }
 
 // New returns an empty program with the given name.
@@ -185,9 +196,16 @@ func New(name string) *Program {
 	return &Program{Name: name}
 }
 
-// AddFunc appends a function and assigns its ID.
+// AddFunc appends a function and assigns its ID. A function with no pools
+// yet carves its IR from the program's.
 func (p *Program) AddFunc(f *Func) *Func {
 	f.ID = len(p.Funcs)
+	if f.pools == nil {
+		if p.pools == nil {
+			p.pools = new(pools)
+		}
+		f.pools = p.pools
+	}
 	p.Funcs = append(p.Funcs, f)
 	return f
 }
@@ -340,55 +358,80 @@ func regsValid(in *isa.Inst) bool {
 }
 
 // Clone deep-copies the program so compiler passes can transform it without
-// mutating the caller's copy. Each function's blocks come from one block
-// array, and Compact gives its instruction lists and recovery slices one
-// exactly sized instruction array.
+// mutating the caller's copy. The copy's storage is built in one pass, one
+// backing each for its functions, block pointers, blocks, instruction lists
+// (recovery slices included) and slice lists; each function gets a full-cap
+// window of every backing, so appending to one copies instead of writing
+// into a neighbour. The copy's functions share one set of pools whose first
+// chunks are the size of the whole program, so a compile that grows the
+// program n-fold adds about log2(n) chunks of each, whatever the number of
+// functions.
 func (p *Program) Clone() *Program {
+	nb := 0
+	for _, f := range p.Funcs {
+		nb += len(f.Blocks)
+	}
+	ptrs, blocks := make([]*Block, nb), make([]Block, nb)
+	funcs := make([]Func, len(p.Funcs))
 	q := &Program{
 		Name:          p.Name,
 		RetSites:      append([]RetSite(nil), p.RetSites...),
 		ThreadEntries: append([]int(nil), p.ThreadEntries...),
 		Funcs:         make([]*Func, len(p.Funcs)),
 	}
+	ps := new(pools)
+	q.pools = ps
 	for fi, f := range p.Funcs {
-		g := &Func{ID: f.ID, Name: f.Name, Entry: f.Entry, Blocks: make([]*Block, len(f.Blocks))}
-		blocks := make([]Block, len(f.Blocks))
+		g := &funcs[fi]
+		*g = Func{ID: f.ID, Name: f.Name, Entry: f.Entry, Blocks: slab.Carve(&ptrs, len(f.Blocks), 0), pools: ps}
 		for i, b := range f.Blocks {
-			blocks[i] = *b
-			g.Blocks[i] = &blocks[i]
+			c := &slab.Carve(&blocks, 1, 0)[0]
+			*c = *b
+			g.Blocks[i] = c
 		}
-		g.Compact() // copies the instruction lists and slices shared so far
 		q.Funcs[fi] = g
 	}
+	n := q.Compact() // copies the instruction lists and slices shared so far
+	ps.blocks.SizeFirst(nb)
+	ps.insts.SizeFirst(n)
+	ps.slices.SizeFirst(nb)
 	return q
 }
 
-// Compact moves every instruction list and recovery slice of f into one
-// exactly sized instruction array, and every slice list into one exactly
-// sized slice array, copying them. A pass that replaces a list leaves the
-// old window dead in the chunk it was carved from, and the chunk lives as
-// long as any window in it; compacting a finished function lets every such
-// chunk go.
-func (f *Func) Compact() {
-	n, ns := 0, 0
-	for _, b := range f.Blocks {
-		n += len(b.Insts)
-		ns += len(b.RecoverySlices)
-		for _, s := range b.RecoverySlices {
-			n += len(s.Insts)
+// Compact moves every instruction list and recovery slice of the program
+// into one exactly sized instruction array, and every slice list into one
+// exactly sized slice array, copying them, and empties the functions'
+// instruction and slice pools. It returns the instruction count. A pass
+// that replaces a list leaves the old window dead in the chunk it was carved
+// from, and the chunk lives as long as any window in it; compacting a
+// finished program lets every such chunk go.
+func (p *Program) Compact() (insts int) {
+	lists := 0
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			insts += len(b.Insts)
+			lists += len(b.RecoverySlices)
+			for _, s := range b.RecoverySlices {
+				insts += len(s.Insts)
+			}
 		}
 	}
-	f.instSlab = make([]isa.Inst, n)
-	f.sliceSlab = make([]RecoverySlice, ns)
-	for _, b := range f.Blocks {
-		b.Insts = append(f.NewInsts(len(b.Insts))[:0], b.Insts...)
-		if len(b.RecoverySlices) > 0 {
-			b.RecoverySlices = append(slab.Carve(&f.sliceSlab, len(b.RecoverySlices), 0)[:0], b.RecoverySlices...)
+	is, ls := make([]isa.Inst, insts), make([]RecoverySlice, lists)
+	for _, f := range p.Funcs {
+		if f.pools != nil {
+			f.pools.insts, f.pools.slices = slab.Pool[isa.Inst]{}, slab.Pool[RecoverySlice]{}
 		}
-		for i, s := range b.RecoverySlices {
-			b.RecoverySlices[i].Insts = append(f.NewInsts(len(s.Insts))[:0], s.Insts...)
+		for _, b := range f.Blocks {
+			b.Insts = append(slab.Carve(&is, len(b.Insts), 0)[:0], b.Insts...)
+			if len(b.RecoverySlices) > 0 {
+				b.RecoverySlices = append(slab.Carve(&ls, len(b.RecoverySlices), 0)[:0], b.RecoverySlices...)
+			}
+			for i, s := range b.RecoverySlices {
+				b.RecoverySlices[i].Insts = append(slab.Carve(&is, len(s.Insts), 0)[:0], s.Insts...)
+			}
 		}
 	}
+	return insts
 }
 
 // StaticStats summarises the static shape of a program.

@@ -171,6 +171,35 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCloneWindowsAreCapped checks that the clone's program-wide backings
+// give each function capped windows: adding a block to one function or
+// appending to its first block's instructions leaves the next function's
+// block list and instructions as they were.
+func TestCloneWindowsAreCapped(t *testing.T) {
+	bd := NewBuilder("two")
+	leaf := bd.Func("leaf")
+	leaf.Block()
+	leaf.MovI(0, 42)
+	leaf.Ret()
+	main := bd.Func("main")
+	main.Block()
+	main.MovI(isa.SP, 1<<20)
+	main.Call(leaf)
+	main.Halt()
+	q := bd.Program().Clone()
+	f, g := q.Funcs[0], q.Funcs[1]
+	want, wantInsts := g.Blocks[0], g.Blocks[0].Insts[0]
+
+	nb := f.NewBlock()
+	f.Blocks[0].Insts = append(f.Blocks[0].Insts, isa.Inst{Op: isa.OpHalt})
+	if g.Blocks[0] != want || g.Blocks[0].Insts[0] != wantInsts {
+		t.Fatal("growing one function of a clone wrote into the next function's storage")
+	}
+	if nb.ID != 1 || len(f.Blocks) != 2 || f.Blocks[1] != nb {
+		t.Fatalf("new block has ID %d in a list of %d", nb.ID, len(f.Blocks))
+	}
+}
+
 func TestStats(t *testing.T) {
 	p := buildLoopProgram(t)
 	p.Funcs[0].Blocks[1].BoundaryAt = true
@@ -357,7 +386,7 @@ func TestCompactKeepsContentInCappedWindows(t *testing.T) {
 		old[i] = b.Insts
 	}
 
-	f.Compact()
+	p.Compact()
 	if got := p.Fingerprint(); got != want {
 		t.Fatal("Compact changed the program")
 	}

@@ -14,3 +14,30 @@ func Carve[T any](s *[]T, n, chunk int) []T {
 	*s = (*s)[n:]
 	return out
 }
+
+// Pool is a typed slab whose chunks grow with its use. Its next chunk holds
+// max(request, elements carved so far, the first-chunk size set by
+// SizeFirst): a pool sized from its input allocates once for a typical
+// load, and one that outgrows the estimate makes logarithmically many
+// refills. Nothing is handed out twice; a carved window stays valid as long
+// as it is referenced. The zero value is ready to use and its first chunk
+// fits the first request exactly. A Pool is not safe for concurrent use.
+type Pool[T any] struct {
+	free   []T
+	carved int
+	first  int
+}
+
+// SizeFirst makes every later chunk of p hold at least n elements; callers
+// set it from the size of the input the pool will serve.
+func (p *Pool[T]) SizeFirst(n int) { p.first = n }
+
+// Carve returns n zero elements with a full-slice cap.
+func (p *Pool[T]) Carve(n int) []T {
+	out := Carve(&p.free, n, max(p.carved, p.first))
+	p.carved += n
+	return out
+}
+
+// Carved returns the number of elements carved from p so far.
+func (p *Pool[T]) Carved() int { return p.carved }

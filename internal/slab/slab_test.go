@@ -37,3 +37,39 @@ func TestCarveAllocsPerChunk(t *testing.T) {
 		t.Fatalf("64 carves of 4 from 64-element chunks made %.0f allocations, want 4", n)
 	}
 }
+
+// TestPoolChunksGrowWithUse pins Pool's growth rule: the next chunk holds
+// max(request, elements carved so far, the SizeFirst size).
+func TestPoolChunksGrowWithUse(t *testing.T) {
+	var p Pool[int]
+	p.Carve(3) // first chunk fits the request: 3
+	if len(p.free) != 0 {
+		t.Fatalf("first chunk left %d spare, want 0", len(p.free))
+	}
+	p.Carve(2) // refill: max(2, 3 carved) = 3
+	if len(p.free) != 1 {
+		t.Fatalf("second chunk left %d spare, want 1", len(p.free))
+	}
+	p.Carve(10) // refill: max(10, 5 carved) = 10
+	p.Carve(1)  // refill: max(1, 15 carved) = 15
+	if len(p.free) != 14 || p.Carved() != 16 {
+		t.Fatalf("fourth chunk left %d spare after %d carved, want 14 after 16", len(p.free), p.Carved())
+	}
+
+	var q Pool[int]
+	q.SizeFirst(100)
+	a := q.Carve(3) // first chunk: max(3, 0, 100) = 100
+	if len(q.free) != 97 || cap(a) != 3 {
+		t.Fatalf("sized first chunk left %d spare (carve cap %d), want 97 (3)", len(q.free), cap(a))
+	}
+	q.Carve(97)
+	q.Carve(1) // refill: max(1, 100 carved, 100) = 100
+	if len(q.free) != 99 {
+		t.Fatalf("refill after a sized chunk left %d spare, want 99", len(q.free))
+	}
+	q.Carve(99)
+	q.Carve(150) // refill: max(150, 200 carved, 100) = 200
+	if len(q.free) != 50 {
+		t.Fatalf("third chunk left %d spare, want 50", len(q.free))
+	}
+}
