@@ -29,7 +29,10 @@ lint:
 # race-sensitive packages under the race detector (compile carries the
 # shared compile cache, sweep the parallel fleet),
 # the full verifier matrix (semantic region verifier after every pass for
-# every benchmark x level x threshold) with the compiler's allocation pins
+# every benchmark x level x threshold, plus the seven seed-derived progen
+# programs LICM breaks at every level below +licm, and the pin that they
+# still fail +licm with the stale-slot diagnostic, so a LICM fix must flip
+# it) with the compiler's allocation pins
 # (zero-allocation fingerprints, the ocean compile budget, lu's allocations
 # growing at most 2x for an 11x larger output, and CFGs, loop forests and
 # liveness carved from a warm analysis arena at under one allocation each),
@@ -43,7 +46,10 @@ lint:
 # (every committed image, hostile ones included, is refused or recovers and
 # runs without a panic), the assembler's fuzz-corpus replay (every committed
 # source is refused or parses to a verified program whose formatted text
-# parses back to the same text), the documentation-freshness check — which includes
+# parses back to the same text), the run-record decoder's fuzz-corpus
+# replay (every committed record, hostile ones included, is refused or
+# renders in every capriinspect view without a panic), the
+# documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
 # byte-identical to sequential, with the same simulation and compilation
 # counts — and a perf-harness smoke run (catches BENCH_sim.json
@@ -66,6 +72,7 @@ check:
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree' ./internal/mem
 	$(GO) test -run 'FuzzImageRead' ./internal/image
 	$(GO) test -run 'FuzzAsmParse|TestParseErrors' ./internal/asm
+	$(GO) test -run 'FuzzRunRecordDecode' ./cmd/capriinspect
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) audit
@@ -191,10 +198,11 @@ perf:
 # (FuzzAuditorTap), the auditor against its map model
 # (FuzzAuditorDifferential), the memory store against its map model
 # (FuzzStoreDifferential), the crash-image reader (FuzzImageRead), the
-# assembler (FuzzAsmParse) and the fault-plan decoder (FuzzPlanDecode). Plain
-# `go test` replays their committed corpora; a failing input the fuzzer
-# finds lands in the package's testdata/fuzz. Image inputs are whole
-# programs of several KB, so their minimization is capped: at the default
+# assembler (FuzzAsmParse), the fault-plan decoder (FuzzPlanDecode) and the
+# run-record decoder behind every capriinspect view (FuzzRunRecordDecode).
+# Plain `go test` replays their committed corpora; a failing input the
+# fuzzer finds lands in the package's testdata/fuzz. Image and run-record
+# inputs are several KB, so their minimization is capped: at the default
 # minute per new input the run would do little else.
 FUZZTIME ?= 30s
 fuzz:
@@ -204,6 +212,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzImageRead -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/image
 	$(GO) test -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME) ./internal/asm
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzRunRecordDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./cmd/capriinspect
 
 clean:
 	rm -f capri.test /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json

@@ -75,6 +75,12 @@ func runSummary(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	return summary(w, r)
+}
+
+// summary renders a record's identity, audit verdict, fault plan,
+// percentiles and event census.
+func summary(w io.Writer, r *audit.RunRecord) error {
 	fmt.Fprintf(w, "schema       %s\n", r.Schema)
 	if r.Name != "" {
 		fmt.Fprintf(w, "workload     %s\n", r.Name)
@@ -233,6 +239,11 @@ func runLine(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	return lineHistory(w, r, addr)
+}
+
+// lineHistory prints every retained event on the cache line of addr.
+func lineHistory(w io.Writer, r *audit.RunRecord, addr uint64) error {
 	line := addr &^ 63
 	n := 0
 	for _, e := range r.DecodedEvents() {
@@ -266,6 +277,12 @@ func runRegions(w io.Writer, args []string) error {
 		}
 		core = c
 	}
+	return regions(w, r, core)
+}
+
+// regions prints the region-lifecycle events of one core (every core when
+// core < 0).
+func regions(w io.Writer, r *audit.RunRecord, core int64) error {
 	n := 0
 	for _, e := range r.DecodedEvents() {
 		if core >= 0 && int64(e.Core) != core {
@@ -302,6 +319,12 @@ func runDiff(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	return diff(w, a, b)
+}
+
+// diff compares two records' event streams, fault plans, censuses and
+// machine statistics.
+func diff(w io.Writer, a, b *audit.RunRecord) error {
 	if a.Digest == b.Digest {
 		fmt.Fprintf(w, "identical event streams (digest %s)\n", a.Digest)
 	} else {

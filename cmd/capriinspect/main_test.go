@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -204,4 +205,36 @@ func TestDiffNoPlansStaysQuiet(t *testing.T) {
 	if strings.Contains(out.String(), "fault plan") {
 		t.Errorf("plan line printed for plan-less records:\n%s", out.String())
 	}
+}
+
+// FuzzRunRecordDecode feeds arbitrary bytes to audit.DecodeRunRecord and
+// every record it accepts to every view: a hostile record is an error,
+// never a panic, and diff finds a record identical to itself. The seed
+// corpus in testdata/fuzz holds a caprisim record, a capricrash record with
+// an embedded fault plan, and hostile ones: an unknown event kind, a bad
+// schema, and a metrics histogram whose Count exceeds its buckets.
+func FuzzRunRecordDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := audit.DecodeRunRecord(b)
+		if err != nil {
+			return
+		}
+		// A view may refuse a hostile record with an error; only a panic
+		// fails.
+		_ = summary(io.Discard, r)
+		var addr uint64
+		if len(r.Events) > 0 {
+			addr = r.Events[len(r.Events)/2].Addr
+		}
+		_ = lineHistory(io.Discard, r, addr)
+		_ = regions(io.Discard, r, -1)
+		_ = regions(io.Discard, r, 0)
+		var out bytes.Buffer
+		if err := diff(&out, r, r); err == nil {
+			if got := out.String(); !strings.HasPrefix(got, "identical event streams") ||
+				!strings.HasSuffix(got, "machine statistics identical\n") {
+				t.Fatalf("record differs from itself:\n%s", got)
+			}
+		}
+	})
 }

@@ -78,15 +78,54 @@ func TestAuditorLegalStaleDropped(t *testing.T) {
 	}
 }
 
+// TestAuditorCommitOrder pins the region-order rules of Fig. 7 over
+// synthetic streams: each case passes clean or is caught by the named rule.
+// The crash cases carry the recovery that re-bases the watermarks, after
+// which regions above the drain watermark commit again (an elided boundary
+// left no durable marker) and drained regions never do.
 func TestAuditorCommitOrder(t *testing.T) {
-	events := []Event{
-		{Kind: EvCommit, Core: 0, Cycle: 5, Region: 1},
-		{Kind: EvCommit, Core: 0, Cycle: 9, Region: 3}, // skipped region 2
+	commit := func(core int32, r uint64) Event { return Event{Kind: EvCommit, Core: core, Region: r} }
+	drain := func(core int32, r uint64) Event { return Event{Kind: EvDrain, Core: core, Region: r} }
+	crash := func(evs ...Event) []Event {
+		return append([]Event{{Kind: EvCrash, Cycle: 40}, {Kind: EvRecoveryDone, Count: testCores}}, evs...)
 	}
-	_, aud := feed(t, events)
-	vs := aud.Violations()
-	if len(vs) == 0 || vs[0].Rule != "commit-order" {
-		t.Fatalf("want commit-order violation, got %v", vs)
+	cat := func(parts ...[]Event) []Event {
+		var out []Event
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		rule   string // "" for a legal stream
+		events []Event
+	}{
+		{"skipped region", "commit-order", []Event{commit(0, 1), commit(0, 3)}},
+		{"backward commit", "commit-order", []Event{commit(0, 1), commit(0, 2), commit(0, 1)}},
+		{"drain before commit", "drain-before-commit", []Event{drain(0, 1)}},
+		{"drains out of order", "drain-order",
+			[]Event{commit(0, 1), commit(0, 2), drain(0, 2), drain(0, 1)}},
+		{"two cores in order", "",
+			[]Event{commit(0, 1), commit(0, 2), drain(0, 1), drain(0, 2), commit(1, 1)}},
+		{"undrained regions recommit after recovery", "", cat(
+			[]Event{commit(0, 1), drain(0, 1), commit(0, 2), commit(0, 3)}, // 2 elided: no drain
+			crash(commit(0, 2), commit(0, 3), drain(0, 3)))},
+		{"drained region recommits after recovery", "commit-order", cat(
+			[]Event{commit(0, 1), drain(0, 1)},
+			crash(commit(0, 1)))},
+		{"never-drained core restarts at region 1", "", cat(
+			[]Event{commit(0, 1), commit(0, 2)},
+			crash(commit(0, 1)))},
+	} {
+		_, aud := feed(t, tc.events)
+		vs := aud.Violations()
+		switch {
+		case tc.rule == "" && len(vs) != 0:
+			t.Errorf("%s: legal stream flagged: %v", tc.name, aud.Err())
+		case tc.rule != "" && (len(vs) == 0 || vs[0].Rule != tc.rule):
+			t.Errorf("%s: want %s violation, got %v", tc.name, tc.rule, vs)
+		}
 	}
 }
 

@@ -181,18 +181,28 @@ func (r *RunRecord) WriteFile(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// ReadRunRecord loads a run record, rejecting unknown schemas.
+// DecodeRunRecord parses a run record, rejecting malformed JSON and unknown
+// schemas. It never panics, whatever the input.
+func DecodeRunRecord(b []byte) (*RunRecord, error) {
+	r := &RunRecord{}
+	if err := json.Unmarshal(b, r); err != nil {
+		return nil, err
+	}
+	if r.Schema != RecordSchema {
+		return nil, fmt.Errorf("schema %q, want %q", r.Schema, RecordSchema)
+	}
+	return r, nil
+}
+
+// ReadRunRecord loads a run record file with DecodeRunRecord.
 func ReadRunRecord(path string) (*RunRecord, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &RunRecord{}
-	if err := json.Unmarshal(b, r); err != nil {
+	r, err := DecodeRunRecord(b)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != RecordSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, RecordSchema)
 	}
 	return r, nil
 }

@@ -119,11 +119,9 @@ func (c *core) tick(cause CycleCause, n uint64) {
 }
 
 // stall advances the core to cycle `until`, attributing the waited cycles to
-// cause and to the legacy StallCycles aggregate.
+// cause, which must be a stall cause (Stats.StallCycles sums those).
 func (c *core) stall(cause CycleCause, until uint64) {
-	d := until - c.cycle
-	c.stallCycles += d
-	c.tick(cause, d)
+	c.tick(cause, until-c.cycle)
 }
 
 // Metrics is the optional occupancy/latency histogram set (enable with

@@ -41,9 +41,21 @@ func stridedStoreProgram(n int64) *prog.Program {
 
 // checkLedger asserts the cycle-accounting invariant the explain tooling
 // depends on: for every core, the per-cause buckets sum exactly to the core's
-// cycle count.
+// cycle count, and Stats.StallCycles is the stall causes' share of every
+// core's ledger.
 func checkLedger(t *testing.T, m *Machine) {
 	t.Helper()
+	var stalls uint64
+	for _, c := range m.cores {
+		for cc := CycleCause(0); cc < NumCycleCauses; cc++ {
+			if cc.IsStall() {
+				stalls += c.cycleBy[cc]
+			}
+		}
+	}
+	if got := m.Stats().StallCycles; got != stalls {
+		t.Errorf("Stats.StallCycles = %d, stall causes in the ledger sum to %d", got, stalls)
+	}
 	for _, c := range m.cores {
 		var sum uint64
 		for _, n := range c.cycleBy {

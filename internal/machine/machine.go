@@ -118,11 +118,10 @@ type core struct {
 	output []uint64
 
 	// statistics
-	instret     uint64
-	dynStores   uint64
-	dynCkpts    uint64
-	dynBounds   uint64
-	stallCycles uint64
+	instret   uint64
+	dynStores uint64
+	dynCkpts  uint64
+	dynBounds uint64
 
 	// cycleBy is the always-on cycle-accounting ledger: every cycle added to
 	// c.cycle is attributed to exactly one CycleCause (see causes.go), so the

@@ -8,7 +8,7 @@ type Stats struct {
 	Stores      uint64 // regular + sync stores retired
 	Ckpts       uint64 // checkpoint stores retired
 	Boundaries  uint64 // boundary instructions retired
-	StallCycles uint64 // cycles lost to proxy backpressure and spin locks
+	StallCycles uint64 // cycles all cores lost to stall causes (CycleCause.IsStall), from the ledger
 
 	// CycleBy is the critical core's cycle-accounting ledger: per-cause cycle
 	// totals for the core whose cycle count equals Cycles (the makespan).
@@ -81,7 +81,11 @@ func (m *Machine) Stats() Stats {
 		s.Stores += c.dynStores
 		s.Ckpts += c.dynCkpts
 		s.Boundaries += c.dynBounds
-		s.StallCycles += c.stallCycles
+		for cc, n := range c.cycleBy {
+			if CycleCause(cc).IsStall() {
+				s.StallCycles += n
+			}
+		}
 		s.L1Hits += c.l1.Hits
 		s.L1Misses += c.l1.Misses
 		s.Regions += c.regionsEnded

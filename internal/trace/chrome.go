@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"capri/internal/audit"
 )
 
 // Chrome trace-event export: renders a recorded trace in the Trace Event
@@ -45,14 +47,14 @@ type chromeArgs struct {
 	Region  uint64 `json:"region,omitempty"`  // commit/drain spans
 	Addr    string `json:"addr,omitempty"`    // writebacks; drain range low
 	Addr2   string `json:"addr2,omitempty"`   // drain range high
-	Entries int    `json:"entries,omitempty"` // drain: valid redo entries written
-	Cores   int    `json:"cores,omitempty"`   // recovery
+	Entries uint32 `json:"entries,omitempty"` // drain: valid redo entries written
+	Cores   uint32 `json:"cores,omitempty"`   // recovery
 }
 
 // WriteChrome writes events as a Chrome trace-event JSON document. The
 // timeline unit is one simulated cycle per microsecond. Load the file in
 // Perfetto or chrome://tracing.
-func WriteChrome(w io.Writer, events []Event) error {
+func WriteChrome(w io.Writer, events []audit.Event) error {
 	if _, err := io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return err
 	}
@@ -73,9 +75,9 @@ func WriteChrome(w io.Writer, events []Event) error {
 
 	// Thread-name metadata for every core that appears, in first-appearance
 	// order (deterministic: the event slice is deterministic).
-	seen := map[int]bool{}
+	seen := map[int32]bool{}
 	for _, e := range events {
-		if e.Kind == KindCrash || e.Kind == KindRecovery || seen[e.Core] {
+		if e.Kind == audit.EvCrash || e.Kind == audit.EvRecoveryDone || seen[e.Core] {
 			continue
 		}
 		seen[e.Core] = true
@@ -83,7 +85,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 			Name:  "thread_name",
 			Phase: "M",
 			PID:   0,
-			TID:   e.Core,
+			TID:   int(e.Core),
 			Args:  &chromeArgs{Name: fmt.Sprintf("core %d", e.Core)},
 		}); err != nil {
 			return err
@@ -93,49 +95,47 @@ func WriteChrome(w io.Writer, events []Event) error {
 	for _, e := range events {
 		var ce chromeEvent
 		switch e.Kind {
-		case KindRegionCommit:
+		case audit.EvCommit:
 			ce = chromeEvent{
 				Name: "region", Cat: "region", Phase: "b",
-				TS: e.Cycle, TID: e.Core,
+				TS: e.Cycle, TID: int(e.Core),
 				ID:   fmt.Sprintf("c%d-r%d", e.Core, e.Region),
 				Args: &chromeArgs{Region: e.Region},
 			}
-		case KindPhase2Drain:
+		case audit.EvDrain:
 			ce = chromeEvent{
 				Name: "region", Cat: "region", Phase: "e",
-				TS: e.Cycle, TID: e.Core,
+				TS: e.Cycle, TID: int(e.Core),
 				ID: fmt.Sprintf("c%d-r%d", e.Core, e.Region),
 			}
 			if e.Count > 0 {
 				ce.Args = &chromeArgs{
-					Addr:    fmt.Sprintf("%#x", e.Addr),
-					Addr2:   fmt.Sprintf("%#x", e.Addr2),
+					Addr:    fmt.Sprintf("%#x", e.Val),
+					Addr2:   fmt.Sprintf("%#x", e.Val2),
 					Entries: e.Count,
 				}
 			}
-		case KindWriteback:
+		case audit.EvWriteback:
 			ce = chromeEvent{
 				Name: "writeback", Cat: "mem", Phase: "i",
-				TS: e.Cycle, TID: e.Core, Scope: "t",
+				TS: e.Cycle, TID: int(e.Core), Scope: "t",
 				Args: &chromeArgs{Addr: fmt.Sprintf("%#x", e.Addr)},
 			}
-		case KindFrontStall:
+		case audit.EvStall:
 			ce = chromeEvent{
 				Name: "front-stall", Cat: "proxy", Phase: "i",
-				TS: e.Cycle, TID: e.Core, Scope: "t",
+				TS: e.Cycle, TID: int(e.Core), Scope: "t",
 			}
-		case KindCrash:
+		case audit.EvCrash:
 			ce = chromeEvent{
 				Name: "crash", Cat: "power", Phase: "i",
 				TS: e.Cycle, Scope: "g",
 			}
-		case KindRecovery:
-			// The recovery event's Core field carries the recovered core
-			// count (see Recorder.Tap).
+		case audit.EvRecoveryDone:
 			ce = chromeEvent{
 				Name: "recovery", Cat: "power", Phase: "i",
 				TS: e.Cycle, Scope: "g",
-				Args: &chromeArgs{Cores: e.Core},
+				Args: &chromeArgs{Cores: e.Count},
 			}
 		default:
 			continue

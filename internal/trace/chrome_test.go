@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"capri/internal/audit"
 	"capri/internal/compile"
 	"capri/internal/machine"
 	"capri/internal/progen"
@@ -14,15 +15,15 @@ import (
 // that exercises every event kind. The format is consumed by external tools
 // (Perfetto, chrome://tracing), so accidental drift matters.
 func TestWriteChromeGolden(t *testing.T) {
-	events := []Event{
-		{Kind: KindRegionCommit, Core: 0, Cycle: 10, Region: 1},
-		{Kind: KindWriteback, Core: 1, Cycle: 15, Addr: 0x1040},
-		{Kind: KindFrontStall, Core: 0, Cycle: 18},
-		{Kind: KindPhase2Drain, Core: 0, Cycle: 30, Region: 1, Addr: 0x1040, Addr2: 0x1080, Count: 3},
-		{Kind: KindRegionCommit, Core: 0, Cycle: 35, Region: 2},
-		{Kind: KindPhase2Drain, Core: 0, Cycle: 38, Region: 2}, // data-free marker
-		{Kind: KindCrash, Cycle: 40},
-		{Kind: KindRecovery, Core: 2},
+	events := []audit.Event{
+		{Kind: audit.EvCommit, Core: 0, Cycle: 10, Region: 1},
+		{Kind: audit.EvWriteback, Core: 1, Cycle: 15, Addr: 0x1040},
+		{Kind: audit.EvStall, Core: 0, Cycle: 18},
+		{Kind: audit.EvDrain, Core: 0, Cycle: 30, Region: 1, Val: 0x1040, Val2: 0x1080, Count: 3},
+		{Kind: audit.EvCommit, Core: 0, Cycle: 35, Region: 2},
+		{Kind: audit.EvDrain, Core: 0, Cycle: 38, Region: 2}, // data-free marker
+		{Kind: audit.EvCrash, Cycle: 40},
+		{Kind: audit.EvRecoveryDone, Count: 2},
 	}
 	const want = `{"displayTimeUnit":"ms","traceEvents":[
 {"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"core 0"}},

@@ -3,56 +3,48 @@ package trace
 import (
 	"testing"
 
+	"capri/internal/audit"
 	"capri/internal/compile"
 	"capri/internal/machine"
 	"capri/internal/progen"
 )
 
-// TestCheckRegionOrderCrashSemantics pins the crash-awareness rules: after a
-// crash, region numbers above the drain watermark may commit again (elided
-// boundaries never left a durable marker), but drained regions are durable
-// and must never recommit.
+// TestCheckRegionOrderCrashSemantics pins the crash-awareness rules over
+// streams the trace shows: after a crash and its recovery, region numbers
+// above the drain watermark may commit again (elided boundaries never left
+// a durable marker), but drained regions are durable and must never
+// recommit.
 func TestCheckRegionOrderCrashSemantics(t *testing.T) {
-	recommitUndrained := []Event{
-		{Kind: KindRegionCommit, Core: 0, Region: 1},
-		{Kind: KindPhase2Drain, Core: 0, Region: 1},
-		{Kind: KindRegionCommit, Core: 0, Region: 2}, // elided: no drain
-		{Kind: KindRegionCommit, Core: 0, Region: 3},
-		{Kind: KindCrash},
-		{Kind: KindRegionCommit, Core: 0, Region: 2}, // legitimate re-commit
-		{Kind: KindRegionCommit, Core: 0, Region: 3},
-		{Kind: KindPhase2Drain, Core: 0, Region: 3},
+	crash := []audit.Event{{Kind: audit.EvCrash}, {Kind: audit.EvRecoveryDone, Count: 2}}
+	cat := func(before []audit.Event, after ...audit.Event) []audit.Event {
+		return append(append(append([]audit.Event(nil), before...), crash...), after...)
 	}
-	if err := CheckRegionOrder(recommitUndrained); err != nil {
-		t.Errorf("re-commit of undrained regions after crash rejected: %v", err)
-	}
-
-	recommitDrained := []Event{
-		{Kind: KindRegionCommit, Core: 0, Region: 1},
-		{Kind: KindPhase2Drain, Core: 0, Region: 1},
-		{Kind: KindCrash},
-		{Kind: KindRegionCommit, Core: 0, Region: 1}, // durable region re-commits: bug
-	}
-	if err := CheckRegionOrder(recommitDrained); err == nil {
-		t.Error("re-commit of a drained region after crash accepted")
-	}
-
-	// A core that never drained resets to a clean slate.
-	neverDrained := []Event{
-		{Kind: KindRegionCommit, Core: 0, Region: 1},
-		{Kind: KindRegionCommit, Core: 0, Region: 2},
-		{Kind: KindCrash},
-		{Kind: KindRegionCommit, Core: 0, Region: 1},
-	}
-	if err := CheckRegionOrder(neverDrained); err != nil {
-		t.Errorf("clean-slate re-commit rejected: %v", err)
+	for _, tc := range []struct {
+		name   string
+		rule   string // "" for a legal stream
+		events []audit.Event
+	}{
+		{"re-commit of undrained regions", "", cat(
+			[]audit.Event{commitEv(0, 1), drainEv(0, 1), commitEv(0, 2), commitEv(0, 3)}, // 2 elided: no drain
+			commitEv(0, 2), commitEv(0, 3), drainEv(0, 3))},
+		{"re-commit of a drained region", "commit-order", cat(
+			[]audit.Event{commitEv(0, 1), drainEv(0, 1)},
+			commitEv(0, 1))},
+		{"never-drained core restarts clean", "", cat(
+			[]audit.Event{commitEv(0, 1), commitEv(0, 2)},
+			commitEv(0, 1))},
+	} {
+		if got := judge(t, tc.events); got != tc.rule {
+			t.Errorf("%s: violated rule %q, want %q", tc.name, got, tc.rule)
+		}
 	}
 }
 
 // TestRegionOrderUnderCrashInjection crashes real generated workloads at
-// varying points, recovers into the same recorder, runs to completion, and
-// checks the in-order-persistence invariant across the whole combined trace
-// (commit monotonicity, drain-after-commit, and the crash-reset rules).
+// varying points, recovers into the same recorder and auditor, runs to
+// completion, and requires zero violations across the whole combined
+// stream: the auditor's region-order rules re-base at recovery, so regions
+// above the drain watermark may commit again and drained ones may not.
 func TestRegionOrderUnderCrashInjection(t *testing.T) {
 	gcfg := progen.DefaultConfig()
 	gcfg.Threads = 2
@@ -88,7 +80,9 @@ func TestRegionOrderUnderCrashInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := NewRecorder()
-			m.SetTap(rec)
+			aud := audit.NewAuditor(m.AuditOptions())
+			tap := audit.Tee(rec, aud)
+			m.SetTap(tap)
 			if err := m.RunUntil(crashAt); err != nil {
 				t.Fatal(err)
 			}
@@ -96,18 +90,18 @@ func TestRegionOrderUnderCrashInjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, _, err := machine.RecoverInstrumented(img, nil, rec) // emits the recovery event
+			r, _, err := machine.RecoverInstrumented(img, nil, tap) // emits the recovery event
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := r.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if len(rec.Filter(KindCrash)) != 1 || len(rec.Filter(KindRecovery)) != 1 {
+			if countKind(rec, audit.EvCrash) != 1 || countKind(rec, audit.EvRecoveryDone) != 1 {
 				t.Fatalf("seed %d crash@%d: trace missing crash/recovery edges: %s",
 					seed, crashAt, rec.Summary())
 			}
-			if err := CheckRegionOrder(rec.Events()); err != nil {
+			if err := aud.Err(); err != nil {
 				t.Errorf("seed %d crash@%d: %v", seed, crashAt, err)
 			}
 		}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,13 +13,14 @@ import (
 
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder()
-	r.Record(Event{Kind: KindRegionCommit, Core: 1, Cycle: 10, Region: 1})
-	r.Record(Event{Kind: KindWriteback, Core: 0, Cycle: 20, Addr: 0x100})
+	r.Tap(audit.Event{Kind: audit.EvCommit, Core: 1, Cycle: 10, Region: 1})
+	r.Tap(audit.Event{Kind: audit.EvStore, Core: 1, Cycle: 12, Addr: 0x100, Seq: 1, Region: 2}) // not a trace kind
+	r.Tap(audit.Event{Kind: audit.EvWriteback, Core: 0, Cycle: 20, Addr: 0x100})
 	if r.Len() != 2 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	if got := r.Filter(KindWriteback); len(got) != 1 || got[0].Addr != 0x100 {
-		t.Errorf("filter = %v", got)
+	if got := r.Events(); got[1].Kind != audit.EvWriteback || got[1].Addr != 0x100 {
+		t.Errorf("events = %v", got)
 	}
 	var sb strings.Builder
 	if _, err := r.WriteTo(&sb); err != nil {
@@ -29,8 +31,8 @@ func TestRecorderBasics(t *testing.T) {
 			t.Errorf("dump missing %q:\n%s", want, sb.String())
 		}
 	}
-	if !strings.Contains(r.Summary(), "commit=1") {
-		t.Errorf("summary = %q", r.Summary())
+	if s := r.Summary(); s != "commit=1 writeback=1" {
+		t.Errorf("summary = %q", s)
 	}
 }
 
@@ -40,47 +42,70 @@ func TestEmptySummary(t *testing.T) {
 	}
 }
 
+// judge taps a synthetic stream into a Recorder teed with an auditor for a
+// two-core machine, requires the trace to keep every event of it, and
+// returns the auditor's first violated rule ("" for a clean stream).
+func judge(t *testing.T, events []audit.Event) string {
+	t.Helper()
+	rec := NewRecorder()
+	aud := audit.NewAuditor(audit.Options{Cores: 2})
+	tap := audit.Tee(rec, aud)
+	for _, e := range events {
+		tap.Tap(e)
+	}
+	if rec.Len() != len(events) {
+		t.Fatalf("trace kept %d of %d events", rec.Len(), len(events))
+	}
+	if vs := aud.Violations(); len(vs) != 0 {
+		return vs[0].Rule
+	}
+	return ""
+}
+
+func commitEv(core int32, r uint64) audit.Event {
+	return audit.Event{Kind: audit.EvCommit, Core: core, Region: r}
+}
+
+func drainEv(core int32, r uint64) audit.Event {
+	return audit.Event{Kind: audit.EvDrain, Core: core, Region: r}
+}
+
+// TestCheckRegionOrderDetectsViolations judges the in-order persistence
+// rules over streams the trace shows: the auditor passes the legal one and
+// names the rule each bad one breaks.
 func TestCheckRegionOrderDetectsViolations(t *testing.T) {
-	good := []Event{
-		{Kind: KindRegionCommit, Core: 0, Region: 1},
-		{Kind: KindRegionCommit, Core: 0, Region: 2},
-		{Kind: KindPhase2Drain, Core: 0, Region: 1},
-		{Kind: KindPhase2Drain, Core: 0, Region: 2},
-		{Kind: KindRegionCommit, Core: 1, Region: 1},
-	}
-	if err := CheckRegionOrder(good); err != nil {
-		t.Errorf("good trace rejected: %v", err)
-	}
-
-	nonMonotone := []Event{
-		{Kind: KindRegionCommit, Core: 0, Region: 2},
-		{Kind: KindRegionCommit, Core: 0, Region: 1},
-	}
-	if err := CheckRegionOrder(nonMonotone); err == nil {
-		t.Error("non-monotone commits accepted")
-	}
-
-	drainFirst := []Event{
-		{Kind: KindPhase2Drain, Core: 0, Region: 1},
-	}
-	if err := CheckRegionOrder(drainFirst); err == nil {
-		t.Error("drain before commit accepted")
-	}
-
-	drainOutOfOrder := []Event{
-		{Kind: KindRegionCommit, Core: 0, Region: 1},
-		{Kind: KindRegionCommit, Core: 0, Region: 2},
-		{Kind: KindPhase2Drain, Core: 0, Region: 2},
-		{Kind: KindPhase2Drain, Core: 0, Region: 1},
-	}
-	if err := CheckRegionOrder(drainOutOfOrder); err == nil {
-		t.Error("out-of-region-order drains accepted")
+	for _, tc := range []struct {
+		name   string
+		rule   string // "" for a legal stream
+		events []audit.Event
+	}{
+		{"good", "", []audit.Event{commitEv(0, 1), commitEv(0, 2), drainEv(0, 1), drainEv(0, 2), commitEv(1, 1)}},
+		{"non-monotone commits", "commit-order", []audit.Event{commitEv(0, 2), commitEv(0, 1)}},
+		{"drain before commit", "drain-before-commit", []audit.Event{drainEv(0, 1)}},
+		{"drains out of order", "drain-order",
+			[]audit.Event{commitEv(0, 1), commitEv(0, 2), drainEv(0, 2), drainEv(0, 1)}},
+	} {
+		if got := judge(t, tc.events); got != tc.rule {
+			t.Errorf("%s: violated rule %q, want %q", tc.name, got, tc.rule)
+		}
 	}
 }
 
-// TestMachineTraceOrdering runs real workloads with a trace Recorder on the
-// tap and asserts the in-order region persistence invariant (DESIGN.md
-// invariant 6) over the actual event stream.
+// countKind returns the number of recorded events of kind k.
+func countKind(r *Recorder, k audit.Kind) int {
+	n := 0
+	for _, e := range r.Events() {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMachineTraceOrdering runs real workloads with a trace Recorder and an
+// auditor on one tap and requires the auditor's region-order rules
+// (commit-order, drain-before-commit, drain-order: DESIGN.md invariant 6)
+// to hold over the actual event stream the trace shows.
 func TestMachineTraceOrdering(t *testing.T) {
 	gcfg := progen.DefaultConfig()
 	gcfg.Threads = 2
@@ -100,21 +125,22 @@ func TestMachineTraceOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := NewRecorder()
-		m.SetTap(rec)
+		aud := audit.NewAuditor(m.AuditOptions())
+		m.SetTap(audit.Tee(rec, aud))
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if rec.Len() == 0 {
 			t.Fatal("no events recorded")
 		}
-		if err := CheckRegionOrder(rec.Events()); err != nil {
+		if err := aud.Err(); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 		// Every non-elided committed region must eventually drain (quiesce
 		// guarantees it). Elided boundaries commit without emitting a marker,
 		// so they never drain: commits == drains + elided, machine-wide.
-		commits := len(rec.Filter(KindRegionCommit))
-		drains := len(rec.Filter(KindPhase2Drain))
+		commits := countKind(rec, audit.EvCommit)
+		drains := countKind(rec, audit.EvDrain)
 		elided := int(m.Stats().ElidedBds)
 		if commits != drains+elided {
 			t.Errorf("seed %d: %d commits, %d drains, %d elided (want commits == drains+elided)",
@@ -124,10 +150,9 @@ func TestMachineTraceOrdering(t *testing.T) {
 }
 
 // TestDrainPayloadMatchesTap runs a real workload with a trace Recorder and
-// a flight recorder teed onto one tap and asserts they report the *same*
-// drain payload: every trace drain's (core, region, addrLo, addrHi, entries)
-// must equal the corresponding EvDrain event — Perfetto spans and the auditor
-// see one truth.
+// asserts that every drain carrying data renders its tap payload — the
+// lowest and highest drained word (Val/Val2) and the entry count (Count) —
+// in its text line, with the range in order.
 func TestDrainPayloadMatchesTap(t *testing.T) {
 	gcfg := progen.DefaultConfig()
 	gcfg.Threads = 2
@@ -146,52 +171,32 @@ func TestDrainPayloadMatchesTap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder()
-	fr := audit.NewFlightRecorder(0)
-	m.SetTap(audit.Tee(rec, fr))
+	m.SetTap(rec)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	drains := rec.Filter(KindPhase2Drain)
-	var taps []audit.Event
-	for _, e := range fr.Events() {
-		if e.Kind == audit.EvDrain {
-			taps = append(taps, e)
+	drains, withData := 0, 0
+	for i, d := range rec.Events() {
+		if d.Kind != audit.EvDrain {
+			continue
+		}
+		drains++
+		if d.Count == 0 {
+			continue
+		}
+		withData++
+		if d.Val > d.Val2 {
+			t.Fatalf("event %d: drain range inverted: lo=%#x hi=%#x", i, d.Val, d.Val2)
+		}
+		want := fmt.Sprintf("entries=%d lo=%#x hi=%#x", d.Count, d.Val, d.Val2)
+		if l := line(d); !strings.HasSuffix(l, want) {
+			t.Fatalf("event %d: drain text line %q lacks payload %q", i, l, want)
 		}
 	}
-	if len(drains) == 0 {
+	if drains == 0 {
 		t.Fatal("no drains recorded")
-	}
-	if len(drains) != len(taps) {
-		t.Fatalf("trace saw %d drains, flight recorder saw %d", len(drains), len(taps))
-	}
-	withData := 0
-	for i, d := range drains {
-		a := taps[i]
-		if d.Core != int(a.Core) || d.Region != a.Region ||
-			d.Addr != a.Val || d.Addr2 != a.Val2 || d.Count != int(a.Count) {
-			t.Fatalf("drain %d payload diverged: trace=%+v tap=%+v", i, d, a)
-		}
-		if d.Count > 0 {
-			withData++
-			if d.Addr > d.Addr2 {
-				t.Fatalf("drain %d range inverted: lo=%#x hi=%#x", i, d.Addr, d.Addr2)
-			}
-			line := d.String()
-			if !strings.Contains(line, "entries=") || !strings.Contains(line, "lo=") {
-				t.Fatalf("drain text line lacks payload: %q", line)
-			}
-		}
 	}
 	if withData == 0 {
 		t.Fatal("every drain was data-free — payload untested")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if KindRegionCommit.String() != "commit" || KindRecovery.String() != "recovery" {
-		t.Error("kind names wrong")
-	}
-	if !strings.Contains(Kind(99).String(), "99") {
-		t.Error("unknown kind not rendered")
 	}
 }
