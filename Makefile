@@ -8,7 +8,7 @@ GO ?= go
 # value.
 JOBS ?= 4
 
-.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke perf fuzz clean
+.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke fuzz clean
 
 all: build
 
@@ -52,8 +52,9 @@ lint:
 # documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
 # byte-identical to sequential, with the same simulation and compilation
-# counts — and a perf-harness smoke run (catches BENCH_sim.json
-# pipeline bit-rot without judging the numbers). The telemetry smoke test
+# counts — and a capristat smoke run (its committed bench result set
+# compared with itself through -gate, so the comparison tool cannot rot
+# without judging any fresh measurement). The telemetry smoke test
 # stands up a live OpenMetrics endpoint plus heartbeat stream and scrapes
 # it over HTTP; the dispatch-equivalence run includes the telemetry
 # observer-equivalence matrix (armed/bus runs byte-identical to disarmed).
@@ -79,7 +80,7 @@ check:
 	$(MAKE) soak
 	$(MAKE) soak-mt
 	$(MAKE) docs-verify
-	$(GO) run ./cmd/capribench -perf -scale 1 -perfout /tmp/BENCH_sim.smoke.json
+	$(GO) run ./cmd/capristat -gate cmd/capristat/testdata/a cmd/capristat/testdata/a
 
 # audit runs the online Fig. 7 invariant auditor over the full crash
 # machinery: the 104-program progen crash sweep and the 19-benchmark suite,
@@ -179,21 +180,6 @@ bench-smoke:
 telemetry-smoke:
 	$(GO) test -run 'TestTelemetrySmoke' ./internal/telemetry
 
-# perf regenerates a fresh multi-sample report (SAMPLES runs of every timed
-# sweep; median ± MAD per figure, schema capri/bench-sim/v6) and gates it
-# against the committed BENCH_sim.json with capristat's variance-aware
-# Mann-Whitney test: a figure fails only when its slowdown is both
-# statistically significant (p < 0.05) and at least 1%. Every sweep is
-# timed sequentially whatever JOBS is, so the rates do not depend on the
-# host's core count.
-# Reports without samples arrays fall back per figure to the old 10% point
-# cliff. To adopt the fresh report as the new reference, copy it over
-# BENCH_sim.json once the gate passes.
-SAMPLES ?= 5
-perf:
-	$(GO) run ./cmd/capribench -perf -scale 1 -samples $(SAMPLES) -perfout /tmp/BENCH_sim.new.json
-	$(GO) run ./cmd/capristat -gate BENCH_sim.json /tmp/BENCH_sim.new.json
-
 # fuzz runs each native fuzz target for FUZZTIME: the auditor tap
 # (FuzzAuditorTap), the auditor against its map model
 # (FuzzAuditorDifferential), the memory store against its map model
@@ -215,4 +201,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRunRecordDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./cmd/capriinspect
 
 clean:
-	rm -f capri.test /tmp/BENCH_sim.smoke.json /tmp/BENCH_sim.new.json
+	rm -f capri.test

@@ -10,7 +10,6 @@
 //	capribench -fig 8 -jobs 8    # shard the sweep across 8 workers
 //	capribench -headline         # suite geomeans only
 //	capribench -list             # benchmark inventory
-//	capribench -perf             # time the sweeps, write BENCH_sim.json
 //	capribench -sweepcheck       # assert parallel == sequential
 //	capribench -sweepcheck -verify EXPERIMENTS.md    # plus docs block check
 //	capribench -explain          # stall-attribution tables (cycle ledger)
@@ -40,15 +39,12 @@ func main() {
 		scale    = flag.Int("scale", 1, "workload scale factor")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
 		chart    = flag.String("chart", "", "additionally render one column as an ASCII bar chart (e.g. \"256\" for fig 8, \"+licm\" for fig 9)")
-		perf     = flag.Bool("perf", false, "time the figure sweeps and write a perf-regression report")
-		samples  = flag.Int("samples", 1, "with -perf, repeat the timed pipeline this many times and record every sample (variance-aware gating via capristat)")
-		perfOut  = flag.String("perfout", "BENCH_sim.json", "perf report output path (with -perf)")
 		explain  = flag.Bool("explain", false, "print the stall-attribution tables (where the Capri-vs-baseline cycles went)")
 		verify   = flag.String("verify", "", "with -explain, diff the tables against the marked blocks in this file instead of printing")
 		auditAll = flag.Bool("audit", false, "run every benchmark under the online Fig. 7 invariant auditor; exit non-zero on any violation")
 		recDir   = flag.String("record-out", "", "with -audit, write per-benchmark capri/run-record/v1 files into this directory")
 		auditTh  = flag.Int("threshold", 256, "region store threshold (with -audit)")
-		jobs     = flag.Int("jobs", 1, "parallel sweep workers (0 = GOMAXPROCS; -perf always times sequentially); see README \"Running parallel sweeps\"")
+		jobs     = flag.Int("jobs", 1, "parallel sweep workers (0 = GOMAXPROCS); see README \"Running parallel sweeps\"")
 		sweepChk = flag.Bool("sweepcheck", false, "assert the sweep determinism contract: parallel tables and work counters identical to sequential; with -verify FILE, also byte-check the embedded accounting block")
 		listen   = flag.String("listen", "", "serve live OpenMetrics telemetry on this `addr` (e.g. :9090) while the command runs")
 		hbOut    = flag.String("heartbeat-out", "", "append JSONL telemetry heartbeats to this `file` (\"-\" = stderr)")
@@ -77,11 +73,6 @@ func main() {
 
 	if *auditAll {
 		check(runAudit(*scale, *auditTh, *recDir))
-		return
-	}
-
-	if *perf {
-		check(runPerf(*scale, *samples, *perfOut))
 		return
 	}
 

@@ -1,188 +1,209 @@
-// Command capristat compares two capri/bench-sim perf reports with a
-// variance-aware, benchstat-style test: for every figure present in both
-// reports it runs the Mann-Whitney U rank test over the per-sample
-// simulated-throughput arrays (schema v5, `capribench -perf -samples N`)
-// and reports the median ± MAD of each side, the relative delta, the
-// p-value, and a verdict. A difference counts only when it is both
-// statistically significant (p < 0.05) and large enough to matter
-// (default 1%) — one lucky or unlucky run can no longer pass or fail the
-// gate.
+// Command capristat compares two result sets of the repository benchmark
+// (bench/, DESIGN.md §4j). A result set is a file of the JSON lines
+// `bash bench/run.sh ... --out FILE` writes, one per run, or a directory of
+// such files. For every workload in both sets and every end-to-end metric of
+// ./BENCHMARK.json it prints each side's median ± MAD, the change of the
+// median in the metric's better direction (positive = better), the
+// Mann-Whitney U p-value and a verdict. A metric regresses only when the
+// change is significant (p < stats.CompareAlpha) and a slowdown beyond the
+// metric's bound; with fewer than stats.CompareMinSamples runs a side it is
+// "too few runs". Run it from the repository root:
 //
-// Usage:
-//
-//	capristat old.json new.json          # print the comparison table
-//	capristat -gate old.json new.json    # exit non-zero on a significant regression
-//	capristat -gate -min-delta 0.02 old.json new.json
-//
-// Reports without samples arrays (schema <= v4, or -samples 1) fall back
-// per figure to a single-sample 10% point comparison — documented
-// fallback, not the methodology.
+//	capristat A B          # print the comparison table
+//	capristat -gate A B    # also exit non-zero on a regression or too few runs
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 
 	"capri/internal/stats"
 )
 
-// pointTolerance is the fractional regression the single-sample fallback
-// tolerates — the old single-run cliff, kept only for reports that carry
-// no samples array.
-const pointTolerance = 0.10
-
-// figure is the slice of the perf report's per-figure JSON capristat
-// consumes. The JSON names are the cross-tool contract with capribench;
-// fields the comparison does not need are ignored by the decoder.
-type figure struct {
-	Figure        string   `json:"figure"`
-	InstPerSec    float64  `json:"inst_per_sec"`
-	SimInstPerSec float64  `json:"sim_inst_per_sec"`
-	Degenerate    bool     `json:"degenerate"`
-	Samples       []sample `json:"samples"`
+// spec is the part of BENCHMARK.json capristat reads: the end-to-end
+// metrics, each with the direction that is better and the relative bound a
+// change must exceed to count.
+type spec struct {
+	EndToEnd []struct {
+		Name   string  `json:"name"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
+	} `json:"end_to_end"`
 }
 
-// sample is one -samples N measurement of a figure.
-type sample struct {
-	SimInstPerSec float64 `json:"sim_inst_per_sec"`
-	Degenerate    bool    `json:"degenerate"`
+// measured is one metric's value in a result line.
+type measured struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
-// host is the report's machine fingerprint.
-type host struct {
-	OS         string `json:"os"`
-	Arch       string `json:"arch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Hostname   string `json:"hostname"`
+// run is the part of one bench result line capristat reads.
+type run struct {
+	Workload string              `json:"workload"`
+	Metrics  map[string]measured `json:"metrics"`
 }
 
-// report is the slice of capri/bench-sim/v* capristat consumes.
-type report struct {
-	Schema   string   `json:"schema"`
-	Scale    int      `json:"scale"`
-	Dispatch string   `json:"dispatch"`
-	Jobs     int      `json:"jobs"`
-	Samples  int      `json:"samples"`
-	Host     *host    `json:"host"`
-	Figures  []figure `json:"figures"`
-}
-
-// load reads and decodes one report.
-func load(path string) (*report, error) {
+// loadSpec reads the metric declarations.
+func loadSpec(path string) (*spec, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var r report
-	if err := json.Unmarshal(buf, &r); err != nil {
+	var s spec
+	if err := json.Unmarshal(buf, &s); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &r, nil
+	return &s, nil
 }
 
-// rates extracts a figure's usable throughput samples: every
-// non-degenerate positive per-sample rate, or the figure's own rate as a
-// single point for reports without samples arrays. The wall-derived rate
-// backs up pre-v3 reports that never recorded a simulated-only rate.
-func rates(f figure) []float64 {
-	var out []float64
-	for _, s := range f.Samples {
-		if !s.Degenerate && s.SimInstPerSec > 0 {
-			out = append(out, s.SimInstPerSec)
+// loadSet reads a result set, a file of JSON result lines or a directory
+// whose files each hold such lines, and groups its runs by workload. Blank
+// lines are skipped; a line that is not a result, or a set with no result
+// at all, is an error.
+func loadSet(path string) (map[string][]run, error) {
+	files := []string{path}
+	st, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if st.IsDir() {
+		entries, err := os.ReadDir(path)
+		if err != nil {
+			return nil, err
+		}
+		files = files[:0]
+		for _, e := range entries {
+			if !e.IsDir() {
+				files = append(files, filepath.Join(path, e.Name()))
+			}
 		}
 	}
-	if len(out) > 0 {
-		return out
+	out := map[string][]run{}
+	for _, name := range files {
+		buf, err := os.ReadFile(name)
+		if err != nil {
+			return nil, err
+		}
+		for i, line := range strings.Split(string(buf), "\n") {
+			if strings.TrimSpace(line) == "" {
+				continue
+			}
+			var r run
+			if err := json.Unmarshal([]byte(line), &r); err != nil || r.Workload == "" {
+				return nil, fmt.Errorf("%s:%d: not a bench result line", name, i+1)
+			}
+			out[r.Workload] = append(out[r.Workload], r)
+		}
 	}
-	if !f.Degenerate {
-		if f.SimInstPerSec > 0 {
-			return []float64{f.SimInstPerSec}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no results", path)
+	}
+	return out, nil
+}
+
+// row is one workload × metric comparison.
+type row struct {
+	workload, metric string
+	c                stats.Comparison
+	nA, nB           int
+	gain             float64 // change of the median in the better direction: + is better
+	verdict          string
+	fails            bool
+}
+
+// compare judges every end-to-end metric of every workload present in both
+// sets, workloads in name order. A metric missing from a run, or measured
+// in two units, is an error; so is a pair of sets with nothing to judge.
+func compare(sp *spec, ga, gb map[string][]run) ([]row, error) {
+	var names []string
+	for w := range ga {
+		if len(gb[w]) > 0 {
+			names = append(names, w)
 		}
-		if f.InstPerSec > 0 {
-			return []float64{f.InstPerSec}
+	}
+	sort.Strings(names)
+	var rows []row
+	for _, w := range names {
+		for _, m := range sp.EndToEnd {
+			var vals [2][]float64
+			unit := ga[w][0].Metrics[m.Name].Unit
+			for i, rs := range [2][]run{ga[w], gb[w]} {
+				for _, r := range rs {
+					if v, ok := r.Metrics[m.Name]; !ok || v.Unit != unit {
+						return nil, fmt.Errorf("%s: a run in set %c has no %s in unit %q", w, 'A'+i, m.Name, unit)
+					}
+					vals[i] = append(vals[i], r.Metrics[m.Name].Value)
+				}
+			}
+			r := row{workload: w, metric: m.Name, c: stats.CompareRates(vals[0], vals[1]), nA: len(vals[0]), nB: len(vals[1])}
+			r.gain = r.c.Delta
+			if m.Better != "higher" && r.gain != 0 {
+				r.gain = -r.gain
+			}
+			switch {
+			case r.c.TooFew:
+				r.verdict, r.fails = "too few runs", true
+			case r.c.Significant && -r.gain > m.Bound:
+				r.verdict, r.fails = "REGRESSED", true
+			case r.c.Significant && r.gain > m.Bound:
+				r.verdict = "improved"
+			case r.c.Significant:
+				r.verdict = "within bound"
+			default:
+				r.verdict = "~"
+			}
+			rows = append(rows, r)
 		}
+	}
+	if len(rows) == 0 {
+		return nil, errors.New("no workload and end-to-end metric present in both sets")
+	}
+	return rows, nil
+}
+
+// judge compares result sets A and B, prints the table to w and, with gate,
+// returns an error when any row regressed or had too few runs.
+func judge(sp *spec, pathA, pathB string, gate bool, w io.Writer) error {
+	a, err := loadSet(pathA)
+	if err != nil {
+		return err
+	}
+	b, err := loadSet(pathB)
+	if err != nil {
+		return err
+	}
+	rows, err := compare(sp, a, b)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%-16s %-16s %23s %23s %8s %6s  %s\n", "workload", "metric", "A median ± MAD", "B median ± MAD", "gain", "p", "verdict")
+	failed := 0
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-16s %-16s %12.5g ±%10.3g %12.5g ±%10.3g %+7.2f%% %6.3f  %s (n=%d vs %d)\n",
+			r.workload, r.metric, r.c.OldMedian, r.c.OldMAD, r.c.NewMedian, r.c.NewMAD,
+			100*r.gain, r.c.P, r.verdict, r.nA, r.nB)
+		if r.fails {
+			failed++
+		}
+	}
+	if failed > 0 && gate {
+		return fmt.Errorf("capristat: %d of %d rows regressed beyond their bound (p < %.2g) or had fewer than %d runs a side",
+			failed, len(rows), stats.CompareAlpha, stats.CompareMinSamples)
 	}
 	return nil
 }
 
-// row is one figure's comparison outcome.
-type row struct {
-	name       string
-	c          stats.Comparison
-	oldN, newN int
-	regressed  bool
-	verdict    string
-}
-
-// compareReports compares every figure present in both reports and returns
-// the per-figure rows in new-report order. minDelta is the relative slowdown
-// below which even a statistically significant difference is not gated on.
-func compareReports(old, new *report, minDelta float64) []row {
-	oldBy := map[string]figure{}
-	for _, f := range old.Figures {
-		oldBy[f.Figure] = f
-	}
-	var rows []row
-	for _, nf := range new.Figures {
-		of, ok := oldBy[nf.Figure]
-		if !ok {
-			continue
-		}
-		os, ns := rates(of), rates(nf)
-		if len(os) == 0 || len(ns) == 0 {
-			continue // no timing signal on one side (replays, degenerate)
-		}
-		r := row{name: nf.Figure, oldN: len(os), newN: len(ns)}
-		r.c = stats.CompareRates(os, ns)
-		switch {
-		case r.c.Fallback:
-			// Single-sample fallback: the old 10% point cliff.
-			if r.c.NewMedian < r.c.OldMedian*(1-pointTolerance) {
-				r.regressed = true
-				r.verdict = "REGRESSED (point fallback)"
-			} else {
-				r.verdict = "~ (point fallback)"
-			}
-		case r.c.Significant && r.c.Delta < -minDelta:
-			r.regressed = true
-			r.verdict = "REGRESSED"
-		case r.c.Significant && r.c.Delta > minDelta:
-			r.verdict = "improved"
-		default:
-			r.verdict = "~"
-		}
-		rows = append(rows, r)
-	}
-	return rows
-}
-
-// comparable reports whether two reports' rates may be compared at all:
-// same scale, dispatch core, and worker count. Reports from v6 on time
-// every figure sequentially and carry no jobs field, which reads as 1, so
-// the parallel-timed reports before them stay incomparable.
-func comparable(old, new *report) (string, bool) {
-	if old.Scale != new.Scale {
-		return fmt.Sprintf("scale %d != %d", old.Scale, new.Scale), false
-	}
-	if old.Dispatch != "" && new.Dispatch != "" && old.Dispatch != new.Dispatch {
-		return fmt.Sprintf("dispatch %q != %q", old.Dispatch, new.Dispatch), false
-	}
-	if oj, nj := max(old.Jobs, 1), max(new.Jobs, 1); oj != nj {
-		return fmt.Sprintf("jobs %d != %d", oj, nj), false
-	}
-	return "", true
-}
-
 func main() {
-	var (
-		gate     = flag.Bool("gate", false, "exit non-zero when any figure shows a statistically significant regression")
-		minDelta = flag.Float64("min-delta", 0.01, "smallest relative slowdown worth gating on, even when statistically significant")
-	)
+	gate := flag.Bool("gate", false, "exit non-zero when a metric regresses significantly beyond its BENCHMARK.json bound, or has too few runs to judge")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: capristat [-gate] [-min-delta F] old.json new.json\n")
+		fmt.Fprintf(os.Stderr, "usage: capristat [-gate] A B   (A, B: bench -out result files or directories; reads ./BENCHMARK.json)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -190,44 +211,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	old, err := load(flag.Arg(0))
-	fail(err)
-	new, err := load(flag.Arg(1))
-	fail(err)
-
-	if reason, ok := comparable(old, new); !ok {
-		fmt.Printf("capristat: reports not comparable (%s); nothing gated\n", reason)
-		return
+	sp, err := loadSpec("BENCHMARK.json")
+	if err == nil {
+		err = judge(sp, flag.Arg(0), flag.Arg(1), *gate, os.Stdout)
 	}
-	if old.Host != nil && new.Host != nil && *old.Host != *new.Host {
-		fmt.Printf("note: host fingerprints differ (%+v vs %+v) — rates may not be comparable\n",
-			*old.Host, *new.Host)
-	}
-
-	rows := compareReports(old, new, *minDelta)
-	if len(rows) == 0 {
-		fmt.Println("capristat: no figure with timing signal on both sides")
-		return
-	}
-	fmt.Printf("%-18s %22s %22s %8s %8s  %s\n", "figure", "old sim inst/s", "new sim inst/s", "delta", "p", "verdict")
-	regressed := false
-	for _, r := range rows {
-		fmt.Printf("%-18s %12.0f ±%8.0f %12.0f ±%8.0f %+7.1f%% %8.3f  %s (n=%d vs %d)\n",
-			r.name, r.c.OldMedian, r.c.OldMAD, r.c.NewMedian, r.c.NewMAD,
-			100*r.c.Delta, r.c.P, r.verdict, r.oldN, r.newN)
-		regressed = regressed || r.regressed
-	}
-	if regressed {
-		if *gate {
-			fail(fmt.Errorf("capristat: statistically significant regression (alpha %.2g, min delta %.0f%%)",
-				stats.CompareAlpha, 100**minDelta))
-		}
-		fmt.Println("capristat: regression detected (not gating without -gate)")
-	}
-}
-
-// fail exits with an error message when err is non-nil.
-func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

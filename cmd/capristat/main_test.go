@@ -1,128 +1,164 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
-func figWith(name string, rates ...float64) figure {
-	f := figure{Figure: name}
-	for _, r := range rates {
-		f.Samples = append(f.Samples, sample{SimInstPerSec: r})
-	}
-	if len(rates) > 0 {
-		f.SimInstPerSec = rates[0]
-	}
-	return f
-}
+// testdata/a and testdata/b are two independent five-run result sets of the
+// same code, each run captured with
+//
+//	bash bench/run.sh --workload compile-matrix --small --rounds 2 --out testdata/a/runN.jsonl
 
-func reportWith(figs ...figure) *report {
-	return &report{Schema: "capri/bench-sim/v5", Scale: 1, Jobs: 1, Figures: figs}
-}
-
-func findRow(t *testing.T, rows []row, name string) row {
+func mustSpec(t *testing.T) *spec {
 	t.Helper()
-	for _, r := range rows {
-		if r.name == name {
-			return r
+	sp, err := loadSpec("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// mustSet loads a one-workload result set and returns its runs.
+func mustSet(t *testing.T, path string) []run {
+	t.Helper()
+	set, err := loadSet(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set) != 1 {
+		t.Fatalf("%s: %d workloads, want 1", path, len(set))
+	}
+	for _, rs := range set {
+		return rs
+	}
+	return nil
+}
+
+// scaled returns a copy of rs with metric name multiplied by f in every run.
+func scaled(rs []run, name string, f float64) []run {
+	out := make([]run, len(rs))
+	for i, r := range rs {
+		ms := make(map[string]measured, len(r.Metrics))
+		for k, v := range r.Metrics {
+			ms[k] = v
 		}
+		v := ms[name]
+		v.Value *= f
+		ms[name] = v
+		out[i] = run{Workload: r.Workload, Metrics: ms}
 	}
-	t.Fatalf("no row for %s in %+v", name, rows)
-	return row{}
+	return out
 }
 
-func TestCompareReportsSignificantRegression(t *testing.T) {
-	old := reportWith(figWith("fig8", 100, 101, 99, 100, 102))
-	new := reportWith(figWith("fig8", 80, 81, 79, 80, 82))
-	rows := compareReports(old, new, 0.01)
-	r := findRow(t, rows, "fig8")
-	if !r.regressed {
-		t.Errorf("clean 20%% slowdown must gate: %+v", r)
+// writeSet writes rs as one file of result lines and returns its path.
+func writeSet(t *testing.T, rs []run) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, r := range rs {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.Write(append(b, '\n'))
 	}
-	// The reverse direction is an improvement, never a gate failure.
-	rows = compareReports(new, old, 0.01)
-	r = findRow(t, rows, "fig8")
-	if r.regressed || r.verdict != "improved" {
-		t.Errorf("speedup flagged as regression: %+v", r)
-	}
+	return writeFile(t, sb.String())
 }
 
-func TestCompareReportsNoiseNotSignificant(t *testing.T) {
-	old := reportWith(figWith("fig8", 100, 104, 96, 101, 99))
-	new := reportWith(figWith("fig8", 98, 103, 95, 102, 100))
-	rows := compareReports(old, new, 0.01)
-	if r := findRow(t, rows, "fig8"); r.regressed {
-		t.Errorf("overlapping noise must not gate: %+v", r)
+func writeFile(t *testing.T, text string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "set.jsonl")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	return path
 }
 
-func TestCompareReportsSignificantButTiny(t *testing.T) {
-	// A perfectly clean 0.5% slowdown is significant by rank but below
-	// min-delta — not worth gating on.
-	old := reportWith(figWith("fig8", 1000, 1001, 1002, 1003, 1004))
-	new := reportWith(figWith("fig8", 995, 996, 997, 998, 999))
-	rows := compareReports(old, new, 0.01)
-	if r := findRow(t, rows, "fig8"); r.regressed {
-		t.Errorf("sub-min-delta change must not gate: %+v", r)
-	}
-}
-
-func TestCompareReportsPointFallback(t *testing.T) {
-	// v4-style reports: no samples array, single figure rate.
-	old := reportWith(figure{Figure: "fig8", SimInstPerSec: 100})
-	new := reportWith(figure{Figure: "fig8", SimInstPerSec: 92})
-	rows := compareReports(old, new, 0.01)
-	r := findRow(t, rows, "fig8")
-	if !r.c.Fallback {
-		t.Fatalf("sample-less reports must use the point fallback: %+v", r)
-	}
-	if r.regressed {
-		t.Errorf("8%% point drop is inside the 10%% cliff: %+v", r)
-	}
-	new = reportWith(figure{Figure: "fig8", SimInstPerSec: 85})
-	rows = compareReports(old, new, 0.01)
-	if r := findRow(t, rows, "fig8"); !r.regressed {
-		t.Errorf("15%% point drop must trip the fallback cliff: %+v", r)
-	}
-}
-
-func TestCompareReportsSkipsSilentFigures(t *testing.T) {
-	// Replay-only figures (rate 0 everywhere) and degenerate samples carry
-	// no signal and must not produce rows.
-	old := reportWith(figure{Figure: "fig10"}, figWith("fig8", 100, 101, 99, 100))
-	deg := figure{Figure: "fig8", Samples: []sample{{SimInstPerSec: 0, Degenerate: true}}, Degenerate: true}
-	new := reportWith(figure{Figure: "fig10"}, deg)
-	rows := compareReports(old, new, 0.01)
-	if len(rows) != 0 {
-		t.Errorf("signal-free figures produced rows: %+v", rows)
-	}
-}
-
-func TestComparable(t *testing.T) {
-	a := reportWith()
-	b := reportWith()
-	if reason, ok := comparable(a, b); !ok {
-		t.Errorf("identical shapes not comparable: %s", reason)
-	}
-	b.Scale = 2
-	if _, ok := comparable(a, b); ok {
-		t.Errorf("scale mismatch must not be comparable")
-	}
-	b.Scale = 1
-	b.Jobs = 4
-	if _, ok := comparable(a, b); ok {
-		t.Errorf("jobs mismatch must not be comparable")
+func TestCompareSets(t *testing.T) {
+	sp := mustSpec(t)
+	a, b := mustSet(t, "testdata/a"), mustSet(t, "testdata/b")
+	for _, tc := range []struct {
+		name     string
+		a, b     []run
+		gateFail bool
+		// row, when set, is a "metric verdict" pair some row must show.
+		row string
+	}{
+		{"slowdown-beyond-bound", a, scaled(a, "mallocs_per_op", 1.05), true, "mallocs_per_op REGRESSED"},
+		{"slowdown-within-bound", a, scaled(a, "mallocs_per_op", 1.01), false, "mallocs_per_op within bound"},
+		{"speedup-beyond-bound", a, scaled(a, "mallocs_per_op", 0.95), false, "mallocs_per_op improved"},
+		{"noise", a, b, false, ""},
+		{"too-few-runs", a[:3], b[:3], true, "setup_s too few runs"},
+		{"self", a, a, false, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			err := judge(sp, writeSet(t, tc.a), writeSet(t, tc.b), true, &out)
+			if (err != nil) != tc.gateFail {
+				t.Errorf("gate error %v, want failure %v\n%s", err, tc.gateFail, out.String())
+			}
+			if tc.row != "" {
+				metric, verdict, _ := strings.Cut(tc.row, " ")
+				found := false
+				for _, line := range strings.Split(out.String(), "\n") {
+					found = found || strings.Contains(line, " "+metric+" ") && strings.Contains(line, "  "+verdict+" (n=")
+				}
+				if !found {
+					t.Errorf("no %s row with verdict %q:\n%s", metric, verdict, out.String())
+				}
+			}
+			if rows := strings.Count(out.String(), "\n") - 1; rows != len(sp.EndToEnd) {
+				t.Errorf("%d rows, want one per end-to-end metric (%d):\n%s", rows, len(sp.EndToEnd), out.String())
+			}
+		})
 	}
 }
 
-func TestPointFallbackFewSamples(t *testing.T) {
-	// Three samples per side cannot reach significance — must fall back,
-	// and only the cliff gates.
-	old := reportWith(figWith("fig8", 100, 101, 99))
-	new := reportWith(figWith("fig8", 95, 96, 94))
-	rows := compareReports(old, new, 0.01)
-	r := findRow(t, rows, "fig8")
-	if !r.c.Fallback {
-		t.Fatalf("3v3 samples must use the point fallback: %+v", r)
+// TestHostileSets feeds malformed result sets: each must be an error, never a
+// panic and never a pass.
+func TestHostileSets(t *testing.T) {
+	sp := mustSpec(t)
+	a := mustSet(t, "testdata/a")
+	good := writeSet(t, a)
+	line, err := json.Marshal(a[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.regressed {
-		t.Errorf("5%% drop inside the 10%% cliff must not gate: %+v", r)
+	withValue := func(v string) string {
+		return strings.Replace(string(line), `"mallocs_per_op":{"value":35.25`, `"mallocs_per_op":{"value":`+v, 1)
+	}
+	if withValue("X") == string(line) {
+		t.Fatal("fixture's first run no longer has mallocs_per_op 35.25")
+	}
+	for _, tc := range []struct {
+		name string
+		b    string
+	}{
+		{"malformed-line", writeFile(t, string(line)+"{\"workload\":\n")},
+		{"nan", writeFile(t, withValue("NaN"))},
+		{"inf", writeFile(t, withValue("1e999"))},
+		{"unit-mismatch", writeSet(t, func() []run {
+			rs := scaled(a, "mallocs_per_op", 1)
+			v := rs[0].Metrics["mallocs_per_op"]
+			v.Unit = "MB"
+			rs[0].Metrics["mallocs_per_op"] = v
+			return rs
+		}())},
+		{"missing-metric", writeFile(t, `{"workload":"compile-matrix","metrics":{}}`)},
+		{"empty-file", writeFile(t, "\n\n")},
+		{"empty-dir", t.TempDir()},
+		{"missing-path", filepath.Join(t.TempDir(), "absent")},
+		{"no-common-workload", writeSet(t, []run{{Workload: "other", Metrics: a[0].Metrics}})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, gate := range []bool{false, true} {
+				if err := judge(sp, good, tc.b, gate, new(strings.Builder)); err == nil {
+					t.Errorf("gate=%v: hostile set B accepted", gate)
+				}
+			}
+		})
 	}
 }

@@ -59,7 +59,7 @@ func (d *eventDigest) Tap(e audit.Event) {
 // dispatchRun executes p under the given machine configuration and returns
 // the final image, the full stats, and (when tapped) the audit stream digest.
 // The untapped legs matter on their own: they are the configuration the
-// perf harness and the figure sweeps run under.
+// repository benchmark and the figure sweeps run under.
 func dispatchRun(t *testing.T, what string, p *prog.Program, threads int, cfg machine.Config, tap bool) (machineImage, machine.Stats, eventDigest) {
 	t.Helper()
 	m, err := machine.New(p, cfg)

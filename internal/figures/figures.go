@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"capri/internal/audit"
 	"capri/internal/compile"
@@ -43,16 +42,9 @@ type Harness struct {
 	compiles *compile.Cache
 	instret  atomic.Uint64
 
-	// Simulated-only accounting: runs that turned a machine and the wall
-	// time they spent inside machine.Run. The perf report divides Instret
-	// by SimSeconds for an inst/s that excludes compile and setup time.
-	simRuns  atomic.Uint64
-	simNanos atomic.Int64
-
-	// Decode-cache traffic summed over every simulation (zero when the
-	// machines run the switch core). The perf report records these beside
-	// inst/s so a fusion regression is visible even when wall-clock noise
-	// hides it.
+	// Runs that turned a machine and their summed decode-cache traffic (zero
+	// on the switch core), which the sweep determinism check compares.
+	simRuns   atomic.Uint64
 	decBlocks atomic.Uint64
 	decHits   atomic.Uint64
 	decFused  atomic.Uint64
@@ -101,8 +93,7 @@ func NewHarness(scale int) *Harness {
 func (h *Harness) CompileCacheStats() compile.CacheStats { return h.compiles.Stats() }
 
 // Instret returns the total instructions simulated through this harness
-// (baseline and Capri runs; cache hits do not re-count). The perf harness
-// divides it by wall-clock for instructions-per-second.
+// (baseline and Capri runs; cache hits do not re-count).
 func (h *Harness) Instret() uint64 { return h.instret.Load() }
 
 // DecodeStats returns the summed decode-cache counters of every simulation:
@@ -116,20 +107,10 @@ func (h *Harness) DecodeStats() (blocks, hits, fused uint64) {
 // results do not re-count.
 func (h *Harness) SimRuns() uint64 { return h.simRuns.Load() }
 
-// SimSeconds returns the wall time spent inside machine.Run across all
-// simulations, summed per run (not wall-clock of the sweep: parallel runs
-// overlap). Instret / SimSeconds is the simulated-only inst/s the perf gate
-// compares: it excludes compile time.
-func (h *Harness) SimSeconds() float64 {
-	return float64(h.simNanos.Load()) / 1e9
-}
-
-// addSim folds one finished machine's counters and its simulation wall time
-// into the harness totals.
-func (h *Harness) addSim(ms machine.Stats, wall time.Duration) {
+// addSim folds one finished machine's counters into the harness totals.
+func (h *Harness) addSim(ms machine.Stats) {
 	h.instret.Add(ms.Instret)
 	h.simRuns.Add(1)
-	h.simNanos.Add(int64(wall))
 	h.decBlocks.Add(ms.DecodeBlocks)
 	h.decHits.Add(ms.DecodeHits)
 	h.decFused.Add(ms.DecodeFused)
@@ -192,14 +173,12 @@ func (h *Harness) BaselineStats(b workload.Benchmark) (machine.Stats, error) {
 			e.err = fmt.Errorf("%s baseline: %w", b.Name, err)
 			return
 		}
-		start := time.Now()
 		if err := m.Run(); err != nil {
 			e.err = fmt.Errorf("%s baseline: %w", b.Name, err)
 			return
 		}
-		wall := time.Since(start)
 		e.stats = m.Stats()
-		h.addSim(e.stats, wall)
+		h.addSim(e.stats)
 	})
 	return e.stats, e.err
 }
@@ -253,13 +232,11 @@ func (h *Harness) runOnce(b workload.Benchmark, level compile.Level, threshold i
 	if err != nil {
 		return Result{}, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}
-	start := time.Now()
 	if err := m.Run(); err != nil {
 		return Result{}, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}
-	wall := time.Since(start)
 	ms := m.Stats()
-	h.addSim(ms, wall)
+	h.addSim(ms)
 	return Result{
 		Norm:         float64(ms.Cycles) / float64(base),
 		Machine:      ms,
@@ -301,11 +278,10 @@ func (h *Harness) RunTapped(b workload.Benchmark, level compile.Level, threshold
 	if collect {
 		m.EnableMetrics()
 	}
-	start := time.Now()
 	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}
-	h.addSim(m.Stats(), time.Since(start))
+	h.addSim(m.Stats())
 	return m, nil
 }
 

@@ -34,7 +34,7 @@ const (
 	DispatchSwitch
 )
 
-// String names the dispatch mode for reports (BENCH_sim.json).
+// String names the dispatch mode ("threaded" or "switch") for messages.
 func (d DispatchMode) String() string {
 	switch d {
 	case DispatchThreaded:

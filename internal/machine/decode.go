@@ -100,7 +100,7 @@ const (
 
 // dprog is the machine-level decode cache: one decoded block per (fn, blk) of
 // the loaded program, filled lazily, plus the decode-cache counters reported
-// in Stats and BENCH_sim.json.
+// in Stats.
 type dprog struct {
 	prog *prog.Program
 	fns  [][]*dblock // per-function windows of one block-index array

@@ -5,11 +5,10 @@ import (
 	"sort"
 )
 
-// Variance-aware sample comparison for the multi-sample perf methodology
-// (DESIGN.md §4j): `capribench -perf -samples N` records every sample, and
-// `capristat` judges old-vs-new with the Mann-Whitney U test — the same
-// rank test benchstat uses — instead of a point comparison of two single
-// runs. Everything here is pure stdlib math.
+// Variance-aware sample comparison (DESIGN.md §4j): `capristat` judges two
+// result sets of the repository benchmark run by run with the Mann-Whitney
+// U test — the same rank test benchstat uses — instead of a point
+// comparison of two single runs. Everything here is pure stdlib math.
 
 // Median returns the sample median (0 for an empty slice). The input is
 // not modified.
@@ -27,8 +26,8 @@ func Median(xs []float64) float64 {
 }
 
 // MAD returns the median absolute deviation from the median — the robust
-// spread estimate reported next to each figure's median rate. 0 for
-// fewer than two samples.
+// spread estimate reported next to each metric's median. 0 for fewer than
+// two samples.
 func MAD(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
@@ -164,7 +163,7 @@ func exactMannWhitneyP(n, m int, u float64) float64 {
 	return p
 }
 
-// Comparison is the verdict of CompareRates for one figure: the summary
+// Comparison is the verdict of CompareRates for one metric: the summary
 // statistics of both sample sets and the significance decision.
 type Comparison struct {
 	// OldMedian and NewMedian are the sample medians; OldMAD and NewMAD
@@ -172,29 +171,30 @@ type Comparison struct {
 	OldMedian, NewMedian float64
 	OldMAD, NewMAD       float64
 	// Delta is the relative change of the new median vs the old
-	// ((new−old)/old), negative for a slowdown.
+	// ((new−old)/old); 0 when the old median is 0.
 	Delta float64
 	// P is the Mann-Whitney two-sided p-value, or 1 when either side
-	// has too few samples for the test (see Fallback).
+	// has too few samples for the test (see TooFew).
 	P float64
-	// Significant reports P < alpha with at least minSamples per side.
+	// Significant reports P < CompareAlpha with at least
+	// CompareMinSamples per side.
 	Significant bool
-	// Fallback reports that one side had fewer than minSamples samples,
-	// so the caller should fall back to a point comparison.
-	Fallback bool
+	// TooFew reports that one side had fewer than CompareMinSamples
+	// samples: nothing was judged.
+	TooFew bool
 }
 
 // CompareAlpha is the significance level capristat gates at.
 const CompareAlpha = 0.05
 
-// compareMinSamples is the fewest per-side samples the rank test is
+// CompareMinSamples is the fewest per-side samples the rank test is
 // asked to judge; below it even a perfect rank split cannot reach
-// CompareAlpha, so CompareRates reports Fallback instead.
-const compareMinSamples = 4
+// CompareAlpha, so CompareRates reports TooFew instead.
+const CompareMinSamples = 4
 
-// CompareRates compares two sets of rate samples (higher is better) and
-// returns the variance-aware verdict: medians, MADs, relative delta, and
-// whether the difference is statistically significant at CompareAlpha.
+// CompareRates compares two sample sets and returns the variance-aware
+// verdict: medians, MADs, relative delta, and whether the difference is
+// statistically significant at CompareAlpha.
 func CompareRates(old, new []float64) Comparison {
 	c := Comparison{
 		OldMedian: Median(old), NewMedian: Median(new),
@@ -204,8 +204,8 @@ func CompareRates(old, new []float64) Comparison {
 	if c.OldMedian != 0 {
 		c.Delta = (c.NewMedian - c.OldMedian) / c.OldMedian
 	}
-	if len(old) < compareMinSamples || len(new) < compareMinSamples {
-		c.Fallback = true
+	if len(old) < CompareMinSamples || len(new) < CompareMinSamples {
+		c.TooFew = true
 		return c
 	}
 	c.P = MannWhitneyUP(old, new)

@@ -103,8 +103,8 @@ func TestCompareRates(t *testing.T) {
 	if c.Delta >= 0 {
 		t.Errorf("slowdown must have negative delta: %v", c.Delta)
 	}
-	if c.Fallback {
-		t.Errorf("5 samples per side must not fall back")
+	if c.TooFew {
+		t.Errorf("5 samples per side are enough to judge")
 	}
 
 	same := CompareRates(old, []float64{101, 100, 99, 102, 100})
@@ -112,11 +112,11 @@ func TestCompareRates(t *testing.T) {
 		t.Errorf("same-distribution samples flagged significant: %+v", same)
 	}
 
-	fb := CompareRates([]float64{100}, slow)
-	if !fb.Fallback || fb.Significant {
-		t.Errorf("single old sample must fall back: %+v", fb)
+	few := CompareRates([]float64{100}, slow)
+	if !few.TooFew || few.Significant {
+		t.Errorf("a single old sample must be too few to judge: %+v", few)
 	}
-	if fb.OldMedian != 100 || fb.Delta >= 0 {
-		t.Errorf("fallback still reports medians/delta: %+v", fb)
+	if few.OldMedian != 100 || few.Delta >= 0 {
+		t.Errorf("too few samples still reports medians/delta: %+v", few)
 	}
 }

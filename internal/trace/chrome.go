@@ -10,8 +10,11 @@ import (
 
 // Chrome trace-event export: renders a recorded trace in the Trace Event
 // Format consumed by Perfetto (https://ui.perfetto.dev) and chrome://tracing.
-// Cycles map directly onto the format's microsecond timestamps, so one
-// "microsecond" on the timeline is one simulated cycle.
+// One "microsecond" on the timeline is one simulated cycle. A recovered
+// machine's clock restarts at 0, so every event after a crash is shifted by
+// the crash's timestamp (nested crashes included), and the recovery instant
+// sits at its crash's timestamp: the recovered run is drawn after the crashed
+// one, not over it.
 //
 // The mapping:
 //
@@ -92,20 +95,22 @@ func WriteChrome(w io.Writer, events []audit.Event) error {
 		}
 	}
 
+	var base uint64 // timestamp of the latest crash
 	for _, e := range events {
 		var ce chromeEvent
+		ts := base + e.Cycle
 		switch e.Kind {
 		case audit.EvCommit:
 			ce = chromeEvent{
 				Name: "region", Cat: "region", Phase: "b",
-				TS: e.Cycle, TID: int(e.Core),
+				TS: ts, TID: int(e.Core),
 				ID:   fmt.Sprintf("c%d-r%d", e.Core, e.Region),
 				Args: &chromeArgs{Region: e.Region},
 			}
 		case audit.EvDrain:
 			ce = chromeEvent{
 				Name: "region", Cat: "region", Phase: "e",
-				TS: e.Cycle, TID: int(e.Core),
+				TS: ts, TID: int(e.Core),
 				ID: fmt.Sprintf("c%d-r%d", e.Core, e.Region),
 			}
 			if e.Count > 0 {
@@ -118,23 +123,24 @@ func WriteChrome(w io.Writer, events []audit.Event) error {
 		case audit.EvWriteback:
 			ce = chromeEvent{
 				Name: "writeback", Cat: "mem", Phase: "i",
-				TS: e.Cycle, TID: int(e.Core), Scope: "t",
+				TS: ts, TID: int(e.Core), Scope: "t",
 				Args: &chromeArgs{Addr: fmt.Sprintf("%#x", e.Addr)},
 			}
 		case audit.EvStall:
 			ce = chromeEvent{
 				Name: "front-stall", Cat: "proxy", Phase: "i",
-				TS: e.Cycle, TID: int(e.Core), Scope: "t",
+				TS: ts, TID: int(e.Core), Scope: "t",
 			}
 		case audit.EvCrash:
+			base = ts
 			ce = chromeEvent{
 				Name: "crash", Cat: "power", Phase: "i",
-				TS: e.Cycle, Scope: "g",
+				TS: ts, Scope: "g",
 			}
 		case audit.EvRecoveryDone:
 			ce = chromeEvent{
 				Name: "recovery", Cat: "power", Phase: "i",
-				TS: e.Cycle, Scope: "g",
+				TS: base, Scope: "g",
 				Args: &chromeArgs{Cores: e.Count},
 			}
 		default:

@@ -35,7 +35,7 @@ func TestWriteChromeGolden(t *testing.T) {
 {"name":"region","cat":"region","ph":"b","ts":35,"pid":0,"tid":0,"id":"c0-r2","args":{"region":2}},
 {"name":"region","cat":"region","ph":"e","ts":38,"pid":0,"tid":0,"id":"c0-r2"},
 {"name":"crash","cat":"power","ph":"i","ts":40,"pid":0,"tid":0,"s":"g"},
-{"name":"recovery","cat":"power","ph":"i","ts":0,"pid":0,"tid":0,"s":"g","args":{"cores":2}}
+{"name":"recovery","cat":"power","ph":"i","ts":40,"pid":0,"tid":0,"s":"g","args":{"cores":2}}
 ]}
 `
 	var sb strings.Builder
@@ -118,5 +118,107 @@ func TestWriteChromeMachineRun(t *testing.T) {
 	// never drained).
 	if got, want := len(open), int(m.Stats().ElidedBds); got != want {
 		t.Errorf("%d unclosed spans, want %d (elided boundaries)", got, want)
+	}
+}
+
+// TestWriteChromeMonotoneAcrossCrashes crashes a real run, recovers it into
+// the same recorder — once directly and once through a nested crash during
+// recovery — and runs it to the end. A recovered machine's clock restarts at
+// 0, so without the exporter's per-crash offset the recovered run would be
+// drawn over the crashed one. Within one machine's run the timestamps need
+// not be sorted (a drain is tapped when it completes, at its own cycle), but
+// across a crash they are: every event before a crash is at or before it,
+// its recovery instant at it, and every event after it at or after it.
+func TestWriteChromeMonotoneAcrossCrashes(t *testing.T) {
+	gcfg := progen.DefaultConfig()
+	gcfg.Threads = 2
+	res, err := compile.Compile(progen.Generate(13, gcfg), compile.OptionsForLevel(compile.LevelLICM, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.DefaultConfig()
+	cfg.Cores = 2
+	cfg.Threshold = 16
+	cfg.L2Size = 256 << 10
+	cfg.DRAMSize = 1 << 20
+	ref, err := machine.New(res.Program, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, nested := range []bool{false, true} {
+		m, err := machine.New(res.Program, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := NewRecorder()
+		m.SetTap(rec)
+		if err := m.RunUntil(ref.Instret() / 2); err != nil {
+			t.Fatal(err)
+		}
+		img, err := m.Crash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nested {
+			_, _, img, err = machine.RecoverInterrupted(img, rec, 1)
+			if err != nil || img == nil {
+				t.Fatalf("nested crash: image %v, err %v", img != nil, err)
+			}
+		}
+		r, _, err := machine.RecoverInstrumented(img, nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := countKind(rec, audit.EvCrash), map[bool]int{false: 1, true: 2}[nested]; got != want {
+			t.Fatalf("nested=%v: %d crash events, want %d", nested, got, want)
+		}
+
+		var sb strings.Builder
+		if err := rec.WriteChromeTo(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name  string `json:"name"`
+				Phase string `json:"ph"`
+				TS    uint64 `json:"ts"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+			t.Fatalf("invalid JSON: %v", err)
+		}
+		var crashTS, latest uint64 // latest: the largest ts so far
+		after := 0                 // events after the last crash
+		for _, e := range doc.TraceEvents {
+			if e.Phase == "M" {
+				continue
+			}
+			switch e.Name {
+			case "crash":
+				if e.TS < latest {
+					t.Errorf("nested=%v: crash at ts %d, an earlier event at %d", nested, e.TS, latest)
+				}
+				crashTS, after = e.TS, 0
+			case "recovery":
+				if e.TS != crashTS {
+					t.Errorf("nested=%v: recovery at ts %d, its crash at %d", nested, e.TS, crashTS)
+				}
+			default:
+				if e.TS < crashTS {
+					t.Errorf("nested=%v: %s at ts %d precedes the crash at %d", nested, e.Name, e.TS, crashTS)
+				}
+				after++
+			}
+			latest = max(latest, e.TS)
+		}
+		if crashTS == 0 || after == 0 {
+			t.Errorf("nested=%v: crash at ts %d with %d recovered events: nothing tested", nested, crashTS, after)
+		}
 	}
 }
