@@ -48,7 +48,10 @@ lint:
 # source is refused or parses to a verified program whose formatted text
 # parses back to the same text), the run-record decoder's fuzz-corpus
 # replay (every committed record, hostile ones included, is refused or
-# renders in every capriinspect view without a panic), the
+# renders in every capriinspect view without a panic), the proxy layout's
+# fuzz-corpus replay against its whole-entry model (FuzzProxyDifferential)
+# with the cross-commit pin (TestCrossCommitPin: image, flight-recorder and
+# Stats digests of fixed crash and clean runs equal the committed ones), the
 # documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
 # byte-identical to sequential, with the same simulation and compilation
@@ -74,6 +77,7 @@ check:
 	$(GO) test -run 'FuzzImageRead' ./internal/image
 	$(GO) test -run 'FuzzAsmParse|TestParseErrors' ./internal/asm
 	$(GO) test -run 'FuzzRunRecordDecode' ./cmd/capriinspect
+	$(GO) test -run 'FuzzProxyDifferential|TestCrossCommitPin' . ./internal/proxy
 	$(MAKE) telemetry-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) audit
@@ -93,8 +97,11 @@ check:
 # to its cost model: a store's life through the auditor allocates nothing,
 # the flight recorder allocates with its run rather than its cap
 # (TestFlightRecorderGrowsWithRun, TestFlightRecorderShortLastChunk),
-# decoding a program or carving cold boundary payloads costs
-# allocations per slab chunk, not per block or boundary, building a machine
+# decoding a program costs allocations per slab chunk, not per block, a
+# region whose boundary carries checkpoints, a sync and emits moves through
+# the proxy without allocating (TestBoundaryPayloadsZeroAlloc) in rings of
+# pointer-free records of at most 48 bytes (TestRingElementsPointerFree),
+# building a machine
 # costs the same at every thread count (TestNewAllocsIndependentOfCores), and
 # one campaign-geometry crash point stays within its measured allocation
 # count (TestCrashPointAllocsBounded). The two capricrash
@@ -106,7 +113,7 @@ audit:
 	$(GO) run ./cmd/capricrash -fuzz 5 -threads 2
 	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap|FuzzAuditorDifferential|TestFlightRecorderGrowsWithRun|TestFlightRecorderShortLastChunk' ./internal/audit
 	$(GO) test -run 'TestDecodeAllocsPerChunk|TestCrashPointAllocsBounded|TestNewAllocsIndependentOfCores' ./internal/machine
-	$(GO) test -run 'TestFrontEndColdBoundaryAllocs' ./internal/proxy
+	$(GO) test -run 'TestBoundaryPayloadsZeroAlloc|TestRingElementsPointerFree' ./internal/proxy
 
 # soak is the short fixed-seed hardware-fault campaign (DESIGN.md §4f):
 # seeded random fault plans — torn NVM line writes, nested crashes during
@@ -183,7 +190,8 @@ telemetry-smoke:
 # fuzz runs each native fuzz target for FUZZTIME: the auditor tap
 # (FuzzAuditorTap), the auditor against its map model
 # (FuzzAuditorDifferential), the memory store against its map model
-# (FuzzStoreDifferential), the crash-image reader (FuzzImageRead), the
+# (FuzzStoreDifferential), the proxy hardware against its whole-entry model
+# (FuzzProxyDifferential), the crash-image reader (FuzzImageRead), the
 # assembler (FuzzAsmParse), the fault-plan decoder (FuzzPlanDecode) and the
 # run-record decoder behind every capriinspect view (FuzzRunRecordDecode).
 # Plain `go test` replays their committed corpora; a failing input the
@@ -195,6 +203,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAuditorTap -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzAuditorDifferential -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzStoreDifferential -fuzztime $(FUZZTIME) ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzProxyDifferential -fuzztime $(FUZZTIME) ./internal/proxy
 	$(GO) test -run '^$$' -fuzz FuzzImageRead -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/image
 	$(GO) test -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME) ./internal/asm
 	$(GO) test -run '^$$' -fuzz FuzzPlanDecode -fuzztime $(FUZZTIME) ./internal/fault

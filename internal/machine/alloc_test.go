@@ -69,11 +69,12 @@ func crashPointTarget(t testing.TB) (*prog.Program, Config, uint64) {
 // at their bound, the auditor's pending stores live in carved per-core
 // queues and its NVM shadow in pages, the flight recorder's ring grows in
 // chunks with the run, the machine's one monitoring window is shared by
-// every path, and crash images copy into one backing per kind. The bound is
-// the measured 114 plus 5%.
+// every path, boundaries and their payloads live in per-core rings that
+// never allocate once carved, and crash images copy into one backing per
+// kind. The bound is the measured 108 plus 5%.
 func TestCrashPointAllocsBounded(t *testing.T) {
 	p, cfg, at := crashPointTarget(t)
-	const bound = 119
+	const bound = 113
 	got := testing.AllocsPerRun(5, func() {
 		if err := crashPoint(p, cfg, at); err != nil {
 			t.Fatal(err)

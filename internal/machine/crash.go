@@ -42,8 +42,9 @@ func (m *Machine) Crash() (*CrashImage, error) {
 }
 
 // harvest deep-copies the machine's persistent state into a CrashImage. The
-// streams share one entry backing (full-slice caps) and the outputs one word
-// backing; an empty output stays nil.
+// streams share one entry backing (full-slice caps), their boundaries'
+// payloads one backing per kind and the outputs one word backing; an empty
+// output stays nil.
 func (m *Machine) harvest() *CrashImage {
 	img := &CrashImage{
 		Prog:    m.prog,
@@ -54,18 +55,19 @@ func (m *Machine) harvest() *CrashImage {
 		Streams: make([][]proxy.Entry, len(m.cores)),
 		Outputs: make([][]uint64, len(m.cores)),
 	}
-	var nent, nout int
-	for _, c := range m.cores {
-		nent += c.back.Len() + c.path.InFlight() + c.front.Len()
+	var nent, nck, nem, nout int
+	for t, c := range m.cores {
+		e, ck, em := m.units[t].HarvestLen()
+		nent, nck, nem = nent+e, nck+ck, nem+em
 		nout += len(c.output)
 	}
 	entries := make([]proxy.Entry, 0, nent)
+	ckpts := make([]proxy.RegCkpt, nck)
+	emits := make([]uint64, nem)
 	outputs := make([]uint64, 0, nout)
 	for t, c := range m.cores {
 		i := len(entries)
-		entries = append(entries, c.back.Entries()...)
-		entries = c.path.DrainAll(entries)
-		entries = append(entries, c.front.Entries()...)
+		entries = m.units[t].Harvest(entries, &ckpts, &emits)
 		img.Streams[t] = entries[i:len(entries):len(entries)]
 		if len(c.output) > 0 {
 			i = len(outputs)
@@ -73,35 +75,7 @@ func (m *Machine) harvest() *CrashImage {
 			img.Outputs[t] = outputs[i:len(outputs):len(outputs)]
 		}
 	}
-	unshareEntries(entries)
 	return img
-}
-
-// unshareEntries copies the slice-valued fields of harvested entries into one
-// fresh slab each: boundary entries' Ckpts and Emits otherwise alias the live
-// proxy buffers' backing arrays, which the machine reuses as it keeps
-// running.
-func unshareEntries(stream []proxy.Entry) {
-	var nc, ne int
-	for i := range stream {
-		nc += len(stream[i].Ckpts)
-		ne += len(stream[i].Emits)
-	}
-	ckpts := make([]proxy.RegCkpt, nc)
-	emits := make([]uint64, ne)
-	for i := range stream {
-		e := &stream[i]
-		if len(e.Ckpts) > 0 {
-			c := slab.Carve(&ckpts, len(e.Ckpts), 0)
-			copy(c, e.Ckpts)
-			e.Ckpts = c
-		}
-		if len(e.Emits) > 0 {
-			c := slab.Carve(&emits, len(e.Emits), 0)
-			copy(c, e.Emits)
-			e.Emits = c
-		}
-	}
 }
 
 // RecoveryReport describes what the recovery protocol did.
@@ -249,7 +223,10 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 				}
 			}
 			start = i + 1
-			m.applyMarker(t, e)
+			m.applyMarker(t, &proxy.Boundary{
+				Region: e.Region, PCFunc: e.PCFunc, PCBlk: e.PCBlk, PCIdx: e.PCIdx,
+				SP: e.SP, Halt: e.Halt, Sync: e.Sync,
+			}, e.Ckpts, e.Emits)
 			if m.tap != nil {
 				m.tap.Tap(audit.Event{Kind: audit.EvRecoveryRedo, Core: int32(t), Region: e.Region})
 			}
@@ -372,22 +349,21 @@ func copyOutputs(cores []*core, outputs [][]uint64) {
 
 // nestedCrash harvests the mid-recovery persistent image: NVM and records as
 // mutated by the partial replay, the original battery-backed streams (which
-// recovery reads but never consumes), and the output delivered so far.
+// recovery reads but never consumes, so the two images share them) and the
+// output delivered so far.
 func (m *Machine) nestedCrash(img *CrashImage, rep *RecoveryReport) (*Machine, *RecoveryReport, *CrashImage, error) {
 	if m.tap != nil {
 		m.tap.Tap(audit.Event{Kind: audit.EvCrash, Flags: audit.FlagNested, Cycle: m.Cycles()})
 	}
 	nested := &CrashImage{
-		Prog: img.Prog,
-		Cfg:  img.Cfg,
-		NVM:  m.nvm.Clone(),
-		Seq:  img.Seq,
+		Prog:    img.Prog,
+		Cfg:     img.Cfg,
+		NVM:     m.nvm.Clone(),
+		Seq:     img.Seq,
+		Streams: img.Streams,
 	}
 	nested.Records = append(nested.Records, m.records...)
-	for t, stream := range img.Streams {
-		s := append([]proxy.Entry(nil), stream...)
-		unshareEntries(s)
-		nested.Streams = append(nested.Streams, s)
+	for t := range img.Streams {
 		nested.Outputs = append(nested.Outputs, append([]uint64(nil), m.cores[t].output...))
 	}
 	return nil, rep, nested, nil

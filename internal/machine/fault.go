@@ -218,8 +218,8 @@ func (e *DrainExhaustedError) Error() string {
 // machine performs a hard stall with a structured DrainExhaustedError.
 func (m *Machine) retryDrain(c *core, now uint64) bool {
 	var region uint64
-	if _, boundary, ok := c.back.OldestRegion(); ok {
-		region = boundary.Region
+	if r, ok := c.back.Region(0); ok {
+		region = r.Boundary.Region
 	}
 	if !m.flt.drainError(c.id, region, c.drainAttempts) {
 		return true
@@ -324,16 +324,16 @@ func (m *Machine) tearDrain(t Tear) {
 	if len(c.drainDone) == 0 {
 		return // no drain in flight
 	}
-	data, boundary, ok := c.back.OldestRegion()
+	r, ok := c.back.Region(0)
 	if !ok {
 		return
 	}
 	applied := 0
-	for i := range data {
+	for i := range r.Data {
 		if applied >= t.Keep {
 			break
 		}
-		e := &data[i]
+		e := &r.Data[i]
 		if !e.Valid {
 			continue
 		}
@@ -342,7 +342,7 @@ func (m *Machine) tearDrain(t Tear) {
 		if m.tap != nil {
 			ev := audit.Event{
 				Kind: audit.EvTornDrainWrite, Core: int32(c.id), Cycle: m.Cycles(),
-				Addr: e.Addr, Seq: e.Seq, Region: boundary.Region, Val: e.Redo,
+				Addr: e.Addr, Seq: e.Seq, Region: r.Boundary.Region, Val: e.Redo,
 			}
 			if ok {
 				ev.Flags |= audit.FlagApplied

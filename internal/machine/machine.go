@@ -155,6 +155,9 @@ type Machine struct {
 	// machine, shared by every core's proxy path. It lives in the machine
 	// itself, so it costs no allocation of its own.
 	window proxy.Window
+	// units are the cores' proxy hardware (nil on a baseline machine);
+	// each core's front, path and back point into its unit.
+	units []proxy.Unit
 
 	cores   []*core
 	records []CoreRecord // NVM-resident recovery records
@@ -273,12 +276,11 @@ func build(p *prog.Program, cfg Config) (*Machine, error) {
 	m.l2.Init(cfg.L2Size, cfg.L2Ways, &lines)
 	cores := make([]core, n)
 	var (
-		units  []proxy.Unit
 		drains []uint64
 		slots  []lineSlot
 	)
 	if cfg.Capri {
-		units = proxy.NewUnits(n, cfg.FrontEndEntries, cfg.Threshold, cfg.ProxyLatency, cfg.ProxyInterval, &m.window)
+		m.units = proxy.NewUnits(n, cfg.FrontEndEntries, cfg.Threshold, cfg.ProxyLatency, cfg.ProxyInterval, &m.window)
 		drains = make([]uint64, n*drainStart)
 		slots = make([]lineSlot, n*lineTableSlots)
 	}
@@ -289,7 +291,7 @@ func build(p *prog.Program, cfg Config) (*Machine, error) {
 		c.regs[isa.SP] = StackBase(t)
 		c.l1.Init(cfg.L1Size, cfg.L1Ways, &lines)
 		if cfg.Capri {
-			u := &units[t]
+			u := &m.units[t]
 			u.Front.NoMerge = cfg.NoFrontMerge
 			u.Front.NoElide = cfg.NoElision
 			u.Back.NoMerge = cfg.NoBackMerge

@@ -217,18 +217,18 @@ func (m *Machine) service(c *core) {
 	// Deliver arrived packets into the back-end (zero-copy: the callback gets
 	// a pointer into the wire buffer, and AcceptFrom copies it exactly once,
 	// into the back-end ring).
-	c.path.DeliverEach(now, func(e *proxy.Entry, arrives uint64, hit bool) {
+	c.path.DeliverEach(now, func(r *proxy.Rec, b *proxy.Boundary, arrives uint64, hit bool) {
 		if m.tap != nil {
-			m.tapArrive(c, e, arrives, hit)
+			m.tapArrive(c, r, b, arrives, hit)
 		}
-		if e.Kind == proxy.KindData {
+		if b == nil {
 			c.inflightData--
 		}
-		if !c.back.AcceptFrom(e) {
+		if !c.back.AcceptFrom(r) {
 			m.fatalf("core %d: back-end proxy overflow (threshold %d)", c.id, m.cfg.Threshold)
 			return
 		}
-		if e.Kind == proxy.KindBoundary {
+		if b != nil {
 			m.scheduleDrain(c, now)
 		}
 	})
@@ -241,16 +241,17 @@ func (m *Machine) service(c *core) {
 	m.drainFront(c)
 }
 
-// tapArrive emits the EvBackArrive event of an entry reaching c's back-end
-// at its wire-arrival cycle; hit is the monitoring window's verdict.
-func (m *Machine) tapArrive(c *core, e *proxy.Entry, arrives uint64, hit bool) {
+// tapArrive emits the EvBackArrive event of record r (boundary b, nil for
+// data) reaching c's back-end at its wire-arrival cycle; hit is the
+// monitoring window's verdict.
+func (m *Machine) tapArrive(c *core, r *proxy.Rec, b *proxy.Boundary, arrives uint64, hit bool) {
 	ev := audit.Event{Kind: audit.EvBackArrive, Core: int32(c.id), Cycle: c.cycle, Val: arrives}
-	if e.Kind == proxy.KindBoundary {
+	if b != nil {
 		ev.Flags |= audit.FlagBoundary
-		ev.Region = e.Region
+		ev.Region = b.Region
 	} else {
-		ev.Addr, ev.Seq = e.Addr, e.Seq
-		if e.Valid {
+		ev.Addr, ev.Seq = r.Addr, r.Seq
+		if r.Valid {
 			ev.Flags |= audit.FlagValid
 		}
 		if hit {
@@ -306,7 +307,7 @@ func (m *Machine) drainFront(c *core) {
 			ev := audit.Event{Kind: audit.EvLaunch, Core: int32(c.id), Cycle: now, Val: depart}
 			if e.Kind == proxy.KindBoundary {
 				ev.Flags |= audit.FlagBoundary
-				ev.Region = e.Region
+				ev.Region = c.front.BoundaryOf(e).Region
 			} else {
 				ev.Addr, ev.Seq = e.Addr, e.Seq
 			}
@@ -323,28 +324,20 @@ func (m *Machine) drainFront(c *core) {
 // 64B lines, so the occupancy charged is per distinct line touched by the
 // region's valid entries.
 func (m *Machine) scheduleDrain(c *core, now uint64) {
-	entries := c.back.Entries()
-	// Number of boundaries already scheduled:
-	scheduled := len(c.drainDone)
-	seen := 0
-	writes := uint64(0)
-	// Count distinct lines with the core's epoch-stamped scratch table
-	// (scratch.go): O(1) per entry at every region size, no allocation in
-	// steady state.
+	// The regions already booked are the oldest buffered ones.
+	region, ok := c.back.Region(len(c.drainDone))
+	if !ok {
+		m.fatalf("core %d: boundary arrived but no region to book", c.id)
+		return
+	}
+	// The boundary's marker (checkpoints + PC record) is one queue occupancy
+	// plus one per 8 ckpts. Count distinct lines with the core's
+	// epoch-stamped scratch table (scratch.go): O(1) per entry at every
+	// region size, no allocation in steady state.
+	writes := 1 + uint64(len(region.Ckpts))/8
 	c.lines.reset()
-	for i := range entries {
-		e := &entries[i]
-		if e.Kind == proxy.KindBoundary {
-			seen++
-			if seen == scheduled+1 {
-				// This region's boundary: account its marker (checkpoints +
-				// PC record) as one queue occupancy plus one per 8 ckpts.
-				writes += 1 + uint64(len(e.Ckpts))/8
-				break
-			}
-			continue
-		}
-		if seen == scheduled && e.Valid && c.lines.add(mem.LineAddr(e.Addr)) {
+	for i := range region.Data {
+		if e := &region.Data[i]; e.Valid && c.lines.add(mem.LineAddr(e.Addr)) {
 			writes++
 		}
 	}
@@ -423,20 +416,14 @@ func (m *Machine) applyPhase2(c *core, region proxy.CommittedRegion) {
 			m.tap.Tap(ev)
 		}
 	}
-	m.applyMarker(c.id, &region.Boundary)
-	// The boundary's slice backings are dead now: every buffer slot that held
-	// a copy of this entry was cleared as it moved through (front ring, wire
-	// packet, back ring), and applyMarker copied the payload out. Return them
-	// to the front-end's allocation pool. (Recovery's marker replay in
-	// crash.go does NOT recycle — harvested entries may alias crash images.)
-	c.front.Recycle(region.Boundary.Ckpts, region.Boundary.Emits)
+	m.applyMarker(c.id, region.Boundary, region.Ckpts, region.Emits)
 }
 
-// applyMarker folds a committed boundary entry into core t's NVM recovery
-// record and durable output.
-func (m *Machine) applyMarker(t int, e *proxy.Entry) {
+// applyMarker folds a committed boundary and its payloads into core t's NVM
+// recovery record and durable output.
+func (m *Machine) applyMarker(t int, b *proxy.Boundary, ckpts []proxy.RegCkpt, emits []uint64) {
 	rec := &m.records[t]
-	if e.Region <= rec.Region {
+	if b.Region <= rec.Region {
 		// The record already absorbed this marker: a recovery interrupted by
 		// a nested crash replays markers a previous pass applied. Folding is
 		// idempotent for the register/PC payload but NOT for the emits —
@@ -445,25 +432,25 @@ func (m *Machine) applyMarker(t int, e *proxy.Entry) {
 		// so this guard never fires during normal phase-2 operation.)
 		return
 	}
-	for _, ck := range e.Ckpts {
+	for _, ck := range ckpts {
 		rec.Regs[ck.Reg] = ck.Val
 	}
-	rec.Regs[isa.SP] = e.SP
-	rec.Fn, rec.Blk, rec.Idx = e.PCFunc, e.PCBlk, e.PCIdx
-	rec.Region = e.Region
-	if e.Sync.Op != 0 {
+	rec.Regs[isa.SP] = b.SP
+	rec.Fn, rec.Blk, rec.Idx = b.PCFunc, b.PCBlk, b.PCIdx
+	rec.Region = b.Region
+	if b.Sync.Op != 0 {
 		// The boundary sealed a synchronizing store: its operation descriptor
 		// becomes part of the durable recovery record (detectability — the op
 		// is now provably complete; before this fold it was provably absent).
-		rec.Sync = e.Sync
+		rec.Sync = b.Sync
 	}
-	if e.Halt {
+	if b.Halt {
 		rec.Halted = true
 	}
-	if len(e.Emits) > 0 {
-		m.cores[t].output = append(m.cores[t].output, e.Emits...)
+	if len(emits) > 0 {
+		m.cores[t].output = append(m.cores[t].output, emits...)
 		for _, d := range m.devices {
-			for _, v := range e.Emits {
+			for _, v := range emits {
 				d.Output(t, v)
 			}
 		}

@@ -11,80 +11,69 @@ type BackEnd struct {
 	Capacity int
 	// NoMerge disables same-region address merging (ablation).
 	NoMerge bool
-	// FIFO across regions, boundary entries delimiting. PopRegion drops a
+	// FIFO across regions, boundary markers delimiting. PopRegion drops a
 	// region without clearing its data, which stays in place for phase 2 to
 	// read; the ring doubles from its carved start (NewUnits) only when it
 	// is truly full.
-	q     ring[Entry]
-	ndata int // data entries among the live ones (space accounting)
+	q ring[Rec]
+	// marks holds the ring positions of the buffered boundary markers,
+	// oldest first: region k's data is the run of records before marks[k]
+	// and after marks[k-1].
+	marks ring[uint64]
+	// bd is the core's boundary table, which PopRegion retires boundaries
+	// from.
+	bd *bounds
 
 	// Stats.
 	Received       uint64
 	Merges         uint64
-	RedoWrites     uint64
 	SkippedInvalid uint64
 	Scans          uint64
 	ScanHits       uint64
 	Overflow       uint64 // accepts rejected for lack of space (must be 0)
 }
 
-// SpaceFor reports whether a data entry can be accepted. Boundary entries are
-// always accepted (they are the delimiter that lets the buffer drain; the
-// capacity invariant of the compiler guarantees region data fits).
-func (b *BackEnd) SpaceFor(e Entry) bool {
-	if e.Kind == KindBoundary {
-		return true
-	}
-	return b.ndata < b.Capacity
-}
-
 // Len returns the number of buffered entries (data + boundary).
 func (b *BackEnd) Len() int { return b.q.len() }
 
-// Accept appends an entry arriving from the proxy path, merging data entries
-// with a matching address within the open (not yet delimited) region — the
-// same-region merge rule of §5.2.1 applied at the buffer that actually holds
-// whole regions. A merge refreshes the redo value, sequence, and valid bit
-// while keeping the oldest undo image. Returns false — and counts an
-// overflow, which the machine treats as a fatal invariant violation — if a
-// data entry does not fit.
-func (b *BackEnd) Accept(e Entry) bool { return b.AcceptFrom(&e) }
-
-// AcceptFrom is Accept without the by-value argument copy; the entry is
-// copied exactly once, into the buffer (see Path.DeliverEach — the arrival
-// loop hands out pointers into the wire buffer).
-func (b *BackEnd) AcceptFrom(e *Entry) bool {
-	if e.Kind == KindData && !b.NoMerge {
+// AcceptFrom appends a copy of a record arriving from the proxy path,
+// merging data records with a matching address within the open (not yet
+// delimited) region — the same-region merge rule of §5.2.1 applied at the
+// buffer that actually holds whole regions. A merge refreshes the redo value,
+// sequence, and valid bit while keeping the oldest undo image. Returns false
+// — and counts an overflow, which the machine treats as a fatal invariant
+// violation — if a data record does not fit.
+func (b *BackEnd) AcceptFrom(r *Rec) bool {
+	if r.Kind == KindData && !b.NoMerge {
 		live := b.q.live()
 		for i := len(live) - 1; i >= 0; i-- {
 			x := &live[i]
 			if x.Kind == KindBoundary {
 				break
 			}
-			if x.Addr == e.Addr {
-				x.Redo = e.Redo
-				if e.Seq > x.Seq {
-					x.Seq = e.Seq
-				}
-				if e.FirstSeq < x.FirstSeq {
-					x.FirstSeq = e.FirstSeq
-				}
-				x.Valid = e.Valid
+			if x.Addr == r.Addr {
+				x.Redo = r.Redo
+				x.Seq = max(x.Seq, r.Seq)
+				x.FirstSeq = min(x.FirstSeq, r.FirstSeq)
+				x.Valid = r.Valid
 				b.Received++
 				b.Merges++
 				return true
 			}
 		}
 	}
-	if !b.SpaceFor(*e) {
+	// Boundary markers are always accepted: they are the delimiter that
+	// lets the buffer drain, and the compiler's capacity invariant
+	// guarantees region data fits.
+	if r.Kind == KindData && b.q.len()-b.marks.len() >= b.Capacity {
 		b.Overflow++
 		return false
 	}
 	b.Received++
-	*b.q.add() = *e
-	if e.Kind == KindData {
-		b.ndata++
+	if r.Kind == KindBoundary {
+		*b.marks.add() = b.q.next()
 	}
+	*b.q.add() = *r
 	return true
 }
 
@@ -108,54 +97,48 @@ func (b *BackEnd) ScanInvalidate(addr uint64, wbSeq uint64) int {
 	return n
 }
 
-// CommittedRegion describes one region ready for (or found during recovery
-// in) phase-2 processing.
+// CommittedRegion describes one region ready for phase-2 processing: its
+// data records, its boundary and the boundary's payloads.
 type CommittedRegion struct {
-	Data     []Entry
-	Boundary Entry
+	Data     []Rec
+	Boundary *Boundary
+	Ckpts    []RegCkpt
+	Emits    []uint64
+}
+
+// Region returns (without removing) the k-th oldest complete region (0: the
+// oldest), if that many are buffered. Everything it returns aliases the
+// buffers — read-only use only. The fault model reads region 0 to identify
+// the drain in flight; the drain scheduler books the newest.
+func (b *BackEnd) Region(k int) (CommittedRegion, bool) {
+	if k >= b.marks.len() {
+		return CommittedRegion{}, false
+	}
+	marks := b.marks.live()
+	start, end := b.q.first(), marks[k]
+	if k > 0 {
+		start = marks[k-1] + 1
+	}
+	bd := b.bd.at(b.q.at(end).bd)
+	return CommittedRegion{
+		Data:     b.q.span(start, int(end-start)),
+		Boundary: bd,
+		Ckpts:    b.bd.ckptsOf(bd),
+		Emits:    b.bd.emitsOf(bd),
+	}, true
 }
 
 // PopRegion removes and returns the oldest complete region (data entries up
-// to and including a boundary entry), if one is present. This is the unit of
-// the second phase of the atomic store. The returned Data slice aliases the
-// ring's now-dead slots and stays valid until the next Accept — phase 2
-// consumes it immediately, so nothing is copied or allocated per region.
+// to and including a boundary marker), if one is present. This is the unit
+// of the second phase of the atomic store. The region stays readable in
+// place until the next AcceptFrom or AddBoundary — phase 2 consumes it
+// immediately, so nothing is copied or allocated per region.
 func (b *BackEnd) PopRegion() (CommittedRegion, bool) {
-	live := b.q.live()
-	for i := range live {
-		if live[i].Kind == KindBoundary {
-			r := CommittedRegion{Data: live[:i:i], Boundary: live[i]}
-			// data entries carry no Ckpts/Emits, so only the boundary
-			// needs releasing
-			live[i].release()
-			b.q.drop(i + 1)
-			b.ndata -= i
-			return r, true
-		}
+	r, ok := b.Region(0)
+	if ok {
+		b.bd.retire(b.q.at(*b.marks.front()).bd)
+		b.q.drop(len(r.Data) + 1)
+		b.marks.drop(1)
 	}
-	return CommittedRegion{}, false
+	return r, ok
 }
-
-// OldestRegion returns (without removing) the oldest complete region's data
-// entries and boundary. The data slice aliases the buffer — read-only use
-// only. It is how the fault model identifies the drain in flight: the
-// region a booked-but-incomplete phase-2 drain is writing.
-func (b *BackEnd) OldestRegion() (data []Entry, boundary *Entry, ok bool) {
-	live := b.q.live()
-	for i := range live {
-		if live[i].Kind == KindBoundary {
-			return live[:i], &live[i], true
-		}
-	}
-	return nil, nil, false
-}
-
-// HasRegion reports whether a complete region is buffered.
-func (b *BackEnd) HasRegion() bool {
-	_, _, ok := b.OldestRegion()
-	return ok
-}
-
-// Entries returns the buffered entries oldest-first (recovery reads them
-// after a crash).
-func (b *BackEnd) Entries() []Entry { return b.q.live() }

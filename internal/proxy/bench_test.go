@@ -4,9 +4,11 @@ import "testing"
 
 // BenchmarkProxyDrain drives the full two-phase pipeline at steady state —
 // front-end allocation, path transmission, back-end acceptance, and phase-2
-// region pops — the way the machine's per-instruction service loop does. The
-// steady state must be allocation-free: front-end, path and back-end
-// recycle their rings, and PopRegion hands out the region in place.
+// region pops — the way the machine's per-instruction service loop does,
+// with a boundary that carries register checkpoints and an output emit. The
+// steady state must be allocation-free: front-end, path, back-end and the
+// boundary table with its payload arenas recycle their rings, and PopRegion
+// hands out the region in place.
 func BenchmarkProxyDrain(b *testing.B) {
 	u := &NewUnits(1, 32, 256, 40, 8, nil)[0]
 	f, p, be := &u.Front, &u.Path, &u.Back
@@ -14,24 +16,27 @@ func BenchmarkProxyDrain(b *testing.B) {
 	b.ResetTimer()
 	now := uint64(0)
 	seq := uint64(0)
+	emits := []uint64{42}
 	for i := 0; i < b.N; i++ {
 		// One small region: four stores (two merging) and a boundary.
 		for s := 0; s < 4; s++ {
 			seq++
 			f.AddStore(uint64(0x1000+(s&1)*8), 0, seq, seq)
 		}
-		f.AddBoundary(uint64(i), 0, 0, 0, 0x8000, nil, true, false, false)
+		f.StageCkpt(1, seq)
+		f.StageCkpt(2, seq)
+		f.AddBoundary(uint64(i), 0, 0, 0, 0x8000, emits, true, false, false)
 		// Drain front -> path -> back at the path's bandwidth.
 		for f.Len() > 0 {
-			e, _ := f.Pop()
-			now = p.Send(e, now) + 1
+			now = p.SendFrom(f.Peek(), now) + 1
+			f.DropHead()
 		}
-		p.DeliverEach(now+p.Latency, func(e *Entry, _ uint64, _ bool) {
-			if !be.AcceptFrom(e) {
+		p.DeliverEach(now+p.Latency, func(r *Rec, _ *Boundary, _ uint64, _ bool) {
+			if !be.AcceptFrom(r) {
 				b.Fatal("back-end overflow")
 			}
 		})
-		for be.HasRegion() {
+		for {
 			if _, ok := be.PopRegion(); !ok {
 				break
 			}
@@ -47,7 +52,7 @@ func BenchmarkPathServiceIdle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var n int
-	count := func(*Entry, uint64, bool) { n++ }
+	count := func(*Rec, *Boundary, uint64, bool) { n++ }
 	for i := 0; i < b.N; i++ {
 		p.DeliverEach(uint64(i), count)
 	}

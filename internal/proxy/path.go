@@ -22,6 +22,9 @@ type Path struct {
 	// instruction, so that copy was the single hottest operation in the
 	// whole simulator. It is carved at its in-flight bound (flightCarve).
 	q ring[packet]
+	// bd is the core's boundary table, which DeliverEach resolves boundary
+	// markers in.
+	bd *bounds
 
 	// win is the machine's monitoring window, shared by every core's path
 	// (NewUnits); nil means none.
@@ -34,7 +37,7 @@ type Path struct {
 }
 
 type packet struct {
-	e       Entry
+	r       Rec
 	arrives uint64
 }
 
@@ -107,21 +110,13 @@ func flightCarve(latency, interval uint64) int {
 	return int((latency+interval-1)/interval) + 1
 }
 
-// Send departs an entry at the given cycle (or the earliest bandwidth slot
-// after it) and returns the departure cycle actually used.
-func (p *Path) Send(e Entry, now uint64) uint64 { return p.SendFrom(&e, now) }
-
-// SendFrom is Send without the by-value argument copy: the entry is copied
-// exactly once, straight into the in-flight packet (Entry is large, and the
-// drain loop runs once per proxy entry the whole simulation moves).
-func (p *Path) SendFrom(e *Entry, now uint64) uint64 {
-	depart := now
-	if p.nextDepart > depart {
-		depart = p.nextDepart
-	}
+// SendFrom departs a copy of r at the given cycle (or the earliest bandwidth
+// slot after it) and returns the departure cycle actually used.
+func (p *Path) SendFrom(r *Rec, now uint64) uint64 {
+	depart := max(now, p.nextDepart)
 	p.nextDepart = depart + p.Interval
 	pk := p.q.add()
-	pk.e, pk.arrives = *e, depart+p.Latency
+	pk.r, pk.arrives = *r, depart+p.Latency
 	p.Sent++
 	return depart
 }
@@ -143,42 +138,46 @@ func (p *Path) HeadArrival() (uint64, bool) {
 // entry — the machine uses it to model front-end drain pacing.
 func (p *Path) Backlog() uint64 { return p.nextDepart }
 
-// DeliverEach pops every entry that has arrived by `now`, applying the
+// DeliverEach pops every record that has arrived by `now`, applying the
 // monitoring window to unset stale redo valid-bits, and hands each to fn by
 // pointer into the packet storage — valid only for the duration of the call;
-// fn must copy whatever outlives it — with its wire-arrival cycle and the
-// window's verdict (hit: the window unset the redo valid-bit on this
-// delivery). This is the zero-copy arrival path: the machine's service loop
-// consumes entries straight out of the wire buffer.
-func (p *Path) DeliverEach(now uint64, fn func(e *Entry, arrives uint64, hit bool)) {
+// fn must copy whatever outlives it — with its table entry (nil for a data
+// record), its wire-arrival cycle and the window's verdict (hit: the window
+// unset the redo valid-bit on this delivery). This is the zero-copy arrival
+// path: the machine's service loop consumes records straight out of the
+// wire buffer.
+func (p *Path) DeliverEach(now uint64, fn func(r *Rec, b *Boundary, arrives uint64, hit bool)) {
 	for p.q.len() > 0 {
 		pk := p.q.front()
 		if pk.arrives > now {
 			break
 		}
-		e := &pk.e
+		r := &pk.r
+		var b *Boundary
 		hit := false
-		if e.Kind == KindData && p.win != nil && p.win.hit(e.Addr, pk.arrives, e.Seq) {
-			e.Valid = false
+		if r.Kind == KindBoundary {
+			b = p.bd.at(r.bd)
+		} else if p.win != nil && p.win.hit(r.Addr, pk.arrives, r.Seq) {
+			r.Valid = false
 			p.WindowHits++
 			hit = true
 		}
 		p.Delivered++
-		fn(e, pk.arrives, hit)
-		e.release()
+		fn(r, b, pk.arrives, hit)
 		p.q.drop(1)
 	}
 }
 
 // DrainAll immediately delivers everything in flight, appending it to dst
-// oldest-first (used at crash time: in-flight packets are logically part of
+// oldest-first as crash-image entries, payloads copied as Unit.Harvest
+// copies them (used at crash time: in-flight packets are logically part of
 // the front-end's non-volatile contents, so recovery sees them in order). It
-// neither applies the monitoring window nor closes it.
-func (p *Path) DrainAll(dst []Entry) []Entry {
+// neither applies the monitoring window nor closes it. A boundary it takes
+// stays in the core's table until the back end retires a later one.
+func (p *Path) DrainAll(dst []Entry, ckpts *[]RegCkpt, emits *[]uint64) []Entry {
 	live := p.q.live()
 	for i := range live {
-		dst = append(dst, live[i].e)
-		live[i].e.release()
+		dst = p.bd.appendEntries(dst, []Rec{live[i].r}, ckpts, emits)
 	}
 	p.q.drop(len(live))
 	return dst

@@ -37,10 +37,13 @@ const (
 	KindBoundary
 )
 
-// Entry is one proxy buffer entry (paper Figure 5). Data entries carry the
-// word address with undo and redo values; boundary entries carry the commit
-// metadata: the PC checkpoint (function and block of the *next* region), the
-// stack pointer, and the register checkpoints staged during the region.
+// Entry is one proxy buffer entry as a crash image holds it (paper Figure
+// 5): the architectural record, with a boundary's payload inline. Data
+// entries carry the word address with undo and redo values; boundary entries
+// carry the commit metadata: the PC checkpoint (function and block of the
+// *next* region), the stack pointer, and the register checkpoints staged
+// during the region. The live hardware keeps the two kinds apart (Rec and
+// Boundary); Unit.Harvest rebuilds entries at a power failure.
 type Entry struct {
 	Kind EntryKind
 
@@ -49,33 +52,104 @@ type Entry struct {
 	// after the undo image). Recovery must roll back whenever NVM holds any
 	// version >= FirstSeq — a dirty writeback may have persisted an
 	// intermediate store of the region, not just the final one.
-	Addr     uint64
-	Undo     uint64
-	Redo     uint64
-	Seq      uint64
-	FirstSeq uint64
-	Valid    bool // redo valid-bit (§5.3); meaningful in the back-end
+	Addr, Undo, Redo, Seq, FirstSeq uint64
+	Valid                           bool // redo valid-bit (§5.3); meaningful in the back-end
 
-	// Boundary entry fields. (PCFunc, PCBlk, PCIdx) is the PC checkpoint —
-	// the exact resume point of the region that begins at this boundary.
-	Region uint64 // region sequence number (per core)
-	PCFunc int32
-	PCBlk  int32
-	PCIdx  int32
-	SP     uint64
-	Ckpts  []RegCkpt
-	Emits  []uint64 // program output staged during the committed region
-	Halt   bool     // final marker of a halted thread
+	// Boundary entry fields: the Boundary record's, plus its payloads.
+	Region               uint64
+	PCFunc, PCBlk, PCIdx int32
+	SP                   uint64
+	Ckpts                []RegCkpt
+	Emits                []uint64 // program output staged during the committed region
+	Halt                 bool
+	Sync                 SyncRec
+}
+
+// Rec is one record of the front-end, path and back-end rings: a data entry,
+// or the marker of a boundary whose commit metadata lives in the core's
+// boundary table. It holds no pointers, so the rings move it as plain
+// memory.
+type Rec struct {
+	Addr, Undo, Redo, Seq, FirstSeq uint64 // data entries only; see Entry
+	bd                              uint32 // boundary markers: the boundary's table position
+	Kind                            EntryKind
+	Valid                           bool // redo valid-bit (§5.3); meaningful in the back-end
+}
+
+// Boundary is one region-boundary marker's commit metadata. (PCFunc, PCBlk,
+// PCIdx) is the PC checkpoint — the exact resume point of the region that
+// begins at this boundary. Its register checkpoints and output emits live in
+// the core's payload arenas (CommittedRegion carries them).
+type Boundary struct {
+	Region               uint64 // region sequence number (per core)
+	PCFunc, PCBlk, PCIdx int32
+	SP                   uint64
+	Halt                 bool // final marker of a halted thread
 	// Sync is the synchronization-operation descriptor of the region this
 	// boundary commits (zero Op: none). It persists into the core's recovery
 	// record when the boundary completes phase 2.
 	Sync SyncRec
+
+	ckpt, emit   uint64 // arena positions of the payloads
+	nckpt, nemit uint32
 }
 
-// release drops a dead entry's Ckpts/Emits references, so its buffer slot
-// does not retain backings the front end may recycle; stale scalars in dead
-// slots are never read.
-func (e *Entry) release() { e.Ckpts, e.Emits = nil, nil }
+// bounds is one core's boundary table and payload arenas, shared by its
+// front end (which adds boundaries), path and back end (which retires them).
+// Boundaries and their payloads are added and retired in the same FIFO
+// order, so every structure is a ring and a boundary's payload is one span
+// of each arena.
+type bounds struct {
+	q     ring[Boundary]
+	ckpts ring[RegCkpt]
+	emits ring[uint64]
+}
+
+// at returns the boundary at table position pos (a Rec's bd).
+func (t *bounds) at(pos uint32) *Boundary { return &t.q.buf[pos-uint32(t.q.base)] }
+
+// ckptsOf and emitsOf return b's payloads; they stay readable until the next
+// boundary is added.
+func (t *bounds) ckptsOf(b *Boundary) []RegCkpt { return t.ckpts.span(b.ckpt, int(b.nckpt)) }
+func (t *bounds) emitsOf(b *Boundary) []uint64  { return t.emits.span(b.emit, int(b.nemit)) }
+
+// retire removes every boundary up to and including table position pos with
+// its payloads. Those before pos are boundaries a crash harvest took off the
+// wire (Path.DrainAll), which never reach the back end.
+func (t *bounds) retire(pos uint32) {
+	b := t.at(pos)
+	t.ckpts.drop(int(b.ckpt + uint64(b.nckpt) - t.ckpts.first()))
+	t.emits.drop(int(b.emit + uint64(b.nemit) - t.emits.first()))
+	t.q.drop(int(pos-uint32(t.q.first())) + 1)
+}
+
+// appendEntries appends recs to dst as harvested entries, copying each
+// boundary's payloads into windows carved from *ckpts and *emits (an empty
+// payload stays nil).
+func (t *bounds) appendEntries(dst []Entry, recs []Rec, ckpts *[]RegCkpt, emits *[]uint64) []Entry {
+	for i := range recs {
+		r := &recs[i]
+		if r.Kind == KindData {
+			dst = append(dst, Entry{Addr: r.Addr, Undo: r.Undo, Redo: r.Redo, Seq: r.Seq, FirstSeq: r.FirstSeq, Valid: r.Valid})
+			continue
+		}
+		b := t.at(r.bd)
+		e := Entry{
+			Kind: KindBoundary, Region: b.Region,
+			PCFunc: b.PCFunc, PCBlk: b.PCBlk, PCIdx: b.PCIdx, SP: b.SP, Halt: b.Halt, Sync: b.Sync,
+		}
+		if b.nckpt > 0 {
+			e.Ckpts = slab.Carve(ckpts, int(b.nckpt), 0)
+			copy(e.Ckpts, t.ckptsOf(b))
+		}
+		if b.nemit > 0 {
+			e.Emits = slab.Carve(emits, int(b.nemit), 0)
+			copy(e.Emits, t.emitsOf(b))
+		}
+		dst = append(dst, e)
+	}
+	return dst
+}
 
 // RegCkpt is one staged register checkpoint travelling with a boundary entry.
 type RegCkpt struct {
@@ -109,9 +183,12 @@ type FrontEnd struct {
 	NoMerge bool
 	// NoElide disables boundary elision for store-free regions (ablation).
 	NoElide bool
-	// FIFO of buffered entries, carved at Capacity (NewUnits), so the
+	// FIFO of buffered records, carved at Capacity (NewUnits), so the
 	// buffer never allocates.
-	q ring[Entry]
+	q ring[Rec]
+	// bd is the core's boundary table, where AddBoundary puts each
+	// boundary's metadata and payloads.
+	bd *bounds
 
 	// Register-file checkpoint staging for the current (uncommitted) region:
 	// one slot per architectural register, carved at isa.NumRegs.
@@ -123,18 +200,6 @@ type FrontEnd struct {
 	// boundary entry.
 	stagedSync SyncRec
 
-	// Bounded freelists for boundary-entry slice backings, carved at their
-	// bound. AddBoundary is the simulator's hottest allocation site (one
-	// Ckpts and/or Emits slice per committed region); the machine returns
-	// the backings via Recycle once phase 2 has folded the boundary into the
-	// recovery record. On a pool miss the backing is carved from a chunk
-	// (full-slice cap, so a recycled backing that must grow reallocates
-	// instead of clobbering a neighbour).
-	ckptPool [][]RegCkpt
-	emitPool [][]uint64
-	ckptSlab []RegCkpt
-	emitSlab []uint64
-
 	// Stats.
 	Allocs    uint64
 	Merges    uint64
@@ -143,33 +208,39 @@ type FrontEnd struct {
 	Stalls    uint64 // allocation attempts that found the buffer full
 }
 
-// poolCap bounds each backing freelist; payloadChunk is the size, in
-// elements, of the chunks pool misses are carved from; backStart is the
-// back-end ring's carved capacity; flightCarveMax caps the path ring's.
+// backStart is the back-end ring's carved capacity; flightCarveMax caps the
+// path ring's. boundStart is the carved capacity of the boundary table and
+// the back end's marks, ckptStart and emitStart the payload arenas', in
+// elements: above the deepest any workload's boundaries queue except the
+// contention targets' spin regions.
 const (
-	poolCap        = 64
-	payloadChunk   = 256
 	backStart      = 32
 	flightCarveMax = 64
+	boundStart     = 64
+	ckptStart      = 128
+	emitStart      = 64
 )
 
 // Unit is one core's proxy hardware: its front-end buffer, proxy path and
-// back-end buffer.
+// back-end buffer, and the boundary table the three share.
 type Unit struct {
 	Front FrontEnd
 	Path  Path
 	Back  BackEnd
+	bd    bounds
 }
 
 // NewUnits builds n cores' proxy hardware at architectural size, carving
 // every core's rings from one backing per element type: the front-end ring at
-// frontCap entries, the staged-checkpoint storage at isa.NumRegs, both
-// recycle pools at poolCap, and the path's packet ring at its in-flight bound
-// (see flightCarve). These bounds are fixed, so none of those rings ever
-// grows. The back-end's bound is backCap — the compiler's store threshold, up
-// to 1024 in the figure sweeps — so its ring is carved at backStart entries
-// instead and doubles on demand rather than reserving the threshold for every
-// core up front. An interval of zero means one. Every path consults win, the
+// frontCap records, the staged-checkpoint storage at isa.NumRegs, and the
+// path's packet ring at its in-flight bound (see flightCarve). These bounds
+// are fixed, so none of those rings ever grows. The back-end's bound is
+// backCap — the compiler's store threshold, up to 1024 in the figure sweeps —
+// so its ring is carved at backStart instead, and the boundary table, the
+// back end's marks and the payload arenas, which hold every boundary from the
+// front end to the back end, at boundStart, ckptStart and emitStart; each
+// doubles on demand rather than reserving its worst case for every core up
+// front. An interval of zero means one. Every path consults win, the
 // machine's one monitoring window (nil: none), which the caller owns.
 func NewUnits(n, frontCap, backCap int, latency, interval uint64, win *Window) []Unit {
 	if frontCap <= 0 || backCap <= 0 {
@@ -180,39 +251,50 @@ func NewUnits(n, frontCap, backCap int, latency, interval uint64, win *Window) [
 	}
 	flight := flightCarve(latency, interval)
 	units := make([]Unit, n)
-	entries := make([]Entry, n*(frontCap+backStart))
+	recs := make([]Rec, n*(frontCap+backStart))
 	packets := make([]packet, n*flight)
-	staged := make([]RegCkpt, n*isa.NumRegs)
-	ckptPool := make([][]RegCkpt, n*poolCap)
-	emitPool := make([][]uint64, n*poolCap)
+	bds := make([]Boundary, n*boundStart)
+	ckpts := make([]RegCkpt, n*(isa.NumRegs+ckptStart))
+	words := make([]uint64, n*(boundStart+emitStart))
 	for i := range units {
 		u := &units[i]
+		u.bd = bounds{
+			q:     ring[Boundary]{buf: slab.Carve(&bds, boundStart, 0)[:0]},
+			ckpts: ring[RegCkpt]{buf: slab.Carve(&ckpts, ckptStart, 0)[:0]},
+			emits: ring[uint64]{buf: slab.Carve(&words, emitStart, 0)[:0]},
+		}
 		u.Front = FrontEnd{
 			Capacity: frontCap,
-			q:        ring[Entry]{buf: slab.Carve(&entries, frontCap, 0)[:0]},
-			staged:   slab.Carve(&staged, isa.NumRegs, 0)[:0],
-			ckptPool: slab.Carve(&ckptPool, poolCap, 0)[:0],
-			emitPool: slab.Carve(&emitPool, poolCap, 0)[:0],
+			q:        ring[Rec]{buf: slab.Carve(&recs, frontCap, 0)[:0]},
+			bd:       &u.bd,
+			staged:   slab.Carve(&ckpts, isa.NumRegs, 0)[:0],
 		}
-		u.Path = Path{Latency: latency, Interval: interval, q: ring[packet]{buf: slab.Carve(&packets, flight, 0)[:0]}, win: win}
-		u.Back = BackEnd{Capacity: backCap, q: ring[Entry]{buf: slab.Carve(&entries, backStart, 0)[:0]}}
+		u.Path = Path{Latency: latency, Interval: interval, q: ring[packet]{buf: slab.Carve(&packets, flight, 0)[:0]}, win: win, bd: &u.bd}
+		u.Back = BackEnd{
+			Capacity: backCap,
+			q:        ring[Rec]{buf: slab.Carve(&recs, backStart, 0)[:0]},
+			marks:    ring[uint64]{buf: slab.Carve(&words, boundStart, 0)[:0]},
+			bd:       &u.bd,
+		}
 	}
 	return units
 }
 
-// carveCopy copies src into a backing carved from *s. The backing's capacity
-// is rounded up to a power of two (at least 4), so once recycled it usually
-// fits the next region's payload too.
-func carveCopy[T any](s *[]T, src []T) []T {
-	c := 4
-	for c < len(src) {
-		c *= 2
-	}
-	return append(slab.Carve(s, c, payloadChunk)[:0], src...)
+// Harvest appends the unit's battery-backed contents to dst as crash-image
+// entries, oldest first: the back end's, then the wire's (Path.DrainAll),
+// then the front end's. Each boundary's payloads are copied into windows
+// carved from *ckpts and *emits, so the entries share nothing with the unit.
+func (u *Unit) Harvest(dst []Entry, ckpts *[]RegCkpt, emits *[]uint64) []Entry {
+	dst = u.bd.appendEntries(dst, u.Back.q.live(), ckpts, emits)
+	dst = u.Path.DrainAll(dst, ckpts, emits)
+	return u.bd.appendEntries(dst, u.Front.q.live(), ckpts, emits)
 }
 
-// Full reports whether a new entry cannot be allocated.
-func (f *FrontEnd) Full() bool { return f.Len() >= f.Capacity }
+// HarvestLen returns how many entries, checkpoints and emits Harvest would
+// copy out, at most.
+func (u *Unit) HarvestLen() (entries, ckpts, emits int) {
+	return u.Back.Len() + u.Path.InFlight() + u.Front.Len(), u.bd.ckpts.len(), u.bd.emits.len()
+}
 
 // Len returns the number of buffered entries.
 func (f *FrontEnd) Len() int { return f.q.len() }
@@ -238,14 +320,11 @@ func (f *FrontEnd) AddStore(addr, undo, redo, seq uint64) bool {
 			return true
 		}
 	}
-	if f.Full() {
+	if f.Len() >= f.Capacity {
 		f.Stalls++
 		return false
 	}
-	*f.q.add() = Entry{
-		Kind: KindData, Addr: addr, Undo: undo, Redo: redo,
-		Seq: seq, FirstSeq: seq, Valid: true,
-	}
+	*f.q.add() = Rec{Addr: addr, Undo: undo, Redo: redo, Seq: seq, FirstSeq: seq, Valid: true}
 	f.Allocs++
 	return true
 }
@@ -263,21 +342,18 @@ func (f *FrontEnd) StageCkpt(r isa.Reg, val uint64) {
 	f.staged = append(f.staged, RegCkpt{Reg: r, Val: val})
 }
 
-// StagedLen returns the number of staged register checkpoints.
-func (f *FrontEnd) StagedLen() int { return len(f.staged) }
-
 // StageSync records the synchronization-operation descriptor of the current
 // region. A region holds at most one sync op (every sync op is a mandatory
 // region boundary), so a second stage before the boundary is a protocol
 // error the machine never commits.
 func (f *FrontEnd) StageSync(s SyncRec) { f.stagedSync = s }
 
-// AddBoundary commits the current region: it appends a boundary entry
-// carrying the staged register checkpoints, the staged output emits, and the
-// next region's PC/SP. Store-free regions with no staged checkpoints and no
-// emits may elide the entry (elided true), saving proxy-path traffic, unless
-// force is set (halt markers are never elided). Returns ok=false on a full
-// buffer.
+// AddBoundary commits the current region: it appends a boundary marker whose
+// table entry carries the staged register checkpoints, the staged output
+// emits, and the next region's PC/SP. Store-free regions with no staged
+// checkpoints and no emits may elide the entry (elided true), saving
+// proxy-path traffic, unless force is set (halt markers are never elided).
+// Returns ok=false on a full buffer.
 //
 // hadStores reports whether the region allocated any data entries.
 func (f *FrontEnd) AddBoundary(region uint64, pcFunc, pcBlk, pcIdx int32, sp uint64, emits []uint64, hadStores, force, halt bool) (ok, elided bool) {
@@ -285,89 +361,32 @@ func (f *FrontEnd) AddBoundary(region uint64, pcFunc, pcBlk, pcIdx int32, sp uin
 		f.ElidedBds++
 		return true, true
 	}
-	if f.Full() {
+	if f.Len() >= f.Capacity {
 		f.Stalls++
 		return false, false
 	}
-	e := Entry{
-		Kind: KindBoundary, Region: region,
-		PCFunc: pcFunc, PCBlk: pcBlk, PCIdx: pcIdx, SP: sp, Halt: halt,
-		Sync: f.stagedSync,
+	t := f.bd
+	*t.q.add() = Boundary{
+		Region: region, PCFunc: pcFunc, PCBlk: pcBlk, PCIdx: pcIdx, SP: sp, Halt: halt, Sync: f.stagedSync,
+		ckpt: t.ckpts.push(f.staged), nckpt: uint32(len(f.staged)),
+		emit: t.emits.push(emits), nemit: uint32(len(emits)),
 	}
+	*f.q.add() = Rec{Kind: KindBoundary, bd: uint32(t.q.next() - 1)}
 	f.stagedSync = SyncRec{}
-	if len(emits) > 0 {
-		if n := len(f.emitPool); n > 0 {
-			e.Emits = append(f.emitPool[n-1][:0], emits...)
-			f.emitPool = f.emitPool[:n-1]
-		} else {
-			e.Emits = carveCopy(&f.emitSlab, emits)
-		}
-	}
-	if len(f.staged) > 0 {
-		if n := len(f.ckptPool); n > 0 {
-			e.Ckpts = append(f.ckptPool[n-1][:0], f.staged...)
-			f.ckptPool = f.ckptPool[:n-1]
-		} else {
-			e.Ckpts = carveCopy(&f.ckptSlab, f.staged)
-		}
-		f.staged = f.staged[:0]
-	}
-	*f.q.add() = e
+	f.staged = f.staged[:0]
 	f.Boundary++
 	return true, false
 }
 
-// Recycle returns a consumed boundary entry's slice backings to the pool
-// AddBoundary draws from. The caller must guarantee no live Entry copy still
-// references them — the machine calls this only after phase 2 has folded the
-// boundary into the recovery record and every buffer slot holding a copy has
-// been cleared. The pools are bounded; excess backings fall to the GC.
-func (f *FrontEnd) Recycle(ckpts []RegCkpt, emits []uint64) {
-	if cap(ckpts) > 0 && len(f.ckptPool) < poolCap {
-		f.ckptPool = append(f.ckptPool, ckpts[:0])
-	}
-	if cap(emits) > 0 && len(f.emitPool) < poolCap {
-		f.emitPool = append(f.emitPool, emits[:0])
-	}
-}
+// Peek returns the oldest buffered record without removing it. The pointer
+// is valid until the next mutation; callers must not retain it. Peeking an
+// empty buffer panics — check Len first.
+func (f *FrontEnd) Peek() *Rec { return f.q.front() }
 
-// DiscardStaged drops staged checkpoints (power failure hits before the
-// region commits — the staging storage is logically part of the uncommitted
-// region). The staged values are non-volatile but recovery ignores them, so
-// the machine clears them when rebuilding.
-func (f *FrontEnd) DiscardStaged() {
-	f.staged = f.staged[:0]
-	f.stagedSync = SyncRec{}
-}
+// BoundaryOf returns the table entry of boundary marker r, one of the
+// unit's records; it stays valid until the next boundary is added.
+func (f *FrontEnd) BoundaryOf(r *Rec) *Boundary { return f.bd.at(r.bd) }
 
-// Peek returns the oldest buffered entry without removing it. The pointer is
-// valid until the next mutation; callers must not retain it. Peeking an empty
-// buffer panics — check Len first.
-func (f *FrontEnd) Peek() *Entry { return f.q.front() }
-
-// Pop removes and returns the oldest entry for transmission on the proxy
-// path.
-func (f *FrontEnd) Pop() (Entry, bool) {
-	if f.q.len() == 0 {
-		return Entry{}, false
-	}
-	e := *f.q.front()
-	f.DropHead()
-	return e, true
-}
-
-// DropHead removes the oldest entry after its contents have been copied out —
-// the zero-copy counterpart of Pop (the machine's drain loop peeks the head,
-// sends it straight into a path packet, then drops it). Dropping an empty
-// buffer panics — check Len first.
-func (f *FrontEnd) DropHead() {
-	f.q.front().release()
-	f.q.drop(1)
-}
-
-// Entries returns the buffered entries oldest-first (recovery reads them
-// after a crash).
-func (f *FrontEnd) Entries() []Entry { return f.q.live() }
-
-// Staged returns the currently staged register checkpoints (inspection).
-func (f *FrontEnd) Staged() []RegCkpt { return f.staged }
+// DropHead removes the oldest record once the machine has sent it on the
+// path. Dropping an empty buffer panics — check Len first.
+func (f *FrontEnd) DropHead() { f.q.drop(1) }

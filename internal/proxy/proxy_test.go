@@ -2,7 +2,9 @@ package proxy
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"capri/internal/isa"
 )
@@ -19,7 +21,7 @@ func TestFrontEndAllocAndMerge(t *testing.T) {
 	if f.Len() != 1 {
 		t.Fatalf("len = %d, want 1 (merged)", f.Len())
 	}
-	e := f.Entries()[0]
+	e := f.q.live()[0]
 	if e.Undo != 0 || e.Redo != 2 || e.Seq != 2 {
 		t.Errorf("merged entry = %+v", e)
 	}
@@ -71,15 +73,15 @@ func TestBoundaryElision(t *testing.T) {
 	if !ok || elided {
 		t.Error("boundary with staged ckpts must not be elided")
 	}
-	if f.Len() != 1 || len(f.Entries()[0].Ckpts) != 1 {
-		t.Errorf("boundary entry = %+v", f.Entries())
+	if f.Len() != 1 || len(frontEntries(f)[0].Ckpts) != 1 {
+		t.Errorf("boundary entry = %+v", frontEntries(f))
 	}
 	// Forced boundaries (halt / thread start) are never elided.
 	ok, elided = f.AddBoundary(3, 0, 0, 0, 0, nil, false, true, true)
 	if !ok || elided {
 		t.Error("forced boundary elided")
 	}
-	if !f.Entries()[1].Halt {
+	if !frontEntries(f)[1].Halt {
 		t.Error("halt flag lost")
 	}
 }
@@ -89,15 +91,15 @@ func TestStagedCkptOverwrite(t *testing.T) {
 	f.StageCkpt(5, 1)
 	f.StageCkpt(5, 2)
 	f.StageCkpt(6, 3)
-	if f.StagedLen() != 2 {
-		t.Fatalf("staged = %d, want 2", f.StagedLen())
+	if len(f.staged) != 2 {
+		t.Fatalf("staged = %d, want 2", len(f.staged))
 	}
 	f.AddBoundary(1, 0, 0, 0, 0, nil, false, false, false)
-	cks := f.Entries()[0].Ckpts
+	cks := frontEntries(f)[0].Ckpts
 	if len(cks) != 2 || cks[0].Reg != 5 || cks[0].Val != 2 {
 		t.Errorf("ckpts = %+v", cks)
 	}
-	if f.StagedLen() != 0 {
+	if len(f.staged) != 0 {
 		t.Error("staging not cleared after boundary")
 	}
 }
@@ -106,29 +108,29 @@ func TestFrontEndFIFOPop(t *testing.T) {
 	f := newFront(8)
 	f.AddStore(0x100, 0, 1, 1)
 	f.AddStore(0x140, 0, 2, 2)
-	e, ok := f.Pop()
-	if !ok || e.Addr != 0x100 {
-		t.Errorf("pop = %+v", e)
+	if e := f.Peek(); e.Addr != 0x100 {
+		t.Errorf("peek = %+v", e)
 	}
-	e, _ = f.Pop()
-	if e.Addr != 0x140 {
-		t.Errorf("pop2 = %+v", e)
+	f.DropHead()
+	if e := f.Peek(); e.Addr != 0x140 {
+		t.Errorf("peek2 = %+v", e)
 	}
-	if _, ok := f.Pop(); ok {
-		t.Error("pop on empty succeeded")
+	f.DropHead()
+	if f.Len() != 0 {
+		t.Errorf("len %d after dropping both", f.Len())
 	}
 }
 
 func TestBackEndRegionPop(t *testing.T) {
 	b := newBack(16)
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Redo: 1, Seq: 1, Valid: true})
-	b.Accept(Entry{Kind: KindData, Addr: 0x140, Redo: 2, Seq: 2, Valid: true})
-	if b.HasRegion() {
+	b.AcceptFrom(&Rec{Addr: 0x100, Redo: 1, Seq: 1, Valid: true})
+	b.AcceptFrom(&Rec{Addr: 0x140, Redo: 2, Seq: 2, Valid: true})
+	if _, ok := b.Region(0); ok {
 		t.Error("region complete without boundary")
 	}
-	b.Accept(Entry{Kind: KindBoundary, Region: 1})
-	b.Accept(Entry{Kind: KindData, Addr: 0x180, Redo: 3, Seq: 3, Valid: true})
-	if !b.HasRegion() {
+	acceptBoundary(b, 1)
+	b.AcceptFrom(&Rec{Addr: 0x180, Redo: 3, Seq: 3, Valid: true})
+	if _, ok := b.Region(0); !ok {
 		t.Fatal("region not detected")
 	}
 	r, ok := b.PopRegion()
@@ -145,9 +147,9 @@ func TestBackEndRegionPop(t *testing.T) {
 
 func TestBackEndScanInvalidate(t *testing.T) {
 	b := newBack(16)
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true})
-	b.Accept(Entry{Kind: KindBoundary, Region: 1})
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Seq: 9, Valid: true})
+	b.AcceptFrom(&Rec{Addr: 0x100, Seq: 5, Valid: true})
+	acceptBoundary(b, 1)
+	b.AcceptFrom(&Rec{Addr: 0x100, Seq: 9, Valid: true})
 
 	// Writeback with seq 6: invalidates the region-1 entry (seq 5) but not
 	// the newer one (seq 9) — the cross-core-safe refinement.
@@ -155,7 +157,7 @@ func TestBackEndScanInvalidate(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("invalidated %d entries, want 1", n)
 	}
-	es := b.Entries()
+	es := b.q.live()
 	if es[0].Valid || !es[2].Valid {
 		t.Errorf("valid bits wrong: %v %v", es[0].Valid, es[2].Valid)
 	}
@@ -163,24 +165,24 @@ func TestBackEndScanInvalidate(t *testing.T) {
 
 func TestBackEndOverflowDetected(t *testing.T) {
 	b := newBack(2)
-	b.Accept(Entry{Kind: KindData, Addr: 1, Valid: true})
-	b.Accept(Entry{Kind: KindData, Addr: 2, Valid: true})
-	if b.Accept(Entry{Kind: KindData, Addr: 3, Valid: true}) {
+	b.AcceptFrom(&Rec{Addr: 1, Valid: true})
+	b.AcceptFrom(&Rec{Addr: 2, Valid: true})
+	if b.AcceptFrom(&Rec{Addr: 3, Valid: true}) {
 		t.Error("overflow accepted")
 	}
 	if b.Overflow != 1 {
 		t.Errorf("overflow count = %d", b.Overflow)
 	}
 	// Boundary entries always fit.
-	if !b.Accept(Entry{Kind: KindBoundary}) {
+	if !acceptBoundary(b, 1) {
 		t.Error("boundary rejected")
 	}
 }
 
 func TestPathLatencyAndBandwidth(t *testing.T) {
 	p := newPath(40, 8)
-	d0 := p.Send(Entry{Kind: KindData, Addr: 1, Valid: true}, 100)
-	d1 := p.Send(Entry{Kind: KindData, Addr: 2, Valid: true}, 100)
+	d0 := p.SendFrom(&Rec{Addr: 1, Valid: true}, 100)
+	d1 := p.SendFrom(&Rec{Addr: 2, Valid: true}, 100)
 	if d0 != 100 || d1 != 108 {
 		t.Errorf("departures = %d,%d", d0, d1)
 	}
@@ -200,9 +202,9 @@ func TestPathMonitoringWindow(t *testing.T) {
 	// Writeback for addr 0x100 seq 10 arrives at cycle 50: window open until 90.
 	p.win.Note(0x100, 10, 50)
 
-	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 20) // arrives 60
-	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 20, Valid: true}, 21)
-	p.Send(Entry{Kind: KindData, Addr: 0x200, Seq: 5, Valid: true}, 22)
+	p.SendFrom(&Rec{Addr: 0x100, Seq: 5, Valid: true}, 20) // arrives 60
+	p.SendFrom(&Rec{Addr: 0x100, Seq: 20, Valid: true}, 21)
+	p.SendFrom(&Rec{Addr: 0x200, Seq: 5, Valid: true}, 22)
 
 	got := deliver(p, 100)
 	if len(got) != 3 {
@@ -225,7 +227,7 @@ func TestPathMonitoringWindow(t *testing.T) {
 func TestPathWindowExpiry(t *testing.T) {
 	p := newPath(10, 1)
 	p.win.Note(0x100, 10, 0) // window closes at 10
-	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 50)
+	p.SendFrom(&Rec{Addr: 0x100, Seq: 5, Valid: true}, 50)
 	got := deliver(p, 100)
 	if !got[0].Valid {
 		t.Error("entry arriving after window expiry invalidated")
@@ -256,7 +258,7 @@ func TestPathWindowBoundary(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newPath(latency, 1)
 			p.win.Note(0x100, 10, 0) // expiry = 0 + latency
-			p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: tc.seq, Valid: true}, tc.sendAt)
+			p.SendFrom(&Rec{Addr: 0x100, Seq: tc.seq, Valid: true}, tc.sendAt)
 			got := deliver(p, tc.sendAt+latency)
 			if len(got) != 1 {
 				t.Fatalf("delivered %d entries", len(got))
@@ -287,8 +289,8 @@ func TestPathWindowSurvivesDrainAll(t *testing.T) {
 	p := newPath(latency, 1)
 
 	p.win.Note(0x100, 10, 5) // expiry = 15
-	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 0)
-	harvested := p.DrainAll(nil)
+	p.SendFrom(&Rec{Addr: 0x100, Seq: 5, Valid: true}, 0)
+	harvested := p.DrainAll(nil, nil, nil)
 	if len(harvested) != 1 || !harvested[0].Valid {
 		t.Fatalf("crash harvest = %+v, want 1 valid entry (window not applied)", harvested)
 	}
@@ -301,7 +303,7 @@ func TestPathWindowSurvivesDrainAll(t *testing.T) {
 
 	// Reuse the drained path: departs at 3 (bandwidth slot 1 passed), arrives
 	// 13 <= 15 — the surviving window must still invalidate it.
-	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 6, Valid: true}, 3)
+	p.SendFrom(&Rec{Addr: 0x100, Seq: 6, Valid: true}, 3)
 	got := deliver(p, 20)
 	if len(got) != 1 || got[0].Valid {
 		t.Errorf("post-drain delivery = %+v, want 1 stale-invalidated entry", got)
@@ -320,8 +322,8 @@ func TestPathWindowRefresh(t *testing.T) {
 	if we := p.win.m[0x100]; we != (windowEntry{expiry: 30, seq: 3}) {
 		t.Fatalf("refreshed window = %+v, want expiry 30 seq 3", we)
 	}
-	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 3, Valid: true}, 15) // arrives 25 <= 30
-	p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 16) // arrives 26, seq 5 > 3
+	p.SendFrom(&Rec{Addr: 0x100, Seq: 3, Valid: true}, 15) // arrives 25 <= 30
+	p.SendFrom(&Rec{Addr: 0x100, Seq: 5, Valid: true}, 16) // arrives 26, seq 5 > 3
 	got := deliver(p, 40)
 	if len(got) != 2 {
 		t.Fatalf("delivered %d entries", len(got))
@@ -336,10 +338,11 @@ func TestPathWindowRefresh(t *testing.T) {
 
 func TestPathDrainAll(t *testing.T) {
 	p := newPath(40, 8)
-	p.Send(Entry{Kind: KindData, Addr: 1}, 0)
-	p.Send(Entry{Kind: KindBoundary, Region: 7}, 0)
-	got := p.DrainAll(nil)
-	if len(got) != 2 || got[1].Region != 7 {
+	p.SendFrom(&Rec{Addr: 1}, 0)
+	bd := marker(p.bd, 7)
+	p.SendFrom(&bd, 0)
+	got := p.DrainAll(nil, nil, nil)
+	if len(got) != 2 || got[0].Addr != 1 || got[1].Kind != KindBoundary || got[1].Region != 7 {
 		t.Errorf("drain = %+v", got)
 	}
 	if p.InFlight() != 0 {
@@ -347,11 +350,63 @@ func TestPathDrainAll(t *testing.T) {
 	}
 }
 
+// TestUnitHarvest: a harvest lists the back end's records, the wire's and
+// the front end's, oldest first, with every boundary's payloads inline and
+// copied — running the unit on afterwards changes none of them.
+func TestUnitHarvest(t *testing.T) {
+	u := &NewUnits(1, 8, 8, 40, 8, nil)[0]
+	f := &u.Front
+	region := func(r uint64) {
+		f.AddStore(0x100*r, 0, r, r)
+		f.StageCkpt(isa.Reg(r), 10*r)
+		f.AddBoundary(r, 0, 0, 0, 0x8000, []uint64{100 * r}, true, false, false)
+	}
+	region(1)
+	region(2)
+	for f.Len() > 0 {
+		u.Path.SendFrom(f.Peek(), 0)
+		f.DropHead()
+	}
+	u.Path.DeliverEach(49, func(r *Rec, _ *Boundary, _ uint64, _ bool) { u.Back.AcceptFrom(r) })
+	region(3)
+	got := harvest(u)
+	if len(got) != 6 || u.Path.InFlight() != 0 {
+		t.Fatalf("harvest = %+v (%d left in flight), want 6 entries", got, u.Path.InFlight())
+	}
+	for i, e := range got {
+		r := uint64(i/2 + 1)
+		if i%2 == 0 && (e.Kind != KindData || e.Addr != 0x100*r) {
+			t.Errorf("entry %d = %+v, want region %d's store", i, e, r)
+		}
+		if i%2 == 1 && (e.Region != r || len(e.Ckpts) != 1 || e.Ckpts[0] != (RegCkpt{isa.Reg(r), 10 * r}) ||
+			len(e.Emits) != 1 || e.Emits[0] != 100*r) {
+			t.Errorf("entry %d = %+v, want region %d's boundary", i, e, r)
+		}
+	}
+	before := copyEntries(got)
+	for r := uint64(4); r < 40; r++ {
+		region(r)
+		for f.Len() > 0 {
+			u.Path.SendFrom(f.Peek(), 0)
+			f.DropHead()
+		}
+		u.Path.DeliverEach(^uint64(0), func(r *Rec, _ *Boundary, _ uint64, _ bool) { u.Back.AcceptFrom(r) })
+		for {
+			if _, ok := u.Back.PopRegion(); !ok {
+				break
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, before) {
+		t.Errorf("running the unit changed its harvest:\n%+v\nwas\n%+v", got, before)
+	}
+}
+
 func TestFrontEndMergeKeepsFirstSeq(t *testing.T) {
 	f := newFront(8)
 	f.AddStore(0x100, 0, 1, 10)
 	f.AddStore(0x100, 1, 2, 20) // merged
-	e := f.Entries()[0]
+	e := f.q.live()[0]
 	if e.FirstSeq != 10 || e.Seq != 20 {
 		t.Errorf("merged entry FirstSeq=%d Seq=%d, want 10/20", e.FirstSeq, e.Seq)
 	}
@@ -362,9 +417,9 @@ func TestFrontEndMergeKeepsFirstSeq(t *testing.T) {
 
 func TestBackEndMergeKeepsFirstSeq(t *testing.T) {
 	b := newBack(8)
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Undo: 0, Redo: 1, Seq: 10, FirstSeq: 10, Valid: true})
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Undo: 1, Redo: 2, Seq: 20, FirstSeq: 20, Valid: true})
-	es := b.Entries()
+	b.AcceptFrom(&Rec{Addr: 0x100, Undo: 0, Redo: 1, Seq: 10, FirstSeq: 10, Valid: true})
+	b.AcceptFrom(&Rec{Addr: 0x100, Undo: 1, Redo: 2, Seq: 20, FirstSeq: 20, Valid: true})
+	es := b.q.live()
 	if len(es) != 1 {
 		t.Fatalf("entries = %d, want 1 (merged)", len(es))
 	}
@@ -380,13 +435,13 @@ func TestBackEndMergeRevalidates(t *testing.T) {
 	// A writeback invalidated the buffered entry; a newer store to the same
 	// address within the region must re-validate it (the redo is new data).
 	b := newBack(8)
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Redo: 1, Seq: 10, FirstSeq: 10, Valid: true})
+	b.AcceptFrom(&Rec{Addr: 0x100, Redo: 1, Seq: 10, FirstSeq: 10, Valid: true})
 	b.ScanInvalidate(0x100, 15)
-	if b.Entries()[0].Valid {
+	if b.q.live()[0].Valid {
 		t.Fatal("scan did not invalidate")
 	}
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Redo: 2, Seq: 20, FirstSeq: 20, Valid: true})
-	if !b.Entries()[0].Valid {
+	b.AcceptFrom(&Rec{Addr: 0x100, Redo: 2, Seq: 20, FirstSeq: 20, Valid: true})
+	if !b.q.live()[0].Valid {
 		t.Error("merge did not re-validate the entry for the newer store")
 	}
 }
@@ -402,8 +457,8 @@ func TestNoMergeFlags(t *testing.T) {
 
 	b := newBack(8)
 	b.NoMerge = true
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Seq: 1, FirstSeq: 1, Valid: true})
-	b.Accept(Entry{Kind: KindData, Addr: 0x100, Seq: 2, FirstSeq: 2, Valid: true})
+	b.AcceptFrom(&Rec{Addr: 0x100, Seq: 1, FirstSeq: 1, Valid: true})
+	b.AcceptFrom(&Rec{Addr: 0x100, Seq: 2, FirstSeq: 2, Valid: true})
 	if b.Len() != 2 || b.Merges != 0 {
 		t.Errorf("NoMerge back-end merged anyway: len=%d merges=%d", b.Len(), b.Merges)
 	}
@@ -421,55 +476,6 @@ func TestNoElideFlag(t *testing.T) {
 	}
 }
 
-// TestFrontEndColdBoundaryAllocs pins the pool-miss path: N boundaries on a
-// fresh front-end with nothing recycled carve their checkpoint and emit
-// backings from chunks, costing about N/chunk allocations, not N.
-func TestFrontEndColdBoundaryAllocs(t *testing.T) {
-	const n = 512
-	emits := []uint64{1, 2}
-	got := testing.AllocsPerRun(10, func() {
-		f := newFront(n)
-		for i := 0; i < n; i++ {
-			f.StageCkpt(3, uint64(i))
-			if ok, _ := f.AddBoundary(uint64(i+1), 0, 0, 0, 0x8000, emits, true, false, false); !ok {
-				t.Fatal("boundary rejected")
-			}
-		}
-	})
-	// Each backing carves 4 elements from one of two slabs; plus NewUnits'
-	// six backings (units, entries, packets, staging, two pools).
-	if bound := 2*n*4/payloadChunk + 6; got > float64(bound) {
-		t.Errorf("%d cold boundaries made %.0f allocations, want <= %d", n, got, bound)
-	}
-}
-
-// TestFrontEndRecycledBackingGrows: a recycled carved backing that must grow
-// for a bigger payload reallocates rather than writing into the backing
-// carved after it.
-func TestFrontEndRecycledBackingGrows(t *testing.T) {
-	f := newFront(8)
-	f.StageCkpt(1, 10)
-	f.AddBoundary(1, 0, 0, 0, 0, []uint64{100}, true, false, false)
-	f.StageCkpt(2, 20)
-	f.AddBoundary(2, 0, 0, 0, 0, []uint64{200}, true, false, false)
-	a, _ := f.Pop()
-	b := *f.Peek()
-	f.Recycle(a.Ckpts, a.Emits)
-	emits := make([]uint64, 9)
-	for r := isa.Reg(0); r < 9; r++ {
-		f.StageCkpt(r, 99)
-		emits[r] = 99
-	}
-	f.AddBoundary(3, 0, 0, 0, 0, emits, true, false, false)
-	if b.Ckpts[0] != (RegCkpt{Reg: 2, Val: 20}) || b.Emits[0] != 200 {
-		t.Fatalf("growing a recycled backing clobbered its neighbour: %v %v", b.Ckpts, b.Emits)
-	}
-	c := f.Entries()[f.Len()-1]
-	if len(c.Ckpts) != 9 || len(c.Emits) != 9 {
-		t.Fatalf("grown boundary carries %d ckpts, %d emits; want 9, 9", len(c.Ckpts), len(c.Emits))
-	}
-}
-
 // newFront, newBack and newPath build one core's proxy hardware through
 // NewUnits, exactly as a machine does, and return the part under test. The
 // path consults its own monitoring window (p.win).
@@ -477,6 +483,27 @@ func newFront(capacity int) *FrontEnd { return &NewUnits(1, capacity, 1, 0, 1, n
 func newBack(capacity int) *BackEnd   { return &NewUnits(1, 1, capacity, 0, 1, nil)[0].Back }
 func newPath(latency, interval uint64) *Path {
 	return &NewUnits(1, 1, 1, latency, interval, &Window{Latency: latency})[0].Path
+}
+
+// frontEntries returns f's buffered records as entries, payloads included.
+func frontEntries(f *FrontEnd) []Entry {
+	return f.bd.appendEntries(nil, f.q.live(), new([]RegCkpt), new([]uint64))
+}
+
+// harvest returns u's harvest, payload copies made one by one.
+func harvest(u *Unit) []Entry { return u.Harvest(nil, new([]RegCkpt), new([]uint64)) }
+
+// marker adds a boundary for region to the table t and returns its marker
+// record, as AddBoundary does for the front end.
+func marker(t *bounds, region uint64) Rec {
+	*t.q.add() = Boundary{Region: region}
+	return Rec{Kind: KindBoundary, bd: uint32(t.q.next() - 1)}
+}
+
+// acceptBoundary hands the back end a marker for a fresh boundary of region.
+func acceptBoundary(b *BackEnd, region uint64) bool {
+	r := marker(b.bd, region)
+	return b.AcceptFrom(&r)
 }
 
 // TestUnitsShareWindow: every path NewUnits builds consults the one window
@@ -488,7 +515,7 @@ func TestUnitsShareWindow(t *testing.T) {
 	w.Note(0x100, 10, 0) // expiry 10
 	for i := range us {
 		p := &us[i].Path
-		p.Send(Entry{Kind: KindData, Addr: 0x100, Seq: 5, Valid: true}, 0)
+		p.SendFrom(&Rec{Addr: 0x100, Seq: 5, Valid: true}, 0)
 		if got := deliver(p, 10); len(got) != 1 || got[0].Valid || p.WindowHits != 1 {
 			t.Errorf("path %d: delivered %+v with %d hits, want one invalidated entry", i, got, p.WindowHits)
 		}
@@ -498,10 +525,10 @@ func TestUnitsShareWindow(t *testing.T) {
 	}
 }
 
-// deliver collects copies of every entry the path delivers by now.
-func deliver(p *Path, now uint64) []Entry {
-	var out []Entry
-	p.DeliverEach(now, func(e *Entry, _ uint64, _ bool) { out = append(out, *e) })
+// deliver collects copies of every record the path delivers by now.
+func deliver(p *Path, now uint64) []Rec {
+	var out []Rec
+	p.DeliverEach(now, func(r *Rec, _ *Boundary, _ uint64, _ bool) { out = append(out, *r) })
 	return out
 }
 
@@ -509,12 +536,22 @@ func deliver(p *Path, now uint64) []Entry {
 // wire-arrival cycle (departure slot + latency), not the service cycle.
 func TestDeliverEachArrivalCycle(t *testing.T) {
 	p := newPath(40, 8)
-	p.Send(Entry{Kind: KindData, Addr: 1}, 100)
-	p.Send(Entry{Kind: KindBoundary, Region: 1}, 100)
+	p.SendFrom(&Rec{Addr: 1}, 100)
+	bd := marker(p.bd, 1)
+	p.SendFrom(&bd, 100)
 	var arrivals []uint64
-	p.DeliverEach(500, func(_ *Entry, arrives uint64, _ bool) { arrivals = append(arrivals, arrives) })
+	var regions []uint64
+	p.DeliverEach(500, func(_ *Rec, b *Boundary, arrives uint64, _ bool) {
+		arrivals = append(arrivals, arrives)
+		if b != nil {
+			regions = append(regions, b.Region)
+		}
+	})
 	if len(arrivals) != 2 || arrivals[0] != 140 || arrivals[1] != 148 {
 		t.Errorf("arrivals = %v, want [140 148]", arrivals)
+	}
+	if len(regions) != 1 || regions[0] != 1 {
+		t.Errorf("boundaries delivered for regions %v, want [1]", regions)
 	}
 }
 
@@ -536,15 +573,15 @@ func TestUnitsRingsCarvedAtBound(t *testing.T) {
 		}
 	}
 	for now := uint64(0); now < 400; now++ {
-		u.Path.DeliverEach(now, func(e *Entry, _ uint64, _ bool) { u.Back.AcceptFrom(e) })
+		u.Path.DeliverEach(now, func(r *Rec, _ *Boundary, _ uint64, _ bool) { u.Back.AcceptFrom(r) })
 		if u.Path.Backlog() <= now {
-			u.Path.Send(Entry{Kind: KindData, Addr: now}, now)
+			u.Path.SendFrom(&Rec{Addr: now}, now)
 		}
 	}
 	if &u.Front.q.buf[:1][0] != ring || &u.Path.q.buf[:1][0] != flight || cap(u.Front.staged) != isa.NumRegs {
 		t.Error("a ring carved at its bound was reallocated")
 	}
-	if v.Front.Len() != 0 || v.Path.InFlight() != 0 || v.Back.Len() != 0 || len(v.Front.Staged()) != 0 {
+	if v.Front.Len() != 0 || v.Path.InFlight() != 0 || v.Back.Len() != 0 || len(v.Front.staged) != 0 {
 		t.Error("filling one unit's rings touched its neighbour")
 	}
 }
@@ -556,9 +593,9 @@ func TestBackEndRingReusesSlots(t *testing.T) {
 	b := NewUnits(1, 1, 8, 0, 1, nil)[0].Back
 	for r := uint64(1); r <= 100; r++ {
 		for i := uint64(0); i < 3; i++ {
-			b.Accept(Entry{Kind: KindData, Addr: 8 * i, Redo: r, Seq: 3*r + i, FirstSeq: 3*r + i, Valid: true})
+			b.AcceptFrom(&Rec{Addr: 8 * i, Redo: r, Seq: 3*r + i, FirstSeq: 3*r + i, Valid: true})
 		}
-		b.Accept(Entry{Kind: KindBoundary, Region: r})
+		acceptBoundary(&b, r)
 		if r%2 == 1 {
 			continue // keep one region buffered across the next accepts
 		}
@@ -587,7 +624,7 @@ func TestPathCarveCapped(t *testing.T) {
 	const latency, n = 3 * flightCarveMax, 2 * flightCarveMax
 	p := newPath(latency, 1)
 	for i := uint64(0); i < n; i++ {
-		p.Send(Entry{Kind: KindData, Addr: i}, i)
+		p.SendFrom(&Rec{Addr: i}, i)
 	}
 	got := deliver(p, n+latency)
 	if len(got) != n {
@@ -601,15 +638,15 @@ func TestPathCarveCapped(t *testing.T) {
 }
 
 // TestRingReclaimsSlots: the shared ring compacts into dead head slots
-// before it grows, clearing the slots it moved entries out of.
+// before it grows, and an element keeps its position through compaction.
 func TestRingReclaimsSlots(t *testing.T) {
-	r := ring[Entry]{buf: make([]Entry, 0, 4)}
+	r := ring[Rec]{buf: make([]Rec, 0, 4)}
 	for i := uint64(0); i < 4; i++ {
-		*r.add() = Entry{Addr: i, Emits: []uint64{i}}
+		*r.add() = Rec{Addr: i}
 	}
 	r.drop(2)
 	backing := &r.buf[:1][0]
-	*r.add() = Entry{Addr: 4}
+	*r.add() = Rec{Addr: 4}
 	if &r.buf[0] != backing || cap(r.buf) != 4 {
 		t.Error("ring grew while it had dead slots to reclaim")
 	}
@@ -617,39 +654,102 @@ func TestRingReclaimsSlots(t *testing.T) {
 		if e := r.live()[i]; e.Addr != want {
 			t.Errorf("live[%d].Addr = %d, want %d", i, e.Addr, want)
 		}
+		if e := r.at(want); e.Addr != want {
+			t.Errorf("position %d holds addr %d after compaction", want, e.Addr)
+		}
 	}
-	if r.buf[:4][3].Emits != nil {
-		t.Error("compaction left a moved-from slot referencing a backing")
+	if pos := r.push([]Rec{{Addr: 5}, {Addr: 6}}); pos != 5 || r.first() != 2 || cap(r.buf) < 5 {
+		t.Errorf("push at %d (first %d, cap %d), want position 5 on a grown ring", pos, r.first(), cap(r.buf))
+	}
+	if s := r.span(5, 2); s[0].Addr != 5 || s[1].Addr != 6 || cap(s) != 2 {
+		t.Errorf("span(5, 2) = %+v, cap %d", s, cap(s))
 	}
 	r.drop(r.len())
-	if len(r.buf) != 0 {
-		t.Errorf("an emptied ring did not rewind: buf len %d", len(r.buf))
+	if len(r.buf) != 0 || r.next() != 7 {
+		t.Errorf("an emptied ring did not rewind: buf len %d, next %d", len(r.buf), r.next())
 	}
 }
 
-// TestRemovedEntriesReleaseBackings: every way an entry leaves a buffer or
-// the path leaves its slot holding no Ckpts/Emits backing, so a backing the
-// front end recycles is referenced by no dead slot.
-func TestRemovedEntriesReleaseBackings(t *testing.T) {
-	u := &NewUnits(1, 8, 8, 4, 1, nil)[0]
-	bd := Entry{Kind: KindBoundary, Ckpts: []RegCkpt{{1, 1}}, Emits: []uint64{1}}
-	held := func(s []Entry) bool { return s[0].Ckpts != nil || s[0].Emits != nil }
-	*u.Front.q.add() = bd
-	u.Front.DropHead()
-	if held(u.Front.q.buf[:1]) {
-		t.Error("front end: dropped head still holds its backings")
+// TestRingElementsPointerFree pins the compact layout: every ring's element
+// type holds no pointers, so the rings move records as plain memory and the
+// collector never scans them, and a data record fits in 48 bytes (the
+// crash-image Entry is 184).
+func TestRingElementsPointerFree(t *testing.T) {
+	var u Unit
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(u.Front.q.buf).Elem(), reflect.TypeOf(u.Path.q.buf).Elem(),
+		reflect.TypeOf(u.Back.q.buf).Elem(), reflect.TypeOf(u.Back.marks.buf).Elem(),
+		reflect.TypeOf(u.bd.q.buf).Elem(), reflect.TypeOf(u.bd.ckpts.buf).Elem(),
+		reflect.TypeOf(u.bd.emits.buf).Elem(),
+	} {
+		if hasPointers(typ) {
+			t.Errorf("ring element %v holds pointers", typ)
+		}
 	}
-	u.Path.Send(bd, 0)
-	u.Path.DeliverEach(10, func(e *Entry, _ uint64, _ bool) { u.Back.AcceptFrom(e) })
-	if e := u.Path.q.buf[:1][0].e; e.Ckpts != nil || e.Emits != nil {
-		t.Error("path: delivered packet still holds its backings")
+	if n := unsafe.Sizeof(Rec{}); n > 48 {
+		t.Errorf("Rec is %d bytes, want <= 48", n)
 	}
-	u.Path.Send(bd, 20)
-	u.Path.DrainAll(nil)
-	if e := u.Path.q.buf[:1][0].e; e.Ckpts != nil || e.Emits != nil {
-		t.Error("path: harvested packet still holds its backings")
+}
+
+// hasPointers reports whether a value of typ holds any pointer.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return hasPointers(typ.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
 	}
-	if _, ok := u.Back.PopRegion(); !ok || held(u.Back.q.buf[:1]) {
-		t.Error("back end: popped boundary still holds its backings")
+	return true
+}
+
+// TestBoundaryPayloadsZeroAlloc: at steady state, regions whose boundaries
+// carry register checkpoints, a sync descriptor and output emits travel
+// front end to back end and pop with their payloads intact without a single
+// allocation — the boundary table and payload arenas recycle in place.
+func TestBoundaryPayloadsZeroAlloc(t *testing.T) {
+	u := &NewUnits(1, 32, 256, 40, 8, nil)[0]
+	emits := []uint64{7, 8, 9}
+	var now, region uint64
+	run := func() {
+		region++
+		u.Front.AddStore(0x1000, 0, region, region)
+		for r := isa.Reg(1); r <= 5; r++ {
+			u.Front.StageCkpt(r, region)
+		}
+		u.Front.StageSync(SyncRec{Op: 1, Seq: region})
+		if ok, _ := u.Front.AddBoundary(region, 0, 0, 0, 0x8000, emits, true, false, false); !ok {
+			t.Fatal("boundary rejected")
+		}
+		for u.Front.Len() > 0 {
+			now = u.Path.SendFrom(u.Front.Peek(), now) + 1
+			u.Front.DropHead()
+		}
+		u.Path.DeliverEach(now+u.Path.Latency, func(r *Rec, _ *Boundary, _ uint64, _ bool) { u.Back.AcceptFrom(r) })
+		cr, ok := u.Back.PopRegion()
+		if !ok || cr.Boundary.Region != region || len(cr.Ckpts) != 5 || cr.Ckpts[4] != (RegCkpt{5, region}) ||
+			len(cr.Emits) != 3 || cr.Emits[2] != 9 || cr.Boundary.Sync.Seq != region {
+			t.Fatalf("region %d popped as %+v (boundary %+v)", region, cr, cr.Boundary)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		run()
+	}
+	if got := testing.AllocsPerRun(1000, run); got != 0 {
+		t.Errorf("a region with a payload-carrying boundary made %.2f allocations, want 0", got)
+	}
+	bt := &u.bd
+	if bt.q.len() != 0 || bt.ckpts.len() != 0 || bt.emits.len() != 0 ||
+		cap(bt.q.buf) != boundStart || cap(bt.ckpts.buf) != ckptStart || cap(bt.emits.buf) != emitStart {
+		t.Errorf("after every region popped the table holds %d boundaries, %d checkpoints and %d emits in backings of %d, %d and %d",
+			bt.q.len(), bt.ckpts.len(), bt.emits.len(), cap(bt.q.buf), cap(bt.ckpts.buf), cap(bt.emits.buf))
 	}
 }
