@@ -20,9 +20,12 @@ test:
 
 # lint is vet plus the godoc-coverage gate: every exported identifier in the
 # listed packages must carry a doc comment (tools/doccheck — plain go/ast,
-# no external linters).
+# no external linters), plus the hot-path guard: the compiler must still
+# inline (*mem.Mem).Load and (*mem.NVM).Peek, the simulator's per-access
+# reads.
 lint:
 	$(GO) vet ./...
+	@m=$$($(GO) build -gcflags=-m ./internal/mem 2>&1); for f in '(*Mem).Load' '(*NVM).Peek'; do echo "$$m" | grep -qF "can inline $$f" || { echo "lint: $$f no longer inlines"; exit 1; }; done
 	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem internal/image internal/proxy internal/cache internal/stats cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
@@ -41,8 +44,11 @@ lint:
 # max(request, carved so far, first chunk)), the fault-plan decoder's
 # fuzz-corpus replay (every committed plan is refused or within bounds) with
 # the huge-core-count replay regression, the dispatch-equivalence suite,
-# the memory store's fuzz-corpus replay against its map model with the
-# store's zero-allocation pin, the crash-image reader's fuzz-corpus replay
+# the memory store's fuzz-corpus replay against its map model (stack tops,
+# heap base, page and chunk boundaries, the last direct and first far page)
+# with the store's zero-allocation pin and its page-table growth pin (a
+# heap walk allocates per chunk of pages and per directory doubling), the
+# crash-image reader's fuzz-corpus replay
 # (every committed image, hostile ones included, is refused or recovers and
 # runs without a panic), the assembler's fuzz-corpus replay (every committed
 # source is refused or parses to a verified program whose formatted text
@@ -73,7 +79,7 @@ check:
 	$(GO) test -run 'TestPoolChunksGrowWithUse' ./internal/slab
 	$(GO) test -run 'FuzzPlanDecode|TestReplayPlanRejectsHugeCoreCount' ./internal/fault
 	$(GO) test -run 'DispatchEquivalence' .
-	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree' ./internal/mem
+	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree|TestPageTableAllocsGrowSlowly' ./internal/mem
 	$(GO) test -run 'FuzzImageRead' ./internal/image
 	$(GO) test -run 'FuzzAsmParse|TestParseErrors' ./internal/asm
 	$(GO) test -run 'FuzzRunRecordDecode' ./cmd/capriinspect
@@ -162,12 +168,12 @@ docs-verify:
 	$(GO) run ./cmd/capribench -explain -verify EXPERIMENTS.md
 	$(GO) run ./cmd/capribench -sweepcheck -jobs $(JOBS) -verify EXPERIMENTS.md
 
-# bench runs the perf-regression micro-benchmarks (raw store and proxy
-# throughput, whole-pipeline compiles with their allocs/op, program
-# fingerprinting, the auditor and the flight recorder per event, the decoder
-# per block, allocs per
-# machine built and per audited crash point, plus the end-to-end simulator
-# benchmark).
+# bench runs the perf-regression micro-benchmarks: raw store and proxy
+# throughput, the page table's ns and allocations per page touched over
+# sparse stacks plus a heap walk (BenchmarkMemPageWalk), whole-pipeline
+# compiles with their allocs/op, program fingerprinting, the auditor and the
+# flight recorder per event, the decoder per block, allocs per machine built
+# and per audited crash point, plus the end-to-end simulator benchmark.
 bench:
 	$(GO) test -bench 'Mem|NVM|Proxy|Path' -benchmem -run '^$$' ./internal/mem ./internal/proxy
 	$(GO) test -bench 'Compile|Fingerprint' -benchmem -run '^$$' ./internal/compile

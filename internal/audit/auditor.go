@@ -199,14 +199,12 @@ type Auditor struct {
 }
 
 // NewAuditor returns an online auditor with the given model options in
-// three allocations: the auditor (its shadow's page directory inline), the
-// per-core state at Options.Cores, and one backing every core's pending
-// queue is carved from. Shadow pages and the window mirror are made on
-// first use.
+// three allocations: the auditor, the per-core state at Options.Cores, and
+// one backing every core's pending queue is carved from. The shadow's pages
+// and directory and the window mirror are made on first use.
 func NewAuditor(opt Options) *Auditor {
 	n := max(opt.Cores, 0)
 	a := &Auditor{opt: opt, cores: make([]coreShadow, n)}
-	a.nvm.init()
 	pending := make([]storeRec, n*pendingStart)
 	for i := range a.cores {
 		a.cores[i].pending = slab.Carve(&pending, pendingStart, 0)[:0]

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"capri/internal/slab"
 )
 
 // FuzzAuditorDifferential runs every stream through the auditor and through
@@ -21,6 +23,7 @@ import (
 func FuzzAuditorDifferential(f *testing.F) {
 	f.Add(encodeWire(testOpts(), legalStoreLife()))
 	f.Add(encodeWire(testOpts(), crossCoreSyncPersist()))
+	f.Add(encodeWire(testOpts(), multiPageDrain()))
 	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzAuditorTap", "*"))
 	if err != nil || len(paths) == 0 {
 		f.Fatalf("no FuzzAuditorTap corpus (%v)", err)
@@ -76,6 +79,28 @@ func crossCoreSyncPersist() []Event {
 		{Kind: EvDrainWrite, Core: 1, Cycle: 80, Addr: testAddr, Seq: 2, Region: 1, Val: 8, Flags: FlagApplied},
 		{Kind: EvDrainWrite, Core: 0, Cycle: 90, Addr: testAddr, Seq: 1, Region: 1, Val: 7, Flags: FlagApplied},
 	}
+}
+
+// multiPageDrain drains one region whose stores land on six shadow pages 32
+// pages apart, more than one chunk of the shadow's page table and past its
+// first directory, reads every word back, and ends with a read the shadow
+// contradicts on the last page.
+func multiPageDrain() []Event {
+	const pages = 6
+	addr := func(k int) uint64 { return testAddr + uint64(k)*32*slab.PageWords*8 }
+	var evs []Event
+	for k := 0; k < pages; k++ {
+		evs = append(evs, Event{Kind: EvStore, Core: 0, Cycle: 10, Addr: addr(k), Seq: uint64(k + 1), Region: 1, Val: uint64(10 + k)})
+	}
+	evs = append(evs, Event{Kind: EvCommit, Core: 0, Cycle: 12, Region: 1},
+		Event{Kind: EvDrain, Core: 0, Cycle: 80, Region: 1, Val: addr(0), Val2: addr(pages - 1), Count: pages})
+	for k := 0; k < pages; k++ {
+		evs = append(evs, Event{Kind: EvDrainWrite, Core: 0, Cycle: 80, Addr: addr(k), Seq: uint64(k + 1), Region: 1, Val: uint64(10 + k), Flags: FlagApplied})
+	}
+	for k := 0; k < pages; k++ {
+		evs = append(evs, Event{Kind: EvNVMRead, Core: 0, Cycle: 90, Addr: addr(k), Seq: uint64(k + 1), Val: uint64(10 + k), Val2: uint64(10 + k)})
+	}
+	return append(evs, Event{Kind: EvNVMRead, Core: 0, Cycle: 91, Addr: addr(pages - 1), Seq: pages, Val: 0, Val2: 0})
 }
 
 // readCorpusBytes reads one native-fuzzing corpus file holding a single

@@ -1,6 +1,12 @@
 package mem
 
-import "testing"
+import (
+	"math/bits"
+	"runtime"
+	"testing"
+
+	"capri/internal/slab"
+)
 
 // Raw store micro-benchmarks: the per-access cost of the paged flat-array
 // backing over the access patterns the simulator actually generates
@@ -9,7 +15,9 @@ import "testing"
 //	go test -bench 'Mem|NVM' -benchmem ./internal/mem
 //
 // TestPagedAccessAllocFree pins the property these numbers rest on: an
-// access to a populated page allocates nothing.
+// access to a populated page allocates nothing. BenchmarkMemPageWalk and
+// TestPageTableAllocsGrowSlowly cover the other side: what touching a new
+// page costs.
 
 // benchSpan covers 2 MB of heap — the figure workloads' footprint scale,
 // touched densely the way their kernels sweep arrays.
@@ -116,5 +124,62 @@ func TestPagedAccessAllocFree(t *testing.T) {
 		if got := testing.AllocsPerRun(1000, tc.op); got != 0 {
 			t.Errorf("%s: %.1f allocs per access, want 0", tc.name, got)
 		}
+	}
+}
+
+// The machine's memory map (machine.HeapBase, machine.StackBase): heap data
+// from 1 MB up, and eight 64 KB stacks growing down from 512 KB.
+const (
+	heapBase  = uint64(1 << 20)
+	stackTop  = uint64(1 << 19)
+	stackSpan = uint64(1 << 16)
+	numCores  = 8
+)
+
+// pageWalk touches what a machine run does, one page at a time: the top
+// word of every core's stack, then heapPages ascending heap pages.
+func pageWalk(m *Mem, heapPages int) {
+	for c := uint64(0); c < numCores; c++ {
+		m.Store(stackTop-c*stackSpan-WordSize, c)
+	}
+	for i := 0; i < heapPages; i++ {
+		m.Store(heapBase+uint64(i)*pageWords*WordSize, uint64(i))
+	}
+}
+
+// walkPages is the number of heap pages BenchmarkMemPageWalk walks: 4 MB of
+// heap, the figure workloads' footprint scale.
+const walkPages = 256
+
+// BenchmarkMemPageWalk builds an architectural memory the way a machine run
+// first touches it — sparse stacks, then a heap walk — and reports the cost
+// per page touched.
+func BenchmarkMemPageWalk(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pageWalk(NewMem(), walkPages)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	pages := float64(b.N) * (walkPages + numCores)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pages, "ns/page")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/pages, "allocs/page")
+}
+
+// TestPageTableAllocsGrowSlowly pins the page table's growth: touching n
+// new pages costs one allocation per chunk of pages plus one per directory
+// doubling, not one (or two, with a directory sized to the highest page)
+// per page. The budget's last two allocations are the Mem and the chunks
+// that double up to the full size.
+func TestPageTableAllocsGrowSlowly(t *testing.T) {
+	const n = walkPages
+	top := heapBase/(pageWords*WordSize) + n // highest page touched, plus one
+	budget := (n+numCores)/slab.PagesPerChunk + bits.Len64(top) + 2
+	got := testing.AllocsPerRun(20, func() { pageWalk(NewMem(), n) })
+	if got > float64(budget) {
+		t.Errorf("walking %d heap pages and %d stack pages made %.0f allocations, want <= %d",
+			n, numCores, got, budget)
 	}
 }

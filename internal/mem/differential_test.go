@@ -7,14 +7,17 @@ package mem
 // sequence guard (equal sequences rejected), Restore bypassing it, written
 // zeros counting as persisted, address-sorted Entries — in a few lines of
 // map code with no paging to get wrong. The address pool makes operations
-// collide and reaches the paged store's edges: page-boundary words, and far
-// pages past the direct directory (≥ 1 GiB), which no simulated workload
-// touches.
+// collide and reaches the paged store's edges: page-boundary words, every
+// core's stack top and a heap walk across several chunks of carved pages,
+// the last direct page, and far pages past the direct directory (≥ 1 GiB),
+// which no simulated workload touches.
 
 import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"capri/internal/slab"
 )
 
 const pageBytes = pageWords * WordSize
@@ -30,12 +33,33 @@ var fuzzAddrs = [...]uint64{
 	pageBytes + 3, // unaligned: aliases the first word of page 1
 	1 << 20,       // heap base
 	1<<20 + 0x1f8,
-	directPages * pageBytes,   // first far page (1 GiB)
-	directPages*pageBytes + 6, // unaligned far address
-	directPages*pageBytes + pageBytes,
+	slab.DirectPages * pageBytes,   // first far page (1 GiB)
+	slab.DirectPages*pageBytes + 6, // unaligned far address
+	slab.DirectPages*pageBytes + pageBytes,
 	1<<31 + 0x10,
 	1 << 40,
 	^uint64(0), // unaligned: the last word of the address space
+	// The page table's edges at the machine's memory map: the top word of
+	// every core's stack, the heap base's neighbours, a heap walk across
+	// a page boundary and several chunks of carved pages, and the
+	// last word of the last direct page.
+	stackTop - WordSize,
+	stackTop - stackSpan - WordSize,
+	stackTop - 2*stackSpan - WordSize,
+	stackTop - 3*stackSpan - WordSize,
+	stackTop - 4*stackSpan - WordSize,
+	stackTop - 5*stackSpan - WordSize,
+	stackTop - 6*stackSpan - WordSize,
+	stackTop - 7*stackSpan - WordSize,
+	heapBase - WordSize,
+	heapBase + WordSize,
+	heapBase + pageBytes - WordSize,
+	heapBase + pageBytes,
+	heapBase + 2*pageBytes,
+	heapBase + 3*pageBytes,
+	heapBase + slab.PagesPerChunk*pageBytes,
+	heapBase + (slab.PagesPerChunk+1)*pageBytes,
+	slab.DirectPages*pageBytes - WordSize,
 }
 
 // refNVM is the map model of NVM: one entry per persisted word plus the

@@ -25,10 +25,8 @@ type BackEnd struct {
 	bd *bounds
 
 	// Stats.
-	Received       uint64
 	Merges         uint64
 	SkippedInvalid uint64
-	Scans          uint64
 	ScanHits       uint64
 	Overflow       uint64 // accepts rejected for lack of space (must be 0)
 }
@@ -56,7 +54,6 @@ func (b *BackEnd) AcceptFrom(r *Rec) bool {
 				x.Seq = max(x.Seq, r.Seq)
 				x.FirstSeq = min(x.FirstSeq, r.FirstSeq)
 				x.Valid = r.Valid
-				b.Received++
 				b.Merges++
 				return true
 			}
@@ -69,7 +66,6 @@ func (b *BackEnd) AcceptFrom(r *Rec) bool {
 		b.Overflow++
 		return false
 	}
-	b.Received++
 	if r.Kind == KindBoundary {
 		*b.marks.add() = b.q.next()
 	}
@@ -83,7 +79,6 @@ func (b *BackEnd) AcceptFrom(r *Rec) bool {
 // cross-core-safe refinement of the paper's unconditional unset; see
 // DESIGN.md.)
 func (b *BackEnd) ScanInvalidate(addr uint64, wbSeq uint64) int {
-	b.Scans++
 	n := 0
 	live := b.q.live()
 	for i := range live {

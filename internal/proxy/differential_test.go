@@ -28,9 +28,8 @@ type arrival struct {
 
 // unitCounters are the statistics of one unit's three parts.
 type unitCounters struct {
-	Allocs, Merges, Boundary, ElidedBds, Stalls     uint64
-	Sent, Delivered, WindowHits                     uint64
-	Received, BackMerges, Scans, ScanHits, Overflow uint64
+	Allocs, Merges, Boundary, ElidedBds, Stalls uint64
+	WindowHits, BackMerges, ScanHits, Overflow  uint64
 }
 
 // unitState is everything observable about a unit between operations.
@@ -165,7 +164,6 @@ func (m *refUnit) send(now uint64) (uint64, Entry, bool) {
 	depart := max(now, m.nextDepart)
 	m.nextDepart = depart + m.cfg.interval
 	m.wire = append(m.wire, arrival{E: e, Arrives: depart + m.cfg.latency})
-	m.c.Sent++
 	return depart, copyEntry(e), true
 }
 
@@ -181,7 +179,6 @@ func (m *refUnit) deliver(now uint64) []arrival {
 				m.c.WindowHits++
 			}
 		}
-		m.c.Delivered++
 		a.Accepted = m.accept(a.E)
 		a.E = copyEntry(a.E)
 		out = append(out, a)
@@ -201,7 +198,6 @@ func (m *refUnit) accept(e Entry) bool {
 				x.Seq = max(x.Seq, e.Seq)
 				x.FirstSeq = min(x.FirstSeq, e.FirstSeq)
 				x.Valid = e.Valid
-				m.c.Received++
 				m.c.BackMerges++
 				return true
 			}
@@ -219,7 +215,6 @@ func (m *refUnit) accept(e Entry) bool {
 			return false
 		}
 	}
-	m.c.Received++
 	m.back = append(m.back, e)
 	return true
 }
@@ -232,7 +227,6 @@ func (m *refUnit) note(addr, seq, now uint64) {
 }
 
 func (m *refUnit) scan(addr, seq uint64) int {
-	m.c.Scans++
 	n := 0
 	for i := range m.back {
 		if e := &m.back[i]; e.Kind == KindData && e.Addr == addr && e.Valid && e.Seq <= seq {
@@ -528,8 +522,7 @@ func (r *realUnit) state() unitState {
 		HasRegion: b.marks.len() > 0,
 		Counters: unitCounters{
 			Allocs: f.Allocs, Merges: f.Merges, Boundary: f.Boundary, ElidedBds: f.ElidedBds, Stalls: f.Stalls,
-			Sent: p.Sent, Delivered: p.Delivered, WindowHits: p.WindowHits,
-			Received: b.Received, BackMerges: b.Merges, Scans: b.Scans, ScanHits: b.ScanHits, Overflow: b.Overflow,
+			WindowHits: p.WindowHits, BackMerges: b.Merges, ScanHits: b.ScanHits, Overflow: b.Overflow,
 		},
 	}
 }

@@ -31,8 +31,6 @@ type Path struct {
 	win *Window
 
 	// Stats.
-	Sent       uint64
-	Delivered  uint64
 	WindowHits uint64 // this path's arrivals whose valid-bit the window unset
 }
 
@@ -117,7 +115,6 @@ func (p *Path) SendFrom(r *Rec, now uint64) uint64 {
 	p.nextDepart = depart + p.Interval
 	pk := p.q.add()
 	pk.r, pk.arrives = *r, depart+p.Latency
-	p.Sent++
 	return depart
 }
 
@@ -162,7 +159,6 @@ func (p *Path) DeliverEach(now uint64, fn func(r *Rec, b *Boundary, arrives uint
 			p.WindowHits++
 			hit = true
 		}
-		p.Delivered++
 		fn(r, b, pk.arrives, hit)
 		p.q.drop(1)
 	}

@@ -294,8 +294,8 @@ func TestPathWindowSurvivesDrainAll(t *testing.T) {
 	if len(harvested) != 1 || !harvested[0].Valid {
 		t.Fatalf("crash harvest = %+v, want 1 valid entry (window not applied)", harvested)
 	}
-	if p.InFlight() != 0 || p.Delivered != 0 {
-		t.Errorf("DrainAll left %d in flight, counted %d deliveries", p.InFlight(), p.Delivered)
+	if p.InFlight() != 0 {
+		t.Errorf("DrainAll left %d in flight", p.InFlight())
 	}
 	if p.win.Len() != 1 {
 		t.Fatalf("window emptied by DrainAll (len=%d)", p.win.Len())

@@ -1,7 +1,9 @@
 // Package slab carves many short-lived small slices out of a few large
 // allocations. A carved slice has a full-slice cap, so appending to it
 // reallocates rather than writing into the next carve; the chunk it came
-// from stays alive as long as any slice carved from it does.
+// from stays alive as long as any slice carved from it does. Pages, the
+// paged word table behind the simulator's memory images, carves its large
+// pages the same way, at most a few to a chunk.
 package slab
 
 // Carve returns the next n zero elements of *s, refilling *s with a fresh
@@ -22,6 +24,12 @@ func Carve[T any](s *[]T, n, chunk int) []T {
 // refills. Nothing is handed out twice; a carved window stays valid as long
 // as it is referenced. The zero value is ready to use and its first chunk
 // fits the first request exactly. A Pool is not safe for concurrent use.
+//
+// The growth rule is for small elements. Applied to memory pages (tens of
+// KB each) its chunks reach megabytes, and a chunk lives as long as any
+// page in it: carving 64 KB NVM pages this way raised the crash-audit
+// benchmark's peak RSS from 40 to 54 MB. Pages caps its chunks at
+// PagesPerChunk pages instead.
 type Pool[T any] struct {
 	free   []T
 	carved int

@@ -1,6 +1,9 @@
 package slab
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestCarveFullCapAndRefill(t *testing.T) {
 	var s []int
@@ -71,5 +74,43 @@ func TestPoolChunksGrowWithUse(t *testing.T) {
 	q.Carve(150) // refill: max(150, 200 carved, 100) = 200
 	if len(q.free) != 50 {
 		t.Fatalf("third chunk left %d spare, want 50", len(q.free))
+	}
+}
+
+// TestPagesOrderAndCopy pins the page table's contract: a page keeps its
+// address as the directory doubles and chunks refill, Each visits direct
+// and far pages in ascending order, and Copy yields an independent table
+// with the same pages.
+func TestPagesOrderAndCopy(t *testing.T) {
+	var tb Pages[[2]uint64]
+	pis := []uint64{DirectPages + 5, 300, 3, DirectPages, 1 << 40, 0, 4, 2}
+	held := map[uint64]*[2]uint64{}
+	for _, pi := range pis {
+		p := tb.At(pi)
+		p[0] = pi
+		held[pi] = p
+	}
+	for pi, p := range held {
+		if tb.Get(pi) != p || tb.At(pi) != p || p[0] != pi {
+			t.Fatalf("page %d moved or was overwritten", pi)
+		}
+	}
+	if tb.Get(1) != nil || tb.Get(DirectPages+1) != nil || tb.Len() != len(pis) {
+		t.Fatalf("absent pages materialized: Len %d, want %d", tb.Len(), len(pis))
+	}
+	var order []uint64
+	tb.Each(func(pi uint64, p *[2]uint64) { order = append(order, pi) })
+	want := []uint64{0, 2, 3, 4, 300, DirectPages, DirectPages + 5, 1 << 40}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("Each visited %v, want %v", order, want)
+	}
+	cp := Copy(&tb, func(dst, src *[2]uint64) { dst[0], dst[1] = src[0], 1 })
+	for _, pi := range pis {
+		if q := cp.Get(pi); q == nil || q == held[pi] || q[0] != pi || q[1] != 1 {
+			t.Fatalf("copy of page %d is %v, want a separate page holding [%d 1]", pi, q, pi)
+		}
+	}
+	if cp.Len() != tb.Len() || tb.Get(0)[1] != 0 {
+		t.Fatalf("copy has %d pages, source %d; source page 0 is %v", cp.Len(), tb.Len(), tb.Get(0))
 	}
 }
