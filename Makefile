@@ -22,10 +22,12 @@ test:
 # listed packages must carry a doc comment (tools/doccheck — plain go/ast,
 # no external linters), plus the hot-path guard: the compiler must still
 # inline (*mem.Mem).Load and (*mem.NVM).Peek, the simulator's per-access
-# reads.
+# reads, and (*proxy.Window).hit, the monitoring-window lookup of every
+# arriving proxy entry.
 lint:
 	$(GO) vet ./...
 	@m=$$($(GO) build -gcflags=-m ./internal/mem 2>&1); for f in '(*Mem).Load' '(*NVM).Peek'; do echo "$$m" | grep -qF "can inline $$f" || { echo "lint: $$f no longer inlines"; exit 1; }; done
+	@$(GO) build -gcflags=-m ./internal/proxy 2>&1 | grep -qF "can inline (*Window).hit" || { echo "lint: (*Window).hit no longer inlines"; exit 1; }
 	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem internal/image internal/proxy internal/cache internal/stats cmd/capristat
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
@@ -41,7 +43,9 @@ lint:
 # liveness carved from a warm analysis arena at under one allocation each),
 # the arena's lifetime test (no carved result is overwritten by later carves
 # or appends) and chunk-growth pins (a reserved arena and slab.Pool grow by
-# max(request, carved so far, first chunk)), the fault-plan decoder's
+# max(request, carved so far, first chunk)), slab.Table's unit tests
+# (probe runs across the wrap-around, in-place prune, growth keeping every
+# entry, a random run against a map), the fault-plan decoder's
 # fuzz-corpus replay (every committed plan is refused or within bounds) with
 # the huge-core-count replay regression, the dispatch-equivalence suite,
 # the memory store's fuzz-corpus replay against its map model (stack tops,
@@ -55,8 +59,9 @@ lint:
 # parses back to the same text), the run-record decoder's fuzz-corpus
 # replay (every committed record, hostile ones included, is refused or
 # renders in every capriinspect view without a panic), the proxy layout's
-# fuzz-corpus replay against its whole-entry model (FuzzProxyDifferential)
-# with the cross-commit pin (TestCrossCommitPin: image, flight-recorder and
+# fuzz-corpus replay against its whole-entry model (FuzzProxyDifferential:
+# its seeds carry the monitoring window past its prune bound and book and
+# re-book drains) with the cross-commit pin (TestCrossCommitPin: image, flight-recorder and
 # Stats digests of fixed crash and clean runs equal the committed ones), the
 # documentation-freshness check — which includes
 # the sweep determinism contract: parallel (-jobs) fig8/fig9 tables
@@ -76,7 +81,7 @@ check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault ./internal/telemetry
 	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestCompileAllocsGrowSlowly|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills|TestArenaChunksGrowWithUse' ./internal/compile ./internal/analysis
-	$(GO) test -run 'TestPoolChunksGrowWithUse' ./internal/slab
+	$(GO) test -run 'TestPoolChunksGrowWithUse|TestTable' ./internal/slab
 	$(GO) test -run 'FuzzPlanDecode|TestReplayPlanRejectsHugeCoreCount' ./internal/fault
 	$(GO) test -run 'DispatchEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree|TestPageTableAllocsGrowSlowly' ./internal/mem
@@ -108,9 +113,11 @@ check:
 # the proxy without allocating (TestBoundaryPayloadsZeroAlloc) in rings of
 # pointer-free records of at most 48 bytes (TestRingElementsPointerFree),
 # building a machine
-# costs the same at every thread count (TestNewAllocsIndependentOfCores), and
+# costs the same at every thread count (TestNewAllocsIndependentOfCores),
 # one campaign-geometry crash point stays within its measured allocation
-# count (TestCrashPointAllocsBounded). The two capricrash
+# count (TestCrashPointAllocsBounded), and the memory controller's window
+# notes and hits and drain bookings and retirements allocate nothing once
+# warm (TestControllerBookkeepingAllocFree). The two capricrash
 # runs drive the command's benchmark sweep and random-program campaign
 # through the same crash driver (recovery.Run) end to end.
 audit:
@@ -118,7 +125,7 @@ audit:
 	$(GO) run ./cmd/capricrash -bench genome -points 5
 	$(GO) run ./cmd/capricrash -fuzz 5 -threads 2
 	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap|FuzzAuditorDifferential|TestFlightRecorderGrowsWithRun|TestFlightRecorderShortLastChunk' ./internal/audit
-	$(GO) test -run 'TestDecodeAllocsPerChunk|TestCrashPointAllocsBounded|TestNewAllocsIndependentOfCores' ./internal/machine
+	$(GO) test -run 'TestDecodeAllocsPerChunk|TestCrashPointAllocsBounded|TestNewAllocsIndependentOfCores|TestControllerBookkeepingAllocFree' ./internal/machine
 	$(GO) test -run 'TestBoundaryPayloadsZeroAlloc|TestRingElementsPointerFree' ./internal/proxy
 
 # soak is the short fixed-seed hardware-fault campaign (DESIGN.md §4f):
@@ -169,13 +176,14 @@ docs-verify:
 	$(GO) run ./cmd/capribench -sweepcheck -jobs $(JOBS) -verify EXPERIMENTS.md
 
 # bench runs the perf-regression micro-benchmarks: raw store and proxy
-# throughput, the page table's ns and allocations per page touched over
+# throughput, the monitoring window's ns and allocations per noted and
+# looked-up word (BenchmarkWindowNoteHit), the page table's ns and allocations per page touched over
 # sparse stacks plus a heap walk (BenchmarkMemPageWalk), whole-pipeline
 # compiles with their allocs/op, program fingerprinting, the auditor and the
 # flight recorder per event, the decoder per block, allocs per machine built
 # and per audited crash point, plus the end-to-end simulator benchmark.
 bench:
-	$(GO) test -bench 'Mem|NVM|Proxy|Path' -benchmem -run '^$$' ./internal/mem ./internal/proxy
+	$(GO) test -bench 'Mem|NVM|Proxy|Path|Window' -benchmem -run '^$$' ./internal/mem ./internal/proxy
 	$(GO) test -bench 'Compile|Fingerprint' -benchmem -run '^$$' ./internal/compile
 	$(GO) test -bench 'AuditorTap|FlightRecorderTap' -benchmem -run '^$$' ./internal/audit
 	$(GO) test -bench 'DecodeProgram|MachineNew|CrashPoint' -benchmem -run '^$$' ./internal/machine

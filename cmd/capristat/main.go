@@ -7,7 +7,10 @@
 // Mann-Whitney U p-value and a verdict. A metric regresses only when the
 // change is significant (p < stats.CompareAlpha) and a slowdown beyond the
 // metric's bound; with fewer than stats.CompareMinSamples runs a side it is
-// "too few runs". Run it from the repository root:
+// "too few runs". Below that table it lists, for information only, every
+// per-layer metric of BENCHMARK.json that both sets carry and whose medians
+// differ significantly; those rows never gate. Run it from the repository
+// root:
 //
 //	capristat A B          # print the comparison table
 //	capristat -gate A B    # also exit non-zero on a regression or too few runs
@@ -29,13 +32,18 @@ import (
 
 // spec is the part of BENCHMARK.json capristat reads: the end-to-end
 // metrics, each with the direction that is better and the relative bound a
-// change must exceed to count.
+// change must exceed to count, and the per-layer metrics with their better
+// direction.
 type spec struct {
 	EndToEnd []struct {
 		Name   string  `json:"name"`
 		Better string  `json:"better"`
 		Bound  float64 `json:"bound"`
 	} `json:"end_to_end"`
+	PerLayer []struct {
+		Name   string `json:"name"`
+		Better string `json:"better"`
+	} `json:"per_layer"`
 }
 
 // measured is one metric's value in a result line.
@@ -118,10 +126,8 @@ type row struct {
 	fails            bool
 }
 
-// compare judges every end-to-end metric of every workload present in both
-// sets, workloads in name order. A metric missing from a run, or measured
-// in two units, is an error; so is a pair of sets with nothing to judge.
-func compare(sp *spec, ga, gb map[string][]run) ([]row, error) {
+// common returns the workloads present in both sets, in name order.
+func common(ga, gb map[string][]run) []string {
 	var names []string
 	for w := range ga {
 		if len(gb[w]) > 0 {
@@ -129,24 +135,49 @@ func compare(sp *spec, ga, gb map[string][]run) ([]row, error) {
 		}
 	}
 	sort.Strings(names)
+	return names
+}
+
+// samples returns metric name's values in every run of both sides, or an
+// error naming the side of a run that lacks it or carries it in another unit
+// than the first run.
+func samples(name string, sides [2][]run) (vals [2][]float64, err error) {
+	unit := sides[0][0].Metrics[name].Unit
+	for i, rs := range sides {
+		for _, r := range rs {
+			v, ok := r.Metrics[name]
+			if !ok || v.Unit != unit {
+				return vals, fmt.Errorf("a run in set %c has no %s in unit %q", 'A'+i, name, unit)
+			}
+			vals[i] = append(vals[i], v.Value)
+		}
+	}
+	return vals, nil
+}
+
+// comparison compares two sample sets and signs the change of the median
+// so that positive is better.
+func comparison(w, metric, better string, vals [2][]float64) row {
+	r := row{workload: w, metric: metric, c: stats.CompareRates(vals[0], vals[1]), nA: len(vals[0]), nB: len(vals[1])}
+	r.gain = r.c.Delta
+	if better != "higher" && r.gain != 0 {
+		r.gain = -r.gain
+	}
+	return r
+}
+
+// compare judges every end-to-end metric of every workload present in both
+// sets, workloads in name order. A metric missing from a run, or measured
+// in two units, is an error; so is a pair of sets with nothing to judge.
+func compare(sp *spec, ga, gb map[string][]run) ([]row, error) {
 	var rows []row
-	for _, w := range names {
+	for _, w := range common(ga, gb) {
 		for _, m := range sp.EndToEnd {
-			var vals [2][]float64
-			unit := ga[w][0].Metrics[m.Name].Unit
-			for i, rs := range [2][]run{ga[w], gb[w]} {
-				for _, r := range rs {
-					if v, ok := r.Metrics[m.Name]; !ok || v.Unit != unit {
-						return nil, fmt.Errorf("%s: a run in set %c has no %s in unit %q", w, 'A'+i, m.Name, unit)
-					}
-					vals[i] = append(vals[i], r.Metrics[m.Name].Value)
-				}
+			vals, err := samples(m.Name, [2][]run{ga[w], gb[w]})
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", w, err)
 			}
-			r := row{workload: w, metric: m.Name, c: stats.CompareRates(vals[0], vals[1]), nA: len(vals[0]), nB: len(vals[1])}
-			r.gain = r.c.Delta
-			if m.Better != "higher" && r.gain != 0 {
-				r.gain = -r.gain
-			}
+			r := comparison(w, m.Name, m.Better, vals)
 			switch {
 			case r.c.TooFew:
 				r.verdict, r.fails = "too few runs", true
@@ -168,6 +199,24 @@ func compare(sp *spec, ga, gb map[string][]run) ([]row, error) {
 	return rows, nil
 }
 
+// moved returns a row for every per-layer metric of every workload present
+// in both sets whose medians differ at p < stats.CompareAlpha. A metric
+// some run lacks, or carries in another unit, is skipped: these rows
+// inform and never judge.
+func moved(sp *spec, ga, gb map[string][]run) []row {
+	var rows []row
+	for _, w := range common(ga, gb) {
+		for _, m := range sp.PerLayer {
+			if vals, err := samples(m.Name, [2][]run{ga[w], gb[w]}); err == nil {
+				if r := comparison(w, m.Name, m.Better, vals); r.c.Significant {
+					rows = append(rows, r)
+				}
+			}
+		}
+	}
+	return rows
+}
+
 // judge compares result sets A and B, prints the table to w and, with gate,
 // returns an error when any row regressed or had too few runs.
 func judge(sp *spec, pathA, pathB string, gate bool, w io.Writer) error {
@@ -183,21 +232,40 @@ func judge(sp *spec, pathA, pathB string, gate bool, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-16s %-16s %23s %23s %8s %6s  %s\n", "workload", "metric", "A median ± MAD", "B median ± MAD", "gain", "p", "verdict")
+	table(w, rows, "metric")
 	failed := 0
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %-16s %12.5g ±%10.3g %12.5g ±%10.3g %+7.2f%% %6.3f  %s (n=%d vs %d)\n",
-			r.workload, r.metric, r.c.OldMedian, r.c.OldMAD, r.c.NewMedian, r.c.NewMAD,
-			100*r.gain, r.c.P, r.verdict, r.nA, r.nB)
 		if r.fails {
 			failed++
 		}
+	}
+	if layers := moved(sp, a, b); len(layers) > 0 {
+		fmt.Fprintf(w, "\nper-layer metrics that moved (p < %.2g; informational, never gated):\n", stats.CompareAlpha)
+		for i := range layers {
+			layers[i].verdict = "moved"
+		}
+		table(w, layers, "per-layer metric")
 	}
 	if failed > 0 && gate {
 		return fmt.Errorf("capristat: %d of %d rows regressed beyond their bound (p < %.2g) or had fewer than %d runs a side",
 			failed, len(rows), stats.CompareAlpha, stats.CompareMinSamples)
 	}
 	return nil
+}
+
+// table writes rows under a header naming their metric column, at least 16
+// wide and as wide as its longest name.
+func table(w io.Writer, rows []row, metric string) {
+	width := max(16, len(metric))
+	for _, r := range rows {
+		width = max(width, len(r.metric))
+	}
+	fmt.Fprintf(w, "%-16s %-*s %23s %23s %8s %6s  %s\n", "workload", width, metric, "A median ± MAD", "B median ± MAD", "gain", "p", "verdict")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-16s %-*s %12.5g ±%10.3g %12.5g ±%10.3g %+7.2f%% %6.3f  %s (n=%d vs %d)\n",
+			r.workload, width, r.metric, r.c.OldMedian, r.c.OldMAD, r.c.NewMedian, r.c.NewMAD,
+			100*r.gain, r.c.P, r.verdict, r.nA, r.nB)
+	}
 }
 
 func main() {

@@ -86,13 +86,17 @@ func TestCompareSets(t *testing.T) {
 		gateFail bool
 		// row, when set, is a "metric verdict" pair some row must show.
 		row string
+		// layers is the number of per-layer rows printed; -1: any.
+		layers int
 	}{
-		{"slowdown-beyond-bound", a, scaled(a, "mallocs_per_op", 1.05), true, "mallocs_per_op REGRESSED"},
-		{"slowdown-within-bound", a, scaled(a, "mallocs_per_op", 1.01), false, "mallocs_per_op within bound"},
-		{"speedup-beyond-bound", a, scaled(a, "mallocs_per_op", 0.95), false, "mallocs_per_op improved"},
-		{"noise", a, b, false, ""},
-		{"too-few-runs", a[:3], b[:3], true, "setup_s too few runs"},
-		{"self", a, a, false, ""},
+		{"slowdown-beyond-bound", a, scaled(a, "mallocs_per_op", 1.05), true, "mallocs_per_op REGRESSED", 0},
+		{"slowdown-within-bound", a, scaled(a, "mallocs_per_op", 1.01), false, "mallocs_per_op within bound", 0},
+		{"speedup-beyond-bound", a, scaled(a, "mallocs_per_op", 0.95), false, "mallocs_per_op improved", 0},
+		{"noise", a, b, false, "", -1},
+		{"too-few-runs", a[:3], b[:3], true, "setup_s too few runs", 0},
+		{"self", a, a, false, "", 0},
+		// A per-layer metric that moved is listed and never gates.
+		{"per-layer-moved", a, scaled(a, "compile.static_insts", 2), false, "compile.static_insts moved", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out strings.Builder
@@ -110,8 +114,13 @@ func TestCompareSets(t *testing.T) {
 					t.Errorf("no %s row with verdict %q:\n%s", metric, verdict, out.String())
 				}
 			}
-			if rows := strings.Count(out.String(), "\n") - 1; rows != len(sp.EndToEnd) {
+			endToEnd, perLayer, _ := strings.Cut(out.String(), "\nper-layer metrics that moved")
+			if rows := strings.Count(endToEnd, "\n") - 1; rows != len(sp.EndToEnd) {
 				t.Errorf("%d rows, want one per end-to-end metric (%d):\n%s", rows, len(sp.EndToEnd), out.String())
+			}
+			// The per-layer block is its title line, a header and the rows.
+			if layers := max(strings.Count(perLayer, "\n")-2, 0); tc.layers >= 0 && layers != tc.layers {
+				t.Errorf("%d per-layer rows, want %d:\n%s", layers, tc.layers, out.String())
 			}
 		})
 	}

@@ -188,9 +188,9 @@ type Auditor struct {
 	idx     uint64 // events consumed
 	lastSeq uint64 // newest store sequence seen
 
-	nvm    shadowTable         // shadow NVM word versions and sync-persist watermarks
-	window map[uint64]winEntry // monitoring-window mirror; made on the first writeback
-	cores  []coreShadow        // indexed by core, Options.Cores long
+	nvm    shadowTable          // shadow NVM word versions and sync-persist watermarks
+	window slab.Table[winEntry] // monitoring-window mirror; slots made on the first writeback
+	cores  []coreShadow         // indexed by core, Options.Cores long
 
 	crashed bool
 
@@ -372,13 +372,13 @@ func (a *Auditor) onArrive(e Event) {
 	}
 	hit := false
 	if a.opt.Windows {
-		if w, ok := a.window[e.Addr]; ok && e.Val <= w.expiry && e.Seq <= w.seq {
+		if w := a.window.Get(e.Addr); w != nil && e.Val <= w.expiry && e.Seq <= w.seq {
 			hit = true
 		}
 	}
 	valid := e.Flags.Has(FlagValid)
 	if hit && valid {
-		w := a.window[e.Addr]
+		w := a.window.Get(e.Addr)
 		a.violate(e, "window-missed-invalidation",
 			"entry addr %#x seq %d arrived valid at cycle %d inside live window (expiry %d, wb seq %d)",
 			e.Addr, e.Seq, e.Val, w.expiry, w.seq)
@@ -398,22 +398,16 @@ func (a *Auditor) onWritebackWord(e Event) {
 }
 
 // noteWriteback mirrors proxy.Window.Note exactly — including the refresh
-// rule and the opportunistic prune — so the mirror stays identical to the
-// machine's one monitoring window, which every core's path consults.
+// rule and the opportunistic prune of every expired entry once more than
+// 4096 are held — so the mirror stays identical to the machine's one
+// monitoring window, which every core's path consults.
 func (a *Auditor) noteWriteback(addr, seq, now uint64) {
-	w, ok := a.window[addr]
+	w, ok := a.window.Insert(addr)
 	if !ok || w.seq < seq || w.expiry < now+a.opt.ProxyLatency {
-		if a.window == nil {
-			a.window = map[uint64]winEntry{}
-		}
-		a.window[addr] = winEntry{expiry: now + a.opt.ProxyLatency, seq: seq}
+		*w = winEntry{expiry: now + a.opt.ProxyLatency, seq: seq}
 	}
-	if len(a.window) > 4096 {
-		for ad, we := range a.window {
-			if we.expiry < now {
-				delete(a.window, ad)
-			}
-		}
+	if a.window.Len() > 4096 {
+		a.window.Prune(func(w *winEntry) bool { return w.expiry < now })
 	}
 }
 
@@ -731,6 +725,6 @@ func (a *Auditor) onRecoveryDone(Event) {
 		c.commitAtCrash, c.drainAtCrash, c.trackedAtCrash, c.lastReplay = 0, 0, false, 0
 	}
 	// The recovered machine starts with an empty monitoring window.
-	clear(a.window)
+	a.window.Clear()
 	a.crashed = false
 }

@@ -241,13 +241,8 @@ func (m *Machine) retryDrain(c *core, now uint64) bool {
 		shift = 16
 	}
 	done := now + m.flt.retryBackoff<<shift
-	c.drainDone[0] = done
 	// Later drains share the bank and cannot finish before the head retry.
-	for i := 1; i < len(c.drainDone); i++ {
-		if c.drainDone[i] < done {
-			c.drainDone[i] = done
-		}
-	}
+	c.back.Rebook(done)
 	if c.drainFree < done {
 		c.drainFree = done
 	}
@@ -321,7 +316,7 @@ func (m *Machine) tearDrain(t Tear) {
 		return
 	}
 	c := m.cores[((t.Pick%len(m.cores))+len(m.cores))%len(m.cores)]
-	if len(c.drainDone) == 0 {
+	if c.back.Booked() == 0 {
 		return // no drain in flight
 	}
 	r, ok := c.back.Region(0)

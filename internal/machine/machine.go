@@ -88,10 +88,9 @@ type core struct {
 	regionStores bool // current region allocated data entries
 	stagedEmits  []uint64
 
-	// phase-2 drain scheduling: completion cycles of regions whose boundary
-	// has arrived at the back-end, oldest first, and the availability of this
-	// core's NVM write-queue bank.
-	drainDone []uint64
+	// phase-2 drain scheduling: the availability of this core's NVM
+	// write-queue bank. The completion cycles of the regions whose boundary
+	// has arrived are booked beside their markers in the back-end.
 	drainFree uint64
 
 	// svcAt is the service event horizon: the earliest cycle at which
@@ -229,12 +228,6 @@ func (m *Machine) AuditOptions() audit.Options {
 	}
 }
 
-// drainStart is the carved capacity of each core's phase-2 drain queue. The
-// queue holds one completion per region buffered in the back-end, which the
-// store threshold bounds only loosely, so it starts here and doubles on
-// demand.
-const drainStart = 16
-
 // New builds a machine for the given compiled program. The program's thread
 // count must not exceed cfg.Cores.
 func New(p *prog.Program, cfg Config) (*Machine, error) {
@@ -249,9 +242,10 @@ func New(p *prog.Program, cfg Config) (*Machine, error) {
 // build is New without the memory images, which recovery supplies from a
 // crash image instead. The machine is built at its architectural size: one
 // backing per element type — cores, cache lines, proxy units (see
-// proxy.NewUnits), drain-queue words, line-table slots, records and the run
-// queue — with each core's share carved from it, so construction costs the
-// same number of allocations whatever the thread count.
+// proxy.NewUnits; their back ends also hold the drain bookings), line-table
+// slots, records and the run queue — with each core's share carved from it,
+// so construction costs the same number of allocations whatever the thread
+// count.
 func build(p *prog.Program, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -275,13 +269,9 @@ func build(p *prog.Program, cfg Config) (*Machine, error) {
 	lines := make(cache.Lines, cache.LineCount(cfg.L2Size, cfg.L2Ways)+n*cache.LineCount(cfg.L1Size, cfg.L1Ways))
 	m.l2.Init(cfg.L2Size, cfg.L2Ways, &lines)
 	cores := make([]core, n)
-	var (
-		drains []uint64
-		slots  []lineSlot
-	)
+	var slots []lineSlot
 	if cfg.Capri {
 		m.units = proxy.NewUnits(n, cfg.FrontEndEntries, cfg.Threshold, cfg.ProxyLatency, cfg.ProxyInterval, &m.window)
-		drains = make([]uint64, n*drainStart)
 		slots = make([]lineSlot, n*lineTableSlots)
 	}
 	for t := range cores {
@@ -296,7 +286,6 @@ func build(p *prog.Program, cfg Config) (*Machine, error) {
 			u.Front.NoElide = cfg.NoElision
 			u.Back.NoMerge = cfg.NoBackMerge
 			c.front, c.path, c.back = &u.Front, &u.Path, &u.Back
-			c.drainDone = slab.Carve(&drains, drainStart, 0)[:0]
 			c.lines = carveLineTable(slab.Carve(&slots, lineTableSlots, 0))
 		}
 		m.cores[t] = c
@@ -507,7 +496,7 @@ func (m *Machine) quiesce() {
 	}
 	for _, c := range m.cores {
 		// Push everything out of the front-end and the path.
-		for c.front.Len() > 0 || c.path.InFlight() > 0 || c.back.Len() > 0 || len(c.drainDone) > 0 {
+		for c.front.Len() > 0 || c.path.InFlight() > 0 || c.back.Len() > 0 {
 			now := c.cycle + m.cfg.ProxyLatency + m.cfg.ProxyInterval*uint64(m.cfg.FrontEndEntries+2)
 			cause := CauseDrainWait
 			if c.drainAttempts > 0 {

@@ -54,7 +54,7 @@ func (m *Machine) chargeLoad(c *core, addr uint64) {
 func (m *Machine) frontStallCause(c *core) CycleCause {
 	if c.front.Len() > 0 && c.front.Peek().Kind == proxy.KindData &&
 		c.back.Len()+c.path.InFlight() >= m.cfg.Threshold {
-		if len(c.drainDone) > 0 {
+		if c.back.Booked() > 0 {
 			if c.drainAttempts > 0 {
 				return CauseDrainRetry
 			}
@@ -192,9 +192,12 @@ func (m *Machine) service(c *core) {
 	}
 	now := c.cycle
 
-	// Retire finished phase-2 drains. Pop by copy-down so the slice's
-	// backing array is reused instead of leaking capacity off the front.
-	for len(c.drainDone) > 0 && c.drainDone[0] <= now {
+	// Retire finished phase-2 drains: each booking is popped with its
+	// region.
+	for {
+		if done, ok := c.back.NextDrain(); !ok || done > now {
+			break
+		}
 		if m.flt != nil && m.flt.drainError != nil && !m.retryDrain(c, now) {
 			break // transient write error: re-booked with backoff, or fatal
 		}
@@ -204,8 +207,6 @@ func (m *Machine) service(c *core) {
 			}
 			c.drainAttempts = 0
 		}
-		n := copy(c.drainDone, c.drainDone[1:])
-		c.drainDone = c.drainDone[:n]
 		region, ok := c.back.PopRegion()
 		if !ok {
 			m.fatalf("core %d: drain scheduled but no region buffered", c.id)
@@ -264,11 +265,11 @@ func (m *Machine) tapArrive(c *core, r *proxy.Rec, b *proxy.Boundary, arrives ui
 // recomputeSvc refreshes core c's service event horizon after service ran:
 // the earliest cycle at which any service phase could act again. A front-end
 // blocked purely on back-end space can only unblock at a drain retirement,
-// which the drainDone term already covers.
+// which the next-drain term already covers.
 func (m *Machine) recomputeSvc(c *core) {
 	next := ^uint64(0)
-	if len(c.drainDone) > 0 {
-		next = c.drainDone[0]
+	if d, ok := c.back.NextDrain(); ok {
+		next = d
 	}
 	if a, ok := c.path.HeadArrival(); ok && a < next {
 		next = a
@@ -318,14 +319,14 @@ func (m *Machine) drainFront(c *core) {
 }
 
 // scheduleDrain books NVM write-queue time for the newest complete region in
-// c's back-end and records its completion cycle. Phase-2 traffic drains
-// through the core's own bank of the write-pending queue (per-core back-end
-// buffers feed per-bank channels), and the WPQ coalesces word entries into
-// 64B lines, so the occupancy charged is per distinct line touched by the
-// region's valid entries.
+// c's back-end and records its completion cycle beside the region's marker.
+// Phase-2 traffic drains through the core's own bank of the write-pending
+// queue (per-core back-end buffers feed per-bank channels), and the WPQ
+// coalesces word entries into 64B lines, so the occupancy charged is per
+// distinct line touched by the region's valid entries.
 func (m *Machine) scheduleDrain(c *core, now uint64) {
 	// The regions already booked are the oldest buffered ones.
-	region, ok := c.back.Region(len(c.drainDone))
+	region, ok := c.back.Region(c.back.Booked())
 	if !ok {
 		m.fatalf("core %d: boundary arrived but no region to book", c.id)
 		return
@@ -352,7 +353,7 @@ func (m *Machine) scheduleDrain(c *core, now uint64) {
 	}
 	finish := start + writes*m.cfg.NVMEntryWrite
 	c.drainFree = finish
-	c.drainDone = append(c.drainDone, finish)
+	c.back.Book(finish)
 }
 
 // applyPhase2 performs the functional half of the second phase: valid redo

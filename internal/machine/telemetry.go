@@ -103,7 +103,7 @@ func (m *Machine) publishTelemetry(final bool) {
 			front += uint64(c.front.Len())
 			back += uint64(c.back.Len())
 			path += uint64(c.path.InFlight())
-			d := uint64(len(c.drainDone))
+			d := uint64(c.back.Booked())
 			drain += d
 			if i >= telemetry.MaxCoreGauges {
 				i = telemetry.MaxCoreGauges - 1

@@ -16,10 +16,12 @@ type BackEnd struct {
 	// read; the ring doubles from its carved start (NewUnits) only when it
 	// is truly full.
 	q ring[Rec]
-	// marks holds the ring positions of the buffered boundary markers,
-	// oldest first: region k's data is the run of records before marks[k]
-	// and after marks[k-1].
-	marks ring[uint64]
+	// marks holds the buffered boundary markers, oldest first: region k's
+	// data is the run of records before marks[k].pos and after
+	// marks[k-1].pos. The oldest booked of them carry their region's
+	// phase-2 drain completion (Book).
+	marks  ring[mark]
+	booked int
 	// bd is the core's boundary table, which PopRegion retires boundaries
 	// from.
 	bd *bounds
@@ -29,6 +31,13 @@ type BackEnd struct {
 	SkippedInvalid uint64
 	ScanHits       uint64
 	Overflow       uint64 // accepts rejected for lack of space (must be 0)
+}
+
+// mark is one buffered boundary marker: its ring position and, once the
+// region's phase-2 drain is booked, the cycle that drain completes.
+type mark struct {
+	pos  uint64
+	done uint64
 }
 
 // Len returns the number of buffered entries (data + boundary).
@@ -67,7 +76,7 @@ func (b *BackEnd) AcceptFrom(r *Rec) bool {
 		return false
 	}
 	if r.Kind == KindBoundary {
-		*b.marks.add() = b.q.next()
+		*b.marks.add() = mark{pos: b.q.next()}
 	}
 	*b.q.add() = *r
 	return true
@@ -110,9 +119,9 @@ func (b *BackEnd) Region(k int) (CommittedRegion, bool) {
 		return CommittedRegion{}, false
 	}
 	marks := b.marks.live()
-	start, end := b.q.first(), marks[k]
+	start, end := b.q.first(), marks[k].pos
 	if k > 0 {
-		start = marks[k-1] + 1
+		start = marks[k-1].pos + 1
 	}
 	bd := b.bd.at(b.q.at(end).bd)
 	return CommittedRegion{
@@ -124,16 +133,51 @@ func (b *BackEnd) Region(k int) (CommittedRegion, bool) {
 }
 
 // PopRegion removes and returns the oldest complete region (data entries up
-// to and including a boundary marker), if one is present. This is the unit
-// of the second phase of the atomic store. The region stays readable in
-// place until the next AcceptFrom or AddBoundary — phase 2 consumes it
-// immediately, so nothing is copied or allocated per region.
+// to and including a boundary marker), if one is present, with its drain
+// booking. This is the unit of the second phase of the atomic store. The
+// region stays readable in place until the next AcceptFrom or AddBoundary —
+// phase 2 consumes it immediately, so nothing is copied or allocated per
+// region.
 func (b *BackEnd) PopRegion() (CommittedRegion, bool) {
 	r, ok := b.Region(0)
 	if ok {
-		b.bd.retire(b.q.at(*b.marks.front()).bd)
+		b.bd.retire(b.q.at(b.marks.front().pos).bd)
 		b.q.drop(len(r.Data) + 1)
 		b.marks.drop(1)
+		b.booked = max(b.booked-1, 0)
 	}
 	return r, ok
+}
+
+// Booked returns the number of buffered regions whose phase-2 drain is
+// booked: always the oldest ones.
+func (b *BackEnd) Booked() int { return b.booked }
+
+// Book records that the oldest region without a booked drain (Region(
+// Booked())) completes its phase-2 drain at cycle done. It panics if every
+// buffered region is booked.
+func (b *BackEnd) Book(done uint64) {
+	b.marks.live()[b.booked].done = done
+	b.booked++
+}
+
+// NextDrain returns the completion cycle of the oldest booked drain; ok is
+// false when none is booked.
+func (b *BackEnd) NextDrain() (done uint64, ok bool) {
+	if b.booked == 0 {
+		return 0, false
+	}
+	return b.marks.front().done, true
+}
+
+// Rebook moves the oldest booked drain's completion to cycle done, and every
+// later booked drain, which shares its write-queue bank, to no earlier than
+// done (a drain write retried after a transient error). It panics if no
+// drain is booked.
+func (b *BackEnd) Rebook(done uint64) {
+	booked := b.marks.live()[:b.booked]
+	booked[0].done = done
+	for i := 1; i < len(booked); i++ {
+		booked[i].done = max(booked[i].done, done)
+	}
 }

@@ -60,3 +60,24 @@ func BenchmarkPathServiceIdle(b *testing.B) {
 		b.Fatal("idle path delivered entries")
 	}
 }
+
+// BenchmarkWindowNoteHit measures the monitoring window per written-back
+// word: one Note and one arrival lookup, one cycle apart, over 8192 words
+// noted round-robin, so the window fills past its prune bound and prunes in
+// place at steady state. The lookup hits a word noted 20 cycles earlier,
+// inside the 40-cycle window.
+func BenchmarkWindowNoteHit(b *testing.B) {
+	w := &Window{Latency: 40}
+	b.ReportAllocs()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		now := uint64(i)
+		w.Note(uint64(i%8192)*8, now, now)
+		if w.hit(uint64((i+8192-20)%8192)*8, now, now-20) {
+			hits++
+		}
+	}
+	if b.N > 20 && hits < b.N-20 {
+		b.Fatalf("%d of %d lookups hit", hits, b.N)
+	}
+}

@@ -6,10 +6,11 @@ package proxy
 // own payload, as the architectural entry of paper Figure 5 does), and every
 // observable is compared after every operation: return values, merges,
 // stalls, elision, departures, arrivals with their window verdicts, popped and
-// peeked regions with their checkpoint and emit payloads, the buffered
-// entries, the harvested wire and every counter. The model has no rings, side
-// tables or arenas to get wrong, so it pins the layout's behaviour, not its
-// shape.
+// peeked regions with their checkpoint and emit payloads, drain bookings, the
+// buffered entries, the monitoring window's size, the harvested wire and every
+// counter. The model has no rings, side tables, arenas or hash table to get
+// wrong, so it pins the layout's behaviour, not its shape: its window is a
+// plain map with its own copy of the refresh and prune rules.
 
 import (
 	"reflect"
@@ -38,6 +39,9 @@ type unitState struct {
 	Staged      []RegCkpt
 	InFlight    int
 	HasRegion   bool
+	Booked      int
+	NextDrain   uint64 // 0 when nothing is booked
+	Window      int    // monitoring-window entries, expired ones not yet pruned included
 	Counters    unitCounters
 }
 
@@ -65,6 +69,8 @@ type unitUnderTest interface {
 	deliver(now uint64) []arrival
 	note(addr, seq, now uint64)
 	scan(addr, seq uint64) int
+	book(done uint64) bool
+	rebook(done uint64) bool
 	pop() region
 	peek(k int) region
 	drainAll() []Entry
@@ -96,12 +102,17 @@ type refUnit struct {
 	wire       []arrival // E and Arrives only
 	nextDepart uint64
 	back       []Entry
-	win        map[uint64]windowEntry
+	books      []uint64 // drain completions of the oldest regions in back
+	win        map[uint64]refWinEntry
 	c          unitCounters
 }
 
+// refWinEntry is one model window record: the cycle it expires at and the
+// writeback's sequence.
+type refWinEntry struct{ expiry, seq uint64 }
+
 func newRefUnit(cfg diffConfig) *refUnit {
-	return &refUnit{cfg: cfg, win: map[uint64]windowEntry{}}
+	return &refUnit{cfg: cfg, win: map[uint64]refWinEntry{}}
 }
 
 func (m *refUnit) addStore(addr, undo, redo, seq uint64) bool {
@@ -219,11 +230,50 @@ func (m *refUnit) accept(e Entry) bool {
 	return true
 }
 
+// note opens or refreshes addr's window, then, once the window holds more
+// than 4096 entries, deletes every entry that expired before now.
 func (m *refUnit) note(addr, seq, now uint64) {
 	we, ok := m.win[addr]
 	if !ok || we.seq < seq || we.expiry < now+m.cfg.latency {
-		m.win[addr] = windowEntry{expiry: now + m.cfg.latency, seq: seq}
+		m.win[addr] = refWinEntry{expiry: now + m.cfg.latency, seq: seq}
 	}
+	if len(m.win) > 4096 {
+		for a, we := range m.win {
+			if we.expiry < now {
+				delete(m.win, a)
+			}
+		}
+	}
+}
+
+// regions returns the number of complete regions in the back end.
+func (m *refUnit) regions() int {
+	n := 0
+	for _, e := range m.back {
+		if e.Kind == KindBoundary {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *refUnit) book(done uint64) bool {
+	if len(m.books) == m.regions() {
+		return false
+	}
+	m.books = append(m.books, done)
+	return true
+}
+
+func (m *refUnit) rebook(done uint64) bool {
+	if len(m.books) == 0 {
+		return false
+	}
+	m.books[0] = done
+	for i := range m.books {
+		m.books[i] = max(m.books[i], done)
+	}
+	return true
 }
 
 func (m *refUnit) scan(addr, seq uint64) int {
@@ -257,6 +307,9 @@ func (m *refUnit) pop() region {
 	r := m.peek(0)
 	if r.OK {
 		m.back = m.back[len(r.Data)+1:]
+		if len(m.books) > 0 {
+			m.books = m.books[1:]
+		}
 	}
 	return r
 }
@@ -272,17 +325,24 @@ func (m *refUnit) drainAll() []Entry {
 
 func (m *refUnit) state() unitState {
 	hasRegion := m.peek(0).OK
+	var next uint64
+	if len(m.books) > 0 {
+		next = m.books[0]
+	}
 	return unitState{
 		Front: copyEntries(m.front), Back: copyEntries(m.back),
 		Staged: append([]RegCkpt(nil), m.staged...), InFlight: len(m.wire),
-		HasRegion: hasRegion, Counters: m.c,
+		HasRegion: hasRegion, Booked: len(m.books), NextDrain: next, Window: len(m.win),
+		Counters: m.c,
 	}
 }
 
 // diffOps are the differential's operations, one opcode byte each followed
 // by its operand bytes. Addresses come from an eight-word pool so stores
 // merge and scans and windows hit; sequences are the stream's own store
-// counter, so they increase as the machine's do.
+// counter, so they increase as the machine's do. A flood notes fresh
+// addresses outside the pool, one per cycle, so a few floods carry the
+// window past its prune bound.
 const (
 	dopStore    = iota // addr undo redo
 	dopCkpt            // reg val
@@ -296,10 +356,14 @@ const (
 	dopPop             //
 	dopPeek            // k
 	dopDrainAll        //
+	dopFlood           // count
+	dopBook            // delay
+	dopRebook          // delay
 	numDiffOps
 )
 
-var diffOpArgs = [numDiffOps]int{dopStore: 3, dopCkpt: 2, dopSync: 2, dopBoundary: 2, dopAdvance: 1, dopNote: 2, dopScan: 2, dopPeek: 1}
+var diffOpArgs = [numDiffOps]int{dopStore: 3, dopCkpt: 2, dopSync: 2, dopBoundary: 2, dopAdvance: 1, dopNote: 2, dopScan: 2, dopPeek: 1,
+	dopFlood: 1, dopBook: 1, dopRebook: 1}
 
 // maxDiffBytes bounds a decoded stream.
 const maxDiffBytes = 512
@@ -318,7 +382,7 @@ func runDiff(t *testing.T, data []byte, newUnit func(*testing.T, diffConfig) uni
 	}
 	got, want := newUnit(t, cfg), newRefUnit(cfg)
 	ops := data[5:min(len(data), maxDiffBytes)]
-	var now, seq, region uint64
+	var now, seq, region, flooded uint64
 	for step := 0; len(ops) > 0; step++ {
 		op := int(ops[0]) % numDiffOps
 		if len(ops) < 1+diffOpArgs[op] {
@@ -376,6 +440,18 @@ func runDiff(t *testing.T, data []byte, newUnit func(*testing.T, diffConfig) uni
 			g, w = got.peek(int(arg[0]%3)), want.peek(int(arg[0]%3))
 		case dopDrainAll:
 			g, w = got.drainAll(), want.drainAll()
+		case dopFlood:
+			for range 64 * (1 + int(arg[0]%64)) {
+				a := 0x100000 + 8*flooded
+				flooded++
+				got.note(a, seq, now)
+				want.note(a, seq, now)
+				now++
+			}
+		case dopBook:
+			g, w = got.book(now+uint64(arg[0])), want.book(now+uint64(arg[0]))
+		case dopRebook:
+			g, w = got.rebook(now+uint64(arg[0])), want.rebook(now+uint64(arg[0]))
 		}
 		if !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d (op %d %v): got %+v, model %+v", step, op, arg, g, w)
@@ -398,8 +474,15 @@ func FuzzProxyDifferential(f *testing.F) {
 // diffSeeds are hand-written streams covering each operation: a region of
 // merging stores with checkpoints, a sync and emits sent, delivered under an
 // open window and popped; elided, forced and halting boundaries on a full
-// front end; a back end overflowing; a harvest of the wire; and two regions
-// buffered in the back end, peeked at past the oldest.
+// front end; a back end overflowing; a harvest of the wire; two regions
+// buffered in the back end, peeked at past the oldest; and the window's
+// prune bound: a late delivery that still hits an entry which expired
+// before the delivery but was not pruned (the window holds too few
+// entries), with its region's drain booked and re-booked before a flood
+// prunes it; the same delivery missing once a flood past 4096 entries has
+// pruned the entry; a prune that keeps the entry expiring on its very
+// cycle; and two regions' drains booked out of order, the head re-booked
+// past both and popped, the next re-booked and popped.
 var diffSeeds = [][]byte{
 	{8, 8, 10, 2, 0, dopStore, 1, 0, 1, dopStore, 1, 1, 2, dopCkpt, 3, 9, dopSync, 1, 2, dopBoundary, 1, 2,
 		dopSend, dopSend, dopNote, 1, 0, dopAdvance, 31, dopDeliver, dopPeek, 0, dopPop, dopPop},
@@ -412,6 +495,14 @@ var diffSeeds = [][]byte{
 	{7, 8, 2, 1, 0, dopStore, 1, 0, 1, dopCkpt, 1, 1, dopBoundary, 1, 1, dopStore, 2, 0, 2, dopStore, 3, 0, 3,
 		dopBoundary, 1, 2, dopSend, dopSend, dopSend, dopSend, dopSend, dopAdvance, 31, dopDeliver,
 		dopPeek, 1, dopPeek, 2, dopPop, dopPeek, 0, dopPeek, 1},
+	{7, 7, 10, 0, 0, dopStore, 0, 0, 1, dopBoundary, 1, 0, dopSend, dopSend, dopNote, 0, 0, dopFlood, 0,
+		dopDeliver, dopBook, 5, dopRebook, 9, dopFlood, 63, dopPop},
+	{7, 7, 10, 0, 0, dopStore, 0, 0, 1, dopBoundary, 1, 0, dopSend, dopSend, dopNote, 0, 0, dopFlood, 63,
+		dopDeliver, dopPop},
+	{7, 7, 10, 0, 0, dopFlood, 62, dopFlood, 0, dopNote, 0, 0},
+	{7, 8, 2, 1, 0, dopStore, 1, 0, 1, dopBoundary, 1, 0, dopStore, 2, 0, 2, dopBoundary, 1, 0,
+		dopSend, dopSend, dopSend, dopSend, dopAdvance, 31, dopDeliver, dopBook, 9, dopBook, 3, dopBook, 1,
+		dopRebook, 20, dopPop, dopRebook, 25, dopPop, dopRebook, 1},
 }
 
 // realUnit drives one unit NewUnits builds, copying every entry it
@@ -480,6 +571,22 @@ func (r *realUnit) note(addr, seq, now uint64) { r.u.Path.win.Note(addr, seq, no
 
 func (r *realUnit) scan(addr, seq uint64) int { return r.u.Back.ScanInvalidate(addr, seq) }
 
+func (r *realUnit) book(done uint64) bool {
+	if r.u.Back.Booked() == r.u.Back.marks.len() {
+		return false
+	}
+	r.u.Back.Book(done)
+	return true
+}
+
+func (r *realUnit) rebook(done uint64) bool {
+	if r.u.Back.Booked() == 0 {
+		return false
+	}
+	r.u.Back.Rebook(done)
+	return true
+}
+
 // region copies a committed region out as entries.
 func (r *realUnit) region(cr CommittedRegion, ok bool) region {
 	if !ok {
@@ -516,10 +623,14 @@ func (r *realUnit) state() unitState {
 		r.t.Fatalf("arenas hold %d checkpoints and %d emits for boundaries carrying %d and %d",
 			r.u.bd.ckpts.len(), r.u.bd.emits.len(), nck, nem)
 	}
+	next, booked := b.NextDrain()
+	if booked != (b.Booked() > 0) {
+		r.t.Fatalf("NextDrain reports a booking %v with %d booked", booked, b.Booked())
+	}
 	return unitState{
 		Front: r.entries(f.q.live()), Back: r.entries(b.q.live()),
 		Staged: append([]RegCkpt(nil), f.staged...), InFlight: p.InFlight(),
-		HasRegion: b.marks.len() > 0,
+		HasRegion: b.marks.len() > 0, Booked: b.Booked(), NextDrain: next, Window: p.win.Len(),
 		Counters: unitCounters{
 			Allocs: f.Allocs, Merges: f.Merges, Boundary: f.Boundary, ElidedBds: f.ElidedBds, Stalls: f.Stalls,
 			WindowHits: p.WindowHits, BackMerges: b.Merges, ScanHits: b.ScanHits, Overflow: b.Overflow,

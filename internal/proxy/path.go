@@ -1,5 +1,7 @@
 package proxy
 
+import "capri/internal/slab"
+
 // Path models the dedicated, uncacheable proxy data path connecting one
 // core's front-end proxy to its back-end buffer in the memory controller
 // (paper §3.3). It is a fixed-latency, fixed-bandwidth FIFO pipe: one entry
@@ -49,9 +51,10 @@ type packet struct {
 type Window struct {
 	Latency uint64 // the proxy path's worst-case latency, in cycles
 
-	// m maps address -> (expiry cycle, writeback seq). Made on the first
-	// writeback; nil reads as empty.
-	m map[uint64]windowEntry
+	// t maps address -> (expiry cycle, writeback seq). Its slot array is
+	// made on the first writeback, doubled only when full and pruned in
+	// place, so noting a word allocates only when the window outgrows it.
+	t slab.Table[windowEntry]
 }
 
 type windowEntry struct {
@@ -59,39 +62,32 @@ type windowEntry struct {
 	seq    uint64
 }
 
+// windowPrune is the entry count past which Note prunes expired entries.
+const windowPrune = 4096
+
 // Note opens (or refreshes) the window for addr after a dirty writeback with
 // sequence seq arrives at the controller at cycle now.
 func (w *Window) Note(addr uint64, seq uint64, now uint64) {
-	we, ok := w.m[addr]
+	we, ok := w.t.Insert(addr)
 	if !ok || we.seq < seq || we.expiry < now+w.Latency {
-		if w.m == nil {
-			w.m = map[uint64]windowEntry{}
-		}
-		w.m[addr] = windowEntry{expiry: now + w.Latency, seq: seq}
+		*we = windowEntry{expiry: now + w.Latency, seq: seq}
 	}
 	// Opportunistically prune expired windows to bound memory.
-	if len(w.m) > 4096 {
-		for a, we := range w.m {
-			if we.expiry < now {
-				delete(w.m, a)
-			}
-		}
+	if w.t.Len() > windowPrune {
+		w.t.Prune(func(we *windowEntry) bool { return we.expiry < now })
 	}
 }
 
 // Len returns the number of live window entries (expired entries that have
 // not been pruned yet count — pruning is opportunistic). Observability
 // only; the occupancy histogram samples it at boundaries.
-func (w *Window) Len() int { return len(w.m) }
+func (w *Window) Len() int { return w.t.Len() }
 
 // hit reports whether an entry for addr with store sequence seq arriving at
 // cycle arrives falls inside a live window whose writeback is not older.
 func (w *Window) hit(addr, arrives, seq uint64) bool {
-	if len(w.m) == 0 {
-		return false
-	}
-	we, ok := w.m[addr]
-	return ok && arrives <= we.expiry && seq <= we.seq
+	we := w.t.Get(addr)
+	return we != nil && arrives <= we.expiry && seq <= we.seq
 }
 
 // flightCarve is the capacity a path's packet ring is carved at: its

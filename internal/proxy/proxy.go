@@ -255,13 +255,14 @@ func NewUnits(n, frontCap, backCap int, latency, interval uint64, win *Window) [
 	packets := make([]packet, n*flight)
 	bds := make([]Boundary, n*boundStart)
 	ckpts := make([]RegCkpt, n*(isa.NumRegs+ckptStart))
-	words := make([]uint64, n*(boundStart+emitStart))
+	emits := make([]uint64, n*emitStart)
+	marks := make([]mark, n*boundStart)
 	for i := range units {
 		u := &units[i]
 		u.bd = bounds{
 			q:     ring[Boundary]{buf: slab.Carve(&bds, boundStart, 0)[:0]},
 			ckpts: ring[RegCkpt]{buf: slab.Carve(&ckpts, ckptStart, 0)[:0]},
-			emits: ring[uint64]{buf: slab.Carve(&words, emitStart, 0)[:0]},
+			emits: ring[uint64]{buf: slab.Carve(&emits, emitStart, 0)[:0]},
 		}
 		u.Front = FrontEnd{
 			Capacity: frontCap,
@@ -273,7 +274,7 @@ func NewUnits(n, frontCap, backCap int, latency, interval uint64, win *Window) [
 		u.Back = BackEnd{
 			Capacity: backCap,
 			q:        ring[Rec]{buf: slab.Carve(&recs, backStart, 0)[:0]},
-			marks:    ring[uint64]{buf: slab.Carve(&words, boundStart, 0)[:0]},
+			marks:    ring[mark]{buf: slab.Carve(&marks, boundStart, 0)[:0]},
 			bd:       &u.bd,
 		}
 	}

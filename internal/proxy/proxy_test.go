@@ -319,7 +319,7 @@ func TestPathWindowRefresh(t *testing.T) {
 	p := newPath(latency, 1)
 	p.win.Note(0x100, 10, 0) // expiry 10, seq 10
 	p.win.Note(0x100, 3, 20) // refresh: expiry 30, seq 3
-	if we := p.win.m[0x100]; we != (windowEntry{expiry: 30, seq: 3}) {
+	if we := p.win.t.Get(0x100); we == nil || *we != (windowEntry{expiry: 30, seq: 3}) {
 		t.Fatalf("refreshed window = %+v, want expiry 30 seq 3", we)
 	}
 	p.SendFrom(&Rec{Addr: 0x100, Seq: 3, Valid: true}, 15) // arrives 25 <= 30

@@ -3,7 +3,9 @@
 // reallocates rather than writing into the next carve; the chunk it came
 // from stays alive as long as any slice carved from it does. Pages, the
 // paged word table behind the simulator's memory images, carves its large
-// pages the same way, at most a few to a chunk.
+// pages the same way, at most a few to a chunk. Table, the flat address
+// table behind the memory controller's monitoring window, keeps its entries
+// in one slot array that it doubles when full.
 package slab
 
 // Carve returns the next n zero elements of *s, refilling *s with a fresh
