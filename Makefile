@@ -35,9 +35,11 @@ lint:
 # shared compile cache, sweep the parallel fleet),
 # the full verifier matrix (semantic region verifier after every pass for
 # every benchmark x level x threshold, plus the seven seed-derived progen
-# programs LICM breaks at every level below +licm, and the pin that they
-# still fail +licm with the stale-slot diagnostic, so a LICM fix must flip
-# it) with the compiler's allocation pins
+# programs LICM once broke by hoisting past a callee's write, at every level
+# and crashed at every instruction at +licm@64, the three it once overflowed
+# at threshold 16, and 1,000 seed-mixed progen programs at +pruning and
+# +licm, where LICM may fail only where pruning does; the sweeps skip the
+# race run and run in this one) with the compiler's allocation pins
 # (zero-allocation fingerprints, the ocean compile budget, lu's allocations
 # growing at most 2x for an 11x larger output, and CFGs, loop forests and
 # liveness carved from a warm analysis arena at under one allocation each),

@@ -170,11 +170,11 @@ func callLadder(n int) *prog.Func {
 // warm arena an 8-block and a 256-block function both cost less than one
 // allocation per computation, amortized.
 func TestLivenessAllocsConstant(t *testing.T) {
-	callUse := func(int32) RegSet { return AllRegs }
+	calleeReads := []RegSet{AllRegs, AllRegs}
 	for name, mk := range map[string]func(int) *prog.Func{"ladder": ladder, "callLadder": callLadder} {
 		for _, n := range []int{8, 256} {
 			c := BuildCFG(new(Arena), mk(n))
-			if got := testing.AllocsPerRun(100, func() { ComputeLivenessWithRet(c, callUse, AllRegs) }); got >= 1 {
+			if got := testing.AllocsPerRun(100, func() { ComputeLivenessWithRet(c, calleeReads, AllRegs) }); got >= 1 {
 				t.Errorf("%s: liveness of %d blocks: %.0f allocs per computation on a warm arena, want < 1", name, n, got)
 			}
 		}

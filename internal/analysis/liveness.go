@@ -57,17 +57,17 @@ type Liveness struct {
 	// registers read before any write in b, Def[b] registers written in b.
 	Use []RegSet
 	Def []RegSet
-	// callUse, when set, extends an OpCall's register uses with the callee's
-	// transitive may-read set, making the analysis call-aware.
-	callUse func(callee int32) RegSet
+	// calleeReads, when set, extends an OpCall's register uses with
+	// calleeReads[callee], making the analysis call-aware.
+	calleeReads []RegSet
 }
 
 // instUses collects an instruction's register uses, extending calls with the
 // callee summary when the analysis is call-aware.
 func (lv *Liveness) instUses(in *isa.Inst, dst []isa.Reg) []isa.Reg {
 	dst = in.Uses(dst)
-	if in.Op == isa.OpCall && lv.callUse != nil {
-		for s := lv.callUse(in.Callee); s != 0; s &= s - 1 {
+	if in.Op == isa.OpCall && lv.calleeReads != nil {
+		for s := lv.calleeReads[in.Callee]; s != 0; s &= s - 1 {
 			dst = append(dst, isa.Reg(bits.TrailingZeros32(uint32(s))))
 		}
 	}
@@ -89,14 +89,14 @@ const maxUses = 3 + isa.NumRegs
 func ComputeLiveness(c *CFG) *Liveness { return ComputeLivenessWithRet(c, nil, AllRegs) }
 
 // ComputeLivenessCallAware is ComputeLiveness with calls additionally using
-// callUse(callee) — typically the callee's transitive may-read register
+// calleeReads[callee] — typically the callee's transitive may-read register
 // summary. Passes that reason about where a value can still be consumed
 // (checkpoint pruning, checkpoint LICM) must use this form: with plain
 // intraprocedural liveness, a register consumed only inside a callee looks
 // dead before the call, which is exactly the blind spot that would let an
 // unsound transformation through.
-func ComputeLivenessCallAware(c *CFG, callUse func(callee int32) RegSet) *Liveness {
-	return ComputeLivenessWithRet(c, callUse, AllRegs)
+func ComputeLivenessCallAware(c *CFG, calleeReads []RegSet) *Liveness {
+	return ComputeLivenessWithRet(c, calleeReads, AllRegs)
 }
 
 // ComputeLivenessWithRet generalizes the live-at-return seed: retLive is the
@@ -104,21 +104,21 @@ func ComputeLivenessCallAware(c *CFG, callUse func(callee int32) RegSet) *Livene
 // The semantic region verifier passes the function's interprocedural
 // return-need summary here, so "live at a boundary" means "actually read on
 // some path after the boundary" — in this function, in a callee (via
-// callUse), or in a caller's continuation (via retLive) — rather than "not
+// calleeReads), or in a caller's continuation (via retLive) — rather than "not
 // provably dead before an all-registers return".
 //
 // The result and its four per-block set arrays, capped windows of one carve,
 // come from the CFG's Arena.
-func ComputeLivenessWithRet(c *CFG, callUse func(callee int32) RegSet, retLive RegSet) *Liveness {
+func ComputeLivenessWithRet(c *CFG, calleeReads []RegSet, retLive RegSet) *Liveness {
 	n := len(c.F.Blocks)
 	sets := c.a.regs.Carve(4 * n)
 	lv := &c.a.lives.Carve(1)[0]
 	*lv = Liveness{
-		LiveIn:  sets[:n:n],
-		LiveOut: sets[n : 2*n : 2*n],
-		Use:     sets[2*n : 3*n : 3*n],
-		Def:     sets[3*n:],
-		callUse: callUse,
+		LiveIn:      sets[:n:n],
+		LiveOut:     sets[n : 2*n : 2*n],
+		Use:         sets[2*n : 3*n : 3*n],
+		Def:         sets[3*n:],
+		calleeReads: calleeReads,
 	}
 
 	var ubuf [maxUses]isa.Reg

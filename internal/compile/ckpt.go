@@ -23,128 +23,110 @@ import (
 //	walk b backward from needOut: a def of r with r ∈ need receives a
 //	checkpoint immediately after it (the paper's "last instruction that
 //	updates the register") and removes r from need; a call site adds
-//	callNeed(callee, site); finally
+//	callNeed; finally
 //	needIn(b) = need ∪ (LiveIn(b) if b is a boundary)
 //
 // where retNeed(f) is the union over f's call sites of the registers live
 // after the call (an interprocedural summary computed to fixpoint), and
-// callNeed = LiveOut(after the call) ∪ mayRead(callee) with mayRead the
-// transitive may-read register summary of the callee. Thread entry functions
-// have retNeed = ∅ (nothing runs after Halt).
+// callNeed = LiveOut(after the call) ∪ reads(callee) ∪ retNeed(f) with reads
+// the transitive may-read register summary of the callee (callSummary).
+// Thread entry functions have retNeed = ∅ (nothing runs after Halt).
 type ckptContext struct {
-	p    *prog.Program
-	cfgs []*analysis.CFG
-	live []*analysis.Liveness
-	// mayRead[f] = registers possibly read by f or its transitive callees.
-	mayRead []analysis.RegSet
+	cfgs  []*analysis.CFG
+	live  []*analysis.Liveness
+	calls callSummary
 	// retNeed[f] = registers that must have fresh slots when f returns.
 	retNeed []analysis.RegSet
 }
 
-// newCkptContext builds the per-function CFGs, liveness and summaries, all
-// carved from a.
-func newCkptContext(a *analysis.Arena, p *prog.Program) *ckptContext {
-	cc := &ckptContext{p: p, cfgs: buildCFGs(a, p), live: a.Livenesses(len(p.Funcs))}
+// newCkptContext builds the per-function CFGs, liveness and return-need
+// summary, carved from a; retNeed reaches its fixpoint over the sites of cs.
+func newCkptContext(a *analysis.Arena, p *prog.Program, cs callSummary) *ckptContext {
+	n := len(p.Funcs)
+	cc := &ckptContext{cfgs: buildCFGs(a, p), live: a.Livenesses(n), calls: cs, retNeed: a.RegSets(n)}
 	for i, cfg := range cc.cfgs {
 		cc.live[i] = analysis.ComputeLiveness(cfg)
 	}
-	cc.mayRead = mayReadSummary(a, p)
-	cc.computeRetNeed(a)
+	for changed := true; changed; {
+		changed = false
+		for fi, f := range p.Funcs {
+			for k := cs.at[fi]; k < cs.at[fi+1]; k++ {
+				// Registers live after the call in this caller: the return
+				// site's live-in, plus whatever this caller itself must keep
+				// fresh for its own return.
+				rs := p.RetSites[cs.token[k]]
+				after := cc.live[fi].LiveAt(f, rs.Block, rs.Index).Union(cc.retNeed[fi])
+				if c := cs.callee[k]; cc.retNeed[c].Union(after) != cc.retNeed[c] {
+					cc.retNeed[c] = cc.retNeed[c].Union(after)
+					changed = true
+				}
+			}
+		}
+	}
 	return cc
 }
 
-// mayReadSummary computes the transitive may-read register summary per
-// function (fixpoint over the call graph; handles recursion).
-func mayReadSummary(a *analysis.Arena, p *prog.Program) []analysis.RegSet {
-	mayRead := a.RegSets(len(p.Funcs))
-	// The call graph, flattened: function i calls callees[at[i]:at[i+1]].
-	at := a.Ints(len(p.Funcs) + 1)
+// callSummary is what the calls of a program do to registers: each
+// function's call sites, and the registers each function or its transitive
+// callees may read and may write. Checkpoint insertion, pruning and LICM
+// all read it; summarizeCalls builds it.
+type callSummary struct {
+	// Function f's call sites are callee[at[f]:at[f+1]], in block and
+	// instruction order, with their return-site tokens (indexes into
+	// Program.RetSites) at the same positions of token.
+	at, callee, token []int
+	// reads[f] and writes[f] are the registers f or its transitive callees
+	// may read and may write.
+	reads, writes []analysis.RegSet
+}
+
+// summarizeCalls builds the call summary of p from one scan of its
+// instructions and one fixpoint over the call graph (which handles
+// recursion), carved from a. Every call has its own return-site token, so
+// the token table bounds the site count.
+func summarizeCalls(a *analysis.Arena, p *prog.Program) callSummary {
+	nf, nt := len(p.Funcs), len(p.RetSites)
+	ints, sets := a.Ints(nf+1+2*nt), a.RegSets(2*nf)
+	cs := callSummary{
+		at:     ints[: nf+1 : nf+1],
+		callee: ints[nf+1 : nf+1 : nf+1+nt],
+		token:  ints[nf+1+nt : nf+1+nt],
+		reads:  sets[:nf:nf],
+		writes: sets[nf:],
+	}
 	var ops [3]isa.Reg
 	for i, f := range p.Funcs {
-		var s analysis.RegSet
-		calls := 0
 		for _, b := range f.Blocks {
 			for j := range b.Insts {
 				in := &b.Insts[j]
 				for _, r := range in.Uses(ops[:0]) {
-					s.Add(r)
+					cs.reads[i].Add(r)
+				}
+				if d, ok := in.Def(); ok {
+					cs.writes[i].Add(d)
 				}
 				if in.Op == isa.OpCall {
-					calls++
+					cs.callee = append(cs.callee, int(in.Callee))
+					cs.token = append(cs.token, int(in.Imm))
 				}
 			}
 		}
-		mayRead[i] = s
-		at[i+1] = at[i] + calls
-	}
-	callees := a.Ints(at[len(p.Funcs)])[:0]
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for j := range b.Insts {
-				if b.Insts[j].Op == isa.OpCall {
-					callees = append(callees, int(b.Insts[j].Callee))
-				}
-			}
-		}
+		cs.at[i+1] = len(cs.callee)
 	}
 	for changed := true; changed; {
 		changed = false
 		for i := range p.Funcs {
-			s := mayRead[i]
-			for _, c := range callees[at[i]:at[i+1]] {
-				s = s.Union(mayRead[c])
+			r, w := cs.reads[i], cs.writes[i]
+			for _, c := range cs.callee[cs.at[i]:cs.at[i+1]] {
+				r, w = r.Union(cs.reads[c]), w.Union(cs.writes[c])
 			}
-			if s != mayRead[i] {
-				mayRead[i] = s
+			if r != cs.reads[i] || w != cs.writes[i] {
+				cs.reads[i], cs.writes[i] = r, w
 				changed = true
 			}
 		}
 	}
-	return mayRead
-}
-
-// computeRetNeed computes, for every function, the union over its call sites
-// of registers live at the return site — what callers will read after the
-// callee returns. Unreferenced functions (thread entries) get the empty set.
-func (cc *ckptContext) computeRetNeed(a *analysis.Arena) {
-	p := cc.p
-	cc.retNeed = a.RegSets(len(p.Funcs))
-	for changed := true; changed; {
-		changed = false
-		for fi, f := range p.Funcs {
-			for _, b := range f.Blocks {
-				for j := range b.Insts {
-					in := &b.Insts[j]
-					if in.Op != isa.OpCall {
-						continue
-					}
-					// Registers live after the call in this caller: the
-					// return site's live-in, plus whatever this caller
-					// itself must keep fresh for its own return.
-					rs := p.RetSites[in.Imm]
-					after := cc.live[fi].LiveAt(f, rs.Block, rs.Index)
-					after = after.Union(cc.retNeed[fi])
-					callee := int(in.Callee)
-					if u := cc.retNeed[callee].Union(after); u != cc.retNeed[callee] {
-						cc.retNeed[callee] = u
-						changed = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// callNeed returns the registers that must have fresh checkpoint slots at a
-// call to callee from the given return site: everything the callee (or its
-// callees) may read, plus everything live after the call.
-func (cc *ckptContext) callNeed(callerFunc int, callee int, site prog.RetSite) analysis.RegSet {
-	f := cc.p.Funcs[callerFunc]
-	after := cc.live[callerFunc].LiveAt(f, site.Block, site.Index)
-	need := cc.mayRead[callee].Union(after).Union(cc.retNeed[callerFunc])
-	// SP is saved/restored through the in-memory call protocol itself; its
-	// checkpoint is maintained like any other register, so no exclusion.
-	return need
+	return cs
 }
 
 // insertCheckpoints runs the need analysis over f and inserts OpCkpt
@@ -165,7 +147,11 @@ func insertCheckpoints(a *analysis.Arena, p *prog.Program, fi int, cc *ckptConte
 		for i := len(b.Insts) - 1; i >= 0; i-- {
 			in := &b.Insts[i]
 			if in.Op == isa.OpCall {
-				need = need.Union(cc.callNeed(fi, int(in.Callee), p.RetSites[in.Imm]))
+				// callNeed. SP is saved and restored through the in-memory
+				// call protocol itself; its checkpoint is maintained like
+				// any other register, so no exclusion.
+				rs := p.RetSites[in.Imm]
+				need = need.Union(cc.calls.reads[in.Callee]).Union(lv.LiveAt(f, rs.Block, rs.Index)).Union(cc.retNeed[fi])
 			}
 			if d, ok := in.Def(); ok && need.Has(d) {
 				if place != nil {

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"math/bits"
 	"slices"
 
 	"capri/internal/analysis"
@@ -24,8 +25,14 @@ import (
 // Conditions for hoisting a (def, ckpt) pair of register r out of loop L:
 //   - def is re-executable and every operand has no definition inside L;
 //   - def is the only definition of r anywhere in L;
+//   - a call inside L counts as a definition of every register its callee
+//     or the callee's transitive callees may write (the call summary), for
+//     both rules above;
 //   - the loop has a unique preheader (single edge into the header from
 //     outside);
+//   - the preheader's region has room for one more store: the worst path
+//     through the preheader plus the hoisted checkpoint stays within the
+//     threshold;
 //   - r is not live into the header (no in-loop use of r's pre-loop value,
 //     so executing the def earlier is invisible);
 //   - r is not live at any loop exit target (a zero-trip loop would
@@ -37,12 +44,13 @@ import (
 // atomics) whose recovery needs a loop-invariant value: the checkpoint-need
 // analysis places the checkpoint next to the def inside the loop, and this
 // pass lifts the pair out.
-func licmCheckpoints(a *analysis.Arena, f *prog.Func, callUse func(int32) analysis.RegSet) int {
+func licmCheckpoints(a *analysis.Arena, f *prog.Func, calls callSummary, threshold int) int {
 	moved := 0
 	for {
 		cfg := analysis.BuildCFG(a, f)
 		loops := cfg.Loops()
 		var lv *analysis.Liveness
+		var through []int
 		did := false
 		for li := range loops {
 			l := &loops[li]
@@ -51,9 +59,13 @@ func licmCheckpoints(a *analysis.Arena, f *prog.Func, callUse func(int32) analys
 				continue
 			}
 			if lv == nil {
-				lv = analysis.ComputeLivenessCallAware(cfg, callUse)
+				lv = analysis.ComputeLivenessCallAware(cfg, calls.reads)
+				through = pathWeights(a, cfg)
 			}
-			if tryHoist(f, lv, l, pre) {
+			if through[pre]+1 > threshold {
+				continue
+			}
+			if tryHoist(f, lv, calls.writes, l, pre) {
 				moved++
 				did = true
 				break // CFG metadata stale after mutation; rebuild
@@ -80,14 +92,21 @@ func preheader(f *prog.Func, cfg *analysis.CFG, l *analysis.Loop) (int, bool) {
 
 // tryHoist finds one hoistable (def, ckpt) pair in loop l and moves it to the
 // end of the preheader (before its terminator). Reports whether it moved one.
+// calleeWrites is the call summary's transitive may-write set per callee.
 // Blocks are scanned in ascending ID order, so the choice is deterministic.
-func tryHoist(f *prog.Func, lv *analysis.Liveness, l *analysis.Loop, pre int) bool {
+func tryHoist(f *prog.Func, lv *analysis.Liveness, calleeWrites []analysis.RegSet, l *analysis.Loop, pre int) bool {
 	var defsInLoop [isa.NumRegs]int
 	for id := l.Blocks.Next(0); id >= 0; id = l.Blocks.Next(id + 1) {
 		b := f.Blocks[id]
 		for i := range b.Insts {
-			if d, ok := b.Insts[i].Def(); ok {
+			in := &b.Insts[i]
+			if d, ok := in.Def(); ok {
 				defsInLoop[d]++
+			}
+			if in.Op == isa.OpCall {
+				for w := calleeWrites[in.Callee]; w != 0; w &= w - 1 {
+					defsInLoop[bits.TrailingZeros32(uint32(w))]++
+				}
 			}
 		}
 	}

@@ -108,20 +108,19 @@ type passCtx struct {
 	// round is the current iteration of the fixpoint group (0-based); the
 	// regions pass uses checkpoint estimates on round 0 only.
 	round int
-	// mayReadOf looks up the callee may-read summary prune and licm share.
-	// Built lazily on first use after checkpoints are final; both passes
-	// must see the same summaries, so it is not invalidated between them.
-	mayReadOf func(callee int32) analysis.RegSet
+	// calls is the call summary prune and licm share, built by sharedCalls
+	// on first use, after checkpoints are final. Both passes must see the
+	// same summary, so it is not rebuilt between them.
+	calls callSummary
 }
 
-// callUse returns the shared callee may-read summary as a liveness call
-// hook, computing the summary on first use.
-func (pc *passCtx) callUse() func(callee int32) analysis.RegSet {
-	if pc.mayReadOf == nil {
-		mayRead := mayReadSummary(&pc.a, pc.p)
-		pc.mayReadOf = func(callee int32) analysis.RegSet { return mayRead[callee] }
+// sharedCalls returns the call summary prune and licm share, building it on
+// first use.
+func (pc *passCtx) sharedCalls() callSummary {
+	if pc.calls.at == nil {
+		pc.calls = summarizeCalls(&pc.a, pc.p)
 	}
-	return pc.mayReadOf
+	return pc.calls
 }
 
 // pass is one row of the pipeline table: run mutates pc.p and returns its
@@ -136,8 +135,10 @@ type pass struct {
 	run      func(pc *passCtx) (changed int, err error)
 }
 
-// maxRounds bounds the regions/ckpt fixpoint: estimates only ever shrink
-// toward reality, so convergence is fast; four rounds has always sufficed.
+// maxRounds bounds the regions/ckpt fixpoint. Estimates only ever shrink
+// toward reality, so most programs converge within it, but not all: at
+// threshold 16 a few seed-mixed progen programs still overflow a region
+// after four rounds, and most of those still do after eight or sixteen.
 const maxRounds = 4
 
 // passes is the pipeline, in the paper's §4 order: canonicalize → inline →
@@ -191,7 +192,7 @@ func runRegions(pc *passCtx) (int, error) {
 
 func runCkpt(pc *passCtx) (int, error) {
 	stripCheckpoints(pc.p)
-	cc := newCkptContext(&pc.a, pc.p)
+	cc := newCkptContext(&pc.a, pc.p, summarizeCalls(&pc.a, pc.p))
 	total := 0
 	for fi := range pc.p.Funcs {
 		total += insertCheckpoints(&pc.a, pc.p, fi, cc)
@@ -201,21 +202,21 @@ func runCkpt(pc *passCtx) (int, error) {
 }
 
 func runPrune(pc *passCtx) (int, error) {
-	callUse := pc.callUse()
+	calls := pc.sharedCalls()
 	sc := newPruneScratch(&pc.a, maxBlocks(pc.p))
 	n := 0
 	for _, f := range pc.p.Funcs {
-		n += pruneCheckpoints(&pc.a, f, callUse, &sc)
+		n += pruneCheckpoints(&pc.a, f, calls.reads, &sc)
 	}
 	pc.stats.CkptsPruned = n
 	return n, nil
 }
 
 func runLICM(pc *passCtx) (int, error) {
-	callUse := pc.callUse()
+	calls := pc.sharedCalls()
 	n := 0
 	for _, f := range pc.p.Funcs {
-		n += licmCheckpoints(&pc.a, f, callUse)
+		n += licmCheckpoints(&pc.a, f, calls, pc.opts.Threshold)
 	}
 	pc.stats.CkptsHoisted = n
 	return n, nil

@@ -36,15 +36,15 @@ const (
 )
 
 // pruneCheckpoints removes reconstructible checkpoints in f and attaches
-// recovery slices to the boundary blocks they served. callUse supplies the
-// transitive may-read summary per callee, making the liveness the walk uses
-// call-aware (a value consumed only by a callee must keep the walk alive up
-// to the call, where instPreserves then aborts conservatively). Returns the
+// recovery slices to the boundary blocks they served. calleeReads, the call
+// summary's transitive may-read set per callee, makes the liveness the walk
+// uses call-aware (a value consumed only by a callee must keep the walk alive
+// up to the call, where instPreserves then aborts conservatively). Returns the
 // number of checkpoints pruned. sc is the pass's scratch, reused across
 // functions and sized for the largest; the analyses are carved from a.
-func pruneCheckpoints(a *analysis.Arena, f *prog.Func, callUse func(int32) analysis.RegSet, sc *pruneScratch) int {
+func pruneCheckpoints(a *analysis.Arena, f *prog.Func, calleeReads []analysis.RegSet, sc *pruneScratch) int {
 	cfg := analysis.BuildCFG(a, f)
-	lv := analysis.ComputeLivenessCallAware(cfg, callUse)
+	lv := analysis.ComputeLivenessCallAware(cfg, calleeReads)
 	idom := cfg.Dominators()
 	pruned := 0
 

@@ -129,6 +129,28 @@ func regionWeights(a *analysis.Arena, cfg *analysis.CFG) []int {
 	return down
 }
 
+// pathWeights returns through[b], the worst-case store count of a path
+// through b within b's region: the stores from the region head up to b plus
+// regionWeights' down[b]. A store added to b lands on every such path. The
+// stores up to b flow forward in reverse postorder; the only edges against
+// it are back edges, which enter loop headers, and headers are boundaries.
+func pathWeights(a *analysis.Arena, cfg *analysis.CFG) []int {
+	f := cfg.F
+	through := a.Ints(len(f.Blocks)) // the stores before b until down is added
+	for _, b := range cfg.RPO {
+		w := through[b] + f.Blocks[b].StoreCount()
+		for _, s := range cfg.Succ(b) {
+			if !f.Blocks[s].BoundaryAt {
+				through[s] = max(through[s], w)
+			}
+		}
+	}
+	for b, d := range regionWeights(a, cfg) {
+		through[b] += d
+	}
+	return through
+}
+
 // checkThreshold checks invariant 3 of DESIGN.md over every function, given
 // their CFGs: no region's worst-case store count exceeds the threshold. The
 // error names the first offending region, in reverse postorder of region

@@ -54,10 +54,6 @@ type Contract struct {
 	Materialized bool
 }
 
-// FinalContract is the contract the pipeline's output must satisfy under
-// opts — what Compile always enforces before returning.
-func FinalContract(opts Options) Contract { return contractFor(phaseFinal, opts) }
-
 // Check runs the semantic region verifier over p against the contract.
 // Diagnostics name the offending function and block.
 func Check(p *prog.Program, c Contract) error {
@@ -287,10 +283,10 @@ func staleAnalysis(a *analysis.Arena, p *prog.Program, cfgs []*analysis.CFG) sta
 // every function, together with the matching return-need summary vRet
 // (registers some caller continuation actually reads after the callee
 // returns). The insertion pass's summaries are deliberately looser in ways
-// that would make them wrong here: mayRead is flow-insensitive (it includes
-// registers a callee reads only *after* defining them itself), and retNeed
-// inherits plain liveness's all-registers-live-at-Ret conservatism from
-// callers of callers.
+// that would make them wrong here: callSummary's reads are flow-insensitive
+// (they include registers a callee reads only *after* defining them itself),
+// and retNeed inherits plain liveness's all-registers-live-at-Ret
+// conservatism from callers of callers.
 //
 // Context sensitivity matters: a call site must use the callee's pure
 // read-before-write entry summary (entryRead, computed with nothing live at
@@ -303,17 +299,16 @@ func staleAnalysis(a *analysis.Arena, p *prog.Program, cfgs []*analysis.CFG) sta
 func verifierLiveness(a *analysis.Arena, p *prog.Program, cfgs []*analysis.CFG) ([]*analysis.Liveness, []analysis.RegSet) {
 	entryRead, vRet := a.RegSets(len(p.Funcs)), a.RegSets(len(p.Funcs))
 	lv := a.Livenesses(len(p.Funcs))
-	callUse := func(callee int32) analysis.RegSet { return entryRead[callee] }
 	for changed := true; changed; {
 		changed = false
 		for fi, f := range p.Funcs {
-			if e := analysis.ComputeLivenessWithRet(cfgs[fi], callUse, 0).LiveIn[f.Entry]; e != entryRead[fi] {
+			if e := analysis.ComputeLivenessWithRet(cfgs[fi], entryRead, 0).LiveIn[f.Entry]; e != entryRead[fi] {
 				entryRead[fi] = e
 				changed = true
 			}
 		}
 		for fi := range p.Funcs {
-			lv[fi] = analysis.ComputeLivenessWithRet(cfgs[fi], callUse, vRet[fi])
+			lv[fi] = analysis.ComputeLivenessWithRet(cfgs[fi], entryRead, vRet[fi])
 		}
 		for fi, f := range p.Funcs {
 			for _, b := range f.Blocks {

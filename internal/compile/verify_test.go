@@ -65,7 +65,7 @@ func compiledBench(t *testing.T, name string) (*prog.Program, Contract) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Program, FinalContract(opts)
+	return res.Program, contractFor(phaseFinal, opts)
 }
 
 func TestMutationDroppedBoundaryRejected(t *testing.T) {
@@ -166,7 +166,7 @@ func sliceBench(t *testing.T) (*prog.Program, Contract, *prog.Block) {
 		for _, f := range res.Program.Funcs {
 			for _, blk := range f.Blocks {
 				if len(blk.RecoverySlices) > 0 {
-					return res.Program, FinalContract(opts), blk
+					return res.Program, contractFor(phaseFinal, opts), blk
 				}
 			}
 		}

@@ -354,9 +354,6 @@ func (m *Machine) Records() []CoreRecord {
 	return append([]CoreRecord(nil), m.records...)
 }
 
-// NVMWord returns the persisted word (value and version) at addr.
-func (m *Machine) NVMWord(addr uint64) mem.Word { return m.nvm.Peek(addr) }
-
 // VerifyDetectable checks the detectability contract on the machine's
 // recovery records: every record carrying a sync descriptor must have the
 // descriptor's write persisted in NVM at a version at least Sync.Seq — the

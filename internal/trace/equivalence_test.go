@@ -104,7 +104,7 @@ func TestTraceEquivalenceProgen(t *testing.T) {
 		}
 	}
 	checkDigest(t, corpusTrace(t, cases, 300),
-		"e5024d5c84dc050bed2eae35071619fe957cae4ea06b205599eda56cc68952db",
+		"f0c60c310209e83ff5d9c19d8d2c8f160ffd6c04f84b8bae90982ef3e7cc8922",
 		map[string]int{"commit": 3193, "drain": 2591, "stall": 12, "crash": 24, "recovery": 24})
 }
 
