@@ -104,9 +104,11 @@ check:
 # every run observed end-to-end (run -> crash -> recovery replay -> resume).
 # Any violated provenance invariant fails with the per-line event chain.
 # The mutation tests prove the auditor actually bites (seeded protocol
-# corruptions each produce a violation), and FuzzAuditorDifferential's corpus
+# corruptions each produce a violation), FuzzAuditorDifferential's corpus
 # replay proves its per-core queues and paged shadow agree with a map-keyed
-# model of the same rules. The allocation pins hold the audited crash path
+# model of the same rules, and FuzzFlightRecorderDifferential's seeds prove
+# the recorder's delta-encoded ring answers every query as a ring of whole
+# events does. The allocation pins hold the audited crash path
 # to its cost model: a store's life through the auditor allocates nothing,
 # the flight recorder allocates with its run rather than its cap
 # (TestFlightRecorderGrowsWithRun, TestFlightRecorderShortLastChunk),
@@ -126,7 +128,7 @@ audit:
 	$(GO) test -run 'TestAuditProgenCrashSweep|TestAuditBenchmarks' .
 	$(GO) run ./cmd/capricrash -bench genome -points 5
 	$(GO) run ./cmd/capricrash -fuzz 5 -threads 2
-	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap|FuzzAuditorDifferential|TestFlightRecorderGrowsWithRun|TestFlightRecorderShortLastChunk' ./internal/audit
+	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap|FuzzAuditorDifferential|TestFlightRecorderGrowsWithRun|TestFlightRecorderShortLastChunk|FuzzFlightRecorderDifferential' ./internal/audit
 	$(GO) test -run 'TestDecodeAllocsPerChunk|TestCrashPointAllocsBounded|TestNewAllocsIndependentOfCores|TestControllerBookkeepingAllocFree' ./internal/machine
 	$(GO) test -run 'TestBoundaryPayloadsZeroAlloc|TestRingElementsPointerFree' ./internal/proxy
 
@@ -205,7 +207,8 @@ telemetry-smoke:
 
 # fuzz runs each native fuzz target for FUZZTIME: the auditor tap
 # (FuzzAuditorTap), the auditor against its map model
-# (FuzzAuditorDifferential), the memory store against its map model
+# (FuzzAuditorDifferential), the flight recorder against a ring of whole
+# events (FuzzFlightRecorderDifferential), the memory store against its map model
 # (FuzzStoreDifferential), the proxy hardware against its whole-entry model
 # (FuzzProxyDifferential), the crash-image reader (FuzzImageRead), the
 # assembler (FuzzAsmParse), the fault-plan decoder (FuzzPlanDecode) and the
@@ -218,6 +221,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAuditorTap -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzAuditorDifferential -fuzztime $(FUZZTIME) ./internal/audit
+	$(GO) test -run '^$$' -fuzz FuzzFlightRecorderDifferential -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzStoreDifferential -fuzztime $(FUZZTIME) ./internal/mem
 	$(GO) test -run '^$$' -fuzz FuzzProxyDifferential -fuzztime $(FUZZTIME) ./internal/proxy
 	$(GO) test -run '^$$' -fuzz FuzzImageRead -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/image

@@ -265,43 +265,68 @@ func checkNewest(t *testing.T, r *FlightRecorder, n, capacity int) {
 	}
 }
 
-// TestFlightRecorderGrowsWithRun pins the recorder's chunked ring: a
+// TestFlightRecorderGrowsWithRun pins the recorder's footprint: a
 // DefaultRecorderCap recorder allocates with its run, not its cap — 1,000
-// events cost under 1 MB, where a ring reserved at the cap costs 4 MB — and
-// one fed 100,000 events still returns exactly the newest 65,536, oldest
-// first.
+// events cost under 32 KB, the recorder itself included — and one fed
+// 100,000 events holds its ring in under 1.25 MB while still returning
+// exactly the newest 65,536, oldest first.
 func TestFlightRecorderGrowsWithRun(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r := NewFlightRecorder(DefaultRecorderCap)
 	tapSeqs(r, 1000)
 	runtime.ReadMemStats(&after)
-	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
-		t.Errorf("a recorder fed 1000 events allocated %d bytes, want < 1 MB", b)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 32<<10 {
+		t.Errorf("a recorder fed 1000 events allocated %d bytes, want < 32 KB", b)
 	}
 	checkNewest(t, r, 1000, DefaultRecorderCap)
 
 	r = NewFlightRecorder(DefaultRecorderCap)
 	tapSeqs(r, 100_000)
+	if r.size >= 1250<<10 {
+		t.Errorf("a recorder fed 100,000 events holds a %d-byte ring, want < 1.25 MB", r.size)
+	}
 	checkNewest(t, r, 100_000, DefaultRecorderCap)
 }
 
-// TestFlightRecorderShortLastChunk: a cap that is not a multiple of the
-// chunk size ends the ring in a short chunk; filling, wrapping through it
-// and stopping anywhere keeps the newest events in order.
+// chunkBoundaryCaps returns, for the number f of tapSeqs records that fill
+// the first chunk and the first two chunks, the caps f-1 to f+2: a full
+// chunk is recycled at cap f+1 and kept at f+2.
+func chunkBoundaryCaps() []int {
+	r := NewFlightRecorder(1 << 30)
+	var fill []int
+	for i := 0; len(fill) < 2; i++ {
+		r.Tap(Event{Kind: EvStore, Seq: uint64(i)})
+		if len(r.chunks) > len(fill)+1 {
+			fill = append(fill, i) // record i opened a chunk
+		}
+	}
+	var caps []int
+	for _, f := range fill {
+		caps = append(caps, f-1, f, f+1, f+2)
+	}
+	return caps
+}
+
+// TestFlightRecorderShortLastChunk: the ring's last chunk is rarely full,
+// and its cap falls anywhere against the chunk boundaries. For caps at the
+// boundaries of the first two chunks, filling, wrapping through several
+// recycled chunks and stopping after any tap keeps the newest events in
+// order.
 func TestFlightRecorderShortLastChunk(t *testing.T) {
-	const capacity = 2*recorderChunk + 100
-	for _, n := range []int{0, 50, recorderChunk, recorderChunk + 1, capacity, capacity + 1, 3*capacity + 7} {
+	for _, capacity := range append(chunkBoundaryCaps(), 1, 2, 3) {
 		r := NewFlightRecorder(capacity)
-		tapSeqs(r, n)
-		checkNewest(t, r, n, capacity)
+		for n := 1; n <= max(4*capacity, 1000); n++ {
+			r.Tap(Event{Kind: EvStore, Seq: uint64(n - 1)})
+			checkNewest(t, r, n, capacity)
+		}
 	}
 }
 
 // BenchmarkFlightRecorderTap measures the recorder per event (ns/op, B/op
 // and allocs/op are per event) over runs of 20,000 events, each into a fresh
 // DefaultRecorderCap recorder: the ring's chunks are paid for by the events
-// that fill them.
+// that fill them. ring-B/event is the ring's encoded size per event.
 func BenchmarkFlightRecorderTap(b *testing.B) {
 	const run = 20_000
 	var r *FlightRecorder
@@ -314,6 +339,12 @@ func BenchmarkFlightRecorderTap(b *testing.B) {
 		e.Seq = uint64(i)
 		r.Tap(e)
 	}
+	b.StopTimer()
+	var bytes int
+	for _, c := range r.chunks {
+		bytes += len(c.buf)
+	}
+	b.ReportMetric(float64(bytes)/float64(r.held), "ring-B/event")
 }
 
 func TestRecorderChainFor(t *testing.T) {

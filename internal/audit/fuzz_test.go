@@ -28,6 +28,13 @@ func decodeWire(b []byte) (Options, []Event) {
 	return opt, evs
 }
 
+// appendEventWire appends e's eventWireLen-byte digest encoding to b.
+func appendEventWire(b []byte, e Event) []byte {
+	var w [eventWireLen]byte
+	putEventWire(&w, e)
+	return append(b, w[:]...)
+}
+
 // encodeWire inverts decodeWire.
 func encodeWire(opt Options, evs []Event) []byte {
 	b := []byte{byte(opt.ProxyLatency << 1)}

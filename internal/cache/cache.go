@@ -183,26 +183,6 @@ fill:
 	return false, wb
 }
 
-// FlushAll evicts every dirty line, returning the writebacks in set order.
-// The machine uses it for the baseline (non-Capri) configuration's shutdown
-// and for tests; Capri itself never flushes caches (§4.1: "Capri does not
-// insert cache-flush instructions"). Unlike Access, the returned writebacks
-// are independently allocated (this is a cold path).
-func (c *Cache) FlushAll() []*Writeback {
-	var out []*Writeback
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.valid && l.dirty {
-			wb := &Writeback{}
-			wb.fill(l)
-			out = append(out, wb)
-			l.dirty = false
-			l.words = 0
-		}
-	}
-	return out
-}
-
 // Invalidate drops the line containing addr if present, returning its
 // writeback if it was dirty (valid until the next Access/Invalidate on this
 // cache). Used by the coherence glue when another core writes the same line.

@@ -210,26 +210,6 @@ func (c Cond) Eval(a, b uint64) bool {
 	return false
 }
 
-// Negate returns the condition with the opposite truth value. Speculative
-// loop unrolling uses it when re-materializing loop-exit tests.
-func (c Cond) Negate() Cond {
-	switch c {
-	case CondEQ:
-		return CondNE
-	case CondNE:
-		return CondEQ
-	case CondLT:
-		return CondGE
-	case CondLE:
-		return CondGT
-	case CondGT:
-		return CondLE
-	case CondGE:
-		return CondLT
-	}
-	return c
-}
-
 // Inst is one instruction. A compact fixed-shape struct keeps the
 // interpreter's hot loop cache-friendly.
 //

@@ -7,9 +7,3 @@ import "capri/internal/isa"
 func (m *Machine) DebugRegs(t int) [isa.NumRegs]uint64 {
 	return m.cores[t].regs
 }
-
-// DebugPC returns core t's current program counter (test/debug helper).
-func (m *Machine) DebugPC(t int) (fn, blk, idx int) {
-	c := m.cores[t]
-	return c.fn, c.blk, c.idx
-}

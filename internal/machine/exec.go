@@ -498,17 +498,6 @@ func (c *core) invalidateBlockCache() {
 	c.dblk = nil
 }
 
-// invalidateDecode drops every decoded-code cache in the machine: the shared
-// per-program thunk cache and each core's current-block caches. Called when
-// the loaded program is replaced; resumeAt covers the per-core half on
-// recovery.
-func (m *Machine) invalidateDecode() {
-	m.dec = nil
-	for _, c := range m.cores {
-		c.invalidateBlockCache()
-	}
-}
-
 // execSlice evaluates a recovery slice over a register file (paper §4.4.1's
 // recovery block). Only re-executable instructions may appear.
 func execSlice(regs *[isa.NumRegs]uint64, slice []isa.Inst) {

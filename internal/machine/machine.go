@@ -303,27 +303,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // Program returns the loaded program.
 func (m *Machine) Program() *prog.Program { return m.prog }
 
-// ReplaceProgram swaps the loaded program in place (hot-patching between
-// RunUntil segments, e.g. a firmware update applied at a quiesce point). The
-// new program must be position-compatible with every core's current PC —
-// callers normally swap in a recompilation of the same source. All decoded
-// code and per-core block caches are dropped: nothing decoded from the old
-// program may execute afterwards.
-func (m *Machine) ReplaceProgram(p *prog.Program) error {
-	for _, c := range m.cores {
-		if c.halted {
-			continue
-		}
-		if c.fn >= len(p.Funcs) || c.blk >= len(p.Funcs[c.fn].Blocks) ||
-			c.idx > len(p.Funcs[c.fn].Blocks[c.blk].Insts) {
-			return fmt.Errorf("machine: core %d PC f%d b%d i%d outside replacement program", c.id, c.fn, c.blk, c.idx)
-		}
-	}
-	m.prog = p
-	m.invalidateDecode()
-	return nil
-}
-
 // Done reports whether every core has halted.
 func (m *Machine) Done() bool {
 	return m.haltedCores == len(m.cores)
