@@ -32,7 +32,8 @@ lint:
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
-# shared compile cache, sweep the parallel fleet),
+# shared compile cache, sweep the parallel fleet, machine two concurrent
+# recoveries of one crash image sharing its NVM pages),
 # the full verifier matrix (semantic region verifier after every pass for
 # every benchmark x level x threshold, plus the seven seed-derived progen
 # programs LICM once broke by hoisting past a callee's write, at every level
@@ -47,13 +48,17 @@ lint:
 # or appends) and chunk-growth pins (a reserved arena and slab.Pool grow by
 # max(request, carved so far, first chunk)), slab.Table's unit tests
 # (probe runs across the wrap-around, in-place prune, growth keeping every
-# entry, a random run against a map), the fault-plan decoder's
+# entry, a random run against a map, embedded first slots that allocate
+# nothing), slab.Pages' copy-on-write test (random writes, shares and drops
+# over four live tables against a map each), the fault-plan decoder's
 # fuzz-corpus replay (every committed plan is refused or within bounds) with
 # the huge-core-count replay regression, the dispatch-equivalence suite,
 # the memory store's fuzz-corpus replay against its map model (stack tops,
-# heap base, page and chunk boundaries, the last direct and first far page)
-# with the store's zero-allocation pin and its page-table growth pin (a
-# heap walk allocates per chunk of pages and per directory doubling), the
+# heap base, page and chunk boundaries, the last direct and first far page,
+# three live clones sharing pages) with the store's zero-allocation pin
+# (copied pages included), its page-table growth pin (a heap walk allocates
+# per chunk of pages and per directory doubling) and its clone pin (an NVM
+# clone allocates the same at every page count and copies no page), the
 # crash-image reader's fuzz-corpus replay
 # (every committed image, hostile ones included, is refused or recovers and
 # runs without a panic), the assembler's fuzz-corpus replay (every committed
@@ -83,10 +88,10 @@ check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault ./internal/telemetry
 	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestCompileAllocsGrowSlowly|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills|TestArenaChunksGrowWithUse' ./internal/compile ./internal/analysis
-	$(GO) test -run 'TestPoolChunksGrowWithUse|TestTable' ./internal/slab
+	$(GO) test -run 'TestPoolChunksGrowWithUse|TestTable|TestPagesShareIsolation' ./internal/slab
 	$(GO) test -run 'FuzzPlanDecode|TestReplayPlanRejectsHugeCoreCount' ./internal/fault
 	$(GO) test -run 'DispatchEquivalence' .
-	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree|TestPageTableAllocsGrowSlowly' ./internal/mem
+	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree|TestPageTableAllocsGrowSlowly|TestNVMCloneAllocsIndependentOfPages' ./internal/mem
 	$(GO) test -run 'FuzzImageRead' ./internal/image
 	$(GO) test -run 'FuzzAsmParse|TestParseErrors' ./internal/asm
 	$(GO) test -run 'FuzzRunRecordDecode' ./cmd/capriinspect

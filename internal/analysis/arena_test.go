@@ -108,12 +108,12 @@ func TestArenaResultsOutliveRefills(t *testing.T) {
 		t.Fatalf("loops = %d, want 3", len(first.loops))
 	}
 	want := first.snapshot()
-	firstInts := a.ints.Carved()
 
-	// Analyses of other functions, until the int slab has grown through
-	// several chunks.
+	// Analyses of other functions, through many chunk refills of every
+	// slab: ten rounds carve 64 times the first function's ints, and each
+	// refill is as large as everything carved before it.
 	var last carvedAnalyses
-	for i := 0; a.ints.Carved() < 64*firstInts; i++ {
+	for i := range 40 {
 		last = analyze(&a, loopChain(1+i%5, 4+i*7%200))
 		analyze(&a, ladder(8+i%40))
 	}

@@ -201,10 +201,12 @@ type Auditor struct {
 // NewAuditor returns an online auditor with the given model options in
 // three allocations: the auditor, the per-core state at Options.Cores, and
 // one backing every core's pending queue is carved from. The shadow's pages
-// and directory and the window mirror are made on first use.
+// and directory and the window mirror are made on first use; the sync-persist
+// watermarks' first slots are part of the auditor.
 func NewAuditor(opt Options) *Auditor {
 	n := max(opt.Cores, 0)
 	a := &Auditor{opt: opt, cores: make([]coreShadow, n)}
+	a.nvm.sync.Start(&a.nvm.syncFirst)
 	pending := make([]storeRec, n*pendingStart)
 	for i := range a.cores {
 		a.cores[i].pending = slab.Carve(&pending, pendingStart, 0)[:0]
@@ -255,8 +257,6 @@ func (a *Auditor) violate(e Event, rule, format string, args ...interface{}) {
 	}
 	a.violations = append(a.violations, v)
 }
-
-func (a *Auditor) shadow(addr uint64) wordShadow { return a.nvm.peek(addr) }
 
 // pendingStore returns core's pending store with sequence seq, or nil.
 func (a *Auditor) pendingStore(core int32, seq uint64) *storeRec {
@@ -416,7 +416,7 @@ func (a *Auditor) noteWriteback(addr, seq, now uint64) {
 // marks drain-family writes (the version they install is a committed
 // region's) — the cross-core rules key off it.
 func (a *Auditor) checkGuard(e Event, what string, committed bool) {
-	sv := a.shadow(e.Addr)
+	sv := a.nvm.peek(e.Addr)
 	expected := e.Seq > sv.seq
 	applied := e.Flags.Has(FlagApplied)
 	if applied != expected {
@@ -430,7 +430,7 @@ func (a *Auditor) checkGuard(e Event, what string, committed bool) {
 				what, e.Addr, e.Seq, sv.seq)
 		}
 	}
-	if applied && committed && sv.committed && e.Seq < sv.seq && e.Core != sv.core {
+	if applied && committed && e.Seq < sv.seq && e.Core != sv.core && a.nvm.committed(e.Addr) {
 		a.violate(e, "line-version-chain",
 			"core %d's %s addr %#x seq %d clobbered core %d's newer committed version (seq %d) — concurrent per-core drains broke the line's version chain",
 			e.Core, what, e.Addr, e.Seq, sv.core, sv.seq)
@@ -452,13 +452,13 @@ func (a *Auditor) checkSyncPersist(e Event) {
 	if s := a.anyPendingStore(e.Core, e.Seq); s == nil || !s.sync {
 		return
 	}
-	if last := a.shadow(e.Addr).syncSeq; e.Seq < last {
+	if last := a.nvm.syncSeq(e.Addr); e.Seq < last {
 		a.violate(e, "sync-persist-order",
 			"sync store addr %#x seq %d persisted after newer sync seq %d — atomic persist order diverged from execution order",
 			e.Addr, e.Seq, last)
 		return
 	}
-	a.nvm.at(e.Addr).syncSeq = e.Seq
+	a.nvm.setSyncSeq(e.Addr, e.Seq)
 }
 
 // anyPendingStore returns the pending store with sequence seq on any core,
@@ -532,7 +532,7 @@ func (a *Auditor) onDrainWrite(e Event) {
 }
 
 func (a *Auditor) onNVMRead(e Event) {
-	if sv := a.shadow(e.Addr); sv.seq != e.Seq || sv.val != e.Val {
+	if sv := a.nvm.peek(e.Addr); sv.seq != e.Seq || sv.val != e.Val {
 		a.violate(e, "nvm-shadow-divergence",
 			"NVM word %#x is (val %d, seq %d), shadow predicts (val %d, seq %d)",
 			e.Addr, e.Val, e.Seq, sv.val, sv.seq)
@@ -597,7 +597,7 @@ func (a *Auditor) onTornWriteback(e Event) {
 			"torn writeback word %#x with no power failure in progress", e.Addr)
 		return
 	}
-	sv := a.shadow(e.Addr)
+	sv := a.nvm.peek(e.Addr)
 	if sv.val != e.Val2 {
 		a.violate(e, "torn-ownership",
 			"torn writeback reverted word %#x holding val %d (seq %d), but the torn write installed %d — a later write owns the word",
@@ -682,7 +682,7 @@ func (a *Auditor) onUndo(e Event) {
 			"undone store addr %#x firstseq %d belongs to region %d, not the interrupted region %d",
 			e.Addr, e.Seq, s.region, open)
 	}
-	sv := a.shadow(e.Addr)
+	sv := a.nvm.peek(e.Addr)
 	expected := sv.seq >= e.Seq
 	applied := e.Flags.Has(FlagApplied)
 	if applied != expected {
@@ -690,7 +690,7 @@ func (a *Auditor) onUndo(e Event) {
 			"undo of addr %#x firstseq %d applied=%v, shadow seq %d predicts %v",
 			e.Addr, e.Seq, applied, sv.seq, expected)
 	}
-	if applied && sv.committed && sv.core != e.Core {
+	if applied && sv.core != e.Core && a.nvm.committed(e.Addr) {
 		a.violate(e, "undo-clobbers-committed",
 			"undo of core %d's uncommitted store addr %#x firstseq %d destroyed core %d's committed NVM version (seq %d) — the detectability contract let a rollback-able value escape",
 			e.Core, e.Addr, e.Seq, sv.core, sv.seq)

@@ -134,3 +134,41 @@ func TestMutationUndoClobbersCommitted(t *testing.T) {
 		t.Fatalf("violation anchored to %s, want %s", v.Event.Kind, EvRecoveryUndo)
 	}
 }
+
+// TestAuditorCommittedFollowsVersion: the committed mark belongs to the
+// persisted version, not to the word. Core 1's committed atomic drains;
+// then a writeback persists core 2's newer, uncommitted store over it, so
+// the word's version is no longer committed. Recovery's rollback of core
+// 0's older uncommitted store may then overwrite the word without
+// destroying committed data: undo-clobbers-committed must not fire, and
+// with core 2's writeback removed it must.
+func TestAuditorCommittedFollowsVersion(t *testing.T) {
+	stream := func(writeback bool) []Event {
+		events := []Event{
+			{Kind: EvStore, Core: 0, Cycle: 10, Addr: testAddr, Seq: 1, Region: 1, Val: 10, Val2: 3},
+		}
+		events = append(events, syncLife(1, 2, 1, 20)...)
+		events = append(events,
+			Event{Kind: EvDrain, Core: 1, Cycle: 60, Region: 1, Val: testAddr, Val2: testAddr, Count: 1},
+			Event{Kind: EvDrainWrite, Core: 1, Cycle: 60, Addr: testAddr, Seq: 2, Region: 1, Val: 20, Flags: FlagApplied},
+		)
+		if writeback {
+			events = append(events,
+				Event{Kind: EvStore, Core: 2, Cycle: 70, Addr: testAddr, Seq: 3, Region: 1, Val: 30, Val2: 20},
+				Event{Kind: EvWritebackWord, Core: 2, Cycle: 75, Addr: testAddr, Seq: 3, Val: 30, Flags: FlagApplied},
+			)
+		}
+		return append(events,
+			Event{Kind: EvCrash, Cycle: 80},
+			Event{Kind: EvRecoveryUndo, Core: 0, Addr: testAddr, Seq: 1, Val: 3, Flags: FlagApplied},
+		)
+	}
+	_, aud := feed(t, stream(true))
+	for _, v := range aud.Violations() {
+		if v.Rule == "undo-clobbers-committed" {
+			t.Fatalf("undo over an uncommitted version flagged: %s", v.Detail)
+		}
+	}
+	_, aud = feed(t, stream(false))
+	wantRule(t, aud, "undo-clobbers-committed")
+}

@@ -109,7 +109,10 @@ func Read(r io.Reader) (*machine.CrashImage, error) {
 		Streams: f.Streams,
 		Outputs: f.Outputs,
 		Seq:     f.Seq,
-		NVM:     mem.NVMFromEntries(f.NVM),
+		// A clone, like a harvested image's NVM: every page is marked
+		// shared, so recoveries only read the image's table and any number
+		// of them may run at once.
+		NVM: mem.NVMFromEntries(f.NVM).Clone(),
 	}, nil
 }
 

@@ -20,10 +20,12 @@ import (
 // caches, the DRAM cache, staged checkpoints of the uncommitted region) is
 // gone.
 //
-// The image is fully unshared from the machine it was harvested from (apart
-// from the immutable compiled program): mutating the live machine afterwards
-// never changes the image, and one image supports any number of recovery
-// attempts.
+// The image shares its NVM pages copy-on-write with the machine it was
+// harvested from and with every machine recovered from it (and the immutable
+// compiled program); everything else is its own. Each side copies a page
+// before its first write to it, so mutating the live machine afterwards never
+// changes the image, and one image supports any number of recovery
+// attempts, concurrent ones included: a recovery only reads the image.
 type CrashImage struct {
 	Prog    *prog.Program
 	Cfg     Config
@@ -41,10 +43,10 @@ func (m *Machine) Crash() (*CrashImage, error) {
 	return m.CrashTorn(nil)
 }
 
-// harvest deep-copies the machine's persistent state into a CrashImage. The
-// streams share one entry backing (full-slice caps), their boundaries'
-// payloads one backing per kind and the outputs one word backing; an empty
-// output stays nil.
+// harvest copies the machine's persistent state into a CrashImage: the NVM
+// as a copy-on-write clone, the streams into one entry backing (full-slice
+// caps), their boundaries' payloads into one backing per kind and the outputs
+// into one word backing; an empty output stays nil.
 func (m *Machine) harvest() *CrashImage {
 	img := &CrashImage{
 		Prog:    m.prog,

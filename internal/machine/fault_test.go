@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"capri/internal/mem"
@@ -43,11 +44,13 @@ func snapshotImage(img *CrashImage) imageSnapshot {
 	return s
 }
 
-// TestCrashImageUnshared pins the harvest deep-copy contract: a CrashImage is
-// fully unshared from the live machine, so mutating the machine after Crash()
-// — including running it further, which reuses the proxy buffers' backing
-// arrays that harvested Ckpts/Emits slices used to alias — never changes the
-// image, and the image still recovers to the golden outcome afterwards.
+// TestCrashImageUnshared pins the harvest contract: a CrashImage shares
+// nothing writable with the live machine (its NVM pages are shared
+// copy-on-write, everything else is copied), so mutating the machine after
+// Crash() — including running it further, which reuses the proxy buffers'
+// backing arrays that harvested Ckpts/Emits slices used to alias, and
+// rewriting every NVM word — never changes the image, and the image still
+// recovers to the golden outcome afterwards.
 func TestCrashImageUnshared(t *testing.T) {
 	cfg := testConfig(8)
 	p := compileFor(t, sumProgram(3000), 8)
@@ -113,6 +116,75 @@ func TestCrashImageUnshared(t *testing.T) {
 	}
 	if got, want := r.Output(0), golden.Output(0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered output %v, golden %v", got, want)
+	}
+}
+
+// TestConcurrentRecoveriesOfOneImage recovers one CrashImage from two
+// goroutines at once and runs both machines to completion: recovery only
+// reads the image (its NVM pages are shared, and each recovered machine
+// copies a page before writing it), so under the race detector the two
+// must not race, and both must reach the same NVM and outputs as a
+// recovery run alone, leaving the image unchanged.
+func TestConcurrentRecoveriesOfOneImage(t *testing.T) {
+	p, cfg, at := crashPointTarget(t)
+	m, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunUntil(at); err != nil {
+		t.Fatal(err)
+	}
+	img, err := m.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotImage(img)
+	type result struct {
+		nvm     []mem.WordEntry
+		outputs [][]uint64
+		err     error
+	}
+	recoverAndRun := func() (r result) {
+		rm, _, err := Recover(img)
+		if err == nil {
+			err = rm.Run()
+		}
+		if err != nil {
+			return result{err: err}
+		}
+		r.nvm = rm.NVMEntries()
+		for c := range p.NumThreads() {
+			r.outputs = append(r.outputs, rm.Output(c))
+		}
+		return r
+	}
+	var got [2]result
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = recoverAndRun()
+		}()
+	}
+	wg.Wait()
+	want := recoverAndRun()
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
+	for i, r := range got {
+		if r.err != nil {
+			t.Fatalf("recovery %d: %v", i, r.err)
+		}
+		if !reflect.DeepEqual(r.nvm, want.nvm) || !reflect.DeepEqual(r.outputs, want.outputs) {
+			t.Errorf("recovery %d reached a different NVM image or output than a recovery alone", i)
+		}
+	}
+	if len(want.outputs[0]) == 0 {
+		t.Error("recovered run printed nothing: outputs not exercised")
+	}
+	if after := snapshotImage(img); !reflect.DeepEqual(before, after) {
+		t.Error("recovering the image changed it")
 	}
 }
 

@@ -3,6 +3,7 @@ package mem
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 
 	"capri/internal/slab"
@@ -89,13 +90,19 @@ func BenchmarkNVMWriteStale(b *testing.B) {
 
 // TestPagedAccessAllocFree requires zero allocations for Load, Store, Peek
 // and both outcomes of Write (applied and stale-skipped) once the pages the
-// accesses touch are populated.
+// accesses touch are populated, and for Write and Restore to a clone's
+// pages once its first write to each has copied it.
 func TestPagedAccessAllocFree(t *testing.T) {
 	addrs := benchAddrs()
-	m, n := NewMem(), NewNVM()
+	m, n, src := NewMem(), NewNVM(), NewNVM()
 	for _, a := range addrs {
 		m.Store(a, a)
 		n.Write(a, a, 1)
+		src.Write(a, a, 1)
+	}
+	c := src.Clone()
+	for _, a := range addrs {
+		c.Write(a, a, 2)
 	}
 	var i, seq uint64 = 0, 1
 	next := func() uint64 {
@@ -120,6 +127,13 @@ func TestPagedAccessAllocFree(t *testing.T) {
 				t.Fatal("stale write applied")
 			}
 		}},
+		{"WriteCopied", func() {
+			seq++
+			if !c.Write(next(), seq, seq) {
+				t.Fatal("newer write to a clone rejected")
+			}
+		}},
+		{"RestoreCopied", func() { c.Restore(next(), i, seq) }},
 	} {
 		// One measured run of the whole loop: AllocsPerRun truncates its
 		// average to a whole number, so a rare allocation must not be averaged
@@ -174,6 +188,34 @@ func BenchmarkMemPageWalk(b *testing.B) {
 	pages := float64(b.N) * (walkPages + numCores)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pages, "ns/page")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/pages, "allocs/page")
+}
+
+// TestNVMCloneAllocsIndependentOfPages pins the copy-on-write clone: an NVM
+// clone allocates the clone and its page directory and copies no page, at
+// every page count, and the first write to a shared page copies that page
+// alone.
+func TestNVMCloneAllocsIndependentOfPages(t *testing.T) {
+	for _, pages := range []int{1, 16, walkPages} {
+		n := NewNVM()
+		for i := range pages {
+			n.Write(heapBase+uint64(i)*pageWords*WordSize, 1, 1)
+		}
+		var c *NVM
+		if got := testing.AllocsPerRun(10, func() { c = n.Clone() }); got != 2 {
+			t.Errorf("cloning %d pages made %.0f allocations, want 2", pages, got)
+		}
+		before := c.Entries()
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		c.Write(heapBase, 2, 2)
+		runtime.ReadMemStats(&ms1)
+		if got := ms1.Mallocs - ms0.Mallocs; got != 1 {
+			t.Errorf("first write to a shared page of %d made %d allocations, want 1 (its copy)", pages, got)
+		}
+		if !slices.Equal(n.Entries(), before) || c.Peek(heapBase).Val != 2 {
+			t.Errorf("clone write leaked into the source or was lost")
+		}
+	}
 }
 
 // TestPageTableAllocsGrowSlowly pins the page table's growth: touching n

@@ -10,7 +10,9 @@ package mem
 // collide and reaches the paged store's edges: page-boundary words, every
 // core's stack top and a heap walk across several chunks of carved pages,
 // the last direct page, and far pages past the direct directory (≥ 1 GiB),
-// which no simulated workload touches.
+// which no simulated workload touches. Clones share pages copy-on-write, so
+// up to three live tables (an original, a clone and a clone of the clone)
+// each keep their own model and are all compared after every operation.
 
 import (
 	"reflect"
@@ -128,13 +130,19 @@ func (r refMem) clone() refMem {
 	return c
 }
 
-// storeDiff holds one store pair of each kind under test.
+// maxNVMs bounds the live NVM tables: the original, a clone and a clone of
+// the clone, which share pages three ways until they write them.
+const maxNVMs = 3
+
+// storeDiff holds the store pairs under test: up to maxNVMs live NVM
+// tables, each with its own model, and one architectural memory.
 type storeDiff struct {
-	t    *testing.T
-	nvm  *NVM
-	rnvm *refNVM
-	mem  *Mem
-	rmem refMem
+	t     *testing.T
+	nvms  []*NVM
+	rnvms []*refNVM
+	cur   int // the table Write, Restore, Read and MemFromNVM act on
+	mem   *Mem
+	rmem  refMem
 }
 
 // checkNVM compares n with r word by word over the pool (Read's statistics
@@ -202,6 +210,12 @@ func (d *storeDiff) checkMemFull(what string, m *Mem, r refMem) {
 // operand bytes: an address is a pool index, a value is the byte itself (so
 // zero is a written zero) and a sequence is the byte mod 8 (so sequences
 // collide and equal-sequence writes occur).
+//
+// Write, Restore, Read, Clone and MemFromNVM act on the current NVM table.
+// Clone keeps its source: the clone joins the live tables (replacing the
+// one its last operand names once maxNVMs are live) and, with adopt, becomes
+// the current table, so a second Clone forks the clone. Select makes the
+// table its operand names current.
 const (
 	opWrite        = iota // addr val seq
 	opRestore             // addr val seq
@@ -212,10 +226,11 @@ const (
 	opStore               // addr val
 	opMemSnapshot         //
 	opFromSnapshot        // adopt
+	opSelect              // table
 	numOps
 )
 
-var opArgs = [numOps]int{opWrite: 3, opRestore: 3, opRead: 1, opClone: 4, opMemFromNVM: 3, opStore: 2, opFromSnapshot: 1}
+var opArgs = [numOps]int{opWrite: 3, opRestore: 3, opRead: 1, opClone: 4, opMemFromNVM: 3, opStore: 2, opFromSnapshot: 1, opSelect: 1}
 
 // maxOpBytes bounds the decoded stream: every copying operation clones
 // whole pages, so a stream of tens of kilobytes runs for seconds while
@@ -238,43 +253,53 @@ func (d *storeDiff) run(ops []byte) {
 		addr := func(i int) uint64 { return fuzzAddrs[int(arg[i])%len(fuzzAddrs)] }
 		val := func(i int) uint64 { return uint64(arg[i]) }
 		seq := func(i int) uint64 { return uint64(arg[i] % 8) }
+		nvm, rnvm := d.nvms[d.cur], d.rnvms[d.cur]
 		switch op {
 		case opWrite:
 			a, v, s := addr(0), val(1), seq(2)
-			if got, want := d.nvm.Write(a, v, s), d.rnvm.write(a, v, s); got != want {
-				d.t.Fatalf("Write(%#x, %d, %d) applied %v, model %v", a, v, s, got, want)
+			if got, want := nvm.Write(a, v, s), rnvm.write(a, v, s); got != want {
+				d.t.Fatalf("Write(%#x, %d, %d) to table %d applied %v, model %v", a, v, s, d.cur, got, want)
 			}
 		case opRestore:
-			d.nvm.Restore(addr(0), val(1), seq(2))
-			d.rnvm.restore(addr(0), val(1), seq(2))
+			nvm.Restore(addr(0), val(1), seq(2))
+			rnvm.restore(addr(0), val(1), seq(2))
 		case opRead:
 			a := addr(0)
-			d.rnvm.reads++
-			if got, want := d.nvm.Read(a), d.rnvm.words[WordAddr(a)]; got != want {
-				d.t.Fatalf("Read(%#x) = %+v, model %+v", a, got, want)
+			rnvm.reads++
+			if got, want := nvm.Read(a), rnvm.words[WordAddr(a)]; got != want {
+				d.t.Fatalf("Read(%#x) from table %d = %+v, model %+v", a, d.cur, got, want)
 			}
 		case opEntries:
-			d.checkNVMFull("Entries", d.nvm, d.rnvm)
+			for i := range d.nvms {
+				d.checkNVMFull("Entries", d.nvms[i], d.rnvms[i])
+			}
 		case opClone:
-			// Mutate the clone and then the original at one word: neither
+			// Mutate the clone and then its source at one word: neither
 			// may see the other's write.
-			c, rc := d.nvm.Clone(), d.rnvm.clone()
+			c, rc := nvm.Clone(), rnvm.clone()
 			d.checkNVMFull("Clone", c, rc)
 			c.Restore(addr(0), val(1)+1, seq(2))
 			rc.restore(addr(0), val(1)+1, seq(2))
-			d.checkNVM("original after clone write", d.nvm, d.rnvm)
-			d.nvm.Restore(addr(0), val(1)+2, seq(2))
-			d.rnvm.restore(addr(0), val(1)+2, seq(2))
-			d.checkNVM("clone after original write", c, rc)
+			d.checkNVM("source after clone write", nvm, rnvm)
+			nvm.Restore(addr(0), val(1)+2, seq(2))
+			rnvm.restore(addr(0), val(1)+2, seq(2))
+			d.checkNVM("clone after source write", c, rc)
+			i := len(d.nvms)
+			if i == maxNVMs {
+				i = int(arg[3]>>1) % maxNVMs
+			} else {
+				d.nvms, d.rnvms = append(d.nvms, nil), append(d.rnvms, nil)
+			}
+			d.nvms[i], d.rnvms[i] = c, rc
 			if arg[3]&1 != 0 {
-				d.nvm, d.rnvm = c, rc
+				d.cur = i
 			}
 		case opMemFromNVM:
-			m, rm := MemFromNVM(d.nvm), refMem(d.rnvm.snapshot())
+			m, rm := MemFromNVM(nvm), refMem(rnvm.snapshot())
 			d.checkMemFull("MemFromNVM", m, rm)
 			m.Store(addr(0), val(1)+1)
 			rm.store(addr(0), val(1)+1)
-			d.checkNVM("NVM after MemFromNVM store", d.nvm, d.rnvm)
+			d.checkNVM("NVM after MemFromNVM store", nvm, rnvm)
 			d.checkMem("MemFromNVM after store", m, rm)
 			if arg[2]&1 != 0 {
 				d.mem, d.rmem = m, rm
@@ -292,11 +317,17 @@ func (d *storeDiff) run(ops []byte) {
 			if arg[0]&1 != 0 {
 				d.mem, d.rmem = m, d.rmem.clone()
 			}
+		case opSelect:
+			d.cur = int(arg[0]) % len(d.nvms)
 		}
-		d.checkNVM("after op", d.nvm, d.rnvm)
+		for i := range d.nvms {
+			d.checkNVM("after op", d.nvms[i], d.rnvms[i])
+		}
 		d.checkMem("after op", d.mem, d.rmem)
 	}
-	d.checkNVMFull("final", d.nvm, d.rnvm)
+	for i := range d.nvms {
+		d.checkNVMFull("final", d.nvms[i], d.rnvms[i])
+	}
 	d.checkMemFull("final", d.mem, d.rmem)
 }
 
@@ -306,7 +337,7 @@ func (d *storeDiff) run(ops []byte) {
 func FuzzStoreDifferential(f *testing.F) {
 	f.Add([]byte{opWrite, 1, 5, 3, opWrite, 2, 6, 3, opEntries})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		d := &storeDiff{t: t, nvm: NewNVM(), rnvm: newRefNVM(), mem: NewMem(), rmem: refMem{}}
+		d := &storeDiff{t: t, nvms: []*NVM{NewNVM()}, rnvms: []*refNVM{newRefNVM()}, mem: NewMem(), rmem: refMem{}}
 		d.run(ops)
 	})
 }

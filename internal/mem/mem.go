@@ -15,10 +15,11 @@
 // instead of a Go map lookup, and a load, store or NVM write to a populated
 // page allocates nothing. The table carves pages a few to a backing, doubles
 // its directory as it grows, and keeps addresses beyond the direct window
-// (pathological spread) in a far-page map. The package's fuzz target,
-// FuzzStoreDifferential, drives random operation streams through this store
-// and a plain map model side by side and compares them after every
-// operation, far pages included.
+// (pathological spread) in a far-page map. An NVM clone shares its pages
+// copy-on-write: a page is copied only when one side first writes it. The
+// package's fuzz target, FuzzStoreDifferential, drives random operation
+// streams through this store and a plain map model side by side and
+// compares them after every operation, far pages and clones included.
 package mem
 
 import (
@@ -162,9 +163,9 @@ func (n *NVM) Peek(addr uint64) Word {
 // carrying older data than what NVM already holds is dropped.
 func (n *NVM) Write(addr uint64, val uint64, seq uint64) bool {
 	wi := WordAddr(addr) >> wordShift
-	p := n.pages.Get(wi >> pageWordShift) // inlines; At does not
+	p := n.pages.Owned(wi >> pageWordShift) // inlines; Own does not
 	if p == nil {
-		p = n.pages.At(wi >> pageWordShift)
+		p = n.pages.Own(wi >> pageWordShift)
 	}
 	off := wi & pageWordMask
 	if p.used.mark(off) {
@@ -182,7 +183,7 @@ func (n *NVM) Write(addr uint64, val uint64, seq uint64) bool {
 // bypassing the sequence guard. newSeq becomes the word's writer sequence.
 func (n *NVM) Restore(addr uint64, val uint64, newSeq uint64) {
 	wi := WordAddr(addr) >> wordShift
-	p := n.pages.At(wi >> pageWordShift)
+	p := n.pages.Own(wi >> pageWordShift)
 	off := wi & pageWordMask
 	if p.used.mark(off) {
 		n.count++
@@ -233,11 +234,13 @@ func (n *NVM) Snapshot() map[uint64]uint64 {
 // Len returns the number of persisted words.
 func (n *NVM) Len() int { return n.count }
 
-// Clone deep-copies the NVM image (crash injection snapshots). The copied
-// pages share one backing.
+// Clone returns an independent copy of the NVM image (crash images and
+// recovery) that shares n's pages copy-on-write: it allocates the copy and
+// its page directory, and each side copies a page on its own first write to
+// it, so neither ever sees the other's writes.
 func (n *NVM) Clone() *NVM {
 	c := *n
-	c.pages = slab.Copy(&n.pages, func(dst, src *nvmPage) { *dst = *src })
+	c.pages = n.pages.Share()
 	return &c
 }
 
@@ -259,16 +262,6 @@ type Mem struct {
 // NewMem returns an empty architectural memory with the paged backing.
 func NewMem() *Mem {
 	return &Mem{}
-}
-
-// FromSnapshot builds architectural memory from a persisted image (used when
-// resuming after recovery).
-func FromSnapshot(s map[uint64]uint64) *Mem {
-	m := NewMem()
-	for a, v := range s {
-		m.Store(a, v)
-	}
-	return m
 }
 
 // MemFromNVM builds the architectural memory image a recovery produces: every
@@ -296,9 +289,9 @@ func (m *Mem) Load(addr uint64) uint64 {
 // image the front-end proxy captures).
 func (m *Mem) Store(addr uint64, val uint64) (old uint64) {
 	wi := WordAddr(addr) >> wordShift
-	p := m.pages.Get(wi >> pageWordShift) // inlines; At does not
+	p := m.pages.Owned(wi >> pageWordShift) // inlines; Own does not
 	if p == nil {
-		p = m.pages.At(wi >> pageWordShift)
+		p = m.pages.Own(wi >> pageWordShift)
 	}
 	off := wi & pageWordMask
 	if p.used.mark(off) {

@@ -48,6 +48,3 @@ func (p *Pool[T]) Carve(n int) []T {
 	p.carved += n
 	return out
 }
-
-// Carved returns the number of elements carved from p so far.
-func (p *Pool[T]) Carved() int { return p.carved }

@@ -1,6 +1,8 @@
 package slab
 
 import (
+	"maps"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -86,12 +88,12 @@ func TestPagesOrderAndCopy(t *testing.T) {
 	pis := []uint64{DirectPages + 5, 300, 3, DirectPages, 1 << 40, 0, 4, 2}
 	held := map[uint64]*[2]uint64{}
 	for _, pi := range pis {
-		p := tb.At(pi)
+		p := tb.Own(pi)
 		p[0] = pi
 		held[pi] = p
 	}
 	for pi, p := range held {
-		if tb.Get(pi) != p || tb.At(pi) != p || p[0] != pi {
+		if tb.Get(pi) != p || tb.Own(pi) != p || tb.Owned(pi) != p || p[0] != pi {
 			t.Fatalf("page %d moved or was overwritten", pi)
 		}
 	}
@@ -112,5 +114,73 @@ func TestPagesOrderAndCopy(t *testing.T) {
 	}
 	if cp.Len() != tb.Len() || tb.Get(0)[1] != 0 {
 		t.Fatalf("copy has %d pages, source %d; source page 0 is %v", cp.Len(), tb.Len(), tb.Get(0))
+	}
+}
+
+// TestPagesShareIsolation runs random writes, shares and drops over up to
+// four live tables (an original, shares of it and shares of shares) against
+// one map model each, and compares every live table with its model after
+// every step: no table may see another's writes, a shared direct page is
+// held once until a write copies it, far pages are copied at once, and
+// pages first written after a share belong to the writer alone.
+func TestPagesShareIsolation(t *testing.T) {
+	type word struct{ pi, w uint64 }
+	pis := []uint64{0, 1, 2, 5, firstDir - 1, firstDir, 300, DirectPages - 1, DirectPages, DirectPages + 7, 1 << 40}
+	rng := rand.New(rand.NewSource(1))
+	tables := []*Pages[[4]uint64]{new(Pages[[4]uint64])}
+	models := []map[word]uint64{{}}
+	pages := []map[uint64]bool{{}} // materialized pages, per model
+	for step := 0; step < 5000; step++ {
+		i := rng.Intn(len(tables))
+		switch op := rng.Intn(20); {
+		case op < 16:
+			pi, w, v := pis[rng.Intn(len(pis))], uint64(rng.Intn(4)), uint64(step)
+			tables[i].Own(pi)[w] = v
+			models[i][word{pi, w}] = v
+			pages[i][pi] = true
+			if tables[i].Owned(pi) != tables[i].Get(pi) {
+				t.Fatalf("step %d: table %d does not own page %d after writing it", step, i, pi)
+			}
+		case op < 19:
+			sh := tables[i].Share()
+			for _, pi := range pis {
+				src, got := tables[i].Get(pi), sh.Get(pi)
+				if direct := pi < DirectPages; src != nil && (got == src) != direct {
+					t.Fatalf("step %d: share of page %d aliased %v, want %v", step, pi, got == src, direct)
+				}
+				if src != nil && pi < DirectPages && (tables[i].Owned(pi) != nil || sh.Owned(pi) != nil) {
+					t.Fatalf("step %d: shared page %d is still owned", step, pi)
+				}
+			}
+			j := len(tables)
+			if j == 4 {
+				j = rng.Intn(4)
+			} else {
+				tables, models, pages = append(tables, nil), append(models, nil), append(pages, nil)
+			}
+			tables[j], models[j], pages[j] = &sh, maps.Clone(models[i]), maps.Clone(pages[i])
+		default:
+			if len(tables) > 1 {
+				tables = append(tables[:i], tables[i+1:]...)
+				models = append(models[:i], models[i+1:]...)
+				pages = append(pages[:i], pages[i+1:]...)
+			}
+		}
+		for k, tb := range tables {
+			if tb.Len() != len(pages[k]) {
+				t.Fatalf("step %d: table %d has %d pages, model %d", step, k, tb.Len(), len(pages[k]))
+			}
+			for _, pi := range pis {
+				p := tb.Get(pi)
+				if (p != nil) != pages[k][pi] {
+					t.Fatalf("step %d: table %d page %d present %v, model %v", step, k, pi, p != nil, pages[k][pi])
+				}
+				for w := uint64(0); p != nil && w < 4; w++ {
+					if p[w] != models[k][word{pi, w}] {
+						t.Fatalf("step %d: table %d page %d word %d = %d, model %d", step, k, pi, w, p[w], models[k][word{pi, w}])
+					}
+				}
+			}
+		}
 	}
 }

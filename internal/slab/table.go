@@ -11,8 +11,9 @@ const tableFirst = 256
 // V: a power-of-two slot array probed linearly from a Fibonacci hash of the
 // key, with backward-shift deletion, so no tombstones accumulate and a
 // long-lived table with steady churn never rehashes. The slot array is the
-// table's only allocation; it is made on the first insert and doubled only
-// when full (three quarters of its slots used). The zero value is an empty table. A Table is not safe for
+// table's only allocation; it is made on the first insert (unless Start
+// supplied it) and doubled only when full (three quarters of its slots
+// used). The zero value is an empty table. A Table is not safe for
 // concurrent use.
 type Table[V any] struct {
 	slots []tableSlot[V]
@@ -25,6 +26,18 @@ type tableSlot[V any] struct {
 	key  uint64
 	val  V
 	used bool
+}
+
+// FirstSlots is storage for a table's first slot array. An owner that
+// embeds one and hands it to Start saves the table its first allocation,
+// and must not be copied afterwards.
+type FirstSlots[V any] [tableFirst]tableSlot[V]
+
+// Start makes first the slot array of the empty table t, so t allocates
+// only when it outgrows it.
+func (t *Table[V]) Start(first *FirstSlots[V]) {
+	t.slots, t.mask = first[:], tableFirst-1
+	t.shift = uint8(65 - bits.Len(uint(tableFirst)))
 }
 
 // home returns k's first probe slot.

@@ -176,3 +176,32 @@ func TestTableMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestTableStartAllocsNothing: a table started on embedded first slots
+// allocates nothing until it is three quarters full, then doubles as a
+// table that made its own first slots does, keeping every entry.
+func TestTableStartAllocsNothing(t *testing.T) {
+	var first FirstSlots[uint64]
+	var tb Table[uint64]
+	const fill = 3 * tableFirst / 4
+	if n := testing.AllocsPerRun(5, func() {
+		first, tb = FirstSlots[uint64]{}, Table[uint64]{}
+		tb.Start(&first)
+		for k := uint64(0); k < fill; k++ {
+			v, _ := tb.Insert(k * 8)
+			*v = k
+		}
+	}); n != 0 {
+		t.Fatalf("%d inserts into a started table made %.0f allocations, want 0", fill, n)
+	}
+	v, _ := tb.Insert(fill * 8)
+	*v = fill
+	if len(tb.slots) != 2*tableFirst || tb.Len() != fill+1 {
+		t.Fatalf("after %d inserts: %d slots, %d entries; want %d, %d", fill+1, len(tb.slots), tb.Len(), 2*tableFirst, fill+1)
+	}
+	for k := uint64(0); k <= fill; k++ {
+		if v := tb.Get(k * 8); v == nil || *v != k {
+			t.Fatalf("key %d: %v after growth, want %d", k*8, v, k)
+		}
+	}
+}
