@@ -8,7 +8,7 @@ GO ?= go
 # value.
 JOBS ?= 4
 
-.PHONY: all build test check lint audit soak soak-mt soak-long docs-verify bench bench-smoke telemetry-smoke fuzz clean
+.PHONY: all build test check lint audit soak soak-mt soak-long mutants docs-verify bench bench-smoke telemetry-smoke fuzz clean
 
 all: build
 
@@ -28,7 +28,7 @@ lint:
 	$(GO) vet ./...
 	@m=$$($(GO) build -gcflags=-m ./internal/mem 2>&1); for f in '(*Mem).Load' '(*NVM).Peek'; do echo "$$m" | grep -qF "can inline $$f" || { echo "lint: $$f no longer inlines"; exit 1; }; done
 	@$(GO) build -gcflags=-m ./internal/proxy 2>&1 | grep -qF "can inline (*Window).hit" || { echo "lint: (*Window).hit no longer inlines"; exit 1; }
-	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem internal/image internal/proxy internal/cache internal/stats cmd/capristat
+	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem internal/image internal/proxy internal/cache internal/stats cmd/capristat tools/mutants
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
@@ -83,7 +83,9 @@ lint:
 # tiny size and checks its oracles. The audit tier it runs carries the
 # machine's allocation pins (construction independent of thread count, and
 # one audited crash point's budget), the flight recorder's growth pins and
-# the auditor's differential corpus replay against its map model.
+# the auditor's differential corpus replay against its map model. Last, the
+# committed mutants (make mutants) prove that the tests named above catch
+# the bugs they exist for.
 check:
 	$(MAKE) lint
 	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault ./internal/telemetry
@@ -103,13 +105,15 @@ check:
 	$(MAKE) soak-mt
 	$(MAKE) docs-verify
 	$(GO) run ./cmd/capristat -gate cmd/capristat/testdata/a cmd/capristat/testdata/a
+	$(MAKE) mutants
 
 # audit runs the online Fig. 7 invariant auditor over the full crash
 # machinery: the 104-program progen crash sweep and the 19-benchmark suite,
 # every run observed end-to-end (run -> crash -> recovery replay -> resume).
 # Any violated provenance invariant fails with the per-line event chain.
-# The mutation tests prove the auditor actually bites (seeded protocol
-# corruptions each produce a violation), FuzzAuditorDifferential's corpus
+# The auditor's stream mutation tests prove its rules bite (each seeded
+# corrupt event stream produces a violation; the protocol corruptions
+# themselves are mutants in make mutants), FuzzAuditorDifferential's corpus
 # replay proves its per-core queues and paged shadow agree with a map-keyed
 # model of the same rules, and FuzzFlightRecorderDifferential's seeds prove
 # the recorder's delta-encoded ring answers every query as a ring of whole
@@ -141,9 +145,11 @@ audit:
 # seeded random fault plans — torn NVM line writes, nested crashes during
 # recovery, transient drain write errors — over the synthetic fault
 # workloads, a progen corpus slice, and all 19 paper benchmarks, every run
-# audited and verified against its golden state. The fault package's
-# mutation tests run first: they prove the campaign catches seeded protocol
-# bugs with a shrunk minimal plan, so a green sweep means something.
+# audited and verified against its golden state. The fault package's tests
+# run first, the clean-tree campaigns among them. make mutants seeds
+# protocol bugs into the simulator and requires those campaigns to catch
+# each with a shrunk plan of at most 3 faults that replays, so a green
+# sweep means something.
 soak:
 	$(GO) test ./internal/fault
 	$(GO) run ./cmd/capricrash -campaign -seed 1 -trials 4 -corpus 52 -benches -jobs $(JOBS)
@@ -153,14 +159,28 @@ soak:
 # queue, lock-protected records) at 2- and 4-core geometries, crash points
 # landing inside atomic two-phase commits and mid-drain, every run checked
 # against the workloads' conservation invariants, the detectability
-# contract, and recovery-order commutativity. The contention-specific
-# mutation and permutation tests run first — they prove the cross-core
-# auditor rules bite (dropped fence ordering, unguarded cross-core drains,
-# non-commuting recovery each caught with a shrunk plan) — then the
-# campaign itself sweeps all three workload families at both geometries.
+# contract, and recovery-order commutativity. The contention tests run
+# first: the target geometry checks, the clean-tree contention campaign
+# and the recovery-order permutation tests. The mutants that break the
+# cross-core rules (a sync op not sealing its region, drains and recovery
+# redo writes bypassing the sequence guard; make mutants) must each fail
+# that clean-tree campaign with a shrunk plan. Then the campaign itself
+# sweeps all three workload families at both geometries.
 soak-mt:
-	$(GO) test -run 'TestContention|TestCampaignContention|TestMutationSync|TestMutationDrainNoGuard|TestMutationReplayNoGuard|TestRecoveryOrderCommutes' ./internal/fault
+	$(GO) test -run 'TestContention|TestCampaignContention|TestRecoveryOrderCommutes' ./internal/fault
 	$(GO) run ./cmd/capricrash -campaign -seed 1 -trials 4 -corpus 0 -cores 2,4 -jobs $(JOBS)
+
+# mutants runs the committed mutation proofs (tools/mutants): each file in
+# testdata/mutants replaces one exact snippet of one source file through
+# go test -overlay, leaving the tree untouched, and the tests it names must
+# fail (and print its match line, if it gives one). A survivor, a snippet
+# that no longer occurs exactly once or a mutant that does not build fails
+# the target. The six protocol mutants (skip-undo, skip-marker-check,
+# drop-torn-prefix, sync-no-commit, drain-no-guard, replay-no-guard) must
+# each fail a clean-tree campaign with a shrunk plan of at most 3 faults
+# that replays from its JSON alone.
+mutants:
+	$(GO) run ./tools/mutants
 
 # soak-long is the open-ended variant: more trials over the whole corpus,
 # bounded by a wall-clock budget. Override the seed/budget per run, e.g.

@@ -8,8 +8,9 @@ import "testing"
 // execution order (sync-persist-order), concurrent per-core drains respect
 // the per-line version chain (line-version-chain), and recovery's rollback
 // never destroys another core's committed data (undo-clobbers-committed).
-// Each mutation corresponds to one machine.Mutations flag the fault
-// package's mutation campaigns drive end-to-end.
+// Each stream mutation has an end-to-end counterpart among the committed
+// protocol mutants (testdata/mutants, run by make mutants), which the fault
+// package's clean-tree contention campaign must catch.
 
 // syncLife is one core's legal synchronizing store: issue, sync, immediate
 // commit (the sync seals its own region).
@@ -39,7 +40,7 @@ func TestAuditorSyncLegal(t *testing.T) {
 	}
 }
 
-// TestMutationSyncNoCommit: machine.Mutations.SyncNoCommit — the sync's
+// TestMutationSyncNoCommit: the sync-no-commit mutant's stream — the sync's
 // sealing commit is dropped, so the core's next store lands in a region
 // whose sync is still rollback-able while other cores can observe it.
 func TestMutationSyncNoCommit(t *testing.T) {
@@ -65,7 +66,7 @@ func TestMutationSyncUnknownStore(t *testing.T) {
 	wantRule(t, aud, "sync-unknown-store")
 }
 
-// TestMutationDrainNoGuard: machine.Mutations.DrainNoGuard — core 0's slow
+// TestMutationDrainNoGuard: the drain-no-guard mutant's stream — core 0's slow
 // drain bypasses the sequence guard and clobbers core 1's newer committed
 // atomic. Both the cross-core version-chain rule and the sync persist-order
 // rule must fire (the guard-mismatch rule fires too; these localize it).
@@ -87,7 +88,7 @@ func TestMutationDrainNoGuard(t *testing.T) {
 	wantRule(t, aud, "seq-guard-mismatch")
 }
 
-// TestMutationReplayNoGuard: machine.Mutations.ReplayNoGuard — recovery's
+// TestMutationReplayNoGuard: the replay-no-guard mutant's stream — recovery's
 // redo replay bypasses the sequence guard, so replaying core 0's stream
 // after core 1's rewinds the word to the older atomic: replay order became
 // visible in NVM and recovery no longer commutes.

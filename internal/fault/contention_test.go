@@ -3,7 +3,6 @@ package fault
 import (
 	"testing"
 
-	"capri/internal/machine"
 	"capri/internal/workload"
 )
 
@@ -55,71 +54,5 @@ func TestCampaignContentionCleanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Failures) != 0 {
-		f := res.Failures[0]
-		t.Fatalf("clean tree failed: plan %s shrunk to %s: %s",
-			f.Plan.Summary(), f.Shrunk.Summary(), f.Err)
-	}
-	if res.Crashes == 0 || res.Faults == 0 || res.EventsAudited == 0 {
-		t.Fatalf("campaign exercised nothing: %+v", res)
-	}
-	if res.Recoveries < res.Crashes {
-		t.Fatalf("crashed %d times but only recovered %d", res.Crashes, res.Recoveries)
-	}
-}
-
-// mutationCampaignContention arms one cross-core protocol mutation and runs
-// the fixed-seed contention campaign; the mutation must be caught with a
-// minimal (<= 3 fault) reproducer that replays from its JSON alone.
-func mutationCampaignContention(t *testing.T, flag *bool) Failure {
-	t.Helper()
-	*flag = true
-	defer func() { *flag = false }()
-	res, err := RunCampaign(CampaignConfig{
-		Seed: 1, Trials: 4, MaxFaults: 3,
-		Targets: ContentionTargets(1, 64, 2, 4),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) == 0 {
-		t.Fatal("mutated cross-core protocol survived the contention campaign undetected")
-	}
-	f := res.Failures[0]
-	if len(f.Shrunk.Faults) > 3 {
-		t.Fatalf("shrunk plan still has %d faults (> 3): %s", len(f.Shrunk.Faults), f.Shrunk.Summary())
-	}
-	outc, err := ReplayPlan(f.Shrunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outc.Err == nil {
-		t.Fatalf("shrunk plan %s does not reproduce", f.Shrunk.Summary())
-	}
-	return f
-}
-
-// TestMutationSyncNoCommit: dropping the commit that seals a synchronizing
-// store's region (the dropped-fence-ordering bug) is caught — the auditor's
-// sync-unordered-commit rule fires on the core's next store.
-func TestMutationSyncNoCommit(t *testing.T) {
-	f := mutationCampaignContention(t, &machine.Mutations.SyncNoCommit)
-	t.Logf("sync-no-commit caught: %s (%s)", f.Shrunk.Summary(), f.Err)
-}
-
-// TestMutationDrainNoGuard: phase-2 drains bypassing the NVM sequence guard
-// (reordered cross-core drains) are caught — a slow core's stale drain
-// clobbers a newer committed value and the line-version-chain /
-// sync-persist-order rules fire.
-func TestMutationDrainNoGuard(t *testing.T) {
-	f := mutationCampaignContention(t, &machine.Mutations.DrainNoGuard)
-	t.Logf("drain-no-guard caught: %s (%s)", f.Shrunk.Summary(), f.Err)
-}
-
-// TestMutationReplayNoGuard: recovery redo writes bypassing the sequence
-// guard (non-commuting recovery) are caught — either the auditor flags the
-// stale replay or RunPlan's reversed-order re-recovery diverges.
-func TestMutationReplayNoGuard(t *testing.T) {
-	f := mutationCampaignContention(t, &machine.Mutations.ReplayNoGuard)
-	t.Logf("replay-no-guard caught: %s (%s)", f.Shrunk.Summary(), f.Err)
+	requireClean(t, res)
 }

@@ -148,10 +148,38 @@ func TestCampaignCleanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireClean(t, res)
+}
+
+// requireClean fails t unless the campaign passed with nonzero coverage. A
+// failure is reported by its first plan and that plan's shrunk form, which
+// must hold at most 3 faults, no more than the plan it came from, and
+// reproduce from its JSON alone; a shrunk plan that breaks any of these is a
+// distinct "shrinker:" error. The committed protocol mutants
+// (testdata/mutants) require the "clean tree failed" line, so a caught
+// mutation is also proven to shrink and replay.
+func requireClean(t *testing.T, res *CampaignResult) {
+	t.Helper()
 	if len(res.Failures) != 0 {
 		f := res.Failures[0]
-		t.Fatalf("clean tree failed: plan %s shrunk to %s: %s",
-			f.Plan.Summary(), f.Shrunk.Summary(), f.Err)
+		n := len(f.Shrunk.Faults)
+		if n > 3 {
+			t.Fatalf("shrinker: plan %s shrunk to %s still has %d faults (> 3): %s",
+				f.Plan.Summary(), f.Shrunk.Summary(), n, f.Err)
+		}
+		if n > len(f.Plan.Faults) {
+			t.Fatalf("shrinker: shrinking grew plan %s to %s (%d -> %d faults)",
+				f.Plan.Summary(), f.Shrunk.Summary(), len(f.Plan.Faults), n)
+		}
+		outc, err := ReplayPlan(f.Shrunk)
+		if err != nil {
+			t.Fatalf("shrinker: shrunk plan %s does not replay: %v", f.Shrunk.Summary(), err)
+		}
+		if outc.Err == nil {
+			t.Fatalf("shrinker: shrunk plan %s passes on replay (its campaign error: %s)", f.Shrunk.Summary(), f.Err)
+		}
+		t.Fatalf("clean tree failed: plan %s shrunk to %s (%d faults, replays): %s",
+			f.Plan.Summary(), f.Shrunk.Summary(), n, f.Err)
 	}
 	if res.Crashes == 0 || res.Faults == 0 || res.EventsAudited == 0 {
 		t.Fatalf("campaign exercised nothing: %+v", res)
@@ -159,60 +187,6 @@ func TestCampaignCleanTree(t *testing.T) {
 	if res.Recoveries < res.Crashes {
 		t.Fatalf("crashed %d times but only recovered %d", res.Crashes, res.Recoveries)
 	}
-}
-
-// mutationCampaign runs a small fixed-seed campaign with one protocol
-// mutation armed and asserts it is caught with a minimal reproducer.
-func mutationCampaign(t *testing.T, flag *bool) Failure {
-	t.Helper()
-	*flag = true
-	defer func() { *flag = false }()
-	targets := append(SynthTargets(64), CorpusTargets(26, 64)...)
-	res, err := RunCampaign(CampaignConfig{Seed: 1, Trials: 4, MaxFaults: 3, Targets: targets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failures) == 0 {
-		t.Fatal("mutated protocol survived the campaign undetected")
-	}
-	f := res.Failures[0]
-	if len(f.Shrunk.Faults) > 3 {
-		t.Fatalf("shrunk plan still has %d faults (> 3): %s", len(f.Shrunk.Faults), f.Shrunk.Summary())
-	}
-	if len(f.Shrunk.Faults) > len(f.Plan.Faults) {
-		t.Fatalf("shrinking grew the plan: %d -> %d faults", len(f.Plan.Faults), len(f.Shrunk.Faults))
-	}
-	// The minimal plan must still reproduce the failure from its JSON alone.
-	outc, err := ReplayPlan(f.Shrunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outc.Err == nil {
-		t.Fatalf("shrunk plan %s does not reproduce", f.Shrunk.Summary())
-	}
-	return f
-}
-
-// TestMutationSkipUndo: dropping recovery's phase B (uncommitted stores
-// never rolled back) is caught by the campaign with a <= 3 fault plan.
-func TestMutationSkipUndo(t *testing.T) {
-	f := mutationCampaign(t, &machine.Mutations.SkipUndo)
-	t.Logf("skip-undo caught: %s (%s)", f.Shrunk.Summary(), f.Err)
-}
-
-// TestMutationSkipMarkerCheck: replaying uncommitted tails as if committed
-// is caught by the campaign with a <= 3 fault plan.
-func TestMutationSkipMarkerCheck(t *testing.T) {
-	f := mutationCampaign(t, &machine.Mutations.SkipMarkerCheck)
-	t.Logf("skip-marker caught: %s (%s)", f.Shrunk.Summary(), f.Err)
-}
-
-// TestMutationDropTornPrefix: tearing whole lines regardless of the
-// persisted prefix and the later-write ownership guard is caught by the
-// campaign with a <= 3 fault plan.
-func TestMutationDropTornPrefix(t *testing.T) {
-	f := mutationCampaign(t, &machine.Mutations.DropTornPrefix)
-	t.Logf("drop-torn-prefix caught: %s (%s)", f.Shrunk.Summary(), f.Err)
 }
 
 // TestShrinkKeepsUnreproducible: a plan that passes is returned unchanged.

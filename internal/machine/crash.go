@@ -200,15 +200,7 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 			for j := start; j < i; j++ {
 				if d := &stream[j]; d.Valid {
 					rep.EntriesRedone++
-					var applied bool
-					if Mutations.ReplayNoGuard {
-						// MUTATION: the redo bypasses the sequence guard, so
-						// replay order across cores becomes visible in NVM.
-						m.nvm.Restore(d.Addr, d.Redo, d.Seq)
-						applied = true
-					} else {
-						applied = m.nvm.Write(d.Addr, d.Redo, d.Seq)
-					}
+					applied := m.nvm.Write(d.Addr, d.Redo, d.Seq)
 					if m.tap != nil {
 						ev := audit.Event{
 							Kind: audit.EvRecoveryRedoWrite, Core: int32(t),
@@ -237,27 +229,12 @@ func recoverCore(img *CrashImage, tap audit.Sink, stopAfter uint64, order []int,
 			}
 		}
 		pending := stream[start:]
-		if Mutations.SkipMarkerCheck {
-			// MUTATION: the §5.4 marker check is gone — the uncommitted tail
-			// is replayed as if its region had committed.
-			for _, d := range pending {
-				if d.Valid {
-					m.nvm.Write(d.Addr, d.Redo, d.Seq)
-				}
-			}
-			continue
-		}
 		for i := range pending {
 			uncommitted = append(uncommitted, undoEntry{e: &pending[i], core: t})
 		}
 	}
 
 	// Phase B: roll back the interrupted region(s), newest store first.
-	if Mutations.SkipUndo {
-		// MUTATION: phase B is dropped — uncommitted stores that reached NVM
-		// (writebacks, torn drains) are never rolled back.
-		uncommitted = nil
-	}
 	slices.SortFunc(uncommitted, func(a, b undoEntry) int { return cmp.Compare(b.e.Seq, a.e.Seq) })
 	seenAddr := map[uint64]int{}
 	for _, u := range uncommitted {

@@ -37,7 +37,7 @@ import (
 //     op — true cycle (c.cycle plus the batched-tick accumulator) against the
 //     horizon — flushes the accumulator and services exactly when the switch
 //     core's per-instruction service would have done work, and skips it
-//     everywhere else. Mutations that move the horizon from outside service
+//     everywhere else. Events that move the horizon from outside service
 //     (a store or boundary entering the front-end) fold the new departure
 //     slot into c.svcAt at the mutation site.
 //   - Scheduling. The machine's scheduler runs the minimum-cycle core with

@@ -385,13 +385,6 @@ func (m *Machine) doSyncStore(c *core, in *isa.Inst, addr, newVal uint64, rd isa
 			Addr: addr, Seq: m.seq, Region: c.regionSeq + 1, Val: newVal, Val2: old,
 		})
 	}
-	if Mutations.SyncNoCommit {
-		// Seeded protocol corruption (fault_test mutation campaigns): the sync
-		// write stays in the open region instead of committing atomically with
-		// its own marker — the dropped-fence-ordering bug the auditor's
-		// sync-unordered-commit rule must catch.
-		return true
-	}
 	// Atomic commit: the marker follows the data entry indivisibly; resume
 	// point is the instruction after the sync.
 	if !m.commitRegion(c, int32(c.fn), int32(c.blk), int32(c.idx+1), true, false) {

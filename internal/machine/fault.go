@@ -165,37 +165,6 @@ type Tear struct {
 	Keep int // prefix that persisted (words / valid entries)
 }
 
-// Mutations are test-only protocol corruptions for the fault campaign's
-// mutation tests: each disables one step the recovery argument depends on,
-// and the campaign must produce a minimal failing fault plan against it. All
-// false in production.
-var Mutations struct {
-	// SkipUndo drops recovery's phase B entirely (uncommitted stores are
-	// never rolled back).
-	SkipUndo bool
-	// SkipMarkerCheck replays the uncommitted tail of each crash stream as
-	// if a commit marker had been present (the §5.4 marker check is gone).
-	SkipMarkerCheck bool
-	// DropTornPrefix makes every tear revert the whole journaled line —
-	// ignoring the persisted prefix and the later-write ownership guard —
-	// so a torn writeback can destroy committed data recovery cannot
-	// rebuild.
-	DropTornPrefix bool
-	// SyncNoCommit drops the commit that a synchronizing store (atomic,
-	// lock, unlock) must seal its region with: the sync op's write stays in
-	// an open region, so a crash can roll it back after another core
-	// observed it — the cross-core detectability contract is gone.
-	SyncNoCommit bool
-	// DrainNoGuard makes phase-2 drain writes bypass the NVM sequence
-	// guard: a slow core's stale drain can clobber a newer committed value,
-	// breaking the per-line version chain across cores.
-	DrainNoGuard bool
-	// ReplayNoGuard makes recovery's phase A redo writes bypass the NVM
-	// sequence guard, so replaying crash streams in a different core order
-	// yields different NVM images — recovery no longer commutes.
-	ReplayNoGuard bool
-}
-
 // DrainExhaustedError is the structured report of a drain whose transient
 // write errors exhausted the retry budget: the machine performs a hard stall
 // (run returns this error) instead of guessing at forward progress.
@@ -283,16 +252,11 @@ func (m *Machine) tearWriteback(t Tear) {
 	if lw == nil {
 		return
 	}
-	keep := t.Keep
-	if Mutations.DropTornPrefix {
-		keep = 0
-	}
 	for i, w := range lw.words {
-		if i < keep {
+		if i < t.Keep {
 			continue
 		}
-		cur := m.nvm.Peek(w.addr)
-		if !Mutations.DropTornPrefix && cur != w.new {
+		if m.nvm.Peek(w.addr) != w.new {
 			// A later write (drain, newer writeback) owns this word; the
 			// journaled write already fully left the WPQ for it. Not
 			// tearable.

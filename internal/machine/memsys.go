@@ -391,15 +391,7 @@ func (m *Machine) applyPhase2(c *core, region proxy.CommittedRegion) {
 			c.back.SkippedInvalid++
 			continue
 		}
-		var applied bool
-		if Mutations.DrainNoGuard {
-			// Mutation: bypass the sequence guard, letting a slow core's
-			// stale drain clobber a newer committed value.
-			m.nvm.Restore(e.Addr, e.Redo, e.Seq)
-			applied = true
-		} else {
-			applied = m.nvm.Write(e.Addr, e.Redo, e.Seq)
-		}
+		applied := m.nvm.Write(e.Addr, e.Redo, e.Seq)
 		m.nvm.Writes++
 		if m.flt != nil {
 			// Applied or elided, this drain write orders any journaled earlier

@@ -60,14 +60,18 @@ func (t *Table[V]) Get(k uint64) *V {
 // is none; ok reports whether k was already present. The pointer is valid
 // until the next Insert, Delete, Prune or Clear.
 func (t *Table[V]) Insert(k uint64) (v *V, ok bool) {
+	i := 0
+	if len(t.slots) > 0 {
+		for i = t.home(k); t.slots[i].used; i = (i + 1) & t.mask {
+			if t.slots[i].key == k {
+				return &t.slots[i].val, true
+			}
+		}
+	}
+	// k is new: grow only if it takes the table past the load bound.
 	if 4*(t.n+1) > 3*len(t.slots) {
 		t.grow()
-	}
-	i := t.home(k)
-	for ; t.slots[i].used; i = (i + 1) & t.mask {
-		if t.slots[i].key == k {
-			return &t.slots[i].val, true
-		}
+		i = t.free(k)
 	}
 	t.slots[i].key, t.slots[i].used = k, true
 	t.n++
@@ -86,13 +90,18 @@ func (t *Table[V]) grow() {
 	t.shift = uint8(65 - bits.Len(uint(size)))
 	for _, s := range old {
 		if s.used {
-			i := t.home(s.key)
-			for t.slots[i].used {
-				i = (i + 1) & t.mask
-			}
-			t.slots[i] = s
+			t.slots[t.free(s.key)] = s
 		}
 	}
+}
+
+// free returns the first unused slot of k's probe run.
+func (t *Table[V]) free(k uint64) int {
+	i := t.home(k)
+	for t.slots[i].used {
+		i = (i + 1) & t.mask
+	}
+	return i
 }
 
 // Delete removes k, reporting whether it was present.

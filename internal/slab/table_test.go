@@ -205,3 +205,31 @@ func TestTableStartAllocsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestTableReinsertAtLoadAllocsNothing: re-inserting keys a table already
+// holds never grows it, also at three quarters full, where one new key
+// would. The monitoring window and its audit mirror refresh present keys
+// through Insert.
+func TestTableReinsertAtLoadAllocsNothing(t *testing.T) {
+	var first FirstSlots[uint64]
+	var tb Table[uint64]
+	const fill = 3 * tableFirst / 4
+	present := 0
+	n := testing.AllocsPerRun(1, func() {
+		first, tb = FirstSlots[uint64]{}, Table[uint64]{}
+		tb.Start(&first)
+		for k := uint64(0); k < fill; k++ {
+			tb.Insert(k * 8)
+		}
+		present = 0
+		for k := uint64(0); k < fill; k++ {
+			if _, ok := tb.Insert(k * 8); ok {
+				present++
+			}
+		}
+	})
+	if n != 0 || len(tb.slots) != tableFirst || tb.Len() != fill || present != fill {
+		t.Fatalf("re-inserting %d present keys: %.0f allocations, %d slots, %d entries, %d found; want 0, %d, %d, %d",
+			fill, n, len(tb.slots), tb.Len(), present, tableFirst, fill, fill)
+	}
+}
