@@ -52,7 +52,9 @@ lint:
 # nothing), slab.Pages' copy-on-write test (random writes, shares and drops
 # over four live tables against a map each), the fault-plan decoder's
 # fuzz-corpus replay (every committed plan is refused or within bounds) with
-# the huge-core-count replay regression, the dispatch-equivalence suite,
+# the huge-core-count replay regression, the dispatch-equivalence suite (the
+# run loop's strict quantum against a one-instruction-per-entry reference
+# schedule, over every benchmark and the 2-, 4- and 8-core geometries),
 # the memory store's fuzz-corpus replay against its map model (stack tops,
 # heap base, page and chunk boundaries, the last direct and first far page,
 # three live clones sharing pages) with the store's zero-allocation pin
@@ -77,7 +79,7 @@ lint:
 # compared with itself through -gate, so the comparison tool cannot rot
 # without judging any fresh measurement). The telemetry smoke test
 # stands up a live OpenMetrics endpoint plus heartbeat stream and scrapes
-# it over HTTP; the dispatch-equivalence run includes the telemetry
+# it over HTTP; the dispatch-equivalence run is joined by the telemetry
 # observer-equivalence matrix (armed/bus runs byte-identical to disarmed).
 # The bench smoke test runs every repository-benchmark workload once at a
 # tiny size and checks its oracles. The audit tier it runs carries the
@@ -92,7 +94,7 @@ check:
 	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestCompileAllocsGrowSlowly|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills|TestArenaChunksGrowWithUse' ./internal/compile ./internal/analysis
 	$(GO) test -run 'TestPoolChunksGrowWithUse|TestTable|TestPagesShareIsolation' ./internal/slab
 	$(GO) test -run 'FuzzPlanDecode|TestReplayPlanRejectsHugeCoreCount' ./internal/fault
-	$(GO) test -run 'DispatchEquivalence' .
+	$(GO) test -run 'DispatchEquivalence|TestTelemetryObserverEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree|TestPageTableAllocsGrowSlowly|TestNVMCloneAllocsIndependentOfPages' ./internal/mem
 	$(GO) test -run 'FuzzImageRead' ./internal/image
 	$(GO) test -run 'FuzzAsmParse|TestParseErrors' ./internal/asm
@@ -120,8 +122,7 @@ check:
 # events does. The allocation pins hold the audited crash path
 # to its cost model: a store's life through the auditor allocates nothing,
 # the flight recorder allocates with its run rather than its cap
-# (TestFlightRecorderGrowsWithRun, TestFlightRecorderShortLastChunk),
-# decoding a program costs allocations per slab chunk, not per block, a
+# (TestFlightRecorderGrowsWithRun, TestFlightRecorderShortLastChunk), a
 # region whose boundary carries checkpoints, a sync and emits moves through
 # the proxy without allocating (TestBoundaryPayloadsZeroAlloc) in rings of
 # pointer-free records of at most 48 bytes (TestRingElementsPointerFree),
@@ -138,7 +139,7 @@ audit:
 	$(GO) run ./cmd/capricrash -bench genome -points 5
 	$(GO) run ./cmd/capricrash -fuzz 5 -threads 2
 	$(GO) test -run 'TestMutation|TestAuditorTapZeroAlloc|FuzzAuditorTap|FuzzAuditorDifferential|TestFlightRecorderGrowsWithRun|TestFlightRecorderShortLastChunk|FuzzFlightRecorderDifferential' ./internal/audit
-	$(GO) test -run 'TestDecodeAllocsPerChunk|TestCrashPointAllocsBounded|TestNewAllocsIndependentOfCores|TestControllerBookkeepingAllocFree' ./internal/machine
+	$(GO) test -run 'TestCrashPointAllocsBounded|TestNewAllocsIndependentOfCores|TestControllerBookkeepingAllocFree' ./internal/machine
 	$(GO) test -run 'TestBoundaryPayloadsZeroAlloc|TestRingElementsPointerFree' ./internal/proxy
 
 # soak is the short fixed-seed hardware-fault campaign (DESIGN.md §4f):
@@ -178,7 +179,9 @@ soak-mt:
 # the target. The six protocol mutants (skip-undo, skip-marker-check,
 # drop-torn-prefix, sync-no-commit, drain-no-guard, replay-no-guard) must
 # each fail a clean-tree campaign with a shrunk plan of at most 3 faults
-# that replays from its JSON alone.
+# that replays from its JSON alone. The quantum-tie-break mutant (the run
+# loop letting a core keep a cycle tie a lower-ID core should win) must fail
+# the cross-commit pin or the dispatch-equivalence suite.
 mutants:
 	$(GO) run ./tools/mutants
 
@@ -195,9 +198,9 @@ soak-long:
 # EXPERIMENTS.md, so the documented numbers can never drift from the code.
 # The sweepcheck pass additionally proves the §4h determinism contract on
 # every run: a parallel (-jobs) sweep produces byte-identical fig8/fig9
-# tables to the sequential one with the same simulation, instruction,
-# decode and compilation counts (counter-asserted), and its accounting
-# block is byte-compared against EXPERIMENTS.md.
+# tables to the sequential one with the same simulation, instruction and
+# compilation counts (counter-asserted), and its accounting block is
+# byte-compared against EXPERIMENTS.md.
 # Regenerate with: go run ./cmd/capribench -explain
 #             and: go run ./cmd/capribench -sweepcheck -jobs 4
 docs-verify:
@@ -209,13 +212,13 @@ docs-verify:
 # looked-up word (BenchmarkWindowNoteHit), the page table's ns and allocations per page touched over
 # sparse stacks plus a heap walk (BenchmarkMemPageWalk), whole-pipeline
 # compiles with their allocs/op, program fingerprinting, the auditor and the
-# flight recorder per event, the decoder per block, allocs per machine built
-# and per audited crash point, plus the end-to-end simulator benchmark.
+# flight recorder per event, allocs per machine built and per audited crash
+# point, plus the end-to-end simulator benchmark.
 bench:
 	$(GO) test -bench 'Mem|NVM|Proxy|Path|Window' -benchmem -run '^$$' ./internal/mem ./internal/proxy
 	$(GO) test -bench 'Compile|Fingerprint' -benchmem -run '^$$' ./internal/compile
 	$(GO) test -bench 'AuditorTap|FlightRecorderTap' -benchmem -run '^$$' ./internal/audit
-	$(GO) test -bench 'DecodeProgram|MachineNew|CrashPoint' -benchmem -run '^$$' ./internal/machine
+	$(GO) test -bench 'MachineNew|CrashPoint' -benchmem -run '^$$' ./internal/machine
 	$(GO) test -bench 'SimulatorThroughput' -run '^$$' .
 
 # bench-smoke runs the repository benchmark's own tests (bench/ is a separate

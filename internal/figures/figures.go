@@ -42,12 +42,9 @@ type Harness struct {
 	compiles *compile.Cache
 	instret  atomic.Uint64
 
-	// Runs that turned a machine and their summed decode-cache traffic (zero
-	// on the switch core), which the sweep determinism check compares.
-	simRuns   atomic.Uint64
-	decBlocks atomic.Uint64
-	decHits   atomic.Uint64
-	decFused  atomic.Uint64
+	// Runs that turned a machine, which the sweep determinism check
+	// compares.
+	simRuns atomic.Uint64
 }
 
 // baselineRun is one benchmark's baseline simulation, executed exactly once
@@ -96,13 +93,6 @@ func (h *Harness) CompileCacheStats() compile.CacheStats { return h.compiles.Sta
 // (baseline and Capri runs; cache hits do not re-count).
 func (h *Harness) Instret() uint64 { return h.instret.Load() }
 
-// DecodeStats returns the summed decode-cache counters of every simulation:
-// blocks decoded (cache misses), block entries served from the cache, and
-// fused superinstructions among the decoded thunks.
-func (h *Harness) DecodeStats() (blocks, hits, fused uint64) {
-	return h.decBlocks.Load(), h.decHits.Load(), h.decFused.Load()
-}
-
 // SimRuns returns the number of simulations this harness executed; cached
 // results do not re-count.
 func (h *Harness) SimRuns() uint64 { return h.simRuns.Load() }
@@ -111,9 +101,6 @@ func (h *Harness) SimRuns() uint64 { return h.simRuns.Load() }
 func (h *Harness) addSim(ms machine.Stats) {
 	h.instret.Add(ms.Instret)
 	h.simRuns.Add(1)
-	h.decBlocks.Add(ms.DecodeBlocks)
-	h.decHits.Add(ms.DecodeHits)
-	h.decFused.Add(ms.DecodeFused)
 }
 
 // config builds the machine configuration for a run. It errors instead of

@@ -49,37 +49,44 @@ func TestRegionInstsStallInvariant(t *testing.T) {
 	}
 }
 
-// TestRegionInstsDispatchInvariant: the threaded core batches retirement per
-// decoded run; the per-region body counters must still match the switch core
-// exactly (including the boundary instruction itself staying out of the
-// region body).
+// TestRegionInstsDispatchInvariant: the per-region body counters (with the
+// boundary instruction itself staying out of the region body) must not
+// depend on how the run loop is entered. One Run and the same program
+// retired one instruction per RunUntil entry must end with the same region
+// shape, cycles and cycle ledger.
 func TestRegionInstsDispatchInvariant(t *testing.T) {
 	cp := compileFor(t, sumProgram(400), 16)
-	var stats [2]Stats
-	for i, mode := range []DispatchMode{DispatchThreaded, DispatchSwitch} {
-		cfg := testConfig(16)
-		cfg.Dispatch = mode
-		m, err := New(cp, cfg)
-		if err != nil {
+	whole, err := New(cp, testConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.Run(); err != nil {
+		t.Fatal(err)
+	}
+	stepped, err := New(cp, testConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !stepped.Done() {
+		if err := stepped.RunUntil(stepped.Instret() + 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		stats[i] = m.Stats()
 	}
-	th, sw := stats[0], stats[1]
-	if th.Instret != sw.Instret || th.Regions != sw.Regions ||
-		th.AvgRegionInsts != sw.AvgRegionInsts || th.AvgRegionStores != sw.AvgRegionStores {
-		t.Errorf("threaded region shape diverges from switch:\n  threaded: instret %d regions %d insts %v stores %v\n  switch:   instret %d regions %d insts %v stores %v",
-			th.Instret, th.Regions, th.AvgRegionInsts, th.AvgRegionStores,
-			sw.Instret, sw.Regions, sw.AvgRegionInsts, sw.AvgRegionStores)
+	if err := stepped.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if th.Cycles != sw.Cycles {
-		t.Errorf("cycles diverge: threaded %d switch %d", th.Cycles, sw.Cycles)
+	w, s := whole.Stats(), stepped.Stats()
+	if w.Instret != s.Instret || w.Regions != s.Regions ||
+		w.AvgRegionInsts != s.AvgRegionInsts || w.AvgRegionStores != s.AvgRegionStores {
+		t.Errorf("region shape depends on run entries:\n  whole:   instret %d regions %d insts %v stores %v\n  stepped: instret %d regions %d insts %v stores %v",
+			w.Instret, w.Regions, w.AvgRegionInsts, w.AvgRegionStores,
+			s.Instret, s.Regions, s.AvgRegionInsts, s.AvgRegionStores)
 	}
-	if !reflect.DeepEqual(th.CycleBy, sw.CycleBy) {
-		t.Errorf("cycle ledger diverges:\n  threaded %+v\n  switch   %+v", th.CycleBy, sw.CycleBy)
+	if w.Cycles != s.Cycles {
+		t.Errorf("cycles diverge: whole %d stepped %d", w.Cycles, s.Cycles)
+	}
+	if !reflect.DeepEqual(w.CycleBy, s.CycleBy) {
+		t.Errorf("cycle ledger diverges:\n  whole   %+v\n  stepped %+v", w.CycleBy, s.CycleBy)
 	}
 }
 

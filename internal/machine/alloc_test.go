@@ -80,10 +80,12 @@ func crashPointTarget(t testing.TB) (*prog.Program, Config, uint64) {
 // pages copy-on-write: a clone allocates only its page directory, and a
 // recovered machine copies a page on its first write to it, into backings
 // that double up to four pages. The image's streams, payloads and outputs
-// copy into one backing per kind. The bound is the measured 87 plus 5%.
+// copy into one backing per kind. Neither machine decodes what it runs:
+// every instruction executes straight from the program's blocks. The bound
+// is the measured 69 plus 5%.
 func TestCrashPointAllocsBounded(t *testing.T) {
 	p, cfg, at := crashPointTarget(t)
-	const bound = 91
+	const bound = 72
 	got := testing.AllocsPerRun(5, func() {
 		if err := crashPoint(p, cfg, at); err != nil {
 			t.Fatal(err)

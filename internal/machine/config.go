@@ -14,47 +14,11 @@ package machine
 
 import "fmt"
 
-// DispatchMode selects the execution core. Both cores are cycle-for-cycle
-// and event-for-event identical — the dispatch differential suite proves it —
-// so the mode only changes simulator speed, never simulated behavior.
-type DispatchMode int
-
-// Dispatch modes.
-const (
-	// DispatchThreaded (the zero value, hence the default) runs the
-	// pre-decoded threaded-code core: each basic block is translated once
-	// into a slice of specialized op thunks with fused superinstructions
-	// (see decode.go).
-	DispatchThreaded DispatchMode = iota
-	// DispatchSwitch runs the reference per-instruction switch core
-	// (exec.go). It is kept as the semantic baseline the threaded core is
-	// differentially tested against, and as the single-step engine the
-	// threaded core itself uses near crash points and interior resume
-	// points.
-	DispatchSwitch
-)
-
-// String names the dispatch mode ("threaded" or "switch") for messages.
-func (d DispatchMode) String() string {
-	switch d {
-	case DispatchThreaded:
-		return "threaded"
-	case DispatchSwitch:
-		return "switch"
-	}
-	return fmt.Sprintf("dispatch(%d)", int(d))
-}
-
 // Config describes the simulated hardware. Cycle quantities assume the 2 GHz
 // clock of Table 1 (1 ns = 2 cycles).
 type Config struct {
 	// Cores is the number of hardware threads (Table 1: 8-way OoO, 8 cores).
 	Cores int
-
-	// Dispatch selects the execution core (simulator-speed knob only; the
-	// zero value is the threaded-code core). It is json-omitted at the
-	// default so crash images round-trip unchanged.
-	Dispatch DispatchMode `json:",omitempty"`
 
 	// Capri enables the proxy-buffer persistence machinery. With it false
 	// the machine is the volatile baseline all results are normalized to.
@@ -190,9 +154,6 @@ func (c Config) Validate() error {
 	}
 	if c.LoadOverlap == 0 {
 		return fmt.Errorf("machine: LoadOverlap must be >= 1")
-	}
-	if c.Dispatch != DispatchThreaded && c.Dispatch != DispatchSwitch {
-		return fmt.Errorf("machine: unknown dispatch mode %d", int(c.Dispatch))
 	}
 	return nil
 }

@@ -22,9 +22,6 @@ func (m *Machine) step(c *core) {
 	if c.blkFn != c.fn || c.blkId != c.blk {
 		c.blkInsts = m.prog.Funcs[c.fn].Blocks[c.blk].Insts
 		c.blkFn, c.blkId = c.fn, c.blk
-		// The decoded-block cache is keyed by the same (blkFn, blkId) guard;
-		// it must never survive a block switch it did not see.
-		c.dblk = nil
 	}
 	if c.idx >= len(c.blkInsts) {
 		m.fatalf("core %d: PC f%d b%d idx %d beyond block", c.id, c.fn, c.blk, c.idx)
@@ -470,9 +467,8 @@ func (c *core) endRegionStats() {
 
 // resumeAt positions a recovered core (used by the recovery package). The
 // new PC may live in a different program generation than whatever the block
-// caches hold, so both the block-inst cache and the pre-decoded thunk cache
-// are invalidated here — stale decoded code must never execute after state is
-// reinstalled.
+// cache holds, so it is invalidated here — stale instructions must never
+// execute after state is reinstalled.
 func (c *core) resumeAt(rec CoreRecord) {
 	c.regs = rec.Regs
 	c.fn, c.blk, c.idx = int(rec.Fn), int(rec.Blk), int(rec.Idx)
@@ -482,13 +478,12 @@ func (c *core) resumeAt(rec CoreRecord) {
 	c.invalidateBlockCache()
 }
 
-// invalidateBlockCache drops the per-core current-block caches: the raw
-// instruction slice the switch core reads and the decoded thunk run the
-// threaded core dispatches. Both refresh lazily from m.prog on next dispatch.
+// invalidateBlockCache drops the per-core current-block cache, the
+// instruction slice step reads. It refreshes lazily from m.prog on the next
+// step.
 func (c *core) invalidateBlockCache() {
 	c.blkFn, c.blkId = -1, -1
 	c.blkInsts = nil
-	c.dblk = nil
 }
 
 // execSlice evaluates a recovery slice over a register file (paper §4.4.1's
@@ -499,9 +494,9 @@ func execSlice(regs *[isa.NumRegs]uint64, slice []isa.Inst) {
 	}
 }
 
-// execOne evaluates one re-executable (register-local) instruction. It is the
-// shared functional core of recovery-slice evaluation and the threaded
-// dispatcher's fused ALU runs; non-re-executable opcodes are ignored.
+// execOne evaluates one re-executable (register-local) instruction, the
+// functional core of recovery-slice evaluation; non-re-executable opcodes are
+// ignored.
 func execOne(regs *[isa.NumRegs]uint64, in *isa.Inst) {
 	switch in.Op {
 	case isa.OpAdd:
@@ -565,15 +560,4 @@ func execOne(regs *[isa.NumRegs]uint64, in *isa.Inst) {
 			regs[in.Rd] = regs[in.Rc]
 		}
 	}
-}
-
-// aluCost returns the fixed issue cost of a re-executable instruction.
-func aluCost(op isa.Op) uint64 {
-	switch op {
-	case isa.OpMul, isa.OpMulI:
-		return costMul
-	case isa.OpDiv, isa.OpRem:
-		return costDiv
-	}
-	return costALU
 }

@@ -14,9 +14,9 @@ func (m *Machine) DebugPC(t int) (fn, blk, idx int) {
 
 // ReplaceProgram swaps the loaded program in place between RunUntil
 // segments, as a hot patch would. The new program must be
-// position-compatible with every core's current PC. All decoded code and
-// per-core block caches are dropped: nothing decoded from the old program
-// may execute afterwards.
+// position-compatible with every core's current PC. Every per-core block
+// cache is dropped: no instruction of the old program may execute
+// afterwards.
 func (m *Machine) ReplaceProgram(p *prog.Program) error {
 	for _, c := range m.cores {
 		if c.halted {
@@ -28,16 +28,8 @@ func (m *Machine) ReplaceProgram(p *prog.Program) error {
 		}
 	}
 	m.prog = p
-	m.invalidateDecode()
-	return nil
-}
-
-// invalidateDecode drops every decoded-code cache in the machine: the shared
-// per-program thunk cache and each core's current-block caches. resumeAt
-// covers the per-core half on recovery.
-func (m *Machine) invalidateDecode() {
-	m.dec = nil
 	for _, c := range m.cores {
 		c.invalidateBlockCache()
 	}
+	return nil
 }

@@ -40,38 +40,33 @@ func markerLoop(n, marker int64) *prog.Program {
 }
 
 // TestReplaceProgramDropsDecodedCode pins the block-cache invalidation bug:
-// swapping the loaded program mid-run must drop every per-core block cache
-// and the shared decode cache, or cores keep executing code decoded from the
-// dead program. The loop body stores a marker each iteration; after the swap
-// the surviving iterations must store the *new* marker.
+// swapping the loaded program mid-run must drop every per-core block cache,
+// or cores keep executing instructions of the dead program. The loop body
+// stores a marker each iteration; after the swap the surviving iterations
+// must store the *new* marker.
 func TestReplaceProgramDropsDecodedCode(t *testing.T) {
-	for _, mode := range []DispatchMode{DispatchThreaded, DispatchSwitch} {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := testConfig(64)
-			cfg.Capri = false
-			cfg.Cores = 1
-			cfg.Dispatch = mode
-			m, err := New(markerLoop(200, 111), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Warm the caches well inside the loop, then hot-patch.
-			if err := m.RunUntil(100); err != nil {
-				t.Fatal(err)
-			}
-			if m.Done() {
-				t.Fatal("program finished before the swap point")
-			}
-			if err := m.ReplaceProgram(markerLoop(200, 222)); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if got := m.MemSnapshot()[HeapBase]; got != 222 {
-				t.Errorf("final marker = %d, want 222 (stale decoded code executed after program replace)", got)
-			}
-		})
+	cfg := testConfig(64)
+	cfg.Capri = false
+	cfg.Cores = 1
+	m, err := New(markerLoop(200, 111), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the cache well inside the loop, then hot-patch.
+	if err := m.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	if m.Done() {
+		t.Fatal("program finished before the swap point")
+	}
+	if err := m.ReplaceProgram(markerLoop(200, 222)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.MemSnapshot()[HeapBase]; got != 222 {
+		t.Errorf("final marker = %d, want 222 (stale cached instructions executed after program replace)", got)
 	}
 }
 
@@ -104,9 +99,9 @@ func TestReplaceProgramRejectsIncompatiblePC(t *testing.T) {
 }
 
 // TestResumeAtDropsBlockCaches pins the recovery half of the same bug:
-// reinstalling core state must invalidate the raw block-inst cache and the
-// decoded-thunk cache, since the new PC may live in a different program
-// generation than the caches were filled from.
+// reinstalling core state must invalidate the block-inst cache, since the
+// new PC may live in a different program generation than the cache was
+// filled from.
 func TestResumeAtDropsBlockCaches(t *testing.T) {
 	cp := compileFor(t, sumProgram(500), 16)
 	m, err := New(cp, testConfig(16))
@@ -117,13 +112,13 @@ func TestResumeAtDropsBlockCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.cores[0]
-	if c.blkInsts == nil && c.dblk == nil {
-		t.Fatal("block caches never warmed — test is not exercising the invalidation path")
+	if c.blkInsts == nil {
+		t.Fatal("block cache never warmed — test is not exercising the invalidation path")
 	}
 	c.resumeAt(CoreRecord{Fn: int32(c.fn), Blk: int32(c.blk)})
-	if c.blkInsts != nil || c.dblk != nil || c.blkFn != -1 || c.blkId != -1 {
-		t.Errorf("stale block caches after resumeAt: blkInsts=%v dblk=%v blkFn=%d blkId=%d",
-			c.blkInsts != nil, c.dblk != nil, c.blkFn, c.blkId)
+	if c.blkInsts != nil || c.blkFn != -1 || c.blkId != -1 {
+		t.Errorf("stale block cache after resumeAt: blkInsts=%v blkFn=%d blkId=%d",
+			c.blkInsts != nil, c.blkFn, c.blkId)
 	}
 	if c.svcAt != 0 {
 		t.Errorf("svcAt = %d after resumeAt, want 0 (service horizon must be recomputed for rebuilt proxy state)", c.svcAt)

@@ -62,13 +62,11 @@ type core struct {
 	halted bool
 
 	// Current-block instruction cache: step refreshes it when (fn, blk)
-	// moves, saving two pointer chases per executed instruction. dblk is the
-	// threaded core's decoded form of the same block (see decode.go); the two
-	// are refreshed and invalidated together (invalidateBlockCache).
+	// moves, saving two pointer chases per executed instruction
+	// (invalidateBlockCache drops it).
 	blkFn    int
 	blkId    int
 	blkInsts []isa.Inst
-	dblk     *dblock
 
 	// lines is scheduleDrain's distinct-line dedup scratch: an epoch-stamped
 	// flat table cleared by generation bump and reused across every region
@@ -160,8 +158,6 @@ type Machine struct {
 
 	cores   []*core
 	records []CoreRecord // NVM-resident recovery records
-
-	dec *dprog // decoded-program cache of the threaded core (lazy; see decode.go)
 
 	seq         uint64 // global store sequence
 	steps       uint64
@@ -378,9 +374,8 @@ func (m *Machine) run(crashAt uint64) error {
 	// this loop alone: New starts every core at zero and recovery builds
 	// fresh cores, so a machine resumed mid-run (RunUntil segments, or Run
 	// after a survived crash point) keeps its counter instead of re-summing
-	// Instret() per entry. A dispatch retires at most maxFuseLen+1
-	// instructions, so the delta around it is cheap to track.
-	threaded := m.cfg.Dispatch == DispatchThreaded
+	// Instret() per entry. A step retires at most one instruction, so the
+	// delta around it is cheap to track.
 	// Live telemetry arming, read once per run segment (telemetry.go).
 	// The conditional defer means a disarmed run pays exactly one atomic
 	// pointer load here and one nil check per scheduler pop below.
@@ -435,16 +430,7 @@ func (m *Machine) run(crashAt uint64) error {
 				m.service(c)
 			}
 			before := c.instret
-			if threaded && crashAt-m.retired > maxFuseLen+1 && c.cycle < budget {
-				m.stepThreaded(c, budget)
-			} else {
-				// With zero budget slack (cores in tight cycle lockstep — no
-				// multi-instruction thunk could dispatch), near the crash
-				// point (crash injection is defined at instruction
-				// granularity), or in switch mode, retire one instruction at
-				// a time on the reference core.
-				m.step(c)
-			}
+			m.step(c)
 			m.retired += c.instret - before
 			if c.halted || m.fatal != nil || m.retired >= crashAt {
 				break

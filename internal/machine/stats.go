@@ -4,7 +4,7 @@ package machine
 type Stats struct {
 	Cycles      uint64
 	Instret     uint64
-	Steps       uint64
+	Steps       uint64 // run-loop steps: one per instruction attempt, lock spins and front-end stall retries included
 	Stores      uint64 // regular + sync stores retired
 	Ckpts       uint64 // checkpoint stores retired
 	Boundaries  uint64 // boundary instructions retired
@@ -33,10 +33,12 @@ type Stats struct {
 	DrainRetries    uint64 // transient NVM write errors retried (fault model)
 	DrainExhausted  uint64 // drains that exhausted the retry budget (fault model)
 
-	// Threaded-dispatch decode cache (decode.go; zero under DispatchSwitch).
-	DecodeBlocks uint64 // basic blocks translated into thunk runs (cache misses)
-	DecodeHits   uint64 // block entries served from the decode cache
-	DecodeFused  uint64 // fused superinstructions among the decoded thunks
+	// DecodeBlocks, DecodeHits and DecodeFused are always zero. They counted
+	// the block decoder of a retired execution core; the repository
+	// benchmark (bench/) still reads them, so they stay until it changes.
+	DecodeBlocks uint64
+	DecodeHits   uint64
+	DecodeFused  uint64
 
 	// Multi-core scheduler (runq.go; simulator-side only — never affects
 	// simulated state).
@@ -66,11 +68,6 @@ func (m *Machine) Stats() Stats {
 		DRAMHits:      m.dram.Hits,
 		DRAMMisses:    m.dram.Misses,
 		SchedQueueOps: m.rq.ops,
-	}
-	if m.dec != nil {
-		s.DecodeBlocks = m.dec.misses
-		s.DecodeHits = m.dec.hits
-		s.DecodeFused = m.dec.fused
 	}
 	var crit *core
 	for _, c := range m.cores {

@@ -49,11 +49,13 @@ func (d *DRAMCache) idx(line uint64) uint64 {
 }
 
 // set returns a pointer to the tag slot for a set index, materializing its
-// chunk on first touch.
+// chunk on first touch. A chunk holds at most the sets left from its start,
+// so a cache smaller than one chunk zeroes only its own tags.
 func (d *DRAMCache) set(idx uint64) *uint64 {
 	ch := d.chunks[idx>>dramChunkBits]
 	if ch == nil {
-		ch = make([]uint64, 1<<dramChunkBits)
+		start := idx &^ (1<<dramChunkBits - 1)
+		ch = make([]uint64, min(1<<dramChunkBits, d.nsets-start))
 		d.chunks[idx>>dramChunkBits] = ch
 	}
 	return &ch[idx&(1<<dramChunkBits-1)]

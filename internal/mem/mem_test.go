@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +146,47 @@ func TestDRAMCacheFill(t *testing.T) {
 	d.Fill(128)
 	if !d.Access(128) {
 		t.Error("filled line missed")
+	}
+}
+
+// TestDRAMFirstAccessAllocsOnlyTags pins the tag chunk's size: a cache
+// smaller than one chunk allocates only its own tags on first touch. At the
+// crash campaigns' 16 KB that is 256 sets, 2 KB, not a whole 64 KB chunk.
+func TestDRAMFirstAccessAllocsOnlyTags(t *testing.T) {
+	const capacity = 16 << 10
+	const tagBytes = capacity / LineSize * 8
+	caches := make([]*DRAMCache, 16)
+	for i := range caches {
+		caches[i] = NewDRAMCache(capacity)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, d := range caches {
+		d.Access(0)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / uint64(len(caches)); got > tagBytes {
+		t.Errorf("first access allocated %d bytes, want <= %d (the cache's tags)", got, tagBytes)
+	}
+}
+
+// TestDRAMCacheShortLastChunk: a set count that is not a multiple of the
+// chunk size leaves a short last chunk; its sets must still map and hold.
+func TestDRAMCacheShortLastChunk(t *testing.T) {
+	const nsets = 1<<dramChunkBits + 5
+	d := NewDRAMCache(nsets * LineSize)
+	last := uint64(nsets-1) * LineSize
+	if d.Access(last) || !d.Access(last) {
+		t.Error("last set of the short chunk did not hold its line")
+	}
+	// A line one capacity above 0 maps to set 0 and evicts it, leaving the
+	// last set alone.
+	d.Access(0)
+	if d.Access(nsets*LineSize) || d.Access(0) {
+		t.Error("lines one capacity apart did not conflict")
+	}
+	if !d.Access(last) {
+		t.Error("a set-0 conflict evicted the last set")
 	}
 }
 

@@ -127,7 +127,7 @@ func Run(p *prog.Program, cfg machine.Config, g *Golden, crashAt uint64, f Fault
 			out.DrainRetries += fin.Stats().DrainRetries
 		}
 		if aerr := aud.Err(); aerr != nil && out.Err == nil {
-			out.Err = fmt.Errorf("audit: %w", aerr)
+			out.Err = aerr // already reads "audit: rule …"
 		}
 		return out
 	}

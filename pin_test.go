@@ -4,8 +4,8 @@ package capri
 // behind — the crash image as image.Write serializes it, the flight
 // recorder's event digest and the machine's Stats — compared against
 // constants committed with the test. The dispatch-equivalence and
-// trace-equivalence gates compare two modes of one build, so a change that
-// shifts every mode alike (a proxy layout change, say) passes them; this pin
+// trace-equivalence gates compare two runs of one build, so a change that
+// shifts both alike (a proxy layout change, say) passes them; this pin
 // compares the build against the commit the constants were generated at.
 // When a change is meant to move simulated bytes, regenerate the constants
 // and say so in the change's log.
@@ -53,19 +53,19 @@ var pinRuns = []pinRun{
 // pinWant holds the committed digests, keyed "target@point" ("@0": the clean
 // run). Each value is the image, flight-recorder and Stats digests.
 var pinWant = map[string]string{
-	"genome@2000":              "9b5f61b9a5cbd2a1 0e3af274682063bd bb348d2e7fd1ff9f",
-	"genome@9000":              "f24f6bee1811a471 91104f9384dfb445 a899cd3fb1412c31",
-	"radix@1500":               "09782ce99f211b07 f7c2879e4f5f7f3b dc8b3fc940ebfb64",
-	"radix@7000":               "f81e7dd9ecb9bbf7 85340cfe828dea1b 042cba7154bba14a",
-	"mt-queue-c8@200":          "a582d6c28c1b8a10 ba597a33780a6ad8 36b33eb53cb6a354",
-	"mt-queue-c8@900":          "9e8e94b8b4579f6a fed5d2046294c311 bc3be50d732c0663",
-	"mt-lockrec-c4@90":         "23f49ca1752e04b1 1cc4a573bb58c512 476c3afaffbdd3bb",
-	"mt-lockrec-c4@600":        "1c7553ff66564521 28f10ae2b8a58365 00df7d15060123a0",
-	"progen-1-s0@40":           "fc1994290d7a829b eec516c3497775c6 7811940c3751e442",
-	"progen-1-s0@150":          "6176c5e023e76421 3d646a310a223c0d f776e9223e13a526",
-	"progen-2654435770-s1@60":  "b83efd1ad8ab5c2a 82153633b2a775d4 df67c02fb6e002ae",
-	"progen-2654435770-s1@200": "5d89b9ff742fc6fe 61861cf2dcf2b481 22730d1167170aa4",
-	"water-nsquared@0":         "3cfb1cc89adc5e11 3914e1f9b21a3984 26f24e07470dddd7",
+	"genome@2000":              "9b5f61b9a5cbd2a1 0e3af274682063bd eb3f7136e26e9a88",
+	"genome@9000":              "f24f6bee1811a471 91104f9384dfb445 458de058ca934fd2",
+	"radix@1500":               "09782ce99f211b07 f7c2879e4f5f7f3b da2cca38ba6333f5",
+	"radix@7000":               "f81e7dd9ecb9bbf7 85340cfe828dea1b e21c6d6f4a5baa30",
+	"mt-queue-c8@200":          "a582d6c28c1b8a10 ba597a33780a6ad8 51c78aa96db0aa77",
+	"mt-queue-c8@900":          "9e8e94b8b4579f6a fed5d2046294c311 56e652efe3da1298",
+	"mt-lockrec-c4@90":         "23f49ca1752e04b1 1cc4a573bb58c512 386dbdfa63d67be3",
+	"mt-lockrec-c4@600":        "1c7553ff66564521 28f10ae2b8a58365 f9e29a1250f936c9",
+	"progen-1-s0@40":           "fc1994290d7a829b eec516c3497775c6 48418830a4515e8a",
+	"progen-1-s0@150":          "6176c5e023e76421 3d646a310a223c0d 27fcae09a2968cc1",
+	"progen-2654435770-s1@60":  "b83efd1ad8ab5c2a 82153633b2a775d4 c9ebce5e24d0dcd5",
+	"progen-2654435770-s1@200": "5d89b9ff742fc6fe 61861cf2dcf2b481 7f42a658c22eb616",
+	"water-nsquared@0":         "3cfb1cc89adc5e11 3914e1f9b21a3984 d2ed471aea65b291",
 }
 
 // TestCrossCommitPin runs every pinned run and compares its three digests

@@ -1,15 +1,17 @@
 package capri
 
-// Dispatch-equivalence differential tests: the pre-decoded threaded core with
-// fused superinstructions must be cycle-for-cycle and image-identical to the
-// reference per-instruction switch core. Both cores run the identical machine
-// configuration — the only divergence either run is permitted is Steps (the
-// threaded core retires whole decoded runs per dispatch, by design) and the
-// decode-cache counters (zero under the switch core). Everything else —
-// cycles, retirement, memory and NVM images, committed output, the full
-// per-cause cycle ledger, and the complete audit event stream — must match
-// exactly, or the threaded core is not an optimization but a different
-// machine.
+// Dispatch-equivalence differential tests: the run loop's strict quantum
+// (one core runs many instructions per run-queue pop, up to the highest
+// cycle at which the scheduler would still pick it) must dispatch exactly
+// the reference schedule, in which every instruction goes to the
+// minimum-(cycle, core ID) core. The reference is the same machine retiring
+// one instruction per RunUntil entry: each entry rebuilds the run queue and
+// stops at the first retirement, so no quantum carries a core past it.
+// The only divergence either run is permitted is Steps and the run-queue op
+// count. Everything else — cycles, retirement, memory and NVM images,
+// committed output, the full per-cause cycle ledger, and the complete audit
+// event stream — must match exactly, or the quantum is not a shortcut but
+// a different schedule.
 
 import (
 	"fmt"
@@ -56,72 +58,69 @@ func (d *eventDigest) Tap(e audit.Event) {
 	d.n++
 }
 
-// dispatchRun executes p under the given machine configuration and returns
-// the final image, the full stats, and (when tapped) the audit stream digest.
-// The untapped legs matter on their own: they are the configuration the
-// repository benchmark and the figure sweeps run under.
-func dispatchRun(t *testing.T, what string, p *prog.Program, threads int, cfg machine.Config, tap bool) (machineImage, machine.Stats, eventDigest) {
+// observedRun executes p under the given machine configuration and returns
+// the final image, the full stats, and (when tapped) the audit stream
+// digest. With stepped set it retires one instruction per RunUntil entry.
+func observedRun(t *testing.T, what string, p *prog.Program, threads int, cfg machine.Config, tap, stepped bool) (machineImage, machine.Stats, eventDigest) {
 	t.Helper()
 	m, err := machine.New(p, cfg)
 	if err != nil {
-		t.Fatalf("%s (%v): %v", what, cfg.Dispatch, err)
+		t.Fatalf("%s: %v", what, err)
 	}
 	var dig eventDigest
 	if tap {
 		m.SetTap(&dig)
 	}
+	for stepped && !m.Done() {
+		if err := m.RunUntil(m.Instret() + 1); err != nil {
+			t.Fatalf("%s (stepped): %v", what, err)
+		}
+	}
 	if err := m.Run(); err != nil {
-		t.Fatalf("%s (%v): %v", what, cfg.Dispatch, err)
+		t.Fatalf("%s: %v", what, err)
 	}
 	return imageOf(m, threads), m.Stats(), dig
 }
 
 // comparableStats strips the fields that legitimately depend on how a run
-// was dispatched: Steps counts dispatches (a decoded run retires many
-// instructions per step), the decode counters exist only in the threaded
-// core, and the run-queue op count depends on how many dispatches the run
-// took. Everything else — every simulated observable — must match exactly.
+// was entered: Steps and the run-queue op count depend on how many run-loop
+// entries and queue pops the run took. Everything else — every simulated
+// observable — must match exactly.
 func comparableStats(s machine.Stats) machine.Stats {
 	s.Steps = 0
-	s.DecodeBlocks, s.DecodeHits, s.DecodeFused = 0, 0, 0
 	s.SchedQueueOps = 0
 	return s
 }
 
+// requireDispatchIdentical runs p three ways: the strict quantum tapped and
+// untapped, and the one-instruction reference tapped. The tapped pair must
+// agree on every simulated observable and the chained audit digest, which
+// pins the exact event order, so a quantum that let one core run a single
+// instruction past its turn would surface. The untapped leg — the
+// configuration the figure sweeps and the repository benchmark run under —
+// must match the tapped quantum run down to Steps: the tap only observes.
 func requireDispatchIdentical(t *testing.T, what string, p *prog.Program, threads, threshold int) {
 	t.Helper()
-	base := diffConfig(threads, threshold)
-	thCfg := base
-	thCfg.Dispatch = machine.DispatchThreaded
-	swCfg := base
-	swCfg.Dispatch = machine.DispatchSwitch
-
-	// Tapped legs: the chained digest pins the exact audit event order, so a
-	// fused dispatch that reordered a single launch or drain event would
-	// surface.
-	thImg, thStats, thDig := dispatchRun(t, what, p, threads, thCfg, true)
-	swImg, swStats, swDig := dispatchRun(t, what, p, threads, swCfg, true)
-	requireIdentical(t, what, thImg, swImg)
-	if a, b := comparableStats(thStats), comparableStats(swStats); !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: stats diverge beyond Steps/decode counters:\n  threaded %+v\n  switch   %+v", what, a, b)
+	cfg := diffConfig(threads, threshold)
+	qImg, qStats, qDig := observedRun(t, what, p, threads, cfg, true, false)
+	sImg, sStats, sDig := observedRun(t, what, p, threads, cfg, true, true)
+	requireIdentical(t, what, qImg, sImg)
+	if a, b := comparableStats(qStats), comparableStats(sStats); !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: stats diverge beyond Steps/run-queue counters:\n  quantum %+v\n  stepped %+v", what, a, b)
 	}
-	if thDig.n != swDig.n || thDig.sum != swDig.sum {
-		t.Errorf("%s: audit streams diverge: threaded %d events (%#x), switch %d events (%#x)",
-			what, thDig.n, thDig.sum, swDig.n, swDig.sum)
+	if qDig != sDig {
+		t.Errorf("%s: audit streams diverge: quantum %d events (%#x), stepped %d events (%#x)",
+			what, qDig.n, qDig.sum, sDig.n, sDig.sum)
 	}
-
-	// Untapped legs: the NVM image, memory image, and full cycle ledger must
-	// be byte-identical to the reference without an audit sink attached too.
-	wtImg, wtStats, _ := dispatchRun(t, what, p, threads, thCfg, false)
-	wsImg, wsStats, _ := dispatchRun(t, what, p, threads, swCfg, false)
-	requireIdentical(t, what+" (untapped)", wtImg, wsImg)
-	if a, b := comparableStats(wtStats), comparableStats(wsStats); !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: untapped stats diverge beyond Steps/decode counters:\n  threaded %+v\n  switch   %+v", what, a, b)
+	uImg, uStats, _ := observedRun(t, what, p, threads, cfg, false, false)
+	requireIdentical(t, what+" (untapped)", uImg, qImg)
+	if !reflect.DeepEqual(uStats, qStats) {
+		t.Errorf("%s: untapped stats diverge:\n  untapped %+v\n  tapped   %+v", what, uStats, qStats)
 	}
 }
 
-// TestDispatchEquivalenceBenchmarks sweeps every paper benchmark through both
-// execution cores and requires indistinguishable outcomes.
+// TestDispatchEquivalenceBenchmarks sweeps every paper benchmark through
+// both schedules and requires indistinguishable outcomes.
 func TestDispatchEquivalenceBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dispatch equivalence sweep is not short")
@@ -140,10 +139,9 @@ func TestDispatchEquivalenceBenchmarks(t *testing.T) {
 }
 
 // TestDispatchEquivalenceMultiCore sweeps the scheduler geometries: 2, 4,
-// and 8 cores change the run-queue tie-break pattern, how often the strict
-// quantum cuts a fused run short, and the phase alignment of store bursts.
-// Every geometry runs the full equivalence check (threaded vs switch,
-// tapped and untapped).
+// and 8 cores change the run-queue tie-break pattern, how long a quantum
+// runs before another core takes over, and the phase alignment of store
+// bursts.
 func TestDispatchEquivalenceMultiCore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-core dispatch sweep is not short")
@@ -169,9 +167,9 @@ func TestDispatchEquivalenceMultiCore(t *testing.T) {
 }
 
 // TestDispatchEquivalenceProgen is the property-based half: generated
-// programs reach block shapes, fusion opportunities, and stall interleavings
-// the curated benchmarks do not (short blocks, dense branches, barrier
-// lockstep with tiny quanta).
+// programs reach block shapes and stall interleavings the curated
+// benchmarks do not (short blocks, dense branches, barrier lockstep with
+// tiny quanta).
 func TestDispatchEquivalenceProgen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dispatch progen sweep is not short")

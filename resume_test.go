@@ -29,7 +29,6 @@ func TestResumeAccountingSegments(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := diffConfig(bm.Threads, 256)
-			cfg.Dispatch = machine.DispatchThreaded
 
 			golden, err := machine.New(res.Program, cfg)
 			if err != nil {
@@ -65,7 +64,7 @@ func TestResumeAccountingSegments(t *testing.T) {
 			}
 			requireIdentical(t, name+" (segmented)", imageOf(seg, bm.Threads), gImg)
 			if a, b := comparableStats(seg.Stats()), comparableStats(golden.Stats()); !reflect.DeepEqual(a, b) {
-				t.Errorf("%s: segmented stats diverge beyond Steps/decode/scheduler counters:\n  segmented %+v\n  golden    %+v", name, a, b)
+				t.Errorf("%s: segmented stats diverge beyond Steps/run-queue counters:\n  segmented %+v\n  golden    %+v", name, a, b)
 			}
 		})
 	}

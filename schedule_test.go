@@ -3,10 +3,9 @@ package capri
 // One-schedule test: an armed crash point must not change how the machine
 // schedules its cores. A RunUntil whose crash point lies beyond the end of
 // the program therefore runs the same dispatches as a plain Run and ends in
-// the same machine, down to every counter in Stats — dispatch steps,
-// run-queue ops and decode-cache traffic included. The crash point sits 64
-// instructions past the end, further than one fused dispatch can retire, so
-// no dispatch is ever made near it.
+// the same machine, down to every counter in Stats — run-loop steps and
+// run-queue ops included. The crash point sits 64 instructions past the
+// end, so the run never reaches it.
 
 import (
 	"fmt"
@@ -25,7 +24,6 @@ import (
 func requireOneSchedule(t *testing.T, what string, p *prog.Program, threads, threshold int) {
 	t.Helper()
 	cfg := diffConfig(threads, threshold)
-	cfg.Dispatch = machine.DispatchThreaded
 
 	golden, err := machine.New(p, cfg)
 	if err != nil {

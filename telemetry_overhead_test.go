@@ -21,8 +21,8 @@ import (
 )
 
 // telemetryProgram compiles one small two-thread generated program — enough
-// work to cross the machine's telemetry publish interval on the threaded
-// core while keeping the armed/disarmed matrix fast.
+// work to cross the machine's telemetry publish interval while keeping the
+// armed/disarmed matrix fast.
 func telemetryProgram(t *testing.T) *prog.Program {
 	t.Helper()
 	src := progen.Generate(11, progen.Config{Funcs: 3, MaxDepth: 3, MaxStmts: 5, MaxLoopTrip: 6, Threads: 2})
@@ -33,11 +33,11 @@ func telemetryProgram(t *testing.T) *prog.Program {
 	return res.Program
 }
 
-// TestDispatchEquivalenceTelemetry runs both dispatch cores on a paper
-// benchmark and a generated program with machine telemetry disarmed,
-// armed, and armed with a live bus being scraped — the images, the full
-// stats, and the audit event digests must be identical in all three.
-func TestDispatchEquivalenceTelemetry(t *testing.T) {
+// TestTelemetryObserverEquivalence runs a paper benchmark and a generated
+// program with machine telemetry disarmed, armed, and armed with a live bus
+// being scraped — the images, the full stats, and the audit event digests
+// must be identical in all three.
+func TestTelemetryObserverEquivalence(t *testing.T) {
 	telemetry.DisableMachine()
 	b, err := workload.ByName("genome")
 	if err != nil {
@@ -57,41 +57,38 @@ func TestDispatchEquivalenceTelemetry(t *testing.T) {
 		{"progen-mt2", telemetryProgram(t), 2, 64},
 	}
 	for _, tc := range cases {
-		for _, disp := range []machine.DispatchMode{machine.DispatchThreaded, machine.DispatchSwitch} {
-			cfg := diffConfig(tc.threads, tc.threshold)
-			cfg.Dispatch = disp
-			what := tc.name + "/" + disp.String()
+		cfg := diffConfig(tc.threads, tc.threshold)
+		what := tc.name
 
-			offImg, offStats, offDig := dispatchRun(t, what+" disarmed", tc.p, tc.threads, cfg, true)
+		offImg, offStats, offDig := observedRun(t, what+" disarmed", tc.p, tc.threads, cfg, true, false)
 
-			telemetry.EnableMachine()
-			onImg, onStats, onDig := dispatchRun(t, what+" armed", tc.p, tc.threads, cfg, true)
-			telemetry.DisableMachine()
+		telemetry.EnableMachine()
+		onImg, onStats, onDig := observedRun(t, what+" armed", tc.p, tc.threads, cfg, true, false)
+		telemetry.DisableMachine()
 
-			bus, err := telemetry.Start(telemetry.Options{Listen: "127.0.0.1:0"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			busImg, busStats, busDig := dispatchRun(t, what+" bus", tc.p, tc.threads, cfg, true)
-			if resp, err := http.Get("http://" + bus.Addr() + "/metrics"); err != nil {
-				t.Errorf("%s: scrape: %v", what, err)
-			} else {
-				resp.Body.Close()
-			}
-			bus.Stop()
+		bus, err := telemetry.Start(telemetry.Options{Listen: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		busImg, busStats, busDig := observedRun(t, what+" bus", tc.p, tc.threads, cfg, true, false)
+		if resp, err := http.Get("http://" + bus.Addr() + "/metrics"); err != nil {
+			t.Errorf("%s: scrape: %v", what, err)
+		} else {
+			resp.Body.Close()
+		}
+		bus.Stop()
 
-			requireIdentical(t, what+" armed vs disarmed", onImg, offImg)
-			requireIdentical(t, what+" bus vs disarmed", busImg, offImg)
-			if !reflect.DeepEqual(onStats, offStats) {
-				t.Errorf("%s: armed stats diverge:\n  off %+v\n  on  %+v", what, offStats, onStats)
-			}
-			if !reflect.DeepEqual(busStats, offStats) {
-				t.Errorf("%s: bus stats diverge:\n  off %+v\n  bus %+v", what, offStats, busStats)
-			}
-			if onDig != offDig || busDig != offDig {
-				t.Errorf("%s: audit streams diverge: off %d events (%#x), on %d (%#x), bus %d (%#x)",
-					what, offDig.n, offDig.sum, onDig.n, onDig.sum, busDig.n, busDig.sum)
-			}
+		requireIdentical(t, what+" armed vs disarmed", onImg, offImg)
+		requireIdentical(t, what+" bus vs disarmed", busImg, offImg)
+		if !reflect.DeepEqual(onStats, offStats) {
+			t.Errorf("%s: armed stats diverge:\n  off %+v\n  on  %+v", what, offStats, onStats)
+		}
+		if !reflect.DeepEqual(busStats, offStats) {
+			t.Errorf("%s: bus stats diverge:\n  off %+v\n  bus %+v", what, offStats, busStats)
+		}
+		if onDig != offDig || busDig != offDig {
+			t.Errorf("%s: audit streams diverge: off %d events (%#x), on %d (%#x), bus %d (%#x)",
+				what, offDig.n, offDig.sum, onDig.n, onDig.sum, busDig.n, busDig.sum)
 		}
 	}
 }
