@@ -61,6 +61,9 @@ lint:
 # (copied pages included), its page-table growth pin (a heap walk allocates
 # per chunk of pages and per directory doubling) and its clone pin (an NVM
 # clone allocates the same at every page count and copies no page), the
+# cache's seed replay against its unpacked model (FuzzCacheDifferential:
+# direct-mapped, 8- and 16-way, power-of-two and other set counts) with its
+# 32-byte pointer-free line pin (TestLineLayout), the
 # crash-image reader's fuzz-corpus replay
 # (every committed image, hostile ones included, is refused or recovers and
 # runs without a panic), the assembler's fuzz-corpus replay (every committed
@@ -96,6 +99,7 @@ check:
 	$(GO) test -run 'FuzzPlanDecode|TestReplayPlanRejectsHugeCoreCount' ./internal/fault
 	$(GO) test -run 'DispatchEquivalence|TestTelemetryObserverEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree|TestPageTableAllocsGrowSlowly|TestNVMCloneAllocsIndependentOfPages' ./internal/mem
+	$(GO) test -run 'FuzzCacheDifferential|TestLineLayout' ./internal/cache
 	$(GO) test -run 'FuzzImageRead' ./internal/image
 	$(GO) test -run 'FuzzAsmParse|TestParseErrors' ./internal/asm
 	$(GO) test -run 'FuzzRunRecordDecode' ./cmd/capriinspect
@@ -237,20 +241,23 @@ telemetry-smoke:
 # (FuzzAuditorTap), the auditor against its map model
 # (FuzzAuditorDifferential), the flight recorder against a ring of whole
 # events (FuzzFlightRecorderDifferential), the memory store against its map model
-# (FuzzStoreDifferential), the proxy hardware against its whole-entry model
+# (FuzzStoreDifferential), the cache against its unpacked model
+# (FuzzCacheDifferential), the proxy hardware against its whole-entry model
 # (FuzzProxyDifferential), the crash-image reader (FuzzImageRead), the
 # assembler (FuzzAsmParse), the fault-plan decoder (FuzzPlanDecode) and the
 # run-record decoder behind every capriinspect view (FuzzRunRecordDecode).
 # Plain `go test` replays their committed corpora; a failing input the
-# fuzzer finds lands in the package's testdata/fuzz. Image and run-record
-# inputs are several KB, so their minimization is capped: at the default
-# minute per new input the run would do little else.
+# fuzzer finds lands in the package's testdata/fuzz. Cache op streams run to
+# 1 KB and image and run-record inputs are several KB, so their minimization
+# is capped: at the default minute per new input the run would do little
+# else.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAuditorTap -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzAuditorDifferential -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzFlightRecorderDifferential -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzStoreDifferential -fuzztime $(FUZZTIME) ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzCacheDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzProxyDifferential -fuzztime $(FUZZTIME) ./internal/proxy
 	$(GO) test -run '^$$' -fuzz FuzzImageRead -fuzztime $(FUZZTIME) -fuzzminimizetime 3s ./internal/image
 	$(GO) test -run '^$$' -fuzz FuzzAsmParse -fuzztime $(FUZZTIME) ./internal/asm

@@ -9,8 +9,12 @@
 // metric's bound; with fewer than stats.CompareMinSamples runs a side it is
 // "too few runs". Below that table it lists, for information only, every
 // per-layer metric of BENCHMARK.json that both sets carry and whose medians
-// differ significantly; those rows never gate. Run it from the repository
-// root:
+// differ significantly; those rows never gate. Where every run of a
+// workload on both sides carries the same sim_digest, the simulated outputs
+// are identical, and a per-layer metric computed only from simulated
+// counters can differ only because the sides timed different numbers of
+// rounds: those metrics are left out and one line says why. Run it from the
+// repository root:
 //
 //	capristat A B          # print the comparison table
 //	capristat -gate A B    # also exit non-zero on a regression or too few runs
@@ -54,8 +58,9 @@ type measured struct {
 
 // run is the part of one bench result line capristat reads.
 type run struct {
-	Workload string              `json:"workload"`
-	Metrics  map[string]measured `json:"metrics"`
+	Workload  string              `json:"workload"`
+	SimDigest string              `json:"sim_digest"`
+	Metrics   map[string]measured `json:"metrics"`
 }
 
 // loadSpec reads the metric declarations.
@@ -199,22 +204,67 @@ func compare(sp *spec, ga, gb map[string][]run) ([]row, error) {
 	return rows, nil
 }
 
+// simulated reports whether per-layer metric name is computed only from
+// simulated counters (bench/metrics.go: the machine's Stats, its recovery
+// report and the auditors' event and violation counts), so that runs with
+// the same simulated outputs differ in it only through which rounds they
+// timed. Host-side metrics (timings, call counts, the Go runtime's, and the
+// step and run-queue counts, which depend on how the host schedules the
+// simulation) are not.
+func simulated(name string) bool {
+	switch name {
+	case "machine.instret", "machine.cycles_per_kinst", "machine.stall_cycles_per_kinst",
+		"machine.recover.regions_redone", "machine.recover.entries_redone",
+		"machine.recover.entries_undone", "machine.recover.slices_executed",
+		"audit.events_per_op", "audit.violations", "capri_overhead_pct":
+		return true
+	}
+	for _, family := range []string{"machine.cycles.", "machine.decode.", "cache.", "mem.", "proxy."} {
+		if strings.HasPrefix(name, family) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameSimulation reports whether every run of both sides carries one
+// non-empty sim_digest (a workload that simulates nothing carries none).
+func sameSimulation(sides [2][]run) bool {
+	d := sides[0][0].SimDigest
+	for _, rs := range sides {
+		for _, r := range rs {
+			if r.SimDigest != d {
+				return false
+			}
+		}
+	}
+	return d != ""
+}
+
 // moved returns a row for every per-layer metric of every workload present
-// in both sets whose medians differ at p < stats.CompareAlpha. A metric
-// some run lacks, or carries in another unit, is skipped: these rows
-// inform and never judge.
-func moved(sp *spec, ga, gb map[string][]run) []row {
-	var rows []row
+// in both sets whose medians differ at p < stats.CompareAlpha, and the
+// workloads whose runs all carry one sim_digest, for which it skips the
+// simulated metrics. A metric some run lacks, or carries in another unit,
+// is skipped too: these rows inform and never judge.
+func moved(sp *spec, ga, gb map[string][]run) (rows []row, identical []string) {
 	for _, w := range common(ga, gb) {
+		sides := [2][]run{ga[w], gb[w]}
+		same := sameSimulation(sides)
+		if same {
+			identical = append(identical, w)
+		}
 		for _, m := range sp.PerLayer {
-			if vals, err := samples(m.Name, [2][]run{ga[w], gb[w]}); err == nil {
+			if same && simulated(m.Name) {
+				continue
+			}
+			if vals, err := samples(m.Name, sides); err == nil {
 				if r := comparison(w, m.Name, m.Better, vals); r.c.Significant {
 					rows = append(rows, r)
 				}
 			}
 		}
 	}
-	return rows
+	return rows, identical
 }
 
 // judge compares result sets A and B, prints the table to w and, with gate,
@@ -239,12 +289,17 @@ func judge(sp *spec, pathA, pathB string, gate bool, w io.Writer) error {
 			failed++
 		}
 	}
-	if layers := moved(sp, a, b); len(layers) > 0 {
+	layers, identical := moved(sp, a, b)
+	if len(layers) > 0 {
 		fmt.Fprintf(w, "\nper-layer metrics that moved (p < %.2g; informational, never gated):\n", stats.CompareAlpha)
 		for i := range layers {
 			layers[i].verdict = "moved"
 		}
 		table(w, layers, "per-layer metric")
+	}
+	for _, wl := range identical {
+		fmt.Fprintf(w, "\n%s: the simulated outputs are identical (every run carries sim_digest %.12s…); per-layer metrics computed only from simulated counters are not listed\n",
+			wl, a[wl][0].SimDigest)
 	}
 	if failed > 0 && gate {
 		return fmt.Errorf("capristat: %d of %d rows regressed beyond their bound (p < %.2g) or had fewer than %d runs a side",

@@ -118,8 +118,7 @@ func TestCompareSets(t *testing.T) {
 			if rows := strings.Count(endToEnd, "\n") - 1; rows != len(sp.EndToEnd) {
 				t.Errorf("%d rows, want one per end-to-end metric (%d):\n%s", rows, len(sp.EndToEnd), out.String())
 			}
-			// The per-layer block is its title line, a header and the rows.
-			if layers := max(strings.Count(perLayer, "\n")-2, 0); tc.layers >= 0 && layers != tc.layers {
+			if layers := strings.Count(perLayer, "  moved (n="); tc.layers >= 0 && layers != tc.layers {
 				t.Errorf("%d per-layer rows, want %d:\n%s", layers, tc.layers, out.String())
 			}
 		})
@@ -167,6 +166,68 @@ func TestHostileSets(t *testing.T) {
 				if err := judge(sp, good, tc.b, gate, new(strings.Builder)); err == nil {
 					t.Errorf("gate=%v: hostile set B accepted", gate)
 				}
+			}
+		})
+	}
+}
+
+// TestIdenticalSimulationHidesSimulatedCounters compares two sides of a
+// simulating workload whose runs all carry one sim_digest, where B timed
+// more rounds than A, so the medians of simulated counters moved without
+// any simulated output changing: machine.instret is not listed, one line
+// says the outputs are identical, and a host-side metric that moved
+// (machine.new.busy_ms) still is. With one B run's digest changed, the
+// simulated counter is listed again.
+func TestIdenticalSimulationHidesSimulatedCounters(t *testing.T) {
+	sp := mustSpec(t)
+	a := mustSet(t, "testdata/a")
+	// roundsRun is a result line with its round count, which capristat
+	// does not read.
+	type roundsRun struct {
+		run
+		Rounds int `json:"rounds"`
+	}
+	side := func(rounds int, base float64, digests ...string) string {
+		var sb strings.Builder
+		for i, r := range a {
+			ms := make(map[string]measured, len(r.Metrics))
+			for k, v := range r.Metrics {
+				ms[k] = v
+			}
+			ms["machine.instret"] = measured{base + float64(i), "count"}
+			ms["machine.new.busy_ms"] = measured{base/1000 + float64(i), "ms"}
+			b, err := json.Marshal(roundsRun{run{Workload: "crash-audit", SimDigest: digests[i%len(digests)], Metrics: ms}, rounds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb.Write(append(b, '\n'))
+		}
+		return writeFile(t, sb.String())
+	}
+	const digest = "0123456789abcdef0123456789abcdef"
+	for _, tc := range []struct {
+		name      string
+		bDigests  []string
+		identical bool
+	}{
+		{"same-digest", []string{digest}, true},
+		{"one-digest-differs", []string{"fedcba9876543210", digest, digest, digest, digest}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			if err := judge(sp, side(5, 100_000, digest), side(7, 200_000, tc.bDigests...), true, &out); err != nil {
+				t.Fatalf("gate: %v\n%s", err, out.String())
+			}
+			text := out.String()
+			if !strings.Contains(text, " machine.new.busy_ms ") {
+				t.Errorf("host-side machine.new.busy_ms not listed:\n%s", text)
+			}
+			if got := strings.Contains(text, " machine.instret "); got == tc.identical {
+				t.Errorf("machine.instret listed %v, want %v:\n%s", got, !tc.identical, text)
+			}
+			line := "crash-audit: the simulated outputs are identical (every run carries sim_digest 0123456789ab…)"
+			if got := strings.Contains(text, line); got != tc.identical {
+				t.Errorf("identical-outputs line present %v, want %v:\n%s", got, tc.identical, text)
 			}
 		})
 	}

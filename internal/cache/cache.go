@@ -32,27 +32,35 @@ type Writeback struct {
 // fill populates the writeback from an evicted dirty line without heap
 // allocation: Words aliases the writeback's own fixed-size buffer.
 func (wb *Writeback) fill(l *line) {
-	wb.Line, wb.Seq, wb.Core = l.tag, l.seq, l.core
+	wb.Line, wb.Seq, wb.Core = l.tag&^validBit, l.seq, int(l.core)
 	n := 0
 	for w := uint64(0); w < wordsPerLine; w++ {
 		if l.words&(1<<w) != 0 {
-			wb.buf[n] = l.tag + w*mem.WordSize
+			wb.buf[n] = wb.Line + w*mem.WordSize
 			n++
 		}
 	}
 	wb.Words = wb.buf[:n]
 }
 
-// line is one cache line's metadata.
+// validBit marks a tag in use: line addresses are 64 B aligned, so a valid
+// line's tag is its address | validBit and an empty slot's tag has bit 0
+// clear.
+const validBit = 1
+
+// line is one cache line's metadata, 32 pointer-free bytes
+// (TestLineLayout). Validity lives in the tag, and the line is dirty
+// exactly when its dirty-word bitmap is non-zero: every write sets a bit,
+// and only an eviction, invalidation, flush or reset clears them.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
+	tag   uint64 // lineAddr | validBit; 0 when empty
 	seq   uint64 // newest store seq
-	core  int
-	words uint64 // dirty-word bitmap (8 words per 64B line)
 	lru   uint64
+	core  int32 // core of the newest store (< machine.MaxCores)
+	words uint8 // dirty-word bitmap (8 words per 64B line)
 }
+
+func (l *line) valid() bool { return l.tag&validBit != 0 }
 
 // Cache is a set-associative writeback cache. Its lines are one flat run,
 // set-major: set i occupies lines[i*ways : (i+1)*ways].
@@ -119,35 +127,36 @@ func (c *Cache) set(lineAddr uint64) []line {
 func (c *Cache) Lookup(addr uint64) bool {
 	la := mem.LineAddr(addr)
 	set := c.set(la)
+	tag := la | validBit
 	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == la {
+		if set[i].tag == tag {
 			return true
 		}
 	}
 	return false
 }
 
-// Access performs a read or write access to addr by core. For writes, seq is
+// Access performs a read or write access to addr by core (below
+// machine.MaxCores: the line keeps it as an int32). For writes, seq is
 // the store's global sequence number. It returns whether the access hit and,
 // when the fill evicted a dirty line, the resulting writeback (valid until
 // the next Access/Invalidate on this cache).
 func (c *Cache) Access(addr uint64, write bool, seq uint64, core int) (hit bool, wb *Writeback) {
 	la := mem.LineAddr(addr)
+	tag := la | validBit
 	set := c.set(la)
 	c.clock++
 
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == la {
+		if l.tag == tag {
 			c.Hits++
 			l.lru = c.clock
 			if write {
-				l.dirty = true
 				l.words |= 1 << ((addr % mem.LineSize) / mem.WordSize)
 				if seq > l.seq {
 					l.seq = seq
-					l.core = core
+					l.core = int32(core)
 				}
 			}
 			return true, nil
@@ -158,7 +167,7 @@ func (c *Cache) Access(addr uint64, write bool, seq uint64, core int) (hit bool,
 	// Choose a victim: first invalid way, else LRU.
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if !set[i].valid() {
 			victim = i
 			goto fill
 		}
@@ -166,18 +175,17 @@ func (c *Cache) Access(addr uint64, write bool, seq uint64, core int) (hit bool,
 			victim = i
 		}
 	}
-	if set[victim].dirty {
+	if set[victim].words != 0 {
 		c.Evictions++
 		c.scratch.fill(&set[victim])
 		wb = &c.scratch
 	}
 fill:
 	l := &set[victim]
-	*l = line{tag: la, valid: true, lru: c.clock}
+	*l = line{tag: tag, lru: c.clock}
 	if write {
-		l.dirty = true
 		l.seq = seq
-		l.core = core
+		l.core = int32(core)
 		l.words = 1 << ((addr % mem.LineSize) / mem.WordSize)
 	}
 	return false, wb
@@ -188,18 +196,17 @@ fill:
 // cache). Used by the coherence glue when another core writes the same line.
 func (c *Cache) Invalidate(addr uint64) *Writeback {
 	la := mem.LineAddr(addr)
+	tag := la | validBit
 	set := c.set(la)
 	for i := range set {
 		l := &set[i]
-		if l.valid && l.tag == la {
+		if l.tag == tag {
 			var wb *Writeback
-			if l.dirty {
+			if l.words != 0 {
 				c.scratch.fill(l)
 				wb = &c.scratch
 			}
-			l.valid = false
-			l.dirty = false
-			l.words = 0
+			l.tag, l.words = 0, 0
 			return wb
 		}
 	}
@@ -212,7 +219,7 @@ func (c *Cache) Invalidate(addr uint64) *Writeback {
 func (c *Cache) DirtyLines() int {
 	n := 0
 	for i := range c.lines {
-		if l := &c.lines[i]; l.valid && l.dirty {
+		if c.lines[i].words != 0 {
 			n++
 		}
 	}

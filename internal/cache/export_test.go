@@ -7,12 +7,10 @@ package cache
 func (c *Cache) FlushAll() []*Writeback {
 	var out []*Writeback
 	for i := range c.lines {
-		l := &c.lines[i]
-		if l.valid && l.dirty {
+		if l := &c.lines[i]; l.words != 0 {
 			wb := &Writeback{}
 			wb.fill(l)
 			out = append(out, wb)
-			l.dirty = false
 			l.words = 0
 		}
 	}

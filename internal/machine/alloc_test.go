@@ -126,16 +126,27 @@ func TestNewAllocsIndependentOfCores(t *testing.T) {
 	}
 }
 
-// BenchmarkMachineNew measures building an eight-thread machine at campaign
-// geometry (allocs/op is per machine).
+// BenchmarkMachineNew measures building an eight-thread machine (allocs/op
+// is per machine) at campaign geometry (256 B L1s, a 512 B L2) and at the
+// Fig. 8 sweep geometry (the figures harness's 2 MB L2 and 16 MB
+// DRAM cache), where zeroing the L2's 32,768 lines dominates.
 func BenchmarkMachineNew(b *testing.B) {
-	cfg := campaignConfig()
-	p := withThreads(compileFor(b, sumProgram(10), cfg.Threshold), 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(p, cfg); err != nil {
-			b.Fatal(err)
-		}
+	fig8 := DefaultConfig()
+	fig8.L2Size, fig8.DRAMSize = 2<<20, 16<<20
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{{"campaign", campaignConfig()}, {"fig8", fig8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := withThreads(compileFor(b, sumProgram(10), bc.cfg.Threshold), 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(p, bc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
