@@ -38,9 +38,10 @@ lint:
 # every benchmark x level x threshold, plus the seven seed-derived progen
 # programs LICM once broke by hoisting past a callee's write, at every level
 # and crashed at every instruction at +licm@64, the three it once overflowed
-# at threshold 16, and 1,000 seed-mixed progen programs at +pruning and
-# +licm, where LICM may fail only where pruning does; the sweeps skip the
-# race run and run in this one) with the compiler's allocation pins
+# at threshold 16, the 14 a regions/ckpt fixpoint once failed to fit at
+# threshold 16, at every level from +ckpt, and 1,000 seed-mixed progen
+# programs at +pruning and +licm, each of which compiles or fails only as
+# an infeasible region; the sweeps skip the race run and run in this one) with the compiler's allocation pins
 # (zero-allocation fingerprints, the ocean compile budget, lu's allocations
 # growing at most 2x for an 11x larger output, and CFGs, loop forests and
 # liveness carved from a warm analysis arena at under one allocation each),

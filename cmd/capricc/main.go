@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"capri/internal/asm"
 	"capri/internal/compile"
@@ -111,14 +112,7 @@ func main() {
 			st.CkptsInserted, st.CkptsPruned, st.CkptsHoisted)
 		fmt.Printf("unrolling        %d loops unrolled, %d body copies\n",
 			st.LoopsUnrolled, st.UnrollCopies)
-		fmt.Printf("passes           ")
-		for i, ps := range st.Passes {
-			if i > 0 {
-				fmt.Printf(", ")
-			}
-			fmt.Printf("%s x%d", ps.Name, ps.Runs)
-		}
-		fmt.Println()
+		fmt.Printf("passes           %s\n", strings.Join(compile.PassNames(res.Options), ", "))
 	}
 
 	if *out != "" {
@@ -186,7 +180,6 @@ type staticDoc struct {
 
 type passDoc struct {
 	Name     string `json:"name"`
-	Runs     int    `json:"runs"`
 	Changed  int    `json:"changed"`
 	WallNS   int64  `json:"wallNs"`
 	VerifyNS int64  `json:"verifyNs"`
@@ -223,7 +216,7 @@ func writeStatsJSON(srcName string, level compile.Level, res *compile.Result, in
 	}
 	for _, ps := range st.Passes {
 		doc.Stats.Passes = append(doc.Stats.Passes, passDoc{
-			Name: ps.Name, Runs: ps.Runs, Changed: ps.Changed,
+			Name: ps.Name, Changed: ps.Changed,
 			WallNS: ps.WallNS, VerifyNS: ps.VerifyNS,
 		})
 	}

@@ -189,8 +189,10 @@ func insertCheckpoints(a *analysis.Arena, p *prog.Program, fi int, cc *ckptConte
 	// Placement: walk each block backward with the converged needOut,
 	// splicing a checkpoint immediately after each last-def of a needed
 	// register. A first walk counts the splices so the block's new list is
-	// carved once; the second fills it back to front, as the indexes arrive
-	// in descending order.
+	// carved once, or reuses the block's own array where stripped
+	// checkpoints or a split left room; the second fills it back to front,
+	// as the indexes arrive in descending order, so no instruction is
+	// overwritten before it is moved.
 	inserted := 0
 	for _, id := range cfg.RPO {
 		b := f.Blocks[id]
@@ -199,7 +201,12 @@ func insertCheckpoints(a *analysis.Arena, p *prog.Program, fi int, cc *ckptConte
 		if n == 0 {
 			continue
 		}
-		insts := f.NewInsts(len(b.Insts) + n)
+		var insts []isa.Inst
+		if m := len(b.Insts) + n; cap(b.Insts) >= m {
+			insts = b.Insts[:m]
+		} else {
+			insts = f.NewInsts(m)
+		}
 		end, src := len(insts), len(b.Insts) // insts[end:] and b.Insts[src:] are placed
 		walk(b, needOut[id], func(i int, r isa.Reg) {
 			tail := b.Insts[i+1 : src]

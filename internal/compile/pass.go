@@ -13,11 +13,10 @@ import (
 // list. runPasses executes the enabled rows with uniform bookkeeping —
 // per-pass wall time and action counts into Stats.Passes, structural
 // verification after every pass, and the semantic region verifier
-// (verify.go) after any pass selected by Options.VerifyAfter. Region
-// formation and checkpoint insertion form a fixpoint group: checkpoints are
-// stores, so inserting them can overflow a region sized with estimates only,
-// and the group re-runs (bounded by maxRounds) until the threshold invariant
-// holds.
+// (verify.go) after any pass selected by Options.VerifyAfter. Every enabled
+// pass runs once. Region formation sizes regions with checkpoint estimates;
+// checkpoint insertion owns the repair where the real checkpoints overflow a
+// region (cutRegions, regions.go).
 
 // Pass names, as accepted by Options.VerifyAfter and capricc's -verify-after
 // / -dump-after flags.
@@ -42,14 +41,11 @@ var AllPassNames = []string{
 type PassStat struct {
 	// Name is the pass name (see AllPassNames).
 	Name string
-	// Runs counts executions: 1 for straight-line passes, up to maxRounds for
-	// the regions/ckpt fixpoint group.
-	Runs int
-	// Changed is the pass's action count summed over runs: boundaries placed,
-	// checkpoints inserted, checkpoints pruned, pairs hoisted, loops
-	// unrolled, calls inlined, blocks split, boundaries materialized.
+	// Changed is the pass's action count: boundaries placed, checkpoints
+	// inserted, checkpoints pruned, pairs hoisted, loops unrolled, calls
+	// inlined, blocks split, boundaries materialized.
 	Changed int
-	// WallNS is total wall time across runs, in nanoseconds.
+	// WallNS is the pass's wall time, in nanoseconds.
 	WallNS int64
 	// VerifyNS is the time spent verifying this pass's output (structural
 	// check plus the semantic verifier when selected), in nanoseconds.
@@ -60,9 +56,9 @@ type PassStat struct {
 // of Options: Options stays comparable (it is half of the compile-cache key),
 // and observation must never change what the pipeline produces.
 type Hooks struct {
-	// AfterPass fires after every execution of a pass, with the program in
-	// its post-pass state. Passes in the fixpoint group fire once per round.
-	// The program is the live working copy — observe, do not mutate.
+	// AfterPass fires once after every pass, with the program in its
+	// post-pass state. The program is the live working copy — observe, do
+	// not mutate.
 	AfterPass func(pass string, p *prog.Program)
 }
 
@@ -73,27 +69,25 @@ type verifyPhase int
 const (
 	// phaseFront: canonical form only — regions are not formed yet.
 	phaseFront verifyPhase = iota
-	// phaseRegions: boundary coverage, the threshold invariant, and (when
-	// checkpoints are enabled) checkpoint coverage.
+	// phaseRegions: boundary coverage and the threshold invariant;
+	// checkpoints do not exist yet.
 	phaseRegions
-	// phaseFinal: phaseRegions plus materialized OpBoundary instructions.
+	// phaseCkpt: phaseRegions plus checkpoint coverage when checkpoints are
+	// enabled.
+	phaseCkpt
+	// phaseFinal: phaseCkpt plus materialized OpBoundary instructions.
 	phaseFinal
 )
 
 // contractFor maps a pass's phase to the semantic contract its output must
 // satisfy under the given options.
 func contractFor(ph verifyPhase, opts Options) Contract {
-	c := Contract{Threshold: opts.Threshold}
-	switch ph {
-	case phaseRegions:
-		c.Boundaries = true
-		c.Checkpoints = opts.InsertCheckpoints
-	case phaseFinal:
-		c.Boundaries = true
-		c.Checkpoints = opts.InsertCheckpoints
-		c.Materialized = true
+	return Contract{
+		Threshold:    opts.Threshold,
+		Boundaries:   ph >= phaseRegions,
+		Checkpoints:  ph >= phaseCkpt && opts.InsertCheckpoints,
+		Materialized: ph == phaseFinal,
 	}
-	return c
 }
 
 // passCtx carries the mutable compile state through the pipeline.
@@ -105,9 +99,6 @@ type passCtx struct {
 	// forests, liveness and the passes' per-function tables. It is never
 	// reset, so no result is overwritten; it dies with the compile.
 	a analysis.Arena
-	// round is the current iteration of the fixpoint group (0-based); the
-	// regions pass uses checkpoint estimates on round 0 only.
-	round int
 	// calls is the call summary prune and licm share, built by sharedCalls
 	// on first use, after checkpoints are final. Both passes must see the
 	// same summary, so it is not rebuilt between them.
@@ -125,34 +116,26 @@ func (pc *passCtx) sharedCalls() callSummary {
 
 // pass is one row of the pipeline table: run mutates pc.p and returns its
 // action count; phase selects the semantic contract checked after it;
-// enabled reports whether the options run it (nil: always); fixpoint marks
-// the rows of the regions/ckpt group.
+// enabled reports whether the options run it (nil: always).
 type pass struct {
-	name     string
-	phase    verifyPhase
-	fixpoint bool
-	enabled  func(o Options) bool
-	run      func(pc *passCtx) (changed int, err error)
+	name    string
+	phase   verifyPhase
+	enabled func(o Options) bool
+	run     func(pc *passCtx) (changed int, err error)
 }
 
-// maxRounds bounds the regions/ckpt fixpoint. Estimates only ever shrink
-// toward reality, so most programs converge within it, but not all: at
-// threshold 16 a few seed-mixed progen programs still overflow a region
-// after four rounds, and most of those still do after eight or sixteen.
-const maxRounds = 4
-
 // passes is the pipeline, in the paper's §4 order: canonicalize → inline →
-// unroll → (regions ⇄ ckpt) → prune → licm → materialize. A compile runs
-// the rows its Options enable.
+// unroll → regions → ckpt → prune → licm → materialize. A compile runs the
+// rows its Options enable.
 var passes = [...]pass{
-	{PassCanonicalize, phaseFront, false, nil, runCanonicalize},
-	{PassInline, phaseFront, false, func(o Options) bool { return o.Inline && !o.NaiveRegions }, runInline},
-	{PassUnroll, phaseFront, false, func(o Options) bool { return o.Unroll && !o.NaiveRegions }, runUnroll},
-	{PassRegions, phaseRegions, true, nil, runRegions},
-	{PassCkpt, phaseRegions, true, func(o Options) bool { return o.InsertCheckpoints }, runCkpt},
-	{PassPrune, phaseRegions, false, func(o Options) bool { return o.Prune && o.InsertCheckpoints }, runPrune},
-	{PassLICM, phaseRegions, false, func(o Options) bool { return o.LICM && o.InsertCheckpoints }, runLICM},
-	{PassMaterialize, phaseFinal, false, nil, runMaterialize},
+	{PassCanonicalize, phaseFront, nil, runCanonicalize},
+	{PassInline, phaseFront, func(o Options) bool { return o.Inline && !o.NaiveRegions }, runInline},
+	{PassUnroll, phaseFront, func(o Options) bool { return o.Unroll && !o.NaiveRegions }, runUnroll},
+	{PassRegions, phaseRegions, nil, runRegions},
+	{PassCkpt, phaseCkpt, func(o Options) bool { return o.InsertCheckpoints }, runCkpt},
+	{PassPrune, phaseCkpt, func(o Options) bool { return o.Prune && o.InsertCheckpoints }, runPrune},
+	{PassLICM, phaseCkpt, func(o Options) bool { return o.LICM && o.InsertCheckpoints }, runLICM},
+	{PassMaterialize, phaseFinal, nil, runMaterialize},
 }
 
 // on reports whether ps runs under opts.
@@ -179,26 +162,27 @@ func runUnroll(pc *passCtx) (int, error) {
 
 func runRegions(pc *passCtx) (int, error) {
 	for _, f := range pc.p.Funcs {
-		// Real checkpoints are in the instruction stream after round 0;
-		// only the first round needs an estimate.
-		var est func(*prog.Block) int
-		if pc.round == 0 {
-			est = ckptEstimate(analysis.ComputeLiveness(analysis.BuildCFG(&pc.a, f)))
-		}
-		placeBoundaries(&pc.a, pc.p, f, pc.opts, est)
+		placeBoundaries(&pc.a, pc.p, f, pc.opts)
 	}
 	return boundaryCount(pc.p), nil
 }
 
+// runCkpt inserts checkpoints, then cuts every region they overflow and
+// inserts them afresh, until no region needs a cut. Each cut adds a boundary
+// and none is removed, so the loop ends. Rounds after the first carve from a
+// fresh arena each, so a long repair holds one round's analyses at a time.
 func runCkpt(pc *passCtx) (int, error) {
-	stripCheckpoints(pc.p)
-	cc := newCkptContext(&pc.a, pc.p, summarizeCalls(&pc.a, pc.p))
-	total := 0
-	for fi := range pc.p.Funcs {
-		total += insertCheckpoints(&pc.a, pc.p, fi, cc)
+	for a := &pc.a; ; a = new(analysis.Arena) {
+		stripCheckpoints(pc.p)
+		cc := newCkptContext(a, pc.p, summarizeCalls(a, pc.p))
+		pc.stats.CkptsInserted = 0
+		for fi := range pc.p.Funcs {
+			pc.stats.CkptsInserted += insertCheckpoints(a, pc.p, fi, cc)
+		}
+		if cut, err := cutRegions(a, pc.p, cc, pc.opts.Threshold); !cut || err != nil {
+			return pc.stats.CkptsInserted, err
+		}
 	}
-	pc.stats.CkptsInserted = total
-	return total, nil
 }
 
 func runPrune(pc *passCtx) (int, error) {
@@ -247,92 +231,50 @@ func PassNames(opts Options) []string {
 // Verification between passes is uniform: the structural check runs after
 // every pass; the semantic verifier runs after the passes selected by
 // opts.VerifyAfter, and always after materialize — the pipeline's output
-// contract is not optional. For the fixpoint group the semantic check is
-// deferred to convergence (mid-round states may legitimately overflow the
-// threshold; that is why the group iterates).
+// contract is not optional.
 func runPasses(table *[len(passes)]pass, p *prog.Program, opts Options, hooks Hooks, st *Stats) error {
 	pc := &passCtx{p: p, opts: opts, stats: st}
-	// stats[i] is table row i's entry in st.Passes, which holds one entry
-	// per enabled row; a disabled row's is nil.
-	var stats [len(passes)]*PassStat
-	st.Passes = make([]PassStat, 0, len(table))
+	n := 0
 	for i := range table {
 		if table[i].on(opts) {
-			st.Passes = append(st.Passes, PassStat{Name: table[i].name})
-			stats[i] = &st.Passes[len(st.Passes)-1]
+			n++
 		}
 	}
 	// Every pass analyses every function about once, and the final verifier
 	// once more.
-	pc.a.Reserve(p, len(st.Passes)+1)
-
-	for i := 0; i < len(table); {
-		if !table[i].fixpoint {
-			if stats[i] != nil {
-				if err := runOne(pc, &table[i], stats[i], hooks, true); err != nil {
-					return err
-				}
-			}
-			i++
-			continue
-		}
-		end := i
-		for end < len(table) && table[end].fixpoint {
-			end++
-		}
-		for pc.round = 0; ; pc.round++ {
-			for j := i; j < end; j++ {
-				if stats[j] != nil {
-					if err := runOne(pc, &table[j], stats[j], hooks, false); err != nil {
-						return err
-					}
-				}
-			}
-			if err := checkThreshold(&pc.a, buildCFGs(&pc.a, p), opts.Threshold); err == nil {
-				break
-			} else if pc.round == maxRounds-1 {
-				return fmt.Errorf("compile: %w (after %d rounds)", err, maxRounds)
+	pc.a.Reserve(p, n+1)
+	st.Passes = make([]PassStat, 0, n)
+	for i := range table {
+		if table[i].on(opts) {
+			st.Passes = append(st.Passes, PassStat{Name: table[i].name})
+			if err := runOne(pc, &table[i], &st.Passes[len(st.Passes)-1], hooks); err != nil {
+				return err
 			}
 		}
-		// Converged: now the group's semantic post-conditions must hold.
-		for j := i; j < end; j++ {
-			if stats[j] != nil {
-				if err := verifyAfter(pc, &table[j], stats[j]); err != nil {
-					return err
-				}
-			}
-		}
-		i = end
 	}
 	return nil
 }
 
 // runOne executes a single pass: time it, record stats, structurally verify,
-// fire hooks, and (when semantic is set) run the selected semantic checks.
-func runOne(pc *passCtx, ps *pass, stat *PassStat, hooks Hooks, semantic bool) error {
+// fire hooks, and run the selected semantic checks.
+func runOne(pc *passCtx, ps *pass, stat *PassStat, hooks Hooks) error {
 	start := time.Now()
 	changed, err := ps.run(pc)
-	stat.Runs++
-	stat.Changed += changed
-	stat.WallNS += time.Since(start).Nanoseconds()
+	stat.Changed = changed
+	stat.WallNS = time.Since(start).Nanoseconds()
 	if err != nil {
 		return fmt.Errorf("compile: %s: %w", ps.name, err)
 	}
-
-	vstart := time.Now()
-	if err := pc.p.Verify(); err != nil {
-		stat.VerifyNS += time.Since(vstart).Nanoseconds()
+	start = time.Now()
+	err = pc.p.Verify()
+	stat.VerifyNS = time.Since(start).Nanoseconds()
+	if err != nil {
 		return fmt.Errorf("compile: after %s: %w", ps.name, err)
 	}
-	stat.VerifyNS += time.Since(vstart).Nanoseconds()
-
 	if hooks.AfterPass != nil {
 		hooks.AfterPass(ps.name, pc.p)
 	}
-	if semantic {
-		return verifyAfter(pc, ps, stat)
-	}
-	return nil
+	return verifyAfter(pc, ps, stat)
 }
 
 // verifyAfter runs the semantic region verifier after ps when selected by

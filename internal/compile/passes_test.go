@@ -135,17 +135,39 @@ func TestVerifyThresholdRejectsOverflow(t *testing.T) {
 }
 
 func TestTinyThresholds(t *testing.T) {
-	// Threshold 1 is infeasible for checkpointed programs: a region with a
-	// store whose live-out register needs a checkpoint already holds two
-	// store-class instructions. The compiler must fail cleanly, not panic
-	// or emit an overflowing program.
+	// At threshold 1 a def and its checkpoint may each need a region. The
+	// compiler must emit a program whose regions fit, every pass's output
+	// included, or fail because a region cannot fit at all; it must never
+	// panic or overflow.
 	opts := DefaultOptions()
 	opts.Threshold = 1
-	if _, err := Compile(storeLoop(1), opts); err == nil {
-		t.Error("threshold 1 accepted for a checkpointed loop")
+	opts.VerifyAfter = VerifyAfterAll
+	for _, stores := range []int{1, 3} {
+		res, err := Compile(storeLoop(stores), opts)
+		if err != nil {
+			if !strings.Contains(err.Error(), "infeasible") {
+				t.Errorf("storeLoop(%d) at threshold 1: %v", stores, err)
+			}
+		} else if got := maxRegionStores(t, res.Program); got > 1 {
+			t.Errorf("storeLoop(%d): region stores = %d at threshold 1", stores, got)
+		}
+	}
+	// An atomic whose destination is live holds two stores in its own
+	// one-instruction region: no cut can fit that at threshold 1.
+	bd := prog.NewBuilder("atomic")
+	f := bd.Func("main")
+	f.SetBlock(f.Block())
+	f.MovI(2, 1<<16)
+	f.MovI(3, 1)
+	f.AtomicAdd(4, 2, 0, 3)
+	f.Emit(4)
+	f.Halt()
+	_, err := Compile(bd.Program(), opts)
+	if err == nil || !strings.Contains(err.Error(), "region at b1 is infeasible") || !strings.Contains(err.Error(), "live-in [r2 r3]") {
+		t.Errorf("atomic at threshold 1: got %v, want an infeasible region at b1 with live-in [r2 r3]", err)
 	}
 	// Threshold 2 is the practical minimum and must work.
-	opts.Threshold = 2
+	opts.Threshold, opts.VerifyAfter = 2, ""
 	res, err := Compile(storeLoop(1), opts)
 	if err != nil {
 		t.Fatalf("threshold 2: %v", err)

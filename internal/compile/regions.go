@@ -12,9 +12,11 @@ import (
 // boundaries (function entry, loop headers, sync blocks and their successors,
 // return sites) are fixed; optional boundaries are added only where needed so
 // that no path through a region executes more than opts.Threshold store-class
-// instructions. ckptEst supplies a per-block estimate of checkpoint stores to
-// be inserted later (paper §4.1 breaks the region/checkpoint circular
-// dependence the same way: estimate per initial region, then combine).
+// instructions, counting a per-block estimate of the checkpoint stores to be
+// inserted later (ckptEstimate; paper §4.1 breaks the region/checkpoint
+// circular dependence the same way: estimate per initial region, then
+// combine). Where the real checkpoints still overflow a region, the ckpt
+// pass cuts it (cutRegions).
 //
 // Oversized single blocks (more stores than the threshold on their own) are
 // split first so a boundary can land mid-sequence.
@@ -22,16 +24,13 @@ import (
 // The traversal works because every cycle in the CFG passes through a loop
 // header, which is a mandatory boundary: the store-count recurrence below
 // only flows along forward edges of the resulting DAG.
-func placeBoundaries(a *analysis.Arena, p *prog.Program, f *prog.Func, opts Options, ckptEst func(b *prog.Block) int) {
-	// Split any block whose own store weight exceeds the threshold.
-	for changed := true; changed; {
-		changed = false
-		for _, b := range f.Blocks {
-			if cut, ok := oversizedCut(b, opts.Threshold, ckptEst); ok {
-				splitBlock(p, f, b, cut)
-				changed = true
-				break
-			}
+func placeBoundaries(a *analysis.Arena, p *prog.Program, f *prog.Func, opts Options) {
+	ckptEst := ckptEstimate(analysis.ComputeLiveness(analysis.BuildCFG(a, f)))
+	// Split any block whose own store weight exceeds the threshold. A
+	// prefix is never cut again; its suffix is a new block, visited later.
+	for i := 0; i < len(f.Blocks); i++ {
+		if cut, ok := oversizedCut(f.Blocks[i], opts.Threshold, ckptEst); ok {
+			splitBlock(p, f, f.Blocks[i], cut)
 		}
 	}
 
@@ -50,7 +49,7 @@ func placeBoundaries(a *analysis.Arena, p *prog.Program, f *prog.Func, opts Opti
 	weight := a.Ints(len(f.Blocks))
 	for _, id := range cfg.RPO {
 		b := f.Blocks[id]
-		own := blockWeight(b, ckptEst)
+		own := b.StoreCount() + ckptEst(b)
 		maxIn := 0
 		for _, pr := range cfg.Pred(id) {
 			// Back edges always target loop headers, which are boundaries;
@@ -72,35 +71,18 @@ func placeBoundaries(a *analysis.Arena, p *prog.Program, f *prog.Func, opts Opti
 	}
 }
 
-// blockWeight is the store weight of one block: its store-class instructions
-// plus the estimated checkpoints it will receive.
-func blockWeight(b *prog.Block, ckptEst func(*prog.Block) int) int {
-	w := b.StoreCount()
-	if ckptEst != nil {
-		w += ckptEst(b)
-	}
-	return w
-}
-
 // oversizedCut returns an instruction index at which to split a block whose
-// own weight exceeds the threshold, keeping at most threshold/2 stores in the
-// prefix so later checkpoint insertion has headroom.
+// own weight exceeds the threshold, keeping threshold/2+1 stores in the
+// prefix (never more than the threshold) so later checkpoint insertion has
+// headroom.
 func oversizedCut(b *prog.Block, threshold int, ckptEst func(*prog.Block) int) (int, bool) {
-	if blockWeight(b, ckptEst) <= threshold {
+	if b.StoreCount()+ckptEst(b) <= threshold {
 		return 0, false
 	}
-	budget := threshold / 2
-	if budget < 1 {
-		budget = 1
-	}
-	stores := 0
-	for i := range b.Insts {
-		if b.Insts[i].IsTerminator() {
-			break
-		}
+	// A store is never last: every block ends in its terminator.
+	for i, stores := 0, 0; i < len(b.Insts); i++ {
 		if b.Insts[i].IsStore() {
-			stores++
-			if stores > budget && i+1 < len(b.Insts) && !b.Insts[i+1].IsTerminator() {
+			if stores++; stores > threshold/2 && !b.Insts[i+1].IsTerminator() {
 				return i + 1, true
 			}
 		}
@@ -167,6 +149,75 @@ func checkThreshold(a *analysis.Arena, cfgs []*analysis.CFG, threshold int) erro
 		}
 	}
 	return nil
+}
+
+// cutRegions enforces invariant 3 of DESIGN.md in cc's functions once
+// checkpoints are in the instruction stream, and reports whether it added a
+// boundary. Each sweep over a function follows the worst path of every
+// region that exceeds threshold to the instruction where it passes the
+// threshold, and adds a boundary there (one per block and sweep), splitting
+// the block when the cut falls mid-block. A checkpoint stays in its def's
+// region: a cut at a checkpoint moves back to the def just before it. Sweeps
+// repeat until every region fits. A cut at a region's own head would add no
+// boundary, so the region is infeasible: the error names the function, the
+// block and its live-in set.
+func cutRegions(a *analysis.Arena, p *prog.Program, cc *ckptContext, threshold int) (bool, error) {
+	cuts := 0
+	for _, cfg := range cc.cfgs {
+		for f, sweep := cfg.F, a; ; {
+			down := regionWeights(sweep, cfg)
+			at := sweep.Ints(len(f.Blocks)) // 1 + the cut index in each block, or 0
+			n := cuts
+			for _, head := range cfg.RPO {
+				if !f.Blocks[head].BoundaryAt || down[head] <= threshold {
+					continue
+				}
+				// left is the budget remaining when a block on the path starts.
+				id, left := head, threshold
+				for f.Blocks[id].StoreCount() <= left {
+					left -= f.Blocks[id].StoreCount()
+					next := -1
+					for _, s := range cfg.Succ(id) {
+						if !f.Blocks[s].BoundaryAt && (next < 0 || down[s] > down[next]) {
+							next = s
+						}
+					}
+					id = next
+				}
+				b, cut := f.Blocks[id], -1
+				for left >= 0 {
+					if cut++; b.Insts[cut].IsStore() {
+						left--
+					}
+				}
+				if b.Insts[cut].Op == isa.OpCkpt {
+					cut--
+				}
+				if cut == 0 && id == head {
+					return false, fmt.Errorf("func %s: region at b%d is infeasible at threshold %d: its first instruction and checkpoint overflow it (live-in %v)",
+						f.Name, id, threshold, analysis.ComputeLiveness(cfg).LiveIn[id].Regs())
+				}
+				at[id] = cut + 1
+			}
+			for id, c := range at {
+				if c > 1 {
+					splitBlock(p, f, f.Blocks[id], c-1)
+					f.Blocks[len(f.Blocks)-1].BoundaryAt = true
+				} else if c == 1 {
+					f.Blocks[id].BoundaryAt = true
+				}
+				cuts += min(c, 1)
+			}
+			if cuts == n {
+				break
+			}
+			// Later sweeps carve from a fresh arena, so a long repair holds
+			// one sweep's tables at a time.
+			sweep = new(analysis.Arena)
+			cfg = analysis.BuildCFG(sweep, f)
+		}
+	}
+	return cuts > 0, nil
 }
 
 // materializeBoundaries inserts an explicit OpBoundary instruction at the

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -278,7 +279,13 @@ func TestVerifyAfterSelectors(t *testing.T) {
 
 func TestPassStatsPopulated(t *testing.T) {
 	b, _ := workload.ByName("radix")
-	res := MustCompile(b.Build(1), DefaultOptions())
+	var fired []string
+	res, err := CompileWithHooks(b.Build(1), DefaultOptions(), Hooks{AfterPass: func(pass string, _ *prog.Program) {
+		fired = append(fired, pass)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := PassNames(DefaultOptions())
 	if len(res.Stats.Passes) != len(want) {
 		t.Fatalf("got %d pass stats, want %d (%v)", len(res.Stats.Passes), len(want), want)
@@ -287,20 +294,10 @@ func TestPassStatsPopulated(t *testing.T) {
 		if ps.Name != want[i] {
 			t.Errorf("pass %d: got %q, want %q", i, ps.Name, want[i])
 		}
-		if ps.Runs == 0 {
-			t.Errorf("pass %q never ran", ps.Name)
-		}
 	}
-	// The fixpoint group passes may run multiple rounds; the straight passes
-	// exactly once.
-	for _, ps := range res.Stats.Passes {
-		switch ps.Name {
-		case PassRegions, PassCkpt:
-		default:
-			if ps.Runs != 1 {
-				t.Errorf("straight pass %q ran %d times", ps.Name, ps.Runs)
-			}
-		}
+	// Every enabled pass runs exactly once.
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Errorf("AfterPass fired for %v, want %v", fired, want)
 	}
 }
 

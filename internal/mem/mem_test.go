@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -152,21 +153,27 @@ func TestDRAMCacheFill(t *testing.T) {
 // TestDRAMFirstAccessAllocsOnlyTags pins the tag chunk's size: a cache
 // smaller than one chunk allocates only its own tags on first touch. At the
 // crash campaigns' 16 KB that is 256 sets, 2 KB, not a whole 64 KB chunk.
+// TotalAlloc counts the whole process, so an allocation elsewhere can land
+// in a trial; the pin takes the least of a few trials, each on fresh caches.
 func TestDRAMFirstAccessAllocsOnlyTags(t *testing.T) {
 	const capacity = 16 << 10
 	const tagBytes = capacity / LineSize * 8
-	caches := make([]*DRAMCache, 16)
-	for i := range caches {
-		caches[i] = NewDRAMCache(capacity)
+	least := uint64(math.MaxUint64)
+	for trial := 0; trial < 5; trial++ {
+		caches := make([]*DRAMCache, 16)
+		for i := range caches {
+			caches[i] = NewDRAMCache(capacity)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, d := range caches {
+			d.Access(0)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(len(caches)))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, d := range caches {
-		d.Access(0)
-	}
-	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / uint64(len(caches)); got > tagBytes {
-		t.Errorf("first access allocated %d bytes, want <= %d (the cache's tags)", got, tagBytes)
+	if least > tagBytes {
+		t.Errorf("first access allocated %d bytes, want <= %d (the cache's tags)", least, tagBytes)
 	}
 }
 

@@ -104,8 +104,8 @@ func TestTraceEquivalenceProgen(t *testing.T) {
 		}
 	}
 	checkDigest(t, corpusTrace(t, cases, 300),
-		"f0c60c310209e83ff5d9c19d8d2c8f160ffd6c04f84b8bae90982ef3e7cc8922",
-		map[string]int{"commit": 3193, "drain": 2591, "stall": 12, "crash": 24, "recovery": 24})
+		"a787b7fe9c47f7dc0bfe412bdc7346d02f20add1e9aea56be49af61ec41ac03a",
+		map[string]int{"commit": 3328, "drain": 2699, "stall": 12, "crash": 24, "recovery": 24})
 }
 
 // TestTraceEquivalenceBenchmarks pins the trace text of every paper
