@@ -8,7 +8,7 @@ GO ?= go
 # value.
 JOBS ?= 4
 
-.PHONY: all build test check lint audit soak soak-mt soak-long mutants docs-verify bench bench-smoke telemetry-smoke fuzz clean
+.PHONY: all build test check lint audit soak soak-mt soak-long mutants docs-verify bench bench-smoke fuzz clean
 
 all: build
 
@@ -23,12 +23,15 @@ test:
 # no external linters), plus the hot-path guard: the compiler must still
 # inline (*mem.Mem).Load and (*mem.NVM).Peek, the simulator's per-access
 # reads, and (*proxy.Window).hit, the monitoring-window lookup of every
-# arriving proxy entry.
+# arriving proxy entry, plus the start-up guard: no non-test package of the
+# commands, the simulator or the tools may link net (net/http's package
+# init alone adds about 3 MB to every binary's resident set).
 lint:
 	$(GO) vet ./...
 	@m=$$($(GO) build -gcflags=-m ./internal/mem 2>&1); for f in '(*Mem).Load' '(*NVM).Peek'; do echo "$$m" | grep -qF "can inline $$f" || { echo "lint: $$f no longer inlines"; exit 1; }; done
 	@$(GO) build -gcflags=-m ./internal/proxy 2>&1 | grep -qF "can inline (*Window).hit" || { echo "lint: (*Window).hit no longer inlines"; exit 1; }
-	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/telemetry internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem internal/image internal/proxy internal/cache internal/stats cmd/capristat tools/mutants
+	@deps=$$($(GO) list -deps ./cmd/... ./internal/... ./tools/...) || exit 1; net=$$(echo "$$deps" | grep -E '^net(/|$$)'); [ -z "$$net" ] || { echo "lint: non-test code links" $$net; exit 1; }
+	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem internal/image internal/proxy internal/cache internal/stats cmd/capristat tools/mutants
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
 # race-sensitive packages under the race detector (compile carries the
@@ -81,10 +84,7 @@ lint:
 # byte-identical to sequential, with the same simulation and compilation
 # counts — and a capristat smoke run (its committed bench result set
 # compared with itself through -gate, so the comparison tool cannot rot
-# without judging any fresh measurement). The telemetry smoke test
-# stands up a live OpenMetrics endpoint plus heartbeat stream and scrapes
-# it over HTTP; the dispatch-equivalence run is joined by the telemetry
-# observer-equivalence matrix (armed/bus runs byte-identical to disarmed).
+# without judging any fresh measurement).
 # The bench smoke test runs every repository-benchmark workload once at a
 # tiny size and checks its oracles. The audit tier it runs carries the
 # machine's allocation pins (construction independent of thread count, and
@@ -94,18 +94,17 @@ lint:
 # the bugs they exist for.
 check:
 	$(MAKE) lint
-	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault ./internal/telemetry
+	$(GO) test -race ./internal/machine ./internal/figures ./internal/compile ./internal/sweep ./internal/fault
 	$(GO) test -run 'TestVerifierMatrix|TestMutation|TestFingerprintZeroAlloc|TestCompileAllocsBounded|TestCompileAllocsGrowSlowly|TestLivenessAllocsConstant|TestBuildCFGAllocsConstant|TestLoopsAllocsPerLoop|TestArenaResultsOutliveRefills|TestArenaChunksGrowWithUse' ./internal/compile ./internal/analysis
 	$(GO) test -run 'TestPoolChunksGrowWithUse|TestTable|TestPagesShareIsolation' ./internal/slab
 	$(GO) test -run 'FuzzPlanDecode|TestReplayPlanRejectsHugeCoreCount' ./internal/fault
-	$(GO) test -run 'DispatchEquivalence|TestTelemetryObserverEquivalence' .
+	$(GO) test -run 'DispatchEquivalence' .
 	$(GO) test -run 'FuzzStoreDifferential|TestPagedAccessAllocFree|TestPageTableAllocsGrowSlowly|TestNVMCloneAllocsIndependentOfPages' ./internal/mem
 	$(GO) test -run 'FuzzCacheDifferential|TestLineLayout' ./internal/cache
 	$(GO) test -run 'FuzzImageRead' ./internal/image
 	$(GO) test -run 'FuzzAsmParse|TestParseErrors' ./internal/asm
 	$(GO) test -run 'FuzzRunRecordDecode' ./cmd/capriinspect
 	$(GO) test -run 'FuzzProxyDifferential|TestCrossCommitPin' . ./internal/proxy
-	$(MAKE) telemetry-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) audit
 	$(MAKE) soak
@@ -231,12 +230,6 @@ bench:
 # once at a tiny size, oracles and digests checked (~2 s).
 bench-smoke:
 	cd bench && $(GO) test ./...
-
-# telemetry-smoke proves the live bus end to end: an OpenMetrics endpoint
-# on an ephemeral port is scraped over real HTTP while machine and sweep
-# work runs, and the JSONL heartbeat stream is parsed back.
-telemetry-smoke:
-	$(GO) test -run 'TestTelemetrySmoke' ./internal/telemetry
 
 # fuzz runs each native fuzz target for FUZZTIME: the auditor tap
 # (FuzzAuditorTap), the auditor against its map model

@@ -22,12 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"capri/internal/figures"
 	"capri/internal/machine"
 	"capri/internal/stats"
-	"capri/internal/telemetry"
 	"capri/internal/workload"
 )
 
@@ -46,24 +44,10 @@ func main() {
 		auditTh  = flag.Int("threshold", 256, "region store threshold (with -audit)")
 		jobs     = flag.Int("jobs", 1, "parallel sweep workers (0 = GOMAXPROCS); see README \"Running parallel sweeps\"")
 		sweepChk = flag.Bool("sweepcheck", false, "assert the sweep determinism contract: parallel tables and work counters identical to sequential; with -verify FILE, also byte-check the embedded accounting block")
-		listen   = flag.String("listen", "", "serve live OpenMetrics telemetry on this `addr` (e.g. :9090) while the command runs")
-		hbOut    = flag.String("heartbeat-out", "", "append JSONL telemetry heartbeats to this `file` (\"-\" = stderr)")
-		hbEvery  = flag.Duration("heartbeat-interval", time.Second, "heartbeat sampling interval (with -heartbeat-out)")
 	)
 	flag.Parse()
 	if *scale < 1 {
 		check(fmt.Errorf("-scale must be >= 1, got %d", *scale))
-	}
-
-	bus, err := telemetry.Start(telemetry.Options{
-		Listen:        *listen,
-		HeartbeatPath: *hbOut,
-		Interval:      *hbEvery,
-	})
-	check(err)
-	defer bus.Stop()
-	if addr := bus.Addr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving OpenMetrics on http://%s/metrics\n", addr)
 	}
 
 	if *sweepChk {

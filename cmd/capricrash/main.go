@@ -42,7 +42,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"capri/internal/audit"
 	"capri/internal/compile"
@@ -50,7 +49,6 @@ import (
 	"capri/internal/machine"
 	"capri/internal/progen"
 	"capri/internal/recovery"
-	"capri/internal/telemetry"
 	"capri/internal/workload"
 )
 
@@ -76,26 +74,10 @@ func main() {
 		planOut   = flag.String("plan-out", "", "where -campaign writes the minimal failing fault plan (default fault-plan-min.json)")
 		planIn    = flag.String("plan", "", "replay one capri/fault-plan/v1 JSON fault plan and exit")
 		jobs      = flag.Int("jobs", 1, "campaign targets to run in parallel (with -campaign; 0 = GOMAXPROCS)")
-		listen    = flag.String("listen", "", "serve live OpenMetrics telemetry on this `addr` (e.g. :9090) while the command runs")
-		hbOut     = flag.String("heartbeat-out", "", "append JSONL telemetry heartbeats to this `file` (\"-\" = stderr)")
-		hbEvery   = flag.Duration("heartbeat-interval", time.Second, "heartbeat sampling interval (with -heartbeat-out)")
 	)
 	flag.Parse()
 	if *scale < 1 {
 		fatal(fmt.Errorf("-scale must be >= 1, got %d", *scale))
-	}
-
-	bus, err := telemetry.Start(telemetry.Options{
-		Listen:        *listen,
-		HeartbeatPath: *hbOut,
-		Interval:      *hbEvery,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer bus.Stop()
-	if addr := bus.Addr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving OpenMetrics on http://%s/metrics\n", addr)
 	}
 
 	cores, err := parseCores(*coreList)

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"capri/internal/asm"
 	"capri/internal/audit"
@@ -26,7 +25,6 @@ import (
 	"capri/internal/machine"
 	"capri/internal/prog"
 	"capri/internal/stats"
-	"capri/internal/telemetry"
 	"capri/internal/trace"
 	"capri/internal/workload"
 )
@@ -43,26 +41,10 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "collect and print occupancy/latency histograms")
 		auditRun  = flag.Bool("audit", false, "run the online Fig. 7 invariant auditor; exit non-zero on any violation")
 		recordOut = flag.String("record-out", "", "write a capri/run-record/v1 provenance record (\"-\" for stdout; inspect with capriinspect)")
-		listen    = flag.String("listen", "", "serve live OpenMetrics telemetry on this `addr` (e.g. :9090) while the command runs")
-		hbOut     = flag.String("heartbeat-out", "", "append JSONL telemetry heartbeats to this `file` (\"-\" = stderr)")
-		hbEvery   = flag.Duration("heartbeat-interval", time.Second, "heartbeat sampling interval (with -heartbeat-out)")
 	)
 	flag.Parse()
 	if *scale < 1 {
 		fatal(fmt.Errorf("-scale must be >= 1, got %d", *scale))
-	}
-
-	bus, err := telemetry.Start(telemetry.Options{
-		Listen:        *listen,
-		HeartbeatPath: *hbOut,
-		Interval:      *hbEvery,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer bus.Stop()
-	if addr := bus.Addr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving OpenMetrics on http://%s/metrics\n", addr)
 	}
 
 	if *config {

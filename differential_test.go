@@ -4,7 +4,7 @@ package capri
 // baseline machine and Capri-compiled on the Capri machine, and the two must
 // agree on everything the program can observe. The shared helpers below
 // (diffConfig, machineImage, requireIdentical) serve the root package's
-// other equivalence suites: dispatch, resume, schedule and telemetry.
+// other equivalence suites: dispatch, resume and schedule.
 
 import (
 	"reflect"

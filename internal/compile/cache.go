@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"capri/internal/prog"
-	"capri/internal/telemetry"
 )
 
 // Cache is a concurrency-safe, content-addressed compile cache. The key is
@@ -79,12 +78,10 @@ func (c *Cache) Compile(p *prog.Program, opts Options) (*Result, error) {
 	e.once.Do(func() {
 		won = true
 		c.misses.Add(1)
-		telemetry.Caches.CompileMisses.Add(1)
 		e.res, e.err = Compile(p, opts)
 	})
 	if !won {
 		c.hits.Add(1)
-		telemetry.Caches.CompileHits.Add(1)
 	}
 	return e.res, e.err
 }

@@ -8,7 +8,6 @@ import (
 	"capri/internal/prog"
 	"capri/internal/recovery"
 	"capri/internal/sweep"
-	"capri/internal/telemetry"
 	"capri/internal/workload"
 )
 
@@ -121,7 +120,6 @@ func runTarget(cc CampaignConfig, ti int, target Target, logf func(string, ...an
 	if err != nil {
 		return to, err
 	}
-	telemetry.Campaigns.Targets.Add(1)
 	g, err := recovery.RunGolden(pg, cfg)
 	if err != nil {
 		return to, fmt.Errorf("%s: golden: %w", target.Name(), err)
@@ -145,20 +143,9 @@ func runTarget(cc CampaignConfig, ti int, target Target, logf func(string, ...an
 		if outc.Exhausted {
 			to.Exhausted++
 		}
-		// Live campaign progress: a handful of atomic adds per trial,
-		// each trial a full run+crash+recovery simulation.
-		t := telemetry.Campaigns
-		t.Trials.Add(1)
-		t.Faults.Add(uint64(len(plan.Faults)))
-		t.Recoveries.Add(uint64(outc.Recoveries))
-		t.NestedCrashes.Add(uint64(outc.NestedCrashes))
-		if outc.Crashed {
-			t.Crashes.Add(1)
-		}
 		if outc.Err == nil {
 			continue
 		}
-		t.Violations.Add(1)
 		logf("%s: trial %d FAILED: %v — shrinking", target.Name(), trial, outc.Err)
 		shrunk, runs := Shrink(pg, cfg, g, plan)
 		to.Failures = append(to.Failures, Failure{

@@ -10,7 +10,6 @@ import (
 	"capri/internal/prog"
 	"capri/internal/proxy"
 	"capri/internal/slab"
-	"capri/internal/telemetry"
 )
 
 // Memory map conventions for compiled programs. Workloads allocate heap data
@@ -168,12 +167,6 @@ type Machine struct {
 
 	crashed bool
 	fatal   error
-
-	// Live telemetry (telemetry.go): the armed snapshot for the current
-	// run segment (nil when telemetry is off) and the last-published
-	// delta base. run() captures the arming once per entry.
-	tele    *telemetry.MachineTelemetry
-	telePub telePub
 
 	tap     audit.Sink  // nil: provenance event emission off
 	metrics *Metrics    // nil: histogram collection off
@@ -376,13 +369,7 @@ func (m *Machine) run(crashAt uint64) error {
 	// after a survived crash point) keeps its counter instead of re-summing
 	// Instret() per entry. A step retires at most one instruction, so the
 	// delta around it is cheap to track.
-	// Live telemetry arming, read once per run segment (telemetry.go).
-	// The conditional defer means a disarmed run pays exactly one atomic
-	// pointer load here and one nil check per scheduler pop below.
-	if t := telemetry.ArmedMachine(); t != nil {
-		m.telemetryEnter(t)
-		defer m.telemetryExit()
-	}
+	//
 	// The run queue orders runnable cores by (cycle, coreID) — the reference
 	// per-instruction schedule. Rebuilt per entry: cores may have been
 	// resumed, recovered, or left stale by a crash/fatal exit.
@@ -393,9 +380,6 @@ func (m *Machine) run(crashAt uint64) error {
 	for !m.Done() {
 		if m.fatal != nil {
 			return m.fatal
-		}
-		if m.tele != nil && m.steps-m.telePub.steps >= telePublishEvery {
-			m.publishTelemetry(false)
 		}
 		if m.retired >= crashAt {
 			m.crashed = true

@@ -130,17 +130,6 @@ func (n *NVM) BookLineWrite(now, writeCost uint64) uint64 {
 	return (n.writeFree - now + writeCost - 1) / writeCost
 }
 
-// PendingLineWrites reports the write-pending queue's current depth at
-// cycle now without booking anything: the number of 64B line writes still
-// queued ahead of the device, given the per-line write latency. Read-only
-// — the telemetry sampler's WPQ-depth gauge is built on it.
-func (n *NVM) PendingLineWrites(now, writeCost uint64) uint64 {
-	if writeCost == 0 || n.writeFree <= now {
-		return 0
-	}
-	return (n.writeFree - now + writeCost - 1) / writeCost
-}
-
 // Read returns the persisted value of the word at addr (zero if never
 // written) along with its writer sequence.
 func (n *NVM) Read(addr uint64) Word {

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"capri/internal/compile"
-	"capri/internal/telemetry"
 	"capri/internal/workload"
 )
 
@@ -41,24 +40,10 @@ func Run(jobs, n int, fn func(i int) error) error {
 	if jobs > n {
 		jobs = n
 	}
-	// Unit progress is published unconditionally into the live telemetry
-	// snapshot — three atomic adds per unit against units that each run a
-	// whole simulation, so there is no disarmed fast path to maintain.
-	telemetry.Sweeps.UnitsPlanned.Add(uint64(n))
-	run := func(i int) error {
-		telemetry.Sweeps.InFlight.Add(1)
-		err := fn(i)
-		telemetry.Sweeps.InFlight.Add(-1)
-		telemetry.Sweeps.UnitsDone.Add(1)
-		if err != nil {
-			telemetry.Sweeps.Failures.Add(1)
-		}
-		return err
-	}
 	errs := make([]error, n)
 	if jobs == 1 {
 		for i := 0; i < n; i++ {
-			errs[i] = run(i)
+			errs[i] = fn(i)
 		}
 	} else {
 		idx := make(chan int)
@@ -68,7 +53,7 @@ func Run(jobs, n int, fn func(i int) error) error {
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					errs[i] = run(i)
+					errs[i] = fn(i)
 				}
 			}()
 		}
