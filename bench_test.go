@@ -417,61 +417,3 @@ func ablationProgram(multiRewrite bool) *Program {
 	bd.SetThreadEntries(f)
 	return bd.Program()
 }
-
-// BenchmarkInlining quantifies the region-lengthening inlining extension
-// (the paper's §6.3 future work) on the call-bound benchmarks: normalized
-// cycles and average region length with and without inlining.
-func BenchmarkInlining(b *testing.B) {
-	for _, name := range []string{"531.deepsjeng_r", "vacation"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			w, err := workload.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := w.Build(benchScale)
-			cfgB := machine.DefaultConfig()
-			cfgB.Capri = false
-			cfgB.L2Size = 2 << 20
-			cfgB.DRAMSize = 16 << 20
-			mb, err := machine.New(src, cfgB)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := mb.Run(); err != nil {
-				b.Fatal(err)
-			}
-			base := mb.Cycles()
-
-			run := func(inline bool) machine.Stats {
-				opts := compile.DefaultOptions()
-				opts.Inline = inline
-				res, err := compile.Compile(src, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := cfgB
-				cfg.Capri = true
-				cfg.Threshold = opts.Threshold
-				m, err := machine.New(res.Program, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-				return m.Stats()
-			}
-
-			var off, on machine.Stats
-			for i := 0; i < b.N; i++ {
-				off = run(false)
-				on = run(true)
-			}
-			b.ReportMetric(float64(off.Cycles)/float64(base), "norm_noInline")
-			b.ReportMetric(float64(on.Cycles)/float64(base), "norm_inline")
-			b.ReportMetric(off.AvgRegionInsts, "rgInsts_noInline")
-			b.ReportMetric(on.AvgRegionInsts, "rgInsts_inline")
-		})
-	}
-}

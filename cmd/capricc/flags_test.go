@@ -23,6 +23,10 @@ func TestFlagErrors(t *testing.T) {
 		wantText []string
 	}{
 		{[]string{"-scale", "0"}, 1, []string{"-scale must be >= 1, got 0"}},
+		{[]string{"-bench", "radix", "-level", "+ckpt", "-dump-after", "licm"}, 1, []string{"-dump-after", `pass "licm" not in this pipeline`}},
+		{[]string{"-bench", "radix", "-dump-after", "inline"}, 1, []string{"-dump-after", `pass "inline" not in this pipeline`}},
+		{[]string{"-bench", "radix", "-dump-after", "nonsense"}, 1, []string{"-dump-after", `unknown pass "nonsense"`}},
+		{[]string{"-bench", "radix", "-verify-after", "inline"}, 1, []string{"VerifyAfter", `pass "inline" not in this pipeline`}},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestFlagErrors$")
 		cmd.Env = append(os.Environ(), "CAPRI_MAIN_ARGS="+strings.Join(tc.args, " "))

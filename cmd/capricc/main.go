@@ -80,8 +80,8 @@ func main() {
 	opts.VerifyAfter = *verifyAfter
 	var hooks compile.Hooks
 	if *dumpAfter != "" {
-		if err := validPass(*dumpAfter); err != nil {
-			fatal(err)
+		if err := compile.CheckPass(*dumpAfter, opts); err != nil {
+			fatal(fmt.Errorf("capricc: -dump-after: %w", err))
 		}
 		hooks.AfterPass = func(pass string, p *prog.Program) {
 			if pass != *dumpAfter {
@@ -132,8 +132,8 @@ func main() {
 //	schema   string           always "capri/compile-stats/v1"
 //	input    {name, funcs, blocks, insts, stores}
 //	options  {level, threshold, maxUnroll, verifyAfter}
-//	stats    compile.Stats: regions, checkpoint/unroll/inline counters, the
-//	         static output shape, and passes[] with per-pass {name, runs,
+//	stats    compile.Stats: regions, checkpoint and unroll counters, the
+//	         static output shape, and passes[] with per-pass {name,
 //	         changed, wallNs, verifyNs} in pipeline order
 type statsDoc struct {
 	Schema  string      `json:"schema"`
@@ -164,7 +164,6 @@ type statsFields struct {
 	CkptsHoisted  int       `json:"ckptsHoisted"`
 	LoopsUnrolled int       `json:"loopsUnrolled"`
 	UnrollCopies  int       `json:"unrollCopies"`
-	CallsInlined  int       `json:"callsInlined"`
 	Static        staticDoc `json:"static"`
 	Passes        []passDoc `json:"passes"`
 }
@@ -203,7 +202,6 @@ func writeStatsJSON(srcName string, level compile.Level, res *compile.Result, in
 			CkptsHoisted:  st.CkptsHoisted,
 			LoopsUnrolled: st.LoopsUnrolled,
 			UnrollCopies:  st.UnrollCopies,
-			CallsInlined:  st.CallsInlined,
 			Static: staticDoc{
 				Funcs:      st.Static.Funcs,
 				Blocks:     st.Static.Blocks,
@@ -225,17 +223,6 @@ func writeStatsJSON(srcName string, level compile.Level, res *compile.Result, in
 	if err := enc.Encode(doc); err != nil {
 		fatal(err)
 	}
-}
-
-// validPass rejects a -dump-after selector naming no known pass, so a typo
-// does not silently dump nothing.
-func validPass(name string) error {
-	for _, n := range compile.AllPassNames {
-		if n == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("capricc: -dump-after=%s: unknown pass (have %v)", name, compile.AllPassNames)
 }
 
 func parseLevel(s string) (compile.Level, error) {

@@ -23,12 +23,10 @@ type Stats struct {
 	// (§4.3).
 	LoopsUnrolled int
 	UnrollCopies  int
-	// CallsInlined counts call sites removed by the inlining extension.
-	CallsInlined int
 	// Static program shape after compilation.
 	Static prog.StaticStats
-	// Passes holds per-pass run counts, action counts and wall times in
-	// pipeline order (see PassStat); the source of capricc -stats-json.
+	// Passes holds per-pass action counts and wall times in pipeline order
+	// (see PassStat); the source of capricc -stats-json.
 	Passes []PassStat
 }
 
@@ -56,7 +54,7 @@ func autoMaxUnroll(threshold int) int {
 
 // Compile runs the Capri pass pipeline over a copy of p:
 //
-//	canonicalize → inline → speculative unrolling → region formation ⇄
+//	canonicalize → speculative unrolling → region formation →
 //	checkpoint insertion → checkpoint pruning → checkpoint LICM →
 //	boundary materialization
 //
@@ -97,24 +95,14 @@ func CompileWithHooks(p *prog.Program, opts Options, hooks Hooks) (*Result, erro
 }
 
 // validateVerifyAfter rejects a VerifyAfter selector that names no pass of
-// this pipeline — a silently ignored selector would report "verified" work
-// that never ran.
+// this pipeline (see CheckPass).
 func validateVerifyAfter(opts Options) error {
-	va := opts.VerifyAfter
-	if va == "" || va == VerifyAfterAll {
-		return nil
-	}
-	for _, n := range PassNames(opts) {
-		if n == va {
-			return nil
+	if va := opts.VerifyAfter; va != "" && va != VerifyAfterAll {
+		if err := CheckPass(va, opts); err != nil {
+			return fmt.Errorf("compile: VerifyAfter: %w", err)
 		}
 	}
-	for _, n := range AllPassNames {
-		if n == va {
-			return fmt.Errorf("compile: -verify-after=%s: pass not in this pipeline (level/options disable it)", va)
-		}
-	}
-	return fmt.Errorf("compile: unknown pass %q in VerifyAfter (have %v)", va, AllPassNames)
+	return nil
 }
 
 // MustCompile is Compile for tests and examples where failure is a bug.

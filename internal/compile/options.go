@@ -44,18 +44,11 @@ type Options struct {
 	// blocks.
 	NaiveRegions bool
 
-	// Inline enables small-leaf-function inlining, the region-lengthening
-	// extension beyond the paper's pass set (its §6.3 future work): call and
-	// return-site boundaries disappear with the call. Off by default so the
-	// figure pipeline matches the paper.
-	Inline bool
-	// InlineMaxInsts bounds inlined callee size (0 = default 48).
-	InlineMaxInsts int
-
 	// VerifyAfter selects extra semantic verification points: "" (final
-	// program only — always checked), a pass name from AllPassNames, or
-	// VerifyAfterAll to check after every pass. Verification never changes
-	// the compiled output, so the compile cache ignores this field.
+	// program only — always checked), a pass name this pipeline runs (see
+	// CheckPass), or VerifyAfterAll to check after every pass. Verification
+	// never changes the compiled output, so the compile cache ignores this
+	// field.
 	VerifyAfter string
 }
 
@@ -70,8 +63,7 @@ const VerifyAfterAll = "all"
 func (o Options) Canonical() Options {
 	o.VerifyAfter = ""
 	if o.NaiveRegions {
-		// Naive mode disables the region-lengthening passes entirely.
-		o.Inline = false
+		// Naive mode disables the region-lengthening pass entirely.
 		o.Unroll = false
 	}
 	if !o.InsertCheckpoints {
@@ -85,13 +77,6 @@ func (o Options) Canonical() Options {
 		}
 	} else {
 		o.MaxUnroll = 0
-	}
-	if o.Inline {
-		if o.InlineMaxInsts <= 0 {
-			o.InlineMaxInsts = defaultInlineMax
-		}
-	} else {
-		o.InlineMaxInsts = 0
 	}
 	return o
 }

@@ -255,9 +255,9 @@ func TestVerifyAfterSelectors(t *testing.T) {
 		opts := DefaultOptions()
 		opts.VerifyAfter = va
 		switch err := validateVerifyAfter(opts); {
-		case va == PassInline:
-			// Inlining is off in the default pipeline: selecting it must be
-			// rejected as not-in-this-pipeline, not silently ignored.
+		case va == "inline":
+			// A retired pass name selects nothing: it must be rejected as
+			// not-in-this-pipeline, not silently ignored.
 			if err == nil || !strings.Contains(err.Error(), "not in this pipeline") {
 				t.Errorf("VerifyAfter=%q: want not-in-pipeline error, got %v", va, err)
 			}

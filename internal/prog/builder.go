@@ -113,9 +113,6 @@ func (fb *FuncBuilder) MulI(rd, ra isa.Reg, imm int64) { fb.OpI(isa.OpMulI, rd, 
 // AndI emits rd = ra & imm.
 func (fb *FuncBuilder) AndI(rd, ra isa.Reg, imm int64) { fb.OpI(isa.OpAndI, rd, ra, imm) }
 
-// Xor emits rd = ra ^ rb.
-func (fb *FuncBuilder) Xor(rd, ra, rb isa.Reg) { fb.Op3(isa.OpXor, rd, ra, rb) }
-
 // Sel emits rd = ra != 0 ? rb : rc.
 func (fb *FuncBuilder) Sel(rd, ra, rb, rc isa.Reg) {
 	fb.emit(isa.Inst{Op: isa.OpSel, Rd: rd, Ra: ra, Rb: rb, Rc: rc})
@@ -192,9 +189,6 @@ func (fb *FuncBuilder) Lock(ra isa.Reg, off int64) {
 func (fb *FuncBuilder) Unlock(ra isa.Reg, off int64) {
 	fb.emit(isa.Inst{Op: isa.OpUnlock, Ra: ra, Imm: off})
 }
-
-// Barrier emits a global thread barrier.
-func (fb *FuncBuilder) Barrier() { fb.emit(isa.Inst{Op: isa.OpBarrier}) }
 
 // Emit appends ra to the program output tape.
 func (fb *FuncBuilder) Emit(ra isa.Reg) { fb.emit(isa.Inst{Op: isa.OpEmit, Ra: ra}) }

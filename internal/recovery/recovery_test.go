@@ -170,63 +170,6 @@ func TestValidateRejectsBadCompile(t *testing.T) {
 	}
 }
 
-// TestInlinedProgramsRecover extends the property tests to the inlining
-// extension: generated programs compiled with inlining enabled must behave
-// and recover exactly like their golden runs.
-func TestInlinedProgramsRecover(t *testing.T) {
-	seeds := 10
-	if testing.Short() {
-		seeds = 3
-	}
-	gcfg := progen.DefaultConfig()
-	gcfg.Threads = 2
-	for seed := 0; seed < seeds; seed++ {
-		p := progen.Generate(uint64(seed)*6151+17, gcfg)
-		opts := compile.OptionsForLevel(compile.LevelLICM, 32)
-		opts.Inline = true
-		cfg := testConfig()
-		cfg.Threshold = 32
-		if _, err := ValidateProgram(p, opts, cfg, 8); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
-	}
-}
-
-// TestInlineMatchesNonInlineOutputs compiles the same generated programs
-// with and without inlining and compares final outputs of full runs.
-func TestInlineMatchesNonInlineOutputs(t *testing.T) {
-	gcfg := progen.DefaultConfig()
-	gcfg.Threads = 1
-	for seed := uint64(0); seed < 8; seed++ {
-		p := progen.Generate(seed*211+9, gcfg)
-		run := func(inline bool) []uint64 {
-			opts := compile.DefaultOptions()
-			opts.Inline = inline
-			res, err := compile.Compile(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := machine.New(res.Program, testConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Run(); err != nil {
-				t.Fatal(err)
-			}
-			return m.Output(0)
-		}
-		a, b := run(false), run(true)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: output lengths differ", seed)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: output[%d] differs: %d vs %d", seed, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestPropertyCrashRecoveryBarriers fuzzes SPMD programs whose workers
 // synchronize through sense-reversing barriers in persistent memory —
 // crashes land inside barrier episodes and recovery must release everyone.
