@@ -34,9 +34,9 @@ lint:
 	$(GO) run ./tools/doccheck internal/sweep internal/fault internal/audit internal/figures internal/compile internal/machine internal/workload internal/recovery internal/analysis internal/prog internal/slab internal/trace internal/asm internal/isa internal/progen internal/mem internal/image internal/proxy internal/cache internal/stats cmd/capristat tools/mutants
 
 # check is the pre-merge tier: lint (vet + godoc coverage), the
-# race-sensitive packages under the race detector (compile carries the
-# shared compile cache, sweep the parallel fleet, machine two concurrent
-# recoveries of one crash image sharing its NVM pages),
+# race-sensitive packages under the race detector (figures carries the
+# harness's per-run singleflight, sweep the parallel fleet, machine two
+# concurrent recoveries of one crash image sharing its NVM pages),
 # the full verifier matrix (semantic region verifier after every pass for
 # every benchmark x level x threshold, plus the seven seed-derived progen
 # programs LICM once broke by hoisting past a callee's write, at every level

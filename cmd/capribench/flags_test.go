@@ -23,6 +23,10 @@ func TestFlagErrors(t *testing.T) {
 		wantText []string
 	}{
 		{[]string{"-scale", "0"}, 1, []string{"-scale must be >= 1, got 0"}},
+		{[]string{"-list", "-verify", "/nonexistent.md"}, 1, []string{"-verify is honoured only with -explain or -sweepcheck"}},
+		{[]string{"-audit", "-verify", "/nonexistent.md"}, 1, []string{"-verify is honoured only"}},
+		{[]string{"-list", "-record-out", "/nonexistent-dir"}, 1, []string{"-record-out is honoured only with -audit"}},
+		{[]string{"-sweepcheck", "-record-out", "/nonexistent-dir"}, 1, []string{"-record-out is honoured only"}},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestFlagErrors$")
 		cmd.Env = append(os.Environ(), "CAPRI_MAIN_ARGS="+strings.Join(tc.args, " "))

@@ -49,6 +49,15 @@ func main() {
 	if *scale < 1 {
 		check(fmt.Errorf("-scale must be >= 1, got %d", *scale))
 	}
+	// The modes below run in this order, the first one set winning; -verify
+	// and -record-out, which only their own modes read, are errors anywhere
+	// else.
+	if *verify != "" && !*sweepChk && (*auditAll || !*explain) {
+		check(fmt.Errorf("-verify is honoured only with -explain or -sweepcheck"))
+	}
+	if *recDir != "" && (*sweepChk || !*auditAll) {
+		check(fmt.Errorf("-record-out is honoured only with -audit"))
+	}
 
 	if *sweepChk {
 		check(runSweepCheck(*scale, *jobs, *verify))

@@ -50,9 +50,9 @@ func main() {
 		return
 	}
 
-	level, err := parseLevel(*levelName)
+	level, err := compile.ParseLevel(*levelName)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("capricc: %w", err))
 	}
 	var p *prog.Program
 	var srcName string
@@ -223,15 +223,6 @@ func writeStatsJSON(srcName string, level compile.Level, res *compile.Result, in
 	if err := enc.Encode(doc); err != nil {
 		fatal(err)
 	}
-}
-
-func parseLevel(s string) (compile.Level, error) {
-	for _, l := range compile.Levels {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("capricc: unknown level %q", s)
 }
 
 func fatal(err error) {

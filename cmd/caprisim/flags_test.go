@@ -23,6 +23,7 @@ func TestFlagErrors(t *testing.T) {
 		wantText []string
 	}{
 		{[]string{"-scale", "0"}, 1, []string{"-scale must be >= 1, got 0"}},
+		{[]string{"-bench", "radix", "-level", "bogus"}, 1, []string{"-level", `unknown level "bogus"`}},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestFlagErrors$")
 		cmd.Env = append(os.Environ(), "CAPRI_MAIN_ARGS="+strings.Join(tc.args, " "))

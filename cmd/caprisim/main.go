@@ -52,11 +52,9 @@ func main() {
 		return
 	}
 
-	var level compile.Level = compile.LevelLICM
-	for _, l := range compile.Levels {
-		if l.String() == *levelName {
-			level = l
-		}
+	level, err := compile.ParseLevel(*levelName)
+	if err != nil {
+		fatal(fmt.Errorf("-level: %w", err))
 	}
 
 	var b workload.Benchmark
@@ -74,7 +72,6 @@ func main() {
 			Build: func(int) *prog.Program { return p },
 		}
 	} else {
-		var err error
 		b, err = workload.ByName(*benchName)
 		if err != nil {
 			fatal(err)

@@ -86,8 +86,8 @@ func CompileWithHooks(p *prog.Program, opts Options, hooks Hooks) (*Result, erro
 		return nil, err
 	}
 	// The passes left superseded instruction lists in the slab chunks they
-	// carved; a compiled program may be kept for a long time (compile cache,
-	// crash targets), so it keeps only its live instructions.
+	// carved; a compiled program may be kept for a long time (crash targets),
+	// so it keeps only its live instructions.
 	out.Compact()
 	res.Stats.Static = out.Stats()
 	res.Stats.Regions = res.Stats.Static.Boundaries

@@ -7,6 +7,8 @@
 // architecture needs to make execution failure-atomic at region granularity.
 package compile
 
+import "fmt"
+
 // Options selects the store threshold and which optimizations run. The
 // zero value is not useful; start from DefaultOptions.
 type Options struct {
@@ -47,39 +49,13 @@ type Options struct {
 	// VerifyAfter selects extra semantic verification points: "" (final
 	// program only — always checked), a pass name this pipeline runs (see
 	// CheckPass), or VerifyAfterAll to check after every pass. Verification
-	// never changes the compiled output, so the compile cache ignores this
-	// field.
+	// never changes the compiled output.
 	VerifyAfter string
 }
 
 // VerifyAfterAll is the Options.VerifyAfter value that runs the semantic
 // verifier after every pass.
 const VerifyAfterAll = "all"
-
-// Canonical returns opts with output-irrelevant and defaulted fields
-// normalized, so Options values that compile to the same program compare
-// equal — the options half of the compile-cache key. Threshold must already
-// be validated positive.
-func (o Options) Canonical() Options {
-	o.VerifyAfter = ""
-	if o.NaiveRegions {
-		// Naive mode disables the region-lengthening pass entirely.
-		o.Unroll = false
-	}
-	if !o.InsertCheckpoints {
-		// No checkpoints: nothing to prune or hoist.
-		o.Prune = false
-		o.LICM = false
-	}
-	if o.Unroll {
-		if o.MaxUnroll <= 0 {
-			o.MaxUnroll = autoMaxUnroll(o.Threshold)
-		}
-	} else {
-		o.MaxUnroll = 0
-	}
-	return o
-}
 
 // DefaultThreshold is the paper's default region store threshold.
 const DefaultThreshold = 256
@@ -135,6 +111,16 @@ func (l Level) String() string {
 		return "+licm"
 	}
 	return "level?"
+}
+
+// ParseLevel returns the level whose figure-legend name is s.
+func ParseLevel(s string) (Level, error) {
+	for _, l := range Levels {
+		if l.String() == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown level %q", s)
 }
 
 // OptionsForLevel returns Options matching a cumulative level at the given

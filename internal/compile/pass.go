@@ -56,8 +56,8 @@ type PassStat struct {
 }
 
 // Hooks observes the pass manager as it runs. Hooks are deliberately not part
-// of Options: Options stays comparable (it is half of the compile-cache key),
-// and observation must never change what the pipeline produces.
+// of Options: Options stays a plain comparable value, and observation must
+// never change what the pipeline produces.
 type Hooks struct {
 	// AfterPass fires once after every pass, with the program in its
 	// post-pass state. The program is the live working copy — observe, do

@@ -7,6 +7,7 @@ import (
 	"capri/internal/analysis"
 	"capri/internal/isa"
 	"capri/internal/prog"
+	"capri/internal/workload"
 )
 
 // --- canonicalization ---
@@ -177,12 +178,39 @@ func TestTinyThresholds(t *testing.T) {
 	}
 }
 
+// TestCompileDeterministic compiles every benchmark at every level twice,
+// from independent builds, and requires the same output program.
 func TestCompileDeterministic(t *testing.T) {
-	p := storeLoop(3)
-	a := MustCompile(p, DefaultOptions()).Program.String()
-	b := MustCompile(p, DefaultOptions()).Program.String()
-	if a != b {
-		t.Error("Compile is not deterministic")
+	for _, b := range workload.All() {
+		for _, l := range Levels {
+			opts := OptionsForLevel(l, DefaultThreshold)
+			first, err := Compile(b.Build(1), opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", b.Name, l, err)
+			}
+			again, err := Compile(b.Build(1), opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", b.Name, l, err)
+			}
+			if first.Program.Fingerprint() != again.Program.Fingerprint() {
+				t.Errorf("%s %s: Compile is not deterministic", b.Name, l)
+			}
+		}
+	}
+}
+
+func TestFingerprintSensitivity(t *testing.T) {
+	b, err := workload.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, p2 := b.Build(1), b.Build(1)
+	if p1.Fingerprint() != p2.Fingerprint() {
+		t.Fatal("identical builds fingerprint differently")
+	}
+	p2.Funcs[0].Blocks[0].Insts[0].Imm++
+	if p1.Fingerprint() == p2.Fingerprint() {
+		t.Fatal("immediate change not reflected in fingerprint")
 	}
 }
 

@@ -247,9 +247,12 @@ func TestMutationMisplacedBoundaryInstRejected(t *testing.T) {
 	}
 }
 
+// TestVerifyAfterSelectors checks every selector is accepted or rejected as
+// documented, and that an accepted one never changes the compiled program.
 func TestVerifyAfterSelectors(t *testing.T) {
 	b, _ := workload.ByName("radix")
 	p := b.Build(1)
+	want := MustCompile(p, DefaultOptions()).Program.Fingerprint()
 
 	for _, va := range append([]string{"", VerifyAfterAll}, AllPassNames...) {
 		opts := DefaultOptions()
@@ -264,8 +267,11 @@ func TestVerifyAfterSelectors(t *testing.T) {
 		case err != nil:
 			t.Errorf("VerifyAfter=%q rejected: %v", va, err)
 		default:
-			if _, err := Compile(p, opts); err != nil {
+			res, err := Compile(p, opts)
+			if err != nil {
 				t.Errorf("compile with VerifyAfter=%q: %v", va, err)
+			} else if res.Program.Fingerprint() != want {
+				t.Errorf("VerifyAfter=%q changed the compiled program", va)
 			}
 		}
 	}

